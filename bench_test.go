@@ -16,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/experiments"
+	"repro/internal/govern"
 	"repro/internal/hypergraph"
 	"repro/internal/jointree"
 	"repro/internal/optimizer"
@@ -499,6 +500,32 @@ func BenchmarkEngineStrategies(b *testing.B) {
 			b.ReportMetric(float64(cost), "exec-cost")
 		})
 	}
+}
+
+// BenchmarkProgramTriangle runs the served benchmark's cyclic_program query
+// in process: the dense 90-node, 1 600-edge triangle (seed 1992), planned
+// once on the program route, then the cached plan executed under a tuple
+// budget — the serving hot path without HTTP.
+func BenchmarkProgramTriangle(b *testing.B) {
+	db, err := workload.TriangleSpec{Nodes: 90, Edges: 1600}.TriangleDatabase(rand.New(rand.NewSource(1992)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := engine.PlanFor(db, engine.Options{Strategy: engine.StrategyProgram})
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := engine.Options{Limits: govern.Limits{MaxTuples: 1 << 40}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var rep *engine.Report
+	for i := 0; i < b.N; i++ {
+		if rep, err = engine.ExecutePlan(db, plan, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(rep.Cost), "exec-cost")
+	b.ReportMetric(float64(rep.Produced), "tuples-charged")
 }
 
 // BenchmarkRandomTree measures the Rémy sampler.

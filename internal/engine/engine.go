@@ -106,10 +106,6 @@ type Options struct {
 	// searching (0 = optimizer.DefaultBudget). It bounds planning only;
 	// Limits bounds execution.
 	Budget int64
-	// IndexedExecution runs programs through the index-sharing executor
-	// (identical results and cost; shared hash indexes across statements
-	// that probe the same relation on the same attributes).
-	IndexedExecution bool
 	// Limits bounds execution itself: tuple budgets, a deadline, and a
 	// cancellation context enforced inside every operator (zero value =
 	// unlimited). Exceeding a limit aborts with a typed error
@@ -122,10 +118,11 @@ type Options struct {
 	// starts with fresh counters (an aborted attempt's intermediates are
 	// discarded), while the deadline and context are absolute and shared.
 	Limits govern.Limits
-	// Workers enables governed intra-query parallelism: program statements
-	// are scheduled over their dependency DAG and joins, semijoins, and
-	// projections run partition-parallel with up to Workers goroutines,
-	// all charging the same governor budgets. 0 or 1 executes sequentially
+	// Workers enables governed intra-query parallelism with up to Workers
+	// goroutines: ready program statements run concurrently over their
+	// dependency DAG and their joins and semijoins probe in parallel row
+	// ranges; tree evaluation runs its operators partition-parallel. All
+	// workers charge the same governor budgets. 0 or 1 executes sequentially
 	// (the default); results are identical either way. Workers is honored by
 	// direct Join calls and by cached-Plan execution; the acyclic pipeline
 	// runs sequentially regardless (its semijoin passes are already linear
@@ -356,34 +353,21 @@ func runStrategy(db *relation.Database, h *hypergraph.Hypergraph, strat Strategy
 	return rep, nil
 }
 
-// runProgram picks the program executor the options ask for: the
-// DAG-parallel executor when Workers > 1, the index-sharing executor when
-// requested, else the plain interpreter. All three produce identical
-// Results; they differ only in wall-clock work.
-func runProgram(p *program.Program, db *relation.Database, gov *govern.Governor, opts Options) (*program.Result, error) {
-	switch {
-	case opts.workerCount() > 1:
-		return p.ApplyParallelGoverned(db, gov, opts.workerCount())
-	case opts.IndexedExecution:
-		return p.ApplyIndexedGoverned(db, gov)
-	default:
-		return p.ApplyGoverned(db, gov)
-	}
-}
-
-// runProgramTraced is runProgram under an "execute program" span: the
-// governor's span is swapped to the execute span for the duration so the
-// executors' per-statement spans nest under it, then restored. The swap is
-// safe because the executors' worker goroutines are spawned (and joined)
+// runProgramTraced runs the program executor with the options' worker count
+// under an "execute program" span: the governor's span is swapped to the
+// execute span for the duration so the executor's per-statement spans nest
+// under it, then restored. The span's self time is the executor's work
+// outside statements — encoding the inputs and decoding the output. The swap
+// is safe because the executor's worker goroutines are spawned (and joined)
 // strictly inside the call.
 func runProgramTraced(p *program.Program, db *relation.Database, gov *govern.Governor, opts Options) (*program.Result, error) {
 	parent := gov.Span()
 	if parent == nil {
-		return runProgram(p, db, gov, opts)
+		return p.ApplyParallelGoverned(db, gov, opts.workerCount())
 	}
 	exec := parent.Child(obs.KindExecute, "execute program")
 	gov.SetSpan(exec)
-	res, err := runProgram(p, db, gov, opts)
+	res, err := p.ApplyParallelGoverned(db, gov, opts.workerCount())
 	gov.SetSpan(parent)
 	if err != nil {
 		exec.Note("failed: %v", err)

@@ -254,21 +254,6 @@ func TestExplainMentionsPlan(t *testing.T) {
 	}
 }
 
-func TestIndexedExecutionOptionAgrees(t *testing.T) {
-	db := example3DB(t, 10)
-	plain, err := Join(db, Options{Strategy: StrategyProgram})
-	if err != nil {
-		t.Fatal(err)
-	}
-	indexed, err := Join(db, Options{Strategy: StrategyProgram, IndexedExecution: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !plain.Result.Equal(indexed.Result) || plain.Cost != indexed.Cost {
-		t.Errorf("indexed execution changed result or cost: %d vs %d", plain.Cost, indexed.Cost)
-	}
-}
-
 func TestJoinTinyBudgetFails(t *testing.T) {
 	// With a 1-tuple optimizer budget every catalog materialization fails;
 	// the exact DP and the greedy fallback both error, and Join surfaces

@@ -219,8 +219,8 @@ func PlanFor(db *relation.Database, opts Options) (*Plan, error) {
 // ExecutePlan runs a previously derived plan against db, which must be over
 // the same scheme (equal Fingerprint; any edge order). No optimizer search
 // or algorithm derivation happens here — this is the serving hot path.
-// Options.Limits, Options.IndexedExecution, and Options.Workers apply;
-// Options.Strategy and Options.Budget are ignored (the plan fixed both).
+// Options.Limits and Options.Workers apply; Options.Strategy and
+// Options.Budget are ignored (the plan fixed both).
 // The plan is not mutated, so concurrent ExecutePlan calls on one plan are
 // safe — including parallel executions of the same cached plan, each with
 // its own governor and worker pool.

@@ -60,11 +60,7 @@ func Project(db *relation.Database, out relation.AttrSet, opts Options) (*Report
 	if err != nil {
 		return nil, err
 	}
-	apply := d.Program.ApplyGoverned
-	if opts.IndexedExecution {
-		apply = d.Program.ApplyIndexedGoverned
-	}
-	res, err := apply(db, gov)
+	res, err := d.Program.ApplyGoverned(db, gov)
 	if err != nil {
 		return nil, err
 	}

@@ -62,19 +62,3 @@ func TestProjectRejectsBadAttrs(t *testing.T) {
 		t.Error("nil database accepted")
 	}
 }
-
-func TestProjectIndexedExecutionAgrees(t *testing.T) {
-	db := example3DB(t, 6)
-	out := relation.AttrSetOfRunes("AD")
-	a, err := Project(db, out, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Project(db, out, Options{IndexedExecution: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.Result.Equal(b.Result) || a.Cost != b.Cost {
-		t.Error("indexed execution diverged for projection")
-	}
-}

@@ -122,7 +122,7 @@ func ParallelSpeedup(q int64, trials int) (*Table, *ParallelBenchResult, error) 
 			Produced:     rep.Produced,
 		})
 	}
-	t.AddNote("one plan (Theorem 1), many executions: the DAG scheduler runs the program's %d statements over a critical path of %d, and every join/semijoin/projection hash-partitions across the workers",
+	t.AddNote("one plan (Theorem 1), many executions: the DAG scheduler runs the program's %d statements over a critical path of %d, and every join and semijoin splits its probe side into row ranges across the workers",
 		bench.Statements, bench.CriticalPath)
 	t.AddNote("result cardinality and governed produced-tuple totals are identical at every worker count — parallelism never changes what is computed or charged")
 	t.AddNote("GOMAXPROCS here is %d; speedup on a single-core host is ~1 by construction", maxProcs)

@@ -298,6 +298,7 @@ func (g *Governor) Begin(op string) (*OpScope, error) {
 		return nil, nil
 	}
 	s := &OpScope{g: g, op: op}
+	s.produced = &s.own
 	s.tick.Store(int64(g.checkEvery))
 	return s, nil
 }
@@ -332,10 +333,28 @@ func (g *Governor) poll(op string) error {
 // Visit's cardinality-delta protocol is inherently single-writer; concurrent
 // chargers must use Add.
 type OpScope struct {
-	g        *Governor
-	op       string
-	produced atomic.Int64
+	g  *Governor
+	op string
+	// produced is the operator's output count: the scope's own counter, or
+	// for a Fork the counter of the scope it was forked from.
+	produced *atomic.Int64
+	own      atomic.Int64
 	tick     atomic.Int64
+}
+
+// Fork returns a scope for one worker of a parallel operator. It charges
+// into s's counters, so both budgets still see the operator's whole output
+// and abort on the same tuple, but counts its own calls toward the
+// cancellation poll: a worker that calls Add once per loop iteration then
+// touches shared memory only on the iterations that emit something. The
+// fork is for one goroutine's use; s stays usable beside it.
+func (s *OpScope) Fork() *OpScope {
+	if s == nil {
+		return nil
+	}
+	f := &OpScope{g: s.g, op: s.op, produced: s.produced}
+	f.tick.Store(int64(s.g.checkEvery))
+	return f
 }
 
 // Visit is called once per operator loop iteration with the operator's

@@ -316,6 +316,41 @@ func TestSharedScopeAddZeroPollsCancellation(t *testing.T) {
 	}
 }
 
+func TestForkChargesTheOperatorAndPollsOnItsOwn(t *testing.T) {
+	// Forks are one operator to the budgets: 4 forks × 300 tuples trip a
+	// 1000-tuple intermediate limit none reaches alone, on exactly the
+	// 1001st tuple. But each fork counts its own calls toward the poll: a
+	// cancellation is seen within CheckEvery calls of one fork, however
+	// few calls its siblings make.
+	ctx, cancel := context.WithCancel(context.Background())
+	g := New(Limits{MaxIntermediateTuples: 1000, Context: ctx, CheckEvery: 16})
+	scope, err := g.Begin("relation.Join")
+	if err != nil {
+		t.Fatal(err)
+	}
+	forks := []*OpScope{scope.Fork(), scope.Fork(), scope.Fork(), scope.Fork()}
+	charged := 0
+	for err == nil {
+		err = forks[charged%4].Add(1)
+		charged++
+	}
+	var lim *LimitError
+	if !errors.As(err, &lim) || lim.Limit != "MaxIntermediateTuples" || charged != 1001 || g.Produced() != 1001 {
+		t.Fatalf("after %d charges (governor saw %d): %v; want the intermediate limit on charge 1001", charged, g.Produced(), err)
+	}
+	cancel()
+	var aborted error
+	for i := 0; i < 16 && aborted == nil; i++ {
+		aborted = forks[0].Add(0)
+	}
+	if !errors.Is(aborted, ErrCanceled) {
+		t.Fatalf("got %v within one fork's CheckEvery calls, want ErrCanceled", aborted)
+	}
+	if (*OpScope)(nil).Fork() != nil {
+		t.Fatal("forking the nil scope must stay nil")
+	}
+}
+
 func TestSharedScopeExactBudgetNotExceeded(t *testing.T) {
 	// Racing workers charging exactly the budget must all succeed; one more
 	// charge must fail. The budget check reads post-add totals, so the

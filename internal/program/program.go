@@ -198,14 +198,6 @@ type Result struct {
 	Trace []Step
 }
 
-// Apply executes the program on db, whose relations bind positionally to the
-// program's inputs. Statements assign destructively into an environment; the
-// environment is seeded with the inputs (the input relations themselves are
-// never mutated — a semijoin into an input name rebinds the name).
-func (p *Program) Apply(db *relation.Database) (*Result, error) {
-	return p.ApplyGoverned(db, nil)
-}
-
 // beginStmtSpan opens a tracing span for one statement when the governor
 // carries a span (govern.Governor.SetSpan), returning the zero value — and
 // formatting nothing — when untraced. The span is charged with the head
@@ -233,56 +225,6 @@ func (t stmtSpan) finish(produced int, err error) {
 		t.sp.AddTuples(int64(produced))
 	}
 	t.sp.End()
-}
-
-// ApplyGoverned is Apply under a governor: every statement head charges its
-// tuples against the budgets, the governor's failpoint hook fires at each
-// statement boundary (site "program.Stmt"), and cancellation aborts between
-// or inside statements with the governor's typed error. On abort no partial
-// Result is returned.
-func (p *Program) ApplyGoverned(db *relation.Database, g *govern.Governor) (*Result, error) {
-	if db.Len() != len(p.Inputs) {
-		return nil, fmt.Errorf("program: database has %d relations, program has %d inputs",
-			db.Len(), len(p.Inputs))
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	env := make(map[string]*relation.Relation, len(p.Inputs)+len(p.Stmts))
-	cost := 0
-	for i, name := range p.Inputs {
-		env[name] = db.Relation(i)
-		cost += db.Relation(i).Len()
-	}
-	res := &Result{Trace: make([]Step, 0, len(p.Stmts))}
-	for i, s := range p.Stmts {
-		if _, err := g.Begin("program.Stmt"); err != nil {
-			return nil, fmt.Errorf("program: statement %d (%s): %w", i+1, s, err)
-		}
-		span := beginStmtSpan(g, s)
-		start := time.Now()
-		var out *relation.Relation
-		var err error
-		switch s.Op {
-		case OpProject:
-			out, err = relation.ProjectGoverned(g, env[s.Arg1], s.Proj)
-		case OpJoin:
-			out, err = relation.JoinGoverned(g, env[s.Arg1], env[s.Arg2])
-		case OpSemijoin:
-			out, err = relation.SemijoinGoverned(g, env[s.Arg1], env[s.Arg2])
-		}
-		if err != nil {
-			span.finish(0, err)
-			return nil, fmt.Errorf("program: statement %d (%s): %w", i+1, s, err)
-		}
-		span.finish(out.Len(), nil)
-		env[s.Head] = out
-		cost += out.Len()
-		res.Trace = append(res.Trace, Step{Stmt: s, Schema: out.Schema(), Size: out.Len(), Wall: time.Since(start)})
-	}
-	res.Output = env[p.Output]
-	res.Cost = cost
-	return res, nil
 }
 
 // Len returns the number of statements (m in the paper's cost definition).

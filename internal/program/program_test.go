@@ -41,6 +41,27 @@ func example2Program() *Program {
 	}
 }
 
+// example6Program is the paper's derived program for the 4-cycle, built by
+// hand (this package cannot import core).
+func example6Program() *Program {
+	return &Program{
+		Inputs: []string{"ABC", "CDE", "EFG", "GHA"},
+		Stmts: []Stmt{
+			{Op: OpSemijoin, Head: "V", Arg1: "ABC", Arg2: "CDE"},
+			{Op: OpProject, Head: "F", Arg1: "V", Proj: relation.NewAttrSet("C")},
+			{Op: OpJoin, Head: "F", Arg1: "F", Arg2: "CDE"},
+			{Op: OpProject, Head: "F", Arg1: "F", Proj: relation.NewAttrSet("C", "E")},
+			{Op: OpSemijoin, Head: "F", Arg1: "F", Arg2: "EFG"},
+			{Op: OpJoin, Head: "V", Arg1: "V", Arg2: "F"},
+			{Op: OpJoin, Head: "V", Arg1: "V", Arg2: "EFG"},
+			{Op: OpSemijoin, Head: "V", Arg1: "V", Arg2: "GHA"},
+			{Op: OpJoin, Head: "V", Arg1: "V", Arg2: "CDE"},
+			{Op: OpJoin, Head: "V", Arg1: "V", Arg2: "GHA"},
+		},
+		Output: "V",
+	}
+}
+
 func TestExample2ComputesJoin(t *testing.T) {
 	db := paperDB(t)
 	p := example2Program()

@@ -102,15 +102,22 @@ func sortDict(dict []Value) []uint32 {
 // from a set, joins of sets retaining every column stay sets, and
 // projections dedup — so decoding skips the per-tuple dedup probe and the
 // relation's index is built lazily if a consumer needs it.
+//
+// All rows are cut from one value slab, each with its capacity clipped to
+// its own length, so an append to a decoded tuple reallocates instead of
+// writing into its neighbour.
 func (b *ColBlock) ToRelation() *Relation {
-	rows := make([]Tuple, b.n)
-	for i := 0; i < b.n; i++ {
-		row := make(Tuple, len(b.cols))
-		for c := range b.cols {
-			col := &b.cols[c]
-			row[c] = col.dict[col.codes[i]]
+	nc := len(b.cols)
+	slab := make([]Value, b.n*nc)
+	for c := range b.cols {
+		col := &b.cols[c]
+		for i, code := range col.codes {
+			slab[i*nc+c] = col.dict[code]
 		}
-		rows[i] = row
+	}
+	rows := make([]Tuple, b.n)
+	for i := range rows {
+		rows[i] = slab[i*nc : (i+1)*nc : (i+1)*nc]
 	}
 	return &Relation{schema: b.schema, rows: rows}
 }

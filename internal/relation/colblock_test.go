@@ -151,6 +151,23 @@ func TestKernelProbeZeroAllocs(t *testing.T) {
 	_ = sink
 }
 
+// TestToRelationSlabDecode pins the decode at three allocations whatever
+// the row count — the value slab, the row headers, the Relation — and checks
+// the rows cut from the slab cannot alias: each has its capacity clipped to
+// its length, so appending to one leaves its neighbour alone.
+func TestToRelationSlabDecode(t *testing.T) {
+	rng := rand.New(rand.NewSource(2036))
+	b := FromRelation(randRel(rng, "ABC", 512, 16))
+	if avg := testing.AllocsPerRun(100, func() { b.ToRelation() }); avg > 3 {
+		t.Fatalf("ToRelation allocates %.1f times for %d rows, want at most 3", avg, b.Len())
+	}
+	rows := b.ToRelation().Rows()
+	next := append(Tuple(nil), rows[1]...)
+	if grown := append(rows[0], Int(-1)); cap(rows[0]) != len(rows[0]) || !rows[1].Equal(next) || len(grown) != 4 {
+		t.Fatalf("appending to row 0 (cap %d, len %d) reached row 1: %v, was %v", cap(rows[0]), len(rows[0]), rows[1], next)
+	}
+}
+
 // TestColumnarJSONBoundaryInt64 checks boundary int64 values survive the
 // full path the service exercises: JSON wire decode → tuple map →
 // columnar dictionary → decode → JSON wire encode, with exact-value

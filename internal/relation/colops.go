@@ -2,6 +2,8 @@ package relation
 
 import (
 	"fmt"
+	"runtime"
+	"sync/atomic"
 
 	"repro/internal/govern"
 )
@@ -27,10 +29,23 @@ import (
 // every output column shares its source block's dictionary by reference —
 // joining never copies or re-encodes values.
 func JoinBlocksGoverned(g *govern.Governor, l, r *ColBlock) (*ColBlock, error) {
+	return ParallelJoinBlocksGoverned(g, l, r, 1)
+}
+
+// ParallelJoinBlocksGoverned is JoinBlocksGoverned probing with up to
+// workers goroutines: the build table is hashed once, the probe side is cut
+// into contiguous row ranges, every range charges its per-row deltas into
+// the operator's one scope, and the range outputs concatenate in range
+// order. Output rows, their order, the charged total, and the budget-abort
+// boundary therefore equal the single-range run exactly. workers <= 1 and
+// inputs below the parallel threshold probe as one range on the calling
+// goroutine.
+func ParallelJoinBlocksGoverned(g *govern.Governor, l, r *ColBlock, workers int) (*ColBlock, error) {
 	scope, err := g.Begin("relation.Join")
 	if err != nil {
 		return nil, err
 	}
+	workers = rangeWorkers(workers, l.n+r.n)
 	common := l.schema.AttrSet().Intersect(r.schema.AttrSet())
 	var rOnlyPos []int
 	for i, a := range r.schema.Attrs() {
@@ -38,115 +53,146 @@ func JoinBlocksGoverned(g *govern.Governor, l, r *ColBlock) (*ColBlock, error) {
 			rOnlyPos = append(rOnlyPos, i)
 		}
 	}
-	out := newJoinedBlock(joinSchema(l.schema, r.schema), l, r, rOnlyPos)
+	outSchema := joinSchema(l.schema, r.schema)
+	newOut := func() *ColBlock { return newJoinedBlock(outSchema, l, r, rOnlyPos) }
 
 	if common.IsEmpty() {
-		for i := 0; i < l.n; i++ {
-			for j := 0; j < r.n; j++ {
-				out.appendJoined(l, r, i, j, rOnlyPos)
-				if err := scope.Visit(out.n); err != nil {
-					return nil, err
+		return runBlockRanges(scope, l.n, workers, newOut, func(out *ColBlock, lo, hi int, charge rowCharger) error {
+			for i := lo; i < hi; i++ {
+				for j := 0; j < r.n; j++ {
+					out.appendJoined(l, r, i, j, rOnlyPos)
+					if err := charge.row(1); err != nil {
+						return err
+					}
 				}
 			}
-		}
-		return out, nil
+			return nil
+		})
 	}
 
+	// The smaller side is hashed and the other probes it, as in
+	// hashJoinInto; output rows read (l row, r-only columns) either way.
 	lPos, _ := l.schema.Positions(common)
 	rPos, _ := r.schema.Positions(common)
-	if l.n <= r.n {
-		// Build on l, probe with r (the smaller side is hashed, as in
-		// hashJoinInto). Output rows still read (l row, r-only columns).
-		ht := buildCodeHash(l, lPos)
-		probe := keyCols(r, rPos)
-		remaps := remapCols(r, rPos, l, lPos)
-		for j := 0; j < r.n; j++ {
-			for _, i := range ht.lookup(probe, remaps, j) {
-				out.appendJoined(l, r, int(i), j, rOnlyPos)
-			}
-			if err := scope.Visit(out.n); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		ht := buildCodeHash(r, rPos)
-		probe := keyCols(l, lPos)
-		remaps := remapCols(l, lPos, r, rPos)
-		for i := 0; i < l.n; i++ {
-			for _, j := range ht.lookup(probe, remaps, i) {
-				out.appendJoined(l, r, i, int(j), rOnlyPos)
-			}
-			if err := scope.Visit(out.n); err != nil {
-				return nil, err
-			}
-		}
+	buildSide, buildPos, probeSide, probePos := l, lPos, r, rPos
+	probeIsL := l.n > r.n
+	if probeIsL {
+		buildSide, buildPos, probeSide, probePos = r, rPos, l, lPos
 	}
-	return out, nil
+	build := buildCodeHash(buildSide, buildPos)
+	probe := keyCols(probeSide, probePos)
+	remaps := remapCols(probeSide, probePos, buildSide, buildPos)
+	return runBlockRanges(scope, probeSide.n, workers, newOut, func(out *ColBlock, lo, hi int, charge rowCharger) error {
+		ht := build.reader()
+		for p := lo; p < hi; p++ {
+			matches := ht.lookup(probe, remaps, p)
+			for _, b := range matches {
+				if probeIsL {
+					out.appendJoined(l, r, p, int(b), rOnlyPos)
+				} else {
+					out.appendJoined(l, r, int(b), p, rOnlyPos)
+				}
+			}
+			if err := charge.row(len(matches)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // SemijoinBlocksGoverned computes l ⋉ r over column blocks: the rows of l
 // with at least one match in r. The output shares l's schema and
 // dictionaries; only code vectors are written.
 func SemijoinBlocksGoverned(g *govern.Governor, l, r *ColBlock) (*ColBlock, error) {
+	return ParallelSemijoinBlocksGoverned(g, l, r, 1)
+}
+
+// ParallelSemijoinBlocksGoverned is SemijoinBlocksGoverned scanning with up
+// to workers goroutines over contiguous row ranges, under the same contract
+// as ParallelJoinBlocksGoverned: identical rows, row order, charges, and
+// abort boundary at every worker count.
+func ParallelSemijoinBlocksGoverned(g *govern.Governor, l, r *ColBlock, workers int) (*ColBlock, error) {
 	scope, err := g.Begin("relation.Semijoin")
 	if err != nil {
 		return nil, err
 	}
+	workers = rangeWorkers(workers, l.n+r.n)
 	common := l.schema.AttrSet().Intersect(r.schema.AttrSet())
-	out := newSelectedBlock(l)
-	if common.IsEmpty() {
-		if r.n > 0 {
-			for i := 0; i < l.n; i++ {
-				out.appendFrom(l, i)
-				if err := scope.Visit(out.n); err != nil {
-					return nil, err
+	newOut := func() *ColBlock { return newSelectedBlock(l) }
+	// emit appends the rows of l in [lo, hi) that keep accepts, charging one
+	// call per row.
+	emit := func(keep func(i int) bool) func(*ColBlock, int, int, rowCharger) error {
+		return func(out *ColBlock, lo, hi int, charge rowCharger) error {
+			for i := lo; i < hi; i++ {
+				emitted := 0
+				if keep(i) {
+					out.appendFrom(l, i)
+					emitted = 1
+				}
+				if err := charge.row(emitted); err != nil {
+					return err
 				}
 			}
+			return nil
 		}
-		return out, nil
+	}
+	if common.IsEmpty() {
+		if r.n == 0 {
+			return newOut(), nil
+		}
+		return runBlockRanges(scope, l.n, workers, newOut, emit(func(int) bool { return true }))
 	}
 	lPos, _ := l.schema.Positions(common)
 	rPos, _ := r.schema.Positions(common)
 	lCols, rCols := keyCols(l, lPos), keyCols(r, rPos)
 	if l.n <= r.n {
-		// Hash the smaller (left) side: collect l's keys, scan r marking
-		// which have support, then emit the supported l rows — the same
-		// |l|-bounded-memory shape as the sequential operator.
-		support := newCodeSet(len(lPos), l.n)
-		for i := 0; i < l.n; i++ {
-			support.put(lCols, i)
+		// Hash the smaller (left) side: number l's distinct keys, scan r
+		// marking which have support, then emit the supported l rows — the
+		// same |l|-bounded-memory shape as the sequential operator. Every
+		// range of the r scan marks its own bit vector (the key table is
+		// read-only by then); the vectors are OR-ed before the emit pass.
+		keys := newCodeSet(len(lPos), l.n)
+		keyOf := make([]int32, l.n)
+		for i := range keyOf {
+			keyOf[i], _ = keys.put(lCols, i)
 		}
 		remaps := remapCols(r, rPos, l, lPos)
-		for j := 0; j < r.n; j++ {
-			support.mark(rCols, remaps, j)
-			if err := scope.Visit(out.n); err != nil {
-				return nil, err
+		bounds := splitRanges(r.n, workers)
+		marks := make([][]bool, len(bounds)-1)
+		err := runRanges(scope, bounds, func(k, lo, hi int, charge rowCharger) error {
+			set, marked := keys.reader(), make([]bool, keys.len())
+			marks[k] = marked
+			for j := lo; j < hi; j++ {
+				if id := set.find(rCols, remaps, j); id >= 0 {
+					marked[id] = true
+				}
+				if err := charge.row(0); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		supported := marks[0]
+		for _, m := range marks[1:] {
+			for id, ok := range m {
+				supported[id] = supported[id] || ok
 			}
 		}
-		for i := 0; i < l.n; i++ {
-			if support.marked(lCols, nil, i) {
-				out.appendFrom(l, i)
-			}
-			if err := scope.Visit(out.n); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
+		return runBlockRanges(scope, l.n, workers, newOut, emit(func(i int) bool { return supported[keyOf[i]] }))
 	}
 	keys := newCodeSet(len(rPos), r.n)
 	for j := 0; j < r.n; j++ {
 		keys.put(rCols, j)
 	}
 	remaps := remapCols(l, lPos, r, rPos)
-	for i := 0; i < l.n; i++ {
-		if keys.has(lCols, remaps, i) {
-			out.appendFrom(l, i)
-		}
-		if err := scope.Visit(out.n); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return runBlockRanges(scope, l.n, workers, newOut, func(out *ColBlock, lo, hi int, charge rowCharger) error {
+		set := keys.reader()
+		return emit(func(i int) bool { return set.find(lCols, remaps, i) >= 0 })(out, lo, hi, charge)
+	})
 }
 
 // ProjectBlocksGoverned computes π_attrs(b) over a column block,
@@ -169,7 +215,7 @@ func ProjectBlocksGoverned(g *govern.Governor, b *ColBlock, attrs AttrSet) (*Col
 	cols := keyCols(b, pos)
 	seen := newCodeSet(len(pos), b.n)
 	for i := 0; i < b.n; i++ {
-		if seen.putNew(cols, i) {
+		if _, fresh := seen.put(cols, i); fresh {
 			for k, p := range pos {
 				out.cols[k].codes = append(out.cols[k].codes, b.cols[p].codes[i])
 			}
@@ -180,6 +226,106 @@ func ProjectBlocksGoverned(g *govern.Governor, b *ColBlock, attrs AttrSet) (*Col
 		}
 	}
 	return out, nil
+}
+
+// rangeWorkers resolves a kernel's worker count: 0 means GOMAXPROCS, and
+// inputs below the parallel threshold (SetParallelThreshold) run as one
+// range, where goroutine and concatenation overhead would dominate.
+func rangeWorkers(workers, inputRows int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if inputRows < parallelMinInput {
+		return 1
+	}
+	return workers
+}
+
+// splitRanges cuts [0, n) into at most workers contiguous near-equal
+// non-empty ranges, returned as their bounds (range k is
+// [bounds[k], bounds[k+1])). There is always at least one range, empty when
+// n is 0.
+func splitRanges(n, workers int) []int {
+	if workers > n {
+		workers = n
+	}
+	if workers < 1 {
+		workers = 1
+	}
+	bounds := make([]int, workers+1)
+	for k := 1; k <= workers; k++ {
+		bounds[k] = n * k / workers
+	}
+	return bounds
+}
+
+// rowCharger is one range's handle on the operator's governor scope.
+type rowCharger struct {
+	scope *govern.OpScope
+	stop  *atomic.Bool // set when a sibling range failed; nil in a single-range run
+}
+
+// row is one probe row's governor call: it charges the row's emitted tuples
+// into the operator's scope (one Add per row, the cadence Visit has in the
+// tuple-map operators) and, in a multi-range run, bails out first when a
+// sibling range already failed.
+func (c rowCharger) row(emitted int) error {
+	if c.stop != nil && c.stop.Load() {
+		return errParallelStopped
+	}
+	return c.scope.Add(emitted)
+}
+
+// runRanges runs body over every range of bounds: a single range inline on
+// the calling goroutine charging scope itself, several on one goroutine each
+// under parallelRun's first-error-wins protocol, each charging a fork of
+// scope — same counters, same budget checks, but rows that emit nothing stay
+// off the shared cache line.
+func runRanges(scope *govern.OpScope, bounds []int, body func(k, lo, hi int, charge rowCharger) error) error {
+	if len(bounds) == 2 {
+		return body(0, bounds[0], bounds[1], rowCharger{scope: scope})
+	}
+	return parallelRun(len(bounds)-1, func(k int, stop *atomic.Bool) error {
+		return body(k, bounds[k], bounds[k+1], rowCharger{scope: scope.Fork(), stop: stop})
+	})
+}
+
+// runBlockRanges runs a kernel's probe loop over [0, n) as up to workers
+// ranges, each appending to its own output block from newOut, and
+// concatenates the range outputs in range order.
+func runBlockRanges(scope *govern.OpScope, n, workers int, newOut func() *ColBlock, body func(out *ColBlock, lo, hi int, charge rowCharger) error) (*ColBlock, error) {
+	bounds := splitRanges(n, workers)
+	parts := make([]*ColBlock, len(bounds)-1)
+	err := runRanges(scope, bounds, func(k, lo, hi int, charge rowCharger) error {
+		parts[k] = newOut()
+		return body(parts[k], lo, hi, charge)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return concatBlocks(parts), nil
+}
+
+// concatBlocks appends the parts' rows in order. The parts come from one
+// newOut, so they agree on schema and dictionaries.
+func concatBlocks(parts []*ColBlock) *ColBlock {
+	out := parts[0]
+	if len(parts) == 1 {
+		return out
+	}
+	total := 0
+	for _, p := range parts {
+		total += p.n
+	}
+	for c := range out.cols {
+		codes := make([]uint32, 0, total)
+		for _, p := range parts {
+			codes = append(codes, p.cols[c].codes...)
+		}
+		out.cols[c].codes = codes
+	}
+	out.n = total
+	return out
 }
 
 // newJoinedBlock prepares the output block of a join: l's columns then r's
@@ -329,6 +475,12 @@ func buildCodeHash(b *ColBlock, pos []int) *codeHash {
 	return h
 }
 
+// reader returns a view of the table for one probing goroutine: the maps
+// are shared (read-only once built), the wide-key scratch buffer is private.
+func (h *codeHash) reader() *codeHash {
+	return &codeHash{packed: h.packed, wide: h.wide}
+}
+
 // lookup returns the build rows matching probe row i, read from the probe
 // side's code columns and translated through remaps. A probe whose codes
 // have no image in the build dictionaries returns nil without touching the
@@ -349,11 +501,12 @@ func (h *codeHash) lookup(probeCols [][]uint32, remaps [][]int32, i int) []int32
 	return h.wide[string(buf)]
 }
 
-// codeSet is a set (with a mark bit) over packed code keys: the semijoin
-// support table and the projection dedup table.
+// codeSet numbers the distinct packed code keys it is given, densely from 0
+// in first-seen order: the semijoin key table (whose ids index the support
+// bit vectors) and the projection dedup table.
 type codeSet struct {
-	packed map[uint64]bool
-	wide   map[string]bool
+	packed map[uint64]int32
+	wide   map[string]int32
 	buf    []byte
 }
 
@@ -361,94 +514,61 @@ type codeSet struct {
 func newCodeSet(ncols, n int) *codeSet {
 	s := &codeSet{}
 	if ncols <= 2 {
-		s.packed = make(map[uint64]bool, n)
+		s.packed = make(map[uint64]int32, n)
 	} else {
-		s.wide = make(map[string]bool, n)
+		s.wide = make(map[string]int32, n)
 	}
 	return s
 }
 
-// put inserts row i's key (unmarked), keeping an existing mark.
-func (s *codeSet) put(cols [][]uint32, i int) {
-	if s.packed != nil {
-		k, _ := packedKeyAt(cols, nil, i)
-		if _, present := s.packed[k]; !present {
-			s.packed[k] = false
-		}
-		return
-	}
-	s.buf, _ = wideKeyAt(s.buf, cols, nil, i)
-	if _, present := s.wide[string(s.buf)]; !present {
-		s.wide[string(s.buf)] = false
-	}
+// len returns the number of distinct keys.
+func (s *codeSet) len() int { return len(s.packed) + len(s.wide) }
+
+// reader is codeHash.reader for a finished set: shared maps, private
+// scratch buffer, find only.
+func (s *codeSet) reader() *codeSet {
+	return &codeSet{packed: s.packed, wide: s.wide}
 }
 
-// putNew inserts row i's key and reports whether it was absent — the
-// projection dedup step.
-func (s *codeSet) putNew(cols [][]uint32, i int) bool {
+// put returns the id of row i's key, inserting it when absent; fresh
+// reports whether this call inserted it (the projection dedup step).
+func (s *codeSet) put(cols [][]uint32, i int) (id int32, fresh bool) {
 	if s.packed != nil {
 		k, _ := packedKeyAt(cols, nil, i)
-		if _, dup := s.packed[k]; dup {
-			return false
+		if id, ok := s.packed[k]; ok {
+			return id, false
 		}
-		s.packed[k] = true
-		return true
+		id = int32(len(s.packed))
+		s.packed[k] = id
+		return id, true
 	}
 	s.buf, _ = wideKeyAt(s.buf, cols, nil, i)
-	if _, dup := s.wide[string(s.buf)]; dup {
-		return false
+	if id, ok := s.wide[string(s.buf)]; ok {
+		return id, false
 	}
-	s.wide[string(s.buf)] = true
-	return true
+	id = int32(len(s.wide))
+	s.wide[string(s.buf)] = id
+	return id, true
 }
 
-// mark sets the mark bit for row i's key if the key is present (the
-// semijoin "interesting" check); rows whose codes have no image in the key
-// space cannot match and are skipped.
-func (s *codeSet) mark(cols [][]uint32, remaps [][]int32, i int) {
+// find returns the id of row i's key, read from another block's code
+// columns and translated through remaps, or -1 when the key is absent or a
+// code has no image in the key space (such a row cannot match).
+func (s *codeSet) find(cols [][]uint32, remaps [][]int32, i int) int32 {
 	if s.packed != nil {
 		if k, ok := packedKeyAt(cols, remaps, i); ok {
-			if _, interesting := s.packed[k]; interesting {
-				s.packed[k] = true
+			if id, present := s.packed[k]; present {
+				return id
 			}
 		}
-		return
+		return -1
 	}
 	buf, ok := wideKeyAt(s.buf, cols, remaps, i)
 	s.buf = buf
 	if ok {
-		if _, interesting := s.wide[string(buf)]; interesting {
-			s.wide[string(buf)] = true
+		if id, present := s.wide[string(buf)]; present {
+			return id
 		}
 	}
-}
-
-// marked reports row i's mark bit.
-func (s *codeSet) marked(cols [][]uint32, remaps [][]int32, i int) bool {
-	if s.packed != nil {
-		k, ok := packedKeyAt(cols, remaps, i)
-		return ok && s.packed[k]
-	}
-	buf, ok := wideKeyAt(s.buf, cols, remaps, i)
-	s.buf = buf
-	return ok && s.wide[string(buf)]
-}
-
-// has reports whether row i's key is present (marked or not).
-func (s *codeSet) has(cols [][]uint32, remaps [][]int32, i int) bool {
-	if s.packed != nil {
-		k, ok := packedKeyAt(cols, remaps, i)
-		if !ok {
-			return false
-		}
-		_, present := s.packed[k]
-		return present
-	}
-	buf, ok := wideKeyAt(s.buf, cols, remaps, i)
-	s.buf = buf
-	if !ok {
-		return false
-	}
-	_, present := s.wide[string(buf)]
-	return present
+	return -1
 }

@@ -185,6 +185,72 @@ func TestColumnarGovernedBudgetAbortsCoincide(t *testing.T) {
 	}
 }
 
+// sameRows reports whether two blocks hold the same rows in the same order.
+func sameRows(a, b *ColBlock) bool {
+	if a.Len() != b.Len() || !a.Schema().Equal(b.Schema()) {
+		return false
+	}
+	for i := 0; i < a.Len(); i++ {
+		for c := 0; c < a.Schema().Len(); c++ {
+			if !a.Value(i, c).Equal(b.Value(i, c)) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestParallelBlockKernelsMatchSingleRange is the range-split contract: at
+// every worker count the join and semijoin kernels return the single-range
+// run's rows in its order, charge its total, and abort on its budget — over
+// the overlap spectrum plus a three-column key (the byte-string tables).
+func TestParallelBlockKernelsMatchSingleRange(t *testing.T) {
+	defer SetParallelThreshold(0)()
+	rng := rand.New(rand.NewSource(2029))
+	pairs := append([][2]string{{"ABCD", "ABCE"}}, schemePairs...)
+	kernels := map[string]func(*govern.Governor, *ColBlock, *ColBlock, int) (*ColBlock, error){
+		"join":     ParallelJoinBlocksGoverned,
+		"semijoin": ParallelSemijoinBlocksGoverned,
+	}
+	for trial := 0; trial < 200; trial++ {
+		pair := pairs[trial%len(pairs)]
+		l := roundTrip(t, randRel(rng, pair[0], rng.Intn(60), 3))
+		r := roundTrip(t, randRel(rng, pair[1], rng.Intn(60), 3))
+		for name, kernel := range kernels {
+			seqG := govern.New(govern.Limits{MaxTuples: 1 << 40})
+			want, err := kernel(seqG, l, r, 1)
+			if err != nil {
+				t.Fatalf("trial %d %s: %v", trial, name, err)
+			}
+			total := seqG.Produced()
+			for _, w := range []int{2, 3, 8} {
+				g := govern.New(govern.Limits{MaxTuples: 1 << 40})
+				got, err := kernel(g, l, r, w)
+				if err != nil {
+					t.Fatalf("trial %d %s, %d workers: %v", trial, name, w, err)
+				}
+				if err := got.Validate(); err != nil {
+					t.Fatalf("trial %d %s, %d workers: %v", trial, name, w, err)
+				}
+				if !sameRows(got, want) || g.Produced() != total {
+					t.Fatalf("trial %d (%s %s %s), %d workers: %d rows charged %d, single range %d rows charged %d (or row order differs)",
+						trial, pair[0], name, pair[1], w, got.Len(), g.Produced(), want.Len(), total)
+				}
+				if total < 2 {
+					continue // a budget of 0 means unlimited
+				}
+				if _, err := kernel(govern.New(govern.Limits{MaxTuples: total}), l, r, w); err != nil {
+					t.Fatalf("trial %d %s, %d workers: budget == total must pass, got %v", trial, name, w, err)
+				}
+				out, err := kernel(govern.New(govern.Limits{MaxTuples: total - 1}), l, r, w)
+				if out != nil || !errors.Is(err, govern.ErrTupleBudget) {
+					t.Fatalf("trial %d %s, %d workers: budget == total-1 gave %v, %v; want ErrTupleBudget", trial, name, w, out, err)
+				}
+			}
+		}
+	}
+}
+
 // TestColumnarJoinEdgeCases pins the degenerate inputs: empty sides, self
 // joins, identical schemas, and the pure Cartesian path.
 func TestColumnarJoinEdgeCases(t *testing.T) {

@@ -128,36 +128,6 @@ func TestSemijoinGovernedChargesOutput(t *testing.T) {
 	}
 }
 
-func TestIndexGovernedAbort(t *testing.T) {
-	l := skewed(t, "A", "B", 100)
-	r := skewed(t, "C", "B", 100)
-	ix, err := NewIndex(r, MustSchema("B").AttrSet())
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := govern.New(govern.Limits{MaxTuples: 500})
-	out, jerr := JoinWithIndexGoverned(g, l, ix)
-	if out != nil || !errors.Is(jerr, govern.ErrTupleBudget) {
-		t.Fatalf("indexed join abort: out=%v err=%v", out, jerr)
-	}
-
-	g2 := govern.New(govern.Limits{MaxTuples: 1_000_000})
-	got, err := JoinWithIndexGoverned(g2, l, ix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := Join(l, r); !got.Equal(want) {
-		t.Fatal("governed indexed join differs from plain join")
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	g3 := govern.New(govern.Limits{Context: ctx})
-	if _, err := SemijoinWithIndexGoverned(g3, l, ix); !errors.Is(err, govern.ErrCanceled) {
-		t.Fatalf("indexed semijoin: got %v, want ErrCanceled", err)
-	}
-}
-
 func TestGovernedFailpointHook(t *testing.T) {
 	boom := errors.New("boom")
 	g := govern.New(govern.Limits{MaxTuples: 1_000_000})

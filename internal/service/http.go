@@ -72,7 +72,6 @@ type queryRequest struct {
 	MaxTuples             int64  `json:"max_tuples,omitempty"`
 	MaxIntermediateTuples int64  `json:"max_intermediate_tuples,omitempty"`
 	TimeoutMS             int64  `json:"timeout_ms,omitempty"`
-	Indexed               bool   `json:"indexed,omitempty"`
 	// Workers asks for intra-query parallelism (0 = service default,
 	// clamped to the configured per-query cap; the grant may degrade
 	// toward sequential when the worker budget is depleted).
@@ -208,7 +207,6 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 		MaxTuples:             req.MaxTuples,
 		MaxIntermediateTuples: req.MaxIntermediateTuples,
 		Timeout:               time.Duration(req.TimeoutMS) * time.Millisecond,
-		Indexed:               req.Indexed,
 		Workers:               req.Workers,
 	})
 	if err != nil {

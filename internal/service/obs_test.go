@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/obs"
 )
 
@@ -86,6 +87,101 @@ func TestConcurrentTracedQueriesUnderRace(t *testing.T) {
 		if id != "" && !seen[id] {
 			t.Errorf("query %d: report trace %s not in the collector", i, id)
 		}
+	}
+}
+
+// planSpans returns the query's plan-cache span and its plan-kind children.
+func planSpans(t *testing.T, tr *obs.Trace) (pc *obs.Span, plans []*obs.Span) {
+	t.Helper()
+	for _, c := range tr.Root.Children() {
+		if c.Kind() == obs.KindPlanCache {
+			pc = c
+		}
+	}
+	if pc == nil {
+		t.Fatalf("trace %s has no plan-cache span", tr.ID)
+	}
+	for _, c := range pc.Children() {
+		if c.Kind() == obs.KindPlan {
+			plans = append(plans, c)
+		}
+	}
+	return pc, plans
+}
+
+// TestPlanSpanOnlyOnComputingRequest pins where planning time is
+// attributed: the request that misses the plan cache and derives the plan
+// carries one ended plan span under its plan-cache span; a hit, and a
+// request that coalesced onto another's in-flight derivation, carry none.
+func TestPlanSpanOnlyOnComputingRequest(t *testing.T) {
+	col := obs.NewCollector(8)
+	s := New(Config{Workers: 2, Tracer: col})
+	if _, err := s.Register("tri", triangleDB(t)); err != nil {
+		t.Fatal(err)
+	}
+	query := func(strategy string) {
+		t.Helper()
+		if _, err := s.Query(context.Background(), Request{Database: "tri", Strategy: strategy}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lastTrace := func(want int) *obs.Trace {
+		t.Helper()
+		traces := col.Traces()
+		if len(traces) != want {
+			t.Fatalf("collector holds %d traces, want %d", len(traces), want)
+		}
+		return traces[want-1]
+	}
+
+	query("program") // miss: this request derives the plan
+	pc, plans := planSpans(t, lastTrace(1))
+	if len(plans) != 1 || !plans[0].Ended() || plans[0].Wall() <= 0 || plans[0].Wall() > pc.Wall() {
+		t.Fatalf("miss: %d plan spans under a %s plan-cache span, want one ended span inside it", len(plans), pc.Wall())
+	}
+
+	query("program") // hit
+	if _, plans := planSpans(t, lastTrace(2)); len(plans) != 0 {
+		t.Fatalf("hit: %d plan spans, want none", len(plans))
+	}
+
+	// Coalesced: hold a flight open on the wcoj plan's key, let a query
+	// block on it, then land the plan.
+	e, err := s.lookup("tri")
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := planKey(e.fingerprint, engine.StrategyWCOJ, nil, e.sketches.Version())
+	release, landed := make(chan struct{}), make(chan error, 1)
+	go func() {
+		_, _, err := s.cache.GetOrCompute(key, func() (*engine.Plan, error) {
+			<-release
+			return engine.PlanFor(e.db.Load(), engine.Options{Strategy: engine.StrategyWCOJ})
+		})
+		landed <- err
+	}()
+	waiter := make(chan struct{})
+	go func() {
+		defer close(waiter)
+		// Retry until the flight above is in the cache's in-flight table;
+		// a query arriving earlier would compute the plan itself.
+		for s.cache.Stats().Misses < 2 {
+			time.Sleep(time.Millisecond)
+		}
+		if _, err := s.Query(context.Background(), Request{Database: "tri", Strategy: "wcoj"}); err != nil {
+			t.Error(err)
+		}
+	}()
+	for s.cache.Stats().Coalesced < 1 {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	if err := <-landed; err != nil {
+		t.Fatal(err)
+	}
+	<-waiter
+	if _, plans := planSpans(t, lastTrace(3)); len(plans) != 0 {
+		t.Fatalf("coalesced waiter: %d plan spans, want none", len(plans))
 	}
 }
 

@@ -221,8 +221,6 @@ type Request struct {
 	MaxIntermediateTuples int64
 	// Timeout is this query's deadline (0 = Config.DefaultTimeout).
 	Timeout time.Duration
-	// Indexed runs derived programs through the index-sharing executor.
-	Indexed bool
 	// Workers asks for intra-query parallelism: the number of goroutines
 	// this query's joins may use. 0 takes the service default
 	// (Config.QueryWorkers); a nonzero ask is clamped to it. The grant may
@@ -660,13 +658,12 @@ func (s *Service) execute(ctx context.Context, e *catalogEntry, strat engine.Str
 		Context:               ctx,
 	}.WithTimeout(timeout)
 	opts := engine.Options{
-		Strategy:         strat,
-		Budget:           s.cfg.SearchBudget,
-		IndexedExecution: req.Indexed,
-		Limits:           lim,
-		Workers:          workers,
-		Sketches:         e.sketches,
-		Hybrid:           s.cfg.Hybrid,
+		Strategy: strat,
+		Budget:   s.cfg.SearchBudget,
+		Limits:   lim,
+		Workers:  workers,
+		Sketches: e.sketches,
+		Hybrid:   s.cfg.Hybrid,
 	}
 	if trace != nil {
 		opts.Trace = trace.Root
@@ -688,6 +685,10 @@ func (s *Service) execute(ctx context.Context, e *catalogEntry, strat engine.Str
 		pcSpan = trace.Root.Child(obs.KindPlanCache, "plan cache lookup")
 	}
 	plan, hit, err := s.cache.GetOrCompute(key, func() (*engine.Plan, error) {
+		// Only the request that computes the plan runs this callback: hits
+		// and coalesced waiters carry no plan span.
+		sp := pcSpan.Child(obs.KindPlan, "derive plan")
+		defer sp.End()
 		return engine.PlanFor(db, engine.Options{Strategy: resolved, Budget: s.cfg.SearchBudget, Sketches: e.sketches, Hybrid: s.cfg.Hybrid})
 	})
 	if pcSpan != nil {

@@ -26,8 +26,6 @@ type Task struct {
 	Limits govern.Limits
 	// Workers is the per-shard intra-query worker count.
 	Workers int
-	// Indexed requests index-sharing program execution.
-	Indexed bool
 	// Trace, when non-nil, is this shard's span; per-shard execution hangs
 	// its span tree off it.
 	Trace *obs.Span
@@ -90,10 +88,9 @@ func (e *InProcess) SharedBudget() bool { return true }
 // scatter's shared context.
 func (e *InProcess) Execute(_ context.Context, i int, task Task) (*Result, error) {
 	rep, err := engine.ExecutePlan(e.g.DB(i), task.Plan, engine.Options{
-		Limits:           task.Limits,
-		Workers:          task.Workers,
-		IndexedExecution: task.Indexed,
-		Trace:            task.Trace,
+		Limits:  task.Limits,
+		Workers: task.Workers,
+		Trace:   task.Trace,
 	})
 	if err != nil {
 		return nil, err

@@ -56,7 +56,6 @@ type remoteQuery struct {
 	MaxTuples             int64  `json:"max_tuples,omitempty"`
 	MaxIntermediateTuples int64  `json:"max_intermediate_tuples,omitempty"`
 	TimeoutMS             int64  `json:"timeout_ms,omitempty"`
-	Indexed               bool   `json:"indexed,omitempty"`
 	Workers               int    `json:"workers,omitempty"`
 	IncludeResult         bool   `json:"include_result"`
 }
@@ -99,7 +98,6 @@ func (e *HTTPExecutor) Execute(ctx context.Context, i int, task Task) (*Result, 
 		Strategy:              task.Plan.Strategy.String(),
 		MaxTuples:             task.Limits.MaxTuples,
 		MaxIntermediateTuples: task.Limits.MaxIntermediateTuples,
-		Indexed:               task.Indexed,
 		Workers:               task.Workers,
 		IncludeResult:         true,
 	}

@@ -94,7 +94,6 @@ func Run(g *Group, plan *engine.Plan, opts engine.Options, ex Executor) (*engine
 			Plan:     plan,
 			Limits:   shLim,
 			Workers:  perShardWorkers,
-			Indexed:  opts.IndexedExecution,
 		}
 		if opts.Trace != nil {
 			task.Trace = opts.Trace.Child(obs.KindExecute, fmt.Sprintf("shard %d/%d", i, n))
