@@ -665,14 +665,17 @@ func joinWCOJ(db *relation.Database, h *hypergraph.Hypergraph, opts Options, gov
 		Strategy: StrategyWCOJ,
 		Cost:     int64(db.TotalTuples()) + int64(res.Output.Len()),
 		Plan:     "leapfrog triejoin, variable order: " + strings.Join(order, " "),
-		Notes:    wcojNotes(res),
+		Notes:    wcojNotes(res, db),
 	}, nil
 }
 
-// wcojNotes renders the WCOJ accounting shared by Join and ExecutePlan.
-func wcojNotes(res *wcoj.Result) []string {
+// wcojNotes renders the WCOJ accounting shared by Join and ExecutePlan; db
+// is the database the triejoin ran over (the core, on the hybrid mixed
+// route).
+func wcojNotes(res *wcoj.Result, db *relation.Database) []string {
 	notes := []string{
 		fmt.Sprintf("tries re-sort the %d input tuples; no pairwise intermediate is materialized (§2.3 cost = inputs + output)", res.TrieTuples),
+		fmt.Sprintf("tries: %d resident, %d built", db.Len()-res.TriesBuilt, res.TriesBuilt),
 	}
 	if res.Workers > 1 {
 		notes = append(notes, fmt.Sprintf("outermost variable's key range partitioned across %d workers", res.Workers))

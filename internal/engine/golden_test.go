@@ -31,25 +31,27 @@ func normalizeExplain(s string) string {
 // strategy on the two canonical cyclic schemes: the triangle and the
 // paper's Example 3 (at scale q=2). The golden files are the review surface
 // for plan or report drift; regenerate with go test ./internal/engine
-// -run TestGoldenExplain -update.
+// -run TestGoldenExplain -update. Every case runs on a database no query
+// has read yet, so the "tries: … resident, … built" note is the cold one
+// whichever subtests run.
 func TestGoldenExplain(t *testing.T) {
 	dbs := []struct {
 		name string
-		db   *relation.Database
+		mk   func() *relation.Database
 	}{
-		{"triangle", triangleDB(t)},
-		{"example3", example3DB(t, 2)},
+		{"triangle", func() *relation.Database { return triangleDB(t) }},
+		{"example3", func() *relation.Database { return example3DB(t, 2) }},
 	}
 	strategies := []Strategy{
 		StrategyProgram, StrategyExpression, StrategyReduceThenJoin, StrategyDirect, StrategyWCOJ,
 		StrategyColumnar, StrategyHybrid,
 	}
 	for _, d := range dbs {
-		want := d.db.Join()
+		want := d.mk().Join()
 		for _, s := range strategies {
 			name := d.name + "_" + s.String()
 			t.Run(name, func(t *testing.T) {
-				rep, err := Join(d.db, Options{Strategy: s})
+				rep, err := Join(d.mk(), Options{Strategy: s})
 				if err != nil {
 					t.Fatal(err)
 				}

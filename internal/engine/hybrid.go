@@ -206,7 +206,7 @@ func executeHybrid(cdb *relation.Database, ch *hypergraph.Hypergraph, hp *Hybrid
 			Strategy: StrategyHybrid,
 			Cost:     int64(cdb.TotalTuples()) + int64(res.Output.Len()),
 			Plan:     "hybrid route: wcoj\nleapfrog triejoin, variable order: " + strings.Join(hp.CoreOrder, " "),
-			Notes:    wcojNotes(res),
+			Notes:    wcojNotes(res, cdb),
 		}, nil
 
 	case optimizer.RouteMixed:
@@ -249,7 +249,7 @@ func executeHybrid(cdb *relation.Database, ch *hypergraph.Hypergraph, hp *Hybrid
 		if outerH, err := outerHypergraph(ch, hp.Core); err == nil {
 			planStr += "\nouter: " + outerTree.String(outerH)
 		}
-		notes := append(wcojNotes(res),
+		notes := append(wcojNotes(res, coreDb),
 			fmt.Sprintf("core output (%d tuples) joined to %d pendant edges through columnar kernels", res.Output.Len(), cdb.Len()-hp.Core.Count()))
 		return &Report{
 			Result:   out,

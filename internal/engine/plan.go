@@ -331,7 +331,7 @@ func ExecutePlan(db *relation.Database, plan *Plan, opts Options) (rep *Report, 
 			Strategy: StrategyWCOJ,
 			Cost:     int64(cdb.TotalTuples()) + int64(res.Output.Len()),
 			Plan:     "leapfrog triejoin, variable order: " + strings.Join(plan.VarOrder, " "),
-			Notes:    wcojNotes(res),
+			Notes:    wcojNotes(res, cdb),
 		}
 	case StrategyAcyclic:
 		var out *relation.Relation

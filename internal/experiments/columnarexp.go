@@ -41,9 +41,12 @@ type ColumnarBenchResult struct {
 // costs are provably equal (the experiment hard-fails if not) and the only
 // degree of freedom is wall time — per-tuple map insertion and Value
 // hashing versus dictionary codes, packed uint64 keys, and batch appends.
-// The acceptance bar: on the largest size of each family (where encoding
-// amortizes), the columnar route must be strictly faster, best-of-trials
-// against best-of-trials. Smaller sizes are reported but informative only.
+// The acceptance bar: on the largest size of each family, the columnar
+// route must be strictly faster, best-of-trials against best-of-trials.
+// The relations keep their blocks after the first trial
+// (relation.Relation.Block), so best-of-trials times the kernels on
+// resident inputs and the encode shows only in that first trial. Smaller
+// sizes are reported but informative only.
 func ColumnarComparison(seed int64, trials int) (*Table, *ColumnarBenchResult, error) {
 	if trials <= 0 {
 		trials = 3
@@ -165,6 +168,6 @@ func ColumnarComparison(seed int64, trials int) (*Table, *ColumnarBenchResult, e
 	}
 	t.AddNote("both routes evaluate the identical optimized CPF tree; §2.3 costs are asserted equal, so the delta is pure execution machinery")
 	t.AddNote("columnar: dictionary-encoded blocks, sorted-merge code remapping, packed uint64 join keys, batch appends sharing dictionaries by reference")
-	t.AddNote("acceptance: strictly faster on each family's largest size (best-of-trials); small sizes pay the encode without amortizing it")
+	t.AddNote("acceptance: strictly faster on each family's largest size (best-of-trials); inputs are encoded by the first trial and resident after it, so best-of-trials times the kernels alone")
 	return t, bench, nil
 }

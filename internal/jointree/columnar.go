@@ -6,7 +6,8 @@ import (
 )
 
 // EvalColumnarGoverned is EvalGoverned over the columnar kernels: each leaf
-// is encoded once into a dictionary-compressed ColBlock and every join node
+// is the relation's resident dictionary-compressed ColBlock (encoded by the
+// snapshot's first reader, see relation.Relation.Block) and every join node
 // runs the vectorized JoinBlocksGoverned kernel; only the root decodes back
 // to a tuple-map Relation. Result, cost, governor charges, and budget-abort
 // behavior are identical to EvalGoverned — the columnar differential
@@ -22,7 +23,7 @@ func (t *Tree) EvalColumnarGoverned(db *relation.Database, g *govern.Governor) (
 
 func (t *Tree) evalColumnar(db *relation.Database, g *govern.Governor) (*relation.ColBlock, int, error) {
 	if t.IsLeaf() {
-		b := relation.FromRelation(db.Relation(t.Leaf))
+		b := db.Relation(t.Leaf).Block()
 		return b, b.Len(), nil
 	}
 	l, cl, err := t.Left.evalColumnar(db, g)

@@ -108,9 +108,10 @@ func (p *Program) ApplyParallelGoverned(db *relation.Database, g *govern.Governo
 	return p.execute(db, g, workers)
 }
 
-// encodeInput dictionary-encodes one input relation. It is a variable so the
-// executor tests can count encodings.
-var encodeInput = relation.FromRelation
+// encodeInput fetches one input relation's resident columnar encoding,
+// building it if this is the snapshot's first reader. It is a variable so
+// the executor tests can count encodings.
+var encodeInput = (*relation.Relation).Block
 
 // execute is the executor behind the four Apply entry points.
 func (p *Program) execute(db *relation.Database, g *govern.Governor, workers int) (*Result, error) {

@@ -21,9 +21,14 @@ func FuzzColBlockRoundTrip(f *testing.F) {
 	f.Add([]byte(""), byte(0))
 	f.Add([]byte("\x00\x00\x00\x00\xff\x00\xfe"), byte(1))
 	f.Add([]byte("0\x000\x00-1\x001\x0000\x00+0"), byte(0))
+	f.Add([]byte("3\x00c\x001\x00a\x002\x00b\x001\x00a\x000\x00z"), byte(2))
+	f.Add([]byte("b\x002\x00a\x001\x00c\x003\x00a\x001\x00\x00-1"), byte(5))
 	f.Fuzz(func(t *testing.T, blob []byte, col byte) {
-		r := blobMixedRelation("AB", blob)
-		b := FromRelation(r)
+		r := blobMixedRelation("AB", blob, int(col>>1)%3)
+		b := r.Block()
+		if fresh := FromRelation(r); b.Len() != fresh.Len() || !b.ToRelation().Equal(fresh.ToRelation()) {
+			t.Fatalf("resident block is stale: %d rows, a fresh encode has %d\nblob=%q", b.Len(), fresh.Len(), blob)
+		}
 		if err := b.Validate(); err != nil {
 			t.Fatalf("invalid block: %v\nblob=%q", err, blob)
 		}
@@ -57,8 +62,10 @@ func FuzzColBlockRoundTrip(f *testing.F) {
 
 // blobMixedRelation decodes a fuzzer blob into a two-column relation:
 // NUL-split fields fill rows pairwise, and any field parsing as a base-10
-// int64 becomes an Int value, so blobs can force mixed-kind columns.
-func blobMixedRelation(scheme string, blob []byte) *Relation {
+// int64 becomes an Int value, so blobs can force mixed-kind columns. With
+// readEvery > 0 the relation's Block() is read after every readEvery-th
+// insert.
+func blobMixedRelation(scheme string, blob []byte, readEvery int) *Relation {
 	r := New(SchemaOfRunes(scheme))
 	fields := strings.Split(string(blob), "\x00")
 	mk := func(s string) Value {
@@ -69,6 +76,9 @@ func blobMixedRelation(scheme string, blob []byte) *Relation {
 	}
 	for i := 0; i+1 < len(fields); i += 2 {
 		r.MustInsert(Tuple{mk(fields[i]), mk(fields[i+1])})
+		if readEvery > 0 && (i/2)%readEvery == 0 {
+			r.Block()
+		}
 	}
 	return r
 }

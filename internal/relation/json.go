@@ -81,6 +81,7 @@ func (r *Relation) UnmarshalJSON(data []byte) error {
 	// Field-wise assignment: copying the struct would copy its atomic field.
 	r.schema, r.rows = out.schema, out.rows
 	r.seen.Store(out.seen.Load())
+	r.block.Store(nil)
 	return nil
 }
 

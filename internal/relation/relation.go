@@ -95,11 +95,14 @@ func (t Tuple) String() string {
 //
 // The dedup index is built lazily: relations constructed from rows already
 // known to be distinct (NewFromDistinctRows, partition merges) pay for it
-// only if Insert, Contains, or an Equal receiver actually needs it.
+// only if Insert, Contains, or an Equal receiver actually needs it. The
+// columnar encoding (Block) is a second lazily-built memo, published the
+// same way.
 type Relation struct {
 	schema *Schema
 	rows   []Tuple
 	seen   atomic.Pointer[seenSet]
+	block  atomic.Pointer[ColBlock]
 }
 
 // seenSet is the dedup index: the key-encoded tuples currently in rows.
@@ -154,6 +157,21 @@ func (r *Relation) index() seenSet {
 	return *r.seen.Load()
 }
 
+// Block returns the relation's columnar encoding — FromRelation(r), built on
+// first use and kept on the relation, so every later reader of the same
+// snapshot shares one encoding (and the sorted runs memoized on it). Like
+// index, concurrent first readers may race to build it and one build wins;
+// Insert and UnmarshalJSON, the only ways a relation's rows change in place,
+// drop it. A relation that is never mutated after it is shared — every
+// relation a catalog snapshot holds — therefore never serves a stale block.
+func (r *Relation) Block() *ColBlock {
+	if b := r.block.Load(); b != nil {
+		return b
+	}
+	r.block.CompareAndSwap(nil, FromRelation(r))
+	return r.block.Load()
+}
+
 // Schema returns the relation's schema.
 func (r *Relation) Schema() *Schema { return r.schema }
 
@@ -181,6 +199,11 @@ func (r *Relation) Insert(t Tuple) error {
 	}
 	idx[k] = struct{}{}
 	r.rows = append(r.rows, t)
+	// Drop the encoding of the old rows. Bulk loads insert into relations
+	// that have none, so test first: a load is cheaper than the store.
+	if r.block.Load() != nil {
+		r.block.Store(nil)
+	}
 	return nil
 }
 
@@ -202,8 +225,8 @@ func (r *Relation) Contains(t Tuple) bool {
 }
 
 // Clone returns a deep-enough copy: the row slice is copied; tuples are
-// shared (they are treated as immutable). The clone's dedup index is
-// rebuilt lazily if needed.
+// shared (they are treated as immutable). The clone's dedup index and
+// columnar encoding are rebuilt lazily if needed.
 func (r *Relation) Clone() *Relation {
 	return &Relation{
 		schema: r.schema,

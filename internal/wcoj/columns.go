@@ -2,21 +2,19 @@ package wcoj
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/govern"
 	"repro/internal/relation"
 )
 
-// FromColumns builds the trie index for rel along order through the
-// columnar path: the relation is dictionary-encoded once
-// (relation.FromRelation), rows are sorted by comparing uint32 dictionary
-// codes instead of Values — valid because every dictionary is sorted, so
-// code order is value order — and the sorted rows are decoded into a
-// single backing array. Validation, the resulting index, and the governor
-// charging (one tuple per index entry against scope) are identical to
-// buildTrie, which remains as the differential oracle; only the sort's
-// comparison work and allocation count change.
+// FromColumns returns the trie index for rel along order: the relation's
+// resident block sorted by code along the order's restriction to the
+// relation's attributes (Relation.Block, then ColBlock.SortedBy). It
+// charges first — one tuple per index entry against scope (nil charges
+// nothing) — and only then fetches the index, building it if this is the
+// first query to ask this relation snapshot for this order. So the governor
+// sees the same charges whether the index was resident or not, and a budget
+// smaller than the relation aborts before any sorting is paid for.
 func FromColumns(rel *relation.Relation, order []string, scope *govern.OpScope) (*trieIndex, error) {
 	schema := rel.Schema()
 	attrs := make([]string, 0, schema.Len())
@@ -28,43 +26,14 @@ func FromColumns(rel *relation.Relation, order []string, scope *govern.OpScope) 
 	if len(attrs) != schema.Len() {
 		return nil, fmt.Errorf("wcoj: order %v does not cover schema %s", order, schema)
 	}
-	pos, err := schema.Positions(attrs)
-	if err != nil {
-		return nil, err
-	}
-	b := relation.FromRelation(rel)
-	n := b.Len()
-	width := len(pos)
-	cols := make([][]uint32, width)
-	dicts := make([][]relation.Value, width)
-	for k, c := range pos {
-		cols[k] = b.Codes(c)
-		dicts[k] = b.Dict(c)
-	}
-	idx := make([]int32, n)
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	sort.Slice(idx, func(x, y int) bool {
-		i, j := idx[x], idx[y]
-		for _, codes := range cols {
-			if codes[i] != codes[j] {
-				return codes[i] < codes[j]
-			}
-		}
-		return false
-	})
-	t := &trieIndex{attrs: attrs, rows: make([][]relation.Value, n)}
-	backing := make([]relation.Value, n*width)
-	for r, i := range idx {
+	for i := rel.Len(); i > 0; i-- {
 		if err := scope.Add(1); err != nil {
 			return nil, err
 		}
-		row := backing[r*width : (r+1)*width : (r+1)*width]
-		for k := range pos {
-			row[k] = dicts[k][cols[k][i]]
-		}
-		t.rows[r] = row
 	}
-	return t, nil
+	sorted, built, err := rel.Block().SortedBy(attrs)
+	if err != nil {
+		return nil, err
+	}
+	return newTrieIndex(sorted, built), nil
 }

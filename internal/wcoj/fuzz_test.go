@@ -7,18 +7,27 @@ import (
 	"repro/internal/relation"
 )
 
-// FuzzTrieIter drives the trie iterator with an arbitrary row set and an
-// arbitrary forward-only seek/next script, checking every step against a
+// fuzzDomain is the value domain of FuzzTrieIter's relation; seeks range one
+// past it.
+const fuzzDomain = 16
+
+// FuzzTrieIter drives the code trie iterator with an arbitrary row set and
+// an arbitrary forward-only seek/next script, checking every step against a
 // naive model: the sorted distinct values of the open level. The first byte
 // sizes the relation, the next 2n bytes are (x, y) rows, and the remainder
-// is the script (even byte = next, odd byte = seek to byte>>1, both mod the
-// value domain). After the script, whatever position the iterator holds is
+// is the script (even byte = next, odd byte = seek to byte>>1 mod
+// fuzzDomain+1). The iterator's x level is aligned against a second relation
+// holding every value 0..fuzzDomain, so aligned codes differ from the
+// relation's local codes, every seek target has an aligned code whether or
+// not the relation holds the value (absent keys), and fuzzDomain itself lies
+// past the end. After the script, whatever position the iterator holds is
 // opened one level down and the child keys are compared against the model's
 // sub-list for that prefix.
 func FuzzTrieIter(f *testing.F) {
 	f.Add([]byte{4, 1, 2, 1, 3, 5, 0, 5, 9, 7, 12, 3})
 	f.Add([]byte{8, 0, 0, 0, 1, 1, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 2, 9, 4})
 	f.Add([]byte{1, 15, 15, 31, 31, 2})
+	f.Add([]byte{3, 2, 7, 9, 1, 9, 4, 33, 7, 1, 19, 33})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
@@ -29,11 +38,24 @@ func FuzzTrieIter(f *testing.F) {
 		}
 		rel := relation.New(relation.MustSchema("x", "y"))
 		for i := 0; i < n; i++ {
-			rel.MustInsert(relation.Ints(int64(data[1+2*i]%16), int64(data[2+2*i]%16)))
+			rel.MustInsert(relation.Ints(int64(data[1+2*i]%fuzzDomain), int64(data[2+2*i]%fuzzDomain)))
 		}
-		tr, err := buildTrie(rel, []string{"x", "y"}, nil)
+		domain := relation.New(relation.MustSchema("x"))
+		for v := int64(0); v <= fuzzDomain; v++ {
+			domain.MustInsert(relation.Ints(v))
+		}
+		order := []string{"x", "y"}
+		tr, err := FromColumns(rel, order, nil)
 		if err != nil {
 			t.Fatal(err)
+		}
+		dom, err := FromColumns(domain, order[:1], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doms := alignTries(order, []*trieIndex{tr, dom})
+		if len(doms[0]) != fuzzDomain+1 {
+			t.Fatalf("merged x domain has %d values, want %d", len(doms[0]), fuzzDomain+1)
 		}
 
 		// Naive model: distinct x values ascending, and per x the distinct
@@ -59,7 +81,7 @@ func FuzzTrieIter(f *testing.F) {
 				t.Fatalf("atEnd = %v, model says %v (idx %d of %d)", got, want, idx, len(xs))
 			}
 			if !it.atEnd() {
-				if got := it.key().AsInt(); got != xs[idx] {
+				if got := doms[0][it.key()].AsInt(); got != xs[idx] {
 					t.Fatalf("key = %d, model says %d", got, xs[idx])
 				}
 			}
@@ -73,8 +95,11 @@ func FuzzTrieIter(f *testing.F) {
 				it.next()
 				idx++
 			} else {
-				v := int64((op >> 1) % 16)
-				it.seek(relation.Int(v))
+				// The merged x domain is exactly 0..fuzzDomain, so a value is
+				// its own aligned code. A target below the current key must
+				// leave the iterator where it is.
+				v := int64((op >> 1) % (fuzzDomain + 1))
+				it.seek(uint32(v))
 				for idx < len(xs) && xs[idx] < v {
 					idx++
 				}
@@ -94,7 +119,7 @@ func FuzzTrieIter(f *testing.F) {
 			if it.atEnd() {
 				t.Fatalf("child level of x=%d ended early, want %d", x, wantY)
 			}
-			if got := it.key().AsInt(); got != wantY {
+			if got := doms[1][it.key()].AsInt(); got != wantY {
 				t.Fatalf("child key = %d, want %d under x=%d", got, wantY, x)
 			}
 			it.next()
@@ -103,7 +128,7 @@ func FuzzTrieIter(f *testing.F) {
 			t.Fatalf("child level of x=%d has extra keys past %v", x, children[x])
 		}
 		it.up()
-		if got := it.key().AsInt(); got != x {
+		if got := doms[0][it.key()].AsInt(); got != x {
 			t.Fatalf("up() lost the parent position: key = %d, want %d", got, x)
 		}
 	})

@@ -8,13 +8,18 @@ import (
 )
 
 // executor holds the per-enumeration state: one trie iterator per relation
-// (over shared, read-only trie indexes) and, per variable, the relations
-// whose schemes contain it. Executors are cheap — the parallel variant
-// builds one per worker.
+// (over shared, read-only trie indexes), per variable the relations whose
+// schemes contain it, and per variable the reusable leapfrog and iterator
+// scratch for that depth of the recursion. Executors are cheap — the
+// parallel variant builds one per worker.
 type executor struct {
 	order []string
 	byVar [][]int // byVar[v] = indexes of the relations containing order[v]
 	iters []*trieIter
+	// level[v] is the scratch slice lfs[v] intersects over; it is refilled
+	// from byVar[v] on every descent because the leapfrog reorders it.
+	level [][]*trieIter
+	lfs   []leapfrog
 	// bindings counts the values bound per variable during enumeration —
 	// the per-variable leapfrog work a trace reports. nil when untraced;
 	// shared across the parallel workers (hence atomic).
@@ -22,77 +27,103 @@ type executor struct {
 }
 
 // newExecutor builds fresh iterators over the shared tries.
-func newExecutor(order []string, tries []*trieIndex) *executor {
+func newExecutor(order []string, tries []*trieIndex, bindings []atomic.Int64) *executor {
 	ex := &executor{
-		order: order,
-		byVar: make([][]int, len(order)),
-		iters: make([]*trieIter, len(tries)),
+		order:    order,
+		byVar:    make([][]int, len(order)),
+		iters:    make([]*trieIter, len(tries)),
+		level:    make([][]*trieIter, len(order)),
+		lfs:      make([]leapfrog, len(order)),
+		bindings: bindings,
 	}
 	for i, t := range tries {
 		ex.iters[i] = newTrieIter(t)
 	}
 	for v, name := range order {
 		for i, t := range tries {
-			if t.has(name) {
+			if t.block.Schema().Has(name) {
 				ex.byVar[v] = append(ex.byVar[v], i)
 			}
 		}
+		ex.level[v] = make([]*trieIter, len(ex.byVar[v]))
 	}
 	return ex
 }
 
-// run enumerates all extensions of binding[0:v] to full results, calling
-// emit with the (reused) full binding for each. Invariant: when run is
-// entered at variable v, every relation's iterator has exactly its
-// attributes among order[0:v] open — so the relations of byVar[v] are each
-// one open() away from the level keyed by order[v]. Every leapfrog step
-// charges a zero delta to scope, so deadlines and cancellation are observed
-// during long seek streaks that emit nothing.
-func (ex *executor) run(v int, binding []relation.Value, scope *govern.OpScope, emit func([]relation.Value) error) error {
-	if v == len(ex.order) {
-		return emit(binding)
-	}
-	rels := ex.byVar[v]
-	level := make([]*trieIter, len(rels))
-	for i, r := range rels {
+// openLevel descends every relation of byVar[v] to the level keyed by
+// order[v] and returns the leapfrog over them, positioned at the first
+// common key.
+func (ex *executor) openLevel(v int) *leapfrog {
+	level := ex.level[v]
+	for i, r := range ex.byVar[v] {
 		ex.iters[r].open()
 		level[i] = ex.iters[r]
 	}
-	defer func() {
-		for _, r := range rels {
-			ex.iters[r].up()
-		}
-	}()
-	for lf := newLeapfrog(level); !lf.done; lf.next() {
-		if err := scope.Add(0); err != nil {
-			return err
+	lf := &ex.lfs[v]
+	lf.init(level)
+	return lf
+}
+
+// run enumerates all extensions of binding[0:v] to full results, calling
+// emit with the (reused) full binding — one aligned code per variable — for
+// each. Invariant: when run is entered at variable v, every relation's
+// iterator has exactly its attributes among order[0:v] open — so the
+// relations of byVar[v] are each one open() away from the level keyed by
+// order[v]. Every leapfrog step charges a zero delta to scope, so deadlines
+// and cancellation are observed during long seek streaks that emit nothing.
+func (ex *executor) run(v int, binding []uint32, scope *govern.OpScope, emit func([]uint32) error) error {
+	if v == len(ex.order) {
+		return emit(binding)
+	}
+	var err error
+	for lf := ex.openLevel(v); !lf.done; lf.next() {
+		if err = scope.Add(0); err != nil {
+			break
 		}
 		binding[v] = lf.key()
 		if ex.bindings != nil {
 			ex.bindings[v].Add(1)
 		}
-		if err := ex.run(v+1, binding, scope, emit); err != nil {
-			return err
+		if err = ex.run(v+1, binding, scope, emit); err != nil {
+			break
 		}
 	}
+	for _, r := range ex.byVar[v] {
+		ex.iters[r].up()
+	}
+	return err
+}
+
+// emitter collects output tuples: each emitted binding is charged to scope,
+// then decoded through the query's merged value lists (alignTries) — the
+// only place enumeration touches a Value.
+type emitter struct {
+	doms  []domain
+	scope *govern.OpScope
+	rows  []relation.Tuple
+}
+
+func (e *emitter) emit(binding []uint32) error {
+	if err := e.scope.Add(1); err != nil {
+		return err
+	}
+	row := make(relation.Tuple, len(binding))
+	for v, code := range binding {
+		row[v] = e.doms[v][code]
+	}
+	e.rows = append(e.rows, row)
 	return nil
 }
 
-// enumerate runs the full sequential join, charging each output tuple.
-// bindings, when non-nil, receives the per-variable binding counts.
-func enumerate(order []string, tries []*trieIndex, scope *govern.OpScope, bindings []atomic.Int64) (*relation.Relation, error) {
-	out := relation.New(relation.MustSchema(order...))
-	ex := newExecutor(order, tries)
-	ex.bindings = bindings
-	emit := func(binding []relation.Value) error {
-		if err := scope.Add(1); err != nil {
-			return err
-		}
-		out.MustInsert(append(relation.Tuple(nil), binding...))
-		return nil
-	}
-	if err := ex.run(0, make([]relation.Value, len(order)), scope, emit); err != nil {
+// enumerate runs the full sequential join, charging each output tuple, and
+// returns the output rows — pairwise distinct, because each full binding is
+// reached once. bindings, when non-nil, receives the per-variable binding
+// counts.
+func enumerate(order []string, tries []*trieIndex, doms []domain, scope *govern.OpScope, bindings []atomic.Int64) ([]relation.Tuple, error) {
+	ex := newExecutor(order, tries, bindings)
+	out := emitter{doms: doms, scope: scope}
+	if err := ex.run(0, make([]uint32, len(order)), scope, out.emit); err != nil {
 		return nil, err
 	}
-	return out, nil
+	return out.rows, nil
 }

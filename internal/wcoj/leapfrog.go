@@ -1,38 +1,38 @@
 package wcoj
 
-import (
-	"sort"
-
-	"repro/internal/relation"
-)
-
 // leapfrog is the k-way intersection at one variable: all iterators are
 // open at the level keyed by that variable, and the leapfrog positions them
-// on successive keys present in *every* iterator. The classic invariant:
-// the iterators, read circularly from p, are at non-decreasing keys, and
-// iters[p] holds the smallest; search repeatedly seeks the smallest up to
-// the largest until all keys agree.
+// on successive keys present in *every* iterator. Keys are aligned codes
+// (see alignTries), so every comparison is an integer comparison. The
+// classic invariant: the iterators, read circularly from p, are at
+// non-decreasing keys, and iters[p] holds the smallest; search repeatedly
+// seeks the smallest up to the largest until all keys agree.
 type leapfrog struct {
 	iters []*trieIter
 	p     int
 	done  bool
 }
 
-// newLeapfrog positions the intersection at its first common key, if any.
-// It reorders the given slice in place; callers pass a fresh slice.
-func newLeapfrog(iters []*trieIter) *leapfrog {
-	lf := &leapfrog{iters: iters}
+// init positions the intersection over iters at its first common key, if
+// any. It takes ownership of the slice and reorders it in place; the
+// executor keeps one leapfrog per variable and re-inits it on every descent,
+// so enumeration allocates nothing per binding.
+func (lf *leapfrog) init(iters []*trieIter) {
+	lf.iters, lf.p, lf.done = iters, 0, false
 	for _, it := range iters {
 		if it.atEnd() {
 			lf.done = true
-			return lf
+			return
 		}
 	}
-	sort.SliceStable(lf.iters, func(i, j int) bool {
-		return lf.iters[i].key().Compare(lf.iters[j].key()) < 0
-	})
+	// Insertion sort by current key: k is the handful of relations carrying
+	// the variable.
+	for i := 1; i < len(iters); i++ {
+		for j := i; j > 0 && iters[j].key() < iters[j-1].key(); j-- {
+			iters[j], iters[j-1] = iters[j-1], iters[j]
+		}
+	}
 	lf.search()
-	return lf
 }
 
 // search restores the invariant: seek the smallest iterator to the largest
@@ -43,7 +43,7 @@ func (lf *leapfrog) search() {
 	max := lf.iters[(lf.p+k-1)%k].key()
 	for {
 		it := lf.iters[lf.p]
-		if it.key().Compare(max) == 0 {
+		if it.key() == max {
 			return // all k iterators are at max: a common key
 		}
 		it.seek(max)
@@ -57,7 +57,7 @@ func (lf *leapfrog) search() {
 }
 
 // key returns the current common key; the leapfrog must not be done.
-func (lf *leapfrog) key() relation.Value {
+func (lf *leapfrog) key() uint32 {
 	return lf.iters[lf.p].key()
 }
 
@@ -65,18 +65,6 @@ func (lf *leapfrog) key() relation.Value {
 func (lf *leapfrog) next() {
 	it := lf.iters[lf.p]
 	it.next()
-	if it.atEnd() {
-		lf.done = true
-		return
-	}
-	lf.p = (lf.p + 1) % len(lf.iters)
-	lf.search()
-}
-
-// seek advances the intersection to the first common key ≥ v.
-func (lf *leapfrog) seek(v relation.Value) {
-	it := lf.iters[lf.p]
-	it.seek(v)
 	if it.atEnd() {
 		lf.done = true
 		return

@@ -29,6 +29,8 @@ func TestTracedEnumerationSpansSequentialAndParallel(t *testing.T) {
 
 	type shape struct {
 		tries    int
+		built    int
+		resident int
 		enum     int64
 		vars     int
 		bindings []int64
@@ -39,6 +41,14 @@ func TestTracedEnumerationSpansSequentialAndParallel(t *testing.T) {
 			switch sp.Kind() {
 			case obs.KindTrie:
 				sh.tries++
+				for _, note := range sp.Notes() {
+					switch note {
+					case "built":
+						sh.built++
+					case "resident":
+						sh.resident++
+					}
+				}
 			case obs.KindEnumerate:
 				sh.enum = sp.Tuples()
 			case obs.KindVar:
@@ -68,6 +78,12 @@ func TestTracedEnumerationSpansSequentialAndParallel(t *testing.T) {
 		sh := inspect(tr.Root)
 		if sh.tries != db.Len() {
 			t.Errorf("workers=%d: %d trie spans, want %d", workers, sh.tries, db.Len())
+		}
+		// The first run builds every index; the later ones find them on the
+		// relations. Either way each trie span says which.
+		if sh.built != res.TriesBuilt || sh.built+sh.resident != db.Len() || (workers == 1) != (sh.built == db.Len()) {
+			t.Errorf("workers=%d: trie spans note %d built, %d resident; result says %d built of %d",
+				workers, sh.built, sh.resident, res.TriesBuilt, db.Len())
 		}
 		if sh.vars != len(order) {
 			t.Errorf("workers=%d: %d var spans, want %d", workers, sh.vars, len(order))

@@ -14,9 +14,10 @@ import (
 // chunks, and each worker enumerates its chunk with its own iterators over
 // the shared tries. All workers charge the one shared scope (OpScope.Add is
 // atomic), so budgets and the charged totals are identical to the
-// sequential run; the chunks bind disjoint outermost keys, so the merged
-// outputs are disjoint too.
-func enumerateParallel(order []string, tries []*trieIndex, scope *govern.OpScope, workers int, bindings []atomic.Int64) (*relation.Relation, error) {
+// sequential run; the chunks bind disjoint outermost keys, so the
+// concatenated outputs are disjoint too — and, the chunks being ascending,
+// in the sequential run's row order.
+func enumerateParallel(order []string, tries []*trieIndex, doms []domain, scope *govern.OpScope, workers int, bindings []atomic.Int64) ([]relation.Tuple, error) {
 	keys, err := topKeys(order, tries, scope)
 	if err != nil {
 		return nil, err
@@ -24,16 +25,11 @@ func enumerateParallel(order []string, tries []*trieIndex, scope *govern.OpScope
 	if workers > len(keys) {
 		workers = len(keys)
 	}
-	out := relation.New(relation.MustSchema(order...))
 	if len(keys) == 0 {
-		return out, nil
+		return nil, nil
 	}
 	if workers < 2 {
-		res, err := enumerate(order, tries, scope, bindings)
-		if err != nil {
-			return nil, err
-		}
-		return res, nil
+		return enumerate(order, tries, doms, scope, bindings)
 	}
 
 	parts := make([][]relation.Tuple, workers)
@@ -43,37 +39,32 @@ func enumerateParallel(order []string, tries []*trieIndex, scope *govern.OpScope
 		// Contiguous ranges keep every worker's seeks forward-only.
 		chunk := keys[w*len(keys)/workers : (w+1)*len(keys)/workers]
 		wg.Add(1)
-		go func(w int, chunk []relation.Value) {
+		go func(w int, chunk []uint32) {
 			defer wg.Done()
-			parts[w], errs[w] = runKeys(order, tries, chunk, scope, bindings)
+			parts[w], errs[w] = runKeys(order, tries, doms, chunk, scope, bindings)
 		}(w, chunk)
 	}
 	wg.Wait()
-	for _, err := range errs {
+	total := 0
+	for w, err := range errs {
 		if err != nil {
 			return nil, err
 		}
+		total += len(parts[w])
 	}
+	out := make([]relation.Tuple, 0, total)
 	for _, part := range parts {
-		for _, t := range part {
-			out.MustInsert(t)
-		}
+		out = append(out, part...)
 	}
 	return out, nil
 }
 
-// topKeys returns the sorted intersection of the outermost variable's
-// values across the relations containing it.
-func topKeys(order []string, tries []*trieIndex, scope *govern.OpScope) ([]relation.Value, error) {
-	ex := newExecutor(order, tries)
-	rels := ex.byVar[0]
-	level := make([]*trieIter, len(rels))
-	for i, r := range rels {
-		ex.iters[r].open()
-		level[i] = ex.iters[r]
-	}
-	var keys []relation.Value
-	for lf := newLeapfrog(level); !lf.done; lf.next() {
+// topKeys returns the ascending intersection of the outermost variable's
+// keys across the relations containing it.
+func topKeys(order []string, tries []*trieIndex, scope *govern.OpScope) ([]uint32, error) {
+	ex := newExecutor(order, tries, nil)
+	var keys []uint32
+	for lf := ex.openLevel(0); !lf.done; lf.next() {
 		if err := scope.Add(0); err != nil {
 			return nil, err
 		}
@@ -82,25 +73,17 @@ func topKeys(order []string, tries []*trieIndex, scope *govern.OpScope) ([]relat
 	return keys, nil
 }
 
-// runKeys enumerates the full bindings whose outermost value lies in the
-// given ascending key chunk, collecting output tuples locally. bindings,
-// when non-nil, receives this worker's share of the per-variable counts.
-func runKeys(order []string, tries []*trieIndex, chunk []relation.Value, scope *govern.OpScope, bindings []atomic.Int64) ([]relation.Tuple, error) {
-	ex := newExecutor(order, tries)
-	ex.bindings = bindings
+// runKeys enumerates the full bindings whose outermost key lies in the
+// given ascending chunk, collecting output tuples locally. bindings, when
+// non-nil, receives this worker's share of the per-variable counts.
+func runKeys(order []string, tries []*trieIndex, doms []domain, chunk []uint32, scope *govern.OpScope, bindings []atomic.Int64) ([]relation.Tuple, error) {
+	ex := newExecutor(order, tries, bindings)
 	rels := ex.byVar[0]
 	for _, r := range rels {
 		ex.iters[r].open()
 	}
-	var out []relation.Tuple
-	emit := func(binding []relation.Value) error {
-		if err := scope.Add(1); err != nil {
-			return err
-		}
-		out = append(out, append(relation.Tuple(nil), binding...))
-		return nil
-	}
-	binding := make([]relation.Value, len(order))
+	out := emitter{doms: doms, scope: scope}
+	binding := make([]uint32, len(order))
 	for _, key := range chunk {
 		if err := scope.Add(0); err != nil {
 			return nil, err
@@ -114,9 +97,9 @@ func runKeys(order []string, tries []*trieIndex, chunk []relation.Value, scope *
 		if bindings != nil {
 			bindings[0].Add(1)
 		}
-		if err := ex.run(1, binding, scope, emit); err != nil {
+		if err := ex.run(1, binding, scope, out.emit); err != nil {
 			return nil, err
 		}
 	}
-	return out, nil
+	return out.rows, nil
 }

@@ -1,88 +1,127 @@
 package wcoj
 
-import (
-	"fmt"
-	"sort"
+import "repro/internal/relation"
 
-	"repro/internal/govern"
-	"repro/internal/relation"
-)
-
-// trieIndex is one relation indexed for a variable order: its tuples with
-// columns permuted into the global order restricted to the relation's
-// attributes, sorted lexicographically. The sorted array *is* the trie —
-// level d of the trie is the d-th column, and a node is a run of rows
-// sharing a prefix — so building it costs one permuted copy plus a sort,
-// and iterators are just index ranges over shared rows.
+// trieIndex is one relation indexed for a variable order: the relation's
+// resident columnar block with its columns permuted into the global order
+// restricted to the relation's attributes and its rows sorted
+// lexicographically by dictionary code (relation.ColBlock.SortedBy). The
+// sorted block *is* the trie — level d of the trie is the d-th code column,
+// and a node is a run of rows sharing a prefix — so nothing is decoded to
+// build it, and iterators are just index ranges over shared columns.
+//
+// Dictionaries are per block, so the codes of one attribute differ between
+// relations. align (filled per query by alignTries) maps each level's local
+// codes onto the query's merged code space for that variable; it is
+// strictly increasing, so comparing aligned codes is comparing values.
 type trieIndex struct {
-	// attrs is the relation's schema in variable-order position: the level-d
-	// key of the trie is attribute attrs[d].
-	attrs []string
-	// rows holds the permuted tuples, sorted lexicographically.
-	rows [][]relation.Value
+	// block is the sorted block; its schema is the relation's schema in
+	// variable-order position, so the level-d key is attribute
+	// block.Schema().Attr(d).
+	block *relation.ColBlock
+	// built reports that this query sorted (and possibly encoded) the block
+	// rather than finding it resident on the relation.
+	built bool
+	// cols[d] is the level-d code column of block.
+	cols [][]uint32
+	// align[d][c] is the aligned code of level d's local code c.
+	align [][]uint32
 }
 
-// buildTrie indexes rel along order, charging one tuple per index entry to
-// scope (nil scope charges nothing).
-func buildTrie(rel *relation.Relation, order []string, scope *govern.OpScope) (*trieIndex, error) {
-	schema := rel.Schema()
-	attrs := make([]string, 0, schema.Len())
-	for _, v := range order {
-		if schema.Has(v) {
-			attrs = append(attrs, v)
-		}
+// newTrieIndex wraps a sorted block.
+func newTrieIndex(sorted *relation.ColBlock, built bool) *trieIndex {
+	n := sorted.Schema().Len()
+	t := &trieIndex{block: sorted, built: built, cols: make([][]uint32, n), align: make([][]uint32, n)}
+	for d := range t.cols {
+		t.cols[d] = sorted.Codes(d)
 	}
-	if len(attrs) != schema.Len() {
-		return nil, fmt.Errorf("wcoj: order %v does not cover schema %s", order, schema)
-	}
-	pos, err := schema.Positions(attrs)
-	if err != nil {
-		return nil, err
-	}
-	t := &trieIndex{attrs: attrs, rows: make([][]relation.Value, 0, rel.Len())}
-	for _, row := range rel.Rows() {
-		if err := scope.Add(1); err != nil {
-			return nil, err
-		}
-		p := make([]relation.Value, len(pos))
-		for i, c := range pos {
-			p[i] = row[c]
-		}
-		t.rows = append(t.rows, p)
-	}
-	sort.Slice(t.rows, func(i, j int) bool { return compareRows(t.rows[i], t.rows[j]) < 0 })
-	return t, nil
+	return t
 }
 
-// compareRows orders equal-length value slices lexicographically.
-func compareRows(a, b []relation.Value) int {
-	for i := range a {
-		if c := a[i].Compare(b[i]); c != 0 {
-			return c
+// entries returns the number of index entries: one per tuple.
+func (t *trieIndex) entries() int { return t.block.Len() }
+
+// domain is one variable's value list for one query: the sorted union of
+// the dictionaries of the trie levels keyed by the variable. An aligned code
+// is an index into it.
+type domain []relation.Value
+
+// alignTries gives the tries of one query a common code space per variable:
+// for each variable it merges the (sorted) dictionaries of the levels keyed
+// by it into the variable's domain — the returned doms[v], through which
+// emitted bindings are decoded — and fills each such level's align table
+// with the positions of its dictionary entries in that domain. The work is
+// O(distinct values) per level and charged nothing.
+func alignTries(order []string, tries []*trieIndex) (doms []domain) {
+	doms = make([]domain, len(order))
+	type level struct {
+		t *trieIndex
+		d int
+	}
+	for v, name := range order {
+		var levels []level
+		var merged domain
+		for _, t := range tries {
+			d, ok := t.block.Schema().Position(name)
+			if !ok {
+				continue
+			}
+			levels = append(levels, level{t, d})
+			if merged == nil {
+				merged = t.block.Dict(d)
+			} else {
+				merged = unionSorted(merged, t.block.Dict(d))
+			}
+		}
+		doms[v] = merged
+		for _, l := range levels {
+			dict := l.t.block.Dict(l.d)
+			table := make([]uint32, len(dict))
+			m := 0
+			for c, val := range dict {
+				for !merged[m].Equal(val) {
+					m++
+				}
+				table[c] = uint32(m)
+			}
+			l.t.align[l.d] = table
 		}
 	}
-	return 0
+	return doms
 }
 
-// has reports whether attribute v is a level of this trie.
-func (t *trieIndex) has(v string) bool {
-	for _, a := range t.attrs {
-		if a == v {
-			return true
+// unionSorted merges two strictly ascending value lists into one.
+func unionSorted(a, b domain) domain {
+	out := make(domain, 0, max(len(a), len(b)))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch c := a[i].Compare(b[j]); {
+		case c < 0:
+			out = append(out, a[i])
+			i++
+		case c > 0:
+			out = append(out, b[j])
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
 		}
 	}
-	return false
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
 }
 
 // trieIter is the classical Leapfrog-Triejoin trie iterator over a
 // trieIndex: open descends one level, up ascends, and within a level next
-// and seek step through the *distinct* values of that level's column under
+// and seek step through the *distinct* keys of that level's column under
 // the current prefix. State per level is a row range [lo, hi) (the rows
-// matching the prefix above) and pos, the first row of the current value
-// group; the current key is rows[pos][depth].
+// matching the prefix above) and pos, the first row of the current key
+// group. Keys are aligned codes: key() is align[depth][cols[depth][pos]].
 type trieIter struct {
-	t     *trieIndex
-	depth int // -1 = root (no level open)
+	cols  [][]uint32 // the index's code columns, by level
+	align [][]uint32 // the index's alignment tables, by level
+	depth int        // -1 = root (no level open)
 	lo    []int
 	hi    []int
 	pos   []int
@@ -90,9 +129,10 @@ type trieIter struct {
 
 // newTrieIter returns an iterator positioned at the root.
 func newTrieIter(t *trieIndex) *trieIter {
-	n := len(t.attrs)
+	n := len(t.cols)
 	return &trieIter{
-		t:     t,
+		cols:  t.cols,
+		align: t.align,
 		depth: -1,
 		lo:    make([]int, n),
 		hi:    make([]int, n),
@@ -105,19 +145,20 @@ func (it *trieIter) atEnd() bool {
 	return it.pos[it.depth] >= it.hi[it.depth]
 }
 
-// key returns the current value at the open level; the iterator must not be
-// atEnd.
-func (it *trieIter) key() relation.Value {
-	return it.t.rows[it.pos[it.depth]][it.depth]
+// key returns the current aligned code at the open level; the iterator must
+// not be atEnd.
+func (it *trieIter) key() uint32 {
+	d := it.depth
+	return it.align[d][it.cols[d][it.pos[d]]]
 }
 
 // open descends to the first key of the next level: from the root, to the
-// first value of column 0; from an open level (not atEnd), into the rows of
-// the current value group.
+// first key of column 0; from an open level (not atEnd), into the rows of
+// the current key group.
 func (it *trieIter) open() {
 	if it.depth < 0 {
 		it.depth = 0
-		it.lo[0], it.hi[0], it.pos[0] = 0, len(it.t.rows), 0
+		it.lo[0], it.hi[0], it.pos[0] = 0, len(it.cols[0]), 0
 		return
 	}
 	d := it.depth
@@ -134,51 +175,60 @@ func (it *trieIter) next() {
 	it.pos[it.depth] = it.groupEnd(it.depth)
 }
 
-// seek advances to the first key ≥ v, or atEnd when none remains. Seeks
-// only move forward (the LFTJ contract: the sought key is ≥ the current
-// key). It gallops — doubling steps from the current position, then binary
-// search within the bracket — so a seek costs O(log distance) rather than
-// O(log |level|), which is what makes leapfrogging skew-resistant.
-func (it *trieIter) seek(v relation.Value) {
+// seek advances to the first key ≥ the aligned code a, or atEnd when none
+// remains; a code this relation's dictionary lacks lands on the next larger
+// one it has. Seeks only move forward (the LFTJ contract: the sought key is
+// ≥ the current key). It gallops — doubling steps from the current
+// position, then binary search within the bracket — so a seek costs
+// O(log distance) rather than O(log |level|), which is what makes
+// leapfrogging skew-resistant.
+func (it *trieIter) seek(a uint32) {
 	d := it.depth
-	rows, hi := it.t.rows, it.hi[d]
+	codes, align, hi := it.cols[d], it.align[d], it.hi[d]
 	lo := it.pos[d]
-	if lo >= hi || rows[lo][d].Compare(v) >= 0 {
+	if lo >= hi || align[codes[lo]] >= a {
 		return
 	}
 	// Gallop: find the smallest bracket [lo+step/2, lo+step] containing the
 	// target, capped at hi.
 	step := 1
-	for lo+step < hi && rows[lo+step][d].Compare(v) < 0 {
+	for lo+step < hi && align[codes[lo+step]] < a {
 		lo += step
 		step <<= 1
 	}
-	end := lo + step
-	if end > hi {
-		end = hi
+	end := min(lo+step, hi)
+	// Binary search (lo, end] for the first key ≥ a; rows up to lo are < a.
+	lo++
+	for lo < end {
+		if mid := int(uint(lo+end) >> 1); align[codes[mid]] < a {
+			lo = mid + 1
+		} else {
+			end = mid
+		}
 	}
-	it.pos[d] = lo + sort.Search(end-lo, func(i int) bool {
-		return rows[lo+i][d].Compare(v) >= 0
-	})
+	it.pos[d] = lo
 }
 
-// groupEnd returns the first row index after the current value group at
-// level d: the rows [pos, groupEnd) all share rows[pos][d].
+// groupEnd returns the first row index after the current key group at
+// level d: the rows [pos, groupEnd) all share cols[d][pos].
 func (it *trieIter) groupEnd(d int) int {
-	rows := it.t.rows
+	codes := it.cols[d]
 	lo, hi := it.pos[d], it.hi[d]
-	v := rows[lo][d]
-	// The same gallop as seek: value groups are often short.
+	c := codes[lo]
+	// The same gallop as seek: key groups are often short.
 	step := 1
-	for lo+step < hi && rows[lo+step][d].Compare(v) == 0 {
+	for lo+step < hi && codes[lo+step] == c {
 		lo += step
 		step <<= 1
 	}
-	end := lo + step
-	if end > hi {
-		end = hi
+	end := min(lo+step, hi)
+	lo++
+	for lo < end {
+		if mid := int(uint(lo+end) >> 1); codes[mid] == c {
+			lo = mid + 1
+		} else {
+			end = mid
+		}
 	}
-	return lo + sort.Search(end-lo, func(i int) bool {
-		return rows[lo+i][d].Compare(v) > 0
-	})
+	return lo
 }

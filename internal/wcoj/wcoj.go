@@ -18,14 +18,22 @@
 //
 //   - VariableOrder: a deterministic global attribute order for a scheme,
 //     preferring orders whose prefixes stay connected (order.go);
-//   - trie indexes over sorted, order-permuted tuples with the classical
-//     open/up/next/seek iterator interface (trie.go), built through the
-//     columnar fast path — dictionary-encode once, sort integer codes,
-//     decode — with the tuple-at-a-time builder kept as the differential
-//     oracle (columns.go);
-//   - the leapfrog k-way intersection of trie levels (leapfrog.go);
-//   - Join / JoinGoverned: the full multiway join, with governed variants
-//     charging trie construction and output tuples against a
+//   - trie indexes with the classical open/up/next/seek iterator interface
+//     (trie.go). A trie is the relation's resident columnar block, columns
+//     permuted into variable order and rows sorted lexicographically by
+//     uint32 dictionary code: level d is code column d, nothing is decoded
+//     to build or walk it, and it is built once per relation snapshot —
+//     memoized on the relation, so every later query reuses it until ingest
+//     replaces the relation (columns.go);
+//   - per-query dictionary alignment (alignTries in trie.go): dictionaries
+//     are per relation, so for each variable the dictionaries of the
+//     relations carrying it are merged into one sorted value list and a
+//     monotone local-code → aligned-code table per trie level;
+//   - the leapfrog k-way intersection of trie levels over aligned codes —
+//     integer comparisons only (leapfrog.go);
+//   - Join / JoinGoverned: the full multiway join over []uint32 bindings,
+//     decoding only the tuples it emits, with governed variants charging
+//     every index entry (resident or not) and every output tuple against a
 //     govern.Governor and polling deadlines mid-iteration (join.go), and a
 //     partition-parallel variant that splits the outermost variable's key
 //     range across workers (parallel.go).
@@ -50,9 +58,14 @@ type Result struct {
 	// Output is ⋈D over the variable order's schema (one column per
 	// variable, in order).
 	Output *relation.Relation
-	// TrieTuples is the number of index entries built — Σ|Rᵢ|, since each
-	// trie re-sorts its relation without generating new tuples.
+	// TrieTuples is the number of index entries read — Σ|Rᵢ|, since each
+	// trie re-sorts its relation without generating new tuples. It is
+	// charged in full whether an index was resident or built.
 	TrieTuples int64
+	// TriesBuilt is how many of the db.Len() indexes this call had to build
+	// (encode and sort) because no earlier query had left them resident on
+	// the relation snapshot; the rest were reused.
+	TriesBuilt int
 	// Vars is the global variable order the join ran with.
 	Vars []string
 	// Workers is the number of goroutines enumeration used (1 = sequential).
@@ -72,11 +85,13 @@ func Join(db *relation.Database, order []string) (*relation.Relation, error) {
 
 // JoinGoverned computes the natural join of db along the given variable
 // order under gov (nil = no limits), enumerating with up to workers
-// goroutines (values below 2 run sequentially). Trie construction charges
-// one tuple per index entry under the operator "wcoj.trie" (one scope per
-// relation, so MaxIntermediateTuples bounds any single index); enumeration
-// charges each output tuple — and polls cancellation/deadline on every
-// leapfrog step, even when nothing is emitted — under "wcoj.join".
+// goroutines (values below 2 run sequentially). Each trie charges one tuple
+// per index entry under the operator "wcoj.trie" (one scope per relation,
+// so MaxIntermediateTuples bounds any single index) before it is fetched
+// from the relation or built, so charges do not depend on what earlier
+// queries left resident; enumeration charges each output tuple — and polls
+// cancellation/deadline on every leapfrog step, even when nothing is
+// emitted — under "wcoj.join".
 func JoinGoverned(db *relation.Database, order []string, gov *govern.Governor, workers int) (*Result, error) {
 	if db == nil || db.Len() == 0 {
 		return nil, fmt.Errorf("wcoj: empty database")
@@ -86,6 +101,7 @@ func JoinGoverned(db *relation.Database, order []string, gov *govern.Governor, w
 	}
 	tries := make([]*trieIndex, db.Len())
 	var trieTuples int64
+	built := 0
 	for i := 0; i < db.Len(); i++ {
 		var sp *obs.Span
 		if parent := gov.Span(); parent != nil {
@@ -102,10 +118,16 @@ func JoinGoverned(db *relation.Database, order []string, gov *govern.Governor, w
 			sp.End()
 			return nil, err
 		}
-		sp.AddTuples(int64(len(tr.rows)))
+		if tr.built {
+			built++
+			sp.Note("built")
+		} else {
+			sp.Note("resident")
+		}
+		sp.AddTuples(int64(tr.entries()))
 		sp.End()
 		tries[i] = tr
-		trieTuples += int64(len(tr.rows))
+		trieTuples += int64(tr.entries())
 	}
 	scope, err := gov.Begin("wcoj.join")
 	if err != nil {
@@ -125,11 +147,12 @@ func JoinGoverned(db *relation.Database, order []string, gov *govern.Governor, w
 		bindings = make([]atomic.Int64, len(order))
 	}
 	before := gov.Produced()
-	var out *relation.Relation
+	doms := alignTries(order, tries)
+	var rows []relation.Tuple
 	if workers == 1 {
-		out, err = enumerate(order, tries, scope, bindings)
+		rows, err = enumerate(order, tries, doms, scope, bindings)
 	} else {
-		out, err = enumerateParallel(order, tries, scope, workers, bindings)
+		rows, err = enumerateParallel(order, tries, doms, scope, workers, bindings)
 	}
 	if enumSpan != nil {
 		enumSpan.AddTuples(gov.Produced() - before)
@@ -146,7 +169,15 @@ func JoinGoverned(db *relation.Database, order []string, gov *govern.Governor, w
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Output: out, TrieTuples: trieTuples, Vars: order, Workers: workers}, nil
+	schema, err := relation.NewSchema(order...)
+	if err != nil {
+		return nil, err
+	}
+	out, err := relation.NewFromDistinctRows(schema, rows)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Output: out, TrieTuples: trieTuples, TriesBuilt: built, Vars: order, Workers: workers}, nil
 }
 
 // checkOrder validates that order is a permutation of the scheme's
