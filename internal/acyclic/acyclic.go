@@ -57,46 +57,30 @@ func FullReducer(h *hypergraph.Hypergraph) (*program.Program, *hypergraph.JoinTr
 
 // Reduce applies the full reducer to db and returns the reduced database
 // (same scheme, possibly smaller relations) plus the semijoin program's
-// cost. The input database is not modified.
+// cost. The input database is not modified. The reducer runs on the block
+// executor, which hands back every relation's reduced block.
 func Reduce(db *relation.Database) (*relation.Database, int, error) {
-	return ReduceGoverned(db, nil)
-}
-
-// ReduceGoverned is Reduce under a governor: every semijoin head charges
-// its tuples (site "acyclic.Reduce" fires per statement for fault
-// injection) and cancellation aborts between semijoins with the governor's
-// typed error.
-func ReduceGoverned(db *relation.Database, g *govern.Governor) (*relation.Database, int, error) {
-	h := hypergraph.OfScheme(db)
-	p, _, err := FullReducer(h)
+	p, _, err := FullReducer(hypergraph.OfScheme(db))
 	if err != nil {
 		return nil, 0, err
 	}
-	// Run the program manually so we can capture every reduced input.
-	env := make([]*relation.Relation, db.Len())
-	nameIdx := make(map[string]int, db.Len())
-	for i, n := range p.Inputs {
-		env[i] = db.Relation(i)
-		nameIdx[n] = i
+	inputs := make([]*relation.ColBlock, db.Len())
+	for i := range inputs {
+		inputs[i] = db.Relation(i).Block()
 	}
-	cost := db.TotalTuples()
-	for _, s := range p.Stmts {
-		if _, err := g.Begin("acyclic.Reduce"); err != nil {
-			return nil, 0, err
-		}
-		head := nameIdx[s.Head]
-		reduced, err := relation.SemijoinGoverned(g, env[nameIdx[s.Arg1]], env[nameIdx[s.Arg2]])
-		if err != nil {
-			return nil, 0, err
-		}
-		env[head] = reduced
-		cost += reduced.Len()
-	}
-	out, err := relation.NewDatabase(env...)
+	bound, trace, err := p.Execute(inputs, nil, 1)
 	if err != nil {
 		return nil, 0, err
 	}
-	return out, cost, nil
+	reduced := make([]*relation.ColBlock, db.Len())
+	for i, name := range p.Inputs {
+		reduced[i] = bound[name]
+	}
+	out, err := db.Reduced(reduced)
+	if err != nil {
+		return nil, 0, err
+	}
+	return out, db.TotalTuples() + program.Generated(trace), nil
 }
 
 // MonotoneTree returns a monotone join expression for an acyclic scheme: a
@@ -112,6 +96,23 @@ func MonotoneTree(jt *hypergraph.JoinTree) *jointree.Tree {
 	return t
 }
 
+// JoinProgram compiles the classical pipeline for an acyclic scheme into
+// one program: the full reducer's semijoins, then the joins of
+// MonotoneTree(jt) over the reduced inputs; jt is the GYO join tree both
+// follow. The program's §2.3 cost counts the inputs once, the semijoin
+// heads, and the join heads — the reduced relations are not counted again
+// as the joins' leaves. It returns an error when the scheme is cyclic.
+func JoinProgram(h *hypergraph.Hypergraph) (*program.Program, *hypergraph.JoinTree, error) {
+	p, jt, err := FullReducer(h)
+	if err != nil {
+		return nil, nil, err
+	}
+	join := MonotoneTree(jt).Program(h)
+	p.Stmts = append(p.Stmts, join.Stmts...)
+	p.Output = join.Output
+	return p, jt, nil
+}
+
 // Join computes ⋈D for an acyclic scheme the classical way: full-reduce,
 // then evaluate the monotone join expression. It returns the result and the
 // total cost (semijoin program cost plus monotone join cost, counting the
@@ -120,28 +121,19 @@ func Join(db *relation.Database) (*relation.Relation, int, error) {
 	return JoinGoverned(db, nil)
 }
 
-// JoinGoverned is Join under a governor: both phases (the semijoin
-// reduction and the monotone join) charge their outputs and honor
-// cancellation, aborting with the governor's typed error and no partial
-// result.
+// JoinGoverned is Join under a governor: JoinProgram applied to db, so both
+// phases charge their outputs and honor cancellation, aborting with the
+// governor's typed error and no partial result.
 func JoinGoverned(db *relation.Database, g *govern.Governor) (*relation.Relation, int, error) {
-	reduced, reduceCost, err := ReduceGoverned(db, g)
+	p, _, err := JoinProgram(hypergraph.OfScheme(db))
 	if err != nil {
 		return nil, 0, err
 	}
-	h := hypergraph.OfScheme(db)
-	jt, ok := h.GYO()
-	if !ok {
-		return nil, 0, fmt.Errorf("acyclic: scheme %s is cyclic", h)
-	}
-	t := MonotoneTree(jt)
-	out, joinCost, err := t.EvalGoverned(reduced, g)
+	res, err := p.ApplyGoverned(db, g)
 	if err != nil {
 		return nil, 0, err
 	}
-	// The reduced relations were already counted by the reducer; subtract
-	// their double-count as the tree's leaves.
-	return out, reduceCost + joinCost - reduced.TotalTuples(), nil
+	return res.Output, res.Cost, nil
 }
 
 // Yannakakis computes π_out(⋈D) for an acyclic scheme in time polynomial in
@@ -155,49 +147,49 @@ func Yannakakis(db *relation.Database, out relation.AttrSet) (*relation.Relation
 	return YannakakisGoverned(db, out, nil)
 }
 
-// YannakakisGoverned is Yannakakis under a governor: the reduction sweep,
-// the bottom-up joins, and the projections all charge their outputs and
-// honor cancellation, aborting with the governor's typed error.
+// YannakakisGoverned is Yannakakis under a governor: YannakakisProgram
+// applied to db, so the reducer, the bottom-up joins and projections, and
+// the final projection charge their outputs and honor cancellation.
 func YannakakisGoverned(db *relation.Database, out relation.AttrSet, g *govern.Governor) (*relation.Relation, int, error) {
-	h := hypergraph.OfScheme(db)
-	if !h.Attrs().ContainsAll(out) {
-		return nil, 0, fmt.Errorf("acyclic: output attributes %s not all in scheme %s", out, h)
-	}
-	reduced, cost, err := ReduceGoverned(db, g)
+	p, err := YannakakisProgram(hypergraph.OfScheme(db), out)
 	if err != nil {
 		return nil, 0, err
 	}
-	jt, ok := h.GYO()
-	if !ok {
-		return nil, 0, fmt.Errorf("acyclic: scheme %s is cyclic", h)
+	res, err := p.ApplyGoverned(db, g)
+	if err != nil {
+		return nil, 0, err
 	}
-	rels := make([]*relation.Relation, db.Len())
-	for i := range rels {
-		rels[i] = reduced.Relation(i)
+	return res.Output, res.Cost, nil
+}
+
+// YannakakisProgram compiles Yannakakis' algorithm for an acyclic scheme
+// into one program: the full reducer, then per removed ear (children before
+// parents) a join into its parent and a projection onto the parent's
+// attributes plus the output attributes gathered so far, then π_out of the
+// root. It returns an error when the scheme is cyclic or out is not a
+// subset of its attributes.
+func YannakakisProgram(h *hypergraph.Hypergraph, out relation.AttrSet) (*program.Program, error) {
+	if !h.Attrs().ContainsAll(out) {
+		return nil, fmt.Errorf("acyclic: output attributes %s not all in scheme %s", out, h)
 	}
-	// Each removed ear is joined into its parent in removal order (children
-	// always precede parents), keeping only the parent's own attributes and
-	// the output attributes gathered so far.
+	p, jt, err := FullReducer(h)
+	if err != nil {
+		return nil, err
+	}
+	// cur names the variable holding each edge's relation, attrs its
+	// attributes.
+	cur := append([]string(nil), p.Inputs...)
+	attrs := append([]relation.AttrSet(nil), h.Edges()...)
 	for _, e := range jt.RemovalOrder {
 		f := jt.Parent[e]
-		joined, err := relation.JoinGoverned(g, rels[f], rels[e])
-		if err != nil {
-			return nil, 0, err
-		}
-		cost += joined.Len()
-		keep := h.Edge(f).Union(out.Intersect(joined.Schema().AttrSet()))
-		keep = keep.Intersect(joined.Schema().AttrSet())
-		projected, err := relation.ProjectGoverned(g, joined, keep)
-		if err != nil {
-			return nil, 0, err
-		}
-		cost += projected.Len()
-		rels[f] = projected
+		keep := h.Edge(f).Union(out.Intersect(attrs[f].Union(attrs[e])))
+		v := p.FreshVar("Y")
+		p.Stmts = append(p.Stmts,
+			program.Stmt{Op: program.OpJoin, Head: v, Arg1: cur[f], Arg2: cur[e]},
+			program.Stmt{Op: program.OpProject, Head: v, Arg1: v, Proj: keep})
+		cur[f], attrs[f] = v, keep
 	}
-	final, err := relation.ProjectGoverned(g, rels[jt.Root], out)
-	if err != nil {
-		return nil, 0, err
-	}
-	cost += final.Len()
-	return final, cost, nil
+	p.Output = p.FreshVar("Y")
+	p.Stmts = append(p.Stmts, program.Stmt{Op: program.OpProject, Head: p.Output, Arg1: cur[jt.Root], Proj: out})
+	return p, nil
 }

@@ -17,7 +17,7 @@ func TestAdversarialGauntlet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	strategies := []Strategy{StrategyProgram, StrategyWCOJ, StrategyColumnar, StrategyHybrid}
+	strategies := []Strategy{StrategyProgram, StrategyWCOJ, StrategyExpression, StrategyHybrid}
 	for _, c := range cases {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {

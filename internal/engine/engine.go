@@ -52,20 +52,11 @@ const (
 	// cyclic schemes where Example 3 makes every CPF expression unboundedly
 	// suboptimal, this is the backend built for the job.
 	StrategyWCOJ
-	// StrategyColumnar evaluates the cheapest Cartesian-product-free join
-	// expression through the columnar batch kernels: leaves are
-	// dictionary-encoded into column blocks once, every join runs the
-	// vectorized code-remapping kernel, and only the root decodes back to
-	// tuples. Results, §2.3 costs, and governor charges are identical to
-	// StrategyExpression — the differential gauntlet enforces it — so the
-	// tuple-map operators remain the checked oracle while this is the fast
-	// path.
-	StrategyColumnar
 	// StrategyHybrid is the statistics-driven chooser: per-relation sketches
 	// (degree / distinct counts / equi-depth histograms, incrementally
 	// maintained on the mutation path) estimate each route's §2.3 cost and
 	// pick between the worst-case-optimal triejoin on the skewed cyclic
-	// core, binary-join programs through the columnar kernels elsewhere, or
+	// core, binary-join programs on the block executor elsewhere, or
 	// a mixed plan stitching the two — wcoj on hypergraph.Core, its output
 	// fed as a leaf into a binary tree over the pendant edges. Pure routes
 	// charge the governor identically to their static rungs.
@@ -89,8 +80,6 @@ func (s Strategy) String() string {
 		return "direct"
 	case StrategyWCOJ:
 		return "wcoj"
-	case StrategyColumnar:
-		return "columnar"
 	case StrategyHybrid:
 		return "hybrid"
 	default:
@@ -121,12 +110,12 @@ type Options struct {
 	// Workers enables governed intra-query parallelism with up to Workers
 	// goroutines: ready program statements run concurrently over their
 	// dependency DAG and their joins and semijoins probe in parallel row
-	// ranges; tree evaluation runs its operators partition-parallel. All
-	// workers charge the same governor budgets. 0 or 1 executes sequentially
-	// (the default); results are identical either way. Workers is honored by
-	// direct Join calls and by cached-Plan execution; the acyclic pipeline
-	// runs sequentially regardless (its semijoin passes are already linear
-	// in the inputs).
+	// ranges. Every plan but wcoj runs as a program on that executor — join
+	// trees, the acyclic pipeline and the pairwise reduction included — and
+	// wcoj partitions its outermost variable instead. All workers charge the
+	// same governor budgets. 0 or 1 executes sequentially (the default);
+	// results and costs are identical either way. Workers is honored by
+	// direct Join calls and by cached-Plan execution.
 	Workers int
 	// Sketches, when non-nil, supplies StrategyHybrid's maintained
 	// per-relation statistics (aligned with the database as passed: sketch i
@@ -286,10 +275,12 @@ func newGovernor(opts Options) *govern.Governor {
 }
 
 // tracedPhase runs one phase of a strategy attempt under a child span of
-// the governor's current span, charging the span with the governor delta
-// the phase produced. Untraced executions call fn with no overhead at all.
-// The delta protocol is sound here because engine-level phases run
-// sequentially: nothing else charges the governor during fn.
+// the governor's current span, installed as the governor's span for the
+// duration so the executor's spans nest under the phase. The phase span is
+// charged the governor delta the phase produced minus what its descendants
+// (the statement spans) already claimed. Untraced executions call fn with no
+// overhead at all. The delta protocol is sound here because engine-level
+// phases run sequentially: nothing else charges the governor during fn.
 func tracedPhase(gov *govern.Governor, kind obs.Kind, name string, fn func() error) error {
 	parent := gov.Span()
 	if parent == nil {
@@ -297,9 +288,11 @@ func tracedPhase(gov *govern.Governor, kind obs.Kind, name string, fn func() err
 	}
 	sp := parent.Child(kind, name)
 	defer sp.End()
+	gov.SetSpan(sp)
 	before := gov.Produced()
 	err := fn()
-	sp.AddTuples(gov.Produced() - before)
+	gov.SetSpan(parent)
+	sp.AddTuples(gov.Produced() - before - sp.TupleTotal())
 	if err != nil {
 		sp.Note("failed: %v", err)
 	}
@@ -331,15 +324,13 @@ func runStrategy(db *relation.Database, h *hypergraph.Hypergraph, strat Strategy
 	case StrategyExpression:
 		rep, err = joinExpression(db, h, opts, gov)
 	case StrategyReduceThenJoin:
-		rep, err = joinReduceThenJoin(db, h, opts, gov)
+		rep, err = reduceThenJoin(db, h, nil, opts, gov)
 	case StrategyAcyclic:
-		rep, err = joinAcyclic(db, h, gov)
+		rep, err = joinAcyclic(db, h, opts, gov)
 	case StrategyDirect:
 		rep, err = joinDirect(db, h, opts, gov)
 	case StrategyWCOJ:
 		rep, err = joinWCOJ(db, h, opts, gov)
-	case StrategyColumnar:
-		rep, err = joinColumnar(db, h, opts, gov)
 	case StrategyHybrid:
 		rep, err = joinHybrid(db, h, opts, gov)
 	default:
@@ -353,27 +344,51 @@ func runStrategy(db *relation.Database, h *hypergraph.Hypergraph, strat Strategy
 	return rep, nil
 }
 
-// runProgramTraced runs the program executor with the options' worker count
-// under an "execute program" span: the governor's span is swapped to the
-// execute span for the duration so the executor's per-statement spans nest
-// under it, then restored. The span's self time is the executor's work
-// outside statements — encoding the inputs and decoding the output. The swap
-// is safe because the executor's worker goroutines are spawned (and joined)
+// runProgramTraced applies p to db on the program executor with the
+// options' worker count, under executeTraced's span.
+func runProgramTraced(p *program.Program, db *relation.Database, gov *govern.Governor, opts Options) (res *program.Result, err error) {
+	err = executeTraced(gov, func() error {
+		res, err = p.ApplyParallelGoverned(db, gov, opts.workerCount())
+		return err
+	})
+	return res, err
+}
+
+// executeTraced runs fn — one call into the program executor — under an
+// "execute program" span: the governor's span is swapped to the execute
+// span for the duration so the executor's per-statement spans nest under
+// it, then restored. The span's self time is the executor's work outside
+// statements — encoding the inputs and decoding the output. The swap is
+// safe because the executor's worker goroutines are spawned (and joined)
 // strictly inside the call.
-func runProgramTraced(p *program.Program, db *relation.Database, gov *govern.Governor, opts Options) (*program.Result, error) {
+func executeTraced(gov *govern.Governor, fn func() error) error {
 	parent := gov.Span()
 	if parent == nil {
-		return p.ApplyParallelGoverned(db, gov, opts.workerCount())
+		return fn()
 	}
 	exec := parent.Child(obs.KindExecute, "execute program")
 	gov.SetSpan(exec)
-	res, err := p.ApplyParallelGoverned(db, gov, opts.workerCount())
+	err := fn()
 	gov.SetSpan(parent)
 	if err != nil {
 		exec.Note("failed: %v", err)
 	}
 	exec.End()
-	return res, err
+	return err
+}
+
+// evalTree runs a join tree as its compiled program (jointree.Tree.Program)
+// on the block executor under the attempt's "eval" phase span, returning
+// ⋈D and the tree's §2.3 cost.
+func evalTree(tree *jointree.Tree, db *relation.Database, h *hypergraph.Hypergraph, span string, gov *govern.Governor, opts Options) (*relation.Relation, int64, error) {
+	var res *program.Result
+	if err := tracedPhase(gov, obs.KindEval, span, func() (err error) {
+		res, err = runProgramTraced(tree.Program(h), db, gov, opts)
+		return err
+	}); err != nil {
+		return nil, 0, err
+	}
+	return res.Output, int64(res.Cost), nil
 }
 
 // stepTimings converts a program trace into Report.Steps.
@@ -387,14 +402,11 @@ func stepTimings(trace []program.Step) []StepTiming {
 
 // DegradationLadder returns the strategy ladder governed Auto execution
 // climbs for the given scheme, cheapest machinery first. On cyclic schemes
-// it is the cheapest CPF expression through the columnar batch kernels
-// (identical charges to StrategyExpression, so nothing is lost by leading
-// with the faster evaluator — an aborted columnar attempt proves the
-// tuple-map evaluation of the same tree would abort at the same tuple),
-// then fixpoint semijoin reduction followed by the cheapest CPF expression,
-// then the worst-case-optimal Leapfrog Triejoin — which materializes no
-// pairwise intermediate at all, exactly what blew the earlier rungs — and
-// finally the paper's derived program, whose semijoin-bounded heads
+// it is the cheapest CPF expression, then fixpoint semijoin reduction
+// followed by the cheapest CPF expression, then the worst-case-optimal
+// Leapfrog Triejoin — which materializes no pairwise intermediate at all,
+// exactly what blew the earlier rungs — and finally the paper's derived
+// program, whose semijoin-bounded heads
 // (Theorem 2 caps its cost at r(a+5) times the optimum) make it the most
 // conservative machinery of all. On acyclic schemes the full-reducer
 // pipeline is already monotone; only the program route remains behind it.
@@ -402,7 +414,7 @@ func DegradationLadder(h *hypergraph.Hypergraph) []Strategy {
 	if h.Acyclic() {
 		return []Strategy{StrategyAcyclic, StrategyProgram}
 	}
-	return []Strategy{StrategyColumnar, StrategyReduceThenJoin, StrategyWCOJ, StrategyProgram}
+	return []Strategy{StrategyExpression, StrategyReduceThenJoin, StrategyWCOJ, StrategyProgram}
 }
 
 // degradable reports whether an attempt's failure should fall through to
@@ -444,6 +456,15 @@ func joinLadder(db *relation.Database, h *hypergraph.Hypergraph, opts Options) (
 			strat, err, ladder[i+1]))
 	}
 	panic("engine: unreachable: ladder loop neither returned nor degraded")
+}
+
+// exprSpace is the search space of the expression strategies: CPF trees,
+// or every tree on a disconnected scheme, where no CPF expression exists.
+func exprSpace(h *hypergraph.Hypergraph) optimizer.Space {
+	if h.Connected(h.Full()) {
+		return optimizer.SpaceCPF
+	}
+	return optimizer.SpaceAll
 }
 
 // bestTree finds the cheapest join expression: exact DP when the scheme is
@@ -518,138 +539,115 @@ func joinProgram(db *relation.Database, h *hypergraph.Hypergraph, opts Options, 
 // back to the unrestricted space on disconnected schemes, where no CPF
 // expression exists).
 func joinExpression(db *relation.Database, h *hypergraph.Hypergraph, opts Options, gov *govern.Governor) (*Report, error) {
-	space := optimizer.SpaceCPF
-	if !h.Connected(h.Full()) {
-		space = optimizer.SpaceAll
-	}
 	var tree *jointree.Tree
 	var how string
 	if err := tracedPhase(gov, obs.KindPlan, "optimize expression", func() (err error) {
-		tree, how, err = bestTree(db, h, opts.Budget, space)
+		tree, how, err = bestTree(db, h, opts.Budget, exprSpace(h))
 		return err
 	}); err != nil {
 		return nil, err
 	}
-	var out *relation.Relation
-	var cost int
-	if err := tracedPhase(gov, obs.KindEval, "evaluate expression", func() (err error) {
-		out, cost, err = tree.EvalParallelGoverned(db, gov, opts.workerCount())
-		return err
-	}); err != nil {
+	out, cost, err := evalTree(tree, db, h, "evaluate expression", gov, opts)
+	if err != nil {
 		return nil, err
 	}
 	return &Report{
 		Result:   out,
 		Strategy: StrategyExpression,
-		Cost:     int64(cost),
+		Cost:     cost,
 		Plan:     tree.String(h),
 		Notes:    []string{"optimized by " + how},
 	}, nil
 }
 
-// joinColumnar evaluates the same cheapest CPF expression as
-// joinExpression, but through the vectorized columnar kernels: dictionary
-// encoding at the leaves, code-remapping batch joins at every node, one
-// decode at the root. Cost and governor charges match joinExpression
-// exactly.
-func joinColumnar(db *relation.Database, h *hypergraph.Hypergraph, opts Options, gov *govern.Governor) (*Report, error) {
-	space := optimizer.SpaceCPF
-	if !h.Connected(h.Full()) {
-		space = optimizer.SpaceAll
-	}
-	var tree *jointree.Tree
-	var how string
-	if err := tracedPhase(gov, obs.KindPlan, "optimize expression", func() (err error) {
-		tree, how, err = bestTree(db, h, opts.Budget, space)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	var out *relation.Relation
-	var cost int
-	if err := tracedPhase(gov, obs.KindEval, "evaluate columnar expression", func() (err error) {
-		out, cost, err = tree.EvalColumnarGoverned(db, gov)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	return &Report{
-		Result:   out,
-		Strategy: StrategyColumnar,
-		Cost:     int64(cost),
-		Plan:     tree.String(h),
-		Notes: []string{
-			"optimized by " + how,
-			"columnar kernels: dictionary-encoded blocks, code-remapped batch joins",
-		},
-	}, nil
-}
-
-// joinReduceThenJoin reduces pairwise to a fixpoint, then evaluates the
-// cheapest CPF expression over the reduced database.
-func joinReduceThenJoin(db *relation.Database, h *hypergraph.Hypergraph, opts Options, gov *govern.Governor) (*Report, error) {
+// reduceThenJoin reduces pairwise to a fixpoint — the round program re-run
+// on the block executor — then runs the tree's compiled program over the
+// reduced blocks the last round returned; only the output is decoded. A nil
+// tree is the cheapest CPF expression over the reduced database, searched
+// for here (the Join path; a cached Plan fixed it already).
+func reduceThenJoin(db *relation.Database, h *hypergraph.Hypergraph, tree *jointree.Tree, opts Options, gov *govern.Governor) (*Report, error) {
 	var red *PairwiseReduction
+	var blocks []*relation.ColBlock
 	if err := tracedPhase(gov, obs.KindReduce, "pairwise semijoin reduction", func() (err error) {
-		red, err = PairwiseReduceGoverned(db, 0, gov)
+		red, blocks, err = pairwiseReduce(db, h, 0, gov, opts.workerCount())
 		return err
 	}); err != nil {
 		return nil, err
 	}
-	space := optimizer.SpaceCPF
-	if !h.Connected(h.Full()) {
-		space = optimizer.SpaceAll
+	notes := []string{fmt.Sprintf("pairwise reduction: %d rounds, %d tuples removed", red.Rounds, red.Removed)}
+	if tree == nil {
+		reduced, err := db.Reduced(blocks)
+		if err != nil {
+			return nil, err
+		}
+		var how string
+		if err := tracedPhase(gov, obs.KindPlan, "optimize expression", func() (err error) {
+			tree, how, err = bestTree(reduced, h, opts.Budget, exprSpace(h))
+			return err
+		}); err != nil {
+			return nil, err
+		}
+		notes = append(notes, "optimized by "+how)
 	}
-	var tree *jointree.Tree
-	var how string
-	if err := tracedPhase(gov, obs.KindPlan, "optimize expression", func() (err error) {
-		tree, how, err = bestTree(red.Database, h, opts.Budget, space)
-		return err
-	}); err != nil {
-		return nil, err
-	}
+	p := tree.Program(h)
 	var out *relation.Relation
-	var joinCost int
-	if err := tracedPhase(gov, obs.KindEval, "evaluate expression", func() (err error) {
-		out, joinCost, err = tree.EvalParallelGoverned(red.Database, gov, opts.workerCount())
-		return err
+	var generated int
+	if err := tracedPhase(gov, obs.KindEval, "evaluate expression", func() error {
+		return executeTraced(gov, func() error {
+			bound, trace, err := p.Execute(blocks, gov, opts.workerCount())
+			if err != nil {
+				return err
+			}
+			out, generated = bound[p.Output].ToRelation(), program.Generated(trace)
+			return nil
+		})
 	}); err != nil {
 		return nil, err
 	}
-	// Total: the original inputs once, the reduction heads, the join's
-	// intermediates (subtract the reduced inputs the tree counted as its
-	// leaves, which the reduction already paid for).
-	total := int64(db.TotalTuples()) + int64(red.Cost) + int64(joinCost) - int64(red.Database.TotalTuples())
 	return &Report{
 		Result:   out,
 		Strategy: StrategyReduceThenJoin,
-		Cost:     total,
-		Plan:     tree.String(h),
-		Notes: []string{
-			fmt.Sprintf("pairwise reduction: %d rounds, %d tuples removed", red.Rounds, red.Removed),
-			"optimized by " + how,
-		},
+		// The original inputs once, the reduction heads, the join heads: the
+		// tree's leaves are the reduced relations the reduction paid for.
+		Cost:  int64(db.TotalTuples() + red.Cost + generated),
+		Plan:  tree.String(h),
+		Notes: notes,
 	}, nil
 }
 
 // joinAcyclic runs the classical full-reduce + monotone-join pipeline.
-func joinAcyclic(db *relation.Database, h *hypergraph.Hypergraph, gov *govern.Governor) (*Report, error) {
-	var out *relation.Relation
-	var cost int
-	if err := tracedPhase(gov, obs.KindPipeline, "full-reducer pipeline", func() (err error) {
-		out, cost, err = acyclic.JoinGoverned(db, gov)
-		return err
-	}); err != nil {
+func joinAcyclic(db *relation.Database, h *hypergraph.Hypergraph, opts Options, gov *govern.Governor) (*Report, error) {
+	out, cost, plan, err := runAcyclic(db, h, opts, gov)
+	if err != nil {
 		return nil, err
 	}
-	jt, _ := h.GYO()
-	tree := acyclic.MonotoneTree(jt)
 	return &Report{
 		Result:   out,
 		Strategy: StrategyAcyclic,
-		Cost:     int64(cost),
-		Plan:     "full reducer; monotone expression: " + tree.String(h),
+		Cost:     cost,
+		Plan:     plan,
 		Notes:    []string{"no intermediate exceeds the output on the reduced database"},
 	}, nil
+}
+
+// runAcyclic runs the full-reducer pipeline — acyclic.JoinProgram, one
+// program — on the block executor under the attempt's "pipeline" phase
+// span. It returns ⋈D, the pipeline's §2.3 cost, and the plan line.
+func runAcyclic(db *relation.Database, h *hypergraph.Hypergraph, opts Options, gov *govern.Governor) (*relation.Relation, int64, string, error) {
+	var res *program.Result
+	var jt *hypergraph.JoinTree
+	if err := tracedPhase(gov, obs.KindPipeline, "full-reducer pipeline", func() error {
+		p, t, err := acyclic.JoinProgram(h)
+		if err != nil {
+			return err
+		}
+		jt = t
+		res, err = runProgramTraced(p, db, gov, opts)
+		return err
+	}); err != nil {
+		return nil, 0, "", err
+	}
+	return res.Output, int64(res.Cost), "full reducer; monotone expression: " + acyclic.MonotoneTree(jt).String(h), nil
 }
 
 // joinWCOJ runs the worst-case-optimal Leapfrog Triejoin along the
@@ -685,22 +683,15 @@ func wcojNotes(res *wcoj.Result, db *relation.Database) []string {
 
 // joinDirect folds the relations left to right.
 func joinDirect(db *relation.Database, h *hypergraph.Hypergraph, opts Options, gov *govern.Governor) (*Report, error) {
-	tree := jointree.NewLeaf(0)
-	for i := 1; i < db.Len(); i++ {
-		tree = jointree.NewJoin(tree, jointree.NewLeaf(i))
-	}
-	var out *relation.Relation
-	var cost int
-	if err := tracedPhase(gov, obs.KindEval, "evaluate left-deep expression", func() (err error) {
-		out, cost, err = tree.EvalParallelGoverned(db, gov, opts.workerCount())
-		return err
-	}); err != nil {
+	tree := leftDeep(db.Len())
+	out, cost, err := evalTree(tree, db, h, "evaluate left-deep expression", gov, opts)
+	if err != nil {
 		return nil, err
 	}
 	return &Report{
 		Result:   out,
 		Strategy: StrategyDirect,
-		Cost:     int64(cost),
+		Cost:     cost,
 		Plan:     tree.String(h),
 	}, nil
 }

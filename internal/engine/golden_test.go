@@ -44,7 +44,7 @@ func TestGoldenExplain(t *testing.T) {
 	}
 	strategies := []Strategy{
 		StrategyProgram, StrategyExpression, StrategyReduceThenJoin, StrategyDirect, StrategyWCOJ,
-		StrategyColumnar, StrategyHybrid,
+		StrategyHybrid,
 	}
 	for _, d := range dbs {
 		want := d.mk().Join()

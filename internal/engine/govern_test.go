@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -10,13 +11,14 @@ import (
 	"repro/internal/engine/failpoint"
 	"repro/internal/govern"
 	"repro/internal/hypergraph"
+	"repro/internal/relation"
 	"repro/internal/workload"
 )
 
 // ladderBudget sits between the program route's produced tuples (~7.1k at
-// q=10) and the classical routes' (~25.5k for the CPF expression — and for
-// the columnar rung, which charges identically — 50k for direct's first
-// join), so both expression-shaped rungs of the ladder blow it.
+// q=10) and the classical routes' (~25.5k for the CPF expression, 50k for
+// direct's first join), so both expression-shaped rungs of the ladder blow
+// it.
 // The leapfrog-triejoin rung charges only the trie builds plus the output
 // (~600 tuples here — no pairwise intermediate exists to charge), so it is
 // the first rung that fits.
@@ -50,7 +52,7 @@ func TestDirectAbortsOnTupleBudget(t *testing.T) {
 
 func TestExplicitStrategiesAbortHard(t *testing.T) {
 	db := example3DB(t, 10)
-	for _, s := range []Strategy{StrategyExpression, StrategyColumnar, StrategyReduceThenJoin, StrategyDirect} {
+	for _, s := range []Strategy{StrategyExpression, StrategyReduceThenJoin, StrategyDirect} {
 		rep, err := Join(db, Options{Strategy: s, Limits: govern.Limits{MaxTuples: ladderBudget}})
 		if rep != nil || !errors.Is(err, govern.ErrTupleBudget) {
 			t.Errorf("%s: want hard ErrTupleBudget abort, got rep=%v err=%v", s, rep, err)
@@ -84,7 +86,7 @@ func TestAutoLadderDegradesToWCOJ(t *testing.T) {
 	if len(falls) != 2 {
 		t.Fatalf("want 2 degradation notes, got %d: %q", len(falls), rep.Notes)
 	}
-	if !strings.Contains(falls[0], StrategyColumnar.String()) ||
+	if !strings.Contains(falls[0], StrategyExpression.String()) ||
 		!strings.Contains(falls[1], StrategyReduceThenJoin.String()) {
 		t.Errorf("fallback chain out of order: %q", falls)
 	}
@@ -119,7 +121,7 @@ func TestAutoLadderDegradesToProgram(t *testing.T) {
 	if len(falls) != 3 {
 		t.Fatalf("want 3 degradation notes, got %d: %q", len(falls), rep.Notes)
 	}
-	if !strings.Contains(falls[0], StrategyColumnar.String()) ||
+	if !strings.Contains(falls[0], StrategyExpression.String()) ||
 		!strings.Contains(falls[1], StrategyReduceThenJoin.String()) ||
 		!strings.Contains(falls[2], StrategyWCOJ.String()) {
 		t.Errorf("fallback chain out of order: %q", falls)
@@ -137,9 +139,9 @@ func TestAutoWithAmpleBudgetSkipsLadderNoise(t *testing.T) {
 			t.Errorf("unexpected degradation note with an ample budget: %q", n)
 		}
 	}
-	if rep.Strategy != StrategyColumnar {
+	if rep.Strategy != StrategyExpression {
 		// First rung of the cyclic ladder should win outright.
-		t.Errorf("ample budget landed on %s, want %s", rep.Strategy, StrategyColumnar)
+		t.Errorf("ample budget landed on %s, want %s", rep.Strategy, StrategyExpression)
 	}
 }
 
@@ -299,5 +301,58 @@ func TestReportProducedMatchesWork(t *testing.T) {
 	wantProduced := rep.Cost - int64(db.TotalTuples())
 	if rep.Produced != wantProduced {
 		t.Errorf("Produced = %d, want cost-inputs = %d", rep.Produced, wantProduced)
+	}
+}
+
+// TestExpressionAbortBoundaryMatchesEval pins the first cyclic rung's abort
+// boundary against the tuple-map reference: the plan's tree, evaluated by
+// jointree.Tree.Eval, generates exactly the tuples cpf-expression charges
+// (cost and Produced agree at every worker count), a budget of that many
+// passes with CheckEvery 1, and one tuple less aborts with ErrTupleBudget
+// and no report.
+func TestExpressionAbortBoundaryMatchesEval(t *testing.T) {
+	defer relation.SetParallelThreshold(0)()
+	rng := rand.New(rand.NewSource(2030))
+	tried := 0
+	for trial := 0; tried < 25; trial++ {
+		if trial > 500 {
+			t.Fatal("could not generate enough schemes with nonzero charges")
+		}
+		h, err := workload.CliqueScheme(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err := workload.RandomDatabase(rng, h, 4+rng.Intn(12), 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := PlanFor(db, Options{Strategy: StrategyExpression})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cdb, _, err := canonicalize(db, hypergraph.OfScheme(db))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, evalCost := plan.Tree.Eval(cdb)
+		total := int64(evalCost - db.TotalTuples())
+		if total == 0 {
+			continue
+		}
+		tried++
+		for _, w := range []int{1, 4} {
+			rep, err := ExecutePlan(db, plan, Options{Workers: w, Limits: govern.Limits{MaxTuples: total, CheckEvery: 1}})
+			if err != nil {
+				t.Fatalf("trial %d, %d workers: budget == generated total must succeed, got %v", trial, w, err)
+			}
+			if rep.Cost != int64(evalCost) || rep.Produced != total {
+				t.Fatalf("trial %d, %d workers: cost %d charged %d, tuple-map Eval cost %d generated %d",
+					trial, w, rep.Cost, rep.Produced, evalCost, total)
+			}
+			rep, err = ExecutePlan(db, plan, Options{Workers: w, Limits: govern.Limits{MaxTuples: total - 1, CheckEvery: 1}})
+			if !errors.Is(err, govern.ErrTupleBudget) || rep != nil {
+				t.Fatalf("trial %d, %d workers: budget == total-1 gave %v, %v; want ErrTupleBudget and no report", trial, w, rep, err)
+			}
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/acyclic"
 	"repro/internal/govern"
 	"repro/internal/hypergraph"
 	"repro/internal/jointree"
@@ -19,7 +18,7 @@ import (
 // costs, and governor charges are identical to the corresponding static
 // strategy. The mixed route is the hybrid shape proper: the cyclic core
 // runs through the worst-case-optimal triejoin and its output joins the
-// pendant edges through the columnar binary kernels.
+// pendant edges as a binary tree program on the block executor.
 type HybridPlan struct {
 	// Route is one of optimizer.RouteAcyclic / RouteBinary / RouteWCOJ /
 	// RouteMixed.
@@ -147,21 +146,15 @@ func executeHybrid(cdb *relation.Database, ch *hypergraph.Hypergraph, hp *Hybrid
 	}
 	switch hp.Route {
 	case optimizer.RouteAcyclic:
-		var out *relation.Relation
-		var cost int
-		if err := tracedPhase(gov, obs.KindPipeline, "full-reducer pipeline", func() (err error) {
-			out, cost, err = acyclic.JoinGoverned(cdb, gov)
-			return err
-		}); err != nil {
+		out, cost, plan, err := runAcyclic(cdb, ch, opts, gov)
+		if err != nil {
 			return nil, err
 		}
-		jt, _ := ch.GYO()
-		tree := acyclic.MonotoneTree(jt)
 		return &Report{
 			Result:   out,
 			Strategy: StrategyHybrid,
-			Cost:     int64(cost),
-			Plan:     "hybrid route: acyclic\nfull reducer; monotone expression: " + tree.String(ch),
+			Cost:     cost,
+			Plan:     "hybrid route: acyclic\n" + plan,
 		}, nil
 
 	case optimizer.RouteBinary:
@@ -169,29 +162,21 @@ func executeHybrid(cdb *relation.Database, ch *hypergraph.Hypergraph, hp *Hybrid
 		if tree == nil {
 			// The chooser's DP was unavailable (too many edges); fall back to
 			// the shared search the static rungs use.
-			space := optimizer.SpaceCPF
-			if !ch.Connected(ch.Full()) {
-				space = optimizer.SpaceAll
-			}
 			if err := tracedPhase(gov, obs.KindPlan, "optimize expression", func() (err error) {
-				tree, _, err = bestTree(cdb, ch, opts.Budget, space)
+				tree, _, err = bestTree(cdb, ch, opts.Budget, exprSpace(ch))
 				return err
 			}); err != nil {
 				return nil, err
 			}
 		}
-		var out *relation.Relation
-		var cost int
-		if err := tracedPhase(gov, obs.KindEval, "evaluate columnar expression", func() (err error) {
-			out, cost, err = tree.EvalColumnarGoverned(cdb, gov)
-			return err
-		}); err != nil {
+		out, cost, err := evalTree(tree, cdb, ch, "evaluate expression", gov, opts)
+		if err != nil {
 			return nil, err
 		}
 		return &Report{
 			Result:   out,
 			Strategy: StrategyHybrid,
-			Cost:     int64(cost),
+			Cost:     cost,
 			Plan:     "hybrid route: binary\n" + tree.String(ch),
 			Notes:    []string{"columnar kernels: dictionary-encoded blocks, code-remapped batch joins"},
 		}, nil
@@ -232,18 +217,14 @@ func executeHybrid(cdb *relation.Database, ch *hypergraph.Hypergraph, hp *Hybrid
 		if outerTree == nil {
 			return nil, fmt.Errorf("engine: mixed hybrid route without an outer tree")
 		}
-		var out *relation.Relation
-		var outerCost int
-		if err := tracedPhase(gov, obs.KindEval, "evaluate columnar outer expression", func() (err error) {
-			out, outerCost, err = outerTree.EvalColumnarGoverned(outerDb, gov)
-			return err
-		}); err != nil {
+		out, outerCost, err := evalTree(outerTree, outerDb, hypergraph.OfScheme(outerDb), "evaluate outer expression", gov, opts)
+		if err != nil {
 			return nil, err
 		}
 		// §2.3 total: the core's inputs plus the outer evaluation, whose
 		// leaves already count the core's output (generated once) and the
 		// non-core inputs.
-		cost := int64(coreDb.TotalTuples()) + int64(outerCost)
+		cost := int64(coreDb.TotalTuples()) + outerCost
 		planStr := "hybrid route: mixed\ncore " + hp.Core.String() +
 			" via leapfrog triejoin, variable order: " + strings.Join(hp.CoreOrder, " ")
 		if outerH, err := outerHypergraph(ch, hp.Core); err == nil {

@@ -16,7 +16,7 @@ import (
 
 // TestHybridDifferentialRandomSchemes is the chooser's correctness anchor:
 // over 120 random schemes (≥20 cyclic) the hybrid route must compute
-// exactly the same relation as the program, wcoj, and columnar routes, its
+// exactly the same relation as the program, wcoj, and cpf-expression routes, its
 // governor charges must equal what the selected plan charges through the
 // static machinery, and a budget one below its own charge must abort with
 // the typed error (the abort boundary matches the charge exactly).
@@ -64,7 +64,7 @@ func TestHybridDifferentialRandomSchemes(t *testing.T) {
 		}
 
 		// Every other strategy agrees.
-		for _, s := range []Strategy{StrategyProgram, StrategyWCOJ, StrategyColumnar} {
+		for _, s := range []Strategy{StrategyProgram, StrategyWCOJ, StrategyExpression} {
 			srep, err := Join(db, Options{Strategy: s})
 			if err != nil {
 				t.Fatalf("trial %d %s: %v on %s", trial, s, err, h)
@@ -150,7 +150,7 @@ func TestHybridDifferentialRandomSchemes(t *testing.T) {
 
 // TestHybridMixedRouteExecution pins the mixed executor against handmade
 // machinery: wcoj on the triangle core, the core output joined to a pendant
-// edge through the columnar kernels — results, §2.3 cost, and governor
+// edge by the outer tree's program — results, §2.3 cost, and governor
 // charges must all match the two-stage reference run.
 func TestHybridMixedRouteExecution(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))

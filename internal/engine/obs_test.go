@@ -64,7 +64,7 @@ func TestTraceTupleTotalsMatchProduced(t *testing.T) {
 
 // strategiesFor returns every explicit strategy applicable to the scheme.
 func strategiesFor(h *hypergraph.Hypergraph) []Strategy {
-	s := []Strategy{StrategyProgram, StrategyExpression, StrategyReduceThenJoin, StrategyDirect, StrategyWCOJ, StrategyColumnar}
+	s := []Strategy{StrategyProgram, StrategyExpression, StrategyReduceThenJoin, StrategyDirect, StrategyWCOJ}
 	if h.Acyclic() {
 		s = append(s, StrategyAcyclic)
 	}
@@ -84,7 +84,6 @@ func TestTraceShapePerStrategy(t *testing.T) {
 		{StrategyReduceThenJoin, []obs.Kind{obs.KindReduce, obs.KindPlan, obs.KindEval}},
 		{StrategyDirect, []obs.Kind{obs.KindEval}},
 		{StrategyWCOJ, []obs.Kind{obs.KindTrie, obs.KindTrie, obs.KindTrie, obs.KindEnumerate}},
-		{StrategyColumnar, []obs.Kind{obs.KindPlan, obs.KindEval}},
 	}
 	for _, c := range cases {
 		tr := obs.NewTrace("shape")
@@ -133,7 +132,7 @@ func TestLadderTraceRecordsDegradation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Strategy == StrategyColumnar {
+	if rep.Strategy == StrategyExpression {
 		t.Skip("budget did not force a degradation")
 	}
 	var failed, total int

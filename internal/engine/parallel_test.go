@@ -44,7 +44,10 @@ func TestJoinWorkersMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestJoinWorkersAcyclicStaysSequential(t *testing.T) {
+// TestJoinWorkersAcyclicMatchesSequential: the full-reducer pipeline is a
+// program too, so Workers applies to it — without moving its report.
+func TestJoinWorkersAcyclicMatchesSequential(t *testing.T) {
+	defer relation.SetParallelThreshold(0)()
 	db := chainDB(t)
 	rep, err := Join(db, Options{Strategy: StrategyAcyclic, Workers: 4})
 	if err != nil {
@@ -54,8 +57,9 @@ func TestJoinWorkersAcyclicStaysSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Result.Equal(seq.Result) {
-		t.Fatal("acyclic route with Workers set: result differs")
+	if !rep.Result.Equal(seq.Result) || rep.Cost != seq.Cost || rep.Parallelism != 4 {
+		t.Fatalf("acyclic route with 4 workers: cost %d parallelism %d, sequential cost %d (or results differ)",
+			rep.Cost, rep.Parallelism, seq.Cost)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/acyclic"
 	"repro/internal/core"
 	"repro/internal/hypergraph"
 	"repro/internal/jointree"
@@ -75,7 +74,7 @@ func Strategies() []Strategy {
 	return []Strategy{
 		StrategyAuto, StrategyProgram, StrategyExpression,
 		StrategyReduceThenJoin, StrategyAcyclic, StrategyDirect, StrategyWCOJ,
-		StrategyColumnar, StrategyHybrid,
+		StrategyHybrid,
 	}
 }
 
@@ -161,12 +160,8 @@ func PlanFor(db *relation.Database, opts Options) (*Plan, error) {
 	case StrategyWCOJ:
 		p.VarOrder = wcoj.VariableOrder(ch)
 		p.Notes = append(p.Notes, "variable order derived greedily: connected prefixes first, ties to the attribute on most edges")
-	case StrategyExpression, StrategyReduceThenJoin, StrategyColumnar:
-		space := optimizer.SpaceCPF
-		if !ch.Connected(ch.Full()) {
-			space = optimizer.SpaceAll
-		}
-		tree, how, err := bestTree(cdb, ch, opts.Budget, space)
+	case StrategyExpression, StrategyReduceThenJoin:
+		tree, how, err := bestTree(cdb, ch, opts.Budget, exprSpace(ch))
 		if err != nil {
 			return nil, err
 		}
@@ -267,59 +262,19 @@ func ExecutePlan(db *relation.Database, plan *Plan, opts Options) (rep *Report, 
 			Steps:    stepTimings(res.Trace),
 		}
 	case StrategyExpression, StrategyDirect:
-		var out *relation.Relation
-		var cost int
-		if err := tracedPhase(gov, obs.KindEval, "evaluate expression", func() (err error) {
-			out, cost, err = plan.Tree.EvalParallelGoverned(cdb, gov, opts.workerCount())
-			return err
-		}); err != nil {
+		out, cost, err := evalTree(plan.Tree, cdb, ch, "evaluate expression", gov, opts)
+		if err != nil {
 			return nil, err
 		}
 		rep = &Report{
 			Result:   out,
 			Strategy: plan.Strategy,
-			Cost:     int64(cost),
+			Cost:     cost,
 			Plan:     plan.Tree.String(ch),
-		}
-	case StrategyColumnar:
-		var out *relation.Relation
-		var cost int
-		if err := tracedPhase(gov, obs.KindEval, "evaluate columnar expression", func() (err error) {
-			out, cost, err = plan.Tree.EvalColumnarGoverned(cdb, gov)
-			return err
-		}); err != nil {
-			return nil, err
-		}
-		rep = &Report{
-			Result:   out,
-			Strategy: StrategyColumnar,
-			Cost:     int64(cost),
-			Plan:     plan.Tree.String(ch),
-			Notes:    []string{"columnar kernels: dictionary-encoded blocks, code-remapped batch joins"},
 		}
 	case StrategyReduceThenJoin:
-		var red *PairwiseReduction
-		if err := tracedPhase(gov, obs.KindReduce, "pairwise semijoin reduction", func() (err error) {
-			red, err = PairwiseReduceGoverned(cdb, 0, gov)
-			return err
-		}); err != nil {
+		if rep, err = reduceThenJoin(cdb, ch, plan.Tree, opts, gov); err != nil {
 			return nil, err
-		}
-		var out *relation.Relation
-		var joinCost int
-		if err := tracedPhase(gov, obs.KindEval, "evaluate expression", func() (err error) {
-			out, joinCost, err = plan.Tree.EvalParallelGoverned(red.Database, gov, opts.workerCount())
-			return err
-		}); err != nil {
-			return nil, err
-		}
-		total := int64(cdb.TotalTuples()) + int64(red.Cost) + int64(joinCost) - int64(red.Database.TotalTuples())
-		rep = &Report{
-			Result:   out,
-			Strategy: StrategyReduceThenJoin,
-			Cost:     total,
-			Plan:     plan.Tree.String(ch),
-			Notes:    []string{fmt.Sprintf("pairwise reduction: %d rounds, %d tuples removed", red.Rounds, red.Removed)},
 		}
 	case StrategyWCOJ:
 		res, err := wcoj.JoinGoverned(cdb, plan.VarOrder, gov, opts.workerCount())
@@ -334,22 +289,9 @@ func ExecutePlan(db *relation.Database, plan *Plan, opts Options) (rep *Report, 
 			Notes:    wcojNotes(res, cdb),
 		}
 	case StrategyAcyclic:
-		var out *relation.Relation
-		var cost int
-		if err := tracedPhase(gov, obs.KindPipeline, "full-reducer pipeline", func() (err error) {
-			out, cost, err = acyclic.JoinGoverned(cdb, gov)
-			return err
-		}); err != nil {
+		rep, err = joinAcyclic(cdb, ch, opts, gov)
+		if err != nil {
 			return nil, err
-		}
-		jt, _ := ch.GYO()
-		tree := acyclic.MonotoneTree(jt)
-		rep = &Report{
-			Result:   out,
-			Strategy: StrategyAcyclic,
-			Cost:     int64(cost),
-			Plan:     "full reducer; monotone expression: " + tree.String(ch),
-			Notes:    []string{"no intermediate exceeds the output on the reduced database"},
 		}
 	case StrategyHybrid:
 		rep, err = executeHybrid(cdb, ch, plan.Hybrid, opts, gov)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/govern"
 	"repro/internal/relation"
 	"repro/internal/workload"
 )
@@ -130,5 +131,48 @@ func TestParseStrategyRoundTrip(t *testing.T) {
 	}
 	if _, err := ParseStrategy("bogus"); err == nil {
 		t.Error("bogus strategy accepted")
+	}
+}
+
+// TestParseColumnarStrategy pins the retirement of the "columnar" name:
+// it selected a kernel for the plan cpf-expression names, and every plan
+// now runs on those kernels, so it is rejected with the valid names listed.
+func TestParseColumnarStrategy(t *testing.T) {
+	_, err := ParseStrategy("columnar")
+	if err == nil {
+		t.Fatal(`ParseStrategy("columnar") accepted a retired name`)
+	}
+	for _, name := range StrategyNames() {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not list valid strategy %q", err, name)
+		}
+	}
+}
+
+// TestExpressionPlanRoundTrip drives the serving path: a plan derived once
+// with PlanFor(StrategyExpression) executes correctly, repeatedly — the
+// shape the joind plan cache reuses across requests.
+func TestExpressionPlanRoundTrip(t *testing.T) {
+	db := example3DB(t, 4)
+	want := db.Join()
+	plan, err := PlanFor(db, Options{Strategy: StrategyExpression})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Strategy != StrategyExpression || plan.Tree == nil {
+		t.Fatalf("plan strategy = %s with tree %v, want cpf-expression with a tree", plan.Strategy, plan.Tree)
+	}
+	for i := 0; i < 2; i++ {
+		rep, err := ExecutePlan(db, plan, Options{Limits: govern.Limits{MaxTuples: 1 << 40}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Strategy != StrategyExpression || !rep.Result.Equal(want) {
+			t.Fatalf("execution %d: strategy %s, %d tuples (want cpf-expression, %d)",
+				i, rep.Strategy, rep.Result.Len(), want.Len())
+		}
+		if rep.Produced == 0 {
+			t.Fatalf("execution %d: no governed charges recorded", i)
+		}
 	}
 }

@@ -9,6 +9,9 @@ import (
 	"fmt"
 
 	"repro/internal/govern"
+	"repro/internal/hypergraph"
+	"repro/internal/jointree"
+	"repro/internal/program"
 	"repro/internal/relation"
 )
 
@@ -41,47 +44,70 @@ func PairwiseReduce(db *relation.Database, maxRounds int) (*PairwiseReduction, e
 
 // PairwiseReduceGoverned is PairwiseReduce under a governor: each semijoin
 // head charges its tuples and cancellation aborts between semijoins with
-// the governor's typed error (the failpoint site is the relation operators'
-// own "relation.Semijoin").
+// the governor's typed error (the failpoint sites are the executor's
+// "program.Stmt" and the kernels' own "relation.Semijoin").
 func PairwiseReduceGoverned(db *relation.Database, maxRounds int, g *govern.Governor) (*PairwiseReduction, error) {
 	if db == nil || db.Len() == 0 {
 		return nil, fmt.Errorf("engine: empty database")
 	}
-	rels := make([]*relation.Relation, db.Len())
-	copy(rels, db.Relations())
+	red, blocks, err := pairwiseReduce(db, hypergraph.OfScheme(db), maxRounds, g, 1)
+	if err != nil {
+		return nil, err
+	}
+	if red.Database, err = db.Reduced(blocks); err != nil {
+		return nil, err
+	}
+	return red, nil
+}
 
+// pairwiseRound is one round of the reduction as a semijoin program:
+// R_i := R_i ⋉ R_j for every ordered pair of distinct overlapping relations,
+// i the outer and j the inner index. Inputs are jointree.SchemeNames(h).
+func pairwiseRound(h *hypergraph.Hypergraph) *program.Program {
+	p := &program.Program{Inputs: jointree.SchemeNames(h)}
+	for i, ri := range p.Inputs {
+		for j, rj := range p.Inputs {
+			if i != j && h.Edge(i).Overlaps(h.Edge(j)) {
+				p.Stmts = append(p.Stmts, program.Stmt{Op: program.OpSemijoin, Head: ri, Arg1: ri, Arg2: rj})
+			}
+		}
+	}
+	p.Output = p.Inputs[0]
+	return p
+}
+
+// pairwiseReduce runs the round program on the block executor until a round
+// shrinks no relation (or maxRounds rounds ran), each round over the blocks
+// the previous one bound, and returns the reduction with Database unset plus
+// the final blocks. Semijoins only remove rows, so a round shrank some
+// relation exactly when that relation's final block is smaller than the
+// block the round started from.
+func pairwiseReduce(db *relation.Database, h *hypergraph.Hypergraph, maxRounds int, g *govern.Governor, workers int) (*PairwiseReduction, []*relation.ColBlock, error) {
+	round := pairwiseRound(h)
+	blocks := make([]*relation.ColBlock, db.Len())
+	for i := range blocks {
+		blocks[i] = db.Relation(i).Block()
+	}
 	out := &PairwiseReduction{}
 	for {
 		out.Rounds++
+		bound, trace, err := round.Execute(blocks, g, workers)
+		if err != nil {
+			return nil, nil, err
+		}
+		out.Cost += program.Generated(trace)
 		changed := false
-		for i := range rels {
-			for j := range rels {
-				if i == j {
-					continue
-				}
-				if !rels[i].Schema().AttrSet().Overlaps(rels[j].Schema().AttrSet()) {
-					continue
-				}
-				reduced, err := relation.SemijoinGoverned(g, rels[i], rels[j])
-				if err != nil {
-					return nil, err
-				}
-				out.Cost += reduced.Len()
-				if reduced.Len() < rels[i].Len() {
-					changed = true
-					rels[i] = reduced
-				}
-			}
+		for i, name := range round.Inputs {
+			changed = changed || bound[name].Len() < blocks[i].Len()
+			blocks[i] = bound[name]
 		}
 		if !changed || (maxRounds > 0 && out.Rounds >= maxRounds) {
 			break
 		}
 	}
-	reducedDB, err := relation.NewDatabase(rels...)
-	if err != nil {
-		return nil, err
+	out.Removed = db.TotalTuples()
+	for _, b := range blocks {
+		out.Removed -= b.Len()
 	}
-	out.Database = reducedDB
-	out.Removed = db.TotalTuples() - reducedDB.TotalTuples()
-	return out, nil
+	return out, blocks, nil
 }

@@ -135,7 +135,7 @@ func HybridComparison(seed int64, trials int, quick bool) (*Table, *HybridBenchR
 	}
 
 	statics := []engine.Strategy{
-		engine.StrategyColumnar, engine.StrategyReduceThenJoin,
+		engine.StrategyExpression, engine.StrategyReduceThenJoin,
 		engine.StrategyWCOJ, engine.StrategyProgram,
 	}
 	for _, c := range cases {
@@ -290,7 +290,7 @@ func AdversarialGauntlet() (*Table, error) {
 	}
 	strategies := []engine.Strategy{
 		engine.StrategyProgram, engine.StrategyWCOJ,
-		engine.StrategyColumnar, engine.StrategyHybrid,
+		engine.StrategyExpression, engine.StrategyHybrid,
 	}
 	for _, c := range cases {
 		db, err := c.Database()

@@ -48,7 +48,7 @@ const shardBenchBudget = int64(1) << 40
 
 // ShardScaling (experiment EX11) measures the one-round scatter-gather
 // sharding of internal/shard against sequential execution of the same
-// columnar plan. Every trial is differential: the merged result, the §2.3
+// cpf-expression plan. Every trial is differential: the merged result, the §2.3
 // cost, and the governor charge must equal the sequential run's exactly
 // (the experiment hard-fails on any divergence), so the only degree of
 // freedom is wall time — n shards evaluating n-times-smaller partitions
@@ -122,7 +122,7 @@ func ShardScaling(seed int64, trials int) (*Table, *ShardBenchResult, error) {
 
 	opts := engine.Options{Limits: govern.Limits{MaxTuples: shardBenchBudget}}
 	for _, c := range cases {
-		plan, err := engine.PlanFor(c.db, engine.Options{Strategy: engine.StrategyColumnar})
+		plan, err := engine.PlanFor(c.db, engine.Options{Strategy: engine.StrategyExpression})
 		if err != nil {
 			return nil, nil, err
 		}

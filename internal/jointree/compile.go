@@ -1,0 +1,44 @@
+package jointree
+
+import (
+	"repro/internal/govern"
+	"repro/internal/hypergraph"
+	"repro/internal/program"
+	"repro/internal/relation"
+)
+
+// Program compiles the tree into the join-only program that evaluates it:
+// one ⋈ statement per internal node, in post-order (left subtree, right
+// subtree, node — Eval's order), each into a fresh variable. The inputs are
+// SchemeNames(h) and the output is the root's variable, or the input itself
+// for a one-leaf tree. Applied to a database over h the program computes
+// Eval's result at Eval's §2.3 cost: Σ leaves + Σ internal heads is exactly
+// the program's Σ inputs + Σ statement heads.
+func (t *Tree) Program(h *hypergraph.Hypergraph) *program.Program {
+	p := &program.Program{Inputs: SchemeNames(h)}
+	var emit func(n *Tree) string
+	emit = func(n *Tree) string {
+		if n.IsLeaf() {
+			return p.Inputs[n.Leaf]
+		}
+		l, r := emit(n.Left), emit(n.Right)
+		head := p.FreshVar("T")
+		p.Stmts = append(p.Stmts, program.Stmt{Op: program.OpJoin, Head: head, Arg1: l, Arg2: r})
+		return head
+	}
+	p.Output = emit(t)
+	return p
+}
+
+// EvalColumnarGoverned evaluates the tree under a governor on the block
+// executor: the compiled Program applied to db, its leaves the relations'
+// resident blocks and only the root decoded. Result and cost equal Eval's;
+// every join charges its output and a blown budget, cancellation or
+// deadline aborts with the governor's typed error and no partial result.
+func (t *Tree) EvalColumnarGoverned(db *relation.Database, g *govern.Governor) (*relation.Relation, int, error) {
+	res, err := t.Program(hypergraph.OfScheme(db)).ApplyGoverned(db, g)
+	if err != nil {
+		return nil, 0, err
+	}
+	return res.Output, res.Cost, nil
+}

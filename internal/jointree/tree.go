@@ -9,7 +9,6 @@ package jointree
 import (
 	"fmt"
 
-	"repro/internal/govern"
 	"repro/internal/hypergraph"
 	"repro/internal/relation"
 )
@@ -184,77 +183,20 @@ func (t *Tree) CanonUnordered() string {
 }
 
 // Eval evaluates the tree over the database (which must have one relation
-// per edge of the scheme the tree is over) and returns the result together
-// with the paper's cost: the sum of |R| over all leaves and all intermediate
-// (and final) join results (§2.3).
+// per edge of the scheme the tree is over) on the tuple-map operators and
+// returns the result together with the paper's cost: the sum of |R| over
+// all leaves and all intermediate (and final) join results (§2.3). It is the
+// reference evaluator; queries run the tree as its compiled program (Program)
+// on the block executor.
 func (t *Tree) Eval(db *relation.Database) (*relation.Relation, int) {
-	out, cost, err := t.EvalGoverned(db, nil)
-	if err != nil {
-		panic(err) // unreachable: a nil governor never aborts
-	}
-	return out, cost
-}
-
-// EvalGoverned is Eval under a governor: every join charges its output
-// tuples against the budgets, and cancellation/deadline aborts surface as
-// the governor's typed error between (and inside) join steps. On abort the
-// result is nil — never a partial join.
-func (t *Tree) EvalGoverned(db *relation.Database, g *govern.Governor) (*relation.Relation, int, error) {
 	if t.IsLeaf() {
 		r := db.Relation(t.Leaf)
-		return r, r.Len(), nil
+		return r, r.Len()
 	}
-	l, cl, err := t.Left.EvalGoverned(db, g)
-	if err != nil {
-		return nil, 0, err
-	}
-	r, cr, err := t.Right.EvalGoverned(db, g)
-	if err != nil {
-		return nil, 0, err
-	}
-	out, err := relation.JoinGoverned(g, l, r)
-	if err != nil {
-		return nil, 0, err
-	}
-	return out, out.Len() + cl + cr, nil
-}
-
-// EvalParallelGoverned is EvalGoverned with intra-query parallelism: the
-// two subtrees of every join node evaluate concurrently, and each join runs
-// the partition-parallel operator with up to workers goroutines charging one
-// shared governor scope. Result, cost, and budget-abort behavior match
-// EvalGoverned; workers <= 1 falls back to it.
-func (t *Tree) EvalParallelGoverned(db *relation.Database, g *govern.Governor, workers int) (*relation.Relation, int, error) {
-	if workers <= 1 {
-		return t.EvalGoverned(db, g)
-	}
-	if t.IsLeaf() {
-		r := db.Relation(t.Leaf)
-		return r, r.Len(), nil
-	}
-	var (
-		r    *relation.Relation
-		cr   int
-		rErr error
-		done = make(chan struct{})
-	)
-	go func() {
-		defer close(done)
-		r, cr, rErr = t.Right.EvalParallelGoverned(db, g, workers)
-	}()
-	l, cl, lErr := t.Left.EvalParallelGoverned(db, g, workers)
-	<-done
-	if lErr != nil {
-		return nil, 0, lErr
-	}
-	if rErr != nil {
-		return nil, 0, rErr
-	}
-	out, err := relation.ParallelJoinGoverned(g, l, r, workers)
-	if err != nil {
-		return nil, 0, err
-	}
-	return out, out.Len() + cl + cr, nil
+	l, cl := t.Left.Eval(db)
+	r, cr := t.Right.Eval(db)
+	out := relation.Join(l, r)
+	return out, out.Len() + cl + cr
 }
 
 // Cost returns only the cost of Eval.

@@ -1,0 +1,271 @@
+package program_test
+
+import (
+	"errors"
+	"fmt"
+	"testing"
+
+	"repro/internal/acyclic"
+	"repro/internal/engine"
+	"repro/internal/govern"
+	"repro/internal/jointree"
+	"repro/internal/optimizer"
+	"repro/internal/program"
+	"repro/internal/relation"
+)
+
+// Facets of the differential harness for the plans compiled to programs:
+// join trees (jointree.Tree.Program), the acyclic pipeline and Yannakakis
+// (acyclic.JoinProgram, YannakakisProgram, Reduce), and the pairwise
+// reduction's round program (engine.PairwiseReduce). Each runs over the
+// shared case set at every worker count, with the range-split path forced
+// on, against the tuple-map references: Tree.Eval and the oracle.
+
+// optimizerTree is the tree the expression strategies run: the cheapest CPF
+// tree (any tree on a disconnected scheme), exact when feasible.
+func optimizerTree(t *testing.T, c diffCase) *jointree.Tree {
+	t.Helper()
+	space := optimizer.SpaceCPF
+	if !c.h.Connected(c.h.Full()) {
+		space = optimizer.SpaceAll
+	}
+	cat := optimizer.NewCatalog(c.db, 0)
+	if c.h.Len() <= optimizer.MaxExactRelations {
+		if plan, err := optimizer.Optimal(cat, space); err == nil {
+			return plan.Tree
+		}
+	}
+	plan, err := optimizer.Greedy(cat, space == optimizer.SpaceCPF)
+	if err != nil {
+		t.Fatalf("%s: optimizer: %v", c.name, err)
+	}
+	return plan.Tree
+}
+
+// TestCompiledTreesMatchEval (facet a): a tree compiled to a join-only
+// program — a random tree and the optimizer's CPF tree per case — computes
+// Tree.Eval's result at Tree.Eval's cost, charges what the oracle charges,
+// passes a budget of exactly that and aborts one tuple under it, and returns
+// the same rows in the same order at every worker count.
+func TestCompiledTreesMatchEval(t *testing.T) {
+	defer relation.SetParallelThreshold(0)()
+	for _, c := range differentialCases(t) {
+		trees := map[string]*jointree.Tree{"optimizer": optimizerTree(t, c)}
+		if c.tree != nil {
+			trees["random"] = c.tree
+		}
+		for kind, tree := range trees {
+			name := fmt.Sprintf("%s, %s tree %s", c.name, kind, tree.String(c.h))
+			p := tree.Program(c.h)
+			want, wantCost := tree.Eval(c.db)
+			oracleG := unlimited()
+			if _, err := p.ApplyOracle(c.db, oracleG); err != nil {
+				t.Fatalf("%s: oracle: %v", name, err)
+			}
+			if int64(wantCost-c.db.TotalTuples()) != oracleG.Produced() {
+				t.Fatalf("%s: Eval generated %d tuples, oracle charged %d", name, wantCost-c.db.TotalTuples(), oracleG.Produced())
+			}
+			var firstRows []relation.Tuple
+			for _, w := range workerSweep {
+				g := unlimited()
+				got, err := p.ApplyParallelGoverned(c.db, g, w)
+				if err != nil {
+					t.Fatalf("%s, %d workers: %v", name, w, err)
+				}
+				if !got.Output.Equal(want) || got.Cost != wantCost || g.Produced() != oracleG.Produced() {
+					t.Fatalf("%s, %d workers: %d tuples cost %d charged %d; Eval %d tuples cost %d, oracle charged %d",
+						name, w, got.Output.Len(), got.Cost, g.Produced(), want.Len(), wantCost, oracleG.Produced())
+				}
+				if firstRows == nil {
+					firstRows = got.Output.Rows()
+				} else if !sameOrder(got.Output.Rows(), firstRows) {
+					t.Fatalf("%s, %d workers: rows come back in a different order than with one worker", name, w)
+				}
+				if total := oracleG.Produced(); total > 1 { // a budget of 0 means unlimited
+					if _, err := p.ApplyParallelGoverned(c.db, govern.New(govern.Limits{MaxTuples: total, CheckEvery: 1}), w); err != nil {
+						t.Fatalf("%s, %d workers: budget == total must pass, got %v", name, w, err)
+					}
+					res, err := p.ApplyParallelGoverned(c.db, govern.New(govern.Limits{MaxTuples: total - 1, CheckEvery: 1}), w)
+					if res != nil || !errors.Is(err, govern.ErrTupleBudget) {
+						t.Fatalf("%s, %d workers: budget == total-1 gave %v; want ErrTupleBudget and no result", name, w, err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// sameOrder reports whether two row lists are equal element by element.
+func sameOrder(a, b []relation.Tuple) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !a[i].Equal(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestAcyclicProgramsMatchOracle (facet b): on every acyclic case, the
+// pipeline (acyclic.JoinGoverned, and JoinProgram at every worker count),
+// Yannakakis (YannakakisGoverned and YannakakisProgram) and Reduce equal the
+// oracle in result, cost and charge; Reduce leaves every relation the
+// projection of ⋈D onto its scheme; and on the reduced inputs every join
+// head of the monotone expression is at most |⋈D| — the monotone property.
+func TestAcyclicProgramsMatchOracle(t *testing.T) {
+	defer relation.SetParallelThreshold(0)()
+	tested := 0
+	for _, c := range differentialCases(t) {
+		if !c.h.Acyclic() {
+			continue
+		}
+		tested++
+		full := c.db.Join()
+		out := relation.NewAttrSet(c.h.Attrs()[:len(c.h.Attrs())/2]...)
+		joinP, _, err := acyclic.JoinProgram(c.h)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		yannP, err := acyclic.YannakakisProgram(c.h, out)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		public := map[*program.Program]func(*govern.Governor) (*relation.Relation, int, error){
+			joinP: func(g *govern.Governor) (*relation.Relation, int, error) { return acyclic.JoinGoverned(c.db, g) },
+			yannP: func(g *govern.Governor) (*relation.Relation, int, error) {
+				return acyclic.YannakakisGoverned(c.db, out, g)
+			},
+		}
+		for p, run := range public {
+			oracleG := unlimited()
+			want, err := p.ApplyOracle(c.db, oracleG)
+			if err != nil {
+				t.Fatalf("%s: oracle: %v", c.name, err)
+			}
+			g := unlimited()
+			got, cost, err := run(g)
+			if err != nil || !got.Equal(want.Output) || cost != want.Cost || g.Produced() != oracleG.Produced() {
+				t.Fatalf("%s: %s: cost %d charged %d (err %v); oracle cost %d charged %d (or results differ)\n%s",
+					c.name, p.Output, cost, g.Produced(), err, want.Cost, oracleG.Produced(), p)
+			}
+			for _, w := range workerSweep {
+				g := unlimited()
+				res, err := p.ApplyParallelGoverned(c.db, g, w)
+				if err != nil || !res.Output.Equal(want.Output) || res.Cost != want.Cost || g.Produced() != oracleG.Produced() {
+					t.Fatalf("%s, %d workers: program diverges from the oracle (err %v)\n%s", c.name, w, err, p)
+				}
+			}
+		}
+		if got, _, _ := acyclic.JoinGoverned(c.db, nil); !got.Equal(full) {
+			t.Fatalf("%s: pipeline result is not ⋈D", c.name)
+		}
+		if got, _, _ := acyclic.Yannakakis(c.db, out); !got.Equal(relation.MustProject(full, out)) {
+			t.Fatalf("%s: Yannakakis result is not π_%s ⋈D", c.name, out)
+		}
+
+		reducer, _, err := acyclic.FullReducer(c.h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env, trace, err := reducer.ExecuteOracle(c.db, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reduced, cost, err := acyclic.Reduce(c.db)
+		if err != nil {
+			t.Fatalf("%s: Reduce: %v", c.name, err)
+		}
+		if cost != c.db.TotalTuples()+program.Generated(trace) {
+			t.Fatalf("%s: Reduce cost %d, oracle %d", c.name, cost, c.db.TotalTuples()+program.Generated(trace))
+		}
+		for i, name := range reducer.Inputs {
+			r := reduced.Relation(i)
+			if !r.Equal(env[name]) || !r.Equal(relation.MustProject(full, r.Schema().AttrSet())) {
+				t.Fatalf("%s: reduced %s differs from the oracle's or from π(⋈D)", c.name, name)
+			}
+		}
+		mono, err := joinP.ApplyOracle(c.db, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, step := range mono.Trace {
+			if step.Stmt.Op == program.OpJoin && step.Size > full.Len() {
+				t.Fatalf("%s: monotone join head %s has %d tuples, ⋈D has %d", c.name, step.Stmt, step.Size, full.Len())
+			}
+		}
+	}
+	if tested < 20 {
+		t.Fatalf("only %d acyclic cases", tested)
+	}
+}
+
+// TestPairwiseReduceMatchesOracleRounds (facet c): engine.PairwiseReduce
+// equals re-running its round program — R_i := R_i ⋉ R_j for every ordered
+// overlapping pair, i outer — on the oracle until a round shrinks nothing:
+// same rounds, removed count, cost, and reduced relations. reduce-then-join
+// reports the same cost, result and notes at every worker count.
+func TestPairwiseReduceMatchesOracleRounds(t *testing.T) {
+	defer relation.SetParallelThreshold(0)()
+	for _, c := range differentialCases(t) {
+		names := jointree.SchemeNames(c.h)
+		round := &program.Program{Inputs: names, Output: names[0]}
+		for i := range names {
+			for j := range names {
+				if i != j && c.h.Edge(i).Overlaps(c.h.Edge(j)) {
+					round.Stmts = append(round.Stmts, program.Stmt{Op: program.OpSemijoin, Head: names[i], Arg1: names[i], Arg2: names[j]})
+				}
+			}
+		}
+		db, rounds, cost := c.db, 0, 0
+		for {
+			rounds++
+			env, trace, err := round.ExecuteOracle(db, nil)
+			if err != nil {
+				t.Fatalf("%s: oracle round: %v", c.name, err)
+			}
+			cost += program.Generated(trace)
+			rels := make([]*relation.Relation, len(names))
+			for i, name := range names {
+				rels[i] = env[name]
+			}
+			next := relation.MustDatabase(rels...)
+			if next.TotalTuples() == db.TotalTuples() {
+				break
+			}
+			db = next
+		}
+		red, err := engine.PairwiseReduce(c.db, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		removed := c.db.TotalTuples() - db.TotalTuples()
+		if red.Rounds != rounds || red.Removed != removed || red.Cost != cost {
+			t.Fatalf("%s: %d rounds, %d removed, cost %d; oracle %d, %d, %d",
+				c.name, red.Rounds, red.Removed, red.Cost, rounds, removed, cost)
+		}
+		for i := range names {
+			if !red.Database.Relation(i).Equal(db.Relation(i)) {
+				t.Fatalf("%s: reduced relation %d differs from the oracle's", c.name, i)
+			}
+		}
+		var first *engine.Report
+		for _, w := range workerSweep {
+			rep, err := engine.Join(c.db, engine.Options{Strategy: engine.StrategyReduceThenJoin, Workers: w})
+			if err != nil {
+				t.Fatalf("%s, %d workers: reduce-then-join: %v", c.name, w, err)
+			}
+			if first == nil {
+				first = rep
+				if want := c.db.TotalTuples() + cost; rep.Cost < int64(want) {
+					t.Fatalf("%s: reduce-then-join cost %d below inputs + reduction %d", c.name, rep.Cost, want)
+				}
+				continue
+			}
+			if !rep.Result.Equal(first.Result) || rep.Cost != first.Cost || fmt.Sprint(rep.Notes) != fmt.Sprint(first.Notes) {
+				t.Fatalf("%s, %d workers: reduce-then-join report differs from one worker's", c.name, w)
+			}
+		}
+	}
+}

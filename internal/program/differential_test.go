@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/govern"
+	"repro/internal/hypergraph"
 	"repro/internal/jointree"
 	"repro/internal/program"
 	"repro/internal/relation"
@@ -26,10 +27,12 @@ import (
 
 var workerSweep = []int{1, 2, 4}
 
-// diffCase is one program over one database. tree is the expression the
-// program was derived from; nil for the hand-built join-only programs.
+// diffCase is one program over one database over scheme h. tree is the
+// expression the program was derived from; nil for the hand-built join-only
+// programs.
 type diffCase struct {
 	name   string
+	h      *hypergraph.Hypergraph
 	db     *relation.Database
 	p      *program.Program
 	tree   *jointree.Tree
@@ -83,7 +86,7 @@ func randomDerived(t *testing.T, rng *rand.Rand, name string) (diffCase, bool) {
 	if err != nil {
 		t.Fatalf("derive: %v", err)
 	}
-	return diffCase{name: name, db: db, p: d.Program, tree: tree, factor: d.QuasiFactor}, !h.Acyclic()
+	return diffCase{name: name, h: h, db: db, p: d.Program, tree: tree, factor: d.QuasiFactor}, !h.Acyclic()
 }
 
 // differentialCases is the shared case set: at least 120 random schemes of
@@ -116,7 +119,7 @@ func differentialCases(t *testing.T) []diffCase {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := diffCase{name: a.Name, db: db, p: foldProgram(h.Len())}
+		c := diffCase{name: a.Name, h: h, db: db, p: foldProgram(h.Len())}
 		if h.Connected(h.Full()) {
 			c.tree = leftDeepTree(h.Len())
 			d, err := core.DeriveFromTree(c.tree, h, nil)

@@ -30,7 +30,9 @@ import (
 //
 // Every input some statement reads is dictionary-encoded exactly once,
 // before the first statement; kernels share dictionaries by reference down
-// the chain, so nothing is re-encoded, and only the output is decoded. Resource
+// the chain, so nothing is re-encoded, and only the output is decoded.
+// Execute is the same run for callers that hold blocks already and want
+// blocks back — every name's final binding, nothing decoded. Resource
 // governance cannot tell the representation or the worker count: every
 // statement begins the "program.Stmt" governor site, the kernels charge the
 // tuple-map operators' totals under their op names with one call per probe
@@ -50,6 +52,14 @@ func (r valueRef) input() int { return -int(r) - 1 }
 type stmtNode struct {
 	arg1, arg2 valueRef
 	hasArg2    bool
+}
+
+// reads returns the operands the statement reads.
+func (n stmtNode) reads() []valueRef {
+	if n.hasArg2 {
+		return []valueRef{n.arg1, n.arg2}
+	}
+	return []valueRef{n.arg1}
 }
 
 // buildDAG renames the program into SSA form: each statement's operands are
@@ -102,9 +112,6 @@ func (p *Program) ApplyParallel(db *relation.Database, workers int) (*Result, er
 // ApplyParallelGoverned is ApplyParallel under a governor, with
 // ApplyGoverned's charges and abort semantics at every worker count.
 func (p *Program) ApplyParallelGoverned(db *relation.Database, g *govern.Governor, workers int) (*Result, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	return p.execute(db, g, workers)
 }
 
@@ -113,7 +120,8 @@ func (p *Program) ApplyParallelGoverned(db *relation.Database, g *govern.Governo
 // the executor tests can count encodings.
 var encodeInput = (*relation.Relation).Block
 
-// execute is the executor behind the four Apply entry points.
+// execute is the executor behind the four Apply entry points: fetch the
+// resident block of every input some statement reads, run, decode Output.
 func (p *Program) execute(db *relation.Database, g *govern.Governor, workers int) (*Result, error) {
 	if db.Len() != len(p.Inputs) {
 		return nil, fmt.Errorf("program: database has %d relations, program has %d inputs",
@@ -123,29 +131,87 @@ func (p *Program) execute(db *relation.Database, g *govern.Governor, workers int
 		return nil, err
 	}
 	nodes, outRef := p.buildDAG()
-
-	// Encode the inputs statements read, up front, so Step.Wall and the
-	// statement spans time kernels only.
+	// Encode up front, so Step.Wall and the statement spans time kernels only.
 	inputs := make([]*relation.ColBlock, len(p.Inputs))
-	vals := make([]*relation.ColBlock, len(p.Stmts))
-	encode := func(ref valueRef) {
-		if ref < 0 && inputs[ref.input()] == nil {
-			inputs[ref.input()] = encodeInput(db.Relation(ref.input()))
-		}
-	}
 	for _, n := range nodes {
-		encode(n.arg1)
-		if n.hasArg2 {
-			encode(n.arg2)
+		for _, ref := range n.reads() {
+			if ref < 0 && inputs[ref.input()] == nil {
+				inputs[ref.input()] = encodeInput(db.Relation(ref.input()))
+			}
 		}
 	}
+	vals, steps, err := p.run(nodes, inputs, g, workers)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{Cost: db.TotalTuples() + Generated(steps), Trace: steps}
+	if outRef < 0 {
+		res.Output = db.Relation(outRef.input())
+	} else {
+		res.Output = vals[outRef].ToRelation()
+	}
+	return res, nil
+}
+
+// Execute is the executor's lower entry point, for callers that keep working
+// on blocks: it runs p over inputs that are already encoded — inputs[k]
+// binds p.Inputs[k] and may be nil only when no statement reads it — and
+// returns the block every input and variable name is bound to after the
+// last statement, plus the per-statement trace. Nothing is decoded. Charges,
+// spans, abort semantics and worker handling are the Apply entry points'.
+func (p *Program) Execute(inputs []*relation.ColBlock, g *govern.Governor, workers int) (map[string]*relation.ColBlock, []Step, error) {
+	if len(inputs) != len(p.Inputs) {
+		return nil, nil, fmt.Errorf("program: %d input blocks, program has %d inputs", len(inputs), len(p.Inputs))
+	}
+	if err := p.Validate(); err != nil {
+		return nil, nil, err
+	}
+	nodes, _ := p.buildDAG()
+	for _, n := range nodes {
+		for _, ref := range n.reads() {
+			if ref < 0 && inputs[ref.input()] == nil {
+				return nil, nil, fmt.Errorf("program: input %q is read but has no block", p.Inputs[ref.input()])
+			}
+		}
+	}
+	vals, steps, err := p.run(nodes, inputs, g, workers)
+	if err != nil {
+		return nil, nil, err
+	}
+	bound := make(map[string]*relation.ColBlock, len(p.Inputs)+len(p.Stmts))
+	for k, name := range p.Inputs {
+		bound[name] = inputs[k]
+	}
+	for i, s := range p.Stmts {
+		bound[s.Head] = vals[i]
+	}
+	return bound, steps, nil
+}
+
+// Generated returns the tuples a trace's statements generated — Σ head
+// cardinalities, which is cost(P(D)) minus the inputs.
+func Generated(trace []Step) int {
+	total := 0
+	for i := range trace {
+		total += trace[i].Size
+	}
+	return total
+}
+
+// run is the one executor: it runs every statement of the DAG over the
+// input blocks, in statement order with one worker (0 means GOMAXPROCS) or
+// on the scheduler with more, and returns each statement's block and step.
+func (p *Program) run(nodes []stmtNode, inputs []*relation.ColBlock, g *govern.Governor, workers int) ([]*relation.ColBlock, []Step, error) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	vals := make([]*relation.ColBlock, len(p.Stmts))
 	resolve := func(ref valueRef) *relation.ColBlock {
 		if ref < 0 {
 			return inputs[ref.input()]
 		}
 		return vals[ref]
 	}
-
 	steps := make([]Step, len(p.Stmts))
 	runStmt := func(i int) error {
 		s := p.Stmts[i]
@@ -181,26 +247,13 @@ func (p *Program) execute(db *relation.Database, g *govern.Governor, workers int
 	if workers == 1 {
 		for i := range p.Stmts {
 			if err := runStmt(i); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 	} else if err := schedule(nodes, workers, runStmt); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-
-	res := &Result{Trace: steps}
-	for i := 0; i < db.Len(); i++ {
-		res.Cost += db.Relation(i).Len()
-	}
-	for i := range steps {
-		res.Cost += steps[i].Size
-	}
-	if outRef < 0 {
-		res.Output = db.Relation(outRef.input())
-	} else {
-		res.Output = vals[outRef].ToRelation()
-	}
-	return res, nil
+	return vals, steps, nil
 }
 
 // schedule runs every statement of the DAG on a pool of up to workers

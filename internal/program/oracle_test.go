@@ -14,19 +14,28 @@ import (
 // operators charge under the same names, so a governor sees exactly what it
 // sees from execute.
 func (p *Program) ApplyOracle(db *relation.Database, g *govern.Governor) (*Result, error) {
+	env, trace, err := p.ExecuteOracle(db, g)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Output: env[p.Output], Cost: db.TotalTuples() + Generated(trace), Trace: trace}, nil
+}
+
+// ExecuteOracle is ApplyOracle returning, like Execute, the relation every
+// input and variable name is bound to after the last statement.
+func (p *Program) ExecuteOracle(db *relation.Database, g *govern.Governor) (map[string]*relation.Relation, []Step, error) {
 	if db.Len() != len(p.Inputs) {
-		return nil, fmt.Errorf("program: database has %d relations, program has %d inputs",
+		return nil, nil, fmt.Errorf("program: database has %d relations, program has %d inputs",
 			db.Len(), len(p.Inputs))
 	}
 	if err := p.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	env := make(map[string]*relation.Relation, len(p.Inputs)+len(p.Stmts))
-	res := &Result{Trace: make([]Step, 0, len(p.Stmts))}
 	for i, name := range p.Inputs {
 		env[name] = db.Relation(i)
-		res.Cost += db.Relation(i).Len()
 	}
+	trace := make([]Step, 0, len(p.Stmts))
 	for i, s := range p.Stmts {
 		var out *relation.Relation
 		_, err := g.Begin("program.Stmt")
@@ -41,14 +50,12 @@ func (p *Program) ApplyOracle(db *relation.Database, g *govern.Governor) (*Resul
 			}
 		}
 		if err != nil {
-			return nil, fmt.Errorf("program: statement %d (%s): %w", i+1, s, err)
+			return nil, nil, fmt.Errorf("program: statement %d (%s): %w", i+1, s, err)
 		}
 		env[s.Head] = out
-		res.Cost += out.Len()
-		res.Trace = append(res.Trace, Step{Stmt: s, Schema: out.Schema(), Size: out.Len()})
+		trace = append(trace, Step{Stmt: s, Schema: out.Schema(), Size: out.Len()})
 	}
-	res.Output = env[p.Output]
-	return res, nil
+	return env, trace, nil
 }
 
 // CountEncodings swaps the executor's input encoder for one that counts its

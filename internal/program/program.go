@@ -8,6 +8,7 @@ package program
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 	"unicode"
@@ -225,6 +226,24 @@ func (t stmtSpan) finish(produced int, err error) {
 		t.sp.AddTuples(int64(produced))
 	}
 	t.sp.End()
+}
+
+// FreshVar returns the first of prefix1, prefix2, … that is neither an input
+// name nor a statement head of p: a variable a program builder can assign
+// without clobbering anything it already wrote.
+func (p *Program) FreshVar(prefix string) string {
+	used := make(map[string]bool, len(p.Inputs)+len(p.Stmts))
+	for _, name := range p.Inputs {
+		used[name] = true
+	}
+	for _, s := range p.Stmts {
+		used[s.Head] = true
+	}
+	for k := 1; ; k++ {
+		if name := prefix + strconv.Itoa(k); !used[name] {
+			return name
+		}
+	}
 }
 
 // Len returns the number of statements (m in the paper's cost definition).

@@ -1,8 +1,10 @@
 package relation
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/govern"
@@ -226,6 +228,56 @@ func ProjectBlocksGoverned(g *govern.Governor, b *ColBlock, attrs AttrSet) (*Col
 		}
 	}
 	return out, nil
+}
+
+// parallelMinInput is the combined input size below which the kernels probe
+// as one range; goroutine and concatenation overhead dominate on small
+// inputs. Tests that must exercise the range split on small inputs override
+// it with SetParallelThreshold.
+var parallelMinInput = 4096
+
+// SetParallelThreshold overrides the combined-input-size cutoff below which
+// the kernels probe as one range, and returns a function restoring the
+// previous value. n <= 0 forces the range split on every input. It mutates
+// package state and is not synchronized against in-flight kernels — call it
+// from test setup, not concurrently with executions.
+func SetParallelThreshold(n int) (restore func()) {
+	prev := parallelMinInput
+	parallelMinInput = n
+	return func() { parallelMinInput = prev }
+}
+
+// errParallelStopped is the internal sentinel a range worker returns when it
+// bails out because a sibling already failed; it never escapes the kernels.
+var errParallelStopped = errors.New("relation: parallel worker stopped")
+
+// parallelRun executes fn(w, stop) for each w in [0, n) on n goroutines and
+// returns the first real error. A worker that fails sets the stop flag;
+// siblings poll it via their charge calls and bail with errParallelStopped,
+// which is swallowed here.
+func parallelRun(n int, fn func(w int, stop *atomic.Bool) error) error {
+	var (
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		first error
+		stop  atomic.Bool
+	)
+	for w := 0; w < n; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			if err := fn(w, &stop); err != nil && !errors.Is(err, errParallelStopped) {
+				mu.Lock()
+				if first == nil {
+					first = err
+				}
+				mu.Unlock()
+				stop.Store(true)
+			}
+		}(w)
+	}
+	wg.Wait()
+	return first
 }
 
 // rangeWorkers resolves a kernel's worker count: 0 means GOMAXPROCS, and

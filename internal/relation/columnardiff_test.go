@@ -3,6 +3,7 @@ package relation
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/govern"
@@ -13,8 +14,31 @@ import (
 // indistinguishable from the tuple-map operators — same result set, same
 // governed tuple totals, same budget-abort boundary — over the full schema
 // overlap spectrum (schemePairs, including the disjoint Cartesian pair).
-// The tuple-map operators are the oracle; these tests are what lets the
-// engine lead its degradation ladder with the columnar evaluator.
+// The tuple-map operators are the oracle; these tests are what lets every
+// query run on the kernels while the charges a budget sees stay the
+// tuple-map operators'.
+
+// schemePairs is the schema overlap spectrum the join/semijoin properties
+// sample: partial overlap, containment, identity, single shared attribute,
+// and disjoint (the Cartesian-product path).
+var schemePairs = [][2]string{
+	{"ABC", "BCD"},
+	{"AB", "ABC"},
+	{"ABC", "ABC"},
+	{"AB", "BC"},
+	{"A", "AB"},
+	{"AB", "CD"},
+}
+
+// workerSweep is the worker counts the range-split properties are checked
+// at: one range, even and odd range counts, and the host width.
+func workerSweep() []int {
+	sweep := []int{1, 2, 3, 4}
+	if p := runtime.GOMAXPROCS(0); p > 4 {
+		sweep = append(sweep, p)
+	}
+	return sweep
+}
 
 // roundTrip encodes, validates, and returns the block for r, failing the
 // test on any invariant violation.
@@ -248,6 +272,249 @@ func TestParallelBlockKernelsMatchSingleRange(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// The range-split kernels against the tuple-map oracle directly, at every
+// worker count (threshold forced to 0 unless a test is about the default).
+
+// parallelJoin is the range-split block join decoded back to tuples.
+func parallelJoin(t *testing.T, g *govern.Governor, l, r *Relation, workers int) (*Relation, error) {
+	t.Helper()
+	out, err := ParallelJoinBlocksGoverned(g, l.Block(), r.Block(), workers)
+	if err != nil {
+		return nil, err
+	}
+	if err := out.Validate(); err != nil {
+		t.Fatalf("%d workers: output block invalid: %v", workers, err)
+	}
+	return out.ToRelation(), nil
+}
+
+func TestParallelJoinMatchesJoinRandom(t *testing.T) {
+	defer SetParallelThreshold(0)()
+	rng := rand.New(rand.NewSource(1992))
+	for trial := 0; trial < 200; trial++ {
+		pair := schemePairs[rng.Intn(len(schemePairs))]
+		l := randRel(rng, pair[0], rng.Intn(40), 3)
+		r := randRel(rng, pair[1], rng.Intn(40), 3)
+		want := Join(l, r)
+		for _, w := range workerSweep() {
+			if got, err := parallelJoin(t, nil, l, r, w); err != nil || !got.Equal(want) {
+				t.Fatalf("trial %d (%s ⋈ %s, %d workers): block join %v, %v; tuple-map %d tuples",
+					trial, pair[0], pair[1], w, got, err, want.Len())
+			}
+		}
+	}
+}
+
+func TestParallelSemijoinMatchesSemijoinRandom(t *testing.T) {
+	defer SetParallelThreshold(0)()
+	rng := rand.New(rand.NewSource(1993))
+	for trial := 0; trial < 200; trial++ {
+		pair := schemePairs[rng.Intn(len(schemePairs))]
+		l := randRel(rng, pair[0], rng.Intn(40), 3)
+		r := randRel(rng, pair[1], rng.Intn(40), 3)
+		want := Semijoin(l, r)
+		for _, w := range workerSweep() {
+			out, err := ParallelSemijoinBlocksGoverned(nil, l.Block(), r.Block(), w)
+			if err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
+			if got := out.ToRelation(); !got.Equal(want) {
+				t.Fatalf("trial %d (%s ⋉ %s, %d workers): block semijoin %d tuples, tuple-map %d",
+					trial, pair[0], pair[1], w, got.Len(), want.Len())
+			}
+		}
+	}
+}
+
+// TestParallelProjectMatchesProjectRandom: projection consumes the blocks
+// the range-split kernels emit — rows stitched from several ranges, many of
+// them duplicates on the kept columns — and must still dedupe to exactly
+// the tuple-map Project at every worker count. r ⋉ r = r, so the semijoin
+// only re-cuts r into ranges.
+func TestParallelProjectMatchesProjectRandom(t *testing.T) {
+	defer SetParallelThreshold(0)()
+	rng := rand.New(rand.NewSource(1994))
+	schemes := []string{"ABCD", "AB", "A"}
+	for trial := 0; trial < 200; trial++ {
+		scheme := schemes[rng.Intn(len(schemes))]
+		r := randRel(rng, scheme, rng.Intn(60), 2) // tiny domain: many duplicates
+		// Random nonempty attribute subset.
+		var attrs AttrSet
+		for _, a := range r.Schema().Attrs() {
+			if rng.Intn(2) == 0 {
+				attrs = append(attrs, a)
+			}
+		}
+		if len(attrs) == 0 {
+			attrs = AttrSet{r.Schema().Attrs()[0]}
+		}
+		want, err := Project(r, attrs)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		for _, w := range workerSweep() {
+			split, err := ParallelSemijoinBlocksGoverned(nil, r.Block(), r.Block(), w)
+			if err != nil {
+				t.Fatalf("trial %d, %d workers: %v", trial, w, err)
+			}
+			out, err := ProjectBlocksGoverned(nil, split, attrs)
+			if err != nil {
+				t.Fatalf("trial %d, %d workers: %v", trial, w, err)
+			}
+			if err := out.Validate(); err != nil {
+				t.Fatalf("trial %d (π_%v %s, %d workers): output block invalid: %v", trial, attrs, scheme, w, err)
+			}
+			if got := out.ToRelation(); !got.Equal(want) {
+				t.Fatalf("trial %d (π_%v %s, %d workers): block project %d tuples, tuple-map %d",
+					trial, attrs, scheme, w, got.Len(), want.Len())
+			}
+		}
+	}
+}
+
+// TestParallelGovernedChargesSequentialTotals: at every worker count the
+// range-split join charges exactly the tuple-map join's total.
+func TestParallelGovernedChargesSequentialTotals(t *testing.T) {
+	defer SetParallelThreshold(0)()
+	rng := rand.New(rand.NewSource(1995))
+	for trial := 0; trial < 100; trial++ {
+		pair := schemePairs[rng.Intn(len(schemePairs))]
+		l := randRel(rng, pair[0], 1+rng.Intn(30), 3)
+		r := randRel(rng, pair[1], 1+rng.Intn(30), 3)
+		seqG := govern.New(govern.Limits{MaxTuples: 1 << 40})
+		want, err := JoinGoverned(seqG, l, r)
+		if err != nil {
+			t.Fatalf("trial %d tuple-map: %v", trial, err)
+		}
+		for _, w := range workerSweep() {
+			g := govern.New(govern.Limits{MaxTuples: 1 << 40})
+			got, err := parallelJoin(t, g, l, r, w)
+			if err != nil || !got.Equal(want) || g.Produced() != seqG.Produced() {
+				t.Fatalf("trial %d, %d workers: charged %d (err %v), tuple-map %d (or results differ)",
+					trial, w, g.Produced(), err, seqG.Produced())
+			}
+		}
+	}
+}
+
+// TestParallelGovernedBudgetAbortsCoincide: a budget of exactly the
+// tuple-map join's output passes at every worker count, and one tuple less
+// aborts with govern.ErrTupleBudget and no partial result.
+func TestParallelGovernedBudgetAbortsCoincide(t *testing.T) {
+	defer SetParallelThreshold(0)()
+	rng := rand.New(rand.NewSource(1996))
+	tried := 0
+	for trial := 0; tried < 50; trial++ {
+		if trial > 2000 {
+			t.Fatal("could not generate enough joins with nonempty output")
+		}
+		l := randRel(rng, "ABC", 5+rng.Intn(25), 3)
+		r := randRel(rng, "BCD", 5+rng.Intn(25), 3)
+		total := int64(Join(l, r).Len())
+		if total == 0 {
+			continue
+		}
+		tried++
+		for _, w := range workerSweep() {
+			if out, err := parallelJoin(t, govern.New(govern.Limits{MaxTuples: total, CheckEvery: 1}), l, r, w); err != nil || out.Len() != int(total) {
+				t.Fatalf("trial %d, %d workers: budget == output must succeed, got %v", trial, w, err)
+			}
+			out, err := parallelJoin(t, govern.New(govern.Limits{MaxTuples: total - 1, CheckEvery: 1}), l, r, w)
+			if out != nil || !errors.Is(err, govern.ErrTupleBudget) {
+				t.Fatalf("trial %d, %d workers: budget == output-1 gave %v, %v; want ErrTupleBudget", trial, w, out, err)
+			}
+		}
+	}
+}
+
+// TestParallelJoinEdgeCases: empty sides, self joins, and more ranges than
+// rows, at every worker count.
+func TestParallelJoinEdgeCases(t *testing.T) {
+	defer SetParallelThreshold(0)()
+	empty := New(SchemaOfRunes("AB"))
+	one := mkRel(t, "BC", []int64{1, 2})
+	small := mkRel(t, "AB", []int64{1, 2}, []int64{3, 4})
+	other := mkRel(t, "BC", []int64{2, 5}, []int64{4, 6})
+	for _, w := range append(workerSweep(), 16) {
+		for _, c := range []struct {
+			name string
+			l, r *Relation
+		}{{"empty ⋈ r", empty, one}, {"l ⋈ empty", one, empty}, {"r ⋈ r", one, one}, {"2 rows", small, other}} {
+			if got, err := parallelJoin(t, nil, c.l, c.r, w); err != nil || !got.Equal(Join(c.l, c.r)) {
+				t.Fatalf("%s with %d workers: got %v, %v", c.name, w, got, err)
+			}
+		}
+	}
+}
+
+// TestParallelJoinMatchesSequential crosses the default parallel threshold
+// with real sizes (no override): the range split must equal the tuple-map
+// join at every worker count, 0 meaning GOMAXPROCS.
+func TestParallelJoinMatchesSequential(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	l := randRel(rng, "ABC", 6000, 40)
+	r := randRel(rng, "BCD", 6000, 40)
+	want := Join(l, r)
+	for _, w := range []int{0, 1, 2, 3, 8} {
+		if got, err := parallelJoin(t, nil, l, r, w); err != nil || !got.Equal(want) {
+			t.Fatalf("workers=%d: block join disagrees (%v, want %d tuples)", w, err, want.Len())
+		}
+	}
+}
+
+// TestParallelJoinSmallFallsBack: below the default threshold the kernel
+// probes as one range however many workers are asked for.
+func TestParallelJoinSmallFallsBack(t *testing.T) {
+	got, err := parallelJoin(t, nil, mkRel(t, "AB", []int64{1, 2}), mkRel(t, "BC", []int64{2, 3}), 8)
+	if err != nil || got.Len() != 1 {
+		t.Errorf("got %v, %v; want one tuple", got, err)
+	}
+}
+
+// TestParallelJoinCrossProduct: disjoint schemas split the left side into
+// ranges, each producing its share of the Cartesian product.
+func TestParallelJoinCrossProduct(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	l := randRel(rng, "AB", 3000, 10000) // near-distinct rows
+	r := randRel(rng, "CD", 3, 10)
+	if got, err := parallelJoin(t, nil, l, r, 4); err != nil || !got.Equal(Join(l, r)) {
+		t.Fatalf("range-split product disagrees: %v", err)
+	}
+}
+
+func TestParallelJoinEmptySide(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	l := randRel(rng, "AB", 5000, 20)
+	if got, err := parallelJoin(t, nil, l, New(SchemaOfRunes("BC")), 4); err != nil || got.Len() != 0 {
+		t.Errorf("join with empty side = %v, %v", got, err)
+	}
+}
+
+// TestParallelJoinResultUsable: the decoded result of a range-split join
+// behaves like any relation — membership, dedup on insert, further ops.
+func TestParallelJoinResultUsable(t *testing.T) {
+	rng := rand.New(rand.NewSource(54))
+	out, err := parallelJoin(t, nil, randRel(rng, "AB", 5000, 30), randRel(rng, "BC", 5000, 30), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Len() == 0 {
+		t.Skip("degenerate draw")
+	}
+	first := out.Rows()[0]
+	if !out.Contains(first) {
+		t.Error("Contains broken on decoded result")
+	}
+	before := out.Len()
+	out.MustInsert(first) // duplicate: must be ignored
+	if out.Len() != before {
+		t.Error("dedup index not built on decoded result")
+	}
+	if p := MustProject(out, NewAttrSet("A", "C")); p.Len() == 0 {
+		t.Error("projection of decoded result empty")
 	}
 }
 

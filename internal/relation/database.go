@@ -72,6 +72,24 @@ func (d *Database) Restrict(keep []int) (*Database, error) {
 	return NewDatabase(rels...)
 }
 
+// Reduced returns the database whose relation i holds the rows of
+// blocks[i], which must be a semijoin reduction of d's relation i (a subset
+// of its rows): relations the reduction did not shrink are d's own, only the
+// shrunk ones are decoded.
+func (d *Database) Reduced(blocks []*ColBlock) (*Database, error) {
+	if len(blocks) != len(d.rels) {
+		return nil, fmt.Errorf("relation: %d reduced blocks for %d relations", len(blocks), len(d.rels))
+	}
+	rels := make([]*Relation, len(d.rels))
+	for i, r := range d.rels {
+		rels[i] = r
+		if blocks[i].Len() < r.Len() {
+			rels[i] = blocks[i].ToRelation()
+		}
+	}
+	return NewDatabase(rels...)
+}
+
 // Join computes ⋈D, the natural join of all relations, in index order.
 // Callers that care about intermediate sizes should evaluate a join
 // expression instead; Join is the reference result.

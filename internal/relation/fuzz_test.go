@@ -6,14 +6,13 @@ import (
 	"testing"
 )
 
-// FuzzParallelJoinKeys drives the partition-parallel join with adversarial
+// FuzzParallelJoinKeys drives the range-split block join with adversarial
 // join-key content: arbitrary byte blobs are decoded into two relations over
 // AB and BC whose B columns carry raw fuzzer-chosen strings (embedded
-// separators, empty keys, invalid UTF-8, near-collisions), and the
-// partitioned join at a fuzzer-chosen worker count must equal the sequential
-// join exactly. This is the property that keeps partitionByKey honest: any
-// hash or key-encoding confusion splits matching tuples across partitions
-// and shows up as a lost or duplicated output row.
+// separators, empty keys, invalid UTF-8, near-collisions), and the join of
+// their resident blocks at a fuzzer-chosen worker count, decoded, must equal
+// the tuple-map join exactly. Any dictionary-remap or key-packing confusion
+// shows up as a lost or duplicated output row.
 func FuzzParallelJoinKeys(f *testing.F) {
 	f.Add([]byte("a\x00b\x001"), []byte("b\x00c\x002"), uint8(2))
 	f.Add([]byte("\x00\x00\x00"), []byte("\x00\x00\x00"), uint8(3))
@@ -26,9 +25,12 @@ func FuzzParallelJoinKeys(f *testing.F) {
 		l := blobRelation("AB", lBlob)
 		r := blobRelation("BC", rBlob)
 		want := Join(l, r)
-		got := ParallelJoin(l, r, w)
-		if !got.Equal(want) {
-			t.Fatalf("parallel join (%d workers) %d tuples, sequential %d\nl=%v\nr=%v",
+		out, err := ParallelJoinBlocksGoverned(nil, l.Block(), r.Block(), w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := out.ToRelation(); !got.Equal(want) {
+			t.Fatalf("block join (%d workers) %d tuples, tuple-map %d\nl=%v\nr=%v",
 				w, got.Len(), want.Len(), lBlob, rBlob)
 		}
 	})

@@ -100,10 +100,6 @@ func TestGovernedCancellation(t *testing.T) {
 	if _, err := ProjectGoverned(g, l, MustSchema("A").AttrSet()); !errors.Is(err, govern.ErrCanceled) {
 		t.Fatalf("project: got %v, want ErrCanceled", err)
 	}
-	lr := skewed(t, "C", "D", 10)
-	if _, err := CrossProductGoverned(g, l, lr); !errors.Is(err, govern.ErrCanceled) {
-		t.Fatalf("cross product: got %v, want ErrCanceled", err)
-	}
 }
 
 func TestProjectGovernedBudget(t *testing.T) {

@@ -65,14 +65,11 @@ func JoinGoverned(g *govern.Governor, l, r *Relation) (*Relation, error) {
 	return out, nil
 }
 
-// hashJoinInto is the hash-join core shared by the sequential and parallel
-// operators: it joins lRows with rRows on the key columns lPos/rPos,
-// appending (l, r-only) rows to out, and calls visit once per probe row with
-// the number of rows that probe emitted (so the sequential caller can drive
-// a cumulative governor scope and a parallel partition worker can charge
-// deltas into a shared one). The smaller side is hashed; if that is the
-// right side the build/probe roles swap but the output column order does
-// not.
+// hashJoinInto is JoinGoverned's hash-join core: it joins lRows with rRows
+// on the key columns lPos/rPos, appending (l, r-only) rows to out, and calls
+// visit once per probe row with the number of rows that probe emitted. The
+// smaller side is hashed; if that is the right side the build/probe roles
+// swap but the output column order does not.
 func hashJoinInto(out *Relation, lRows, rRows []Tuple, lPos, rPos, rOnlyPos []int, visit func(emitted int) error) error {
 	if len(lRows) <= len(rRows) {
 		ht := make(map[string][]Tuple, len(lRows))
@@ -131,27 +128,6 @@ func joinSchema(l, r *Schema) *Schema {
 		}
 	}
 	return MustSchema(attrs...)
-}
-
-// CrossProduct computes l × r. It requires the schemas to be disjoint and
-// otherwise behaves like Join; callers that want the degenerate-join
-// behaviour should call Join directly.
-func CrossProduct(l, r *Relation) (*Relation, error) {
-	return CrossProductGoverned(nil, l, r)
-}
-
-// CrossProductGoverned is CrossProduct under a governor: the product — the
-// operator this repository's paper exists to tame — charges every output
-// tuple and aborts with a typed error on a blown budget.
-func CrossProductGoverned(g *govern.Governor, l, r *Relation) (*Relation, error) {
-	if l.schema.AttrSet().Overlaps(r.schema.AttrSet()) {
-		return nil, fmt.Errorf("relation: cross product operands share attributes %s",
-			l.schema.AttrSet().Intersect(r.schema.AttrSet()))
-	}
-	if _, err := g.Begin("relation.CrossProduct"); err != nil {
-		return nil, err
-	}
-	return JoinGoverned(g, l, r)
 }
 
 // Semijoin computes l ⋉ r: the tuples of l that join with at least one tuple
@@ -231,32 +207,6 @@ func SemijoinGoverned(g *govern.Governor, l, r *Relation) (*Relation, error) {
 	return out, nil
 }
 
-// Antijoin computes l ▷ r: the tuples of l that join with no tuple of r.
-func Antijoin(l, r *Relation) *Relation {
-	common := l.schema.AttrSet().Intersect(r.schema.AttrSet())
-	out := New(l.schema)
-	if common.IsEmpty() {
-		if r.Len() == 0 {
-			for _, lt := range l.rows {
-				out.MustInsert(lt)
-			}
-		}
-		return out
-	}
-	lPos, _ := l.schema.Positions(common)
-	rPos, _ := r.schema.Positions(common)
-	keys := make(map[string]struct{}, r.Len())
-	for _, rt := range r.rows {
-		keys[rt.keyAt(rPos)] = struct{}{}
-	}
-	for _, lt := range l.rows {
-		if _, ok := keys[lt.keyAt(lPos)]; !ok {
-			out.MustInsert(lt)
-		}
-	}
-	return out
-}
-
 // Project computes π_attrs(r), deduplicating. The attrs must all belong to
 // r's schema; the output column order is the sorted attribute order.
 func Project(r *Relation, attrs AttrSet) (*Relation, error) {
@@ -299,58 +249,6 @@ func MustProject(r *Relation, attrs AttrSet) *Relation {
 	return out
 }
 
-// Select returns the tuples of r satisfying pred.
-func Select(r *Relation, pred func(*Schema, Tuple) bool) *Relation {
-	out := New(r.schema)
-	for _, t := range r.rows {
-		if pred(r.schema, t) {
-			out.MustInsert(t)
-		}
-	}
-	return out
-}
-
-// Union computes l ∪ r; the schemas must be set-equal. Columns of r are
-// permuted to l's order.
-func Union(l, r *Relation) (*Relation, error) {
-	if !l.schema.AttrSet().Equal(r.schema.AttrSet()) {
-		return nil, fmt.Errorf("relation: union of incompatible schemas %s and %s", l.schema, r.schema)
-	}
-	out := l.Clone()
-	pos, _ := r.schema.Positions(l.schema.Attrs())
-	for _, t := range r.rows {
-		row := make(Tuple, len(pos))
-		for i, p := range pos {
-			row[i] = t[p]
-		}
-		out.MustInsert(row)
-	}
-	return out, nil
-}
-
-// Diff computes l − r; the schemas must be set-equal.
-func Diff(l, r *Relation) (*Relation, error) {
-	if !l.schema.AttrSet().Equal(r.schema.AttrSet()) {
-		return nil, fmt.Errorf("relation: difference of incompatible schemas %s and %s", l.schema, r.schema)
-	}
-	pos, _ := r.schema.Positions(l.schema.Attrs())
-	keys := make(map[string]struct{}, r.Len())
-	for _, t := range r.rows {
-		row := make(Tuple, len(pos))
-		for i, p := range pos {
-			row[i] = t[p]
-		}
-		keys[row.key()] = struct{}{}
-	}
-	out := New(l.schema)
-	for _, t := range l.rows {
-		if _, ok := keys[t.key()]; !ok {
-			out.MustInsert(t)
-		}
-	}
-	return out, nil
-}
-
 // JoinAll folds Join over the given relations left to right; it returns an
 // error when called with no relations. JoinAll of one relation returns it
 // unchanged.
@@ -363,32 +261,4 @@ func JoinAll(rels ...*Relation) (*Relation, error) {
 		acc = Join(acc, r)
 	}
 	return acc, nil
-}
-
-// Rename returns a copy of r with attributes renamed per the mapping (the
-// classical ρ operator). Attributes absent from the mapping keep their
-// names; the mapping must not target an existing or duplicate name. Tuples
-// are shared with the input (values are immutable).
-func Rename(r *Relation, mapping map[string]string) (*Relation, error) {
-	attrs := make([]string, r.Schema().Len())
-	for i, a := range r.Schema().Attrs() {
-		if to, ok := mapping[a]; ok {
-			attrs[i] = to
-		} else {
-			attrs[i] = a
-		}
-	}
-	schema, err := NewSchema(attrs...)
-	if err != nil {
-		return nil, fmt.Errorf("relation: rename: %v", err)
-	}
-	for from := range mapping {
-		if !r.Schema().Has(from) {
-			return nil, fmt.Errorf("relation: rename of missing attribute %q", from)
-		}
-	}
-	// Share rows only; a shared dedup index would alias later Inserts on the
-	// renamed relation into the original's membership checks.
-	out := &Relation{schema: schema, rows: r.rows}
-	return out, nil
 }

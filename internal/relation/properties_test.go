@@ -138,43 +138,6 @@ func TestQuickJoinMonotone(t *testing.T) {
 	}
 }
 
-// TestQuickUnionDiffComplement: (l − r) ∪ (l ∩ₛ r) = l where l ∩ₛ r is the
-// set intersection computed as l − (l − r).
-func TestQuickUnionDiffComplement(t *testing.T) {
-	f := func(g relGen) bool {
-		l := g.left()
-		rng := rand.New(rand.NewSource(g.Seed + 7))
-		r := randRel(rng, l.Schema().String(), int(g.Size%15), int(g.Domain%4)+1)
-		minus, err := Diff(l, r)
-		if err != nil {
-			return false
-		}
-		inter, err := Diff(l, minus)
-		if err != nil {
-			return false
-		}
-		u, err := Union(minus, inter)
-		if err != nil {
-			return false
-		}
-		return u.Equal(l)
-	}
-	if err := quick.Check(f, quickCfg()); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestQuickMergeHashAgree re-checks MergeJoin ≡ Join under quick's driving.
-func TestQuickMergeHashAgree(t *testing.T) {
-	f := func(g relGen) bool {
-		l, r := g.left(), g.right()
-		return MergeJoin(l, r).Equal(Join(l, r))
-	}
-	if err := quick.Check(f, quickCfg()); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestQuickTSVRoundTrip: WriteTSV/ReadTSV is the identity on relations.
 func TestQuickTSVRoundTrip(t *testing.T) {
 	f := func(g relGen) bool {

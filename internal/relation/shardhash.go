@@ -1,10 +1,8 @@
 package relation
 
-// ShardOf returns the shard in [0, n) owning the tuple, hashing the value
-// at column pos with the same inlined FNV-32a bucketing the parallel
-// operators' partitioner uses (partitionByKey), so shard routing at ingest
-// time and intra-operator partitioning at query time agree on placement.
-// n <= 1 always returns 0.
+// ShardOf returns the shard in [0, n) owning the tuple: the inlined FNV-32a
+// hash of the value at column pos (its key encoding), modulo n. n <= 1
+// always returns 0.
 func (t Tuple) ShardOf(pos, n int) int {
 	if n <= 1 {
 		return 0

@@ -1,8 +1,11 @@
 // Package relation implements a small in-memory relational engine with set
-// semantics: values, tuples, schemas, relations, and the operators the paper
-// needs (natural join, semijoin, antijoin, projection, selection, union,
-// difference, Cartesian product), together with the pairwise/global
-// consistency checks used in its examples.
+// semantics: values, tuples, schemas, relations, and the three operators the
+// paper's programs use (natural join — a Cartesian product when the schemas
+// are disjoint — semijoin, and projection), together with the
+// pairwise/global consistency checks used in its examples. The operators
+// come twice: as vectorized kernels over dictionary-encoded column blocks
+// (colops.go), which execute every query, and on tuple-map relations
+// (ops.go), the reference the kernels are checked against.
 //
 // Relations are sets of tuples: insertion and projection deduplicate, so the
 // cardinalities that feed the paper's cost model (§2.3) are always set sizes.

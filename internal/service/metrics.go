@@ -24,10 +24,6 @@ type serviceMetrics struct {
 	queueWait *obs.Histogram
 	// slow counts queries captured by the slow-query log.
 	slow *obs.Counter
-	// columnarTuples is the governor charge attributable to queries the
-	// columnar batch kernels served — the fraction of joind's tuple work
-	// running vectorized.
-	columnarTuples *obs.Counter
 	// ingests partitions ingest batches by outcome ("ok", "rejected",
 	// "failed"); ingestDuration is the end-to-end ingest latency (WAL
 	// append + fsync + catalog swap), in seconds.
@@ -62,8 +58,6 @@ func newServiceMetrics(s *Service) *serviceMetrics {
 			"Time admitted queries spent waiting for a worker slot.", nil),
 		slow: r.Counter("joind_slow_queries_total",
 			"Queries at or above the slow-query threshold (captured in the slow-query log)."),
-		columnarTuples: r.Counter("joind_columnar_tuples_total",
-			"Tuples charged by queries executed through the columnar batch kernels."),
 		ingests: r.CounterVec("joind_ingests_total",
 			"Ingest batches finished, by outcome (ok, rejected, failed).",
 			"status"),

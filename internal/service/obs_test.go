@@ -318,40 +318,45 @@ func TestMetricsEndpointServesValidText(t *testing.T) {
 	}
 }
 
-// TestColumnarQueryMetrics serves a columnar-strategy query end-to-end and
-// checks its strategy×status counter and the columnar tuple counter move.
+// TestColumnarQueryMetrics pins the retired "columnar" strategy name end to
+// end: a query asking for it is a 400 whose body lists the valid names, and
+// neither a columnar strategy label nor the old joind_columnar_tuples_total
+// series appears in /metrics.
 func TestColumnarQueryMetrics(t *testing.T) {
 	s := New(Config{Workers: 1})
 	if _, err := s.Register("tri", triangleDB(t)); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := s.Query(context.Background(), Request{Database: "tri", Strategy: "columnar"})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	resp, err := http.Post(srv.URL+"/v1/query", "application/json",
+		strings.NewReader(`{"database":"tri","strategy":"columnar"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Strategy.String() != "columnar" {
-		t.Fatalf("executed strategy %q, want columnar", rep.Strategy)
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
 	}
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/metrics")
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("columnar query: status %d, want 400: %s", resp.StatusCode, body)
+	}
+	for _, name := range engine.StrategyNames() {
+		if !strings.Contains(string(body), name) {
+			t.Errorf("400 body does not list strategy %q: %s", name, body)
+		}
+	}
+	resp, err = http.Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
+	if body, err = io.ReadAll(resp.Body); err != nil {
 		t.Fatal(err)
 	}
-	text := string(body)
-	if !strings.Contains(text, `joind_queries_total{strategy="columnar",status="ok"} 1`) {
-		t.Errorf("columnar strategy counter did not move:\n%s", text)
-	}
-	if strings.Contains(text, "joind_columnar_tuples_total 0\n") {
-		t.Errorf("columnar tuple counter stayed at 0:\n%s", text)
-	}
-	if !strings.Contains(text, "joind_columnar_tuples_total") {
-		t.Errorf("columnar tuple series missing:\n%s", text)
+	if text := string(body); strings.Contains(text, `strategy="columnar"`) || strings.Contains(text, "joind_columnar_tuples_total") {
+		t.Errorf("retired columnar series still exported:\n%s", text)
 	}
 }
 

@@ -767,9 +767,6 @@ func (s *Service) finish(trace *obs.Trace, req Request, rep *engine.Report, err 
 	s.metrics.duration.Observe(wall.Seconds())
 	if rep != nil {
 		s.metrics.tuples.Add(rep.Produced)
-		if rep.Strategy == engine.StrategyColumnar {
-			s.metrics.columnarTuples.Add(rep.Produced)
-		}
 	}
 	if trace == nil {
 		return

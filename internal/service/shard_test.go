@@ -32,9 +32,9 @@ func TestPlanKeyShardAware(t *testing.T) {
 		t.Fatal(err)
 	}
 	fp := "fp-test"
-	unsharded := planKey(fp, engine.StrategyColumnar, nil, 0)
-	single := planKey(fp, engine.StrategyColumnar, g1, 0)
-	sharded := planKey(fp, engine.StrategyColumnar, g4, 0)
+	unsharded := planKey(fp, engine.StrategyExpression, nil, 0)
+	single := planKey(fp, engine.StrategyExpression, g1, 0)
+	sharded := planKey(fp, engine.StrategyExpression, g4, 0)
 	if unsharded != single {
 		t.Fatalf("nil group key %q != 1-shard group key %q (both are unsharded execution)", unsharded, single)
 	}
@@ -47,7 +47,7 @@ func TestPlanKeyShardAware(t *testing.T) {
 	if other := planKey(fp, engine.StrategyWCOJ, g4, 0); other == sharded {
 		t.Fatal("strategy no longer distinguishes keys")
 	}
-	if bumped := planKey(fp, engine.StrategyColumnar, g4, 1); bumped == sharded {
+	if bumped := planKey(fp, engine.StrategyExpression, g4, 1); bumped == sharded {
 		t.Fatal("statistics version no longer distinguishes keys")
 	}
 }
@@ -71,7 +71,7 @@ func TestShardedServiceQueryParity(t *testing.T) {
 	if _, err := sharded.Register("tri", db); err != nil {
 		t.Fatal(err)
 	}
-	for _, strategy := range []string{"", "cpf-expression", "columnar", "wcoj", "reduce-then-join"} {
+	for _, strategy := range []string{"", "cpf-expression", "wcoj", "reduce-then-join"} {
 		req := Request{Database: "tri", Strategy: strategy, MaxTuples: 1 << 40}
 		want, err := plain.Query(context.Background(), req)
 		if err != nil {
@@ -139,7 +139,7 @@ func TestShardedServiceIngest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := svc.Query(context.Background(), Request{Database: "tri", Strategy: "columnar", MaxTuples: 1 << 40})
+	got, err := svc.Query(context.Background(), Request{Database: "tri", Strategy: "cpf-expression", MaxTuples: 1 << 40})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,9 +17,9 @@ import (
 //
 // The analysis, per strategy (A is the partition attribute):
 //
-//   - Expression, columnar, and direct evaluation walk the plan's join
-//     tree. An internal node whose subtree holds at least one partitioned
-//     leaf produces tuples carrying that leaf's A value, so its per-shard
+//   - Expression and direct evaluation run the plan's join tree. An
+//     internal node whose subtree holds at least one partitioned leaf
+//     produces tuples carrying that leaf's A value, so its per-shard
 //     outputs partition by h(t[A]) — disjoint, complete, and charged
 //     exactly once across shards. A subtree made only of broadcast leaves
 //     would instead be recomputed identically on every shard, multiplying
@@ -55,7 +55,7 @@ func (g *Group) CleanFor(plan *engine.Plan) (bool, string) {
 	}
 	allPart := npart == len(g.part)
 	switch plan.Strategy {
-	case engine.StrategyExpression, engine.StrategyColumnar, engine.StrategyDirect:
+	case engine.StrategyExpression, engine.StrategyDirect:
 		if plan.Tree == nil {
 			return false, "plan has no join tree"
 		}

@@ -70,7 +70,7 @@ func startPeers(t *testing.T, g *shard.Group) *shard.HTTPExecutor {
 // variable order, the search-free acyclic pipeline): for those every peer
 // provably executes the same plan the coordinator validated clean, and
 // cost, charge, and abort-boundary parity carry over the wire. Instance-
-// steered searches (expression, columnar, program) may legitimately pick
+// steered searches (expression, program) may legitimately pick
 // different trees per partition; they are covered for result correctness.
 func TestRemoteExecutorGauntlet(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))

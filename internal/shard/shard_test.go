@@ -112,12 +112,12 @@ func TestCleanForReasons(t *testing.T) {
 
 	// Tree strategies scatter: the best triangle tree joins S against a
 	// subtree holding a partitioned relation.
-	plan, err := engine.PlanFor(db, engine.Options{Strategy: engine.StrategyColumnar})
+	plan, err := engine.PlanFor(db, engine.Options{Strategy: engine.StrategyExpression})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ok, reason := g.CleanFor(plan); !ok {
-		t.Fatalf("columnar triangle plan unclean: %s", reason)
+		t.Fatalf("cpf-expression triangle plan unclean: %s", reason)
 	}
 
 	// Leapfrog needs every relation partitioned; S is broadcast here.
@@ -143,7 +143,7 @@ func TestCleanForReasons(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err = engine.PlanFor(db, engine.Options{Strategy: engine.StrategyColumnar})
+	plan, err = engine.PlanFor(db, engine.Options{Strategy: engine.StrategyExpression})
 	if err != nil {
 		t.Fatal(err)
 	}

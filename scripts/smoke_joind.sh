@@ -101,27 +101,40 @@ grep -q '"cache_hit":true' /tmp/joind_query2.json || {
     exit 1
 }
 
-# Columnar strategy end-to-end: same result through the vectorized batch
-# kernels, cached under its own fingerprint#strategy key (a fresh miss).
+# The cpf-expression strategy end-to-end: same result from the cheapest CPF
+# tree run as a program on the block kernels, cached under its own
+# fingerprint#strategy key (a fresh miss).
+code=$(curl -sS -o /tmp/joind_query_expr.json -w '%{http_code}' \
+    -X POST "$BASE/v1/query" \
+    -H 'Content-Type: application/json' \
+    -d '{"database":"triangle","strategy":"cpf-expression","include_result":true}')
+if [ "$code" != "200" ]; then
+    echo "cpf-expression query: expected 200, got $code:" >&2
+    cat /tmp/joind_query_expr.json >&2
+    exit 1
+fi
+grep -q '"result_count":3' /tmp/joind_query_expr.json || {
+    echo "cpf-expression query: expected result_count 3:" >&2
+    cat /tmp/joind_query_expr.json >&2
+    exit 1
+}
+grep -q '"strategy":"cpf-expression"' /tmp/joind_query_expr.json || {
+    echo "cpf-expression query: response does not report the cpf-expression strategy:" >&2
+    cat /tmp/joind_query_expr.json >&2
+    exit 1
+}
+
+# The retired "columnar" name (a kernel choice, not a plan) is a 400 whose
+# error lists the valid strategies.
 code=$(curl -sS -o /tmp/joind_query_columnar.json -w '%{http_code}' \
     -X POST "$BASE/v1/query" \
     -H 'Content-Type: application/json' \
-    -d '{"database":"triangle","strategy":"columnar","include_result":true}')
-if [ "$code" != "200" ]; then
-    echo "columnar query: expected 200, got $code:" >&2
+    -d '{"database":"triangle","strategy":"columnar"}')
+if [ "$code" != "400" ] || ! grep -q 'valid strategies: auto, program, cpf-expression' /tmp/joind_query_columnar.json; then
+    echo "columnar query: expected 400 listing the valid strategies (got $code):" >&2
     cat /tmp/joind_query_columnar.json >&2
     exit 1
 fi
-grep -q '"result_count":3' /tmp/joind_query_columnar.json || {
-    echo "columnar query: expected result_count 3:" >&2
-    cat /tmp/joind_query_columnar.json >&2
-    exit 1
-}
-grep -q '"strategy":"columnar"' /tmp/joind_query_columnar.json || {
-    echo "columnar query: response does not report the columnar strategy:" >&2
-    cat /tmp/joind_query_columnar.json >&2
-    exit 1
-}
 
 # Stats must show the hit too, and surface the durable/view counters at the
 # top level.
@@ -198,8 +211,7 @@ for series in \
     'joind_plan_cache_misses_total 3' \
     'joind_registered_databases 1' \
     'joind_slow_queries_total 4' \
-    'joind_queries_total{strategy="columnar",status="ok"} 1' \
-    'joind_columnar_tuples_total' \
+    'joind_queries_total{strategy="cpf-expression",status="ok"} 1' \
     'joind_tuples_produced_total' \
     'joind_worker_utilization' \
     'joind_tuple_budget_remaining' \
@@ -266,7 +278,10 @@ if [ "$code" != "200" ] || ! grep -q '"result_count":4' /tmp/joind_query4.json; 
     cat /tmp/joind_query4.json >&2
     exit 1
 fi
-curl -fsS "$BASE/metrics" | grep -qF 'joind_recovery_replayed_records 0' || {
+# Fetch to a file first: under pipefail, grep -q exiting on the first match
+# can fail curl's remaining writes ("Failed writing body").
+curl -fsS "$BASE/metrics" >/tmp/joind_metrics_restart.txt
+grep -qF 'joind_recovery_replayed_records 0' /tmp/joind_metrics_restart.txt || {
     echo "graceful restart: expected zero WAL replay (clean final checkpoint)" >&2
     exit 1
 }
@@ -329,14 +344,14 @@ wait "$JOIND_PID" || {
 }
 start_joind -shards 4 -shard-broadcast-threshold -1
 wait_ready
-# Pin the columnar strategy: the auto-resolved program route is unclean on
-# the triangle (BC never carries the partition attribute A), so it would
-# fall back to single-shard execution; the columnar join tree scatters.
+# Pin the cpf-expression strategy: the auto-resolved program route is
+# unclean on the triangle (BC never carries the partition attribute A), so
+# it would fall back to single-shard execution; the join tree scatters.
 squery() {
     curl -sS -o "$1" -w '%{http_code}' \
         -X POST "$BASE/v1/query" \
         -H 'Content-Type: application/json' \
-        -d '{"database":"triangle","strategy":"columnar","include_result":true}'
+        -d '{"database":"triangle","strategy":"cpf-expression","include_result":true}'
 }
 code=$(squery /tmp/joind_query6.json)
 if [ "$code" != "200" ] || ! grep -q '"result_count":5' /tmp/joind_query6.json; then
@@ -418,4 +433,4 @@ grep -q '"shards":4' /tmp/joind_query8.json || {
     exit 1
 }
 
-echo "joind smoke: OK (ready gate, durable register + ingest, continuous query maintenance + recovery, cache hit, columnar strategy, metrics + slow log, SIGTERM clean restart, kill -9 WAL replay, 4-shard scatter round trip)"
+echo "joind smoke: OK (ready gate, durable register + ingest, continuous query maintenance + recovery, cache hit, cpf-expression strategy, columnar 400, metrics + slow log, SIGTERM clean restart, kill -9 WAL replay, 4-shard scatter round trip)"
