@@ -259,11 +259,16 @@ func (v *View) OutputSchema() *relation.Schema { return v.out.schema }
 func (v *View) ResultCount() int { return len(v.out.rows) }
 
 // Result materializes the current view result: the support of the output
-// node's counted state, which equals ⋈D for the maintained catalog.
+// node's counted state, which equals ⋈D for the maintained catalog. The
+// counted rows are keyed by their tuples, so they are distinct already.
 func (v *View) Result() *relation.Relation {
-	out := relation.New(v.out.schema)
+	rows := make([]relation.Tuple, 0, len(v.out.rows))
 	for _, c := range v.out.rows {
-		out.MustInsert(c.t)
+		rows = append(rows, c.t)
+	}
+	out, err := relation.NewFromDistinctRows(v.out.schema, rows)
+	if err != nil {
+		panic(err) // unreachable: every counted row has the node's arity
 	}
 	return out
 }

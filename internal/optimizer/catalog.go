@@ -61,13 +61,15 @@ func satMul(a, b int64) int64 {
 // Catalog computes and memoizes the true cardinality |⋈D[S]| for subsets S
 // of a database's scheme. It materializes as little as possible: a connected
 // subset's size is counted from the two halves of its cheapest partition
-// (|A ⋈ B| = Σ_key cntA(key)·cntB(key)) rather than by building the join,
-// and only the partition halves themselves are materialized.
+// (relation.JoinSizeBlocks) rather than by building the join, and only the
+// partition halves themselves are materialized. Everything runs on the block
+// kernels the executor uses: leaves are the relations' resident blocks
+// (Relation.Block) and sub-joins are relation.JoinBlocksGoverned outputs.
 type Catalog struct {
 	h  *hypergraph.Hypergraph
 	db *relation.Database
 	// mat holds materialized joins for connected masks.
-	mat map[hypergraph.Mask]*relation.Relation
+	mat map[hypergraph.Mask]*relation.ColBlock
 	// csize holds |⋈D[S]| for connected masks.
 	csize map[hypergraph.Mask]int64
 	// budget caps the total number of tuples materialized; spent tracks it.
@@ -91,7 +93,7 @@ func NewCatalog(db *relation.Database, budget int64) *Catalog {
 	return &Catalog{
 		h:      hypergraph.OfScheme(db),
 		db:     db,
-		mat:    make(map[hypergraph.Mask]*relation.Relation),
+		mat:    make(map[hypergraph.Mask]*relation.ColBlock),
 		csize:  make(map[hypergraph.Mask]int64),
 		budget: budget,
 	}
@@ -121,7 +123,7 @@ func (c *Catalog) Size(mask hypergraph.Mask) (int64, error) {
 
 // connectedSize computes |⋈D[S]| for connected S. It picks the partition
 // (L, R) of S into two connected halves whose larger half is smallest,
-// materializes only the halves, and counts the join size by hashing.
+// materializes only the halves, and counts their join without building it.
 func (c *Catalog) connectedSize(mask hypergraph.Mask) (int64, error) {
 	if got, ok := c.csize[mask]; ok {
 		return got, nil
@@ -143,7 +145,7 @@ func (c *Catalog) connectedSize(mask hypergraph.Mask) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	sz := countJoinSize(a, b)
+	sz := min(relation.JoinSizeBlocks(a, b), Infinite)
 	c.csize[mask] = sz
 	return sz, nil
 }
@@ -184,10 +186,10 @@ func (c *Catalog) bestPartition(mask hypergraph.Mask) (hypergraph.Mask, hypergra
 	return bestL, bestR, nil
 }
 
-// materialize returns the relation ⋈D[S] for a connected subset S,
+// materialize returns the block ⋈D[S] for a connected subset S,
 // materializing (and memoizing) it on first use. It builds S one relation at
 // a time, removing at each step the relation whose remainder is smallest.
-func (c *Catalog) materialize(mask hypergraph.Mask) (*relation.Relation, error) {
+func (c *Catalog) materialize(mask hypergraph.Mask) (*relation.ColBlock, error) {
 	if got, ok := c.mat[mask]; ok {
 		return got, nil
 	}
@@ -195,9 +197,9 @@ func (c *Catalog) materialize(mask hypergraph.Mask) (*relation.Relation, error) 
 		return nil, fmt.Errorf("optimizer: materialize of disconnected subset %s", mask)
 	}
 	if mask.Count() == 1 {
-		rel := c.db.Relation(mask.Indexes()[0])
-		c.mat[mask] = rel
-		return rel, nil
+		b := c.db.Relation(mask.Indexes()[0]).Block()
+		c.mat[mask] = b
+		return b, nil
 	}
 	// Remove the relation whose removal keeps the rest connected and makes
 	// the remainder smallest.
@@ -224,7 +226,10 @@ func (c *Catalog) materialize(mask hypergraph.Mask) (*relation.Relation, error) 
 	if err != nil {
 		return nil, err
 	}
-	out := relation.Join(base, c.db.Relation(bestI))
+	out, err := relation.JoinBlocksGoverned(nil, base, c.db.Relation(bestI).Block())
+	if err != nil {
+		return nil, err
+	}
 	c.spent += int64(out.Len())
 	if c.spent > c.budget {
 		return nil, ErrBudget
@@ -233,60 +238,5 @@ func (c *Catalog) materialize(mask hypergraph.Mask) (*relation.Relation, error) 
 	return out, nil
 }
 
-// countJoinSize returns |a ⋈ b| without materializing it: hash the common
-// attributes of the smaller side to counts and sum products.
-func countJoinSize(a, b *relation.Relation) int64 {
-	if a.Len() > b.Len() {
-		a, b = b, a
-	}
-	common := a.Schema().AttrSet().Intersect(b.Schema().AttrSet())
-	if common.IsEmpty() {
-		return satMul(int64(a.Len()), int64(b.Len()))
-	}
-	aPos, _ := a.Schema().Positions(common)
-	bPos, _ := b.Schema().Positions(common)
-	counts := make(map[string]int64, a.Len())
-	var buf []byte
-	for _, t := range a.Rows() {
-		buf = buf[:0]
-		for _, p := range aPos {
-			buf = appendValueKey(buf, t[p])
-		}
-		counts[string(buf)]++
-	}
-	total := int64(0)
-	for _, t := range b.Rows() {
-		buf = buf[:0]
-		for _, p := range bPos {
-			buf = appendValueKey(buf, t[p])
-		}
-		total = satAdd(total, counts[string(buf)])
-	}
-	return total
-}
-
-// appendValueKey re-implements the relation package's injective value
-// encoding for counting (the relation package keeps its encoder private).
-func appendValueKey(dst []byte, v relation.Value) []byte {
-	switch v.Kind() {
-	case relation.KindInt:
-		u := uint64(v.AsInt())
-		return append(dst, 'i',
-			byte(u>>56), byte(u>>48), byte(u>>40), byte(u>>32),
-			byte(u>>24), byte(u>>16), byte(u>>8), byte(u))
-	default:
-		s := v.AsString()
-		n := uint32(len(s))
-		dst = append(dst, 's', byte(n>>24), byte(n>>16), byte(n>>8), byte(n))
-		return append(dst, s...)
-	}
-}
-
 // Spent reports the total tuples materialized so far.
 func (c *Catalog) Spent() int64 { return c.spent }
-
-// Materialize exposes materialization of a connected subset; benchmarks and
-// the acyclic comparisons use it to force actual join work.
-func (c *Catalog) Materialize(mask hypergraph.Mask) (*relation.Relation, error) {
-	return c.materialize(mask)
-}

@@ -1,6 +1,8 @@
 package optimizer
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -78,43 +80,81 @@ func TestCatalogSizes(t *testing.T) {
 	}
 }
 
+// TestCatalogSizeMatchesEvaluationEverywhere checks every mask's Size
+// against the tuple-map JoinAll of the restricted database, over 120 random
+// schemes (disconnected ones included, with domains from dense to sparse so
+// the join kernels index on both table shapes) and the adversarial corpus.
 func TestCatalogSizeMatchesEvaluationEverywhere(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 30; trial++ {
-		h, err := workload.RandomScheme(rng, workload.RandomSchemeSpec{
-			Relations: 2 + rng.Intn(4), Attrs: 4, MaxArity: 3, Connected: false,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		db, err := workload.RandomDatabase(rng, h, 1+rng.Intn(8), 3)
-		if err != nil {
-			t.Fatal(err)
-		}
+	check := func(name string, db *relation.Database) {
+		t.Helper()
+		h := hypergraph.OfScheme(db)
 		c := NewCatalog(db, 0)
 		for mask := hypergraph.Mask(1); mask <= h.Full(); mask++ {
 			got, err := c.Size(mask)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Reference: join the restricted database directly.
 			sub, err := db.Restrict(mask.Indexes())
 			if err != nil {
 				t.Fatal(err)
 			}
 			if want := int64(sub.Join().Len()); got != want {
-				t.Fatalf("trial %d: Size(%v) = %d, want %d on %s", trial, mask, got, want, h)
+				t.Fatalf("%s: Size(%v) = %d, want %d on %s", name, mask, got, want, h)
 			}
 		}
 	}
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 120; trial++ {
+		h, err := workload.RandomScheme(rng, workload.RandomSchemeSpec{
+			Relations: 2 + rng.Intn(4), Attrs: 4, MaxArity: 3, Connected: false,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err := workload.RandomDatabase(rng, h, 1+rng.Intn(40), 2+rng.Intn(60))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("trial %d", trial), db)
+	}
+	cases, err := workload.AdversarialCases()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ac := range cases {
+		db, err := ac.Database()
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(ac.Name, db)
+	}
 }
 
+// TestCatalogBudget pins the catalog's materialization accounting on the
+// 4-cycle: the full search spends exactly 4 804 tuples, a budget of exactly
+// that passes, one less fails with ErrBudget, and a tiny budget stops at
+// the first join past it.
 func TestCatalogBudget(t *testing.T) {
 	db, _ := cycleDB(t, 3, 20)
+	const total = 4804
+	full := hypergraph.OfScheme(db).Full()
+	free := NewCatalog(db, 0)
+	if _, err := free.Size(full); err != nil || free.Spent() != total {
+		t.Fatalf("unbounded search: Spent %d, err %v; want %d, nil", free.Spent(), err, total)
+	}
+	if _, err := NewCatalog(db, total).Size(full); err != nil {
+		t.Errorf("budget == Spent must pass, got %v", err)
+	}
+	for _, budget := range []int64{total - 1, 10} {
+		c := NewCatalog(db, budget)
+		if _, err := c.Size(full); !errors.Is(err, ErrBudget) {
+			t.Errorf("budget %d: err = %v, want ErrBudget", budget, err)
+		}
+	}
 	c := NewCatalog(db, 10) // absurdly small budget
-	_, err := c.Size(c.Hypergraph().Full())
-	if err != ErrBudget {
-		t.Errorf("err = %v, want ErrBudget", err)
+	_, _ = c.Size(full)
+	if c.Spent() != 1201 {
+		t.Errorf("budget 10 stopped at Spent %d, want 1201", c.Spent())
 	}
 }
 
@@ -124,7 +164,7 @@ func TestCatalogRejectsEmptyAndDisconnectedMaterialize(t *testing.T) {
 	if _, err := c.Size(0); err == nil {
 		t.Error("Size(∅) accepted")
 	}
-	if _, err := c.Materialize(hypergraph.MaskOf(0, 2)); err == nil {
+	if _, err := c.materialize(hypergraph.MaskOf(0, 2)); err == nil {
 		t.Error("Materialize of disconnected subset accepted")
 	}
 }

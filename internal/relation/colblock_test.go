@@ -124,31 +124,63 @@ func TestSelVecZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestKernelProbeZeroAllocs pins the join kernel's off-path: probing a
-// prebuilt hash table with packed uint64 keys — hits and misses, including
-// probes whose codes have no image in the build dictionary — allocates
-// nothing per probe row.
+// TestKernelProbeZeroAllocs pins the join kernel's probe path at zero
+// allocations on both table shapes — the direct-addressed arrays and the
+// packed uint64 map — over hits, misses, and probes whose codes have no
+// image in the build dictionary.
 func TestKernelProbeZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(2035))
-	build := randRel(rng, "AB", 256, 8)
-	probe := randRel(rng, "BC", 256, 16) // wider domain: misses and no-image codes
-	lb, rb := FromRelation(build), FromRelation(probe)
-	common := lb.Schema().AttrSet().Intersect(rb.Schema().AttrSet())
-	lPos, _ := lb.Schema().Positions(common)
-	rPos, _ := rb.Schema().Positions(common)
-	ht := buildCodeHash(lb, lPos)
-	probeCols := keyCols(rb, rPos)
-	remaps := remapCols(rb, rPos, lb, lPos)
-	n := rb.Len()
-	sink := 0
-	if avg := testing.AllocsPerRun(100, func() {
-		for i := 0; i < n; i++ {
-			sink += len(ht.lookup(probeCols, remaps, i))
+	for _, c := range []struct {
+		build, probe string
+		domain       int
+		direct       bool
+	}{
+		{"AB", "BC", 8, true},
+		{"ABC", "BCD", 400, false},
+	} {
+		lb := FromRelation(randRel(rng, c.build, 256, c.domain))
+		rb := FromRelation(randRel(rng, c.probe, 256, 2*c.domain)) // wider domain: misses and no-image codes
+		common := lb.Schema().AttrSet().Intersect(rb.Schema().AttrSet())
+		lPos, _ := lb.Schema().Positions(common)
+		rPos, _ := rb.Schema().Positions(common)
+		ht := buildCodeHash(lb, lPos)
+		if direct := ht.start != nil; direct != c.direct {
+			t.Fatalf("%s ⋈ %s over domain %d: direct table %v, want %v", c.build, c.probe, c.domain, direct, c.direct)
 		}
-	}); avg != 0 {
-		t.Fatalf("packed-key probe loop allocates %.1f times per run, want 0", avg)
+		probeCols := keyCols(rb, rPos)
+		remaps := remapCols(rb, rPos, lb, lPos)
+		n := rb.Len()
+		sink := 0
+		if avg := testing.AllocsPerRun(100, func() {
+			for i := 0; i < n; i++ {
+				sink += len(ht.lookup(probeCols, remaps, i))
+			}
+		}); avg != 0 {
+			t.Fatalf("%s ⋈ %s (direct %v): probe loop allocates %.1f times per run, want 0", c.build, c.probe, c.direct, avg)
+		}
+		_ = sink
 	}
-	_ = sink
+}
+
+// TestJoinAllocatesPerColumnNotPerRow pins what count-then-fill buys: a
+// join of encoded blocks allocates its tables and one code vector per
+// output column, so its allocation count is the same at 15× the rows and
+// 9× the output.
+func TestJoinAllocatesPerColumnNotPerRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(2037))
+	allocs := func(n int) (float64, int) {
+		l := FromRelation(randRel(rng, "ABC", n, 8))
+		r := FromRelation(randRel(rng, "BCD", n, 8))
+		var out *ColBlock
+		avg := testing.AllocsPerRun(20, func() { out, _ = JoinBlocksGoverned(nil, l, r) })
+		return avg, out.Len()
+	}
+	small, smallOut := allocs(200)
+	big, bigOut := allocs(3000)
+	if big != small || big > 40 {
+		t.Fatalf("join allocates %.0f times for %d output rows and %.0f for %d, want one count of at most 40",
+			small, smallOut, big, bigOut)
+	}
 }
 
 // TestToRelationSlabDecode pins the decode at three allocations whatever

@@ -22,9 +22,12 @@ import (
 // the probe side's sorted dictionary is merged once against the build
 // side's (O(|dictL| + |dictR|)), yielding probe-code → build-code (or -1
 // when the value is absent and the row can never match). After that, all
-// per-row work is uint32 comparisons and integer-keyed map operations; with
-// one or two join columns the codes pack collision-free into a single
-// uint64 key, so the probe loop performs no allocation at all.
+// per-row work is integer arithmetic on codes. The side being indexed picks
+// its table's shape from its own size (directSpace): when its key columns'
+// dictionaries span few enough keys, a key is the mixed-radix number of its
+// codes and the table is a plain array over the key space; otherwise keys
+// pack into a uint64 map (one or two columns) or a byte-string map (three
+// or more). Either way the probe loop allocates nothing.
 
 // JoinBlocksGoverned computes the natural join l ⋈ r over column blocks.
 // The output schema is l's columns followed by r's columns not in l, and
@@ -35,9 +38,9 @@ func JoinBlocksGoverned(g *govern.Governor, l, r *ColBlock) (*ColBlock, error) {
 }
 
 // ParallelJoinBlocksGoverned is JoinBlocksGoverned probing with up to
-// workers goroutines: the build table is hashed once, the probe side is cut
+// workers goroutines: the build table is built once, the probe side is cut
 // into contiguous row ranges, every range charges its per-row deltas into
-// the operator's one scope, and the range outputs concatenate in range
+// the operator's one scope, and the ranges write their output rows in range
 // order. Output rows, their order, the charged total, and the budget-abort
 // boundary therefore equal the single-range run exactly. workers <= 1 and
 // inputs below the parallel threshold probe as one range on the calling
@@ -49,58 +52,84 @@ func ParallelJoinBlocksGoverned(g *govern.Governor, l, r *ColBlock, workers int)
 	}
 	workers = rangeWorkers(workers, l.n+r.n)
 	common := l.schema.AttrSet().Intersect(r.schema.AttrSet())
-	var rOnlyPos []int
-	for i, a := range r.schema.Attrs() {
-		if !l.schema.Has(a) {
-			rOnlyPos = append(rOnlyPos, i)
-		}
-	}
-	outSchema := joinSchema(l.schema, r.schema)
-	newOut := func() *ColBlock { return newJoinedBlock(outSchema, l, r, rOnlyPos) }
-
+	schema := joinSchema(l.schema, r.schema)
 	if common.IsEmpty() {
-		return runBlockRanges(scope, l.n, workers, newOut, func(out *ColBlock, lo, hi int, charge rowCharger) error {
-			for i := lo; i < hi; i++ {
-				for j := 0; j < r.n; j++ {
-					out.appendJoined(l, r, i, j, rOnlyPos)
-					if err := charge.row(1); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		})
+		// The Cartesian product: every l row pairs with every r row, charged
+		// one pair at a time as the tuple-map join does.
+		all := make([]int32, r.n)
+		for j := range all {
+			all[j] = int32(j)
+		}
+		return countThenFill(scope, workers, l.n, schema, joinSources(l, r, true), func() matcher {
+			return func(int) []int32 { return all }
+		}, true)
 	}
+	ix := indexJoin(l, r, common)
+	return countThenFill(scope, workers, ix.probeN, schema, joinSources(l, r, ix.probeIsL), func() matcher {
+		ht := ix.build.reader()
+		return func(p int) []int32 { return ht.lookup(ix.probe, ix.remaps, p) }
+	}, false)
+}
 
-	// The smaller side is hashed and the other probes it, as in
-	// hashJoinInto; output rows read (l row, r-only columns) either way.
+// JoinSizeBlocks returns |l ⋈ r| without building the join: the smaller side
+// is indexed exactly as JoinBlocksGoverned indexes it, and every probe row
+// adds its number of matches. It charges nothing.
+func JoinSizeBlocks(l, r *ColBlock) int64 {
+	common := l.schema.AttrSet().Intersect(r.schema.AttrSet())
+	if common.IsEmpty() {
+		return int64(l.n) * int64(r.n)
+	}
+	ix := indexJoin(l, r, common)
+	var n int64
+	for p := 0; p < ix.probeN; p++ {
+		n += int64(len(ix.build.lookup(ix.probe, ix.remaps, p)))
+	}
+	return n
+}
+
+// joinIndex is a join's build table over the smaller side (l on a tie, as
+// in hashJoinInto), with the probe side's key columns and their remaps into
+// the table's key space.
+type joinIndex struct {
+	build    *codeHash
+	probe    [][]uint32
+	remaps   [][]int32
+	probeIsL bool
+	probeN   int
+}
+
+// indexJoin builds the joinIndex of l ⋈ r on their nonempty common
+// attributes.
+func indexJoin(l, r *ColBlock, common AttrSet) joinIndex {
 	lPos, _ := l.schema.Positions(common)
 	rPos, _ := r.schema.Positions(common)
-	buildSide, buildPos, probeSide, probePos := l, lPos, r, rPos
+	build, buildPos, probe, probePos := l, lPos, r, rPos
 	probeIsL := l.n > r.n
 	if probeIsL {
-		buildSide, buildPos, probeSide, probePos = r, rPos, l, lPos
+		build, buildPos, probe, probePos = r, rPos, l, lPos
 	}
-	build := buildCodeHash(buildSide, buildPos)
-	probe := keyCols(probeSide, probePos)
-	remaps := remapCols(probeSide, probePos, buildSide, buildPos)
-	return runBlockRanges(scope, probeSide.n, workers, newOut, func(out *ColBlock, lo, hi int, charge rowCharger) error {
-		ht := build.reader()
-		for p := lo; p < hi; p++ {
-			matches := ht.lookup(probe, remaps, p)
-			for _, b := range matches {
-				if probeIsL {
-					out.appendJoined(l, r, p, int(b), rOnlyPos)
-				} else {
-					out.appendJoined(l, r, int(b), p, rOnlyPos)
-				}
-			}
-			if err := charge.row(len(matches)); err != nil {
-				return err
-			}
+	return joinIndex{
+		build:    buildCodeHash(build, buildPos),
+		probe:    keyCols(probe, probePos),
+		remaps:   remapCols(probe, probePos, build, buildPos),
+		probeIsL: probeIsL,
+		probeN:   probe.n,
+	}
+}
+
+// joinSources lists a join's output columns — l's, then r's columns not in
+// l — with the side each is read from.
+func joinSources(l, r *ColBlock, probeIsL bool) []colSource {
+	srcs := make([]colSource, 0, r.schema.Len()+l.schema.Len())
+	for _, col := range l.cols {
+		srcs = append(srcs, colSource{col.dict, col.codes, probeIsL})
+	}
+	for i, a := range r.schema.Attrs() {
+		if !l.schema.Has(a) {
+			srcs = append(srcs, colSource{r.cols[i].dict, r.cols[i].codes, !probeIsL})
 		}
-		return nil
-	})
+	}
+	return srcs
 }
 
 // SemijoinBlocksGoverned computes l ⋉ r over column blocks: the rows of l
@@ -121,40 +150,34 @@ func ParallelSemijoinBlocksGoverned(g *govern.Governor, l, r *ColBlock, workers 
 	}
 	workers = rangeWorkers(workers, l.n+r.n)
 	common := l.schema.AttrSet().Intersect(r.schema.AttrSet())
-	newOut := func() *ColBlock { return newSelectedBlock(l) }
-	// emit appends the rows of l in [lo, hi) that keep accepts, charging one
-	// call per row.
-	emit := func(keep func(i int) bool) func(*ColBlock, int, int, rowCharger) error {
-		return func(out *ColBlock, lo, hi int, charge rowCharger) error {
-			for i := lo; i < hi; i++ {
-				emitted := 0
-				if keep(i) {
-					out.appendFrom(l, i)
-					emitted = 1
-				}
-				if err := charge.row(emitted); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
+	// The output is l's supported rows: l probes, every output column is
+	// read from it, and a supported row's one "match" is a placeholder.
+	srcs := make([]colSource, len(l.cols))
+	for c, col := range l.cols {
+		srcs[c] = colSource{col.dict, col.codes, true}
+	}
+	hit := []int32{0}
+	emit := func(n int, newMatcher func() matcher) (*ColBlock, error) {
+		return countThenFill(scope, workers, n, l.schema, srcs, newMatcher, false)
 	}
 	if common.IsEmpty() {
+		// l ⋉ r is l when r has a row and empty otherwise.
+		n := l.n
 		if r.n == 0 {
-			return newOut(), nil
+			n = 0
 		}
-		return runBlockRanges(scope, l.n, workers, newOut, emit(func(int) bool { return true }))
+		return emit(n, func() matcher { return func(int) []int32 { return hit } })
 	}
 	lPos, _ := l.schema.Positions(common)
 	rPos, _ := r.schema.Positions(common)
 	lCols, rCols := keyCols(l, lPos), keyCols(r, rPos)
 	if l.n <= r.n {
-		// Hash the smaller (left) side: number l's distinct keys, scan r
+		// Index the smaller (left) side: number l's distinct keys, scan r
 		// marking which have support, then emit the supported l rows — the
 		// same |l|-bounded-memory shape as the sequential operator. Every
 		// range of the r scan marks its own bit vector (the key table is
 		// read-only by then); the vectors are OR-ed before the emit pass.
-		keys := newCodeSet(len(lPos), l.n)
+		keys := newCodeSet(l, lPos)
 		keyOf := make([]int32, l.n)
 		for i := range keyOf {
 			keyOf[i], _ = keys.put(lCols, i)
@@ -184,22 +207,34 @@ func ParallelSemijoinBlocksGoverned(g *govern.Governor, l, r *ColBlock, workers 
 				supported[id] = supported[id] || ok
 			}
 		}
-		return runBlockRanges(scope, l.n, workers, newOut, emit(func(i int) bool { return supported[keyOf[i]] }))
+		return emit(l.n, func() matcher {
+			return func(i int) []int32 {
+				if supported[keyOf[i]] {
+					return hit
+				}
+				return nil
+			}
+		})
 	}
-	keys := newCodeSet(len(rPos), r.n)
+	keys := newCodeSet(r, rPos)
 	for j := 0; j < r.n; j++ {
 		keys.put(rCols, j)
 	}
 	remaps := remapCols(l, lPos, r, rPos)
-	return runBlockRanges(scope, l.n, workers, newOut, func(out *ColBlock, lo, hi int, charge rowCharger) error {
+	return emit(l.n, func() matcher {
 		set := keys.reader()
-		return emit(func(i int) bool { return set.find(lCols, remaps, i) >= 0 })(out, lo, hi, charge)
+		return func(i int) []int32 {
+			if set.find(lCols, remaps, i) >= 0 {
+				return hit
+			}
+			return nil
+		}
 	})
 }
 
 // ProjectBlocksGoverned computes π_attrs(b) over a column block,
-// deduplicating on packed dictionary codes. Output columns share the
-// source columns' dictionaries.
+// deduplicating on dictionary-code keys. Output columns share the source
+// columns' dictionaries.
 func ProjectBlocksGoverned(g *govern.Governor, b *ColBlock, attrs AttrSet) (*ColBlock, error) {
 	if !b.schema.AttrSet().ContainsAll(attrs) {
 		return nil, fmt.Errorf("relation: projection attributes %s not all in schema %s",
@@ -215,7 +250,7 @@ func ProjectBlocksGoverned(g *govern.Governor, b *ColBlock, attrs AttrSet) (*Col
 		out.cols[k].dict = b.cols[p].dict
 	}
 	cols := keyCols(b, pos)
-	seen := newCodeSet(len(pos), b.n)
+	seen := newCodeSet(b, pos)
 	for i := 0; i < b.n; i++ {
 		if _, fresh := seen.put(cols, i); fresh {
 			for k, p := range pos {
@@ -227,6 +262,87 @@ func ProjectBlocksGoverned(g *govern.Governor, b *ColBlock, attrs AttrSet) (*Col
 			return nil, err
 		}
 	}
+	return out, nil
+}
+
+// matcher returns the build rows probe row p pairs with, in increasing row
+// order. The slice belongs to the table and must not be modified.
+type matcher func(p int) []int32
+
+// colSource is one output column of a kernel: its dictionary, and the code
+// column it is read from — on the probe side one code per probe row,
+// repeated for each of the row's matches, otherwise one code per matched
+// build row.
+type colSource struct {
+	dict      []Value
+	codes     []uint32
+	fromProbe bool
+}
+
+// countThenFill runs a kernel's two passes over nProbe probe rows, cut into
+// up to workers contiguous ranges. The count pass asks every probe row for
+// its matches and charges them — one governor call per probe row, or one
+// per output pair when perPair — exactly as the tuple-map operator does.
+// Only when every range counted without error does the fill pass allocate
+// each output column once and write each range's rows from that range's
+// offset, so an aborted kernel writes no output. Each pass builds its own
+// matcher per range, so a matcher may keep private scratch state.
+func countThenFill(scope *govern.OpScope, workers, nProbe int, schema *Schema, srcs []colSource, newMatcher func() matcher, perPair bool) (*ColBlock, error) {
+	bounds := splitRanges(nProbe, workers)
+	at := make([]int, len(bounds)) // at[k+1] counts range k's rows, then becomes its end offset
+	err := runRanges(scope, bounds, func(k, lo, hi int, charge rowCharger) error {
+		matches, n := newMatcher(), 0
+		for p := lo; p < hi; p++ {
+			m := matches(p)
+			n += len(m)
+			if perPair {
+				for range m {
+					if err := charge.row(1); err != nil {
+						return err
+					}
+				}
+			} else if err := charge.row(len(m)); err != nil {
+				return err
+			}
+		}
+		at[k+1] = n
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for k := 1; k < len(at); k++ {
+		at[k] += at[k-1]
+	}
+	out := &ColBlock{schema: schema, cols: make([]column, len(srcs)), n: at[len(at)-1]}
+	for c, src := range srcs {
+		out.cols[c] = column{dict: src.dict, codes: make([]uint32, out.n)}
+	}
+	// The fill charges nothing: a nil scope only splits the work.
+	_ = runRanges(nil, bounds, func(k, lo, hi int, _ rowCharger) error {
+		matches, row := newMatcher(), at[k]
+		for p := lo; p < hi; p++ {
+			m := matches(p)
+			if len(m) == 0 {
+				continue
+			}
+			for c, src := range srcs {
+				dst := out.cols[c].codes[row : row+len(m)]
+				if src.fromProbe {
+					code := src.codes[p]
+					for i := range dst {
+						dst[i] = code
+					}
+				} else {
+					for i, b := range m {
+						dst[i] = src.codes[b]
+					}
+				}
+			}
+			row += len(m)
+		}
+		return nil
+	})
 	return out, nil
 }
 
@@ -342,87 +458,6 @@ func runRanges(scope *govern.OpScope, bounds []int, body func(k, lo, hi int, cha
 	})
 }
 
-// runBlockRanges runs a kernel's probe loop over [0, n) as up to workers
-// ranges, each appending to its own output block from newOut, and
-// concatenates the range outputs in range order.
-func runBlockRanges(scope *govern.OpScope, n, workers int, newOut func() *ColBlock, body func(out *ColBlock, lo, hi int, charge rowCharger) error) (*ColBlock, error) {
-	bounds := splitRanges(n, workers)
-	parts := make([]*ColBlock, len(bounds)-1)
-	err := runRanges(scope, bounds, func(k, lo, hi int, charge rowCharger) error {
-		parts[k] = newOut()
-		return body(parts[k], lo, hi, charge)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return concatBlocks(parts), nil
-}
-
-// concatBlocks appends the parts' rows in order. The parts come from one
-// newOut, so they agree on schema and dictionaries.
-func concatBlocks(parts []*ColBlock) *ColBlock {
-	out := parts[0]
-	if len(parts) == 1 {
-		return out
-	}
-	total := 0
-	for _, p := range parts {
-		total += p.n
-	}
-	for c := range out.cols {
-		codes := make([]uint32, 0, total)
-		for _, p := range parts {
-			codes = append(codes, p.cols[c].codes...)
-		}
-		out.cols[c].codes = codes
-	}
-	out.n = total
-	return out
-}
-
-// newJoinedBlock prepares the output block of a join: l's columns then r's
-// rOnlyPos columns, each sharing its source dictionary.
-func newJoinedBlock(schema *Schema, l, r *ColBlock, rOnlyPos []int) *ColBlock {
-	out := &ColBlock{schema: schema, cols: make([]column, len(l.cols)+len(rOnlyPos))}
-	for c := range l.cols {
-		out.cols[c].dict = l.cols[c].dict
-	}
-	for k, p := range rOnlyPos {
-		out.cols[len(l.cols)+k].dict = r.cols[p].dict
-	}
-	return out
-}
-
-// appendJoined appends the output row (l row i, r row j's rOnlyPos columns).
-func (out *ColBlock) appendJoined(l, r *ColBlock, i, j int, rOnlyPos []int) {
-	nl := len(l.cols)
-	for c := 0; c < nl; c++ {
-		out.cols[c].codes = append(out.cols[c].codes, l.cols[c].codes[i])
-	}
-	for k, p := range rOnlyPos {
-		out.cols[nl+k].codes = append(out.cols[nl+k].codes, r.cols[p].codes[j])
-	}
-	out.n++
-}
-
-// newSelectedBlock prepares an output block selecting rows of src: same
-// schema, shared dictionaries, empty code vectors.
-func newSelectedBlock(src *ColBlock) *ColBlock {
-	out := &ColBlock{schema: src.schema, cols: make([]column, len(src.cols))}
-	for c := range src.cols {
-		out.cols[c].dict = src.cols[c].dict
-	}
-	return out
-}
-
-// appendFrom appends row i of src.
-func (out *ColBlock) appendFrom(src *ColBlock, i int) {
-	for c := range src.cols {
-		out.cols[c].codes = append(out.cols[c].codes, src.cols[c].codes[i])
-	}
-	out.n++
-}
-
 // remapCols builds, for every key column, probe-code → build-code (or -1
 // when the probe value is absent from the build dictionary). One sorted
 // merge per column; after this, cross-block matching is pure integer work.
@@ -499,9 +534,64 @@ func keyCols(b *ColBlock, pos []int) [][]uint32 {
 	return cols
 }
 
-// codeHash is the join build table: build-row indexes keyed by packed codes
-// (uint64 map up to two key columns, byte-string map beyond).
+// directSlack is the key-space allowance of directSpace: a side of n rows
+// is addressed directly when its key columns span at most 8·n + directSlack
+// keys. The arrays then take 4·(K+n) bytes, no more than the map entries
+// they replace, and the slack covers tiny blocks over small dictionaries.
+const directSlack = 256
+
+// keySpace numbers the keys of one block's key columns by mixed radix: the
+// key of codes (c_0, …, c_m) is Σ c_k·strides[k], dense in [0, size), where
+// the radixes are the columns' dictionary sizes.
+type keySpace struct {
+	strides []int
+	size    int
+}
+
+// directSpace returns the key space of b's columns at pos and whether it is
+// small enough to address directly: size ≤ 8·b.n + directSlack. The rule
+// reads only the block, so the same input always gets the same table.
+func directSpace(b *ColBlock, pos []int) (keySpace, bool) {
+	limit := 8*b.n + directSlack
+	s := keySpace{strides: make([]int, len(pos)), size: 1}
+	for k := len(pos) - 1; k >= 0; k-- {
+		s.strides[k] = s.size
+		d := len(b.cols[pos[k]].dict)
+		if d > 0 && s.size > limit/d {
+			return keySpace{}, false
+		}
+		s.size *= d
+	}
+	return s, true
+}
+
+// at returns row i's key, read from the code columns cols and translated
+// through remaps as packedKeyAt does. ok is false when a code has no image,
+// in which case the row cannot match anything.
+func (s keySpace) at(cols [][]uint32, remaps [][]int32, i int) (key int, ok bool) {
+	for k, codes := range cols {
+		c := int(codes[i])
+		if remaps != nil {
+			m := remaps[k][c]
+			if m < 0 {
+				return 0, false
+			}
+			c = int(m)
+		}
+		key += c * s.strides[k]
+	}
+	return key, true
+}
+
+// codeHash is the join build table: build-row indexes keyed by codes. When
+// directSpace allows it the table is CSR over the key space — the rows of
+// key k are rows[start[k]:start[k+1]] — and otherwise a map keyed by packed
+// codes (uint64 up to two key columns, byte string beyond). Either way each
+// key's rows are in increasing row order.
 type codeHash struct {
+	space  keySpace
+	start  []int32
+	rows   []int32
 	packed map[uint64][]int32
 	wide   map[string][]int32
 	buf    []byte
@@ -509,8 +599,28 @@ type codeHash struct {
 
 // buildCodeHash indexes b's rows on the key columns at pos.
 func buildCodeHash(b *ColBlock, pos []int) *codeHash {
-	h := &codeHash{}
 	cols := keyCols(b, pos)
+	if space, ok := directSpace(b, pos); ok {
+		// A counting sort: count each key's rows, prefix-sum the counts to
+		// each key's end, then place rows from the last one backwards, which
+		// leaves start[k] at the key's first slot and every key's rows in
+		// increasing order.
+		h := &codeHash{space: space, start: make([]int32, space.size+1), rows: make([]int32, b.n)}
+		for i := 0; i < b.n; i++ {
+			k, _ := space.at(cols, nil, i)
+			h.start[k]++
+		}
+		for k := 1; k <= space.size; k++ {
+			h.start[k] += h.start[k-1]
+		}
+		for i := b.n - 1; i >= 0; i-- {
+			k, _ := space.at(cols, nil, i)
+			h.start[k]--
+			h.rows[h.start[k]] = int32(i)
+		}
+		return h
+	}
+	h := &codeHash{}
 	if len(pos) <= 2 {
 		h.packed = make(map[uint64][]int32, b.n)
 		for i := 0; i < b.n; i++ {
@@ -527,17 +637,27 @@ func buildCodeHash(b *ColBlock, pos []int) *codeHash {
 	return h
 }
 
-// reader returns a view of the table for one probing goroutine: the maps
-// are shared (read-only once built), the wide-key scratch buffer is private.
+// reader returns a view of the table for one probing goroutine: the arrays
+// and maps are shared (read-only once built), the wide-key scratch buffer
+// is private.
 func (h *codeHash) reader() *codeHash {
-	return &codeHash{packed: h.packed, wide: h.wide}
+	r := *h
+	r.buf = nil
+	return &r
 }
 
 // lookup returns the build rows matching probe row i, read from the probe
 // side's code columns and translated through remaps. A probe whose codes
 // have no image in the build dictionaries returns nil without touching the
-// map. With packed keys the whole call is allocation-free.
+// table. Direct and packed lookups allocate nothing.
 func (h *codeHash) lookup(probeCols [][]uint32, remaps [][]int32, i int) []int32 {
+	if h.start != nil {
+		k, ok := h.space.at(probeCols, remaps, i)
+		if !ok {
+			return nil
+		}
+		return h.rows[h.start[k]:h.start[k+1]]
+	}
 	if h.packed != nil {
 		k, ok := packedKeyAt(probeCols, remaps, i)
 		if !ok {
@@ -553,38 +673,59 @@ func (h *codeHash) lookup(probeCols [][]uint32, remaps [][]int32, i int) []int32
 	return h.wide[string(buf)]
 }
 
-// codeSet numbers the distinct packed code keys it is given, densely from 0
-// in first-seen order: the semijoin key table (whose ids index the support
-// bit vectors) and the projection dedup table.
+// codeSet numbers the distinct code keys it is given, densely from 0 in
+// first-seen order: the semijoin key table (whose ids index the support bit
+// vectors) and the projection dedup table. When directSpace allows it the
+// ids live in an array over the key space, −1 marking an absent key, and
+// otherwise in a map keyed by packed codes, as in codeHash.
 type codeSet struct {
+	space  keySpace
+	ids    []int32
+	n      int32 // keys numbered in ids
 	packed map[uint64]int32
 	wide   map[string]int32
 	buf    []byte
 }
 
-// newCodeSet prepares an empty set over ncols key columns, sized for n rows.
-func newCodeSet(ncols, n int) *codeSet {
-	s := &codeSet{}
-	if ncols <= 2 {
-		s.packed = make(map[uint64]int32, n)
-	} else {
-		s.wide = make(map[string]int32, n)
+// newCodeSet prepares an empty set over b's key columns at pos, sized for
+// b's rows.
+func newCodeSet(b *ColBlock, pos []int) *codeSet {
+	if space, ok := directSpace(b, pos); ok {
+		ids := make([]int32, space.size)
+		for k := range ids {
+			ids[k] = -1
+		}
+		return &codeSet{space: space, ids: ids}
 	}
-	return s
+	if len(pos) <= 2 {
+		return &codeSet{packed: make(map[uint64]int32, b.n)}
+	}
+	return &codeSet{wide: make(map[string]int32, b.n)}
 }
 
 // len returns the number of distinct keys.
-func (s *codeSet) len() int { return len(s.packed) + len(s.wide) }
+func (s *codeSet) len() int { return int(s.n) + len(s.packed) + len(s.wide) }
 
-// reader is codeHash.reader for a finished set: shared maps, private
+// reader is codeHash.reader for a finished set: shared tables, private
 // scratch buffer, find only.
 func (s *codeSet) reader() *codeSet {
-	return &codeSet{packed: s.packed, wide: s.wide}
+	r := *s
+	r.buf = nil
+	return &r
 }
 
 // put returns the id of row i's key, inserting it when absent; fresh
 // reports whether this call inserted it (the projection dedup step).
 func (s *codeSet) put(cols [][]uint32, i int) (id int32, fresh bool) {
+	if s.ids != nil {
+		k, _ := s.space.at(cols, nil, i)
+		if id := s.ids[k]; id >= 0 {
+			return id, false
+		}
+		s.ids[k] = s.n
+		s.n++
+		return s.ids[k], true
+	}
 	if s.packed != nil {
 		k, _ := packedKeyAt(cols, nil, i)
 		if id, ok := s.packed[k]; ok {
@@ -607,6 +748,12 @@ func (s *codeSet) put(cols [][]uint32, i int) (id int32, fresh bool) {
 // columns and translated through remaps, or -1 when the key is absent or a
 // code has no image in the key space (such a row cannot match).
 func (s *codeSet) find(cols [][]uint32, remaps [][]int32, i int) int32 {
+	if s.ids != nil {
+		if k, ok := s.space.at(cols, remaps, i); ok {
+			return s.ids[k]
+		}
+		return -1
+	}
 	if s.packed != nil {
 		if k, ok := packedKeyAt(cols, remaps, i); ok {
 			if id, present := s.packed[k]; present {

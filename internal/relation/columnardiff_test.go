@@ -2,8 +2,10 @@ package relation
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/govern"
@@ -574,5 +576,157 @@ func TestColumnarStringValues(t *testing.T) {
 	}
 	if got := out.ToRelation(); !got.Equal(want) {
 		t.Fatalf("mixed-type join: columnar %d tuples, sequential %d", got.Len(), want.Len())
+	}
+}
+
+// shapePairs are the schemes the table-shape tests sweep: one, two and three
+// key columns, then the disjoint (Cartesian) pair.
+var shapePairs = [][2]string{{"AB", "BC"}, {"ABC", "BCD"}, {"ABCD", "BCDE"}, {"AB", "CD"}}
+
+// cutBlock returns the rows of b whose first column equals row 0's, cut by
+// the semijoin kernel so the result keeps b's full dictionaries: a block
+// with a non-minimal dictionary, as every kernel output has. An empty b is
+// returned as is.
+func cutBlock(b *ColBlock) *ColBlock {
+	if b.Len() == 0 {
+		return b
+	}
+	key := New(MustSchema(b.Schema().Attrs()[0]))
+	key.MustInsert(Tuple{b.Value(0, 0)})
+	out, err := SemijoinBlocksGoverned(nil, b, FromRelation(key))
+	if err != nil {
+		panic(err) // unreachable: a nil governor never aborts
+	}
+	return out
+}
+
+// sameRowsAs reports whether block b holds r's rows in r's order over the
+// same column order.
+func sameRowsAs(b *ColBlock, r *Relation) bool {
+	if b.Len() != r.Len() || !slices.Equal(b.Schema().Attrs(), r.Schema().Attrs()) {
+		return false
+	}
+	for i, row := range r.Rows() {
+		for c, v := range row {
+			if !b.Value(i, c).Equal(v) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// checkKernelAgainstTupleMap runs kernel on (l, r) at workers 1, 2 and 4 and
+// the tuple-map oracle on the decoded blocks: the kernel must return the
+// oracle's rows in the oracle's order and charge its total, and on a budget
+// one tuple short it must abort with ErrTupleBudget — on one range at the
+// very charge the oracle aborts at.
+func checkKernelAgainstTupleMap(t *testing.T, name string, l, r *ColBlock,
+	kernel func(*govern.Governor, *ColBlock, *ColBlock, int) (*ColBlock, error),
+	oracle func(*govern.Governor, *Relation, *Relation) (*Relation, error)) {
+	t.Helper()
+	lt, rt := l.ToRelation(), r.ToRelation()
+	g := govern.New(govern.Limits{MaxTuples: 1 << 40})
+	want, err := oracle(g, lt, rt)
+	if err != nil {
+		t.Fatalf("%s oracle: %v", name, err)
+	}
+	total := g.Produced()
+	var abortAt int64
+	if total >= 2 { // a budget of 0 means unlimited
+		ag := govern.New(govern.Limits{MaxTuples: total - 1, CheckEvery: 1})
+		if _, err := oracle(ag, lt, rt); !errors.Is(err, govern.ErrTupleBudget) {
+			t.Fatalf("%s oracle under budget %d: %v", name, total-1, err)
+		}
+		abortAt = ag.Produced()
+	}
+	for _, w := range []int{1, 2, 4} {
+		kg := govern.New(govern.Limits{MaxTuples: 1 << 40})
+		got, err := kernel(kg, l, r, w)
+		if err != nil {
+			t.Fatalf("%s, %d workers: %v", name, w, err)
+		}
+		if err := got.Validate(); err != nil {
+			t.Fatalf("%s, %d workers: %v", name, w, err)
+		}
+		if !sameRowsAs(got, want) || kg.Produced() != total {
+			t.Fatalf("%s, %d workers: %d rows charged %d, tuple-map %d rows charged %d (or row order differs)",
+				name, w, got.Len(), kg.Produced(), want.Len(), total)
+		}
+		if total < 2 {
+			continue
+		}
+		ag := govern.New(govern.Limits{MaxTuples: total - 1, CheckEvery: 1})
+		out, err := kernel(ag, l, r, w)
+		if out != nil || !errors.Is(err, govern.ErrTupleBudget) {
+			t.Fatalf("%s, %d workers: budget %d gave %v, %v; want ErrTupleBudget", name, w, total-1, out, err)
+		}
+		if w == 1 && ag.Produced() != abortAt {
+			t.Fatalf("%s: aborted at charge %d, tuple-map at %d", name, ag.Produced(), abortAt)
+		}
+	}
+}
+
+// TestKernelTableShapesMatchTupleMapOps drives the join, semijoin and
+// projection kernels through both table shapes — the direct-addressed
+// arrays and the packed and wide maps — with one, two and three key
+// columns, minimal and non-minimal dictionaries (blocks cut from semijoin
+// outputs), empty sides, and probe codes with no image in the build
+// dictionary, at workers 1, 2 and 4 with the range split forced on. Rows,
+// row order, Produced and the abort charge must match the tuple-map
+// operators, and every (key columns, shape) pair must be reached.
+func TestKernelTableShapesMatchTupleMapOps(t *testing.T) {
+	defer SetParallelThreshold(0)()
+	rng := rand.New(rand.NewSource(2041))
+	block := func(scheme string, domain int) *ColBlock {
+		if rng.Intn(2) == 0 {
+			return FromRelation(randRel(rng, scheme, rng.Intn(50), domain))
+		}
+		return cutBlock(FromRelation(randRel(rng, scheme, 400, domain)))
+	}
+	type shape struct {
+		keys   int
+		direct bool
+	}
+	reached := map[shape]bool{}
+	for trial := 0; trial < 400; trial++ {
+		pair := shapePairs[trial%len(shapePairs)]
+		domain := []int{2, 6, 40, 1000}[rng.Intn(4)]
+		l, r := block(pair[0], domain), block(pair[1], domain)
+		name := fmt.Sprintf("trial %d (%s ⋈ %s, %d×%d rows, domain %d)", trial, pair[0], pair[1], l.Len(), r.Len(), domain)
+		if common := l.Schema().AttrSet().Intersect(r.Schema().AttrSet()); !common.IsEmpty() {
+			build := l
+			if l.Len() > r.Len() {
+				build = r
+			}
+			pos, _ := build.Schema().Positions(common)
+			_, direct := directSpace(build, pos)
+			reached[shape{len(pos), direct}] = true
+		}
+		checkKernelAgainstTupleMap(t, "join "+name, l, r, ParallelJoinBlocksGoverned, JoinGoverned)
+		checkKernelAgainstTupleMap(t, "semijoin "+name, l, r, ParallelSemijoinBlocksGoverned, SemijoinGoverned)
+		var attrs AttrSet
+		for _, a := range l.Schema().Attrs() {
+			if rng.Intn(2) == 0 {
+				attrs = append(attrs, a)
+			}
+		}
+		if len(attrs) == 0 {
+			attrs = AttrSet{l.Schema().Attrs()[0]}
+		}
+		project := func(g *govern.Governor, b, _ *ColBlock, _ int) (*ColBlock, error) {
+			return ProjectBlocksGoverned(g, b, attrs)
+		}
+		projectOracle := func(g *govern.Governor, rel, _ *Relation) (*Relation, error) {
+			return ProjectGoverned(g, rel, attrs)
+		}
+		checkKernelAgainstTupleMap(t, fmt.Sprintf("π_%v %s", attrs, name), l, r, project, projectOracle)
+	}
+	for keys := 1; keys <= 3; keys++ {
+		for _, direct := range []bool{true, false} {
+			if !reached[shape{keys, direct}] {
+				t.Errorf("no join indexed %d key columns with direct=%v", keys, direct)
+			}
+		}
 	}
 }

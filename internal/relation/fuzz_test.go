@@ -4,45 +4,77 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/govern"
 )
 
-// FuzzParallelJoinKeys drives the range-split block join with adversarial
-// join-key content: arbitrary byte blobs are decoded into two relations over
-// AB and BC whose B columns carry raw fuzzer-chosen strings (embedded
-// separators, empty keys, invalid UTF-8, near-collisions), and the join of
-// their resident blocks at a fuzzer-chosen worker count, decoded, must equal
-// the tuple-map join exactly. Any dictionary-remap or key-packing confusion
-// shows up as a lost or duplicated output row.
+// FuzzParallelJoinKeys drives the range-split block join and semijoin with
+// adversarial join-key content: arbitrary byte blobs are decoded into two
+// relations whose columns carry raw fuzzer-chosen strings (embedded
+// separators, empty keys, invalid UTF-8, near-collisions), and the kernels
+// over their resident blocks, at a fuzzer-chosen worker count, must return
+// the tuple-map operators' rows in the same order. The workers byte also
+// picks the shape: its low nibble is the worker count, and its high nibble
+// picks one, two or three key columns (value mod 3) and whether either side
+// is first cut to a block with non-minimal dictionaries (bits 4 and 8), so
+// both table shapes and unmatched probe codes are reached. Any
+// dictionary-remap, key-numbering or key-packing confusion shows up as a
+// lost, duplicated or reordered output row.
 func FuzzParallelJoinKeys(f *testing.F) {
 	f.Add([]byte("a\x00b\x001"), []byte("b\x00c\x002"), uint8(2))
 	f.Add([]byte("\x00\x00\x00"), []byte("\x00\x00\x00"), uint8(3))
 	f.Add([]byte("k\xffk\xff\xffk"), []byte("\xffk\xffkk\xff"), uint8(4))
 	f.Add([]byte(""), []byte("x\x00y\x00z"), uint8(1))
 	f.Add([]byte("1\x002\x003\x004\x005\x006"), []byte("2\x004\x006\x008"), uint8(16))
+	f.Add([]byte("a\x00b\x00c\x00a\x00d\x00e\x00f\x00b\x00c"), []byte("b\x00c\x00x\x00d\x00e\x00y"), uint8(0x11))
+	f.Add([]byte("p\x00q\x00r\x00s\x00p\x00t\x00u\x00v"), []byte("q\x00r\x00s\x00w\x00t\x00u\x00v\x00z"), uint8(0x22))
+	f.Add([]byte("k\x00a\x00k\x00b\x00j\x00c"), []byte("a\x001\x00b\x002\x00c\x003"), uint8(0xc3))
 	f.Fuzz(func(t *testing.T, lBlob, rBlob []byte, workers uint8) {
 		defer SetParallelThreshold(0)()
 		w := int(workers%16) + 1
-		l := blobRelation("AB", lBlob)
-		r := blobRelation("BC", rBlob)
-		want := Join(l, r)
-		out, err := ParallelJoinBlocksGoverned(nil, l.Block(), r.Block(), w)
-		if err != nil {
-			t.Fatal(err)
+		shape := int(workers / 16)
+		pair := shapePairs[shape%3]
+		l, r := blobRelation(pair[0], lBlob).Block(), blobRelation(pair[1], rBlob).Block()
+		if shape&4 != 0 {
+			l = cutBlock(l)
 		}
-		if got := out.ToRelation(); !got.Equal(want) {
-			t.Fatalf("block join (%d workers) %d tuples, tuple-map %d\nl=%v\nr=%v",
-				w, got.Len(), want.Len(), lBlob, rBlob)
+		if shape&8 != 0 {
+			r = cutBlock(r)
+		}
+		lt, rt := l.ToRelation(), r.ToRelation()
+		for _, k := range []struct {
+			name   string
+			kernel func(*govern.Governor, *ColBlock, *ColBlock, int) (*ColBlock, error)
+			want   *Relation
+		}{
+			{"join", ParallelJoinBlocksGoverned, Join(lt, rt)},
+			{"semijoin", ParallelSemijoinBlocksGoverned, Semijoin(lt, rt)},
+		} {
+			out, err := k.kernel(nil, l, r, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameRowsAs(out, k.want) {
+				t.Fatalf("block %s (%s, %s, %d workers) %d tuples, tuple-map %d (or order differs)\nl=%q\nr=%q",
+					k.name, pair[0], pair[1], w, out.Len(), k.want.Len(), lBlob, rBlob)
+			}
 		}
 	})
 }
 
-// blobRelation decodes a fuzzer blob into a two-column relation: NUL-split
-// fields fill rows pairwise, so the fuzzer controls the exact key bytes.
+// blobRelation decodes a fuzzer blob into a relation over scheme:
+// NUL-split fields fill rows arity at a time, so the fuzzer controls the
+// exact key bytes.
 func blobRelation(scheme string, blob []byte) *Relation {
 	r := New(SchemaOfRunes(scheme))
+	arity := r.Schema().Len()
 	fields := strings.Split(string(blob), "\x00")
-	for i := 0; i+1 < len(fields); i += 2 {
-		r.MustInsert(Tuple{String(fields[i]), String(fields[i+1])})
+	for i := 0; i+arity <= len(fields); i += arity {
+		row := make(Tuple, arity)
+		for c := range row {
+			row[c] = String(fields[i+c])
+		}
+		r.MustInsert(row)
 	}
 	return r
 }

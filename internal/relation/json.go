@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
+	"strconv"
 )
 
 // JSON wire format (the joind service API speaks this):
@@ -18,10 +20,21 @@ import (
 
 // MarshalJSON renders the value as a bare number or string.
 func (v Value) MarshalJSON() ([]byte, error) {
-	if v.Kind() == KindInt {
-		return json.Marshal(v.AsInt())
+	return v.appendJSON(nil)
+}
+
+// appendJSON appends v's wire form to buf. Strings go through json.Marshal,
+// so HTML escaping, invalid UTF-8 and U+2028/U+2029 come out exactly as the
+// reflective encoder writes them.
+func (v Value) appendJSON(buf []byte) ([]byte, error) {
+	if v.kind == KindInt {
+		return strconv.AppendInt(buf, v.i, 10), nil
 	}
-	return json.Marshal(v.AsString())
+	s, err := json.Marshal(v.s)
+	if err != nil {
+		return nil, err
+	}
+	return append(buf, s...), nil
 }
 
 // UnmarshalJSON reads a number (integer) or string.
@@ -55,9 +68,44 @@ type relationJSON struct {
 }
 
 // MarshalJSON renders the relation as {"attrs": [...], "tuples": [...]}
-// with tuples in deterministic (sorted) order.
+// with tuples in deterministic (sorted) order, appending into one buffer
+// the bytes json.Marshal of relationJSON would produce ("tuples":null when
+// the relation is empty).
 func (r *Relation) MarshalJSON() ([]byte, error) {
-	return json.Marshal(relationJSON{Attrs: r.schema.Attrs(), Tuples: r.SortedRows()})
+	attrs, err := json.Marshal(r.schema.Attrs())
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]byte, 0, len(attrs)+32+8*len(r.rows)*r.schema.Len())
+	buf = append(buf, `{"attrs":`...)
+	buf = append(buf, attrs...)
+	buf = append(buf, `,"tuples":`...)
+	if len(r.rows) == 0 {
+		return append(buf, "null}"...), nil
+	}
+	rows := slices.Clone(r.rows)
+	slices.SortFunc(rows, Tuple.Compare)
+	buf = append(buf, '[')
+	for i, t := range rows {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		if t == nil {
+			buf = append(buf, "null"...)
+			continue
+		}
+		buf = append(buf, '[')
+		for j, v := range t {
+			if j > 0 {
+				buf = append(buf, ',')
+			}
+			if buf, err = v.appendJSON(buf); err != nil {
+				return nil, err
+			}
+		}
+		buf = append(buf, ']')
+	}
+	return append(buf, "]}"...), nil
 }
 
 // UnmarshalJSON reads the wire shape into r, replacing its contents.

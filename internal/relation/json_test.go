@@ -1,7 +1,10 @@
 package relation
 
 import (
+	"bytes"
 	"encoding/json"
+	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -93,5 +96,91 @@ func TestValueJSONExactInt64(t *testing.T) {
 	}
 	if v.Kind() != KindInt || v.AsInt() != big {
 		t.Errorf("got %v, want exact %d", v, big)
+	}
+}
+
+// reflectiveRelationJSON is the reflective encoder Relation.MarshalJSON
+// replaced: json.Marshal over the wire struct, each value boxed as an int64
+// or a string. It is the oracle for the appending encoder.
+func reflectiveRelationJSON(r *Relation) ([]byte, error) {
+	var tuples [][]any
+	for _, t := range r.SortedRows() {
+		var row []any
+		if t != nil {
+			row = make([]any, len(t))
+		}
+		for i, v := range t {
+			if v.Kind() == KindInt {
+				row[i] = v.AsInt()
+			} else {
+				row[i] = v.AsString()
+			}
+		}
+		tuples = append(tuples, row)
+	}
+	return json.Marshal(struct {
+		Attrs  []string `json:"attrs"`
+		Tuples [][]any  `json:"tuples"`
+	}{r.Schema().Attrs(), tuples})
+}
+
+// TestRelationJSONMatchesReflectiveEncoder pins MarshalJSON byte for byte to
+// the reflective encoder — alone and nested in a Database — over random
+// Int/String relations and the strings json escapes specially.
+func TestRelationJSONMatchesReflectiveEncoder(t *testing.T) {
+	rng := rand.New(rand.NewSource(2040))
+	specials := []string{"", "<&>", "\xff", "a\u2028b\u2029", `"quoted" \back`, "tab\tnl\n", "é", "\x00"}
+	var rels []*Relation
+	for trial := 0; trial < 200; trial++ {
+		r := New(SchemaOfRunes("ABC"[:1+rng.Intn(3)]))
+		for i, n := 0, rng.Intn(30); i < n; i++ {
+			row := make(Tuple, r.Schema().Len())
+			for c := range row {
+				switch rng.Intn(3) {
+				case 0:
+					row[c] = Int(rng.Int63n(2000) - 1000)
+				case 1:
+					row[c] = Int(rng.Int63() - rng.Int63())
+				default:
+					row[c] = String(specials[rng.Intn(len(specials))] + strconv.Itoa(rng.Intn(5)))
+				}
+			}
+			r.MustInsert(row)
+		}
+		rels = append(rels, r)
+	}
+	nullary := New(MustSchema())
+	nullary.MustInsert(nil)
+	rels = append(rels, New(SchemaOfRunes("AB")), New(MustSchema()), nullary)
+	for i, r := range rels {
+		got, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := reflectiveRelationJSON(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("relation %d:\n got %s\nwant %s", i, got, want)
+		}
+	}
+	if got, _ := json.Marshal(rels[len(rels)-3]); string(got) != `{"attrs":["A","B"],"tuples":null}` {
+		t.Errorf("empty relation encodes as %s", got)
+	}
+	got, err := json.Marshal(MustDatabase(rels[:3]...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []byte{'['}
+	for i, r := range rels[:3] {
+		b, _ := reflectiveRelationJSON(r)
+		if i > 0 {
+			want = append(want, ',')
+		}
+		want = append(want, b...)
+	}
+	if want = append(want, ']'); !bytes.Equal(got, want) {
+		t.Errorf("database:\n got %s\nwant %s", got, want)
 	}
 }

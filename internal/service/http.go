@@ -386,12 +386,10 @@ func truncate(r *relation.Relation, max int) (*relation.Relation, bool) {
 	if max <= 0 || r.Len() <= max {
 		return r, false
 	}
-	out := relation.New(r.Schema())
-	for i, t := range r.SortedRows() {
-		if i == max {
-			break
-		}
-		out.MustInsert(t)
+	// A sorted prefix of a set is a set: no re-deduplication.
+	out, err := relation.NewFromDistinctRows(r.Schema(), r.SortedRows()[:max])
+	if err != nil {
+		panic(err) // unreachable: the rows are r's own
 	}
 	return out, true
 }
