@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/acyclic"
-	"repro/internal/core"
 	"repro/internal/engine/failpoint"
 	"repro/internal/govern"
 	"repro/internal/hypergraph"
@@ -26,7 +25,8 @@ const (
 	// StrategyAuto picks per database: the acyclic pipeline when the scheme
 	// is acyclic; otherwise an optimized tree is derived into a program —
 	// exactly optimal for small schemes, greedy-seeded beyond the exact
-	// search limit.
+	// search limit. A budget abort there falls through the rest of
+	// DegradationLadder.
 	StrategyAuto Strategy = iota
 	// StrategyProgram optimizes a join expression (exact DP when feasible,
 	// greedy otherwise), normalizes it with Algorithm 1, derives a program
@@ -36,14 +36,16 @@ const (
 	// expression directly — the classical heuristic the paper critiques.
 	StrategyExpression
 	// StrategyReduceThenJoin runs the pairwise semijoin reduction to a
-	// fixpoint, then evaluates the cheapest CPF expression on the reduced
-	// database — the classical generalization of "full-reduce then join".
+	// fixpoint, then evaluates the cheapest CPF expression (searched on the
+	// unreduced instance at plan time) over the reduced relations — the
+	// classical generalization of "full-reduce then join".
 	StrategyReduceThenJoin
 	// StrategyAcyclic runs the full reducer plus a monotone join
 	// expression; it fails on cyclic schemes.
 	StrategyAcyclic
-	// StrategyDirect joins the relations left to right with no
-	// optimization; the baseline of baselines.
+	// StrategyDirect joins the relations left-deep in the scheme's canonical
+	// edge order (hypergraph.CanonicalOrder), not the order they were passed
+	// in, with no optimization; the baseline of baselines.
 	StrategyDirect
 	// StrategyWCOJ runs the worst-case-optimal Leapfrog Triejoin
 	// (internal/wcoj): relations are trie-indexed along a global variable
@@ -103,9 +105,10 @@ type Options struct {
 	// Under StrategyAuto, a blown tuple budget does not fail the call
 	// outright: Join degrades along a strategy ladder (see DegradationLadder)
 	// and records the fallback chain in Report.Notes. Explicit strategies
-	// abort hard. Tuple budgets apply per attempt — each rung of the ladder
-	// starts with fresh counters (an aborted attempt's intermediates are
-	// discarded), while the deadline and context are absolute and shared.
+	// abort hard. Limits never change which plan runs first. Tuple budgets
+	// apply per attempt — each rung of the ladder starts with fresh counters
+	// (an aborted attempt's intermediates are discarded), while the deadline
+	// and context are absolute and shared.
 	Limits govern.Limits
 	// Workers enables governed intra-query parallelism with up to Workers
 	// goroutines: ready program statements run concurrently over their
@@ -126,9 +129,9 @@ type Options struct {
 	// Hybrid tunes the hybrid chooser (zero value = defaults).
 	Hybrid optimizer.HybridConfig
 	// Trace, when non-nil, is the parent span the execution hangs its span
-	// tree under: strategy resolution, one attempt span per strategy tried,
-	// and per-phase / per-statement / per-variable children below each
-	// attempt, every span carrying its wall time and the tuples the governor
+	// tree under: per ladder rung a "derive plan" span and an "execute plan"
+	// attempt span, and per-phase / per-statement / per-variable children
+	// below each attempt, every span carrying its wall time and the tuples the governor
 	// charged during it. Tracing forces governor accounting on (so
 	// Report.Produced is meaningful even without limits) and adds no cost at
 	// all when nil.
@@ -237,28 +240,42 @@ func (r *Report) Explain() string {
 }
 
 // Join computes the natural join of the database under the given options.
-//
-// With Options.Limits set and StrategyAuto, Join runs the degradation
-// ladder: strategies are tried in DegradationLadder order, a rung that
-// exhausts its tuple budget (or the optimizer's search budget) falls
-// through to the next, and the fallback chain is recorded in Report.Notes.
-// A cancellation or deadline abort is final — there is no point retrying
-// against an expired clock.
+// It is the plan route run rung by rung: for each strategy of
+// DegradationLadder(opts.Strategy, acyclic) it derives the plan with PlanFor
+// and runs it with ExecutePlan, each rung under a fresh governor, so a Join
+// report is exactly the report the serving layer returns for the same plan.
+// Climb decides when a rung falls through to the next. With Options.Trace
+// set, every PlanFor runs under a "derive plan" span beside the rung's
+// "execute plan" attempt span.
 func Join(db *relation.Database, opts Options) (*Report, error) {
 	if db == nil || db.Len() == 0 {
 		return nil, fmt.Errorf("engine: empty database")
 	}
-	h := hypergraph.OfScheme(db)
-	if opts.Strategy == StrategyAuto && opts.Limits.Enabled() {
-		return joinLadder(db, h, opts)
+	ladder := DegradationLadder(opts.Strategy, hypergraph.OfScheme(db).Acyclic())
+	return Climb(ladder, func(rung Strategy) (*Report, error) {
+		o := opts
+		o.Strategy = rung
+		plan, err := planTraced(db, o)
+		if err != nil {
+			return nil, err
+		}
+		return ExecutePlan(db, plan, o)
+	})
+}
+
+// planTraced is PlanFor under a "derive plan" span of Options.Trace (plain
+// PlanFor when tracing is off).
+func planTraced(db *relation.Database, opts Options) (*Plan, error) {
+	if opts.Trace == nil {
+		return PlanFor(db, opts)
 	}
-	strat := Resolve(h, opts.Strategy)
-	if opts.Trace != nil {
-		sp := opts.Trace.Child(obs.KindResolve, "resolve strategy")
-		sp.Note("%s resolved to %s", opts.Strategy, strat)
-		sp.End()
+	sp := opts.Trace.Child(obs.KindPlan, "derive plan")
+	defer sp.End()
+	plan, err := PlanFor(db, opts)
+	if err != nil {
+		sp.Note("failed: %v", err)
 	}
-	return runStrategy(db, h, strat, opts, newGovernor(opts))
+	return plan, err
 }
 
 // newGovernor builds the execution governor for one strategy attempt and
@@ -299,51 +316,6 @@ func tracedPhase(gov *govern.Governor, kind obs.Kind, name string, fn func() err
 	return err
 }
 
-// runStrategy executes one already-resolved (non-Auto) strategy under the
-// given governor. The failpoint site "engine.strategy" fires once per
-// attempt, before any work. When tracing is on, the whole attempt runs
-// under an attempt span hung off Options.Trace, and the governor carries it
-// down to the executors (govern.Governor.SetSpan).
-func runStrategy(db *relation.Database, h *hypergraph.Hypergraph, strat Strategy, opts Options, gov *govern.Governor) (rep *Report, err error) {
-	if opts.Trace != nil {
-		span := opts.Trace.Child(obs.KindAttempt, "attempt: "+strat.String())
-		gov.SetSpan(span)
-		defer func() {
-			if err != nil {
-				span.Note("failed: %v", err)
-			}
-			span.End()
-		}()
-	}
-	if _, err := gov.Begin("engine.strategy"); err != nil {
-		return nil, err
-	}
-	switch strat {
-	case StrategyProgram:
-		rep, err = joinProgram(db, h, opts, gov)
-	case StrategyExpression:
-		rep, err = joinExpression(db, h, opts, gov)
-	case StrategyReduceThenJoin:
-		rep, err = reduceThenJoin(db, h, nil, opts, gov)
-	case StrategyAcyclic:
-		rep, err = joinAcyclic(db, h, opts, gov)
-	case StrategyDirect:
-		rep, err = joinDirect(db, h, opts, gov)
-	case StrategyWCOJ:
-		rep, err = joinWCOJ(db, h, opts, gov)
-	case StrategyHybrid:
-		rep, err = joinHybrid(db, h, opts, gov)
-	default:
-		return nil, fmt.Errorf("engine: unknown strategy %v", strat)
-	}
-	if err != nil {
-		return nil, err
-	}
-	rep.Produced = gov.Produced()
-	rep.Parallelism = opts.workerCount()
-	return rep, nil
-}
-
 // runProgramTraced applies p to db on the program executor with the
 // options' worker count, under executeTraced's span.
 func runProgramTraced(p *program.Program, db *relation.Database, gov *govern.Governor, opts Options) (res *program.Result, err error) {
@@ -378,17 +350,37 @@ func executeTraced(gov *govern.Governor, fn func() error) error {
 }
 
 // evalTree runs a join tree as its compiled program (jointree.Tree.Program)
-// on the block executor under the attempt's "eval" phase span, returning
-// ⋈D and the tree's §2.3 cost.
-func evalTree(tree *jointree.Tree, db *relation.Database, h *hypergraph.Hypergraph, span string, gov *govern.Governor, opts Options) (*relation.Relation, int64, error) {
+// on the block executor under the attempt's "eval" phase span. The report
+// carries ⋈D, the tree's §2.3 cost, and the tree as its plan.
+func evalTree(tree *jointree.Tree, db *relation.Database, h *hypergraph.Hypergraph, span string, gov *govern.Governor, opts Options) (*Report, error) {
 	var res *program.Result
 	if err := tracedPhase(gov, obs.KindEval, span, func() (err error) {
 		res, err = runProgramTraced(tree.Program(h), db, gov, opts)
 		return err
 	}); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return res.Output, int64(res.Cost), nil
+	return &Report{Result: res.Output, Cost: int64(res.Cost), Plan: tree.String(h)}, nil
+}
+
+// runDerivation runs a program plan's derived program: the paper's route.
+func runDerivation(plan *Plan, db *relation.Database, h *hypergraph.Hypergraph, gov *govern.Governor, opts Options) (*Report, error) {
+	p := plan.Derivation.Program
+	res, err := runProgramTraced(p, db, gov, opts)
+	if err != nil {
+		return nil, err
+	}
+	rep := &Report{
+		Result: res.Output,
+		Cost:   int64(res.Cost),
+		Plan:   "source expression: " + plan.Tree.String(h) + "\n" + p.String(),
+		Steps:  stepTimings(res.Trace),
+	}
+	if w := opts.workerCount(); w > 1 {
+		rep.Notes = []string{fmt.Sprintf("parallel DAG execution: %d statements, critical path %d, %d workers",
+			p.Len(), p.CriticalPathLen(), w)}
+	}
+	return rep, nil
 }
 
 // stepTimings converts a program trace into Report.Steps.
@@ -400,21 +392,23 @@ func stepTimings(trace []program.Step) []StepTiming {
 	return out
 }
 
-// DegradationLadder returns the strategy ladder governed Auto execution
-// climbs for the given scheme, cheapest machinery first. On cyclic schemes
-// it is the cheapest CPF expression, then fixpoint semijoin reduction
-// followed by the cheapest CPF expression, then the worst-case-optimal
-// Leapfrog Triejoin — which materializes no pairwise intermediate at all,
-// exactly what blew the earlier rungs — and finally the paper's derived
-// program, whose semijoin-bounded heads
-// (Theorem 2 caps its cost at r(a+5) times the optimum) make it the most
-// conservative machinery of all. On acyclic schemes the full-reducer
-// pipeline is already monotone; only the program route remains behind it.
-func DegradationLadder(h *hypergraph.Hypergraph) []Strategy {
-	if h.Acyclic() {
+// DegradationLadder returns the strategies a query under s tries, in order.
+// An explicit strategy is a one-rung ladder: its abort is final. Auto starts
+// at Resolve(h, auto), the plan the serving layer caches: the full-reducer
+// pipeline on acyclic schemes, the paper's derived program otherwise. Behind
+// the acyclic pipeline only the program route remains. Behind the program
+// come the cheapest CPF expression, fixpoint semijoin reduction followed by
+// the cheapest CPF expression, and last the worst-case-optimal Leapfrog
+// Triejoin, which materializes no pairwise intermediate at all.
+func DegradationLadder(s Strategy, acyclic bool) []Strategy {
+	switch {
+	case s != StrategyAuto:
+		return []Strategy{s}
+	case acyclic:
 		return []Strategy{StrategyAcyclic, StrategyProgram}
+	default:
+		return []Strategy{StrategyProgram, StrategyExpression, StrategyReduceThenJoin, StrategyWCOJ}
 	}
-	return []Strategy{StrategyExpression, StrategyReduceThenJoin, StrategyWCOJ, StrategyProgram}
 }
 
 // degradable reports whether an attempt's failure should fall through to
@@ -424,24 +418,18 @@ func degradable(err error) bool {
 	return errors.Is(err, govern.ErrTupleBudget) || errors.Is(err, optimizer.ErrBudget)
 }
 
-// joinLadder runs governed Auto execution down the degradation ladder.
-// Tuple budgets are per attempt (each rung gets a fresh governor); the
-// deadline and context are wall-clock–absolute, so they carry across
-// rungs unchanged.
-func joinLadder(db *relation.Database, h *hypergraph.Hypergraph, opts Options) (*Report, error) {
-	ladder := DegradationLadder(h)
-	if opts.Trace != nil {
-		names := make([]string, len(ladder))
-		for i, s := range ladder {
-			names[i] = s.String()
-		}
-		sp := opts.Trace.Child(obs.KindResolve, "resolve strategy")
-		sp.Note("governed auto: degradation ladder %s", strings.Join(names, " -> "))
-		sp.End()
-	}
+// Climb runs attempt on each rung of ladder in order and returns the first
+// report that succeeds, with one "degradation: X aborted …" note per rung
+// that fell through prepended to its notes. A rung falls through only on a
+// tuple or search budget abort; any other error, or an abort on the last
+// rung, ends the climb. The attempt owns everything per rung — planning (or
+// a plan-cache lookup) and execution under a fresh governor — so tuple
+// budgets are per rung, while deadlines and contexts are absolute and carry
+// across rungs. Join and the serving layer both climb through here.
+func Climb(ladder []Strategy, attempt func(Strategy) (*Report, error)) (*Report, error) {
 	var chain []string
-	for i, strat := range ladder {
-		rep, err := runStrategy(db, h, strat, opts, newGovernor(opts))
+	for i, rung := range ladder {
+		rep, err := attempt(rung)
 		if err == nil {
 			rep.Notes = append(chain, rep.Notes...)
 			return rep, nil
@@ -453,9 +441,9 @@ func joinLadder(db *relation.Database, h *hypergraph.Hypergraph, opts Options) (
 			return nil, err
 		}
 		chain = append(chain, fmt.Sprintf("degradation: %s aborted (%v); falling back to %s",
-			strat, err, ladder[i+1]))
+			rung, err, ladder[i+1]))
 	}
-	panic("engine: unreachable: ladder loop neither returned nor degraded")
+	return nil, fmt.Errorf("engine: empty strategy ladder")
 }
 
 // exprSpace is the search space of the expression strategies: CPF trees,
@@ -485,86 +473,10 @@ func bestTree(db *relation.Database, h *hypergraph.Hypergraph, budget int64, spa
 	return plan.Tree, fmt.Sprintf("greedy (cost %d)", plan.Cost), nil
 }
 
-// joinProgram is the paper's route: optimize, CPFify, derive, execute.
-func joinProgram(db *relation.Database, h *hypergraph.Hypergraph, opts Options, gov *govern.Governor) (*Report, error) {
-	if !h.Connected(h.Full()) {
-		// Algorithms 1/2 need a connected scheme; fall back to direct
-		// evaluation per component would complicate the facade — join
-		// expression evaluation handles products natively.
-		rep, err := joinExpression(db, h, opts, gov)
-		if err != nil {
-			return nil, err
-		}
-		rep.Notes = append(rep.Notes, "scheme disconnected: fell back to expression evaluation")
-		return rep, nil
-	}
-	var tree *jointree.Tree
-	var how string
-	var d *core.Derivation
-	if err := tracedPhase(gov, obs.KindPlan, "optimize and derive program", func() (err error) {
-		tree, how, err = bestTree(db, h, opts.Budget, optimizer.SpaceAll)
-		if err != nil {
-			return err
-		}
-		d, err = core.DeriveFromTree(tree, h, nil)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	res, err := runProgramTraced(d.Program, db, gov, opts)
-	if err != nil {
-		return nil, err
-	}
-	projects, joins, semijoins := d.Program.OpCounts()
-	notes := []string{
-		"optimized by " + how,
-		fmt.Sprintf("program: %d projections, %d joins, %d semijoins", projects, joins, semijoins),
-		fmt.Sprintf("Theorem 2 bound factor r(a+5) = %d", d.QuasiFactor),
-	}
-	if w := opts.workerCount(); w > 1 {
-		notes = append(notes, fmt.Sprintf("parallel DAG execution: %d statements, critical path %d, %d workers",
-			d.Program.Len(), d.Program.CriticalPathLen(), w))
-	}
-	return &Report{
-		Result:   res.Output,
-		Strategy: StrategyProgram,
-		Cost:     int64(res.Cost),
-		Plan:     "source expression: " + tree.String(h) + "\n" + d.Program.String(),
-		Steps:    stepTimings(res.Trace),
-		Notes:    notes,
-	}, nil
-}
-
-// joinExpression evaluates the cheapest CPF expression directly (falling
-// back to the unrestricted space on disconnected schemes, where no CPF
-// expression exists).
-func joinExpression(db *relation.Database, h *hypergraph.Hypergraph, opts Options, gov *govern.Governor) (*Report, error) {
-	var tree *jointree.Tree
-	var how string
-	if err := tracedPhase(gov, obs.KindPlan, "optimize expression", func() (err error) {
-		tree, how, err = bestTree(db, h, opts.Budget, exprSpace(h))
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	out, cost, err := evalTree(tree, db, h, "evaluate expression", gov, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Report{
-		Result:   out,
-		Strategy: StrategyExpression,
-		Cost:     cost,
-		Plan:     tree.String(h),
-		Notes:    []string{"optimized by " + how},
-	}, nil
-}
-
 // reduceThenJoin reduces pairwise to a fixpoint — the round program re-run
-// on the block executor — then runs the tree's compiled program over the
-// reduced blocks the last round returned; only the output is decoded. A nil
-// tree is the cheapest CPF expression over the reduced database, searched
-// for here (the Join path; a cached Plan fixed it already).
+// on the block executor — then runs the plan's tree as its compiled program
+// over the reduced blocks the last round returned; only the output is
+// decoded.
 func reduceThenJoin(db *relation.Database, h *hypergraph.Hypergraph, tree *jointree.Tree, opts Options, gov *govern.Governor) (*Report, error) {
 	var red *PairwiseReduction
 	var blocks []*relation.ColBlock
@@ -573,21 +485,6 @@ func reduceThenJoin(db *relation.Database, h *hypergraph.Hypergraph, tree *joint
 		return err
 	}); err != nil {
 		return nil, err
-	}
-	notes := []string{fmt.Sprintf("pairwise reduction: %d rounds, %d tuples removed", red.Rounds, red.Removed)}
-	if tree == nil {
-		reduced, err := db.Reduced(blocks)
-		if err != nil {
-			return nil, err
-		}
-		var how string
-		if err := tracedPhase(gov, obs.KindPlan, "optimize expression", func() (err error) {
-			tree, how, err = bestTree(reduced, h, opts.Budget, exprSpace(h))
-			return err
-		}); err != nil {
-			return nil, err
-		}
-		notes = append(notes, "optimized by "+how)
 	}
 	p := tree.Program(h)
 	var out *relation.Relation
@@ -605,35 +502,19 @@ func reduceThenJoin(db *relation.Database, h *hypergraph.Hypergraph, tree *joint
 		return nil, err
 	}
 	return &Report{
-		Result:   out,
-		Strategy: StrategyReduceThenJoin,
+		Result: out,
 		// The original inputs once, the reduction heads, the join heads: the
 		// tree's leaves are the reduced relations the reduction paid for.
 		Cost:  int64(db.TotalTuples() + red.Cost + generated),
 		Plan:  tree.String(h),
-		Notes: notes,
-	}, nil
-}
-
-// joinAcyclic runs the classical full-reduce + monotone-join pipeline.
-func joinAcyclic(db *relation.Database, h *hypergraph.Hypergraph, opts Options, gov *govern.Governor) (*Report, error) {
-	out, cost, plan, err := runAcyclic(db, h, opts, gov)
-	if err != nil {
-		return nil, err
-	}
-	return &Report{
-		Result:   out,
-		Strategy: StrategyAcyclic,
-		Cost:     cost,
-		Plan:     plan,
-		Notes:    []string{"no intermediate exceeds the output on the reduced database"},
+		Notes: []string{fmt.Sprintf("pairwise reduction: %d rounds, %d tuples removed", red.Rounds, red.Removed)},
 	}, nil
 }
 
 // runAcyclic runs the full-reducer pipeline — acyclic.JoinProgram, one
 // program — on the block executor under the attempt's "pipeline" phase
-// span. It returns ⋈D, the pipeline's §2.3 cost, and the plan line.
-func runAcyclic(db *relation.Database, h *hypergraph.Hypergraph, opts Options, gov *govern.Governor) (*relation.Relation, int64, string, error) {
+// span. The report carries ⋈D, the pipeline's §2.3 cost, and the plan line.
+func runAcyclic(db *relation.Database, h *hypergraph.Hypergraph, opts Options, gov *govern.Governor) (*Report, error) {
 	var res *program.Result
 	var jt *hypergraph.JoinTree
 	if err := tracedPhase(gov, obs.KindPipeline, "full-reducer pipeline", func() error {
@@ -645,31 +526,33 @@ func runAcyclic(db *relation.Database, h *hypergraph.Hypergraph, opts Options, g
 		res, err = runProgramTraced(p, db, gov, opts)
 		return err
 	}); err != nil {
-		return nil, 0, "", err
+		return nil, err
 	}
-	return res.Output, int64(res.Cost), "full reducer; monotone expression: " + acyclic.MonotoneTree(jt).String(h), nil
+	return &Report{
+		Result: res.Output,
+		Cost:   int64(res.Cost),
+		Plan:   "full reducer; monotone expression: " + acyclic.MonotoneTree(jt).String(h),
+	}, nil
 }
 
-// joinWCOJ runs the worst-case-optimal Leapfrog Triejoin along the
-// scheme's derived variable order.
-func joinWCOJ(db *relation.Database, h *hypergraph.Hypergraph, opts Options, gov *govern.Governor) (*Report, error) {
-	order := wcoj.VariableOrder(h)
+// runWCOJ runs the Leapfrog Triejoin over db along order. Its §2.3 cost is
+// the inputs plus the output: no pairwise intermediate exists.
+func runWCOJ(db *relation.Database, order []string, gov *govern.Governor, opts Options) (*Report, error) {
 	res, err := wcoj.JoinGoverned(db, order, gov, opts.workerCount())
 	if err != nil {
 		return nil, err
 	}
 	return &Report{
-		Result:   res.Output,
-		Strategy: StrategyWCOJ,
-		Cost:     int64(db.TotalTuples()) + int64(res.Output.Len()),
-		Plan:     "leapfrog triejoin, variable order: " + strings.Join(order, " "),
-		Notes:    wcojNotes(res, db),
+		Result: res.Output,
+		Cost:   int64(db.TotalTuples()) + int64(res.Output.Len()),
+		Plan:   "leapfrog triejoin, variable order: " + strings.Join(order, " "),
+		Notes:  wcojNotes(res, db),
 	}, nil
 }
 
-// wcojNotes renders the WCOJ accounting shared by Join and ExecutePlan; db
-// is the database the triejoin ran over (the core, on the hybrid mixed
-// route).
+// wcojNotes renders the WCOJ accounting of the wcoj plan and the hybrid
+// triejoin routes; db is the database the triejoin ran over (the core, on
+// the hybrid mixed route).
 func wcojNotes(res *wcoj.Result, db *relation.Database) []string {
 	notes := []string{
 		fmt.Sprintf("tries re-sort the %d input tuples; no pairwise intermediate is materialized (§2.3 cost = inputs + output)", res.TrieTuples),
@@ -679,19 +562,4 @@ func wcojNotes(res *wcoj.Result, db *relation.Database) []string {
 		notes = append(notes, fmt.Sprintf("outermost variable's key range partitioned across %d workers", res.Workers))
 	}
 	return notes
-}
-
-// joinDirect folds the relations left to right.
-func joinDirect(db *relation.Database, h *hypergraph.Hypergraph, opts Options, gov *govern.Governor) (*Report, error) {
-	tree := leftDeep(db.Len())
-	out, cost, err := evalTree(tree, db, h, "evaluate left-deep expression", gov, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Report{
-		Result:   out,
-		Strategy: StrategyDirect,
-		Cost:     cost,
-		Plan:     tree.String(h),
-	}, nil
 }

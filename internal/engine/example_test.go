@@ -29,5 +29,5 @@ func ExampleJoin() {
 	// Output:
 	// strategy: program
 	// result:   1 tuple(s)
-	// cost:     8330
+	// cost:     8329
 }

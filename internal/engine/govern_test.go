@@ -15,14 +15,14 @@ import (
 	"repro/internal/workload"
 )
 
-// ladderBudget sits between the program route's produced tuples (~7.1k at
-// q=10) and the classical routes' (~25.5k for the CPF expression, 50k for
-// direct's first join), so both expression-shaped rungs of the ladder blow
-// it.
-// The leapfrog-triejoin rung charges only the trie builds plus the output
-// (~600 tuples here — no pairwise intermediate exists to charge), so it is
-// the first rung that fits.
-const ladderBudget = 15000
+// ladderBudget sits below the program route's produced tuples (7 115 at
+// q=10), so the first rung of the cyclic ladder aborts, and far below the
+// classical routes' (25 503 for the CPF expression, 27 931 for
+// reduce-then-join, 50k for direct's first join), so both expression-shaped
+// rungs behind it abort too. The leapfrog-triejoin rung charges only the
+// trie builds plus the output (1 215 tuples here — no pairwise intermediate
+// exists to charge), so it is the first rung that fits.
+const ladderBudget = 5000
 
 func TestDirectAbortsOnTupleBudget(t *testing.T) {
 	db := example3DB(t, 10)
@@ -76,55 +76,54 @@ func TestAutoLadderDegradesToWCOJ(t *testing.T) {
 	if rep.Produced == 0 || rep.Produced > ladderBudget {
 		t.Errorf("Produced = %d, want within (0, %d]", rep.Produced, ladderBudget)
 	}
-	// The fallback chain must name both abandoned rungs, in order.
+	// The fallback chain must name the three abandoned rungs, in order.
+	falls := degradationNotes(rep.Notes)
+	if len(falls) != 3 {
+		t.Fatalf("want 3 degradation notes, got %d: %q", len(falls), rep.Notes)
+	}
+	for i, s := range []Strategy{StrategyProgram, StrategyExpression, StrategyReduceThenJoin} {
+		if !strings.HasPrefix(falls[i], "degradation: "+s.String()+" aborted") {
+			t.Errorf("fallback chain out of order: %q", falls)
+		}
+	}
+}
+
+// degradationNotes returns the ladder's fallback notes among notes.
+func degradationNotes(notes []string) []string {
 	var falls []string
-	for _, n := range rep.Notes {
+	for _, n := range notes {
 		if strings.HasPrefix(n, "degradation:") {
 			falls = append(falls, n)
 		}
 	}
-	if len(falls) != 2 {
-		t.Fatalf("want 2 degradation notes, got %d: %q", len(falls), rep.Notes)
-	}
-	if !strings.Contains(falls[0], StrategyExpression.String()) ||
-		!strings.Contains(falls[1], StrategyReduceThenJoin.String()) {
-		t.Errorf("fallback chain out of order: %q", falls)
-	}
+	return falls
 }
 
-// TestAutoLadderDegradesToProgram forces the triejoin rung to blow its
-// budget too (on Example 3 it never does naturally — its charge is inputs
-// plus output, strictly below every other rung — so a failpoint injects the
-// budget abort on the third attempt) and checks the ladder still bottoms
-// out on the paper's program route with the full three-rung fallback chain.
+// TestAutoLadderDegradesToProgram forces the acyclic pipeline, the first
+// rung of an acyclic scheme's ladder, to blow its budget (a failpoint
+// injects the abort on the first attempt; the pipeline's charge never
+// exceeds the program's naturally) and checks the ladder lands on the
+// paper's program route with one fallback note.
 func TestAutoLadderDegradesToProgram(t *testing.T) {
 	defer failpoint.Reset()
-	db := example3DB(t, 10)
-	want := db.Join()
-	failpoint.Enable("engine.strategy", 3, govern.ErrTupleBudget)
-	rep, err := Join(db, Options{Limits: govern.Limits{MaxTuples: ladderBudget}})
+	db, err := workload.DanglingChainDatabase(4, 12, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failpoint.Enable("engine.strategy", 1, govern.ErrTupleBudget)
+	rep, err := Join(db, Options{Limits: govern.Limits{MaxTuples: 1 << 40}})
 	if err != nil {
 		t.Fatalf("ladder failed: %v", err)
 	}
 	if rep.Strategy != StrategyProgram {
 		t.Errorf("ladder landed on %s, want %s", rep.Strategy, StrategyProgram)
 	}
-	if !rep.Result.Equal(want) {
-		t.Errorf("wrong result: %d tuples, want %d", rep.Result.Len(), want.Len())
+	if !rep.Result.Equal(db.Join()) {
+		t.Error("wrong result")
 	}
-	var falls []string
-	for _, n := range rep.Notes {
-		if strings.HasPrefix(n, "degradation:") {
-			falls = append(falls, n)
-		}
-	}
-	if len(falls) != 3 {
-		t.Fatalf("want 3 degradation notes, got %d: %q", len(falls), rep.Notes)
-	}
-	if !strings.Contains(falls[0], StrategyExpression.String()) ||
-		!strings.Contains(falls[1], StrategyReduceThenJoin.String()) ||
-		!strings.Contains(falls[2], StrategyWCOJ.String()) {
-		t.Errorf("fallback chain out of order: %q", falls)
+	falls := degradationNotes(rep.Notes)
+	if len(falls) != 1 || !strings.HasPrefix(falls[0], "degradation: acyclic aborted") {
+		t.Errorf("fallback chain %q, want one note for the acyclic rung", falls)
 	}
 }
 
@@ -139,15 +138,15 @@ func TestAutoWithAmpleBudgetSkipsLadderNoise(t *testing.T) {
 			t.Errorf("unexpected degradation note with an ample budget: %q", n)
 		}
 	}
-	if rep.Strategy != StrategyExpression {
+	if rep.Strategy != StrategyProgram {
 		// First rung of the cyclic ladder should win outright.
-		t.Errorf("ample budget landed on %s, want %s", rep.Strategy, StrategyExpression)
+		t.Errorf("ample budget landed on %s, want %s", rep.Strategy, StrategyProgram)
 	}
 }
 
 func TestAutoLadderExhausted(t *testing.T) {
 	db := example3DB(t, 10)
-	// Below even the program route's ~7.1k produced tuples: every rung blows.
+	// Below even the triejoin's 1 215 produced tuples: every rung blows.
 	_, err := Join(db, Options{Limits: govern.Limits{MaxTuples: 100}})
 	if !errors.Is(err, govern.ErrTupleBudget) {
 		t.Fatalf("want ErrTupleBudget after exhausting the ladder, got %v", err)
@@ -163,14 +162,18 @@ func TestAcyclicLadder(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := hypergraph.OfScheme(db)
-	if ls := DegradationLadder(h); len(ls) != 2 ||
+	if ls := DegradationLadder(StrategyAuto, h.Acyclic()); len(ls) != 2 ||
 		ls[0] != StrategyAcyclic || ls[1] != StrategyProgram {
 		t.Errorf("acyclic ladder = %v", ls)
 	}
-	// And the governed acyclic pipeline degrades to the program route when
-	// its budget blows — both rungs produce the same answer, so pick a
-	// budget only the reducer-heavy first rung exceeds... on this small
-	// database the pipeline is cheap, so just check a generous run works.
+	if ls := DegradationLadder(StrategyAuto, false); len(ls) != 4 || ls[0] != StrategyProgram ||
+		ls[1] != StrategyExpression || ls[2] != StrategyReduceThenJoin || ls[3] != StrategyWCOJ {
+		t.Errorf("cyclic ladder = %v", ls)
+	}
+	if ls := DegradationLadder(StrategyDirect, false); len(ls) != 1 || ls[0] != StrategyDirect {
+		t.Errorf("explicit strategy ladder = %v, want one rung", ls)
+	}
+	// A generous budget: the pipeline wins outright.
 	rep, err := Join(db, Options{Limits: govern.Limits{MaxTuples: 1 << 40}})
 	if err != nil {
 		t.Fatal(err)
@@ -239,10 +242,9 @@ func TestInjectedFaultIsNotDegraded(t *testing.T) {
 	db := example3DB(t, 6)
 	boom := errors.New("disk on fire")
 	failpoint.Enable("program.Stmt", 3, boom)
-	// Auto with limits walks the ladder; an injected fault on the first rung
+	// Auto walks the ladder from the program rung; an injected fault there
 	// must surface as-is rather than being retried on the next rung.
-	// (program.Stmt only fires on the program rung, so force it directly.)
-	_, err := Join(db, Options{Strategy: StrategyProgram, Limits: govern.Limits{MaxTuples: 1 << 40}})
+	_, err := Join(db, Options{Limits: govern.Limits{MaxTuples: 1 << 40}})
 	if !errors.Is(err, boom) {
 		t.Fatalf("want the injected fault, got %v", err)
 	}
@@ -304,7 +306,7 @@ func TestReportProducedMatchesWork(t *testing.T) {
 	}
 }
 
-// TestExpressionAbortBoundaryMatchesEval pins the first cyclic rung's abort
+// TestExpressionAbortBoundaryMatchesEval pins the cpf-expression rung's abort
 // boundary against the tuple-map reference: the plan's tree, evaluated by
 // jointree.Tree.Eval, generates exactly the tuples cpf-expression charges
 // (cost and Produced agree at every worker count), a budget of that many

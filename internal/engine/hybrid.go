@@ -7,7 +7,6 @@ import (
 	"repro/internal/govern"
 	"repro/internal/hypergraph"
 	"repro/internal/jointree"
-	"repro/internal/obs"
 	"repro/internal/optimizer"
 	"repro/internal/relation"
 	"repro/internal/wcoj"
@@ -30,8 +29,9 @@ type HybridPlan struct {
 	CoreOrder []string
 	// Outer is the binary tree. For RouteBinary its leaves are scheme
 	// edges; for RouteMixed leaf 0 is the core's output and leaf k>0 the
-	// k-th non-core edge in ascending index order. Nil when the chooser's
-	// DP was unavailable (execution falls back to bestTree search).
+	// k-th non-core edge in ascending index order. When the chooser's DP
+	// was unavailable, planHybrid searches the binary tree itself, so only
+	// the wcoj and acyclic routes leave it nil.
 	Outer *jointree.Tree
 	// EstCost is the chooser's §2.3 estimate for the picked route — the
 	// denominator of the served q-error feedback.
@@ -65,7 +65,10 @@ func sketchesFor(db *relation.Database, perm []int, opts Options) []*optimizer.S
 // planHybrid runs the statistics-driven chooser over cdb (already in
 // canonical edge order, scheme ch) and fixes the route. perm maps canonical
 // positions back to the original database order the sketches follow (nil
-// when the caller's database is the sketches' order already).
+// when the caller's database is the sketches' order already). A binary
+// route the chooser could not size (too many edges for its DP) gets its
+// tree from the same search the expression plans use, here at plan time, so
+// executing the cached plan never searches.
 func planHybrid(cdb *relation.Database, ch *hypergraph.Hypergraph, perm []int, opts Options) (*HybridPlan, []string, error) {
 	sks := sketchesFor(cdb, perm, opts)
 	corr := 1.0
@@ -94,6 +97,14 @@ func planHybrid(cdb *relation.Database, ch *hypergraph.Hypergraph, perm []int, o
 	for _, n := range choice.Notes {
 		notes = append(notes, "hybrid: "+n)
 	}
+	if hp.Route == optimizer.RouteBinary && hp.Outer == nil {
+		tree, how, err := bestTree(cdb, ch, opts.Budget, exprSpace(ch))
+		if err != nil {
+			return nil, nil, err
+		}
+		hp.Outer = tree
+		notes = append(notes, "hybrid: binary tree optimized by "+how)
+	}
 	return hp, notes, nil
 }
 
@@ -106,38 +117,6 @@ func coreHypergraph(h *hypergraph.Hypergraph, core hypergraph.Mask) (*hypergraph
 	return hypergraph.New(edges)
 }
 
-// outerHypergraph builds the mixed route's outer scheme for display: the
-// core's output attributes first, then the non-core edges.
-func outerHypergraph(h *hypergraph.Hypergraph, core hypergraph.Mask) (*hypergraph.Hypergraph, error) {
-	edges := []relation.AttrSet{h.AttrsOf(core)}
-	for i := 0; i < h.Len(); i++ {
-		if !core.Has(i) {
-			edges = append(edges, h.Edge(i))
-		}
-	}
-	return hypergraph.New(edges)
-}
-
-// joinHybrid plans and executes the hybrid route in one call (the direct
-// Join path; the serving layer splits the same work across planHybrid and
-// executeHybrid around the plan cache).
-func joinHybrid(db *relation.Database, h *hypergraph.Hypergraph, opts Options, gov *govern.Governor) (*Report, error) {
-	var hp *HybridPlan
-	var notes []string
-	if err := tracedPhase(gov, obs.KindPlan, "choose hybrid route", func() (err error) {
-		hp, notes, err = planHybrid(db, h, nil, opts)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	rep, err := executeHybrid(db, h, hp, opts, gov)
-	if err != nil {
-		return nil, err
-	}
-	rep.Notes = append(rep.Notes, notes...)
-	return rep, nil
-}
-
 // executeHybrid runs a resolved hybrid route. cdb/ch must be in the edge
 // order the plan was derived for.
 func executeHybrid(cdb *relation.Database, ch *hypergraph.Hypergraph, hp *HybridPlan, opts Options, gov *govern.Governor) (*Report, error) {
@@ -146,53 +125,29 @@ func executeHybrid(cdb *relation.Database, ch *hypergraph.Hypergraph, hp *Hybrid
 	}
 	switch hp.Route {
 	case optimizer.RouteAcyclic:
-		out, cost, plan, err := runAcyclic(cdb, ch, opts, gov)
+		rep, err := runAcyclic(cdb, ch, opts, gov)
 		if err != nil {
 			return nil, err
 		}
-		return &Report{
-			Result:   out,
-			Strategy: StrategyHybrid,
-			Cost:     cost,
-			Plan:     "hybrid route: acyclic\n" + plan,
-		}, nil
+		rep.Plan = "hybrid route: acyclic\n" + rep.Plan
+		return rep, nil
 
 	case optimizer.RouteBinary:
-		tree := hp.Outer
-		if tree == nil {
-			// The chooser's DP was unavailable (too many edges); fall back to
-			// the shared search the static rungs use.
-			if err := tracedPhase(gov, obs.KindPlan, "optimize expression", func() (err error) {
-				tree, _, err = bestTree(cdb, ch, opts.Budget, exprSpace(ch))
-				return err
-			}); err != nil {
-				return nil, err
-			}
-		}
-		out, cost, err := evalTree(tree, cdb, ch, "evaluate expression", gov, opts)
+		rep, err := evalTree(hp.Outer, cdb, ch, "evaluate expression", gov, opts)
 		if err != nil {
 			return nil, err
 		}
-		return &Report{
-			Result:   out,
-			Strategy: StrategyHybrid,
-			Cost:     cost,
-			Plan:     "hybrid route: binary\n" + tree.String(ch),
-			Notes:    []string{"columnar kernels: dictionary-encoded blocks, code-remapped batch joins"},
-		}, nil
+		rep.Plan = "hybrid route: binary\n" + rep.Plan
+		rep.Notes = []string{"columnar kernels: dictionary-encoded blocks, code-remapped batch joins"}
+		return rep, nil
 
 	case optimizer.RouteWCOJ:
-		res, err := wcoj.JoinGoverned(cdb, hp.CoreOrder, gov, opts.workerCount())
+		rep, err := runWCOJ(cdb, hp.CoreOrder, gov, opts)
 		if err != nil {
 			return nil, err
 		}
-		return &Report{
-			Result:   res.Output,
-			Strategy: StrategyHybrid,
-			Cost:     int64(cdb.TotalTuples()) + int64(res.Output.Len()),
-			Plan:     "hybrid route: wcoj\nleapfrog triejoin, variable order: " + strings.Join(hp.CoreOrder, " "),
-			Notes:    wcojNotes(res, cdb),
-		}, nil
+		rep.Plan = "hybrid route: wcoj\n" + rep.Plan
+		return rep, nil
 
 	case optimizer.RouteMixed:
 		coreDb, err := cdb.Restrict(hp.Core.Indexes())
@@ -213,32 +168,23 @@ func executeHybrid(cdb *relation.Database, ch *hypergraph.Hypergraph, hp *Hybrid
 		if err != nil {
 			return nil, err
 		}
-		outerTree := hp.Outer
-		if outerTree == nil {
+		if hp.Outer == nil {
 			return nil, fmt.Errorf("engine: mixed hybrid route without an outer tree")
 		}
-		out, outerCost, err := evalTree(outerTree, outerDb, hypergraph.OfScheme(outerDb), "evaluate outer expression", gov, opts)
+		rep, err := evalTree(hp.Outer, outerDb, hypergraph.OfScheme(outerDb), "evaluate outer expression", gov, opts)
 		if err != nil {
 			return nil, err
 		}
 		// §2.3 total: the core's inputs plus the outer evaluation, whose
 		// leaves already count the core's output (generated once) and the
 		// non-core inputs.
-		cost := int64(coreDb.TotalTuples()) + outerCost
-		planStr := "hybrid route: mixed\ncore " + hp.Core.String() +
-			" via leapfrog triejoin, variable order: " + strings.Join(hp.CoreOrder, " ")
-		if outerH, err := outerHypergraph(ch, hp.Core); err == nil {
-			planStr += "\nouter: " + outerTree.String(outerH)
-		}
-		notes := append(wcojNotes(res, coreDb),
+		rep.Cost += int64(coreDb.TotalTuples())
+		rep.Plan = "hybrid route: mixed\ncore " + hp.Core.String() +
+			" via leapfrog triejoin, variable order: " + strings.Join(hp.CoreOrder, " ") +
+			"\nouter: " + rep.Plan
+		rep.Notes = append(wcojNotes(res, coreDb),
 			fmt.Sprintf("core output (%d tuples) joined to %d pendant edges through columnar kernels", res.Output.Len(), cdb.Len()-hp.Core.Count()))
-		return &Report{
-			Result:   out,
-			Strategy: StrategyHybrid,
-			Cost:     cost,
-			Plan:     planStr,
-			Notes:    notes,
-		}, nil
+		return rep, nil
 
 	default:
 		return nil, fmt.Errorf("engine: unknown hybrid route %q", hp.Route)

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -282,5 +283,37 @@ func TestHybridSkewRoutesToWCOJ(t *testing.T) {
 	}
 	if want := db.Join(); !rep.Result.Equal(want) {
 		t.Fatal("wrong result on skewed triangle")
+	}
+}
+
+// TestHybridWideBinaryPlanCarriesTree: past optimizer.MaxExactRelations
+// edges the chooser's DP is unavailable, and low skew routes binary with no
+// tree of its own. The planner must search that tree itself, so the cached
+// plan carries it and executing the plan searches nothing — an optimizer
+// budget of one tuple, which fails any search, does not touch execution.
+func TestHybridWideBinaryPlanCarriesTree(t *testing.T) {
+	const n = optimizer.MaxExactRelations + 1
+	edges := make([]relation.AttrSet, n)
+	for i := range edges {
+		edges[i] = relation.NewAttrSet(fmt.Sprintf("A%02d", i), fmt.Sprintf("A%02d", (i+1)%n))
+	}
+	h := hypergraph.Must(edges)
+	db, err := workload.RandomDatabase(rand.New(rand.NewSource(5)), h, 4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := PlanFor(db, Options{Strategy: StrategyHybrid})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Hybrid.Route != optimizer.RouteBinary || plan.Hybrid.Outer == nil {
+		t.Fatalf("route %s with outer tree %v, want binary with a tree (notes %q)", plan.Hybrid.Route, plan.Hybrid.Outer, plan.Notes)
+	}
+	rep, err := ExecutePlan(db, plan, Options{Budget: 1})
+	if err != nil {
+		t.Fatalf("executing the cached plan searched: %v", err)
+	}
+	if !rep.Result.Equal(db.Join()) {
+		t.Fatal("wrong result")
 	}
 }

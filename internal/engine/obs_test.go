@@ -71,17 +71,18 @@ func strategiesFor(h *hypergraph.Hypergraph) []Strategy {
 	return s
 }
 
-// TestTraceShapePerStrategy pins the span kinds each strategy emits under
-// its attempt span.
+// TestTraceShapePerStrategy pins the spans each strategy emits: the root
+// holds a "derive plan" span (PlanFor) beside the "execute plan: X" attempt
+// span (ExecutePlan), and the attempt holds the strategy's phases.
 func TestTraceShapePerStrategy(t *testing.T) {
 	db := triangleDB(t)
 	cases := []struct {
 		strategy Strategy
 		kinds    []obs.Kind
 	}{
-		{StrategyProgram, []obs.Kind{obs.KindPlan, obs.KindExecute}},
-		{StrategyExpression, []obs.Kind{obs.KindPlan, obs.KindEval}},
-		{StrategyReduceThenJoin, []obs.Kind{obs.KindReduce, obs.KindPlan, obs.KindEval}},
+		{StrategyProgram, []obs.Kind{obs.KindExecute}},
+		{StrategyExpression, []obs.Kind{obs.KindEval}},
+		{StrategyReduceThenJoin, []obs.Kind{obs.KindReduce, obs.KindEval}},
 		{StrategyDirect, []obs.Kind{obs.KindEval}},
 		{StrategyWCOJ, []obs.Kind{obs.KindTrie, obs.KindTrie, obs.KindTrie, obs.KindEnumerate}},
 	}
@@ -91,17 +92,13 @@ func TestTraceShapePerStrategy(t *testing.T) {
 			t.Fatalf("%s: %v", c.strategy, err)
 		}
 		tr.Root.End()
-		var attempt *obs.Span
-		for _, ch := range tr.Root.Children() {
-			if ch.Kind() == obs.KindAttempt {
-				attempt = ch
-			}
-		}
-		if attempt == nil {
-			t.Fatalf("%s: no attempt span\n%s", c.strategy, tr.Format())
+		top := tr.Root.Children()
+		if len(top) != 2 || top[0].Kind() != obs.KindPlan || top[0].Name() != "derive plan" ||
+			top[1].Kind() != obs.KindAttempt || top[1].Name() != "execute plan: "+c.strategy.String() {
+			t.Fatalf("%s: root children are not [derive plan, execute plan: %s]\n%s", c.strategy, c.strategy, tr.Format())
 		}
 		var got []obs.Kind
-		for _, ch := range attempt.Children() {
+		for _, ch := range top[1].Children() {
 			got = append(got, ch.Kind())
 		}
 		if len(got) != len(c.kinds) {
@@ -120,9 +117,9 @@ func TestTraceShapePerStrategy(t *testing.T) {
 func TestLadderTraceRecordsDegradation(t *testing.T) {
 	db := example3DB(t, 4)
 	tr := obs.NewTrace("ladder")
-	// 200 tuples: too small for the near-Cartesian adjacent joins the
-	// expression rungs must pay on Example 3 at q=4, but enough for the
-	// wcoj rung (inputs + the single closing tuple).
+	// 200 tuples: too small for the program and the near-Cartesian adjacent
+	// joins the expression rungs must pay on Example 3 at q=4, but enough
+	// for the wcoj rung (inputs + the single closing tuple).
 	rep, err := Join(db, Options{
 		Strategy: StrategyAuto,
 		Limits:   govern.Limits{MaxTuples: 200},
@@ -132,7 +129,7 @@ func TestLadderTraceRecordsDegradation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Strategy == StrategyExpression {
+	if rep.Strategy == StrategyProgram {
 		t.Skip("budget did not force a degradation")
 	}
 	var failed, total int

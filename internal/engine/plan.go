@@ -56,17 +56,12 @@ type Plan struct {
 	Notes []string
 }
 
-// Resolve returns the strategy Auto resolves to for the given scheme: the
-// classical acyclic pipeline when the scheme is acyclic, otherwise the
-// paper's derived program. Non-Auto strategies resolve to themselves.
+// Resolve returns the strategy Auto resolves to for the given scheme — the
+// first rung of its DegradationLadder: the classical acyclic pipeline when
+// the scheme is acyclic, otherwise the paper's derived program. Non-Auto
+// strategies resolve to themselves.
 func Resolve(h *hypergraph.Hypergraph, s Strategy) Strategy {
-	if s != StrategyAuto {
-		return s
-	}
-	if h.Acyclic() {
-		return StrategyAcyclic
-	}
-	return StrategyProgram
+	return DegradationLadder(s, h.Acyclic())[0]
 }
 
 // Strategies lists every selectable strategy, Auto first.
@@ -175,33 +170,26 @@ func PlanFor(db *relation.Database, opts Options) (*Plan, error) {
 		p.Hybrid = hp
 		p.Notes = append(p.Notes, notes...)
 	case StrategyProgram:
-		if !ch.Connected(ch.Full()) {
-			// Same fallback as joinProgram: Algorithms 1/2 need a connected
-			// scheme; expression evaluation handles products natively.
-			tree, how, err := bestTree(cdb, ch, opts.Budget, optimizer.SpaceAll)
-			if err != nil {
-				return nil, err
-			}
-			p.Strategy = StrategyExpression
-			p.Tree = tree
-			p.Notes = append(p.Notes,
-				"optimized by "+how,
-				"scheme disconnected: fell back to expression evaluation")
-			break
-		}
 		tree, how, err := bestTree(cdb, ch, opts.Budget, optimizer.SpaceAll)
 		if err != nil {
 			return nil, err
+		}
+		p.Tree = tree
+		p.Notes = append(p.Notes, "optimized by "+how)
+		if !ch.Connected(ch.Full()) {
+			// Algorithms 1/2 need a connected scheme; expression evaluation
+			// handles products natively.
+			p.Strategy = StrategyExpression
+			p.Notes = append(p.Notes, "scheme disconnected: fell back to expression evaluation")
+			break
 		}
 		d, err := core.DeriveFromTree(tree, ch, nil)
 		if err != nil {
 			return nil, err
 		}
 		projects, joins, semijoins := d.Program.OpCounts()
-		p.Tree = tree
 		p.Derivation = d
 		p.Notes = append(p.Notes,
-			"optimized by "+how,
 			fmt.Sprintf("program: %d projections, %d joins, %d semijoins", projects, joins, semijoins),
 			fmt.Sprintf("Theorem 2 bound factor r(a+5) = %d", d.QuasiFactor),
 		)
@@ -250,57 +238,26 @@ func ExecutePlan(db *relation.Database, plan *Plan, opts Options) (rep *Report, 
 	}
 	switch plan.Strategy {
 	case StrategyProgram:
-		res, err := runProgramTraced(plan.Derivation.Program, cdb, gov, opts)
-		if err != nil {
-			return nil, err
-		}
-		rep = &Report{
-			Result:   res.Output,
-			Strategy: StrategyProgram,
-			Cost:     int64(res.Cost),
-			Plan:     "source expression: " + plan.Tree.String(ch) + "\n" + plan.Derivation.Program.String(),
-			Steps:    stepTimings(res.Trace),
-		}
+		rep, err = runDerivation(plan, cdb, ch, gov, opts)
 	case StrategyExpression, StrategyDirect:
-		out, cost, err := evalTree(plan.Tree, cdb, ch, "evaluate expression", gov, opts)
-		if err != nil {
-			return nil, err
-		}
-		rep = &Report{
-			Result:   out,
-			Strategy: plan.Strategy,
-			Cost:     cost,
-			Plan:     plan.Tree.String(ch),
-		}
+		rep, err = evalTree(plan.Tree, cdb, ch, "evaluate expression", gov, opts)
 	case StrategyReduceThenJoin:
-		if rep, err = reduceThenJoin(cdb, ch, plan.Tree, opts, gov); err != nil {
-			return nil, err
-		}
+		rep, err = reduceThenJoin(cdb, ch, plan.Tree, opts, gov)
 	case StrategyWCOJ:
-		res, err := wcoj.JoinGoverned(cdb, plan.VarOrder, gov, opts.workerCount())
-		if err != nil {
-			return nil, err
-		}
-		rep = &Report{
-			Result:   res.Output,
-			Strategy: StrategyWCOJ,
-			Cost:     int64(cdb.TotalTuples()) + int64(res.Output.Len()),
-			Plan:     "leapfrog triejoin, variable order: " + strings.Join(plan.VarOrder, " "),
-			Notes:    wcojNotes(res, cdb),
-		}
+		rep, err = runWCOJ(cdb, plan.VarOrder, gov, opts)
 	case StrategyAcyclic:
-		rep, err = joinAcyclic(cdb, ch, opts, gov)
-		if err != nil {
-			return nil, err
+		if rep, err = runAcyclic(cdb, ch, opts, gov); err == nil {
+			rep.Notes = []string{"no intermediate exceeds the output on the reduced database"}
 		}
 	case StrategyHybrid:
 		rep, err = executeHybrid(cdb, ch, plan.Hybrid, opts, gov)
-		if err != nil {
-			return nil, err
-		}
 	default:
-		return nil, fmt.Errorf("engine: unknown strategy %v", plan.Strategy)
+		err = fmt.Errorf("engine: unknown strategy %v", plan.Strategy)
 	}
+	if err != nil {
+		return nil, err
+	}
+	rep.Strategy = plan.Strategy
 	// Append the plan-time notes without mutating the shared plan.
 	rep.Notes = append(rep.Notes, plan.Notes...)
 	rep.Produced = gov.Produced()

@@ -1,11 +1,14 @@
 package engine
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/govern"
+	"repro/internal/hypergraph"
 	"repro/internal/relation"
 	"repro/internal/workload"
 )
@@ -33,36 +36,122 @@ func chainDB(t *testing.T) *relation.Database {
 	return relation.MustDatabase(mk("A", "B"), mk("B", "C"), mk("C", "D"))
 }
 
+// identityCase is one database of the Join ≡ plan-route identity check,
+// with the tuple budget both routes run under.
+type identityCase struct {
+	name   string
+	db     *relation.Database
+	budget int64
+}
+
+// differentialCases is the 120-scheme random case set: every third scheme a
+// 3- or 4-clique (guaranteed cyclic), the rest random connected schemes,
+// each over a small random instance (seed 1992).
+func differentialCases(t *testing.T) []identityCase {
+	t.Helper()
+	rng := rand.New(rand.NewSource(1992))
+	cases := make([]identityCase, 0, 120)
+	for i := 0; i < 120; i++ {
+		var h *hypergraph.Hypergraph
+		var err error
+		if i%3 == 0 {
+			h, err = workload.CliqueScheme(3 + rng.Intn(2))
+		} else {
+			h, err = workload.RandomScheme(rng, workload.RandomSchemeSpec{
+				Relations: 2 + rng.Intn(4), Attrs: 5, MaxArity: 3, Connected: true,
+			})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err := workload.RandomDatabase(rng, h, 1+rng.Intn(14), 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, identityCase{fmt.Sprintf("random%03d", i), db, 1 << 40})
+	}
+	return cases
+}
+
+// cloneDB copies db's relations, so a run sees none of the encodings an
+// earlier run left resident on them.
+func cloneDB(t *testing.T, db *relation.Database) *relation.Database {
+	t.Helper()
+	rels := make([]*relation.Relation, db.Len())
+	for i := range rels {
+		rels[i] = db.Relation(i).Clone()
+	}
+	out, err := relation.NewDatabase(rels...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestPlanForExecutePlanMatchesJoin checks that Join is the plan route: for
+// every applicable strategy, at one and two workers, Join and
+// ExecutePlan(PlanFor(…)) return the same result, cost, produced count,
+// plan and notes — or the same abort — over the triangle, the 120-scheme
+// differential set, Example 3 at q = 2…14 and the adversarial corpus. Both
+// sides run on fresh copies of the relations and under the same tuple
+// budget (2M tuples outside the corpus: direct on Example 3 at q = 14 would
+// otherwise materialize 26M).
 func TestPlanForExecutePlanMatchesJoin(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		db   *relation.Database
-	}{
-		{"cyclic-triangle", triangleDB(t)},
-		{"acyclic-chain", chainDB(t)},
-	} {
-		for _, strat := range []Strategy{
-			StrategyAuto, StrategyProgram, StrategyExpression,
-			StrategyReduceThenJoin, StrategyDirect,
-		} {
-			opts := Options{Strategy: strat}
-			plan, err := PlanFor(tc.db, opts)
-			if err != nil {
-				t.Fatalf("%s/%s: PlanFor: %v", tc.name, strat, err)
+	cases := append([]identityCase{{"triangle", triangleDB(t), 1 << 21}}, differentialCases(t)...)
+	for q := int64(2); q <= 14; q += 2 {
+		cases = append(cases, identityCase{fmt.Sprintf("example3_q%d", q), example3DB(t, q), 1 << 21})
+	}
+	adv, err := workload.AdversarialCases()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range adv {
+		db, err := c.Database()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, identityCase{c.Name, db, c.Budget})
+	}
+	checked := 0
+	for _, c := range cases {
+		acyclic := hypergraph.OfScheme(c.db).Acyclic()
+		for _, strat := range Strategies() {
+			if strat == StrategyAcyclic && !acyclic {
+				continue
 			}
-			if plan.Strategy == StrategyAuto {
-				t.Fatalf("%s/%s: plan strategy not resolved", tc.name, strat)
-			}
-			rep, err := ExecutePlan(tc.db, plan, opts)
-			if err != nil {
-				t.Fatalf("%s/%s: ExecutePlan: %v", tc.name, strat, err)
-			}
-			want := tc.db.Join()
-			if !rep.Result.Equal(want) {
-				t.Errorf("%s/%s: plan result != ⋈D (%d vs %d tuples)",
-					tc.name, strat, rep.Result.Len(), want.Len())
+			for _, w := range []int{1, 2} {
+				opts := Options{Strategy: strat, Workers: w, Limits: govern.Limits{MaxTuples: c.budget}}
+				got, gotErr := Join(cloneDB(t, c.db), opts)
+				db := cloneDB(t, c.db)
+				plan, err := PlanFor(db, opts)
+				if err != nil {
+					t.Fatalf("%s/%s: PlanFor: %v", c.name, strat, err)
+				}
+				if plan.Strategy == StrategyAuto {
+					t.Fatalf("%s/%s: plan strategy not resolved", c.name, strat)
+				}
+				want, wantErr := ExecutePlan(db, plan, opts)
+				// Parallel workers overshoot a budget by a racy margin, so
+				// only sequential aborts must match word for word.
+				sameErr := errors.Is(gotErr, govern.ErrTupleBudget) == errors.Is(wantErr, govern.ErrTupleBudget) &&
+					(gotErr == nil) == (wantErr == nil)
+				if !sameErr || (w == 1 && fmt.Sprint(gotErr) != fmt.Sprint(wantErr)) {
+					t.Fatalf("%s/%s/w%d: Join error %v, plan route error %v", c.name, strat, w, gotErr, wantErr)
+				}
+				checked++
+				if gotErr != nil {
+					continue
+				}
+				if !got.Result.Equal(want.Result) || got.Cost != want.Cost || got.Produced != want.Produced ||
+					got.Plan != want.Plan || fmt.Sprint(got.Notes) != fmt.Sprint(want.Notes) {
+					t.Fatalf("%s/%s/w%d: Join and the plan route differ:\n--- Join ---\n%s\n--- plan route ---\n%s",
+						c.name, strat, w, got.Explain(), want.Explain())
+				}
 			}
 		}
+	}
+	if checked < 128*7*2 {
+		t.Fatalf("only %d strategy runs compared", checked)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"repro/internal/acyclic"
 	"repro/internal/core"
 	"repro/internal/hypergraph"
-	"repro/internal/optimizer"
 	"repro/internal/relation"
 )
 
@@ -48,19 +47,20 @@ func Project(db *relation.Database, out relation.AttrSet, opts Options) (*Report
 	if !h.Connected(h.Full()) {
 		return nil, fmt.Errorf("engine: projection over a disconnected cyclic scheme is not supported")
 	}
-	tree, how, err := bestTree(db, h, opts.Budget, optimizer.SpaceAll)
+	// The program plan's search and CPF tree, in canonical edge order.
+	plan, err := PlanFor(db, Options{Strategy: StrategyProgram, Budget: opts.Budget})
 	if err != nil {
 		return nil, err
 	}
-	cpf, err := core.CPFify(tree, h, nil)
+	cdb, ch, err := canonicalize(db, h)
 	if err != nil {
 		return nil, err
 	}
-	d, err := core.DeriveProjection(cpf, h, out)
+	d, err := core.DeriveProjection(plan.Derivation.Tree, ch, out)
 	if err != nil {
 		return nil, err
 	}
-	res, err := d.Program.ApplyGoverned(db, gov)
+	res, err := d.Program.ApplyGoverned(cdb, gov)
 	if err != nil {
 		return nil, err
 	}
@@ -69,7 +69,7 @@ func Project(db *relation.Database, out relation.AttrSet, opts Options) (*Report
 		Strategy: StrategyProgram,
 		Cost:     int64(res.Cost),
 		Produced: gov.Produced(),
-		Plan:     "source expression: " + tree.String(h) + "\n" + d.Program.String(),
-		Notes:    []string{"optimized by " + how, "projection derived per Yannakakis' extension, appended to the Algorithm 2 program"},
+		Plan:     "source expression: " + plan.Tree.String(ch) + "\n" + d.Program.String(),
+		Notes:    []string{plan.Notes[0], "projection derived per Yannakakis' extension, appended to the Algorithm 2 program"},
 	}, nil
 }

@@ -12,10 +12,11 @@ import (
 
 // GovernanceLadder (experiment EX6) runs every execution strategy on the
 // paper's adversarial cycle under a tuple budget and shows which routes
-// blow it, which complete, and how governed auto degrades along the
-// strategy ladder to a completing route. The budget defaults to a value
-// between the program route's produced tuples and the classical routes'
-// (so the ladder is actually exercised); maxTuples overrides it.
+// blow it, which complete, and where governed auto lands on its ladder. The
+// budget defaults to a value between the program route's produced tuples
+// and the classical routes', so auto completes on its first rung, the
+// program; maxTuples overrides it (below the program's charge, auto falls
+// through the classical rungs to the triejoin).
 func GovernanceLadder(q, maxTuples int64) (*Table, error) {
 	if maxTuples <= 0 {
 		maxTuples = 15000

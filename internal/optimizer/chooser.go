@@ -72,8 +72,8 @@ type HybridChoice struct {
 	// Outer is the chosen binary tree. For RouteBinary (and RouteAcyclic)
 	// its leaves index the scheme's edges. For RouteMixed leaf 0 is the
 	// core's output and leaf k>0 is the k-th non-core edge in ascending
-	// index order. Nil when the DP was unavailable (the executor falls
-	// back to its own search).
+	// index order. Nil when the DP was unavailable (the planner then
+	// searches a binary tree itself).
 	Outer *jointree.Tree
 	// EstCost is the chosen route's estimated §2.3 cost — inputs plus
 	// correction-scaled generated tuples, with no handicap — the number

@@ -250,6 +250,16 @@ func TestPairwiseReduceMatchesOracleRounds(t *testing.T) {
 				t.Fatalf("%s: reduced relation %d differs from the oracle's", c.name, i)
 			}
 		}
+		// The reduce-then-join plan reduces in the scheme's canonical edge
+		// order, and a round's charge depends on its semijoin order.
+		cdb, err := c.db.Restrict(c.h.CanonicalOrder())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cred, err := engine.PairwiseReduce(cdb, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var first *engine.Report
 		for _, w := range workerSweep {
 			rep, err := engine.Join(c.db, engine.Options{Strategy: engine.StrategyReduceThenJoin, Workers: w})
@@ -258,7 +268,7 @@ func TestPairwiseReduceMatchesOracleRounds(t *testing.T) {
 			}
 			if first == nil {
 				first = rep
-				if want := c.db.TotalTuples() + cost; rep.Cost < int64(want) {
+				if want := c.db.TotalTuples() + cred.Cost; rep.Cost < int64(want) {
 					t.Fatalf("%s: reduce-then-join cost %d below inputs + reduction %d", c.name, rep.Cost, want)
 				}
 				continue

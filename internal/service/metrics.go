@@ -140,7 +140,7 @@ func newServiceMetrics(s *Service) *serviceMetrics {
 		"Queries granted fewer intra-query workers than asked (worker budget depleted).",
 		func() float64 { return float64(s.workersDegraded.Load()) })
 	r.CounterFunc("joind_ladder_degradations_total",
-		"Cached-plan executions that blew their budget and re-ran the degradation ladder.",
+		"Queries whose first degradation-ladder rung aborted on its budget and fell through to the next rung.",
 		func() float64 { return float64(s.degraded.Load()) })
 
 	// Continuous-query (view) series. Counters read the service's aggregate

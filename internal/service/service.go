@@ -244,8 +244,8 @@ type Stats struct {
 	// (tuple budget, deadline, cancellation).
 	Aborted int64 `json:"aborted"`
 	Failed  int64 `json:"failed"`
-	// Degraded counts cached-plan executions that blew their budget and
-	// fell back to the engine's governed degradation ladder.
+	// Degraded counts queries whose first ladder rung aborted on a tuple or
+	// search budget and that went on to the next rung (auto only).
 	Degraded int64 `json:"degraded"`
 	// QueryWorkers is the configured per-query parallelism cap.
 	QueryWorkers int `json:"query_workers"`
@@ -557,11 +557,11 @@ func (s *Service) carveWorkers(asked int) (int, bool, func()) {
 }
 
 // Query joins the named database under the request's limits. The flow is:
-// admission (worker slot with queue timeout), budget carving, plan-cache
-// lookup keyed by scheme fingerprint + resolved strategy (a miss derives
-// the plan once, coalescing concurrent misses), governed execution of the
-// plan, and — if a cached plan blows its tuple budget under the auto
-// strategy — a fallback to the engine's degradation ladder. The returned
+// admission (worker slot with queue timeout), budget carving, then a climb
+// of the strategy's engine.DegradationLadder through engine.Climb: each
+// rung is a plan-cache lookup keyed by scheme fingerprint + rung strategy (a
+// miss derives the plan once, coalescing concurrent misses) and a governed
+// execution of that plan, and only auto has more than one rung. The returned
 // Report carries PlanCacheHit, QueueWait, and — when tracing is on — the
 // TraceID of the query's span tree.
 //
@@ -669,56 +669,23 @@ func (s *Service) execute(ctx context.Context, e *catalogEntry, strat engine.Str
 		opts.Trace = trace.Root
 	}
 
-	// Resolve auto against the registered scheme so the cache key pins the
-	// actual route; two names over the same scheme share plans.
-	resolved := strat
-	if resolved == engine.StrategyAuto {
-		if e.acyclic {
-			resolved = engine.StrategyAcyclic
-		} else {
-			resolved = engine.StrategyProgram
+	// Climb the strategy's ladder (one rung for an explicit strategy; auto
+	// starts at the plan it resolves to). Every rung's plan comes from the
+	// cache under its own key, so a degraded query on a known scheme
+	// derives no plan at all; two names over the same scheme share plans.
+	var plan *engine.Plan
+	var hit bool
+	rungs := 0
+	rep, err := engine.Climb(engine.DegradationLadder(strat, e.acyclic), func(rung engine.Strategy) (*engine.Report, error) {
+		rungs++
+		var err error
+		if plan, hit, err = s.cachedPlan(e, grp, db, rung, trace); err != nil {
+			return nil, err
 		}
-	}
-	key := planKey(e.fingerprint, resolved, grp, e.sketches.Version())
-	var pcSpan *obs.Span
-	if trace != nil {
-		pcSpan = trace.Root.Child(obs.KindPlanCache, "plan cache lookup")
-	}
-	plan, hit, err := s.cache.GetOrCompute(key, func() (*engine.Plan, error) {
-		// Only the request that computes the plan runs this callback: hits
-		// and coalesced waiters carry no plan span.
-		sp := pcSpan.Child(obs.KindPlan, "derive plan")
-		defer sp.End()
-		return engine.PlanFor(db, engine.Options{Strategy: resolved, Budget: s.cfg.SearchBudget, Sketches: e.sketches, Hybrid: s.cfg.Hybrid})
+		return s.runPlan(grp, db, plan, opts)
 	})
-	if pcSpan != nil {
-		if hit {
-			pcSpan.Note("hit: %s", key)
-		} else {
-			pcSpan.Note("miss: derived plan for %s", key)
-		}
-		pcSpan.End()
-	}
-	if err != nil {
-		s.failed.Add(1)
-		return nil, err
-	}
-
-	rep, err := s.runPlan(grp, db, plan, opts)
-	if err != nil && strat == engine.StrategyAuto && errors.Is(err, govern.ErrTupleBudget) {
-		// The cached plan blew this query's budget; hand the query to the
-		// engine's governed degradation ladder, which tries cheaper
-		// machinery rung by rung with fresh per-attempt budgets. Sharded
-		// queries climb the same ladder through the scatter layer.
+	if rungs > 1 {
 		s.degraded.Add(1)
-		if grp != nil {
-			rep, err = s.shardLadder(e, grp, opts)
-		} else {
-			rep, err = engine.Join(db, opts)
-		}
-		if err == nil {
-			rep.Notes = append(rep.Notes, "plan cache: cached plan exceeded budget; re-ran degradation ladder")
-		}
 	}
 	if err != nil {
 		if errors.Is(err, govern.ErrTupleBudget) || errors.Is(err, govern.ErrDeadline) || errors.Is(err, govern.ErrCanceled) {
@@ -741,6 +708,33 @@ func (s *Service) execute(ctx context.Context, e *catalogEntry, strat engine.Str
 	}
 	s.succeeded.Add(1)
 	return rep, nil
+}
+
+// cachedPlan returns the plan for one ladder rung over the query's scheme
+// from the plan cache, deriving it on a miss (concurrent misses on one key
+// coalesce) under a "plan cache lookup" span.
+func (s *Service) cachedPlan(e *catalogEntry, grp *shard.Group, db *relation.Database, rung engine.Strategy, trace *obs.Trace) (*engine.Plan, bool, error) {
+	key := planKey(e.fingerprint, rung, grp, e.sketches.Version())
+	var pcSpan *obs.Span
+	if trace != nil {
+		pcSpan = trace.Root.Child(obs.KindPlanCache, "plan cache lookup")
+	}
+	plan, hit, err := s.cache.GetOrCompute(key, func() (*engine.Plan, error) {
+		// Only the request that computes the plan runs this callback: hits
+		// and coalesced waiters carry no plan span.
+		sp := pcSpan.Child(obs.KindPlan, "derive plan")
+		defer sp.End()
+		return engine.PlanFor(db, engine.Options{Strategy: rung, Budget: s.cfg.SearchBudget, Sketches: e.sketches, Hybrid: s.cfg.Hybrid})
+	})
+	if pcSpan != nil {
+		if hit {
+			pcSpan.Note("hit: %s", key)
+		} else {
+			pcSpan.Note("miss: derived plan for %s", key)
+		}
+		pcSpan.End()
+	}
+	return plan, hit, err
 }
 
 // finish closes out one query: the Prometheus counters and latency

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,9 +11,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/govern"
-	"repro/internal/hypergraph"
-	"repro/internal/optimizer"
 	"repro/internal/relation"
 	"repro/internal/shard"
 	"repro/internal/store"
@@ -74,47 +70,6 @@ func (s *Service) runPlan(grp *shard.Group, db *relation.Database, plan *engine.
 		}
 	}
 	return rep, err
-}
-
-// shardLadder is the sharded counterpart of the engine's governed
-// degradation ladder (engine.Join under StrategyAuto): the same rungs in
-// the same order, each with a fresh tuple budget, but every attempt goes
-// through the plan cache and the scatter layer so sharded fallbacks charge
-// identically to sequential ones.
-func (s *Service) shardLadder(e *catalogEntry, grp *shard.Group, opts engine.Options) (*engine.Report, error) {
-	h := hypergraph.OfScheme(grp.Full())
-	ladder := engine.DegradationLadder(h)
-	var chain []string
-	for i, strat := range ladder {
-		key := planKey(e.fingerprint, strat, grp, e.sketches.Version())
-		plan, _, err := s.cache.GetOrCompute(key, func() (*engine.Plan, error) {
-			return engine.PlanFor(grp.Full(), engine.Options{Strategy: strat, Budget: s.cfg.SearchBudget})
-		})
-		var rep *engine.Report
-		if err == nil {
-			rep, err = s.runPlan(grp, grp.Full(), plan, opts)
-		}
-		if err == nil {
-			rep.Notes = append(chain, rep.Notes...)
-			return rep, nil
-		}
-		if i == len(ladder)-1 || !degradableErr(err) {
-			if len(chain) > 0 {
-				return nil, fmt.Errorf("service: degradation ladder exhausted after %d fallbacks: %w", len(chain), err)
-			}
-			return nil, err
-		}
-		chain = append(chain, fmt.Sprintf("degradation: %s aborted (%v); falling back to %s",
-			strat, err, ladder[i+1]))
-	}
-	panic("service: unreachable: shard ladder neither returned nor degraded")
-}
-
-// degradableErr mirrors the engine's fall-through rule: execution tuple
-// budgets and optimizer search budgets degrade to the next rung;
-// cancellation, deadlines, and real errors are final.
-func degradableErr(err error) bool {
-	return errors.Is(err, govern.ErrTupleBudget) || errors.Is(err, optimizer.ErrBudget)
 }
 
 // shardPushClient serves partition pushes and routed ingests to peers.

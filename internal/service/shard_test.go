@@ -150,3 +150,53 @@ func TestShardedServiceIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDegradedQueryThroughPlanCache runs a governed auto query whose first
+// rung (the program) blows its budget, twice, unsharded and over two
+// in-process shards: the ladder climbs through the plan cache rung by rung,
+// so the second query derives no plan, each query counts as degraded once,
+// and the answer is ⋈D.
+func TestDegradedQueryThroughPlanCache(t *testing.T) {
+	spec, err := workload.Example3(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := spec.CycleDatabase()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := db.Join()
+	for _, shards := range []int{0, 2} {
+		svc := New(Config{Shards: shards})
+		if _, err := svc.Register("e3", db); err != nil {
+			t.Fatal(err)
+		}
+		// 5 000 tuples: below the program route's 7 115, above the
+		// triejoin's inputs plus output.
+		req := Request{Database: "e3", MaxTuples: 5000}
+		var misses int64
+		for i := 0; i < 2; i++ {
+			rep, err := svc.Query(context.Background(), req)
+			if err != nil {
+				t.Fatalf("%d shards, query %d: %v", shards, i, err)
+			}
+			if !rep.Result.Equal(want) {
+				t.Fatalf("%d shards, query %d: %d tuples, want %d", shards, i, rep.Result.Len(), want.Len())
+			}
+			if !strings.HasPrefix(rep.Notes[0], "degradation: program aborted") {
+				t.Fatalf("%d shards, query %d: first rung did not abort: %q", shards, i, rep.Notes)
+			}
+			st := svc.Stats()
+			if i == 1 && st.PlanCache.Misses != misses {
+				t.Fatalf("%d shards: second degraded query added %d plan-cache misses", shards, st.PlanCache.Misses-misses)
+			}
+			misses = st.PlanCache.Misses
+			if st.Degraded != int64(i+1) {
+				t.Fatalf("%d shards, query %d: Degraded = %d, want %d", shards, i, st.Degraded, i+1)
+			}
+		}
+		if err := svc.Close(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

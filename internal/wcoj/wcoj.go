@@ -38,9 +38,9 @@
 //     partition-parallel variant that splits the outermost variable's key
 //     range across workers (parallel.go).
 //
-// The engine exposes all of this as StrategyWCOJ and slots it into the
-// governed auto-degradation ladder ahead of the program route on cyclic
-// schemes.
+// The engine exposes all of this as StrategyWCOJ and makes it the last rung
+// of the auto degradation ladder on cyclic schemes, behind the program and
+// the classical routes.
 package wcoj
 
 import (
