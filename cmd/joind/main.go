@@ -18,7 +18,6 @@
 //	      [-fsync-interval 100ms] [-checkpoint-every n]
 //	      [-shards n] [-shard-broadcast-threshold n]
 //	      [-shard-peers url1,url2,...]
-//	      [-hybrid-skew-threshold x] [-hybrid-trie-cost-factor x]
 //
 // With -shards N > 1, every registered database is hash-partitioned on a
 // join attribute chosen from its hypergraph and queries scatter across an
@@ -62,7 +61,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/engine/failpoint"
-	"repro/internal/optimizer"
 	"repro/internal/relation"
 	"repro/internal/service"
 	"repro/internal/store"
@@ -91,8 +89,6 @@ func main() {
 	shards := flag.Int("shards", 0, "hash-partition every database across this many shards and scatter queries (0 or 1 = off)")
 	shardBroadcastThreshold := flag.Int("shard-broadcast-threshold", 0, "broadcast relations smaller than this instead of partitioning (0 = default, negative = never broadcast by size)")
 	shardPeers := flag.String("shard-peers", "", "comma-separated remote joind base URLs, one per shard (overrides -shards; empty = in-process shards)")
-	hybridSkewThreshold := flag.Float64("hybrid-skew-threshold", 0, "heavy-hitter degree ratio past which the hybrid chooser routes cyclic cores to wcoj when its DP is unavailable (0 = default 8)")
-	hybridTrieCostFactor := flag.Float64("hybrid-trie-cost-factor", 0, "handicap on wcoj trie-build inputs in the hybrid route comparison (0 = default 2)")
 	// One strategy registry feeds every CLI surface: the usage footer below
 	// and joinrun's -strategy flag both print engine.StrategyNames(), so a
 	// newly registered strategy shows up everywhere without hand-edits.
@@ -112,18 +108,14 @@ func main() {
 	}
 
 	svc := service.New(service.Config{
-		Workers:           *workers,
-		QueueDepth:        *queueDepth,
-		QueueTimeout:      *queueTimeout,
-		PlanCacheSize:     *planCache,
-		GlobalMaxTuples:   *globalMaxTuples,
-		MaxTuplesPerQuery: *maxTuplesPerQuery,
-		DefaultTimeout:    *defaultTimeout,
-		SearchBudget:      *searchBudget,
-		Hybrid: optimizer.HybridConfig{
-			SkewThreshold:  *hybridSkewThreshold,
-			TrieCostFactor: *hybridTrieCostFactor,
-		},
+		Workers:            *workers,
+		QueueDepth:         *queueDepth,
+		QueueTimeout:       *queueTimeout,
+		PlanCacheSize:      *planCache,
+		GlobalMaxTuples:    *globalMaxTuples,
+		MaxTuplesPerQuery:  *maxTuplesPerQuery,
+		DefaultTimeout:     *defaultTimeout,
+		SearchBudget:       *searchBudget,
 		QueryWorkers:       *queryWorkers,
 		WorkerBudget:       *workerBudget,
 		SlowQueryThreshold: *slowThreshold,

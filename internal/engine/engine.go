@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/acyclic"
 	"repro/internal/engine/failpoint"
 	"repro/internal/govern"
 	"repro/internal/hypergraph"
@@ -15,7 +14,6 @@ import (
 	"repro/internal/optimizer"
 	"repro/internal/program"
 	"repro/internal/relation"
-	"repro/internal/wcoj"
 )
 
 // Strategy selects how Join computes ⋈D.
@@ -48,20 +46,21 @@ const (
 	// in, with no optimization; the baseline of baselines.
 	StrategyDirect
 	// StrategyWCOJ runs the worst-case-optimal Leapfrog Triejoin
-	// (internal/wcoj): relations are trie-indexed along a global variable
-	// order and ⋈D is computed attribute-by-attribute as a multiway
-	// intersection, materializing no pairwise intermediate at all. On the
-	// cyclic schemes where Example 3 makes every CPF expression unboundedly
-	// suboptimal, this is the backend built for the job.
+	// (internal/wcoj) as a one-statement program — a multiway join over every
+	// relation: relations are trie-indexed along a global variable order and
+	// ⋈D is computed attribute-by-attribute as a multiway intersection,
+	// materializing no pairwise intermediate at all. On the cyclic schemes
+	// where Example 3 makes every CPF expression unboundedly suboptimal, this
+	// is the backend built for the job.
 	StrategyWCOJ
 	// StrategyHybrid is the statistics-driven chooser: per-relation sketches
 	// (degree / distinct counts / equi-depth histograms, incrementally
 	// maintained on the mutation path) estimate each route's §2.3 cost and
 	// pick between the worst-case-optimal triejoin on the skewed cyclic
-	// core, binary-join programs on the block executor elsewhere, or
-	// a mixed plan stitching the two — wcoj on hypergraph.Core, its output
-	// fed as a leaf into a binary tree over the pendant edges. Pure routes
-	// charge the governor identically to their static rungs.
+	// core, binary-join programs on the block executor elsewhere, or a
+	// mixed program — a multiway join on hypergraph.Core followed by a
+	// binary tree's joins over its output and the pendant edges. Pure
+	// routes compile and charge exactly as their static rungs do.
 	StrategyHybrid
 )
 
@@ -112,13 +111,14 @@ type Options struct {
 	Limits govern.Limits
 	// Workers enables governed intra-query parallelism with up to Workers
 	// goroutines: ready program statements run concurrently over their
-	// dependency DAG and their joins and semijoins probe in parallel row
-	// ranges. Every plan but wcoj runs as a program on that executor — join
-	// trees, the acyclic pipeline and the pairwise reduction included — and
-	// wcoj partitions its outermost variable instead. All workers charge the
-	// same governor budgets. 0 or 1 executes sequentially (the default);
-	// results and costs are identical either way. Workers is honored by
-	// direct Join calls and by cached-Plan execution.
+	// dependency DAG, their joins and semijoins probe in parallel row
+	// ranges, and a multiway join partitions its outermost variable. Every
+	// plan runs as a program on that executor — join trees, the acyclic
+	// pipeline, the pairwise reduction and the leapfrog join included. All
+	// workers charge the same governor budgets. 0 or 1 executes
+	// sequentially (the default); results and costs are identical either
+	// way. Workers is honored by direct Join calls and by cached-Plan
+	// execution.
 	Workers int
 	// Sketches, when non-nil, supplies StrategyHybrid's maintained
 	// per-relation statistics (aligned with the database as passed: sketch i
@@ -126,8 +126,6 @@ type Options struct {
 	// When nil, hybrid planning builds throwaway sketches by scanning the
 	// database once.
 	Sketches *optimizer.DBSketches
-	// Hybrid tunes the hybrid chooser (zero value = defaults).
-	Hybrid optimizer.HybridConfig
 	// Trace, when non-nil, is the parent span the execution hangs its span
 	// tree under: per ladder rung a "derive plan" span and an "execute plan"
 	// attempt span, and per-phase / per-statement / per-variable children
@@ -164,11 +162,11 @@ type Report struct {
 	// TraceID identifies the query's span tree when tracing was enabled
 	// (set by the serving layer; empty otherwise).
 	TraceID string
-	// Plan describes the executed plan: the join expression and, for the
-	// program strategies, the derived statements.
+	// Plan describes the executed plan: how its program was obtained (the
+	// join expression, the route) and the program's statements.
 	Plan string
-	// Notes carries strategy-specific detail (reduction rounds, bound
-	// factors, …).
+	// Notes carries strategy-specific detail (reduction rounds, trie counts,
+	// bound factors, …).
 	Notes []string
 	// PlanCacheHit reports whether execution reused a cached plan instead of
 	// running optimizer search (set by the serving layer; always false for
@@ -185,10 +183,10 @@ type Report struct {
 	// the merged totals, corrected to match what one sequential execution
 	// would have charged.
 	Shards int
-	// Steps carries per-statement timings for the program strategies (nil
-	// for the expression and pipeline strategies, whose plans are not
-	// statement lists). Under parallel execution concurrent steps overlap,
-	// so their Walls sum to more than the query's elapsed time.
+	// Steps carries per-statement timings of the executed program (for
+	// reduce-then-join, of the program run after the reduction). Under
+	// parallel execution concurrent steps overlap, so their Walls sum to more
+	// than the query's elapsed time.
 	Steps []StepTiming
 }
 
@@ -291,19 +289,27 @@ func newGovernor(opts Options) *govern.Governor {
 	return gov
 }
 
+// phaseNames names the span of each phase an execution runs its work under.
+var phaseNames = map[obs.Kind]string{
+	obs.KindReduce:   "pairwise semijoin reduction",
+	obs.KindEval:     "evaluate expression",
+	obs.KindPipeline: "full-reducer pipeline",
+}
+
 // tracedPhase runs one phase of a strategy attempt under a child span of
 // the governor's current span, installed as the governor's span for the
 // duration so the executor's spans nest under the phase. The phase span is
 // charged the governor delta the phase produced minus what its descendants
-// (the statement spans) already claimed. Untraced executions call fn with no
-// overhead at all. The delta protocol is sound here because engine-level
-// phases run sequentially: nothing else charges the governor during fn.
-func tracedPhase(gov *govern.Governor, kind obs.Kind, name string, fn func() error) error {
+// (the statement spans) already claimed. Untraced executions, and the phase
+// kind "", call fn with no overhead at all. The delta protocol is sound here
+// because engine-level phases run sequentially: nothing else charges the
+// governor during fn.
+func tracedPhase(gov *govern.Governor, kind obs.Kind, fn func() error) error {
 	parent := gov.Span()
-	if parent == nil {
+	if parent == nil || kind == "" {
 		return fn()
 	}
-	sp := parent.Child(kind, name)
+	sp := parent.Child(kind, phaseNames[kind])
 	defer sp.End()
 	gov.SetSpan(sp)
 	before := gov.Produced()
@@ -316,80 +322,53 @@ func tracedPhase(gov *govern.Governor, kind obs.Kind, name string, fn func() err
 	return err
 }
 
-// runProgramTraced applies p to db on the program executor with the
-// options' worker count, under executeTraced's span.
-func runProgramTraced(p *program.Program, db *relation.Database, gov *govern.Governor, opts Options) (res *program.Result, err error) {
-	err = executeTraced(gov, func() error {
-		res, err = p.ApplyParallelGoverned(db, gov, opts.workerCount())
+// executeTraced runs fn — one call into the program executor — under the
+// plan's phase span and an "execute program" span: the governor's span is
+// swapped to the execute span for the duration so the executor's
+// per-statement spans nest under it, then restored. The span's self time is
+// the executor's work outside statements — encoding the inputs and decoding
+// the output. The swap is safe because the executor's worker goroutines are
+// spawned (and joined) strictly inside the call.
+func executeTraced(gov *govern.Governor, phase obs.Kind, fn func() error) error {
+	return tracedPhase(gov, phase, func() error {
+		parent := gov.Span()
+		if parent == nil {
+			return fn()
+		}
+		exec := parent.Child(obs.KindExecute, "execute program")
+		gov.SetSpan(exec)
+		err := fn()
+		gov.SetSpan(parent)
+		if err != nil {
+			exec.Note("failed: %v", err)
+		}
+		exec.End()
 		return err
 	})
-	return res, err
 }
 
-// executeTraced runs fn — one call into the program executor — under an
-// "execute program" span: the governor's span is swapped to the execute
-// span for the duration so the executor's per-statement spans nest under
-// it, then restored. The span's self time is the executor's work outside
-// statements — encoding the inputs and decoding the output. The swap is
-// safe because the executor's worker goroutines are spawned (and joined)
-// strictly inside the call.
-func executeTraced(gov *govern.Governor, fn func() error) error {
-	parent := gov.Span()
-	if parent == nil {
-		return fn()
-	}
-	exec := parent.Child(obs.KindExecute, "execute program")
-	gov.SetSpan(exec)
-	err := fn()
-	gov.SetSpan(parent)
-	if err != nil {
-		exec.Note("failed: %v", err)
-	}
-	exec.End()
-	return err
-}
-
-// evalTree runs a join tree as its compiled program (jointree.Tree.Program)
-// on the block executor under the attempt's "eval" phase span. The report
-// carries ⋈D, the tree's §2.3 cost, and the tree as its plan.
-func evalTree(tree *jointree.Tree, db *relation.Database, h *hypergraph.Hypergraph, span string, gov *govern.Governor, opts Options) (*Report, error) {
+// runPlan runs the plan's program over the canonical database on the
+// program executor.
+func runPlan(cdb *relation.Database, plan *Plan, gov *govern.Governor, opts Options) (*Report, error) {
 	var res *program.Result
-	if err := tracedPhase(gov, obs.KindEval, span, func() (err error) {
-		res, err = runProgramTraced(tree.Program(h), db, gov, opts)
+	if err := executeTraced(gov, plan.phase, func() (err error) {
+		res, err = plan.Program.ApplyParallelGoverned(cdb, gov, opts.workerCount())
 		return err
 	}); err != nil {
 		return nil, err
 	}
-	return &Report{Result: res.Output, Cost: int64(res.Cost), Plan: tree.String(h)}, nil
+	return programReport(res.Output, res.Cost, res.Trace), nil
 }
 
-// runDerivation runs a program plan's derived program: the paper's route.
-func runDerivation(plan *Plan, db *relation.Database, h *hypergraph.Hypergraph, gov *govern.Governor, opts Options) (*Report, error) {
-	p := plan.Derivation.Program
-	res, err := runProgramTraced(p, db, gov, opts)
-	if err != nil {
-		return nil, err
-	}
-	rep := &Report{
-		Result: res.Output,
-		Cost:   int64(res.Cost),
-		Plan:   "source expression: " + plan.Tree.String(h) + "\n" + p.String(),
-		Steps:  stepTimings(res.Trace),
-	}
-	if w := opts.workerCount(); w > 1 {
-		rep.Notes = []string{fmt.Sprintf("parallel DAG execution: %d statements, critical path %d, %d workers",
-			p.Len(), p.CriticalPathLen(), w)}
-	}
-	return rep, nil
-}
-
-// stepTimings converts a program trace into Report.Steps.
-func stepTimings(trace []program.Step) []StepTiming {
-	out := make([]StepTiming, len(trace))
+// programReport is the report of one program run: its output and §2.3
+// cost, a step per statement, and the statements' own notes.
+func programReport(out *relation.Relation, cost int, trace []program.Step) *Report {
+	rep := &Report{Result: out, Cost: int64(cost), Steps: make([]StepTiming, len(trace))}
 	for i, s := range trace {
-		out[i] = StepTiming{Stmt: s.Stmt.String(), Tuples: s.Size, Wall: s.Wall}
+		rep.Steps[i] = StepTiming{Stmt: s.Stmt.String(), Tuples: s.Size, Wall: s.Wall}
+		rep.Notes = append(rep.Notes, s.Notes...)
 	}
-	return out
+	return rep
 }
 
 // DegradationLadder returns the strategies a query under s tries, in order.
@@ -474,92 +453,29 @@ func bestTree(db *relation.Database, h *hypergraph.Hypergraph, budget int64, spa
 }
 
 // reduceThenJoin reduces pairwise to a fixpoint — the round program re-run
-// on the block executor — then runs the plan's tree as its compiled program
-// over the reduced blocks the last round returned; only the output is
-// decoded.
-func reduceThenJoin(db *relation.Database, h *hypergraph.Hypergraph, tree *jointree.Tree, opts Options, gov *govern.Governor) (*Report, error) {
+// on the block executor — then runs the plan's program over the reduced
+// blocks the last round returned; only the output is decoded.
+func reduceThenJoin(cdb *relation.Database, ch *hypergraph.Hypergraph, plan *Plan, gov *govern.Governor, opts Options) (*Report, error) {
 	var red *PairwiseReduction
 	var blocks []*relation.ColBlock
-	if err := tracedPhase(gov, obs.KindReduce, "pairwise semijoin reduction", func() (err error) {
-		red, blocks, err = pairwiseReduce(db, h, 0, gov, opts.workerCount())
+	if err := tracedPhase(gov, obs.KindReduce, func() (err error) {
+		red, blocks, err = pairwiseReduce(cdb, ch, 0, gov, opts.workerCount())
 		return err
 	}); err != nil {
 		return nil, err
 	}
-	p := tree.Program(h)
-	var out *relation.Relation
-	var generated int
-	if err := tracedPhase(gov, obs.KindEval, "evaluate expression", func() error {
-		return executeTraced(gov, func() error {
-			bound, trace, err := p.Execute(blocks, gov, opts.workerCount())
-			if err != nil {
-				return err
-			}
-			out, generated = bound[p.Output].ToRelation(), program.Generated(trace)
-			return nil
-		})
-	}); err != nil {
-		return nil, err
-	}
-	return &Report{
-		Result: out,
-		// The original inputs once, the reduction heads, the join heads: the
-		// tree's leaves are the reduced relations the reduction paid for.
-		Cost:  int64(db.TotalTuples() + red.Cost + generated),
-		Plan:  tree.String(h),
-		Notes: []string{fmt.Sprintf("pairwise reduction: %d rounds, %d tuples removed", red.Rounds, red.Removed)},
-	}, nil
-}
-
-// runAcyclic runs the full-reducer pipeline — acyclic.JoinProgram, one
-// program — on the block executor under the attempt's "pipeline" phase
-// span. The report carries ⋈D, the pipeline's §2.3 cost, and the plan line.
-func runAcyclic(db *relation.Database, h *hypergraph.Hypergraph, opts Options, gov *govern.Governor) (*Report, error) {
-	var res *program.Result
-	var jt *hypergraph.JoinTree
-	if err := tracedPhase(gov, obs.KindPipeline, "full-reducer pipeline", func() error {
-		p, t, err := acyclic.JoinProgram(h)
-		if err != nil {
-			return err
-		}
-		jt = t
-		res, err = runProgramTraced(p, db, gov, opts)
+	p := plan.Program
+	var bound map[string]*relation.ColBlock
+	var trace []program.Step
+	if err := executeTraced(gov, plan.phase, func() (err error) {
+		bound, trace, err = p.Execute(blocks, gov, opts.workerCount())
 		return err
 	}); err != nil {
 		return nil, err
 	}
-	return &Report{
-		Result: res.Output,
-		Cost:   int64(res.Cost),
-		Plan:   "full reducer; monotone expression: " + acyclic.MonotoneTree(jt).String(h),
-	}, nil
-}
-
-// runWCOJ runs the Leapfrog Triejoin over db along order. Its §2.3 cost is
-// the inputs plus the output: no pairwise intermediate exists.
-func runWCOJ(db *relation.Database, order []string, gov *govern.Governor, opts Options) (*Report, error) {
-	res, err := wcoj.JoinGoverned(db, order, gov, opts.workerCount())
-	if err != nil {
-		return nil, err
-	}
-	return &Report{
-		Result: res.Output,
-		Cost:   int64(db.TotalTuples()) + int64(res.Output.Len()),
-		Plan:   "leapfrog triejoin, variable order: " + strings.Join(order, " "),
-		Notes:  wcojNotes(res, db),
-	}, nil
-}
-
-// wcojNotes renders the WCOJ accounting of the wcoj plan and the hybrid
-// triejoin routes; db is the database the triejoin ran over (the core, on
-// the hybrid mixed route).
-func wcojNotes(res *wcoj.Result, db *relation.Database) []string {
-	notes := []string{
-		fmt.Sprintf("tries re-sort the %d input tuples; no pairwise intermediate is materialized (§2.3 cost = inputs + output)", res.TrieTuples),
-		fmt.Sprintf("tries: %d resident, %d built", db.Len()-res.TriesBuilt, res.TriesBuilt),
-	}
-	if res.Workers > 1 {
-		notes = append(notes, fmt.Sprintf("outermost variable's key range partitioned across %d workers", res.Workers))
-	}
-	return notes
+	// The original inputs once, the reduction heads, the join heads: the
+	// program's inputs are the reduced relations the reduction paid for.
+	rep := programReport(bound[p.Output].ToRelation(), cdb.TotalTuples()+red.Cost+program.Generated(trace), trace)
+	rep.Notes = append([]string{fmt.Sprintf("pairwise reduction: %d rounds, %d tuples removed", red.Rounds, red.Removed)}, rep.Notes...)
+	return rep, nil
 }

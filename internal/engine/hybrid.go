@@ -2,37 +2,23 @@ package engine
 
 import (
 	"fmt"
-	"strings"
 
-	"repro/internal/govern"
 	"repro/internal/hypergraph"
-	"repro/internal/jointree"
+	"repro/internal/obs"
 	"repro/internal/optimizer"
 	"repro/internal/relation"
-	"repro/internal/wcoj"
 )
 
-// HybridPlan is StrategyHybrid's resolved route in canonical edge order.
-// Pure routes reuse the static rungs' machinery wholesale — results, §2.3
-// costs, and governor charges are identical to the corresponding static
-// strategy. The mixed route is the hybrid shape proper: the cyclic core
-// runs through the worst-case-optimal triejoin and its output joins the
-// pendant edges as a binary tree program on the block executor.
+// HybridPlan is StrategyHybrid's decision as the serving layer reads it:
+// the route label and the chooser's estimate. The route itself is compiled
+// into Plan.Program — the acyclic pipeline, a binary tree's joins, one
+// multiway join, or (the hybrid shape proper) a multiway join on the cyclic
+// core followed by the outer tree's joins — and executes like every other
+// program, charging exactly what the matching static plan charges.
 type HybridPlan struct {
 	// Route is one of optimizer.RouteAcyclic / RouteBinary / RouteWCOJ /
-	// RouteMixed.
+	// RouteMixed: the joind_optimizer_hybrid_routes_total label.
 	Route string
-	// Core is the canonical-order edge mask the triejoin covers (the full
-	// scheme for RouteWCOJ, hypergraph.Core for RouteMixed; 0 otherwise).
-	Core hypergraph.Mask
-	// CoreOrder is the triejoin's variable order over Core.
-	CoreOrder []string
-	// Outer is the binary tree. For RouteBinary its leaves are scheme
-	// edges; for RouteMixed leaf 0 is the core's output and leaf k>0 the
-	// k-th non-core edge in ascending index order. When the chooser's DP
-	// was unavailable, planHybrid searches the binary tree itself, so only
-	// the wcoj and acyclic routes leave it nil.
-	Outer *jointree.Tree
 	// EstCost is the chooser's §2.3 estimate for the picked route — the
 	// denominator of the served q-error feedback.
 	EstCost int64
@@ -63,49 +49,59 @@ func sketchesFor(db *relation.Database, perm []int, opts Options) []*optimizer.S
 }
 
 // planHybrid runs the statistics-driven chooser over cdb (already in
-// canonical edge order, scheme ch) and fixes the route. perm maps canonical
-// positions back to the original database order the sketches follow (nil
-// when the caller's database is the sketches' order already). A binary
-// route the chooser could not size (too many edges for its DP) gets its
-// tree from the same search the expression plans use, here at plan time, so
-// executing the cached plan never searches.
-func planHybrid(cdb *relation.Database, ch *hypergraph.Hypergraph, perm []int, opts Options) (*HybridPlan, []string, error) {
+// canonical edge order, scheme ch), records the route in p.Hybrid and
+// compiles it into p.Program, returning the plan text's header. perm maps
+// canonical positions back to the original database order the sketches
+// follow (nil when the caller's database is the sketches' order already). A
+// binary route the chooser could not size (too many edges for its DP) gets
+// its tree from the same search the expression plans use, here at plan time,
+// so executing the cached plan never searches.
+func (p *Plan) planHybrid(cdb *relation.Database, ch *hypergraph.Hypergraph, perm []int, opts Options) (string, error) {
 	sks := sketchesFor(cdb, perm, opts)
 	corr := 1.0
 	if opts.Sketches != nil {
 		corr = opts.Sketches.Correction(ch.Fingerprint())
 	}
-	choice, err := optimizer.ChooseHybrid(ch, sks, corr, opts.Hybrid)
+	choice, err := optimizer.ChooseHybrid(ch, sks, corr)
 	if err != nil {
-		return nil, nil, err
+		return "", err
 	}
-	hp := &HybridPlan{Route: choice.Route, EstCost: choice.EstCost, Outer: choice.Outer}
+	p.Hybrid = &HybridPlan{Route: choice.Route, EstCost: choice.EstCost}
+	header := "hybrid route: " + choice.Route + "\n"
+	var notes, searched []string
 	switch choice.Route {
-	case optimizer.RouteWCOJ:
-		hp.Core = ch.Full()
-		hp.CoreOrder = wcoj.VariableOrder(ch)
-		hp.Outer = nil
-	case optimizer.RouteMixed:
-		hp.Core = choice.Core
-		coreH, err := coreHypergraph(ch, choice.Core)
+	case optimizer.RouteAcyclic:
+		body, err := p.compileAcyclic(ch)
 		if err != nil {
-			return nil, nil, err
+			return "", err
 		}
-		hp.CoreOrder = wcoj.VariableOrder(coreH)
+		header += body
+	case optimizer.RouteBinary:
+		tree := choice.Outer
+		if tree == nil {
+			var how string
+			if tree, how, err = bestTree(cdb, ch, opts.Budget, exprSpace(ch)); err != nil {
+				return "", err
+			}
+			searched = append(searched, "hybrid: binary tree optimized by "+how)
+		}
+		p.Program, p.phase = tree.Program(ch), obs.KindEval
+		header += tree.String(ch) + "\n"
+		notes = append(notes, "columnar kernels: dictionary-encoded blocks, code-remapped batch joins")
+	case optimizer.RouteWCOJ:
+		p.Program, err = leapfrogProgram(ch, ch.Full(), nil)
+	case optimizer.RouteMixed:
+		p.Program, err = leapfrogProgram(ch, choice.Core, choice.Outer)
+		notes = append(notes, fmt.Sprintf("core output joined to %d pendant edges through columnar kernels", ch.Len()-choice.Core.Count()))
 	}
-	notes := make([]string, 0, len(choice.Notes)+1)
+	if err != nil {
+		return "", err
+	}
 	for _, n := range choice.Notes {
 		notes = append(notes, "hybrid: "+n)
 	}
-	if hp.Route == optimizer.RouteBinary && hp.Outer == nil {
-		tree, how, err := bestTree(cdb, ch, opts.Budget, exprSpace(ch))
-		if err != nil {
-			return nil, nil, err
-		}
-		hp.Outer = tree
-		notes = append(notes, "hybrid: binary tree optimized by "+how)
-	}
-	return hp, notes, nil
+	p.Notes = append(append(p.Notes, notes...), searched...)
+	return header, nil
 }
 
 // coreHypergraph builds the sub-scheme induced by the core mask.
@@ -115,78 +111,4 @@ func coreHypergraph(h *hypergraph.Hypergraph, core hypergraph.Mask) (*hypergraph
 		edges = append(edges, h.Edge(i))
 	}
 	return hypergraph.New(edges)
-}
-
-// executeHybrid runs a resolved hybrid route. cdb/ch must be in the edge
-// order the plan was derived for.
-func executeHybrid(cdb *relation.Database, ch *hypergraph.Hypergraph, hp *HybridPlan, opts Options, gov *govern.Governor) (*Report, error) {
-	if hp == nil {
-		return nil, fmt.Errorf("engine: hybrid plan missing")
-	}
-	switch hp.Route {
-	case optimizer.RouteAcyclic:
-		rep, err := runAcyclic(cdb, ch, opts, gov)
-		if err != nil {
-			return nil, err
-		}
-		rep.Plan = "hybrid route: acyclic\n" + rep.Plan
-		return rep, nil
-
-	case optimizer.RouteBinary:
-		rep, err := evalTree(hp.Outer, cdb, ch, "evaluate expression", gov, opts)
-		if err != nil {
-			return nil, err
-		}
-		rep.Plan = "hybrid route: binary\n" + rep.Plan
-		rep.Notes = []string{"columnar kernels: dictionary-encoded blocks, code-remapped batch joins"}
-		return rep, nil
-
-	case optimizer.RouteWCOJ:
-		rep, err := runWCOJ(cdb, hp.CoreOrder, gov, opts)
-		if err != nil {
-			return nil, err
-		}
-		rep.Plan = "hybrid route: wcoj\n" + rep.Plan
-		return rep, nil
-
-	case optimizer.RouteMixed:
-		coreDb, err := cdb.Restrict(hp.Core.Indexes())
-		if err != nil {
-			return nil, err
-		}
-		res, err := wcoj.JoinGoverned(coreDb, hp.CoreOrder, gov, opts.workerCount())
-		if err != nil {
-			return nil, err
-		}
-		rels := []*relation.Relation{res.Output}
-		for i := 0; i < cdb.Len(); i++ {
-			if !hp.Core.Has(i) {
-				rels = append(rels, cdb.Relation(i))
-			}
-		}
-		outerDb, err := relation.NewDatabase(rels...)
-		if err != nil {
-			return nil, err
-		}
-		if hp.Outer == nil {
-			return nil, fmt.Errorf("engine: mixed hybrid route without an outer tree")
-		}
-		rep, err := evalTree(hp.Outer, outerDb, hypergraph.OfScheme(outerDb), "evaluate outer expression", gov, opts)
-		if err != nil {
-			return nil, err
-		}
-		// §2.3 total: the core's inputs plus the outer evaluation, whose
-		// leaves already count the core's output (generated once) and the
-		// non-core inputs.
-		rep.Cost += int64(coreDb.TotalTuples())
-		rep.Plan = "hybrid route: mixed\ncore " + hp.Core.String() +
-			" via leapfrog triejoin, variable order: " + strings.Join(hp.CoreOrder, " ") +
-			"\nouter: " + rep.Plan
-		rep.Notes = append(wcojNotes(res, coreDb),
-			fmt.Sprintf("core output (%d tuples) joined to %d pendant edges through columnar kernels", res.Output.Len(), cdb.Len()-hp.Core.Count()))
-		return rep, nil
-
-	default:
-		return nil, fmt.Errorf("engine: unknown hybrid route %q", hp.Route)
-	}
 }

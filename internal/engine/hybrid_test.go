@@ -4,12 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/govern"
 	"repro/internal/hypergraph"
 	"repro/internal/jointree"
 	"repro/internal/optimizer"
+	"repro/internal/program"
 	"repro/internal/relation"
 	"repro/internal/wcoj"
 	"repro/internal/workload"
@@ -75,31 +77,21 @@ func TestHybridDifferentialRandomSchemes(t *testing.T) {
 			}
 		}
 
-		// Charge parity: the hybrid report must match the selected plan run
-		// through the static machinery, tuple for tuple.
-		cdb, ch, err := canonicalize(db, hypergraph.OfScheme(db))
+		// Charge parity: every route is a program, and its charge is each
+		// binary head once plus, for a multiway statement, its operands'
+		// tries and its output — what the static plans charge.
+		cdb, _, err := canonicalize(db, hypergraph.OfScheme(db))
 		if err != nil {
 			t.Fatal(err)
 		}
+		if want := programCharge(t, plan.Program, cdb, rep); rep.Produced != want {
+			t.Fatalf("trial %d: %s route charged %d, its statements account for %d\n%s",
+				trial, plan.Hybrid.Route, rep.Produced, want, plan.Program)
+		}
 		switch plan.Hybrid.Route {
 		case optimizer.RouteWCOJ:
-			if want := int64(db.TotalTuples()) + int64(rep.Result.Len()); rep.Cost != want {
-				t.Fatalf("trial %d: wcoj-route cost %d, want inputs+output %d", trial, rep.Cost, want)
-			}
-			if rep.Produced != rep.Cost {
-				t.Fatalf("trial %d: wcoj-route Produced %d != Cost %d", trial, rep.Produced, rep.Cost)
-			}
-		case optimizer.RouteBinary:
-			if plan.Hybrid.Outer != nil {
-				gov := govern.New(govern.Limits{MaxTuples: 1 << 40})
-				out, cost, err := plan.Hybrid.Outer.EvalColumnarGoverned(cdb, gov)
-				if err != nil {
-					t.Fatalf("trial %d: direct columnar eval of the hybrid tree: %v", trial, err)
-				}
-				if !out.Equal(rep.Result) || int64(cost) != rep.Cost || gov.Produced() != rep.Produced {
-					t.Fatalf("trial %d: binary route diverges from its own tree via static machinery: cost %d vs %d, produced %d vs %d",
-						trial, rep.Cost, cost, rep.Produced, gov.Produced())
-				}
+			if want := int64(db.TotalTuples()) + int64(rep.Result.Len()); rep.Cost != want || rep.Produced != rep.Cost {
+				t.Fatalf("trial %d: wcoj-route cost %d produced %d, want inputs+output %d", trial, rep.Cost, rep.Produced, want)
 			}
 		case optimizer.RouteAcyclic:
 			// Compare via the plan path: both canonicalize the edge order,
@@ -116,17 +108,7 @@ func TestHybridDifferentialRandomSchemes(t *testing.T) {
 				t.Fatalf("trial %d: acyclic route charges drifted: cost %d vs %d, produced %d vs %d",
 					trial, rep.Cost, arep.Cost, rep.Produced, arep.Produced)
 			}
-		case optimizer.RouteMixed:
-			// Deterministic machinery: a rerun charges identically.
-			rep2, err := ExecutePlan(db, plan, Options{Limits: govern.Limits{MaxTuples: 1 << 40}})
-			if err != nil {
-				t.Fatalf("trial %d mixed rerun: %v", trial, err)
-			}
-			if rep2.Cost != rep.Cost || rep2.Produced != rep.Produced {
-				t.Fatalf("trial %d: mixed route not deterministic: cost %d vs %d", trial, rep.Cost, rep2.Cost)
-			}
 		}
-		_ = ch
 
 		// Abort boundary: one tuple under the hybrid's own charge must abort
 		// with the typed budget error; exactly its charge must succeed.
@@ -149,10 +131,28 @@ func TestHybridDifferentialRandomSchemes(t *testing.T) {
 	}
 }
 
-// TestHybridMixedRouteExecution pins the mixed executor against handmade
-// machinery: wcoj on the triangle core, the core output joined to a pendant
-// edge by the outer tree's program — results, §2.3 cost, and governor
-// charges must all match the two-stage reference run.
+// programCharge is what a program's run must charge the governor: each
+// binary or project head once, and for a multiway statement its operands'
+// tuples (the tries) plus its output. rep supplies the executed heads.
+func programCharge(t *testing.T, p *program.Program, db *relation.Database, rep *Report) int64 {
+	t.Helper()
+	if len(rep.Steps) != p.Len() {
+		t.Fatalf("%d steps reported for %d statements", len(rep.Steps), p.Len())
+	}
+	var total int64
+	for i, s := range p.Stmts {
+		total += int64(rep.Steps[i].Tuples)
+		for _, arg := range s.Args {
+			total += int64(db.Relation(slices.Index(p.Inputs, arg)).Len())
+		}
+	}
+	return total
+}
+
+// TestHybridMixedRouteExecution pins the mixed route's program — a multiway
+// statement on the triangle core, its head joined to the pendant edges by
+// the outer tree's joins — against the two-stage machinery it replaced:
+// results, §2.3 cost, and governor charges must all match.
 func TestHybridMixedRouteExecution(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	h := hypergraph.Must([]relation.AttrSet{
@@ -175,33 +175,34 @@ func TestHybridMixedRouteExecution(t *testing.T) {
 		t.Fatal(err)
 	}
 	outer := jointree.NewJoin(jointree.NewJoin(jointree.NewLeaf(0), jointree.NewLeaf(1)), jointree.NewLeaf(2))
-	hp := &HybridPlan{
-		Route:     optimizer.RouteMixed,
-		Core:      core,
-		CoreOrder: wcoj.VariableOrder(coreH),
-		Outer:     outer,
-	}
-	gov := govern.New(govern.Limits{MaxTuples: 1 << 40})
-	rep, err := executeHybrid(db, h, hp, Options{}, gov)
+	p, err := leapfrogProgram(h, core, outer)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep.Produced = gov.Produced()
-	if want := db.Join(); !rep.Result.Equal(want) {
-		t.Fatalf("mixed route: %d tuples, reference %d", rep.Result.Len(), want.Len())
+	if p.Len() != 3 || p.Stmts[0].Op != program.OpMultiway || p.Stmts[1].Arg1 != p.Stmts[0].Head {
+		t.Fatalf("mixed program is not a multiway statement feeding the outer joins:\n%s", p)
+	}
+	gov := govern.New(govern.Limits{MaxTuples: 1 << 40})
+	res, err := p.ApplyGoverned(db, gov)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := db.Join(); !res.Output.Equal(want) {
+		t.Fatalf("mixed route: %d tuples, reference %d", res.Output.Len(), want.Len())
 	}
 
-	// Reference: the same two stages by hand.
+	// Reference: the core by wcoj.JoinGoverned, then the outer tree over its
+	// output and the pendant edges.
 	refGov := govern.New(govern.Limits{MaxTuples: 1 << 40})
 	coreDb, err := db.Restrict(core.Indexes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := wcoj.JoinGoverned(coreDb, hp.CoreOrder, refGov, 1)
+	wres, err := wcoj.JoinGoverned(coreDb, wcoj.VariableOrder(coreH), refGov, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	outerDb, err := relation.NewDatabase(res.Output, db.Relation(3), db.Relation(4))
+	outerDb, err := relation.NewDatabase(wres.Output, db.Relation(3), db.Relation(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,15 +210,14 @@ func TestHybridMixedRouteExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.Equal(rep.Result) {
+	if !out.Equal(res.Output) {
 		t.Fatal("reference two-stage run disagrees")
 	}
-	wantCost := int64(coreDb.TotalTuples()) + int64(outerCost)
-	if rep.Cost != wantCost {
-		t.Fatalf("mixed cost %d, want core inputs + outer eval = %d", rep.Cost, wantCost)
+	if want := coreDb.TotalTuples() + outerCost; res.Cost != want {
+		t.Fatalf("mixed cost %d, want core inputs + outer eval = %d", res.Cost, want)
 	}
-	if rep.Produced != refGov.Produced() {
-		t.Fatalf("mixed charges %d, reference machinery charged %d", rep.Produced, refGov.Produced())
+	if gov.Produced() != refGov.Produced() {
+		t.Fatalf("mixed charges %d, reference machinery charged %d", gov.Produced(), refGov.Produced())
 	}
 }
 
@@ -306,8 +306,8 @@ func TestHybridWideBinaryPlanCarriesTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Hybrid.Route != optimizer.RouteBinary || plan.Hybrid.Outer == nil {
-		t.Fatalf("route %s with outer tree %v, want binary with a tree (notes %q)", plan.Hybrid.Route, plan.Hybrid.Outer, plan.Notes)
+	if _, joins, _ := plan.Program.OpCounts(); plan.Hybrid.Route != optimizer.RouteBinary || joins != n-1 || plan.Program.Len() != n-1 {
+		t.Fatalf("route %s with program\n%s\nwant binary with a tree's %d joins (notes %q)", plan.Hybrid.Route, plan.Program, n-1, plan.Notes)
 	}
 	rep, err := ExecutePlan(db, plan, Options{Budget: 1})
 	if err != nil {

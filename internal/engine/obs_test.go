@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/govern"
@@ -73,7 +74,9 @@ func strategiesFor(h *hypergraph.Hypergraph) []Strategy {
 
 // TestTraceShapePerStrategy pins the spans each strategy emits: the root
 // holds a "derive plan" span (PlanFor) beside the "execute plan: X" attempt
-// span (ExecutePlan), and the attempt holds the strategy's phases.
+// span (ExecutePlan), and the attempt holds the strategy's phases. The
+// leapfrog plan is one multiway statement, whose trie and enumeration spans
+// nest under its statement span.
 func TestTraceShapePerStrategy(t *testing.T) {
 	db := triangleDB(t)
 	cases := []struct {
@@ -84,7 +87,7 @@ func TestTraceShapePerStrategy(t *testing.T) {
 		{StrategyExpression, []obs.Kind{obs.KindEval}},
 		{StrategyReduceThenJoin, []obs.Kind{obs.KindReduce, obs.KindEval}},
 		{StrategyDirect, []obs.Kind{obs.KindEval}},
-		{StrategyWCOJ, []obs.Kind{obs.KindTrie, obs.KindTrie, obs.KindTrie, obs.KindEnumerate}},
+		{StrategyWCOJ, []obs.Kind{obs.KindExecute}},
 	}
 	for _, c := range cases {
 		tr := obs.NewTrace("shape")
@@ -109,6 +112,23 @@ func TestTraceShapePerStrategy(t *testing.T) {
 				t.Fatalf("%s: attempt children %v, want %v", c.strategy, got, c.kinds)
 			}
 		}
+	}
+
+	tr := obs.NewTrace("leapfrog")
+	if _, err := Join(db, Options{Strategy: StrategyWCOJ, Trace: tr.Root}); err != nil {
+		t.Fatal(err)
+	}
+	tr.Root.End()
+	stmts := tr.Root.Children()[1].Children()[0].Children()
+	if len(stmts) != 1 || stmts[0].Kind() != obs.KindStmt {
+		t.Fatalf("wcoj executes %d spans, want one statement\n%s", len(stmts), tr.Format())
+	}
+	var got []obs.Kind
+	for _, ch := range stmts[0].Children() {
+		got = append(got, ch.Kind())
+	}
+	if want := []obs.Kind{obs.KindTrie, obs.KindTrie, obs.KindTrie, obs.KindEnumerate}; !slices.Equal(got, want) {
+		t.Fatalf("multiway statement children %v, want %v\n%s", got, want, tr.Format())
 	}
 }
 

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/acyclic"
 	"repro/internal/core"
 	"repro/internal/hypergraph"
 	"repro/internal/jointree"
 	"repro/internal/obs"
 	"repro/internal/optimizer"
+	"repro/internal/program"
 	"repro/internal/relation"
 	"repro/internal/wcoj"
 )
@@ -19,6 +21,10 @@ import (
 // reuse — a program is derived once per scheme and computes ⋈D for *every*
 // database over it, quasi-optimally — so a Plan is the natural cache entry
 // (see internal/plancache).
+//
+// Every plan is a program: PlanFor compiles whatever the strategy chose —
+// a derived program, a join tree, the acyclic pipeline, a multiway leapfrog
+// join — into Program once, and ExecutePlan runs it on the one executor.
 //
 // Plans are expressed in the scheme's canonical edge order
 // (hypergraph.CanonicalOrder): PlanFor permutes the database into canonical
@@ -35,25 +41,34 @@ type Plan struct {
 	// Strategy is the resolved execution route — never StrategyAuto.
 	Strategy Strategy
 	// Tree is the optimized join expression in canonical edge order: the
-	// evaluation plan for the expression, reduce-then-join, and direct
-	// strategies, and the source expression Algorithm 1/2 derived from for
-	// the program strategy. It is nil for the acyclic pipeline, which needs
-	// no search.
+	// expression the expression, reduce-then-join, and direct strategies
+	// compile, and the source expression Algorithm 1/2 derived from for the
+	// program strategy. It is nil for the acyclic pipeline, the leapfrog
+	// join and hybrid plans.
 	Tree *jointree.Tree
 	// Derivation carries the CPF tree and derived program for
 	// StrategyProgram (Algorithms 1 and 2, run once at plan time).
 	Derivation *core.Derivation
-	// VarOrder is the global variable order for StrategyWCOJ (nil for the
-	// other strategies). Like the trees and programs above it depends only
-	// on the scheme, never on the instance, so it is cache-reusable.
-	VarOrder []string
-	// Hybrid carries StrategyHybrid's chosen route (nil for the other
-	// strategies). Unlike the fields above it depends on the instance's
-	// statistics, which is why the serving layer versions hybrid cache keys
-	// by the statistics version.
+	// Program is what ExecutePlan runs, over inputs named
+	// jointree.SchemeNames of the canonical scheme: the derived program, the
+	// tree's joins (Tree.Program), the acyclic pipeline
+	// (acyclic.JoinProgram), or one multiway statement over every relation
+	// for wcoj. Reduce-then-join runs it over the reduced relations. Like
+	// everything above it, it depends only on the scheme.
+	Program *program.Program
+	// Hybrid carries StrategyHybrid's route label and estimate (nil for the
+	// other strategies); the route itself is compiled into Program. Unlike
+	// the fields above the choice depends on the instance's statistics,
+	// which is why the serving layer versions hybrid cache keys by the
+	// statistics version.
 	Hybrid *HybridPlan
 	// Notes records how the plan was obtained (search used, bound factors).
 	Notes []string
+	// text is Report.Plan: how Program was obtained, then its statements.
+	text string
+	// phase is the span kind Program runs under when traced: KindEval for a
+	// join expression, KindPipeline for the acyclic pipeline, "" for none.
+	phase obs.Kind
 }
 
 // Resolve returns the strategy Auto resolves to for the given scheme — the
@@ -128,12 +143,12 @@ func leftDeep(n int) *jointree.Tree {
 
 // PlanFor derives a reusable plan for db's scheme under the given options:
 // it resolves the strategy, runs whatever optimizer search the strategy
-// needs (charged against Options.Budget), and — for the program route —
-// runs Algorithms 1 and 2. Execution limits in Options are ignored here;
-// they bind at ExecutePlan time. The instance's statistics steer the search,
-// but the returned plan is valid for every database over the same scheme
-// (Theorem 1) and quasi-optimal relative to the found expression on all of
-// them (Theorem 2).
+// needs (charged against Options.Budget), runs Algorithms 1 and 2 for the
+// program route, and compiles the outcome into the plan's Program.
+// Execution limits in Options are ignored here; they bind at ExecutePlan
+// time. The instance's statistics steer the search, but the returned plan is
+// valid for every database over the same scheme (Theorem 1) and
+// quasi-optimal relative to the found expression on all of them (Theorem 2).
 func PlanFor(db *relation.Database, opts Options) (*Plan, error) {
 	if db == nil || db.Len() == 0 {
 		return nil, fmt.Errorf("engine: empty database")
@@ -144,16 +159,22 @@ func PlanFor(db *relation.Database, opts Options) (*Plan, error) {
 		return nil, err
 	}
 	p := &Plan{Fingerprint: h.Fingerprint(), Strategy: Resolve(h, opts.Strategy)}
+	var header string
 	switch p.Strategy {
 	case StrategyAcyclic:
 		if !ch.Acyclic() {
 			return nil, fmt.Errorf("engine: acyclic strategy requires an acyclic scheme, got %s", ch)
 		}
-		// The full-reducer pipeline is search-free; the plan is the strategy.
+		if header, err = p.compileAcyclic(ch); err != nil {
+			return nil, err
+		}
+		p.Notes = append(p.Notes, "no intermediate exceeds the output on the reduced database")
 	case StrategyDirect:
 		p.Tree = leftDeep(cdb.Len())
 	case StrategyWCOJ:
-		p.VarOrder = wcoj.VariableOrder(ch)
+		if p.Program, err = leapfrogProgram(ch, ch.Full(), nil); err != nil {
+			return nil, err
+		}
 		p.Notes = append(p.Notes, "variable order derived greedily: connected prefixes first, ties to the attribute on most edges")
 	case StrategyExpression, StrategyReduceThenJoin:
 		tree, how, err := bestTree(cdb, ch, opts.Budget, exprSpace(ch))
@@ -163,12 +184,9 @@ func PlanFor(db *relation.Database, opts Options) (*Plan, error) {
 		p.Tree = tree
 		p.Notes = append(p.Notes, "optimized by "+how)
 	case StrategyHybrid:
-		hp, notes, err := planHybrid(cdb, ch, h.CanonicalOrder(), opts)
-		if err != nil {
+		if header, err = p.planHybrid(cdb, ch, h.CanonicalOrder(), opts); err != nil {
 			return nil, err
 		}
-		p.Hybrid = hp
-		p.Notes = append(p.Notes, notes...)
 	case StrategyProgram:
 		tree, how, err := bestTree(cdb, ch, opts.Budget, optimizer.SpaceAll)
 		if err != nil {
@@ -188,7 +206,8 @@ func PlanFor(db *relation.Database, opts Options) (*Plan, error) {
 			return nil, err
 		}
 		projects, joins, semijoins := d.Program.OpCounts()
-		p.Derivation = d
+		p.Derivation, p.Program = d, d.Program
+		header = "source expression: " + tree.String(ch) + "\n"
 		p.Notes = append(p.Notes,
 			fmt.Sprintf("program: %d projections, %d joins, %d semijoins", projects, joins, semijoins),
 			fmt.Sprintf("Theorem 2 bound factor r(a+5) = %d", d.QuasiFactor),
@@ -196,14 +215,61 @@ func PlanFor(db *relation.Database, opts Options) (*Plan, error) {
 	default:
 		return nil, fmt.Errorf("engine: unknown strategy %v", p.Strategy)
 	}
+	if p.Program == nil {
+		// The expression plans: the tree compiled to its joins.
+		p.Program, p.phase = p.Tree.Program(ch), obs.KindEval
+		header = p.Tree.String(ch) + "\n"
+	}
+	p.text = header + p.Program.String()
+	return p, nil
+}
+
+// compileAcyclic sets the plan's program to the full-reducer pipeline for
+// the acyclic scheme ch and returns the plan text's header.
+func (p *Plan) compileAcyclic(ch *hypergraph.Hypergraph) (string, error) {
+	prog, jt, err := acyclic.JoinProgram(ch)
+	if err != nil {
+		return "", err
+	}
+	p.Program, p.phase = prog, obs.KindPipeline
+	return "full reducer; monotone expression: " + acyclic.MonotoneTree(jt).String(ch) + "\n", nil
+}
+
+// leapfrogProgram compiles one multiway statement over the edges of ch in
+// core, along the core's greedy variable order (wcoj.VariableOrder), then —
+// when outer is non-nil — outer's joins, whose leaf 0 reads the multiway
+// head and leaf k > 0 the k-th edge outside the core, in index order.
+func leapfrogProgram(ch *hypergraph.Hypergraph, core hypergraph.Mask, outer *jointree.Tree) (*program.Program, error) {
+	coreH := ch
+	if core != ch.Full() {
+		var err error
+		if coreH, err = coreHypergraph(ch, core); err != nil {
+			return nil, err
+		}
+	}
+	p := &program.Program{Inputs: jointree.SchemeNames(ch)}
+	stmt := program.Stmt{Op: program.OpMultiway, Head: p.FreshVar("W"), Order: wcoj.VariableOrder(coreH)}
+	leaves := []string{stmt.Head}
+	for i, name := range p.Inputs {
+		if core.Has(i) {
+			stmt.Args = append(stmt.Args, name)
+		} else {
+			leaves = append(leaves, name)
+		}
+	}
+	p.Stmts, p.Output = []program.Stmt{stmt}, stmt.Head
+	if outer != nil {
+		p.Output = outer.AppendJoins(p, leaves)
+	}
 	return p, nil
 }
 
 // ExecutePlan runs a previously derived plan against db, which must be over
 // the same scheme (equal Fingerprint; any edge order). No optimizer search
-// or algorithm derivation happens here — this is the serving hot path.
-// Options.Limits and Options.Workers apply; Options.Strategy and
-// Options.Budget are ignored (the plan fixed both).
+// or algorithm derivation happens here — this is the serving hot path: the
+// plan's Program runs on the program executor, after the pairwise
+// reduction for reduce-then-join. Options.Limits and Options.Workers apply;
+// Options.Strategy and Options.Budget are ignored (the plan fixed both).
 // The plan is not mutated, so concurrent ExecutePlan calls on one plan are
 // safe — including parallel executions of the same cached plan, each with
 // its own governor and worker pool.
@@ -236,28 +302,20 @@ func ExecutePlan(db *relation.Database, plan *Plan, opts Options) (rep *Report, 
 	if _, err := gov.Begin("engine.strategy"); err != nil {
 		return nil, err
 	}
-	switch plan.Strategy {
-	case StrategyProgram:
-		rep, err = runDerivation(plan, cdb, ch, gov, opts)
-	case StrategyExpression, StrategyDirect:
-		rep, err = evalTree(plan.Tree, cdb, ch, "evaluate expression", gov, opts)
-	case StrategyReduceThenJoin:
-		rep, err = reduceThenJoin(cdb, ch, plan.Tree, opts, gov)
-	case StrategyWCOJ:
-		rep, err = runWCOJ(cdb, plan.VarOrder, gov, opts)
-	case StrategyAcyclic:
-		if rep, err = runAcyclic(cdb, ch, opts, gov); err == nil {
-			rep.Notes = []string{"no intermediate exceeds the output on the reduced database"}
-		}
-	case StrategyHybrid:
-		rep, err = executeHybrid(cdb, ch, plan.Hybrid, opts, gov)
-	default:
-		err = fmt.Errorf("engine: unknown strategy %v", plan.Strategy)
+	if plan.Strategy == StrategyReduceThenJoin {
+		rep, err = reduceThenJoin(cdb, ch, plan, gov, opts)
+	} else {
+		rep, err = runPlan(cdb, plan, gov, opts)
 	}
 	if err != nil {
 		return nil, err
 	}
 	rep.Strategy = plan.Strategy
+	rep.Plan = plan.text
+	if w := opts.workerCount(); w > 1 && plan.Derivation != nil {
+		rep.Notes = append(rep.Notes, fmt.Sprintf("parallel DAG execution: %d statements, critical path %d, %d workers",
+			plan.Program.Len(), plan.Program.CriticalPathLen(), w))
+	}
 	// Append the plan-time notes without mutating the shared plan.
 	rep.Notes = append(rep.Notes, plan.Notes...)
 	rep.Produced = gov.Produced()

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/govern"
 	"repro/internal/hypergraph"
+	"repro/internal/program"
 	"repro/internal/workload"
 )
 
@@ -107,16 +108,18 @@ func TestWCOJParallelGovernedAgrees(t *testing.T) {
 	}
 }
 
-// TestWCOJPlanRoundTrip: PlanFor derives the variable order once; ExecutePlan
-// must reuse it against any edge order of the same scheme.
+// TestWCOJPlanRoundTrip: PlanFor compiles the one multiway statement — its
+// variable order included — once; ExecutePlan must reuse it against any
+// edge order of the same scheme.
 func TestWCOJPlanRoundTrip(t *testing.T) {
 	db := example3DB(t, 6)
 	plan, err := PlanFor(db, Options{Strategy: StrategyWCOJ})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Strategy != StrategyWCOJ || len(plan.VarOrder) == 0 {
-		t.Fatalf("plan = %+v, want wcoj with a variable order", plan)
+	if s := plan.Program.Stmts; plan.Strategy != StrategyWCOJ || len(s) != 1 || s[0].Op != program.OpMultiway ||
+		len(s[0].Args) != db.Len() || len(s[0].Order) != db.Attrs().Len() {
+		t.Fatalf("plan = %+v, want wcoj as one multiway statement over every relation and attribute", plan)
 	}
 	want := db.Join()
 	rep, err := ExecutePlan(db, plan, Options{})

@@ -1,11 +1,11 @@
 package ivm
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/engine"
 	"repro/internal/hypergraph"
-	"repro/internal/jointree"
 	"repro/internal/program"
 	"repro/internal/relation"
 )
@@ -34,10 +34,9 @@ type step struct {
 }
 
 // View is one compiled, materialized continuous query: the delta program
-// derived from engine.PlanFor's program (or its expression fallback for
-// disconnected schemes), the counted state of every node, and the batch
-// application machinery in apply.go. Construct with Compile; a View is not
-// safe for concurrent use.
+// derived from engine.PlanFor's program, the counted state of every node,
+// and the batch application machinery in apply.go. Construct with Compile; a
+// View is not safe for concurrent use.
 type View struct {
 	fingerprint string
 	notes       []string
@@ -52,11 +51,11 @@ type View struct {
 	out     *node
 }
 
-// Compile derives the delta program for ⋈D over db's scheme. The program
-// route is forced (engine.StrategyProgram): connected schemes get the
-// paper's derived join/semijoin/project program, and disconnected schemes
-// take PlanFor's expression fallback, which compiles here into join-only
-// steps (the join delta rule handles the Cartesian, no-common-attribute
+// Compile derives the delta program for ⋈D over db's scheme from the plan's
+// program. The program route is forced (engine.StrategyProgram): connected
+// schemes get the paper's derived join/semijoin/project program, and
+// disconnected schemes take PlanFor's expression fallback, whose program is
+// join-only (the join delta rule handles the Cartesian, no-common-attribute
 // case as a single-bucket probe). The instance steers optimizer search, but
 // the compiled view is valid for every instance over the scheme — Theorem 1
 // — which is what lets Rebuild reload it from any later catalog.
@@ -81,15 +80,8 @@ func Compile(db *relation.Database) (*View, error) {
 		v.inputs[ci] = v.newNode(cdb.Relation(ci).Schema(), fmt.Sprintf("input %d", orig))
 		v.inputOf[orig] = ci
 	}
-	switch {
-	case plan.Derivation != nil:
-		if err := v.compileProgram(plan.Derivation.Program); err != nil {
-			return nil, err
-		}
-	case plan.Tree != nil:
-		v.out = v.compileTree(plan.Tree)
-	default:
-		return nil, fmt.Errorf("ivm: plan for %s carries neither a program nor a tree", plan.Strategy)
+	if err := v.compileProgram(plan.Program); err != nil {
+		return nil, err
 	}
 	return v, nil
 }
@@ -105,9 +97,13 @@ func (v *View) newNode(schema *relation.Schema, label string) *node {
 	return nd
 }
 
-// compileProgram walks the derived program in SSA form: an environment maps
-// each live name to the node currently holding it, and every statement
-// (re)binds its head to a fresh node.
+// ErrNoDeltaRule is returned by Compile for a program statement the delta
+// rules do not cover: the multiway join, which no served view plan contains.
+var ErrNoDeltaRule = errors.New("ivm: statement has no delta rule")
+
+// compileProgram walks the program in SSA form: an environment maps each
+// live name to the node currently holding it, and every statement (re)binds
+// its head to a fresh node.
 func (v *View) compileProgram(p *program.Program) error {
 	if err := p.Validate(); err != nil {
 		return err
@@ -120,61 +116,37 @@ func (v *View) compileProgram(p *program.Program) error {
 		env[name] = v.inputs[i]
 	}
 	for i, st := range p.Stmts {
-		a1 := env[st.Arg1]
-		if a1 == nil {
-			return fmt.Errorf("ivm: statement %d (%s): operand %q undefined", i+1, st, st.Arg1)
+		if st.Op == program.OpMultiway {
+			return fmt.Errorf("%w: statement %d (%s)", ErrNoDeltaRule, i+1, st)
+		}
+		// Validate has checked every operand is bound.
+		args := make([]*node, 0, 2)
+		for _, name := range st.Reads() {
+			args = append(args, env[name])
 		}
 		var out *node
 		switch st.Op {
 		case program.OpProject:
-			pos, err := a1.schema.Positions(st.Proj)
+			pos, err := args[0].schema.Positions(st.Proj)
 			if err != nil {
 				return fmt.Errorf("ivm: statement %d (%s): %w", i+1, st, err)
 			}
 			out = v.newNode(relation.MustSchema(st.Proj...), st.String())
 			v.steps = append(v.steps, &step{
 				op: program.OpProject, label: st.String(),
-				out: out, arg1: a1, projPos: pos,
+				out: out, arg1: args[0], projPos: pos,
 			})
 		case program.OpJoin:
-			a2 := env[st.Arg2]
-			if a2 == nil {
-				return fmt.Errorf("ivm: statement %d (%s): operand %q undefined", i+1, st, st.Arg2)
-			}
-			out = v.newNode(joinSchema(a1.schema, a2.schema), st.String())
-			v.steps = append(v.steps, v.joinStep(st.String(), out, a1, a2))
+			out = v.newNode(joinSchema(args[0].schema, args[1].schema), st.String())
+			v.steps = append(v.steps, v.joinStep(st.String(), out, args[0], args[1]))
 		case program.OpSemijoin:
-			a2 := env[st.Arg2]
-			if a2 == nil {
-				return fmt.Errorf("ivm: statement %d (%s): operand %q undefined", i+1, st, st.Arg2)
-			}
-			out = v.newNode(a1.schema, st.String())
-			v.steps = append(v.steps, v.semijoinStep(st.String(), out, a1, a2))
-		default:
-			return fmt.Errorf("ivm: statement %d (%s): unknown operator", i+1, st)
+			out = v.newNode(args[0].schema, st.String())
+			v.steps = append(v.steps, v.semijoinStep(st.String(), out, args[0], args[1]))
 		}
 		env[st.Head] = out
 	}
 	v.out = env[p.Output]
-	if v.out == nil {
-		return fmt.Errorf("ivm: program output %q undefined", p.Output)
-	}
 	return nil
-}
-
-// compileTree converts an expression tree (the disconnected-scheme
-// fallback) into join-only steps, bottom-up.
-func (v *View) compileTree(t *jointree.Tree) *node {
-	if t.IsLeaf() {
-		return v.inputs[t.Leaf]
-	}
-	a1 := v.compileTree(t.Left)
-	a2 := v.compileTree(t.Right)
-	out := v.newNode(joinSchema(a1.schema, a2.schema), "")
-	label := fmt.Sprintf("R(%s) := R(%s) ⋈ R(%s)", out.schema, a1.schema, a2.schema)
-	out.label = label
-	v.steps = append(v.steps, v.joinStep(label, out, a1, a2))
-	return out
 }
 
 // joinStep builds a join step and registers its probe indexes: arg2 keyed

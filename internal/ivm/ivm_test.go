@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/govern"
 	"repro/internal/relation"
 	"repro/internal/workload"
@@ -296,5 +297,23 @@ func TestChangeValidation(t *testing.T) {
 	}
 	if err := v.Rebuild(nil); err == nil {
 		t.Fatal("nil rebuild database accepted")
+	}
+}
+
+// TestCompileRejectsMultiway: the multiway statement has no delta rule, so a
+// program holding one — the wcoj plan's — is refused with ErrNoDeltaRule
+// rather than compiled into a view that could not be maintained.
+func TestCompileRejectsMultiway(t *testing.T) {
+	db, err := workload.ChainDatabase(3, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := engine.PlanFor(db, engine.Options{Strategy: engine.StrategyWCOJ})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := &View{inputs: make([]*node, db.Len())}
+	if err := v.compileProgram(plan.Program); !errors.Is(err, ErrNoDeltaRule) {
+		t.Fatalf("compiling %s: got %v, want ErrNoDeltaRule", plan.Program, err)
 	}
 }

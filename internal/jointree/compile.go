@@ -16,18 +16,22 @@ import (
 // the program's Σ inputs + Σ statement heads.
 func (t *Tree) Program(h *hypergraph.Hypergraph) *program.Program {
 	p := &program.Program{Inputs: SchemeNames(h)}
-	var emit func(n *Tree) string
-	emit = func(n *Tree) string {
-		if n.IsLeaf() {
-			return p.Inputs[n.Leaf]
-		}
-		l, r := emit(n.Left), emit(n.Right)
-		head := p.FreshVar("T")
-		p.Stmts = append(p.Stmts, program.Stmt{Op: program.OpJoin, Head: head, Arg1: l, Arg2: r})
-		return head
-	}
-	p.Output = emit(t)
+	p.Output = t.AppendJoins(p, p.Inputs)
 	return p
+}
+
+// AppendJoins appends the tree's ⋈ statements to p as Program emits them,
+// reading leaf i as the relation named leaves[i], and returns the name that
+// holds the tree's result: the root's variable, or leaves[t.Leaf] for a
+// one-leaf tree.
+func (t *Tree) AppendJoins(p *program.Program, leaves []string) string {
+	if t.IsLeaf() {
+		return leaves[t.Leaf]
+	}
+	l, r := t.Left.AppendJoins(p, leaves), t.Right.AppendJoins(p, leaves)
+	head := p.FreshVar("T")
+	p.Stmts = append(p.Stmts, program.Stmt{Op: program.OpJoin, Head: head, Arg1: l, Arg2: r})
+	return head
 }
 
 // EvalColumnarGoverned evaluates the tree under a governor on the block

@@ -27,32 +27,19 @@ import (
 // generated-tuple estimates are scaled by a served-traffic correction
 // factor (DBSketches.Correction) so q-error feedback shifts future routing.
 
-// HybridConfig tunes the chooser. The zero value selects the defaults.
-type HybridConfig struct {
-	// TrieCostFactor handicaps wcoj's trie build: its inputs count this
-	// many times in the route comparison (but never in EstCost, which
-	// stays the plain §2.3 estimate). Default 2.
-	TrieCostFactor float64
-	// SkewThreshold is the heavy-hitter ratio (max degree over mean
-	// degree) past which, when the DP is unavailable, the chooser routes
-	// cyclic schemes to wcoj outright. Default 8.
-	SkewThreshold float64
-	// Buckets is the equi-depth histogram resolution. Default 32.
-	Buckets int
-}
-
-func (c HybridConfig) withDefaults() HybridConfig {
-	if c.TrieCostFactor <= 0 {
-		c.TrieCostFactor = 2
-	}
-	if c.SkewThreshold <= 0 {
-		c.SkewThreshold = 8
-	}
-	if c.Buckets <= 0 {
-		c.Buckets = 32
-	}
-	return c
-}
+// The chooser's fixed tuning.
+const (
+	// trieCostFactor handicaps wcoj's trie build: its inputs count this many
+	// times in the route comparison (but never in EstCost, which stays the
+	// plain §2.3 estimate).
+	trieCostFactor = 2
+	// skewThreshold is the heavy-hitter ratio (max degree over mean degree)
+	// past which, when the DP is unavailable, the chooser routes cyclic
+	// schemes to wcoj outright.
+	skewThreshold = 8
+	// histogramBuckets is the equi-depth histogram resolution.
+	histogramBuckets = 32
+)
 
 // Route names for HybridChoice.Route.
 const (
@@ -108,8 +95,7 @@ func scale(x int64, f float64) int64 {
 // ChooseHybrid picks the physical route for scheme h given per-relation
 // sketches (sks[i] describes the relation behind edge i) and the feedback
 // correction factor corr (1 = no feedback yet).
-func ChooseHybrid(h *hypergraph.Hypergraph, sks []*Sketch, corr float64, cfg HybridConfig) (HybridChoice, error) {
-	cfg = cfg.withDefaults()
+func ChooseHybrid(h *hypergraph.Hypergraph, sks []*Sketch, corr float64) (HybridChoice, error) {
 	if h.Len() != len(sks) {
 		return HybridChoice{}, fmt.Errorf("optimizer: %d sketches for %d edges", len(sks), h.Len())
 	}
@@ -132,7 +118,7 @@ func ChooseHybrid(h *hypergraph.Hypergraph, sks []*Sketch, corr float64, cfg Hyb
 	}
 	note("skew=%.2f correction=%.2f", skew, corr)
 
-	hist := NewHistogramEstimatorFromSketches(sks, cfg.Buckets)
+	hist := NewHistogramEstimatorFromSketches(sks, histogramBuckets)
 
 	// treeFor runs the estimated DP over an arbitrary scheme; CPF first,
 	// falling back to the unrestricted space for disconnected schemes
@@ -181,10 +167,10 @@ func ChooseHybrid(h *hypergraph.Hypergraph, sks []*Sketch, corr float64, cfg Hyb
 
 	if !haveBin {
 		// Too many relations for the exact DP: decide on skew alone.
-		if skew >= cfg.SkewThreshold {
+		if skew >= skewThreshold {
 			ch.Route = RouteWCOJ
 			ch.EstCost = inputs
-			note("DP unavailable (%d edges); skew %.2f >= %.2f routes to wcoj", h.Len(), skew, cfg.SkewThreshold)
+			note("DP unavailable (%d edges); skew %.2f >= %.2f routes to wcoj", h.Len(), skew, float64(skewThreshold))
 		} else {
 			ch.Route = RouteBinary
 			ch.EstCost = inputs
@@ -195,7 +181,7 @@ func ChooseHybrid(h *hypergraph.Hypergraph, sks []*Sketch, corr float64, cfg Hyb
 
 	// WCOJ comparable: trie inputs (handicapped) plus the same
 	// histogram-refined output estimate the binary root carries.
-	ch.EstWCOJ = satAdd(scale(inputs, cfg.TrieCostFactor), scale(outZ, corr))
+	ch.EstWCOJ = satAdd(scale(inputs, trieCostFactor), scale(outZ, corr))
 	wcojEstCost := satAdd(inputs, scale(outZ, corr))
 
 	// Mixed comparable: wcoj on the core, binary joins over its output and
@@ -241,7 +227,7 @@ func ChooseHybrid(h *hypergraph.Hypergraph, sks []*Sketch, corr float64, cfg Hyb
 					outerLeaves = satAdd(outerLeaves, s.Card)
 				}
 				gen := satAdd(coreZ, outerCost-outerLeaves)
-				handicap := scale(coreInputs, cfg.TrieCostFactor-1)
+				handicap := scale(coreInputs, trieCostFactor-1)
 				ch.EstMixed = satAdd(satAdd(inputs, handicap), scale(gen, corr))
 				mixedEstCost = satAdd(inputs, scale(gen, corr))
 				mixedTree = tree

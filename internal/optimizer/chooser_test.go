@@ -72,7 +72,7 @@ func TestChooseHybridAcyclic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := ChooseHybrid(h, sketchesOf(t, db), 1, HybridConfig{})
+	ch, err := ChooseHybrid(h, sketchesOf(t, db), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestChooseHybridSkewPrefersWCOJ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := ChooseHybrid(tri, sketchesOf(t, sdb), 1, HybridConfig{})
+	ch, err := ChooseHybrid(tri, sketchesOf(t, sdb), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestChooseHybridSkewPrefersWCOJ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uch, err := ChooseHybrid(tri, sketchesOf(t, udb), 1, HybridConfig{})
+	uch, err := ChooseHybrid(tri, sketchesOf(t, udb), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestChooseHybridMixed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := ChooseHybrid(h, sketchesOf(t, db), 1, HybridConfig{})
+	ch, err := ChooseHybrid(h, sketchesOf(t, db), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,11 +194,11 @@ func TestChooseHybridCorrectionShiftsRoute(t *testing.T) {
 		t.Fatal(err)
 	}
 	sks := sketchesOf(t, db)
-	base, err := ChooseHybrid(tri, sks, 1, HybridConfig{})
+	base, err := ChooseHybrid(tri, sks, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	corrected, err := ChooseHybrid(tri, sks, 3, HybridConfig{})
+	corrected, err := ChooseHybrid(tri, sks, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestChooseHybridDPUnavailable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := ChooseHybrid(h, sketchesOf(t, db), 1, HybridConfig{})
+	ch, err := ChooseHybrid(h, sketchesOf(t, db), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestChooseHybridEstimateSanity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ch, err := ChooseHybrid(tri, sketchesOf(t, db), 1, HybridConfig{})
+		ch, err := ChooseHybrid(tri, sketchesOf(t, db), 1)
 		if err != nil {
 			t.Fatal(err)
 		}

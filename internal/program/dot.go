@@ -28,11 +28,7 @@ func (p *Program) DOT(graphName string) string {
 	for i, s := range p.Stmts {
 		node := fmt.Sprintf("s%d", i)
 		fmt.Fprintf(&b, "  %s [label=%q, shape=box];\n", node, s.String())
-		reads := []string{s.Arg1}
-		if s.Op != OpProject {
-			reads = append(reads, s.Arg2)
-		}
-		for _, r := range reads {
+		for _, r := range s.Reads() {
 			if def, ok := lastDef[r]; ok {
 				fmt.Fprintf(&b, "  %s -> %s;\n", def, node)
 			}

@@ -3,17 +3,20 @@ package program
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/govern"
 	"repro/internal/relation"
+	"repro/internal/wcoj"
 )
 
 // One executor runs every program: statements are renamed into a
 // step-dependency DAG, each value is a relation.ColBlock, and the three
-// block kernels do the work. The paper's programs use destructive
+// block kernels plus the leapfrog triejoin (wcoj.JoinBlocks, for multiway
+// statements) do the work. The paper's programs use destructive
 // assignment, so the textual statement order carries write-after-read and
 // write-after-write hazards as well as true data dependencies; the executor
 // removes the false hazards by renaming: every statement's result is a fresh
@@ -48,18 +51,10 @@ func inputRef(k int) valueRef { return valueRef(-(k + 1)) }
 // input decodes a negative valueRef back to its input position.
 func (r valueRef) input() int { return -int(r) - 1 }
 
-// stmtNode is one statement's resolved dependencies.
+// stmtNode is one statement's resolved dependencies: the producers of its
+// operands, in Stmt.Reads order.
 type stmtNode struct {
-	arg1, arg2 valueRef
-	hasArg2    bool
-}
-
-// reads returns the operands the statement reads.
-func (n stmtNode) reads() []valueRef {
-	if n.hasArg2 {
-		return []valueRef{n.arg1, n.arg2}
-	}
-	return []valueRef{n.arg1}
+	reads []valueRef
 }
 
 // buildDAG renames the program into SSA form: each statement's operands are
@@ -73,12 +68,12 @@ func (p *Program) buildDAG() (nodes []stmtNode, output valueRef) {
 	}
 	nodes = make([]stmtNode, len(p.Stmts))
 	for i, s := range p.Stmts {
-		n := stmtNode{arg1: lastDef[s.Arg1]}
-		if s.Op != OpProject {
-			n.arg2 = lastDef[s.Arg2]
-			n.hasArg2 = true
+		names := s.Reads()
+		reads := make([]valueRef, len(names))
+		for k, name := range names {
+			reads[k] = lastDef[name]
 		}
-		nodes[i] = n
+		nodes[i] = stmtNode{reads: reads}
 		lastDef[s.Head] = valueRef(i)
 	}
 	return nodes, lastDef[p.Output]
@@ -134,7 +129,7 @@ func (p *Program) execute(db *relation.Database, g *govern.Governor, workers int
 	// Encode up front, so Step.Wall and the statement spans time kernels only.
 	inputs := make([]*relation.ColBlock, len(p.Inputs))
 	for _, n := range nodes {
-		for _, ref := range n.reads() {
+		for _, ref := range n.reads {
 			if ref < 0 && inputs[ref.input()] == nil {
 				inputs[ref.input()] = encodeInput(db.Relation(ref.input()))
 			}
@@ -168,7 +163,7 @@ func (p *Program) Execute(inputs []*relation.ColBlock, g *govern.Governor, worke
 	}
 	nodes, _ := p.buildDAG()
 	for _, n := range nodes {
-		for _, ref := range n.reads() {
+		for _, ref := range n.reads {
 			if ref < 0 && inputs[ref.input()] == nil {
 				return nil, nil, fmt.Errorf("program: input %q is read but has no block", p.Inputs[ref.input()])
 			}
@@ -225,23 +220,38 @@ func (p *Program) run(nodes []stmtNode, inputs []*relation.ColBlock, g *govern.G
 		// Span.Child is safe for that.
 		span := beginStmtSpan(g, s)
 		start := time.Now()
+		reads := nodes[i].reads
 		var out *relation.ColBlock
+		var notes []string
 		var err error
 		switch s.Op {
 		case OpProject:
-			out, err = relation.ProjectBlocksGoverned(g, resolve(nodes[i].arg1), s.Proj)
+			out, err = relation.ProjectBlocksGoverned(g, resolve(reads[0]), s.Proj)
 		case OpJoin:
-			out, err = relation.ParallelJoinBlocksGoverned(g, resolve(nodes[i].arg1), resolve(nodes[i].arg2), workers)
+			out, err = relation.ParallelJoinBlocksGoverned(g, resolve(reads[0]), resolve(reads[1]), workers)
 		case OpSemijoin:
-			out, err = relation.ParallelSemijoinBlocksGoverned(g, resolve(nodes[i].arg1), resolve(nodes[i].arg2), workers)
+			out, err = relation.ParallelSemijoinBlocksGoverned(g, resolve(reads[0]), resolve(reads[1]), workers)
+		case OpMultiway:
+			blocks := make([]*relation.ColBlock, len(reads))
+			for k, ref := range reads {
+				blocks[k] = resolve(ref)
+			}
+			var res *wcoj.Result
+			if res, err = wcoj.JoinBlocks(blocks, s.Order, g, workers, span.sp); err == nil {
+				out, notes = res.Block, res.Notes()
+			}
 		}
 		if err != nil {
 			span.finish(0, err)
 			return fail(err)
 		}
-		span.finish(out.Len(), nil)
+		if s.Op == OpMultiway {
+			span.finish(0, nil) // the trie and enumeration spans hold its charges
+		} else {
+			span.finish(out.Len(), nil)
+		}
 		vals[i] = out
-		steps[i] = Step{Stmt: s, Schema: out.Schema(), Size: out.Len(), Wall: time.Since(start)}
+		steps[i] = Step{Stmt: s, Schema: out.Schema(), Size: out.Len(), Wall: time.Since(start), Notes: notes}
 		return nil
 	}
 	if workers == 1 {
@@ -269,13 +279,11 @@ func schedule(nodes []stmtNode, workers int, runStmt func(i int) error) error {
 	dependents := make([][]int, len(nodes))
 	for i, n := range nodes {
 		deps := 0
-		if n.arg1 >= 0 {
-			dependents[n.arg1] = append(dependents[n.arg1], i)
-			deps++
-		}
-		if n.hasArg2 && n.arg2 >= 0 && n.arg2 != n.arg1 {
-			dependents[n.arg2] = append(dependents[n.arg2], i)
-			deps++
+		for k, ref := range n.reads {
+			if ref >= 0 && !slices.Contains(n.reads[:k], ref) {
+				dependents[ref] = append(dependents[ref], i)
+				deps++
+			}
 		}
 		indegree[i].Store(int32(deps))
 	}
@@ -348,11 +356,10 @@ func (p *Program) CriticalPathLen() int {
 	longest := 0
 	for i, n := range nodes {
 		d := 0
-		if n.arg1 >= 0 && depth[n.arg1] > d {
-			d = depth[n.arg1]
-		}
-		if n.hasArg2 && n.arg2 >= 0 && depth[n.arg2] > d {
-			d = depth[n.arg2]
+		for _, ref := range n.reads {
+			if ref >= 0 {
+				d = max(d, depth[ref])
+			}
 		}
 		depth[i] = d + 1
 		if depth[i] > longest {

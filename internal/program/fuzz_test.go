@@ -16,6 +16,11 @@ func FuzzParseProgram(f *testing.F) {
 		"R(V) = R(ABC) ⋈ R(CDE)",
 		"",
 		"π_ :=",
+		"R(W) := ⋈_ACEGBDFH {R(ABC), R(CDE), R(EFG), R(GHA)}",
+		"W := |><|_{C,A,B} {ABC, CDE}\nR(V) := R(W) ⋉ R(GHA)",
+		"R(W) := ⋈_{} {R(ABC)}",
+		"R(W) := ⋈_AA {R(ABC)}",
+		"R(W) := ⋈_A R(ABC)",
 	} {
 		f.Add(seed)
 	}

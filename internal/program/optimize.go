@@ -18,9 +18,8 @@ func (p *Program) liveKeep() []bool {
 		// This definition satisfies the pending reads of the head...
 		live[s.Head] = false
 		// ...and reads its operands.
-		live[s.Arg1] = true
-		if s.Op != OpProject {
-			live[s.Arg2] = true
+		for _, r := range s.Reads() {
+			live[r] = true
 		}
 	}
 	return keep

@@ -12,7 +12,9 @@ import (
 // statements in textual order with destructive assignment, one tuple-map
 // operator per statement. It begins the same "program.Stmt" site and its
 // operators charge under the same names, so a governor sees exactly what it
-// sees from execute.
+// sees from execute. A multiway statement is the tuple-map fold of its
+// operands, charged as the leapfrog charges: each operand's tuples under
+// "wcoj.trie", then each output tuple under "wcoj.join".
 func (p *Program) ApplyOracle(db *relation.Database, g *govern.Governor) (*Result, error) {
 	env, trace, err := p.ExecuteOracle(db, g)
 	if err != nil {
@@ -47,6 +49,8 @@ func (p *Program) ExecuteOracle(db *relation.Database, g *govern.Governor) (map[
 				out, err = relation.JoinGoverned(g, env[s.Arg1], env[s.Arg2])
 			case OpSemijoin:
 				out, err = relation.SemijoinGoverned(g, env[s.Arg1], env[s.Arg2])
+			case OpMultiway:
+				out, err = multiwayOracle(g, env, s)
 			}
 		}
 		if err != nil {
@@ -56,6 +60,44 @@ func (p *Program) ExecuteOracle(db *relation.Database, g *govern.Governor) (map[
 		trace = append(trace, Step{Stmt: s, Schema: out.Schema(), Size: out.Len()})
 	}
 	return env, trace, nil
+}
+
+// multiwayOracle evaluates a multiway statement over the environment with
+// the tuple-map join, its output columns in the statement's variable order.
+func multiwayOracle(g *govern.Governor, env map[string]*relation.Relation, s Stmt) (*relation.Relation, error) {
+	rels := make([]*relation.Relation, len(s.Args))
+	for i, name := range s.Args {
+		rels[i] = env[name]
+		if err := chargeEach(g, "wcoj.trie", rels[i].Len()); err != nil {
+			return nil, err
+		}
+	}
+	joined, err := relation.JoinAll(rels...)
+	if err != nil {
+		return nil, err
+	}
+	pos, err := joined.Schema().Positions(s.Order)
+	if err != nil || len(pos) != joined.Schema().Len() {
+		return nil, fmt.Errorf("order %v does not cover %s: %v", s.Order, joined.Schema(), err)
+	}
+	out := relation.New(relation.MustSchema(s.Order...))
+	for _, t := range joined.Rows() {
+		row := make(relation.Tuple, len(pos))
+		for c, p := range pos {
+			row[c] = t[p]
+		}
+		out.MustInsert(row)
+	}
+	return out, chargeEach(g, "wcoj.join", out.Len())
+}
+
+// chargeEach charges n tuples one at a time under a fresh scope of op.
+func chargeEach(g *govern.Governor, op string, n int) error {
+	scope, err := g.Begin(op)
+	for ; err == nil && n > 0; n-- {
+		err = scope.Add(1)
+	}
+	return err
 }
 
 // CountEncodings swaps the executor's input encoder for one that counts its

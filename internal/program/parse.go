@@ -15,8 +15,11 @@ import (
 //	R(F) := π_C R(V)
 //	R(F) := R(F) ⋈ R(CDE)
 //
-// Blank lines and lines starting with "#" or "--" are ignored. ASCII
-// spellings are accepted: "|><|" or "*" for ⋈, "<|" for ⋉, "pi_" for π_.
+// A multiway join lists its variable order after "⋈_" and its operands in
+// braces: "R(W) := ⋈_ABC {R(AB), R(BC), R(CA)}". Blank lines and lines
+// starting with "#" or "--" are ignored. ASCII spellings are accepted:
+// "|><|" for ⋈ (so "|><|_ABC {…}" for a multiway join), "<|" for ⋉, "pi_"
+// for π_.
 // inputs names the program's input relations (bound by position when the
 // program is applied); output names the result relation — when empty, the
 // head of the last statement is used. The parsed program is validated
@@ -64,6 +67,33 @@ func parseStmt(line string) (Stmt, error) {
 	body = strings.TrimSpace(body)
 
 	switch {
+	case strings.HasPrefix(body, "⋈_"):
+		rest := strings.TrimPrefix(body, "⋈_")
+		// The order is braced or runs to the operand list's brace.
+		cut := strings.Index(rest, "{")
+		if strings.HasPrefix(rest, "{") {
+			cut = strings.Index(rest, "}") + 1
+		}
+		if cut <= 0 {
+			return Stmt{}, fmt.Errorf("multiway join needs an order and a braced operand list, got %q", body)
+		}
+		order, err := parseNames(strings.TrimSpace(rest[:cut]))
+		if err != nil {
+			return Stmt{}, fmt.Errorf("bad variable order: %v", err)
+		}
+		list := strings.TrimSpace(rest[cut:])
+		if !strings.HasPrefix(list, "{") || !strings.HasSuffix(list, "}") {
+			return Stmt{}, fmt.Errorf("multiway operands must be braced, got %q", list)
+		}
+		var args []string
+		for _, ref := range splitRefs(list[1 : len(list)-1]) {
+			arg, err := parseRef(strings.TrimSpace(ref))
+			if err != nil {
+				return Stmt{}, fmt.Errorf("bad multiway operand: %v", err)
+			}
+			args = append(args, arg)
+		}
+		return Stmt{Op: OpMultiway, Head: headName, Args: args, Order: order}, nil
 	case strings.HasPrefix(body, "π_"):
 		rest := strings.TrimSpace(strings.TrimPrefix(body, "π_"))
 		// The operand is the last whitespace-separated token; the attribute
@@ -124,11 +154,39 @@ func parseRef(s string) (string, error) {
 	return s, nil
 }
 
-// parseAttrs parses a projection attribute list: either single-character
-// attributes concatenated ("CE", letters and digits only) or comma-separated
-// names inside braces ("{city,year}"). Whitespace or punctuation in the
-// compact form is rejected — it cannot survive a print/parse round trip.
+// splitRefs splits a multiway operand list at the commas outside
+// parentheses, so a braced scheme name inside "R(…)" stays whole.
+func splitRefs(s string) []string {
+	var refs []string
+	depth, start := 0, 0
+	for i, r := range s {
+		switch r {
+		case '(':
+			depth++
+		case ')':
+			depth--
+		case ',':
+			if depth == 0 {
+				refs = append(refs, s[start:i])
+				start = i + 1
+			}
+		}
+	}
+	return append(refs, s[start:])
+}
+
+// parseAttrs parses a projection attribute list (see parseNames) into a set.
 func parseAttrs(s string) (relation.AttrSet, error) {
+	names, err := parseNames(s)
+	return relation.NewAttrSet(names...), err
+}
+
+// parseNames parses an attribute list, keeping its order: either
+// single-character attributes concatenated ("CE", letters and digits only)
+// or comma-separated names inside braces ("{city,year}"). Whitespace or
+// punctuation in the compact form is rejected — it cannot survive a
+// print/parse round trip.
+func parseNames(s string) ([]string, error) {
 	if strings.HasPrefix(s, "{") && strings.HasSuffix(s, "}") {
 		inner := strings.TrimSuffix(strings.TrimPrefix(s, "{"), "}")
 		if inner == "" {
@@ -141,15 +199,17 @@ func parseAttrs(s string) (relation.AttrSet, error) {
 				return nil, fmt.Errorf("bad attribute name %q in %q", parts[i], s)
 			}
 		}
-		return relation.NewAttrSet(parts...), nil
+		return parts, nil
 	}
+	var names []string
 	for _, r := range s {
 		if !unicode.IsLetter(r) && !unicode.IsDigit(r) {
 			return nil, fmt.Errorf("bad character %q in compact attribute list %q (use braces for multi-character names)", r, s)
 		}
+		names = append(names, string(r))
 	}
 	if s == "" {
 		return nil, fmt.Errorf("empty attribute list")
 	}
-	return relation.AttrSetOfRunes(s), nil
+	return names, nil
 }

@@ -135,3 +135,56 @@ func TestParseRejectsJunkRefs(t *testing.T) {
 		t.Error("sanity: join prints with ⋈")
 	}
 }
+
+// TestParseMultiwayRoundTrip: a multiway statement keeps its operand list
+// and its variable order (an order, not a set) through Parse, prints in the
+// paper's style, reparses to itself from either spelling, and runs.
+func TestParseMultiwayRoundTrip(t *testing.T) {
+	const text = "R(W) := ⋈_ACEGBDFH {R(ABC), R(CDE), R(EFG), R(GHA)}"
+	p, err := Parse(text, paperInputs, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := p.Stmts[0]
+	if s.Op != OpMultiway || strings.Join(s.Args, " ") != "ABC CDE EFG GHA" || strings.Join(s.Order, "") != "ACEGBDFH" {
+		t.Fatalf("parsed %+v", s)
+	}
+	if p.String() != text {
+		t.Errorf("printed %q, want %q", p.String(), text)
+	}
+	ascii, err := Parse("W := |><|_ACEGBDFH {ABC, R(CDE),EFG , R(GHA)}", paperInputs, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ascii.String() != text {
+		t.Errorf("ASCII spelling printed %q, want %q", ascii.String(), text)
+	}
+	db := paperDB(t)
+	res, err := p.Apply(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Output.Equal(db.Join()) || res.Cost != db.TotalTuples()+res.Output.Len() {
+		t.Errorf("multiway program: %d tuples at cost %d", res.Output.Len(), res.Cost)
+	}
+
+	braced := "R(P) := ⋈_{year,city} {R(IN), R({city,year})}"
+	q, err := Parse(braced, []string{"IN", "{city,year}"}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := q.Stmts[0]; strings.Join(got.Order, " ") != "year city" || got.Args[1] != "{city,year}" || q.String() != braced {
+		t.Errorf("braced multiway parsed %+v, printed %q", got, q.String())
+	}
+	for _, bad := range []string{
+		"R(W) := ⋈_AA {R(ABC)}",           // order names A twice
+		"R(W) := ⋈_ABC {}",                // no operands
+		"R(W) := ⋈_ABC R(ABC)",            // operands not braced
+		"R(W) := ⋈_ABC {R(ABC), R(NOPE)}", // undefined operand
+		"R(ABC) := ⋈_ABC {R(ABC)}",        // head is an input
+	} {
+		if _, err := Parse(bad, paperInputs, ""); err == nil {
+			t.Errorf("Parse(%q) unexpectedly succeeded", bad)
+		}
+	}
+}

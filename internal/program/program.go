@@ -1,13 +1,15 @@
 // Package program implements the paper's program language (§2.2): finite
 // sequences of project, join, and semijoin statements over relation
-// variables and input relation schemes, with destructive assignment. It
-// provides static validation of the paper's well-formedness rules, an
-// interpreter with the §2.3 cost accounting, and a printer matching the
-// paper's notation.
+// variables and input relation schemes, with destructive assignment, plus
+// one n-ary statement the paper does not have — the multiway join, evaluated
+// by Leapfrog Triejoin (internal/wcoj). It provides static validation of the
+// paper's well-formedness rules, an interpreter with the §2.3 cost
+// accounting, and a printer matching the paper's notation.
 package program
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -28,6 +30,10 @@ const (
 	OpJoin
 	// OpSemijoin is "R(R) := R(R) ⋉ R(S)".
 	OpSemijoin
+	// OpMultiway is "R(R) := ⋈_order {R(S1), …, R(Sk)}": the natural join of
+	// k operands computed attribute by attribute along a variable order, with
+	// no pairwise intermediate.
+	OpMultiway
 )
 
 // String returns the operator's symbol.
@@ -39,6 +45,8 @@ func (op Op) String() string {
 		return "⋈"
 	case OpSemijoin:
 		return "⋉"
+	case OpMultiway:
+		return "⋈_"
 	default:
 		return fmt.Sprintf("Op(%d)", uint8(op))
 	}
@@ -47,21 +55,44 @@ func (op Op) String() string {
 // Stmt is one statement. Head receives the result. For OpProject, Arg1 is
 // the source and Proj the projection attributes (Arg2 unused). For OpJoin,
 // Arg1 and Arg2 are the operands. For OpSemijoin, the paper requires
-// Head == Arg1; Arg2 is the reducer.
+// Head == Arg1; Arg2 is the reducer. For OpMultiway, Args are the operands
+// and Order the variable order — a permutation of the operands' attributes,
+// which is also the head's column order (Arg1, Arg2 and Proj unused).
 type Stmt struct {
-	Op   Op
-	Head string
-	Arg1 string
-	Arg2 string
-	Proj relation.AttrSet
+	Op    Op
+	Head  string
+	Arg1  string
+	Arg2  string
+	Proj  relation.AttrSet
+	Args  []string
+	Order []string
+}
+
+// Reads returns the names the statement reads, in operand order.
+func (s Stmt) Reads() []string {
+	switch s.Op {
+	case OpProject:
+		return []string{s.Arg1}
+	case OpMultiway:
+		return s.Args
+	default:
+		return []string{s.Arg1, s.Arg2}
+	}
 }
 
 // String renders the statement in the paper's notation, e.g.
-// "R(V) := R(V) ⋉ R(CDE)". Projection attributes print compactly ("CE")
-// only when that form re-parses (single letter-or-digit names); otherwise
-// they print braced ("{city,year}").
+// "R(V) := R(V) ⋉ R(CDE)" or "R(W) := ⋈_ABC {R(AB), R(BC), R(CA)}".
+// Projection attributes and variable orders print compactly ("CE") only when
+// that form re-parses (single letter-or-digit names); otherwise they print
+// braced ("{city,year}").
 func (s Stmt) String() string {
 	switch s.Op {
+	case OpMultiway:
+		refs := make([]string, len(s.Args))
+		for i, a := range s.Args {
+			refs[i] = "R(" + a + ")"
+		}
+		return fmt.Sprintf("R(%s) := ⋈_%s {%s}", s.Head, formatAttrs(s.Order), strings.Join(refs, ", "))
 	case OpProject:
 		return fmt.Sprintf("R(%s) := π_%s R(%s)", s.Head, formatAttrs(s.Proj), s.Arg1)
 	case OpJoin:
@@ -73,10 +104,10 @@ func (s Stmt) String() string {
 	}
 }
 
-// formatAttrs renders a projection attribute set so that parseAttrs reads
-// it back identically: compact when every attribute is a single letter or
-// digit, braced otherwise.
-func formatAttrs(attrs relation.AttrSet) string {
+// formatAttrs renders an attribute list — a projection set or a variable
+// order — so that parseNames reads it back identically: compact when every
+// attribute is a single letter or digit, braced otherwise.
+func formatAttrs(attrs []string) string {
 	compact := len(attrs) > 0
 	for _, a := range attrs {
 		runes := []rune(a)
@@ -107,13 +138,17 @@ type Program struct {
 
 // Validate checks the paper's §2.2 well-formedness rules:
 //   - input names are distinct and nonempty;
-//   - the head of a join or project statement is a variable (not an input);
+//   - the head of a join, multiway or project statement is a variable (not
+//     an input);
 //   - the head of a semijoin statement equals its first operand (the §2.2
 //     form) or is a variable, which the statement then defines — the
 //     generalized form the paper itself uses in Example 6, where the head
 //     aliases the first operand;
 //   - every variable used in a body was defined earlier by a join or project
 //     statement (inputs may be used at any time);
+//   - a multiway statement has at least one operand and a variable order
+//     naming no attribute twice (that the order covers exactly the operands'
+//     attributes is checked when their schemas are known, at execution);
 //   - the output name is an input or a defined variable.
 func (p *Program) Validate() error {
 	inputs := make(map[string]bool, len(p.Inputs))
@@ -131,27 +166,21 @@ func (p *Program) Validate() error {
 
 	for i, s := range p.Stmts {
 		where := fmt.Sprintf("program: statement %d (%s)", i+1, s)
+		if s.Op > OpMultiway {
+			return fmt.Errorf("%s: unknown operator", where)
+		}
+		for _, name := range s.Reads() {
+			if !available(name) {
+				return fmt.Errorf("%s: operand %q not defined", where, name)
+			}
+		}
 		switch s.Op {
-		case OpProject:
+		case OpProject, OpJoin, OpMultiway:
 			if s.Head == "" || inputs[s.Head] {
-				return fmt.Errorf("%s: project head must be a relation scheme variable", where)
-			}
-			if !available(s.Arg1) {
-				return fmt.Errorf("%s: source %q not defined", where, s.Arg1)
-			}
-			defined[s.Head] = true
-		case OpJoin:
-			if s.Head == "" || inputs[s.Head] {
-				return fmt.Errorf("%s: join head must be a relation scheme variable", where)
-			}
-			if !available(s.Arg1) || !available(s.Arg2) {
-				return fmt.Errorf("%s: operand not defined", where)
+				return fmt.Errorf("%s: head %q must be a relation scheme variable, not an input", where, s.Head)
 			}
 			defined[s.Head] = true
 		case OpSemijoin:
-			if !available(s.Arg1) || !available(s.Arg2) {
-				return fmt.Errorf("%s: operand not defined", where)
-			}
 			if s.Head != s.Arg1 {
 				// Generalized form "R(V) := R(S) ⋉ R(T)": the paper writes
 				// its derived programs this way (Example 6's first statement
@@ -163,8 +192,14 @@ func (p *Program) Validate() error {
 				}
 				defined[s.Head] = true
 			}
-		default:
-			return fmt.Errorf("%s: unknown operator", where)
+		}
+		if s.Op == OpMultiway {
+			if len(s.Args) == 0 {
+				return fmt.Errorf("%s: multiway join has no operands", where)
+			}
+			if slices.Contains(s.Order, "") || len(relation.NewAttrSet(s.Order...)) != len(s.Order) {
+				return fmt.Errorf("%s: variable order %v names an attribute twice or an empty one", where, s.Order)
+			}
 		}
 	}
 	if p.Output == "" || !available(p.Output) {
@@ -186,6 +221,9 @@ type Step struct {
 	// executor concurrent statements overlap, so the steps' Walls sum to more
 	// than the program's elapsed time.
 	Wall time.Duration
+	// Notes carries the statement's own accounting for a report: a multiway
+	// join's trie counts (wcoj.Result.Notes); nil for the other operators.
+	Notes []string
 }
 
 // Result is the outcome of applying a program to a database.
@@ -201,9 +239,11 @@ type Result struct {
 
 // beginStmtSpan opens a tracing span for one statement when the governor
 // carries a span (govern.Governor.SetSpan), returning the zero value — and
-// formatting nothing — when untraced. The span is charged with the head
-// cardinality, which is exactly what the statement's relation operator
-// charges the governor, so span totals reconcile with Governor.Produced.
+// formatting nothing — when untraced. A binary or project statement's span is
+// charged with the head cardinality, which is exactly what its relation
+// operator charges the governor; a multiway statement's charges sit on the
+// trie and enumeration spans below it. Either way span totals reconcile with
+// Governor.Produced.
 type stmtSpan struct{ sp *obs.Span }
 
 func beginStmtSpan(g *govern.Governor, s Stmt) stmtSpan {
@@ -214,8 +254,8 @@ func beginStmtSpan(g *govern.Governor, s Stmt) stmtSpan {
 	return stmtSpan{sp: parent.Child(obs.KindStmt, s.String())}
 }
 
-// finish closes the span with the statement's head cardinality, or the
-// failure when err is non-nil.
+// finish closes the span charging it produced tuples, or with the failure
+// when err is non-nil.
 func (t stmtSpan) finish(produced int, err error) {
 	if t.sp == nil {
 		return
@@ -250,13 +290,13 @@ func (p *Program) FreshVar(prefix string) string {
 func (p *Program) Len() int { return len(p.Stmts) }
 
 // OpCounts returns the number of statements per operator, in the order
-// (projections, joins, semijoins).
+// (projections, joins, semijoins); a multiway join counts as a join.
 func (p *Program) OpCounts() (projects, joins, semijoins int) {
 	for _, s := range p.Stmts {
 		switch s.Op {
 		case OpProject:
 			projects++
-		case OpJoin:
+		case OpJoin, OpMultiway:
 			joins++
 		case OpSemijoin:
 			semijoins++

@@ -80,6 +80,25 @@ func FromRelation(r *Relation) *ColBlock {
 	return b
 }
 
+// NewColBlock assembles an n-row block from per-column dictionaries and code
+// columns, which it keeps by reference: dicts[c] must be sorted strictly
+// ascending and codes[c] must hold n codes into it (Validate checks both).
+// The multiway join builds its output this way, on the dictionaries it
+// aligned its inputs to, so nothing is re-encoded.
+func NewColBlock(schema *Schema, n int, dicts [][]Value, codes [][]uint32) (*ColBlock, error) {
+	if len(dicts) != schema.Len() || len(codes) != schema.Len() {
+		return nil, fmt.Errorf("colblock: %d dictionaries and %d code columns for schema %s", len(dicts), len(codes), schema)
+	}
+	b := &ColBlock{schema: schema, cols: make([]column, len(dicts)), n: n}
+	for c := range b.cols {
+		if len(codes[c]) != n {
+			return nil, fmt.Errorf("colblock: column %d has %d codes, block has %d rows", c, len(codes[c]), n)
+		}
+		b.cols[c] = column{dict: dicts[c], codes: codes[c]}
+	}
+	return b, nil
+}
+
 // sortDict sorts dict ascending in place and returns old-code → new-code,
 // or nil when the dictionary was already sorted (the common case for
 // generated integer data inserted in order).

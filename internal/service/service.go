@@ -89,9 +89,6 @@ type Config struct {
 	// SearchBudget bounds optimizer search on plan-cache misses
 	// (engine Options.Budget; 0 = the optimizer default).
 	SearchBudget int64
-	// Hybrid tunes the statistics-driven hybrid chooser (engine
-	// Options.Hybrid; the zero value selects the chooser defaults).
-	Hybrid optimizer.HybridConfig
 	// QueryWorkers caps the intra-query parallelism of any single query
 	// (engine Options.Workers). The default 1 keeps queries sequential;
 	// raising it lets each query run its joins on up to QueryWorkers
@@ -663,7 +660,6 @@ func (s *Service) execute(ctx context.Context, e *catalogEntry, strat engine.Str
 		Limits:   lim,
 		Workers:  workers,
 		Sketches: e.sketches,
-		Hybrid:   s.cfg.Hybrid,
 	}
 	if trace != nil {
 		opts.Trace = trace.Root
@@ -724,7 +720,7 @@ func (s *Service) cachedPlan(e *catalogEntry, grp *shard.Group, db *relation.Dat
 		// and coalesced waiters carry no plan span.
 		sp := pcSpan.Child(obs.KindPlan, "derive plan")
 		defer sp.End()
-		return engine.PlanFor(db, engine.Options{Strategy: rung, Budget: s.cfg.SearchBudget, Sketches: e.sketches, Hybrid: s.cfg.Hybrid})
+		return engine.PlanFor(db, engine.Options{Strategy: rung, Budget: s.cfg.SearchBudget, Sketches: e.sketches})
 	})
 	if pcSpan != nil {
 		if hit {

@@ -160,7 +160,9 @@ func assertAbortBoundary(t *testing.T, tag string, db *relation.Database, g *sha
 
 // TestDifferentialGauntlet is the in-process gauntlet: 100+ schemes (20+
 // cyclic), every strategy, shard counts {1,2,4,8}, with abort-boundary
-// probes at 4 shards.
+// probes at 4 shards. Every plan CleanFor accepts at more than one shard
+// must actually scatter, so the parity asserted on it is the scattered
+// run's, not the single-shard fallback's.
 func TestDifferentialGauntlet(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	randomSchemes := 80
@@ -181,7 +183,7 @@ func TestDifferentialGauntlet(t *testing.T) {
 		t.Fatalf("gauntlet has %d cyclic cases, want >= 20", cyclic)
 	}
 
-	trials, scatters := 0, 0
+	trials, scatters, accepted := 0, 0, 0
 	for _, c := range cases {
 		for _, strat := range engine.Strategies() {
 			plan, err := engine.PlanFor(c.db, engine.Options{Strategy: strat})
@@ -198,7 +200,14 @@ func TestDifferentialGauntlet(t *testing.T) {
 					t.Fatalf("%s: group(%d): %v", c.name, n, err)
 				}
 				tag := fmt.Sprintf("%s/%s/shards=%d/threshold=%d", c.name, strat, n, c.threshold)
-				if assertParity(t, tag, g, plan, shard.NewInProcess(g), seq) {
+				scattered := assertParity(t, tag, g, plan, shard.NewInProcess(g), seq)
+				if clean, _ := g.CleanFor(plan); clean && n > 1 {
+					accepted++
+					if !scattered {
+						t.Fatalf("%s: CleanFor accepted the plan but the run did not scatter", tag)
+					}
+				}
+				if scattered {
 					scatters++
 				}
 				trials++
@@ -211,7 +220,7 @@ func TestDifferentialGauntlet(t *testing.T) {
 	if scatters == 0 {
 		t.Fatal("gauntlet never scattered: every trial fell back to single-shard execution")
 	}
-	t.Logf("gauntlet: %d cases (%d cyclic), %d trials, %d scattered", len(cases), cyclic, trials, scatters)
+	t.Logf("gauntlet: %d cases (%d cyclic), %d trials, %d accepted as clean, %d scattered", len(cases), cyclic, trials, accepted, scatters)
 }
 
 // TestGauntletIngestRebase replays random ingest batches through

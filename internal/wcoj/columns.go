@@ -7,16 +7,21 @@ import (
 	"repro/internal/relation"
 )
 
-// FromColumns returns the trie index for rel along order: the relation's
-// resident block sorted by code along the order's restriction to the
-// relation's attributes (Relation.Block, then ColBlock.SortedBy). It
-// charges first — one tuple per index entry against scope (nil charges
-// nothing) — and only then fetches the index, building it if this is the
-// first query to ask this relation snapshot for this order. So the governor
-// sees the same charges whether the index was resident or not, and a budget
-// smaller than the relation aborts before any sorting is paid for.
+// FromColumns returns the trie index for rel along order: fromBlock over
+// the relation's resident block (Relation.Block).
 func FromColumns(rel *relation.Relation, order []string, scope *govern.OpScope) (*trieIndex, error) {
-	schema := rel.Schema()
+	return fromBlock(rel.Block(), order, scope)
+}
+
+// fromBlock returns the trie index for b along order: the block sorted by
+// code along the order's restriction to its attributes (ColBlock.SortedBy).
+// It charges first — one tuple per index entry against scope (nil charges
+// nothing) — and only then fetches the sorted run, building it if this is
+// the first query to ask the block for this order. So the governor sees the
+// same charges whether the index was resident or not, and a budget smaller
+// than the block aborts before any sorting is paid for.
+func fromBlock(b *relation.ColBlock, order []string, scope *govern.OpScope) (*trieIndex, error) {
+	schema := b.Schema()
 	attrs := make([]string, 0, schema.Len())
 	for _, v := range order {
 		if schema.Has(v) {
@@ -26,12 +31,12 @@ func FromColumns(rel *relation.Relation, order []string, scope *govern.OpScope) 
 	if len(attrs) != schema.Len() {
 		return nil, fmt.Errorf("wcoj: order %v does not cover schema %s", order, schema)
 	}
-	for i := rel.Len(); i > 0; i-- {
+	for i := b.Len(); i > 0; i-- {
 		if err := scope.Add(1); err != nil {
 			return nil, err
 		}
 	}
-	sorted, built, err := rel.Block().SortedBy(attrs)
+	sorted, built, err := b.SortedBy(attrs)
 	if err != nil {
 		return nil, err
 	}

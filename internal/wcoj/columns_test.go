@@ -3,14 +3,11 @@ package wcoj
 import (
 	"errors"
 	"math/rand"
-	"runtime"
 	"slices"
 	"testing"
 
 	"repro/internal/govern"
-	"repro/internal/hypergraph"
 	"repro/internal/relation"
-	"repro/internal/workload"
 )
 
 // randTrieRel draws a random relation over a prefix of the given attrs and
@@ -131,60 +128,5 @@ func TestFromColumnsAbortParity(t *testing.T) {
 	}
 	if cold.Op != "wcoj.trie" || cold.Produced != n {
 		t.Fatalf("abort %+v, want op wcoj.trie at tuple %d", *cold, n)
-	}
-}
-
-// TestFromColumnsRejectsBadOrder pins the validation: an order that misses
-// a schema attribute is rejected.
-func TestFromColumnsRejectsBadOrder(t *testing.T) {
-	spec := workload.TriangleSpec{Nodes: 5, Edges: 8}
-	db, err := spec.TriangleDatabase(rand.New(rand.NewSource(7)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := FromColumns(db.Relation(0), []string{"A"}, nil); err == nil {
-		t.Fatal("FromColumns accepted an order that does not cover the schema")
-	}
-}
-
-// TestWarmJoinAllocatesOutputNotInput pins what "resident" buys: once the
-// indexes sit on the relations, a sequential join of the sparse 2 000-node,
-// 16 000-edge triangle (48 000 input tuples, ~500 output) allocates one
-// tuple per output row plus per-query state sized by the distinct values —
-// alignment tables, merged dictionaries, iterators — and nothing per input
-// tuple. (Re-encoding and re-sorting every query cost 74 919 allocations and
-// 11 MB here.)
-func TestWarmJoinAllocatesOutputNotInput(t *testing.T) {
-	db, err := workload.TriangleSpec{Nodes: 2000, Edges: 16000}.TriangleDatabase(rand.New(rand.NewSource(1992)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	order := VariableOrder(hypergraph.OfScheme(db))
-	res, err := JoinGoverned(db, order, govern.New(govern.Limits{MaxTuples: 1 << 40}), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TriesBuilt != db.Len() {
-		t.Fatalf("first join built %d tries, want %d", res.TriesBuilt, db.Len())
-	}
-	const runs = 5
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	allocs := testing.AllocsPerRun(runs, func() {
-		if res, err = JoinGoverned(db, order, govern.New(govern.Limits{MaxTuples: 1 << 40}), 1); err != nil {
-			t.Fatal(err)
-		}
-		if res.TriesBuilt != 0 {
-			t.Fatalf("warm join built %d tries", res.TriesBuilt)
-		}
-	})
-	runtime.ReadMemStats(&after)
-	// AllocsPerRun calls the function once more to warm up.
-	bytes := (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
-	if limit := float64(res.Output.Len() + 256); allocs > limit {
-		t.Errorf("warm join allocates %.0f times for %d output tuples, want at most %.0f", allocs, res.Output.Len(), limit)
-	}
-	if limit := uint64(1 << 20); bytes > limit {
-		t.Errorf("warm join allocates %d bytes, want at most %d (the input is %d tuples)", bytes, limit, db.TotalTuples())
 	}
 }

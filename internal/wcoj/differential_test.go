@@ -1,4 +1,4 @@
-package wcoj
+package wcoj_test
 
 import (
 	"errors"
@@ -9,6 +9,7 @@ import (
 	"repro/internal/govern"
 	"repro/internal/hypergraph"
 	"repro/internal/relation"
+	"repro/internal/wcoj"
 	"repro/internal/workload"
 )
 
@@ -156,14 +157,14 @@ func sameRows(a, b *relation.Relation) bool {
 func TestCodeLeapfrogMatchesReference(t *testing.T) {
 	for _, c := range leapCases(t) {
 		want := c.db.Join()
-		order := VariableOrder(hypergraph.OfScheme(c.db))
+		order := wcoj.VariableOrder(hypergraph.OfScheme(c.db))
 		produced := int64(c.db.TotalTuples() + want.Len())
 		var first *relation.Relation
 		for _, workers := range diffWorkers {
 			db := coldCopy(c.db)
 			for pass, wantBuilt := range []int{db.Len(), 0} {
 				gov := govern.New(govern.Limits{MaxTuples: 1 << 40})
-				res, err := JoinGoverned(db, order, gov, workers)
+				res, err := wcoj.JoinGoverned(db, order, gov, workers)
 				if err != nil {
 					t.Fatalf("%s workers=%d pass %d: %v", c.name, workers, pass, err)
 				}
@@ -192,7 +193,7 @@ func TestCodeLeapfrogMatchesReference(t *testing.T) {
 // LimitError cold and warm and at every worker count.
 func TestCodeLeapfrogBudgetBoundary(t *testing.T) {
 	for _, c := range leapCases(t) {
-		order := VariableOrder(hypergraph.OfScheme(c.db))
+		order := wcoj.VariableOrder(hypergraph.OfScheme(c.db))
 		produced := int64(c.db.TotalTuples() + c.db.Join().Len())
 		if produced == 0 {
 			continue
@@ -201,7 +202,7 @@ func TestCodeLeapfrogBudgetBoundary(t *testing.T) {
 		for _, workers := range diffWorkers {
 			db := coldCopy(c.db)
 			for pass := 0; pass < 2; pass++ {
-				_, err := JoinGoverned(db, order, govern.New(govern.Limits{MaxTuples: produced - 1, CheckEvery: 1}), workers)
+				_, err := wcoj.JoinGoverned(db, order, govern.New(govern.Limits{MaxTuples: produced - 1, CheckEvery: 1}), workers)
 				var le *govern.LimitError
 				if !errors.Is(err, govern.ErrTupleBudget) || !errors.As(err, &le) {
 					t.Fatalf("%s workers=%d pass %d: budget %d of %d did not abort: %v", c.name, workers, pass, produced-1, produced, err)
@@ -214,7 +215,7 @@ func TestCodeLeapfrogBudgetBoundary(t *testing.T) {
 				// The aborted cold pass may or may not have left indexes
 				// behind; the exact budget must pass either way.
 				gov := govern.New(govern.Limits{MaxTuples: produced, CheckEvery: 1})
-				if _, err := JoinGoverned(db, order, gov, workers); err != nil {
+				if _, err := wcoj.JoinGoverned(db, order, gov, workers); err != nil {
 					t.Fatalf("%s workers=%d pass %d: exact budget %d aborted: %v", c.name, workers, pass, produced, err)
 				}
 				if gov.Produced() != produced {

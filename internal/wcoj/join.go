@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/govern"
-	"repro/internal/relation"
 )
 
 // executor holds the per-enumeration state: one trie iterator per relation
@@ -94,36 +93,38 @@ func (ex *executor) run(v int, binding []uint32, scope *govern.OpScope, emit fun
 	return err
 }
 
-// emitter collects output tuples: each emitted binding is charged to scope,
-// then decoded through the query's merged value lists (alignTries) — the
-// only place enumeration touches a Value.
+// emitter collects the output: each emitted binding is charged to scope and
+// appended to one aligned-code column per variable. Nothing is decoded.
 type emitter struct {
-	doms  []domain
 	scope *govern.OpScope
-	rows  []relation.Tuple
+	cols  [][]uint32
+	n     int
+}
+
+func newEmitter(vars int, scope *govern.OpScope) *emitter {
+	return &emitter{scope: scope, cols: make([][]uint32, vars)}
 }
 
 func (e *emitter) emit(binding []uint32) error {
 	if err := e.scope.Add(1); err != nil {
 		return err
 	}
-	row := make(relation.Tuple, len(binding))
 	for v, code := range binding {
-		row[v] = e.doms[v][code]
+		e.cols[v] = append(e.cols[v], code)
 	}
-	e.rows = append(e.rows, row)
+	e.n++
 	return nil
 }
 
 // enumerate runs the full sequential join, charging each output tuple, and
-// returns the output rows — pairwise distinct, because each full binding is
-// reached once. bindings, when non-nil, receives the per-variable binding
-// counts.
-func enumerate(order []string, tries []*trieIndex, doms []domain, scope *govern.OpScope, bindings []atomic.Int64) ([]relation.Tuple, error) {
+// returns the emitter holding the output rows — pairwise distinct, because
+// each full binding is reached once. bindings, when non-nil, receives the
+// per-variable binding counts.
+func enumerate(order []string, tries []*trieIndex, scope *govern.OpScope, bindings []atomic.Int64) (*emitter, error) {
 	ex := newExecutor(order, tries, bindings)
-	out := emitter{doms: doms, scope: scope}
+	out := newEmitter(len(order), scope)
 	if err := ex.run(0, make([]uint32, len(order)), scope, out.emit); err != nil {
 		return nil, err
 	}
-	return out.rows, nil
+	return out, nil
 }

@@ -1,4 +1,4 @@
-package wcoj
+package wcoj_test
 
 import (
 	"math/rand"
@@ -7,6 +7,7 @@ import (
 	"repro/internal/govern"
 	"repro/internal/hypergraph"
 	"repro/internal/obs"
+	"repro/internal/wcoj"
 	"repro/internal/workload"
 )
 
@@ -25,7 +26,7 @@ func TestTracedEnumerationSpansSequentialAndParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	order := VariableOrder(h)
+	order := wcoj.VariableOrder(h)
 
 	type shape struct {
 		tries    int
@@ -58,12 +59,12 @@ func TestTracedEnumerationSpansSequentialAndParallel(t *testing.T) {
 		return sh
 	}
 
-	var seqOut *Result
+	var seqOut *wcoj.Result
 	for _, workers := range []int{1, 2, 8} {
 		tr := obs.NewTrace("wcoj")
 		gov := govern.New(govern.Limits{MaxTuples: 1 << 40})
 		gov.SetSpan(tr.Root)
-		res, err := JoinGoverned(db, order, gov, workers)
+		res, err := wcoj.JoinGoverned(db, order, gov, workers)
 		tr.Root.End()
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -104,9 +105,9 @@ func TestTracedEnumerationSpansSequentialAndParallel(t *testing.T) {
 // the governor, enumeration allocates no binding counters and no spans.
 func TestUntracedRunBuildsNoSpans(t *testing.T) {
 	db := triangleDB(t)
-	order := VariableOrder(hypergraph.OfScheme(db))
+	order := wcoj.VariableOrder(hypergraph.OfScheme(db))
 	gov := govern.New(govern.Limits{MaxTuples: 1 << 40})
-	res, err := JoinGoverned(db, order, gov, 1)
+	res, err := wcoj.JoinGoverned(db, order, gov, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/govern"
-	"repro/internal/relation"
 )
 
 // enumerateParallel splits the outermost variable's key range across
@@ -17,7 +16,7 @@ import (
 // sequential run; the chunks bind disjoint outermost keys, so the
 // concatenated outputs are disjoint too — and, the chunks being ascending,
 // in the sequential run's row order.
-func enumerateParallel(order []string, tries []*trieIndex, doms []domain, scope *govern.OpScope, workers int, bindings []atomic.Int64) ([]relation.Tuple, error) {
+func enumerateParallel(order []string, tries []*trieIndex, scope *govern.OpScope, workers int, bindings []atomic.Int64) (*emitter, error) {
 	keys, err := topKeys(order, tries, scope)
 	if err != nil {
 		return nil, err
@@ -25,14 +24,11 @@ func enumerateParallel(order []string, tries []*trieIndex, doms []domain, scope 
 	if workers > len(keys) {
 		workers = len(keys)
 	}
-	if len(keys) == 0 {
-		return nil, nil
-	}
 	if workers < 2 {
-		return enumerate(order, tries, doms, scope, bindings)
+		return enumerate(order, tries, scope, bindings)
 	}
 
-	parts := make([][]relation.Tuple, workers)
+	parts := make([]*emitter, workers)
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -41,20 +37,22 @@ func enumerateParallel(order []string, tries []*trieIndex, doms []domain, scope 
 		wg.Add(1)
 		go func(w int, chunk []uint32) {
 			defer wg.Done()
-			parts[w], errs[w] = runKeys(order, tries, doms, chunk, scope, bindings)
+			parts[w], errs[w] = runKeys(order, tries, chunk, scope, bindings)
 		}(w, chunk)
 	}
 	wg.Wait()
-	total := 0
+	out := newEmitter(len(order), scope)
 	for w, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		total += len(parts[w])
+		out.n += parts[w].n
 	}
-	out := make([]relation.Tuple, 0, total)
-	for _, part := range parts {
-		out = append(out, part...)
+	for v := range out.cols {
+		out.cols[v] = make([]uint32, 0, out.n)
+		for _, part := range parts {
+			out.cols[v] = append(out.cols[v], part.cols[v]...)
+		}
 	}
 	return out, nil
 }
@@ -74,15 +72,15 @@ func topKeys(order []string, tries []*trieIndex, scope *govern.OpScope) ([]uint3
 }
 
 // runKeys enumerates the full bindings whose outermost key lies in the
-// given ascending chunk, collecting output tuples locally. bindings, when
+// given ascending chunk, collecting the output locally. bindings, when
 // non-nil, receives this worker's share of the per-variable counts.
-func runKeys(order []string, tries []*trieIndex, doms []domain, chunk []uint32, scope *govern.OpScope, bindings []atomic.Int64) ([]relation.Tuple, error) {
+func runKeys(order []string, tries []*trieIndex, chunk []uint32, scope *govern.OpScope, bindings []atomic.Int64) (*emitter, error) {
 	ex := newExecutor(order, tries, bindings)
 	rels := ex.byVar[0]
 	for _, r := range rels {
 		ex.iters[r].open()
 	}
-	out := emitter{doms: doms, scope: scope}
+	out := newEmitter(len(order), scope)
 	binding := make([]uint32, len(order))
 	for _, key := range chunk {
 		if err := scope.Add(0); err != nil {
@@ -101,5 +99,5 @@ func runKeys(order []string, tries []*trieIndex, doms []domain, chunk []uint32, 
 			return nil, err
 		}
 	}
-	return out.rows, nil
+	return out, nil
 }

@@ -41,26 +41,21 @@ func newTrieIndex(sorted *relation.ColBlock, built bool) *trieIndex {
 // entries returns the number of index entries: one per tuple.
 func (t *trieIndex) entries() int { return t.block.Len() }
 
-// domain is one variable's value list for one query: the sorted union of
-// the dictionaries of the trie levels keyed by the variable. An aligned code
-// is an index into it.
-type domain []relation.Value
-
 // alignTries gives the tries of one query a common code space per variable:
 // for each variable it merges the (sorted) dictionaries of the levels keyed
-// by it into the variable's domain — the returned doms[v], through which
-// emitted bindings are decoded — and fills each such level's align table
+// by it into the variable's domain — the returned doms[v], the sorted value
+// list an aligned code indexes — and fills each such level's align table
 // with the positions of its dictionary entries in that domain. The work is
 // O(distinct values) per level and charged nothing.
-func alignTries(order []string, tries []*trieIndex) (doms []domain) {
-	doms = make([]domain, len(order))
+func alignTries(order []string, tries []*trieIndex) (doms [][]relation.Value) {
+	doms = make([][]relation.Value, len(order))
 	type level struct {
 		t *trieIndex
 		d int
 	}
 	for v, name := range order {
 		var levels []level
-		var merged domain
+		var merged []relation.Value
 		for _, t := range tries {
 			d, ok := t.block.Schema().Position(name)
 			if !ok {
@@ -91,8 +86,8 @@ func alignTries(order []string, tries []*trieIndex) (doms []domain) {
 }
 
 // unionSorted merges two strictly ascending value lists into one.
-func unionSorted(a, b domain) domain {
-	out := make(domain, 0, max(len(a), len(b)))
+func unionSorted(a, b []relation.Value) []relation.Value {
+	out := make([]relation.Value, 0, max(len(a), len(b)))
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch c := a[i].Compare(b[j]); {

@@ -31,16 +31,18 @@
 //     monotone local-code → aligned-code table per trie level;
 //   - the leapfrog k-way intersection of trie levels over aligned codes —
 //     integer comparisons only (leapfrog.go);
-//   - Join / JoinGoverned: the full multiway join over []uint32 bindings,
-//     decoding only the tuples it emits, with governed variants charging
+//   - JoinBlocks: the full multiway join over []uint32 bindings, charging
 //     every index entry (resident or not) and every output tuple against a
-//     govern.Governor and polling deadlines mid-iteration (join.go), and a
+//     govern.Governor and polling deadlines mid-iteration (join.go), with a
 //     partition-parallel variant that splits the outermost variable's key
-//     range across workers (parallel.go).
+//     range across workers (parallel.go). Its output is a block over the
+//     aligned domains, so nothing is decoded; Join and JoinGoverned wrap it
+//     for a database and decode the result.
 //
-// The engine exposes all of this as StrategyWCOJ and makes it the last rung
-// of the auto degradation ladder on cyclic schemes, behind the program and
-// the classical routes.
+// JoinBlocks is what the program executor runs for a multiway statement
+// (internal/program): the engine's wcoj plan is that one statement, and the
+// hybrid chooser's mixed route puts one on the cyclic core ahead of binary
+// joins.
 package wcoj
 
 import (
@@ -55,21 +57,39 @@ import (
 // Result is the outcome of a governed join: the output plus the
 // accounting an EXPLAIN wants.
 type Result struct {
-	// Output is ⋈D over the variable order's schema (one column per
-	// variable, in order).
+	// Block is ⋈ of the operands over the variable order's schema (one
+	// column per variable, in order). Its dictionaries are the per-variable
+	// domains the operands were aligned to, so it was built without decoding
+	// a value.
+	Block *relation.ColBlock
+	// Output is Block decoded; only JoinGoverned sets it.
 	Output *relation.Relation
 	// TrieTuples is the number of index entries read — Σ|Rᵢ|, since each
-	// trie re-sorts its relation without generating new tuples. It is
-	// charged in full whether an index was resident or built.
+	// trie re-sorts its operand without generating new tuples. It is charged
+	// in full whether an index was resident or built.
 	TrieTuples int64
-	// TriesBuilt is how many of the db.Len() indexes this call had to build
-	// (encode and sort) because no earlier query had left them resident on
-	// the relation snapshot; the rest were reused.
+	// TriesBuilt is how many of the operands' indexes this call had to build
+	// (sort) because no earlier query had left them resident on the block;
+	// the rest were reused.
 	TriesBuilt int
+	// Tries is the number of operands, one trie each.
+	Tries int
 	// Vars is the global variable order the join ran with.
 	Vars []string
 	// Workers is the number of goroutines enumeration used (1 = sequential).
 	Workers int
+}
+
+// Notes renders the join's accounting for a report.
+func (r *Result) Notes() []string {
+	notes := []string{
+		fmt.Sprintf("tries re-sort the %d input tuples; no pairwise intermediate is materialized (§2.3 cost = inputs + output)", r.TrieTuples),
+		fmt.Sprintf("tries: %d resident, %d built", r.Tries-r.TriesBuilt, r.TriesBuilt),
+	}
+	if r.Workers > 1 {
+		notes = append(notes, fmt.Sprintf("outermost variable's key range partitioned across %d workers", r.Workers))
+	}
+	return notes
 }
 
 // Join computes the natural join of db along the given variable order with
@@ -83,43 +103,61 @@ func Join(db *relation.Database, order []string) (*relation.Relation, error) {
 	return res.Output, nil
 }
 
-// JoinGoverned computes the natural join of db along the given variable
-// order under gov (nil = no limits), enumerating with up to workers
-// goroutines (values below 2 run sequentially). Each trie charges one tuple
-// per index entry under the operator "wcoj.trie" (one scope per relation,
-// so MaxIntermediateTuples bounds any single index) before it is fetched
-// from the relation or built, so charges do not depend on what earlier
-// queries left resident; enumeration charges each output tuple — and polls
-// cancellation/deadline on every leapfrog step, even when nothing is
-// emitted — under "wcoj.join".
+// JoinGoverned is JoinBlocks over db's resident blocks, tracing under the
+// governor's span, with the output decoded into Result.Output.
 func JoinGoverned(db *relation.Database, order []string, gov *govern.Governor, workers int) (*Result, error) {
 	if db == nil || db.Len() == 0 {
 		return nil, fmt.Errorf("wcoj: empty database")
 	}
-	if err := checkOrder(db, order); err != nil {
+	blocks := make([]*relation.ColBlock, db.Len())
+	for i, rel := range db.Relations() {
+		blocks[i] = rel.Block()
+	}
+	res, err := JoinBlocks(blocks, order, gov, workers, gov.Span())
+	if err != nil {
 		return nil, err
 	}
-	tries := make([]*trieIndex, db.Len())
-	var trieTuples int64
-	built := 0
-	for i := 0; i < db.Len(); i++ {
+	res.Output = res.Block.ToRelation()
+	return res, nil
+}
+
+// JoinBlocks computes the natural join of the blocks along the given
+// variable order, which must cover exactly their attributes, under gov (nil
+// = no limits), enumerating with up to workers goroutines (values below 2
+// run sequentially). Each trie charges one tuple per index entry under the
+// operator "wcoj.trie" (one scope per operand, so MaxIntermediateTuples
+// bounds any single index) before it is fetched from the block or built, so
+// charges do not depend on what earlier queries left resident; enumeration
+// charges each output tuple — and polls cancellation/deadline on every
+// leapfrog step, even when nothing is emitted — under "wcoj.join". When span
+// is non-nil, each trie and the enumeration get a child span under it.
+func JoinBlocks(blocks []*relation.ColBlock, order []string, gov *govern.Governor, workers int, span *obs.Span) (*Result, error) {
+	if len(blocks) == 0 {
+		return nil, fmt.Errorf("wcoj: no operands")
+	}
+	if err := checkOrder(blocks, order); err != nil {
+		return nil, err
+	}
+	res := &Result{Tries: len(blocks), Vars: order, Workers: max(workers, 1)}
+	tries := make([]*trieIndex, len(blocks))
+	for i, b := range blocks {
 		var sp *obs.Span
-		if parent := gov.Span(); parent != nil {
-			sp = parent.Child(obs.KindTrie, "trie "+db.Relation(i).Schema().String())
+		if span != nil {
+			sp = span.Child(obs.KindTrie, "trie "+b.Schema().String())
 		}
 		scope, err := gov.Begin("wcoj.trie")
 		if err != nil {
 			sp.End()
 			return nil, err
 		}
-		tr, err := FromColumns(db.Relation(i), order, scope)
+		tr, err := fromBlock(b, order, scope)
 		if err != nil {
 			sp.Note("failed: %v", err)
 			sp.End()
 			return nil, err
 		}
 		if tr.built {
-			built++
+			res.TriesBuilt++
 			sp.Note("built")
 		} else {
 			sp.Note("resident")
@@ -127,14 +165,11 @@ func JoinGoverned(db *relation.Database, order []string, gov *govern.Governor, w
 		sp.AddTuples(int64(tr.entries()))
 		sp.End()
 		tries[i] = tr
-		trieTuples += int64(tr.entries())
+		res.TrieTuples += int64(tr.entries())
 	}
 	scope, err := gov.Begin("wcoj.join")
 	if err != nil {
 		return nil, err
-	}
-	if workers < 2 {
-		workers = 1
 	}
 	// When traced, enumeration runs under its own span with one binding
 	// counter per variable — the per-variable leapfrog work — rendered as
@@ -142,17 +177,17 @@ func JoinGoverned(db *relation.Database, order []string, gov *govern.Governor, w
 	// charges them from every worker.
 	var enumSpan *obs.Span
 	var bindings []atomic.Int64
-	if parent := gov.Span(); parent != nil {
-		enumSpan = parent.Child(obs.KindEnumerate, "leapfrog enumeration")
+	if span != nil {
+		enumSpan = span.Child(obs.KindEnumerate, "leapfrog enumeration")
 		bindings = make([]atomic.Int64, len(order))
 	}
 	before := gov.Produced()
 	doms := alignTries(order, tries)
-	var rows []relation.Tuple
-	if workers == 1 {
-		rows, err = enumerate(order, tries, doms, scope, bindings)
+	var out *emitter
+	if res.Workers == 1 {
+		out, err = enumerate(order, tries, scope, bindings)
 	} else {
-		rows, err = enumerateParallel(order, tries, doms, scope, workers, bindings)
+		out, err = enumerateParallel(order, tries, scope, res.Workers, bindings)
 	}
 	if enumSpan != nil {
 		enumSpan.AddTuples(gov.Produced() - before)
@@ -173,17 +208,19 @@ func JoinGoverned(db *relation.Database, order []string, gov *govern.Governor, w
 	if err != nil {
 		return nil, err
 	}
-	out, err := relation.NewFromDistinctRows(schema, rows)
-	if err != nil {
+	if res.Block, err = relation.NewColBlock(schema, out.n, doms, out.cols); err != nil {
 		return nil, err
 	}
-	return &Result{Output: out, TrieTuples: trieTuples, TriesBuilt: built, Vars: order, Workers: workers}, nil
+	return res, nil
 }
 
-// checkOrder validates that order is a permutation of the scheme's
+// checkOrder validates that order is a permutation of the operands'
 // attributes.
-func checkOrder(db *relation.Database, order []string) error {
-	attrs := db.Attrs()
+func checkOrder(blocks []*relation.ColBlock, order []string) error {
+	var attrs relation.AttrSet
+	for _, b := range blocks {
+		attrs = attrs.Union(b.Schema().AttrSet())
+	}
 	if len(order) != attrs.Len() {
 		return fmt.Errorf("wcoj: order has %d variables, scheme has %d attributes", len(order), attrs.Len())
 	}
