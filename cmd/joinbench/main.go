@@ -4,16 +4,19 @@
 //
 // Usage:
 //
-//	joinbench [-quick] [-seed N] [-only E1,E3,...] [-timeout 5m] [-max-tuples n] [-json results.json]
+//	joinbench [-quick] [-seed N] [-only E1,E3,...] [-timeout 5m] [-max-tuples n] [-json results.json] [-csv dir]
 //
 // -quick lowers trial counts and scales for a fast smoke run; -only selects
-// a comma-separated subset of experiment ids. -timeout bounds the whole
+// a comma-separated subset of experiment ids (E5 and E6 each select the
+// combined E5/E6 table), and an id that names no experiment is a usage error
+// (exit status 2) that lists the valid ids. -timeout bounds the whole
 // suite: the deadline is checked between experiments, and the remaining
 // ones are skipped (reported, exit status 1) once it passes. -max-tuples
 // sets the tuple budget for the governance experiment EX6. -json also
 // writes every experiment's outcome — id, title, ok/error, wall-clock
 // milliseconds, and the table's columns, rows, and notes — as a JSON array
 // to the given file ("-" for stdout), for dashboards and regression diffs.
+// -csv also writes each table as <id>.csv into a directory.
 package main
 
 import (
@@ -22,6 +25,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"time"
 
@@ -36,12 +40,6 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "suite deadline, checked between experiments (0 = none)")
 	maxTuples := flag.Int64("max-tuples", 0, "tuple budget for the EX6 governance experiment (0 = its default)")
 	jsonOut := flag.String("json", "", "write per-experiment results as JSON to this file (\"-\" for stdout)")
-	parallelJSON := flag.String("parallel-json", "BENCH_parallel.json", "write the EX7 speedup table as JSON to this file when EX7 runs (\"\" = skip)")
-	wcojJSON := flag.String("wcoj-json", "BENCH_wcoj.json", "write the EX8 program-vs-triejoin table as JSON to this file when EX8 runs (\"\" = skip)")
-	ivmJSON := flag.String("ivm-json", "BENCH_ivm.json", "write the EX9 delta-apply-vs-recompute table as JSON to this file when EX9 runs (\"\" = skip)")
-	columnarJSON := flag.String("columnar-json", "BENCH_columnar.json", "write the EX10 columnar-vs-tuple-map table as JSON to this file when EX10 runs (\"\" = skip)")
-	shardJSON := flag.String("shard-json", "BENCH_shard.json", "write the EX11 scatter-gather scaling table as JSON to this file when EX11 runs (\"\" = skip)")
-	hybridJSON := flag.String("hybrid-json", "BENCH_hybrid.json", "write the EX12 hybrid-vs-static-ladder table as JSON to this file when EX12 runs (\"\" = skip)")
 	flag.Parse()
 
 	var deadline time.Time
@@ -112,61 +110,35 @@ func main() {
 		{"EX4", func() (*experiments.Table, error) { return experiments.EstimatorAccuracy(*seed) }},
 		{"EX5", func() (*experiments.Table, error) { return experiments.TriangleExperiment(*seed) }},
 		{"EX6", func() (*experiments.Table, error) { return experiments.GovernanceLadder(e3Scale, *maxTuples) }},
-		{"EX7", func() (*experiments.Table, error) {
-			table, bench, err := experiments.ParallelSpeedup(ex7Scale, ex7Trials)
-			if err == nil && *parallelJSON != "" {
-				if werr := writeParallelBench(*parallelJSON, bench); werr != nil {
-					return nil, werr
-				}
-			}
-			return table, err
-		}},
-		{"EX8", func() (*experiments.Table, error) {
-			table, bench, err := experiments.WCOJComparison(*seed, ex8Trials)
-			if err == nil && *wcojJSON != "" {
-				if werr := writeWCOJBench(*wcojJSON, bench); werr != nil {
-					return nil, werr
-				}
-			}
-			return table, err
-		}},
-		{"EX9", func() (*experiments.Table, error) {
-			table, bench, err := experiments.IVMComparison(*seed, ex9Trials)
-			if err == nil && *ivmJSON != "" {
-				if werr := writeIVMBench(*ivmJSON, bench); werr != nil {
-					return nil, werr
-				}
-			}
-			return table, err
-		}},
-		{"EX10", func() (*experiments.Table, error) {
-			table, bench, err := experiments.ColumnarComparison(*seed, ex10Trials)
-			if err == nil && *columnarJSON != "" {
-				if werr := writeColumnarBench(*columnarJSON, bench); werr != nil {
-					return nil, werr
-				}
-			}
-			return table, err
-		}},
-		{"EX11", func() (*experiments.Table, error) {
-			table, bench, err := experiments.ShardScaling(*seed, ex11Trials)
-			if err == nil && *shardJSON != "" {
-				if werr := writeShardBench(*shardJSON, bench); werr != nil {
-					return nil, werr
-				}
-			}
-			return table, err
-		}},
-		{"EX12", func() (*experiments.Table, error) {
-			table, bench, err := experiments.HybridComparison(*seed, ex12Trials, *quick)
-			if err == nil && *hybridJSON != "" {
-				if werr := writeHybridBench(*hybridJSON, bench); werr != nil {
-					return nil, werr
-				}
-			}
-			return table, err
-		}},
+		{"EX7", func() (*experiments.Table, error) { return experiments.ParallelSpeedup(ex7Scale, ex7Trials) }},
+		{"EX8", func() (*experiments.Table, error) { return experiments.WCOJComparison(*seed, ex8Trials) }},
+		{"EX9", func() (*experiments.Table, error) { return experiments.IVMComparison(*seed, ex9Trials) }},
+		{"EX10", func() (*experiments.Table, error) { return experiments.ColumnarComparison(*seed, ex10Trials) }},
+		{"EX11", func() (*experiments.Table, error) { return experiments.ShardScaling(*seed, ex11Trials) }},
+		{"EX12", func() (*experiments.Table, error) { return experiments.HybridComparison(*seed, ex12Trials, *quick) }},
 		{"EX13", experiments.AdversarialGauntlet},
+	}
+
+	// A mistyped -only id must not pass as an empty, successful run.
+	known := map[string]bool{}
+	var ids []string
+	for _, r := range runs {
+		ids = append(ids, r.id)
+		for _, part := range strings.Split(r.id, "/") {
+			known[part] = true
+		}
+	}
+	var unknown []string
+	for id := range selected {
+		if !known[id] {
+			unknown = append(unknown, id)
+		}
+	}
+	if len(unknown) > 0 {
+		sort.Strings(unknown)
+		fmt.Fprintf(os.Stderr, "joinbench: unknown experiment id(s) %s in -only; valid ids: %s\n",
+			strings.Join(unknown, ", "), strings.Join(ids, ", "))
+		os.Exit(2)
 	}
 
 	fmt.Println("Reproduction suite — Morishita, \"Avoiding Cartesian Products in Programs for Multiple Joins\" (PODS 1992)")
@@ -236,114 +208,6 @@ type experimentResult struct {
 	Columns []string   `json:"columns,omitempty"`
 	Rows    [][]string `json:"rows,omitempty"`
 	Notes   []string   `json:"notes,omitempty"`
-}
-
-// writeParallelBench stores the EX7 machine-readable speedup table
-// (-parallel-json; "-" = stdout).
-func writeParallelBench(path string, bench *experiments.ParallelBenchResult) error {
-	w := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	enc.SetIndent("", "  ")
-	return enc.Encode(bench)
-}
-
-// writeWCOJBench stores the EX8 machine-readable comparison table
-// (-wcoj-json; "-" = stdout).
-func writeWCOJBench(path string, bench *experiments.WCOJBenchResult) error {
-	w := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	enc.SetIndent("", "  ")
-	return enc.Encode(bench)
-}
-
-// writeIVMBench stores the EX9 machine-readable delta-vs-recompute table
-// (-ivm-json; "-" = stdout).
-func writeIVMBench(path string, bench *experiments.IVMBenchResult) error {
-	w := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	enc.SetIndent("", "  ")
-	return enc.Encode(bench)
-}
-
-// writeColumnarBench stores the EX10 machine-readable columnar-vs-tuple-map
-// table (-columnar-json; "-" = stdout).
-func writeColumnarBench(path string, bench *experiments.ColumnarBenchResult) error {
-	w := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	enc.SetIndent("", "  ")
-	return enc.Encode(bench)
-}
-
-// writeShardBench stores the EX11 machine-readable scatter-gather scaling
-// table (-shard-json; "-" = stdout).
-func writeShardBench(path string, bench *experiments.ShardBenchResult) error {
-	w := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	enc.SetIndent("", "  ")
-	return enc.Encode(bench)
-}
-
-// writeHybridBench stores the EX12 machine-readable hybrid-vs-static-ladder
-// table (-hybrid-json; "-" = stdout).
-func writeHybridBench(path string, bench *experiments.HybridBenchResult) error {
-	w := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	enc.SetIndent("", "  ")
-	return enc.Encode(bench)
 }
 
 // writeResults stores the -json report ("-" = stdout).

@@ -35,7 +35,6 @@ func main() {
 	size := flag.Int("size", 30, "tuples per relation for random data")
 	domain := flag.Int("domain", 3, "attribute domain size for random data")
 	seed := flag.Int64("seed", 1, "random seed")
-	topk := flag.Int("topk", 0, "also list the k cheapest CPF plans")
 	cycle := flag.Int("cycle", 0, "use the Example-3 cycle family with this many relations")
 	m := flag.Int64("m", 2, "cycle link-domain size")
 	payload := flag.String("payload", "", "comma-separated per-relation payload counts for -cycle")
@@ -80,17 +79,6 @@ func main() {
 	p, err = optimizer.SimulatedAnnealing(cat, rng, optimizer.AnnealOptions{})
 	show("simulated annealing", p, err)
 	w.Flush()
-
-	if *topk > 0 {
-		plans, err := optimizer.TopKCPF(cat, *topk)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("\ntop %d CPF plans:\n", len(plans))
-		for i, p := range plans {
-			fmt.Printf("  %2d. cost %-8d %s\n", i+1, p.Cost, p.Tree.String(h))
-		}
-	}
 
 	// Derive and run the program from the optimal tree.
 	d, err := core.DeriveFromTree(opt.Tree, h, nil)

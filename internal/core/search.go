@@ -17,20 +17,6 @@ type ProgramPlan struct {
 	Cost    int
 }
 
-// BestProgramFromTree explores every CPF tree Algorithm 1 can produce from
-// t (across its nondeterministic choices), derives a program from each, runs
-// it on db, and returns the cheapest. This realizes the paper's main
-// statement constructively: among the CPF expressions reachable from an
-// optimal t, one yields a quasi-optimal program — and this function finds
-// the best of them.
-func BestProgramFromTree(t *jointree.Tree, h *hypergraph.Hypergraph, db *relation.Database, limit int) (ProgramPlan, error) {
-	trees, err := EnumerateCPFifications(t, h, limit)
-	if err != nil {
-		return ProgramPlan{}, err
-	}
-	return bestOver(trees, h, db)
-}
-
 // BestProgramOverAllCPFTrees derives a program from every CPF tree exactly
 // over the scheme and returns the cheapest on db. Exponential in the scheme
 // size; intended for small schemes and for the experiments that verify the
@@ -42,14 +28,6 @@ func BestProgramOverAllCPFTrees(h *hypergraph.Hypergraph, db *relation.Database)
 	}
 	if len(trees) == 0 {
 		return ProgramPlan{}, fmt.Errorf("core: scheme %s has no CPF trees", h)
-	}
-	return bestOver(trees, h, db)
-}
-
-// bestOver derives and runs a program for each tree and keeps the cheapest.
-func bestOver(trees []*jointree.Tree, h *hypergraph.Hypergraph, db *relation.Database) (ProgramPlan, error) {
-	if len(trees) == 0 {
-		return ProgramPlan{}, fmt.Errorf("core: no candidate CPF trees")
 	}
 	want := db.Join()
 	best := ProgramPlan{Cost: int(^uint(0) >> 1)}

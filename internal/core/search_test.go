@@ -9,27 +9,6 @@ import (
 	"repro/internal/jointree"
 )
 
-func TestBestProgramFromTreeBeatsBound(t *testing.T) {
-	h := paperScheme(t)
-	db := smallCycleDB(t, 3, 6)
-	t1 := figure1Tree(t, h)
-	t1Cost := t1.Cost(db)
-	best, err := BestProgramFromTree(t1, h, db, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qf := QuasiFactor(h.Len(), h.Attrs().Len())
-	if best.Cost >= qf*t1Cost {
-		t.Errorf("best program cost %d ≥ bound %d", best.Cost, qf*t1Cost)
-	}
-	if best.Tree == nil || best.Program == nil {
-		t.Fatal("missing plan parts")
-	}
-	if !best.Tree.IsCPF(h) {
-		t.Error("best plan's tree is not CPF")
-	}
-}
-
 // TestHeadlineClaimByExhaustion verifies the paper's main statement on
 // random instances by full enumeration: among ALL CPF join expressions there
 // exists one whose derived program costs < r(a+5) × the optimal expression

@@ -150,7 +150,7 @@ func TestPairwiseReduce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	red, err := PairwiseReduce(db, 0)
+	red, err := PairwiseReduceGoverned(db, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,10 +165,10 @@ func TestPairwiseReduce(t *testing.T) {
 	}
 	// Inputs untouched.
 	if db.Relation(0).Len() != 11+6 {
-		t.Error("PairwiseReduce mutated its input")
+		t.Error("PairwiseReduceGoverned mutated its input")
 	}
 	// Round limit respected.
-	one, err := PairwiseReduce(db, 1)
+	one, err := PairwiseReduceGoverned(db, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestPairwiseReduce(t *testing.T) {
 
 func TestPairwiseReduceFixpointOnConsistent(t *testing.T) {
 	db := example3DB(t, 6)
-	red, err := PairwiseReduce(db, 0)
+	red, err := PairwiseReduceGoverned(db, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

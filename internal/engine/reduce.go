@@ -35,17 +35,12 @@ type PairwiseReduction struct {
 	Removed int
 }
 
-// PairwiseReduce runs the reduction. maxRounds ≤ 0 means no limit (the
-// reduction always terminates: relation sizes strictly decrease between
-// rounds).
-func PairwiseReduce(db *relation.Database, maxRounds int) (*PairwiseReduction, error) {
-	return PairwiseReduceGoverned(db, maxRounds, nil)
-}
-
-// PairwiseReduceGoverned is PairwiseReduce under a governor: each semijoin
-// head charges its tuples and cancellation aborts between semijoins with
-// the governor's typed error (the failpoint sites are the executor's
-// "program.Stmt" and the kernels' own "relation.Semijoin").
+// PairwiseReduceGoverned runs the reduction. maxRounds ≤ 0 means no limit
+// (the reduction always terminates: relation sizes strictly decrease between
+// rounds). Under a non-nil governor each semijoin head charges its tuples and
+// cancellation aborts between semijoins with the governor's typed error (the
+// failpoint sites are the executor's "program.Stmt" and the kernels' own
+// "relation.Semijoin"); a nil governor runs ungoverned.
 func PairwiseReduceGoverned(db *relation.Database, maxRounds int, g *govern.Governor) (*PairwiseReduction, error) {
 	if db == nil || db.Len() == 0 {
 		return nil, fmt.Errorf("engine: empty database")

@@ -11,31 +11,6 @@ import (
 	"repro/internal/workload"
 )
 
-// ColumnarBenchRow is one workload's tuple-map-vs-block-kernel measurement
-// in EX10.
-type ColumnarBenchRow struct {
-	Family        string  `json:"family"`
-	Config        string  `json:"config"`
-	Inputs        int64   `json:"inputs"`
-	ResultTuples  int     `json:"result_tuples"`
-	Cost          int64   `json:"cost"`
-	Intermediates int64   `json:"intermediates"`
-	TupleWallMS   float64 `json:"tuple_wall_ms"`
-	ColumnWallMS  float64 `json:"columnar_wall_ms"`
-	Speedup       float64 `json:"speedup"`
-	// Largest marks the family's biggest size — the rows the strictly-faster
-	// acceptance bar applies to.
-	Largest bool `json:"largest"`
-}
-
-// ColumnarBenchResult is the machine-readable outcome of EX10, written by
-// joinbench as BENCH_columnar.json.
-type ColumnarBenchResult struct {
-	Experiment string             `json:"experiment"`
-	Trials     int                `json:"trials"`
-	Rows       []ColumnarBenchRow `json:"rows"`
-}
-
 // ColumnarComparison (experiment EX10) pits the columnar batch kernels
 // against the tuple-map operators they replaced: the cpf-expression plan
 // runs its tree as a program on the block executor, and the reference
@@ -50,7 +25,7 @@ type ColumnarBenchResult struct {
 // best-of-trials times the kernels on resident inputs and the encode shows
 // only in that first trial. Smaller sizes are reported but informative
 // only.
-func ColumnarComparison(seed int64, trials int) (*Table, *ColumnarBenchResult, error) {
+func ColumnarComparison(seed int64, trials int) (*Table, error) {
 	if trials <= 0 {
 		trials = 3
 	}
@@ -63,10 +38,8 @@ func ColumnarComparison(seed int64, trials int) (*Table, *ColumnarBenchResult, e
 			"tuple-map wall", "columnar wall", "speedup",
 		},
 	}
-	bench := &ColumnarBenchResult{Experiment: "EX10", Trials: trials}
 
 	type workloadCase struct {
-		family  string
 		config  string
 		db      *relation.Database
 		largest bool
@@ -83,10 +56,9 @@ func ColumnarComparison(seed int64, trials int) (*Table, *ColumnarBenchResult, e
 	} {
 		db, err := workload.TriangleSpec{Nodes: cfg.nodes, Edges: cfg.edges}.TriangleDatabase(rng)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		cases = append(cases, workloadCase{
-			family:  "triangle",
 			config:  fmt.Sprintf("G(%d nodes, %d edges)", cfg.nodes, cfg.edges),
 			db:      db,
 			largest: cfg.largest,
@@ -98,14 +70,13 @@ func ColumnarComparison(seed int64, trials int) (*Table, *ColumnarBenchResult, e
 	}{{6, false}, {10, false}, {14, true}} {
 		spec, err := workload.Example3(q.q)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		db, err := spec.CycleDatabase()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		cases = append(cases, workloadCase{
-			family:  "cycle4",
 			config:  fmt.Sprintf("Example3(q=%d)", q.q),
 			db:      db,
 			largest: q.largest,
@@ -117,13 +88,13 @@ func ColumnarComparison(seed int64, trials int) (*Table, *ColumnarBenchResult, e
 		inputs := int64(c.db.TotalTuples())
 		plan, err := engine.PlanFor(c.db, engine.Options{Strategy: engine.StrategyExpression})
 		if err != nil {
-			return nil, nil, fmt.Errorf("EX10 %s: %w", c.config, err)
+			return nil, fmt.Errorf("EX10 %s: %w", c.config, err)
 		}
 		// The plan's tree is in canonical edge order; the reference evaluator
 		// reads the database in that order too.
 		cdb, err := c.db.Restrict(hypergraph.OfScheme(c.db).CanonicalOrder())
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		// best runs one route trials times and keeps its fastest run.
 		best := func(route func() (*relation.Relation, int64, error)) (cost int64, fastest time.Duration, err error) {
@@ -149,7 +120,7 @@ func ColumnarComparison(seed int64, trials int) (*Table, *ColumnarBenchResult, e
 			return out, int64(cost), nil
 		})
 		if err != nil {
-			return nil, nil, fmt.Errorf("EX10 %s tuple-map: %w", c.config, err)
+			return nil, fmt.Errorf("EX10 %s tuple-map: %w", c.config, err)
 		}
 		colCost, colWall, err := best(func() (*relation.Relation, int64, error) {
 			rep, err := engine.ExecutePlan(c.db, plan, engine.Options{})
@@ -159,14 +130,14 @@ func ColumnarComparison(seed int64, trials int) (*Table, *ColumnarBenchResult, e
 			return rep.Result, rep.Cost, nil
 		})
 		if err != nil {
-			return nil, nil, fmt.Errorf("EX10 %s cpf-expression: %w", c.config, err)
+			return nil, fmt.Errorf("EX10 %s cpf-expression: %w", c.config, err)
 		}
 		if colCost != tupCost {
-			return nil, nil, fmt.Errorf("EX10 %s: block cost %d != tuple-map cost %d on the same tree",
+			return nil, fmt.Errorf("EX10 %s: block cost %d != tuple-map cost %d on the same tree",
 				c.config, colCost, tupCost)
 		}
 		if c.largest && colWall >= tupWall {
-			return nil, nil, fmt.Errorf("EX10 %s: block wall %s not strictly below tuple-map %s on the family's largest size",
+			return nil, fmt.Errorf("EX10 %s: block wall %s not strictly below tuple-map %s on the family's largest size",
 				c.config, colWall, tupWall)
 		}
 		out := int64(want.Len())
@@ -175,21 +146,9 @@ func ColumnarComparison(seed int64, trials int) (*Table, *ColumnarBenchResult, e
 		t.AddRow(c.config, inputs, want.Len(), inter,
 			tupWall.Round(10*time.Microsecond), colWall.Round(10*time.Microsecond),
 			fmt.Sprintf("%.2fx", speedup))
-		bench.Rows = append(bench.Rows, ColumnarBenchRow{
-			Family:        c.family,
-			Config:        c.config,
-			Inputs:        inputs,
-			ResultTuples:  want.Len(),
-			Cost:          tupCost,
-			Intermediates: inter,
-			TupleWallMS:   float64(tupWall) / float64(time.Millisecond),
-			ColumnWallMS:  float64(colWall) / float64(time.Millisecond),
-			Speedup:       speedup,
-			Largest:       c.largest,
-		})
 	}
 	t.AddNote("both routes evaluate the identical optimized CPF tree — tuple-map: jointree.Tree.Eval; columnar: the cpf-expression plan's compiled program — and §2.3 costs are asserted equal, so the delta is pure execution machinery")
 	t.AddNote("columnar: dictionary-encoded blocks, sorted-merge code remapping, packed uint64 join keys, batch appends sharing dictionaries by reference")
 	t.AddNote("acceptance: strictly faster on each family's largest size (best-of-trials); inputs are encoded by the first trial and resident after it, so best-of-trials times the kernels alone")
-	return t, bench, nil
+	return t, nil
 }

@@ -24,33 +24,6 @@ const hybridNoWorseFactor = 1.10
 // times are large and stops it from amplifying noise where they are tiny.
 const hybridNoWorseSlack = time.Millisecond
 
-// HybridBenchRow is one workload's hybrid-vs-static-ladder measurement in
-// EX12.
-type HybridBenchRow struct {
-	Workload     string  `json:"workload"`
-	Route        string  `json:"route"`
-	Inputs       int64   `json:"inputs"`
-	ResultTuples int     `json:"result_tuples"`
-	HybridCost   int64   `json:"hybrid_cost"`
-	HybridWallMS float64 `json:"hybrid_wall_ms"`
-	// BestStatic names the fastest single static rung and its measurements.
-	BestStatic       string  `json:"best_static"`
-	BestStaticCost   int64   `json:"best_static_cost"`
-	BestStaticWallMS float64 `json:"best_static_wall_ms"`
-	Speedup          float64 `json:"speedup"`
-	// QError is the chooser's estimate-vs-actual §2.3 cost ratio (≥ 1).
-	QError float64 `json:"qerror"`
-}
-
-// HybridBenchResult is the machine-readable outcome of EX12, written by
-// joinbench as BENCH_hybrid.json.
-type HybridBenchResult struct {
-	Experiment    string           `json:"experiment"`
-	Trials        int              `json:"trials"`
-	NoWorseFactor float64          `json:"no_worse_factor"`
-	Rows          []HybridBenchRow `json:"rows"`
-}
-
 // pendantRelation builds a large, selective degree-1 pendant: the first
 // attribute uniform over dom1, the second unique per row.
 func pendantRelation(rng *rand.Rand, attrs []string, size, dom1 int) *relation.Relation {
@@ -94,7 +67,7 @@ func mixedRouteWorkload(pendant int) (*relation.Database, error) {
 //     plan it picks — no hidden discount);
 //   - best-of-trials wall time must be no worse than hybridNoWorseFactor ×
 //     the best single static rung on every workload.
-func HybridComparison(seed int64, trials int, quick bool) (*Table, *HybridBenchResult, error) {
+func HybridComparison(seed int64, trials int, quick bool) (*Table, error) {
 	if trials <= 0 {
 		trials = 3
 	}
@@ -110,20 +83,19 @@ func HybridComparison(seed int64, trials int, quick bool) (*Table, *HybridBenchR
 			"hybrid wall", "best static", "static wall", "speedup", "q-error",
 		},
 	}
-	bench := &HybridBenchResult{Experiment: "EX12", Trials: trials, NoWorseFactor: hybridNoWorseFactor}
 
 	rng := rand.New(rand.NewSource(seed))
 	triH, err := workload.CliqueScheme(3)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	skewedTri, err := workload.ZipfDatabase(rng, triH, 400, 40, 1.2)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	mixed, err := mixedRouteWorkload(pendant)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	cases := []struct {
 		name       string
@@ -144,7 +116,7 @@ func HybridComparison(seed int64, trials int, quick bool) (*Table, *HybridBenchR
 
 		plan, err := engine.PlanFor(c.db, engine.Options{Strategy: engine.StrategyHybrid})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		route := plan.Hybrid.Route
 		okRoute := false
@@ -152,7 +124,7 @@ func HybridComparison(seed int64, trials int, quick bool) (*Table, *HybridBenchR
 			okRoute = okRoute || route == r
 		}
 		if !okRoute {
-			return nil, nil, fmt.Errorf("EX12 %s: hybrid routed to %q (est %d), want one of %v",
+			return nil, fmt.Errorf("EX12 %s: hybrid routed to %q (est %d), want one of %v",
 				c.name, route, plan.Hybrid.EstCost, c.wantRoutes)
 		}
 
@@ -161,7 +133,7 @@ func HybridComparison(seed int64, trials int, quick bool) (*Table, *HybridBenchR
 		// allocator and cache warm-up that would otherwise bias whichever
 		// contender runs first.
 		if _, err := engine.ExecutePlan(c.db, plan, engine.Options{Limits: lim}); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		var hybridWall time.Duration
 		var hrep *engine.Report
@@ -170,10 +142,10 @@ func HybridComparison(seed int64, trials int, quick bool) (*Table, *HybridBenchR
 			r, err := engine.ExecutePlan(c.db, plan, engine.Options{Limits: lim})
 			wall := time.Since(start)
 			if err != nil {
-				return nil, nil, fmt.Errorf("EX12 %s hybrid: %w", c.name, err)
+				return nil, fmt.Errorf("EX12 %s hybrid: %w", c.name, err)
 			}
 			if !r.Result.Equal(want) {
-				return nil, nil, fmt.Errorf("EX12 %s: hybrid (%s route) computed a wrong result", c.name, route)
+				return nil, fmt.Errorf("EX12 %s: hybrid (%s route) computed a wrong result", c.name, route)
 			}
 			if hrep == nil || wall < hybridWall {
 				hybridWall, hrep = wall, r
@@ -183,10 +155,10 @@ func HybridComparison(seed int64, trials int, quick bool) (*Table, *HybridBenchR
 		// the selected plan charges the governor identically.
 		rerun, err := engine.ExecutePlan(c.db, plan, engine.Options{Limits: lim})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if rerun.Cost != hrep.Cost || rerun.Produced != hrep.Produced {
-			return nil, nil, fmt.Errorf("EX12 %s: hybrid charges drifted across reruns: cost %d vs %d, produced %d vs %d",
+			return nil, fmt.Errorf("EX12 %s: hybrid charges drifted across reruns: cost %d vs %d, produced %d vs %d",
 				c.name, hrep.Cost, rerun.Cost, hrep.Produced, rerun.Produced)
 		}
 		if route == "wcoj" {
@@ -194,24 +166,23 @@ func HybridComparison(seed int64, trials int, quick bool) (*Table, *HybridBenchR
 			// exactly, not just across hybrid reruns.
 			wplan, err := engine.PlanFor(c.db, engine.Options{Strategy: engine.StrategyWCOJ})
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			wrep, err := engine.ExecutePlan(c.db, wplan, engine.Options{Limits: lim})
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			if wrep.Cost != hrep.Cost || wrep.Produced != hrep.Produced {
-				return nil, nil, fmt.Errorf("EX12 %s: hybrid wcoj route charges (cost %d, produced %d) diverge from the static wcoj plan's (%d, %d)",
+				return nil, fmt.Errorf("EX12 %s: hybrid wcoj route charges (cost %d, produced %d) diverge from the static wcoj plan's (%d, %d)",
 					c.name, hrep.Cost, hrep.Produced, wrep.Cost, wrep.Produced)
 			}
 		}
 
 		bestStatic := ""
 		var bestWall time.Duration
-		var bestCost int64
 		for _, s := range statics {
 			if _, err := engine.Join(c.db, engine.Options{Strategy: s, Limits: lim}); err != nil {
-				return nil, nil, fmt.Errorf("EX12 %s %s: %w", c.name, s, err)
+				return nil, fmt.Errorf("EX12 %s %s: %w", c.name, s, err)
 			}
 			var sw time.Duration
 			var srep *engine.Report
@@ -220,21 +191,21 @@ func HybridComparison(seed int64, trials int, quick bool) (*Table, *HybridBenchR
 				r, err := engine.Join(c.db, engine.Options{Strategy: s, Limits: lim})
 				wall := time.Since(start)
 				if err != nil {
-					return nil, nil, fmt.Errorf("EX12 %s %s: %w", c.name, s, err)
+					return nil, fmt.Errorf("EX12 %s %s: %w", c.name, s, err)
 				}
 				if !r.Result.Equal(want) {
-					return nil, nil, fmt.Errorf("EX12 %s: strategy %s computed a wrong result", c.name, s)
+					return nil, fmt.Errorf("EX12 %s: strategy %s computed a wrong result", c.name, s)
 				}
 				if srep == nil || wall < sw {
 					sw, srep = wall, r
 				}
 			}
 			if bestStatic == "" || sw < bestWall {
-				bestStatic, bestWall, bestCost = s.String(), sw, srep.Cost
+				bestStatic, bestWall = s.String(), sw
 			}
 		}
 		if hybridWall > time.Duration(float64(bestWall)*hybridNoWorseFactor)+hybridNoWorseSlack {
-			return nil, nil, fmt.Errorf("EX12 %s: hybrid wall %s exceeds %.2f× the best static rung (%s at %s) plus %s slack",
+			return nil, fmt.Errorf("EX12 %s: hybrid wall %s exceeds %.2f× the best static rung (%s at %s) plus %s slack",
 				c.name, hybridWall, hybridNoWorseFactor, bestStatic, bestWall, hybridNoWorseSlack)
 		}
 
@@ -247,24 +218,11 @@ func HybridComparison(seed int64, trials int, quick bool) (*Table, *HybridBenchR
 			hybridWall.Round(10*time.Microsecond), bestStatic,
 			bestWall.Round(10*time.Microsecond),
 			fmt.Sprintf("%.2fx", speedup), fmt.Sprintf("%.2f", q))
-		bench.Rows = append(bench.Rows, HybridBenchRow{
-			Workload:         c.name,
-			Route:            route,
-			Inputs:           inputs,
-			ResultTuples:     want.Len(),
-			HybridCost:       hrep.Cost,
-			HybridWallMS:     float64(hybridWall) / float64(time.Millisecond),
-			BestStatic:       bestStatic,
-			BestStaticCost:   bestCost,
-			BestStaticWallMS: float64(bestWall) / float64(time.Millisecond),
-			Speedup:          speedup,
-			QError:           q,
-		})
 	}
 	t.AddNote("routes: the chooser estimates §2.3 costs from per-relation sketches (equi-depth histograms, degree counts) and picks wcoj for the skewed cyclic core, binary joins elsewhere")
 	t.AddNote("charge parity asserted: the hybrid report equals a rerun of its selected plan tuple for tuple (and the static wcoj plan exactly, when that is the route)")
 	t.AddNote("acceptance: best-of-trials hybrid wall ≤ %.2f× the best single static rung (+%s noise slack) on every workload", hybridNoWorseFactor, hybridNoWorseSlack)
-	return t, bench, nil
+	return t, nil
 }
 
 // AdversarialGauntlet (experiment EX13) drives the checked-in

@@ -10,27 +10,6 @@ import (
 	"repro/internal/workload"
 )
 
-// IVMBenchRow is one delta batch's delta-apply-vs-full-recompute
-// measurement in EX9.
-type IVMBenchRow struct {
-	Config        string  `json:"config"`
-	Step          int     `json:"step"`
-	BaseTuples    int64   `json:"base_tuples"`
-	DeltaTuples   int64   `json:"delta_tuples"`
-	ResultTuples  int     `json:"result_tuples"`
-	DeltaWallMS   float64 `json:"delta_wall_ms"`
-	RebuildWallMS float64 `json:"rebuild_wall_ms"`
-	Speedup       float64 `json:"speedup"`
-}
-
-// IVMBenchResult is the machine-readable outcome of EX9, written by
-// joinbench as BENCH_ivm.json.
-type IVMBenchResult struct {
-	Experiment string        `json:"experiment"`
-	Trials     int           `json:"trials"`
-	Rows       []IVMBenchRow `json:"rows"`
-}
-
 // IVMComparison (experiment EX9) measures what incremental view maintenance
 // buys over recomputation on a growing triangle workload: a view over
 // R(A,B) ⋈ S(B,C) ⋈ T(C,A) is maintained while triangles arrive a few edges
@@ -42,7 +21,7 @@ type IVMBenchResult struct {
 // from-scratch join, and the delta path must be strictly faster on every
 // small-delta batch — that is the subsystem's acceptance bar: maintenance
 // work scales with |Δ|, recomputation with |instance|.
-func IVMComparison(seed int64, trials int) (*Table, *IVMBenchResult, error) {
+func IVMComparison(seed int64, trials int) (*Table, error) {
 	if trials <= 0 {
 		trials = 3
 	}
@@ -55,7 +34,6 @@ func IVMComparison(seed int64, trials int) (*Table, *IVMBenchResult, error) {
 			"Δ-apply wall", "rebuild wall", "speedup",
 		},
 	}
-	bench := &IVMBenchResult{Experiment: "EX9", Trials: trials}
 
 	const steps = 4
 	for _, cfg := range []struct{ nodes, edges int }{
@@ -64,20 +42,20 @@ func IVMComparison(seed int64, trials int) (*Table, *IVMBenchResult, error) {
 	} {
 		db, err := workload.TriangleSpec{Nodes: cfg.nodes, Edges: cfg.edges}.TriangleDatabase(rng)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		config := fmt.Sprintf("G(%d nodes, %d edges)", cfg.nodes, cfg.edges)
 		view, err := ivm.Compile(db)
 		if err != nil {
-			return nil, nil, fmt.Errorf("EX9 %s: %w", config, err)
+			return nil, fmt.Errorf("EX9 %s: %w", config, err)
 		}
 		if err := view.Rebuild(db); err != nil {
-			return nil, nil, fmt.Errorf("EX9 %s: %w", config, err)
+			return nil, fmt.Errorf("EX9 %s: %w", config, err)
 		}
 		// scratch is an identical view used only to time full rebuilds.
 		scratch, err := ivm.Compile(db)
 		if err != nil {
-			return nil, nil, fmt.Errorf("EX9 %s: %w", config, err)
+			return nil, fmt.Errorf("EX9 %s: %w", config, err)
 		}
 
 		next := int64(cfg.nodes) // fresh vertex ids so every step adds triangles
@@ -97,7 +75,7 @@ func IVMComparison(seed int64, trials int) (*Table, *IVMBenchResult, error) {
 			for _, ch := range changes {
 				for _, tu := range ch.Inserts {
 					if err := db.Relation(ch.Relation).Insert(tu); err != nil {
-						return nil, nil, fmt.Errorf("EX9 %s: %w", config, err)
+						return nil, fmt.Errorf("EX9 %s: %w", config, err)
 					}
 					deltaTuples++
 				}
@@ -105,7 +83,7 @@ func IVMComparison(seed int64, trials int) (*Table, *IVMBenchResult, error) {
 
 			start := time.Now()
 			if _, err := view.Apply(changes, nil); err != nil {
-				return nil, nil, fmt.Errorf("EX9 %s step %d: %w", config, step, err)
+				return nil, fmt.Errorf("EX9 %s step %d: %w", config, step, err)
 			}
 			deltaWall := time.Since(start)
 
@@ -113,7 +91,7 @@ func IVMComparison(seed int64, trials int) (*Table, *IVMBenchResult, error) {
 			for i := 0; i < trials; i++ {
 				start = time.Now()
 				if err := scratch.Rebuild(db); err != nil {
-					return nil, nil, fmt.Errorf("EX9 %s step %d: %w", config, step, err)
+					return nil, fmt.Errorf("EX9 %s step %d: %w", config, step, err)
 				}
 				if wall := time.Since(start); i == 0 || wall < rebuildWall {
 					rebuildWall = wall
@@ -122,33 +100,23 @@ func IVMComparison(seed int64, trials int) (*Table, *IVMBenchResult, error) {
 
 			want := db.Join()
 			if !view.Result().Equal(want) {
-				return nil, nil, fmt.Errorf("EX9 %s step %d: delta-maintained view diverged from recompute", config, step)
+				return nil, fmt.Errorf("EX9 %s step %d: delta-maintained view diverged from recompute", config, step)
 			}
 			if !scratch.Result().Equal(want) {
-				return nil, nil, fmt.Errorf("EX9 %s step %d: rebuilt view diverged from recompute", config, step)
+				return nil, fmt.Errorf("EX9 %s step %d: rebuilt view diverged from recompute", config, step)
 			}
 			if deltaWall >= rebuildWall {
-				return nil, nil, fmt.Errorf("EX9 %s step %d: delta apply (%s) not strictly faster than rebuild (%s) on a %d-tuple delta",
+				return nil, fmt.Errorf("EX9 %s step %d: delta apply (%s) not strictly faster than rebuild (%s) on a %d-tuple delta",
 					config, step, deltaWall, rebuildWall, deltaTuples)
 			}
 			speedup := float64(rebuildWall) / float64(deltaWall)
 			t.AddRow(config, step, base, deltaTuples, want.Len(),
 				deltaWall.Round(time.Microsecond), rebuildWall.Round(10*time.Microsecond),
 				fmt.Sprintf("%.1f×", speedup))
-			bench.Rows = append(bench.Rows, IVMBenchRow{
-				Config:        config,
-				Step:          step,
-				BaseTuples:    base,
-				DeltaTuples:   deltaTuples,
-				ResultTuples:  want.Len(),
-				DeltaWallMS:   float64(deltaWall) / float64(time.Millisecond),
-				RebuildWallMS: float64(rebuildWall) / float64(time.Millisecond),
-				Speedup:       speedup,
-			})
 		}
 	}
 	t.AddNote("Δ-apply propagates the batch through the view's delta program; rebuild re-derives the result from the full post-batch catalog (best of trials)")
 	t.AddNote("the experiment fails unless both routes match a from-scratch join and Δ-apply is strictly faster on every batch")
 	t.AddNote("maintenance work scales with |Δ| (here a few edges), recomputation with |instance| — the gap widens as the base grows")
-	return t, bench, nil
+	return t, nil
 }

@@ -11,29 +11,6 @@ import (
 	"repro/internal/workload"
 )
 
-// ParallelBenchRow is one worker-count measurement of EX7.
-type ParallelBenchRow struct {
-	Workers      int     `json:"workers"`
-	WallMS       float64 `json:"wall_ms"`
-	Speedup      float64 `json:"speedup"`
-	ResultTuples int     `json:"result_tuples"`
-	Produced     int64   `json:"produced"`
-}
-
-// ParallelBenchResult is the machine-readable outcome of EX7, written by
-// joinbench as BENCH_parallel.json: the sequential-vs-parallel wall-clock
-// comparison of one cached plan executed at increasing worker counts.
-type ParallelBenchResult struct {
-	Experiment   string             `json:"experiment"`
-	Workload     string             `json:"workload"`
-	Strategy     string             `json:"strategy"`
-	Trials       int                `json:"trials"`
-	GOMAXPROCS   int                `json:"gomaxprocs"`
-	Statements   int                `json:"statements"`
-	CriticalPath int                `json:"critical_path"`
-	Rows         []ParallelBenchRow `json:"rows"`
-}
-
 // ParallelSpeedup (experiment EX7) measures governed intra-query parallelism
 // on the paper's adversarial cycle: it derives the Algorithm-2 program plan
 // once (engine.PlanFor — Theorem 1 licenses the reuse), then executes the
@@ -43,21 +20,21 @@ type ParallelBenchResult struct {
 // wall(1 worker) / wall(w workers); on a single-core host it hovers near 1
 // by construction, so nothing here asserts a floor — the numbers are the
 // experiment.
-func ParallelSpeedup(q int64, trials int) (*Table, *ParallelBenchResult, error) {
+func ParallelSpeedup(q int64, trials int) (*Table, error) {
 	if trials <= 0 {
 		trials = 3
 	}
 	spec, err := workload.Example3(q)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	db, err := spec.CycleDatabase()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	plan, err := engine.PlanFor(db, engine.Options{Strategy: engine.StrategyProgram})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	maxProcs := runtime.GOMAXPROCS(0)
@@ -76,15 +53,6 @@ func ParallelSpeedup(q int64, trials int) (*Table, *ParallelBenchResult, error) 
 		Title:   fmt.Sprintf("Extension — intra-query parallelism on Example3(q=%d), cached program plan", q),
 		Columns: []string{"workers", "wall (best of trials)", "speedup", "result tuples", "produced"},
 	}
-	bench := &ParallelBenchResult{
-		Experiment:   "EX7",
-		Workload:     fmt.Sprintf("Example3(q=%d) cycle", q),
-		Strategy:     plan.Strategy.String(),
-		Trials:       trials,
-		GOMAXPROCS:   maxProcs,
-		Statements:   plan.Derivation.Program.Len(),
-		CriticalPath: plan.Derivation.Program.CriticalPathLen(),
-	}
 
 	var baseWall time.Duration
 	baseTuples, baseProduced := -1, int64(-1)
@@ -99,7 +67,7 @@ func ParallelSpeedup(q int64, trials int) (*Table, *ParallelBenchResult, error) 
 			r, err := engine.ExecutePlan(db, plan, opts)
 			wall := time.Since(start)
 			if err != nil {
-				return nil, nil, fmt.Errorf("EX7 workers=%d: %w", w, err)
+				return nil, fmt.Errorf("EX7 workers=%d: %w", w, err)
 			}
 			if rep == nil || wall < best {
 				best, rep = wall, r
@@ -109,22 +77,15 @@ func ParallelSpeedup(q int64, trials int) (*Table, *ParallelBenchResult, error) 
 			baseWall, baseTuples, baseProduced = best, rep.Result.Len(), rep.Produced
 		}
 		if rep.Result.Len() != baseTuples || rep.Produced != baseProduced {
-			return nil, nil, fmt.Errorf("EX7 workers=%d: result %d tuples / %d produced, want %d / %d (parallel execution must be invisible to the cost model)",
+			return nil, fmt.Errorf("EX7 workers=%d: result %d tuples / %d produced, want %d / %d (parallel execution must be invisible to the cost model)",
 				w, rep.Result.Len(), rep.Produced, baseTuples, baseProduced)
 		}
 		speedup := float64(baseWall) / float64(best)
 		t.AddRow(w, best.Round(10*time.Microsecond), fmt.Sprintf("%.2fx", speedup), rep.Result.Len(), rep.Produced)
-		bench.Rows = append(bench.Rows, ParallelBenchRow{
-			Workers:      w,
-			WallMS:       float64(best) / float64(time.Millisecond),
-			Speedup:      speedup,
-			ResultTuples: rep.Result.Len(),
-			Produced:     rep.Produced,
-		})
 	}
 	t.AddNote("one plan (Theorem 1), many executions: the DAG scheduler runs the program's %d statements over a critical path of %d, and every join and semijoin splits its probe side into row ranges across the workers",
-		bench.Statements, bench.CriticalPath)
+		plan.Derivation.Program.Len(), plan.Derivation.Program.CriticalPathLen())
 	t.AddNote("result cardinality and governed produced-tuple totals are identical at every worker count — parallelism never changes what is computed or charged")
 	t.AddNote("GOMAXPROCS here is %d; speedup on a single-core host is ~1 by construction", maxProcs)
-	return t, bench, nil
+	return t, nil
 }

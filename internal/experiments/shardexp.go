@@ -13,35 +13,6 @@ import (
 	"repro/internal/workload"
 )
 
-// ShardBenchRow is one workload's sequential-vs-scatter measurement in
-// EX11.
-type ShardBenchRow struct {
-	Family       string `json:"family"`
-	Config       string `json:"config"`
-	Inputs       int64  `json:"inputs"`
-	ResultTuples int    `json:"result_tuples"`
-	Cost         int64  `json:"cost"`
-	// Shards is the effective shard count of the 4-shard run: 4 when the
-	// plan scattered, 1 when the cleanliness analysis forced the
-	// single-shard fallback.
-	Shards       int     `json:"shards"`
-	SeqWallMS    float64 `json:"seq_wall_ms"`
-	Shard2WallMS float64 `json:"shard2_wall_ms"`
-	Shard4WallMS float64 `json:"shard4_wall_ms"`
-	Speedup      float64 `json:"speedup"`
-	// Largest marks the triangle family's biggest size — the row the
-	// >= 1.5x acceptance bar applies to.
-	Largest bool `json:"largest"`
-}
-
-// ShardBenchResult is the machine-readable outcome of EX11, written by
-// joinbench as BENCH_shard.json.
-type ShardBenchResult struct {
-	Experiment string          `json:"experiment"`
-	Trials     int             `json:"trials"`
-	Rows       []ShardBenchRow `json:"rows"`
-}
-
 // shardBenchBudget keeps the governor counting charges without ever
 // aborting, so sequential and sharded Produced are comparable.
 const shardBenchBudget = int64(1) << 40
@@ -57,7 +28,7 @@ const shardBenchBudget = int64(1) << 40
 // scatter must be at least 1.5x faster than sequential, best-of-trials
 // against best-of-trials. Smaller sizes are reported but informative only
 // (tiny partitions don't amortize the scatter).
-func ShardScaling(seed int64, trials int) (*Table, *ShardBenchResult, error) {
+func ShardScaling(seed int64, trials int) (*Table, error) {
 	if trials <= 0 {
 		trials = 3
 	}
@@ -75,10 +46,8 @@ func ShardScaling(seed int64, trials int) (*Table, *ShardBenchResult, error) {
 			"seq wall", "2-shard wall", "4-shard wall", "speedup@4",
 		},
 	}
-	bench := &ShardBenchResult{Experiment: "EX11", Trials: trials}
 
 	type workloadCase struct {
-		family  string
 		config  string
 		db      *relation.Database
 		largest bool
@@ -95,10 +64,9 @@ func ShardScaling(seed int64, trials int) (*Table, *ShardBenchResult, error) {
 	} {
 		db, err := workload.TriangleSpec{Nodes: cfg.nodes, Edges: cfg.edges}.TriangleDatabase(rng)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		cases = append(cases, workloadCase{
-			family:  "triangle",
 			config:  fmt.Sprintf("G(%d nodes, %d edges)", cfg.nodes, cfg.edges),
 			db:      db,
 			largest: cfg.largest,
@@ -107,14 +75,13 @@ func ShardScaling(seed int64, trials int) (*Table, *ShardBenchResult, error) {
 	for _, q := range []int64{10, 14} {
 		spec, err := workload.Example3(q)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		db, err := spec.CycleDatabase()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		cases = append(cases, workloadCase{
-			family: "cycle4",
 			config: fmt.Sprintf("Example3(q=%d)", q),
 			db:     db,
 		})
@@ -124,7 +91,7 @@ func ShardScaling(seed int64, trials int) (*Table, *ShardBenchResult, error) {
 	for _, c := range cases {
 		plan, err := engine.PlanFor(c.db, engine.Options{Strategy: engine.StrategyExpression})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		inputs := int64(c.db.TotalTuples())
 
@@ -135,7 +102,7 @@ func ShardScaling(seed int64, trials int) (*Table, *ShardBenchResult, error) {
 			r, err := engine.ExecutePlan(c.db, plan, opts)
 			wall := time.Since(start)
 			if err != nil {
-				return nil, nil, fmt.Errorf("EX11 %s: sequential: %w", c.config, err)
+				return nil, fmt.Errorf("EX11 %s: sequential: %w", c.config, err)
 			}
 			if seq == nil || wall < seqWall {
 				seqWall, seq = wall, r
@@ -149,7 +116,7 @@ func ShardScaling(seed int64, trials int) (*Table, *ShardBenchResult, error) {
 			// broadcast only the ones that lack it.
 			g, err := shard.NewGroup(c.config, c.db, n, 0)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			ex := shard.NewInProcess(g)
 			var best time.Duration
@@ -159,18 +126,18 @@ func ShardScaling(seed int64, trials int) (*Table, *ShardBenchResult, error) {
 				r, err := shard.Run(g, plan, opts, ex)
 				wall := time.Since(start)
 				if err != nil {
-					return nil, nil, fmt.Errorf("EX11 %s: %d shards: %w", c.config, n, err)
+					return nil, fmt.Errorf("EX11 %s: %d shards: %w", c.config, n, err)
 				}
 				if !r.Result.Equal(seq.Result) {
-					return nil, nil, fmt.Errorf("EX11 %s: %d-shard result (%d tuples) != sequential (%d tuples)",
+					return nil, fmt.Errorf("EX11 %s: %d-shard result (%d tuples) != sequential (%d tuples)",
 						c.config, n, r.Result.Len(), seq.Result.Len())
 				}
 				if r.Cost != seq.Cost {
-					return nil, nil, fmt.Errorf("EX11 %s: %d-shard cost %d != sequential %d",
+					return nil, fmt.Errorf("EX11 %s: %d-shard cost %d != sequential %d",
 						c.config, n, r.Cost, seq.Cost)
 				}
 				if r.Produced != seq.Produced {
-					return nil, nil, fmt.Errorf("EX11 %s: %d-shard governor charge %d != sequential %d",
+					return nil, fmt.Errorf("EX11 %s: %d-shard governor charge %d != sequential %d",
 						c.config, n, r.Produced, seq.Produced)
 				}
 				if rep == nil || wall < best {
@@ -185,7 +152,7 @@ func ShardScaling(seed int64, trials int) (*Table, *ShardBenchResult, error) {
 
 		speedup := float64(seqWall) / float64(walls[4])
 		if c.largest && speedup < 1.5 {
-			return nil, nil, fmt.Errorf("EX11 %s: 4-shard speedup %.2fx below the 1.5x acceptance bar on the family's largest size (seq %s, 4-shard %s)",
+			return nil, fmt.Errorf("EX11 %s: 4-shard speedup %.2fx below the 1.5x acceptance bar on the family's largest size (seq %s, 4-shard %s)",
 				c.config, speedup, seqWall, walls[4])
 		}
 		t.AddRow(c.config, inputs, seq.Result.Len(), rep4.Shards,
@@ -193,24 +160,11 @@ func ShardScaling(seed int64, trials int) (*Table, *ShardBenchResult, error) {
 			walls[2].Round(10*time.Microsecond),
 			walls[4].Round(10*time.Microsecond),
 			fmt.Sprintf("%.2fx", speedup))
-		bench.Rows = append(bench.Rows, ShardBenchRow{
-			Family:       c.family,
-			Config:       c.config,
-			Inputs:       inputs,
-			ResultTuples: seq.Result.Len(),
-			Cost:         seq.Cost,
-			Shards:       rep4.Shards,
-			SeqWallMS:    float64(seqWall) / float64(time.Millisecond),
-			Shard2WallMS: float64(walls[2]) / float64(time.Millisecond),
-			Shard4WallMS: float64(walls[4]) / float64(time.Millisecond),
-			Speedup:      speedup,
-			Largest:      c.largest,
-		})
 	}
 	t.AddNote("every trial is differential: merged result, §2.3 cost, and governor charge are asserted equal to the sequential run's")
 	t.AddNote("partitioning hashes the max-degree attribute; relations lacking it are broadcast, and the merged cost deducts the re-counted broadcast inputs")
 	t.AddNote("shards column shows the effective count: 1 means the cleanliness analysis forced the single-shard fallback for that plan")
 	t.AddNote("acceptance: >= 1.5x at 4 in-process shards on the triangle family's largest size (best-of-trials)")
 	t.AddNote("GC target pinned (GOGC 300) for the whole experiment so mark assists don't throttle the concurrency under measurement")
-	return t, bench, nil
+	return t, nil
 }

@@ -1,7 +1,7 @@
 // Package experiments implements the reproduction harness: one function per
-// experiment in DESIGN.md's index (E1–E10), each returning a Table that
-// cmd/joinbench prints and EXPERIMENTS.md records. The benchmarks in the
-// repository root drive the same functions.
+// experiment, E1–E13 and EX1–EX13, each returning a Table that cmd/joinbench
+// prints and EXPERIMENTS.md records. The benchmarks in the repository root
+// drive the same functions.
 package experiments
 
 import (

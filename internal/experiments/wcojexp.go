@@ -10,28 +10,6 @@ import (
 	"repro/internal/workload"
 )
 
-// WCOJBenchRow is one workload's program-vs-triejoin measurement in EX8.
-type WCOJBenchRow struct {
-	Family        string  `json:"family"`
-	Config        string  `json:"config"`
-	Inputs        int64   `json:"inputs"`
-	ResultTuples  int     `json:"result_tuples"`
-	ProgramCost   int64   `json:"program_cost"`
-	WCOJCost      int64   `json:"wcoj_cost"`
-	ProgramInter  int64   `json:"program_intermediates"`
-	WCOJInter     int64   `json:"wcoj_intermediates"`
-	ProgramWallMS float64 `json:"program_wall_ms"`
-	WCOJWallMS    float64 `json:"wcoj_wall_ms"`
-}
-
-// WCOJBenchResult is the machine-readable outcome of EX8, written by
-// joinbench as BENCH_wcoj.json.
-type WCOJBenchResult struct {
-	Experiment string         `json:"experiment"`
-	Trials     int            `json:"trials"`
-	Rows       []WCOJBenchRow `json:"rows"`
-}
-
 // WCOJComparison (experiment EX8) pits the worst-case-optimal Leapfrog
 // Triejoin against the paper's derived program on the two cyclic families
 // the repo studies: triangle joins over random graphs (the smallest cyclic
@@ -44,7 +22,7 @@ type WCOJBenchResult struct {
 // triangle workload — the acceptance bar for the subsystem. Wall time is
 // reported as best-of-trials for both routes; it is informative, not a
 // pass/fail criterion.
-func WCOJComparison(seed int64, trials int) (*Table, *WCOJBenchResult, error) {
+func WCOJComparison(seed int64, trials int) (*Table, error) {
 	if trials <= 0 {
 		trials = 3
 	}
@@ -57,7 +35,6 @@ func WCOJComparison(seed int64, trials int) (*Table, *WCOJBenchResult, error) {
 			"program interm.", "wcoj interm.", "program wall", "wcoj wall",
 		},
 	}
-	bench := &WCOJBenchResult{Experiment: "EX8", Trials: trials}
 
 	type workloadCase struct {
 		family string
@@ -72,7 +49,7 @@ func WCOJComparison(seed int64, trials int) (*Table, *WCOJBenchResult, error) {
 	} {
 		db, err := workload.TriangleSpec{Nodes: cfg.nodes, Edges: cfg.edges}.TriangleDatabase(rng)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		cases = append(cases, workloadCase{
 			family: "triangle",
@@ -83,11 +60,11 @@ func WCOJComparison(seed int64, trials int) (*Table, *WCOJBenchResult, error) {
 	for _, q := range []int64{6, 10} {
 		spec, err := workload.Example3(q)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		db, err := spec.CycleDatabase()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		cases = append(cases, workloadCase{
 			family: "cycle4",
@@ -120,40 +97,28 @@ func WCOJComparison(seed int64, trials int) (*Table, *WCOJBenchResult, error) {
 		}
 		prog, progWall, err := run(engine.StrategyProgram)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		wcoj, wcojWall, err := run(engine.StrategyWCOJ)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		out := int64(want.Len())
 		progInter := prog.Cost - inputs - out
 		wcojInter := wcoj.Cost - inputs - out
 		if wcojInter != 0 {
-			return nil, nil, fmt.Errorf("EX8 %s: wcoj charged %d intermediates; its cost model is inputs + output",
+			return nil, fmt.Errorf("EX8 %s: wcoj charged %d intermediates; its cost model is inputs + output",
 				c.config, wcojInter)
 		}
 		if c.family == "triangle" && wcojInter >= progInter {
-			return nil, nil, fmt.Errorf("EX8 %s: wcoj intermediates (%d) not strictly below the program's (%d)",
+			return nil, fmt.Errorf("EX8 %s: wcoj intermediates (%d) not strictly below the program's (%d)",
 				c.config, wcojInter, progInter)
 		}
 		t.AddRow(c.config, inputs, want.Len(), progInter, wcojInter,
 			progWall.Round(10*time.Microsecond), wcojWall.Round(10*time.Microsecond))
-		bench.Rows = append(bench.Rows, WCOJBenchRow{
-			Family:        c.family,
-			Config:        c.config,
-			Inputs:        inputs,
-			ResultTuples:  want.Len(),
-			ProgramCost:   prog.Cost,
-			WCOJCost:      wcoj.Cost,
-			ProgramInter:  progInter,
-			WCOJInter:     wcojInter,
-			ProgramWallMS: float64(progWall) / float64(time.Millisecond),
-			WCOJWallMS:    float64(wcojWall) / float64(time.Millisecond),
-		})
 	}
 	t.AddNote("intermediates = §2.3 cost − inputs − output: what a route materializes beyond the question and the answer")
 	t.AddNote("the triejoin's intermediates are structurally zero — it intersects trie levels attribute-by-attribute and never forms a pairwise join")
 	t.AddNote("the program's semijoin-bounded heads are the paper's *pairwise* optimum (Theorem 2); the triejoin sidesteps the pairwise model those bounds live in")
-	return t, bench, nil
+	return t, nil
 }

@@ -35,23 +35,3 @@ func ExampleOptimal() {
 	// cheapest CPF: 26717
 	// optimal is CPF: false
 }
-
-// ExampleOptimalCPFccp shows the DPccp-driven CPF optimizer agreeing with
-// the subset-scanning formulation.
-func ExampleOptimalCPFccp() {
-	spec, err := workload.Example3(10)
-	if err != nil {
-		log.Fatal(err)
-	}
-	sizer, err := spec.AnalyticSizer()
-	if err != nil {
-		log.Fatal(err)
-	}
-	plan, err := optimizer.OptimalCPFccp(sizer)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(plan.Cost)
-	// Output:
-	// 26717
-}

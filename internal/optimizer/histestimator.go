@@ -1,11 +1,9 @@
 package optimizer
 
 import (
-	"math"
 	"sort"
 
 	"repro/internal/jointree"
-	"repro/internal/relation"
 )
 
 // HistogramEstimator refines the independence Estimator with equi-depth
@@ -18,31 +16,6 @@ import (
 type HistogramEstimator struct {
 	base  []Stats
 	hists []map[string]*Histogram
-}
-
-// NewHistogramEstimator scans the database once per attribute, building
-// histograms with the given bucket count (≤ 0 means 32).
-func NewHistogramEstimator(db *relation.Database, buckets int) (*HistogramEstimator, error) {
-	if buckets <= 0 {
-		buckets = 32
-	}
-	e := &HistogramEstimator{
-		base:  make([]Stats, db.Len()),
-		hists: make([]map[string]*Histogram, db.Len()),
-	}
-	for i := 0; i < db.Len(); i++ {
-		rel := db.Relation(i)
-		e.base[i] = CollectStats(rel)
-		e.hists[i] = make(map[string]*Histogram, rel.Schema().Len())
-		for _, a := range rel.Schema().Attrs() {
-			h, err := BuildHistogram(rel, a, buckets)
-			if err != nil {
-				return nil, err
-			}
-			e.hists[i][a] = h
-		}
-	}
-	return e, nil
 }
 
 // NewHistogramEstimatorFromSketches derives a HistogramEstimator from
@@ -157,22 +130,4 @@ func (e *HistogramEstimator) estimate(t *jointree.Tree) (int64, nodeEstimate) {
 		}
 	}
 	return satAdd(satAdd(lc, rc), out.stats.Card), out
-}
-
-// RankByEstimate returns the tree with the smallest estimated cost under
-// est, together with that estimate. It is how an estimator drives plan
-// choice without exact costing.
-func RankByEstimate(est interface {
-	EstimateTree(*jointree.Tree) (int64, Stats)
-}, trees []*jointree.Tree) (*jointree.Tree, int64) {
-	var best *jointree.Tree
-	bestCost := int64(math.MaxInt64)
-	for _, tr := range trees {
-		c, _ := est.EstimateTree(tr)
-		if c < bestCost {
-			bestCost = c
-			best = tr
-		}
-	}
-	return best, bestCost
 }

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/hypergraph"
 	"repro/internal/jointree"
 	"repro/internal/relation"
 	"repro/internal/workload"
@@ -27,10 +26,7 @@ func skewedPairDB(t *testing.T, n int, s float64) *relation.Database {
 
 func TestHistogramEstimatorLeafExact(t *testing.T) {
 	db := skewedPairDB(t, 500, 1.4)
-	e, err := NewHistogramEstimator(db, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := NewHistogramEstimatorFromSketches(CollectSketches(db).Snapshot(), 16)
 	cost, stats := e.EstimateTree(jointree.NewLeaf(0))
 	if cost != int64(db.Relation(0).Len()) || stats.Card != cost {
 		t.Errorf("leaf estimate %d, want %d", cost, db.Relation(0).Len())
@@ -44,10 +40,7 @@ func TestHistogramEstimatorBeatsIndependenceOnSkewedTree(t *testing.T) {
 	tree := jointree.NewJoin(jointree.NewLeaf(0), jointree.NewLeaf(1))
 	truth := int64(relation.Join(db.Relation(0), db.Relation(1)).Len())
 
-	hist, err := NewHistogramEstimator(db, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hist := NewHistogramEstimatorFromSketches(CollectSketches(db).Snapshot(), 32)
 	_, hs := hist.EstimateTree(tree)
 	ind := NewEstimator(db)
 	_, is := ind.EstimateTree(tree)
@@ -85,53 +78,9 @@ func TestHistogramEstimatorAgreesOnUniform(t *testing.T) {
 	if truth == 0 {
 		t.Skip("degenerate draw")
 	}
-	hist, err := NewHistogramEstimator(db, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hist := NewHistogramEstimatorFromSketches(CollectSketches(db).Snapshot(), 32)
 	_, hs := hist.EstimateTree(tree)
 	if hs.Card < truth/5 || hs.Card > truth*5 {
 		t.Errorf("uniform chain estimate %d vs truth %d", hs.Card, truth)
-	}
-}
-
-func TestRankByEstimate(t *testing.T) {
-	db, _ := func() (*relation.Database, error) {
-		spec, err := workload.Example3(6)
-		if err != nil {
-			return nil, err
-		}
-		return spec.CycleDatabase()
-	}()
-	hg := hypergraph.OfScheme(db)
-	trees, err := jointree.AllCPFTrees(hg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	est, err := NewHistogramEstimator(db, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	best, cost := RankByEstimate(est, trees)
-	if best == nil || cost <= 0 {
-		t.Fatal("no plan ranked")
-	}
-	// The chosen plan must be real and valid.
-	if err := best.Validate(hg); err != nil {
-		t.Fatal(err)
-	}
-	// Its true cost should not be catastrophically worse than the exact
-	// CPF optimum (estimation is allowed to be off, but not absurd here).
-	cat := NewCatalog(db, 0)
-	exact, err := Optimal(cat, SpaceCPF)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trueCost, err := CostOf(cat, best)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if trueCost > exact.Cost*4 {
-		t.Errorf("estimator-picked plan costs %d, exact CPF optimum %d", trueCost, exact.Cost)
 	}
 }

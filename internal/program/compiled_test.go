@@ -21,10 +21,11 @@ import (
 // Facets of the differential harness for the plans compiled to programs:
 // join trees (jointree.Tree.Program), the acyclic pipeline and Yannakakis
 // (acyclic.JoinProgram, YannakakisProgram, Reduce), the pairwise
-// reduction's round program (engine.PairwiseReduce), and the leapfrog plans
-// built on the multiway statement (wcoj and hybrid). Each runs over the
-// shared case set at every worker count, with the range-split path forced
-// on, against the tuple-map references: Tree.Eval and the oracle.
+// reduction's round program (engine.PairwiseReduceGoverned), and the
+// leapfrog plans built on the multiway statement (wcoj and hybrid). Each
+// runs over the shared case set at every worker count, with the range-split
+// path forced on, against the tuple-map references: Tree.Eval and the
+// oracle.
 
 // optimizerTree is the tree the expression strategies run: the cheapest CPF
 // tree (any tree on a disconnected scheme), exact when feasible.
@@ -206,11 +207,12 @@ func TestAcyclicProgramsMatchOracle(t *testing.T) {
 	}
 }
 
-// TestPairwiseReduceMatchesOracleRounds (facet c): engine.PairwiseReduce
-// equals re-running its round program — R_i := R_i ⋉ R_j for every ordered
-// overlapping pair, i outer — on the oracle until a round shrinks nothing:
-// same rounds, removed count, cost, and reduced relations. reduce-then-join
-// reports the same cost, result and notes at every worker count.
+// TestPairwiseReduceMatchesOracleRounds (facet c):
+// engine.PairwiseReduceGoverned equals re-running its round program —
+// R_i := R_i ⋉ R_j for every ordered overlapping pair, i outer — on the
+// oracle until a round shrinks nothing: same rounds, removed count, cost, and
+// reduced relations. reduce-then-join reports the same cost, result and notes
+// at every worker count.
 func TestPairwiseReduceMatchesOracleRounds(t *testing.T) {
 	defer relation.SetParallelThreshold(0)()
 	for _, c := range differentialCases(t) {
@@ -241,7 +243,7 @@ func TestPairwiseReduceMatchesOracleRounds(t *testing.T) {
 			}
 			db = next
 		}
-		red, err := engine.PairwiseReduce(c.db, 0)
+		red, err := engine.PairwiseReduceGoverned(c.db, 0, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -261,7 +263,7 @@ func TestPairwiseReduceMatchesOracleRounds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cred, err := engine.PairwiseReduce(cdb, 0)
+		cred, err := engine.PairwiseReduceGoverned(cdb, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

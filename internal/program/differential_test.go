@@ -150,7 +150,7 @@ func TestBlockExecutorMatchesTupleOracle(t *testing.T) {
 			t.Fatalf("%s: oracle output differs from ⋈D (%d vs %d tuples)", c.name, want.Output.Len(), naive.Len())
 		}
 		for _, w := range workerSweep {
-			got, err := c.p.ApplyParallel(c.db, w)
+			got, err := c.p.ApplyParallelGoverned(c.db, nil, w)
 			if err != nil {
 				t.Fatalf("%s, %d workers: %v", c.name, w, err)
 			}
@@ -250,7 +250,7 @@ func TestApplyParallelMatchesApplyOnRandomDerivedPrograms(t *testing.T) {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		for _, w := range workerSweep[1:] {
-			got, err := c.p.ApplyParallel(c.db, w)
+			got, err := c.p.ApplyParallelGoverned(c.db, nil, w)
 			if err != nil {
 				t.Fatalf("%s, %d workers: %v", c.name, w, err)
 			}
@@ -301,7 +301,7 @@ func TestApplyParallelRenamesDestructiveAssignment(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, w := range []int{1, 2, 3, 4, 8} {
-		got, err := p.ApplyParallel(db, w)
+		got, err := p.ApplyParallelGoverned(db, nil, w)
 		if err != nil {
 			t.Fatalf("%d workers: %v", w, err)
 		}
@@ -322,7 +322,7 @@ func TestApplyParallelEmptyProgram(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := &program.Program{Inputs: []string{"R"}, Output: "R"}
-	res, err := p.ApplyParallel(db, 4)
+	res, err := p.ApplyParallelGoverned(db, nil, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestApplyParallelConcurrentCallers(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := c.p.ApplyParallel(c.db, 4)
+			res, err := c.p.ApplyParallelGoverned(c.db, nil, 4)
 			if err == nil && !res.Output.Equal(want.Output) {
 				err = errors.New("output differs from sequential execution")
 			}

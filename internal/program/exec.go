@@ -95,17 +95,12 @@ func (p *Program) ApplyGoverned(db *relation.Database, g *govern.Governor) (*Res
 	return p.execute(db, g, 1)
 }
 
-// ApplyParallel is Apply with up to workers goroutines (0 means GOMAXPROCS):
-// ready statements run concurrently and joins and semijoins probe in
-// parallel row ranges. The Result — output rows and their order, §2.3 cost,
-// and trace — is identical to Apply's; only wall-clock work and the
-// per-step Wall timings differ.
-func (p *Program) ApplyParallel(db *relation.Database, workers int) (*Result, error) {
-	return p.ApplyParallelGoverned(db, nil, workers)
-}
-
-// ApplyParallelGoverned is ApplyParallel under a governor, with
-// ApplyGoverned's charges and abort semantics at every worker count.
+// ApplyParallelGoverned is ApplyGoverned with up to workers goroutines (0
+// means GOMAXPROCS): ready statements run concurrently and joins and
+// semijoins probe in parallel row ranges. The Result — output rows and their
+// order, §2.3 cost, and trace — is identical to Apply's, and the charges and
+// abort semantics are ApplyGoverned's at every worker count; only wall-clock
+// work and the per-step Wall timings differ. A nil governor runs ungoverned.
 func (p *Program) ApplyParallelGoverned(db *relation.Database, g *govern.Governor, workers int) (*Result, error) {
 	return p.execute(db, g, workers)
 }
@@ -115,7 +110,7 @@ func (p *Program) ApplyParallelGoverned(db *relation.Database, g *govern.Governo
 // the executor tests can count encodings.
 var encodeInput = (*relation.Relation).Block
 
-// execute is the executor behind the four Apply entry points: fetch the
+// execute is the executor behind the three Apply entry points: fetch the
 // resident block of every input some statement reads, run, decode Output.
 func (p *Program) execute(db *relation.Database, g *govern.Governor, workers int) (*Result, error) {
 	if db.Len() != len(p.Inputs) {
