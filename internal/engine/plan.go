@@ -58,9 +58,9 @@ type Plan struct {
 	Program *program.Program
 	// Hybrid carries StrategyHybrid's route label and estimate (nil for the
 	// other strategies); the route itself is compiled into Program. Unlike
-	// the fields above the choice depends on the instance's statistics,
-	// which is why the serving layer versions hybrid cache keys by the
-	// statistics version.
+	// the fields above the choice depends on the instance's statistics; the
+	// serving layer drops cached plans on every ingest, and a route chosen
+	// from stale statistics is still correct for the scheme (Theorem 1).
 	Hybrid *HybridPlan
 	// Notes records how the plan was obtained (search used, bound factors).
 	Notes []string

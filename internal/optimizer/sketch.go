@@ -12,10 +12,7 @@ import (
 // attribute, the exact value→row-count map; from it the estimators'
 // Stats (cardinality + distinct counts) and equi-depth Histograms are
 // derived without rescanning the relation. DBSketches bundles one sketch
-// per relation of a database behind a version counter: every applied
-// mutation batch bumps the version, which the serving layer folds into
-// plan-cache keys so plans chosen from stale statistics are never
-// re-served after the data shifts under them.
+// per relation of a database.
 //
 // Delta maintenance is deliberately blind to set semantics: a re-inserted
 // tuple or a delete of an absent tuple drifts the counts slightly rather
@@ -258,8 +255,8 @@ func (s *Sketch) needsRebuild() bool {
 	return s.drift >= threshold
 }
 
-// DBSketches is a database's sketch set behind a version counter, safe
-// for concurrent use: readers take an immutable snapshot, the mutation
+// DBSketches is a database's sketch set, safe for concurrent use:
+// readers take an immutable snapshot, the mutation
 // path clones-and-swaps the sketches it touches (copy-on-write, the same
 // discipline the catalog itself uses). It also accumulates the
 // estimation feedback loop: observed actual-vs-estimated cost ratios per
@@ -267,7 +264,6 @@ func (s *Sketch) needsRebuild() bool {
 // multiplicative correction.
 type DBSketches struct {
 	mu       sync.RWMutex
-	version  int64
 	sketches []*Sketch
 	// driftTotal accumulates, per relation, every delta tuple ever applied
 	// blindly — it keeps counting across rebuilds (which reset the
@@ -283,7 +279,7 @@ type DBSketches struct {
 // feedbackAlpha is the EWMA weight of the newest observation.
 const feedbackAlpha = 0.3
 
-// CollectSketches builds the sketch set for a database (version 0).
+// CollectSketches builds the sketch set for a database.
 func CollectSketches(db *relation.Database) *DBSketches {
 	d := &DBSketches{
 		sketches:   make([]*Sketch, db.Len()),
@@ -294,35 +290,6 @@ func CollectSketches(db *relation.Database) *DBSketches {
 		d.sketches[i] = BuildSketch(db.Relation(i))
 	}
 	return d
-}
-
-// Version returns the current statistics version.
-func (d *DBSketches) Version() int64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.version
-}
-
-// SetVersion pins the version (recovery seeds it from the store so the
-// counter stays monotone across restarts). It never moves the version
-// backwards.
-func (d *DBSketches) SetVersion(v int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if v > d.version {
-		d.version = v
-	}
-}
-
-// Bump increments the version and returns the new value. Every ingest
-// batch bumps — even one that touched no registered view and changed no
-// sketch materially — so a hybrid plan chosen before a skew-shifting
-// ingest can never be re-served from the plan cache.
-func (d *DBSketches) Bump() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.version++
-	return d.version
 }
 
 // Snapshot returns the current sketch slice. The slice and the sketches
@@ -348,8 +315,7 @@ func (d *DBSketches) Stats() []Stats {
 // Apply folds one mutation into relation rel's sketch: deletes then
 // inserts, blind and clamped, with an exact rebuild from current when the
 // accumulated drift crosses the threshold. It returns the delta tuples
-// applied and whether a rebuild happened. Apply does NOT bump the
-// version; the caller bumps once per batch (Bump) after all mutations.
+// applied and whether a rebuild happened.
 func (d *DBSketches) Apply(rel int, inserts, deletes []relation.Tuple, current *relation.Relation) (delta int64, rebuilt bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -148,9 +148,8 @@ func TestDBSketchesDriftTriggersRebuild(t *testing.T) {
 	}
 }
 
-// TestDBSketchesVersionAndFeedback: the version is monotone under Bump and
-// SetVersion, and Observe folds ratios into a correction EWMA.
-func TestDBSketchesVersionAndFeedback(t *testing.T) {
+// TestDBSketchesFeedback: Observe folds ratios into a correction EWMA.
+func TestDBSketchesFeedback(t *testing.T) {
 	r := relation.New(relation.MustSchema("A"))
 	r.MustInsert(relation.Ints(1))
 	db, err := relation.NewDatabase(r)
@@ -158,21 +157,6 @@ func TestDBSketchesVersionAndFeedback(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := CollectSketches(db)
-	if d.Version() != 0 {
-		t.Fatalf("fresh version = %d", d.Version())
-	}
-	if v := d.Bump(); v != 1 {
-		t.Fatalf("Bump = %d, want 1", v)
-	}
-	d.SetVersion(10)
-	if d.Version() != 10 {
-		t.Fatalf("SetVersion(10) → %d", d.Version())
-	}
-	d.SetVersion(5) // never backwards
-	if d.Version() != 10 {
-		t.Fatalf("SetVersion moved backwards to %d", d.Version())
-	}
-
 	if c := d.Correction("fp"); c != 1 {
 		t.Fatalf("correction before feedback = %v, want 1", c)
 	}
@@ -212,7 +196,6 @@ func TestDBSketchesConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				d.Apply(0, []relation.Tuple{relation.Ints(int64(1000*w+i), 1)}, nil, r)
-				d.Bump()
 				d.Observe("fp", 10, int64(10+i%5))
 			}
 		}(w)
@@ -229,7 +212,7 @@ func TestDBSketchesConcurrent(t *testing.T) {
 					_ = s.Histogram("A", 8)
 				}
 				_ = d.Stats()
-				_ = d.Version()
+				_ = d.DriftTotals()
 				_ = d.Correction("fp")
 			}
 		}()

@@ -54,13 +54,6 @@ func (s *Service) AttachStore(st *store.Store) error {
 		if _, err := s.register(name, db); err != nil {
 			return fmt.Errorf("service: attach store: %w", err)
 		}
-		// Seed the statistics version from the store's durable batch count,
-		// so plan-cache keys never repeat version numbers across restarts.
-		if v, verr := st.Version(name); verr == nil {
-			if e, lerr := s.lookup(name); lerr == nil {
-				e.sketches.SetVersion(v)
-			}
-		}
 	}
 	// Re-register the durable continuous queries and rebuild each from the
 	// recovered catalog; their materialized state is derivable and never
@@ -87,9 +80,10 @@ func (s *Service) Ready() bool { return s.ready.Load() }
 // Ingest applies one batch of inserts/deletes to a registered database,
 // durably: the batch is WAL-appended (fsynced under the store's policy)
 // before the in-memory catalog pointer swaps, and plan-cache entries for the
-// database's fingerprint are invalidated after the swap. In-flight queries
-// are untouched — they keep the catalog version they loaded at admission;
-// queries admitted after Ingest returns see the post-batch catalog.
+// database's fingerprint are invalidated right after the swap. In-flight
+// queries are untouched — they keep the catalog version they loaded at
+// admission; queries admitted after Ingest returns see the post-batch
+// catalog.
 //
 // Without an attached store the service is read-only and Ingest fails with
 // ErrReadOnly.
@@ -151,29 +145,23 @@ func (s *Service) ingest(ctx context.Context, database string, batch store.Batch
 		e.group.Store(ng)
 		s.shardIngestRouted.Add(int64(batch.Tuples()))
 	}
+	// The plan cache's only staleness rule: planning reads cardinalities and
+	// sketches of the pre-batch instance, so drop every strategy's plan for
+	// this fingerprint right after the swap. A query that pinned the old
+	// snapshot and derives its plan after this point may still cache it;
+	// that plan is correct for the scheme (Theorem 1). Other databases
+	// sharing the scheme lose their plans too — a recomputation only.
+	invalidated := s.cache.InvalidatePrefix(e.fingerprint + "#")
 	// Fold the batch into the entry's statistics sketches against the
 	// post-batch relations (exact rebuilds trigger when accumulated drift
-	// crosses the threshold), then advance the version to the store's durable
-	// batch count. Both happen under ingestMu so sketch state tracks the
-	// catalog in WAL order — and both happen UNCONDITIONALLY, view or no
-	// view: the version bump is what keeps a post-ingest query from reusing
-	// a statistics-dependent cached plan, so it cannot be contingent on any
-	// other maintenance running for this database.
+	// crosses the threshold), under ingestMu so sketch state tracks the
+	// catalog in WAL order — view or no view.
 	for _, m := range batch {
 		e.sketches.Apply(m.Relation, m.Inserts, m.Deletes, applied.DB.Relation(m.Relation))
 	}
-	e.sketches.SetVersion(applied.Version)
 	maintained := s.maintainViews(database, batch, applied.DB)
 	e.ingestMu.Unlock()
 	s.ingests.Add(1)
-
-	// Cached plans were derived from the pre-batch instance; their routes
-	// may now be stale (plan choice reads cardinalities), so drop every
-	// strategy's plan for this fingerprint. Other databases sharing the
-	// scheme lose their plans too — a recomputation, not a correctness
-	// issue. (The version suffix in planKey already keeps stale entries from
-	// being served; invalidation reclaims their cache slots.)
-	invalidated := s.cache.InvalidatePrefix(e.fingerprint + "#")
 
 	return IngestResult{
 		Database:         database,

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/relation"
 	"repro/internal/store"
 )
@@ -86,6 +87,16 @@ func TestIngestRoundTripAndRecovery(t *testing.T) {
 	}
 	if res.PlansInvalidated < 1 {
 		t.Fatalf("PlansInvalidated = %d, want >= 1", res.PlansInvalidated)
+	}
+	// Invalidation matches on the fingerprint prefix, and the strategy
+	// keeps two plans over one scheme apart.
+	fp := "fp-test"
+	expr, wcoj := planKey(fp, engine.StrategyExpression), planKey(fp, engine.StrategyWCOJ)
+	if !strings.HasPrefix(expr, fp+"#") || !strings.HasPrefix(wcoj, fp+"#") {
+		t.Fatalf("keys %q, %q lost the fingerprint prefix ingest invalidation matches on", expr, wcoj)
+	}
+	if expr == wcoj {
+		t.Fatal("strategy no longer distinguishes keys")
 	}
 	rep, err := s.Query(context.Background(), Request{Database: "tri"})
 	if err != nil {

@@ -209,13 +209,10 @@ func newServiceMetrics(s *Service) *serviceMetrics {
 	// per entry, so their sums are valid counters).
 	r.CounterFunc("joind_optimizer_sketch_drift_total",
 		"Delta tuples folded into statistics sketches since each database's last exact rebuild-or-build, summed over the catalog.",
-		func() float64 { d, _, _ := s.sketchTotals(); return float64(d) })
+		func() float64 { d, _ := s.sketchTotals(); return float64(d) })
 	r.CounterFunc("joind_optimizer_sketch_rebuilds_total",
 		"Exact sketch rebuilds triggered by accumulated ingest drift, summed over the catalog.",
-		func() float64 { _, rb, _ := s.sketchTotals(); return float64(rb) })
-	r.GaugeFunc("joind_optimizer_stats_version",
-		"Sum of per-database statistics versions (each advances by one per acknowledged ingest batch).",
-		func() float64 { _, _, v := s.sketchTotals(); return float64(v) })
+		func() float64 { _, rb := s.sketchTotals(); return float64(rb) })
 
 	r.CounterFunc("joind_plan_cache_invalidations_total",
 		"Plan-cache entries dropped because their database was mutated by ingest.",

@@ -151,7 +151,7 @@ func TestPlanSpanOnlyOnComputingRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := planKey(e.fingerprint, engine.StrategyWCOJ, nil, e.sketches.Version())
+	key := planKey(e.fingerprint, engine.StrategyWCOJ)
 	release, landed := make(chan struct{}), make(chan error, 1)
 	go func() {
 		_, _, err := s.cache.GetOrCompute(key, func() (*engine.Plan, error) {

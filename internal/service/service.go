@@ -189,9 +189,8 @@ type catalogEntry struct {
 	acyclic     bool
 
 	// sketches are the per-relation statistics behind the hybrid strategy
-	// chooser: built at registration, maintained incrementally on the
-	// WAL-ordered ingest path, and versioned so statistics-dependent cached
-	// plans are keyed to the instance they were derived from. Never nil.
+	// chooser: built at registration and maintained incrementally on the
+	// WAL-ordered ingest path. Never nil.
 	sketches *optimizer.DBSketches
 
 	// group is the database's sharded layout, nil when sharding is off.
@@ -675,7 +674,7 @@ func (s *Service) execute(ctx context.Context, e *catalogEntry, strat engine.Str
 	rep, err := engine.Climb(engine.DegradationLadder(strat, e.acyclic), func(rung engine.Strategy) (*engine.Report, error) {
 		rungs++
 		var err error
-		if plan, hit, err = s.cachedPlan(e, grp, db, rung, trace); err != nil {
+		if plan, hit, err = s.cachedPlan(e, db, rung, trace); err != nil {
 			return nil, err
 		}
 		return s.runPlan(grp, db, plan, opts)
@@ -709,8 +708,8 @@ func (s *Service) execute(ctx context.Context, e *catalogEntry, strat engine.Str
 // cachedPlan returns the plan for one ladder rung over the query's scheme
 // from the plan cache, deriving it on a miss (concurrent misses on one key
 // coalesce) under a "plan cache lookup" span.
-func (s *Service) cachedPlan(e *catalogEntry, grp *shard.Group, db *relation.Database, rung engine.Strategy, trace *obs.Trace) (*engine.Plan, bool, error) {
-	key := planKey(e.fingerprint, rung, grp, e.sketches.Version())
+func (s *Service) cachedPlan(e *catalogEntry, db *relation.Database, rung engine.Strategy, trace *obs.Trace) (*engine.Plan, bool, error) {
+	key := planKey(e.fingerprint, rung)
 	var pcSpan *obs.Span
 	if trace != nil {
 		pcSpan = trace.Root.Child(obs.KindPlanCache, "plan cache lookup")
@@ -796,9 +795,8 @@ func (s *Service) finish(trace *obs.Trace, req Request, rep *engine.Report, err 
 }
 
 // sketchTotals aggregates the catalog's sketch counters for the
-// joind_optimizer_* series: total drift deltas, total exact rebuilds, and
-// the sum of statistics versions.
-func (s *Service) sketchTotals() (drift, rebuilds, versions int64) {
+// joind_optimizer_* series: total drift deltas and total exact rebuilds.
+func (s *Service) sketchTotals() (drift, rebuilds int64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for _, e := range s.dbs {
@@ -806,9 +804,8 @@ func (s *Service) sketchTotals() (drift, rebuilds, versions int64) {
 			drift += d
 		}
 		rebuilds += e.sketches.Rebuilds()
-		versions += e.sketches.Version()
 	}
-	return drift, rebuilds, versions
+	return drift, rebuilds
 }
 
 // strategyName maps the empty request strategy to auto.

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"time"
 
 	"repro/internal/engine"
@@ -23,22 +22,12 @@ import (
 // partition and ingest routes each batch's tuples to the owning peers in
 // WAL order.
 
-// planKey builds the plan-cache key: fingerprint#strategy#sN#vK. The shard
-// count keeps a plan derived for (and validated clean against) one shard
-// layout from being served to another — scheme fingerprints are
-// layout-blind, and the cleanliness analysis Run applies depends on the plan
-// instance it is handed. The statistics version pins statistics-dependent
-// plans (the hybrid route above all) to the instance whose sketches chose
-// them: every ingest batch bumps it, so a post-ingest query misses and
-// re-plans against fresh statistics instead of reusing a route picked for
-// data that no longer exists. Ingest invalidation by fingerprint+"#" prefix
-// still covers every key.
-func planKey(fingerprint string, strat engine.Strategy, grp *shard.Group, version int64) string {
-	n := 1
-	if grp != nil {
-		n = grp.Shards()
-	}
-	return fingerprint + "#" + strat.String() + "#s" + strconv.Itoa(n) + "#v" + strconv.FormatInt(version, 10)
+// planKey builds the plan-cache key: fingerprint#strategy. Ingest drops a
+// database's plans by the fingerprint+"#" prefix. The shard layout is not in
+// the key: it is fixed at New, and shard.Run checks each plan it is handed
+// for cleanness on every execution.
+func planKey(fingerprint string, strat engine.Strategy) string {
+	return fingerprint + "#" + strat.String()
 }
 
 // executor picks the shard executor for a group: the configured remote

@@ -2,55 +2,18 @@ package service
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/govern"
-	"repro/internal/shard"
+	"repro/internal/relation"
 	"repro/internal/store"
 	"repro/internal/workload"
 )
-
-// TestPlanKeyShardAware is the regression test for the plan-cache key: the
-// historical fingerprint#strategy scheme would serve a plan cached by a
-// single-shard (or unsharded) execution to a sharded executor — whose
-// cleanliness analysis was never run against it — so the key must pin the
-// shard layout too.
-func TestPlanKeyShardAware(t *testing.T) {
-	db, err := workload.TriangleSpec{Nodes: 8, Edges: 20}.TriangleDatabase(rand.New(rand.NewSource(3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	g4, err := shard.NewGroup("tri", db, 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g1, err := shard.NewGroup("tri", db, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp := "fp-test"
-	unsharded := planKey(fp, engine.StrategyExpression, nil, 0)
-	single := planKey(fp, engine.StrategyExpression, g1, 0)
-	sharded := planKey(fp, engine.StrategyExpression, g4, 0)
-	if unsharded != single {
-		t.Fatalf("nil group key %q != 1-shard group key %q (both are unsharded execution)", unsharded, single)
-	}
-	if sharded == unsharded {
-		t.Fatalf("4-shard key %q collides with unsharded key %q", sharded, unsharded)
-	}
-	if !strings.HasPrefix(sharded, fp+"#") {
-		t.Fatalf("key %q lost the fingerprint prefix ingest invalidation matches on", sharded)
-	}
-	if other := planKey(fp, engine.StrategyWCOJ, g4, 0); other == sharded {
-		t.Fatal("strategy no longer distinguishes keys")
-	}
-	if bumped := planKey(fp, engine.StrategyExpression, g4, 1); bumped == sharded {
-		t.Fatal("statistics version no longer distinguishes keys")
-	}
-}
 
 // TestShardedServiceQueryParity runs the same query through a sharded and
 // an unsharded service and asserts identical results, costs, and charges —
@@ -198,5 +161,130 @@ func TestDegradedQueryThroughPlanCache(t *testing.T) {
 		if err := svc.Close(context.Background()); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestShardPeersRoundTrip drives the coordinator's peer path: two
+// store-backed services behind httptest hold the partitions, and a
+// store-backed coordinator with ShardPeers pushes them at registration
+// (pushGroup) and routes three fixed ingest batches to them (pushIngest).
+// Before and after the batches, every strategy's result equals an unsharded
+// service's. A peer rederives its plan from the strategy name over its own
+// partition, so cost and produced must also match only where the plan
+// depends on the scheme alone (direct, wcoj, acyclic); for the other
+// strategies the gap is logged, not asserted.
+func TestShardPeersRoundTrip(t *testing.T) {
+	ctx := context.Background()
+	tri, err := workload.TriangleSpec{Nodes: 15, Edges: 60}.TriangleDatabase(rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain, err := workload.DanglingChainDatabase(3, 12, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dbs := []struct {
+		name string
+		db   *relation.Database
+	}{{"tri", tri}, {"chain", chain}}
+
+	peers := make([]string, 2)
+	for i := range peers {
+		peer := newStoreService(t, t.TempDir(), Config{})
+		t.Cleanup(func() { peer.Close(ctx) })
+		srv := httptest.NewServer(peer.Handler())
+		t.Cleanup(srv.Close)
+		peers[i] = srv.URL
+	}
+	// Negative threshold: never broadcast by size, so every relation is
+	// hash-partitioned across the peers.
+	coord := newStoreService(t, t.TempDir(), Config{ShardPeers: peers, ShardBroadcastThreshold: -1})
+	defer coord.Close(ctx)
+	plain := newStoreService(t, t.TempDir(), Config{})
+	defer plain.Close(ctx)
+	for _, d := range dbs {
+		for _, s := range []*Service{coord, plain} {
+			if _, err := s.Register(d.name, d.db); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	schemeOnly := map[engine.Strategy]bool{
+		engine.StrategyDirect:  true,
+		engine.StrategyWCOJ:    true,
+		engine.StrategyAcyclic: true,
+	}
+	compare := func(phase string) {
+		t.Helper()
+		for _, d := range dbs {
+			var reqs []Request
+			for _, strat := range engine.Strategies() {
+				reqs = append(reqs, Request{Database: d.name, Strategy: strat.String()})
+			}
+			// auto under a budget between the two sides' program charges on
+			// the triangle: the ladders stop on different rungs.
+			reqs = append(reqs, Request{Database: d.name, Strategy: "auto", MaxTuples: 380})
+			for _, req := range reqs {
+				tag := fmt.Sprintf("%s/%s/%s", phase, d.name, req.Strategy)
+				if req.MaxTuples > 0 {
+					tag += fmt.Sprintf(" under %d tuples", req.MaxTuples)
+				}
+				want, werr := plain.Query(ctx, req)
+				got, gerr := coord.Query(ctx, req)
+				if werr != nil || gerr != nil {
+					// acyclic on the triangle: both must refuse it.
+					if werr == nil || gerr == nil {
+						t.Fatalf("%s: unsharded error %v, peers error %v", tag, werr, gerr)
+					}
+					continue
+				}
+				if !got.Result.Equal(want.Result) {
+					t.Fatalf("%s: peers joined %d tuples, unsharded %d", tag, got.Result.Len(), want.Result.Len())
+				}
+				if got.Strategy == want.Strategy && got.Cost == want.Cost && got.Produced == want.Produced {
+					continue
+				}
+				if schemeOnly[want.Strategy] && got.Strategy == want.Strategy {
+					t.Fatalf("%s: peers cost/produced %d/%d != unsharded %d/%d",
+						tag, got.Cost, got.Produced, want.Cost, want.Produced)
+				}
+				t.Logf("%s: peers ran %s at cost/produced %d/%d, unsharded %s at %d/%d",
+					tag, got.Strategy, got.Cost, got.Produced, want.Strategy, want.Cost, want.Produced)
+			}
+		}
+	}
+	compare("registered")
+
+	batches := []store.Batch{
+		{
+			{Relation: 0, Inserts: []relation.Tuple{relation.Ints(1, 2), relation.Ints(2, 3)}},
+			{Relation: 1, Inserts: []relation.Tuple{relation.Ints(2, 3), relation.Ints(3, 1)}},
+			{Relation: 2, Inserts: []relation.Tuple{relation.Ints(3, 1), relation.Ints(3, 4)}},
+		},
+		{
+			{Relation: 0, Deletes: []relation.Tuple{relation.Ints(2, 3)}},
+			{Relation: 2, Inserts: []relation.Tuple{relation.Ints(4, 2), relation.Ints(5, 6)}},
+		},
+		{
+			{Relation: 1, Inserts: []relation.Tuple{relation.Ints(6, 7)}, Deletes: []relation.Tuple{relation.Ints(3, 1)}},
+			{Relation: 2, Deletes: []relation.Tuple{relation.Ints(3, 4)}},
+		},
+	}
+	for i, b := range batches {
+		for _, d := range dbs {
+			for _, s := range []*Service{coord, plain} {
+				if _, err := s.Ingest(ctx, d.name, b); err != nil {
+					t.Fatalf("batch %d into %s: %v", i, d.name, err)
+				}
+			}
+		}
+	}
+	compare("ingested")
+	if coord.shardScatter.Load() == 0 {
+		t.Fatal("no query scattered to the peers")
+	}
+	if coord.shardIngestRouted.Load() == 0 {
+		t.Fatal("ingest routed no tuples to the peers")
 	}
 }

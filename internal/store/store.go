@@ -124,9 +124,6 @@ type Store struct {
 	dbs    map[string]*dbState
 	views  []ViewDef
 	closed bool
-	// statsBases is each database's statistics version as of its last
-	// checkpoint, mirrored in stats.dat (see statsfile.go). Guarded by mu.
-	statsBases map[string]int64
 
 	checkpointCh chan *dbState
 	quit         chan struct{}
@@ -151,11 +148,6 @@ type dbState struct {
 	mu              sync.Mutex
 	wal             *wal
 	sinceCheckpoint int
-	// version counts batches ever applied (the statistics version): the
-	// persisted base from the last checkpoint plus everything since,
-	// incremented on every Apply and on every replayed WAL record. Guarded
-	// by mu; monotone across restarts.
-	version int64
 
 	current          atomic.Pointer[relation.Database]
 	checkpointQueued atomic.Bool
@@ -179,11 +171,6 @@ func Open(dir string, opt Options) (*Store, error) {
 		checkpointCh: make(chan *dbState, 64),
 		quit:         make(chan struct{}),
 	}
-	bases, err := loadStatsBases(dir)
-	if err != nil {
-		return nil, err
-	}
-	s.statsBases = bases
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -194,7 +181,7 @@ func Open(dir string, opt Options) (*Store, error) {
 		}
 		name := e.Name()
 		dbDir := filepath.Join(dir, name)
-		st, err := s.recover(name, dbDir, bases[name])
+		st, err := s.recover(name, dbDir)
 		if err != nil {
 			return nil, fmt.Errorf("store: recovering %q: %w", name, err)
 		}
@@ -218,9 +205,8 @@ func Open(dir string, opt Options) (*Store, error) {
 }
 
 // recover loads one database directory; nil state (no error) means the
-// directory holds no complete database and was skipped. versionBase is the
-// persisted statistics version as of the snapshot the WAL tail extends.
-func (s *Store) recover(name, dbDir string, versionBase int64) (*dbState, error) {
+// directory holds no complete database and was skipped.
+func (s *Store) recover(name, dbDir string) (*dbState, error) {
 	_ = os.Remove(filepath.Join(dbDir, snapshotTemp)) // stale checkpoint attempt
 	db, ok, err := loadSnapshot(dbDir)
 	if err != nil {
@@ -254,7 +240,6 @@ func (s *Store) recover(name, dbDir string, versionBase int64) (*dbState, error)
 	st := &dbState{
 		name: name, dir: dbDir, wal: w,
 		sinceCheckpoint: len(payloads),
-		version:         versionBase + int64(len(payloads)),
 	}
 	st.current.Store(db)
 	return st, nil
@@ -301,15 +286,6 @@ func (s *Store) Create(name string, db *relation.Database) error {
 	st := &dbState{name: name, dir: dbDir, wal: w}
 	st.current.Store(db)
 	s.dbs[name] = st
-	if s.statsBases == nil {
-		s.statsBases = make(map[string]int64)
-	}
-	s.statsBases[name] = 0
-	if err := s.saveStatsBasesLocked(); err != nil {
-		// The database itself is durable; a failed base write just means
-		// version 0 is implicit (missing entries read as zero).
-		delete(s.statsBases, name)
-	}
 	return nil
 }
 
@@ -369,10 +345,6 @@ type ApplyResult struct {
 	Inserted, Deleted int
 	// WALBytes is the size of the batch's WAL record, framing included.
 	WALBytes int64
-	// Version is the database's statistics version after this batch: the
-	// count of batches ever applied, monotone across restarts. The serving
-	// layer folds it into statistics-dependent plan-cache keys.
-	Version int64
 }
 
 // Apply durably applies one atomic batch to the named database: the batch
@@ -416,11 +388,10 @@ func (s *Store) Apply(name string, batch Batch) (ApplyResult, error) {
 	}
 	st.current.Store(next)
 	st.sinceCheckpoint++
-	st.version++
 	if s.opt.CheckpointEvery > 0 && st.sinceCheckpoint >= s.opt.CheckpointEvery {
 		s.queueCheckpoint(st)
 	}
-	return ApplyResult{DB: next, Inserted: ins, Deleted: del, WALBytes: walBytes, Version: st.version}, nil
+	return ApplyResult{DB: next, Inserted: ins, Deleted: del, WALBytes: walBytes}, nil
 }
 
 // ApplyBatch applies one batch to a catalog copy-on-write, without any
@@ -555,13 +526,6 @@ func (s *Store) checkpoint(st *dbState) error {
 	}
 	s.snapshotWrites.Add(1)
 	s.snapshotBytes.Add(n)
-	// Persist the version base BEFORE truncating: a crash in between
-	// overcounts on replay (base already includes records still in the WAL),
-	// which is safe — versions must never regress. If the base write fails,
-	// leave the WAL so base+replay still reconstructs the true version.
-	if err := s.setStatsBase(st.name, st.version); err != nil {
-		return err
-	}
 	if err := st.wal.truncate(); err != nil {
 		return err
 	}

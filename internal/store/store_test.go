@@ -324,6 +324,33 @@ func TestIncompleteCreateDirIgnoredOnOpen(t *testing.T) {
 	}
 }
 
+// TestLeftoverStatsFilesIgnoredOnOpen: stores written before the statistics
+// version was removed carry stats.dat and possibly stats.tmp at the root.
+// Open must not read them, whatever they hold.
+func TestLeftoverStatsFilesIgnoredOnOpen(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir, Options{CheckpointEvery: -1})
+	if err := s.Create("tri", triangle(t)); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Apply("tri", Batch{{Relation: 0, Inserts: []relation.Tuple{relation.Ints(4, 5)}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"stats.dat", "stats.tmp"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("garbage!"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s2 := open(t, dir, Options{})
+	defer s2.Close()
+	got, err := s2.Current("tri")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustEqualDB(t, got, res.DB, "beside leftover stats files")
+}
+
 func TestWALAppendFailpointLeavesStateClean(t *testing.T) {
 	defer failpoint.Reset()
 	s := open(t, t.TempDir(), Options{})
