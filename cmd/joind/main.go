@@ -17,13 +17,10 @@
 //	      [-data-dir dir] [-fsync always|interval|never]
 //	      [-fsync-interval 100ms] [-checkpoint-every n]
 //	      [-shards n] [-shard-broadcast-threshold n]
-//	      [-shard-peers url1,url2,...]
 //
 // With -shards N > 1, every registered database is hash-partitioned on a
 // join attribute chosen from its hypergraph and queries scatter across an
-// in-process shard group; -shard-peers replaces the in-process group with
-// an HTTP fan-out to remote joind peers, one per shard (the peer count
-// overrides -shards). See docs/SHARDING.md.
+// in-process shard group. See docs/SHARDING.md.
 //
 // API (see docs/SERVICE.md for the full reference and a worked session,
 // docs/OBSERVABILITY.md for the metrics and slow-query log, and
@@ -88,7 +85,6 @@ func main() {
 	checkpointEvery := flag.Int("checkpoint-every", 0, "WAL records per database before an automatic snapshot checkpoint (0 = default 1024, negative = manual only)")
 	shards := flag.Int("shards", 0, "hash-partition every database across this many shards and scatter queries (0 or 1 = off)")
 	shardBroadcastThreshold := flag.Int("shard-broadcast-threshold", 0, "broadcast relations smaller than this instead of partitioning (0 = default, negative = never broadcast by size)")
-	shardPeers := flag.String("shard-peers", "", "comma-separated remote joind base URLs, one per shard (overrides -shards; empty = in-process shards)")
 	// One strategy registry feeds every CLI surface: the usage footer below
 	// and joinrun's -strategy flag both print engine.StrategyNames(), so a
 	// newly registered strategy shows up everywhere without hand-edits.
@@ -121,7 +117,6 @@ func main() {
 		SlowQueryThreshold: *slowThreshold,
 		SlowLogSize:        *slowLogSize,
 		Shards:             *shards,
-		ShardPeers:         splitPeers(*shardPeers),
 
 		ShardBroadcastThreshold: *shardBroadcastThreshold,
 	})
@@ -212,22 +207,6 @@ func startCatalog(svc *service.Service, dataDir, fsyncPolicy string, fsyncInterv
 		}
 	}
 	return nil
-}
-
-// splitPeers parses the comma-separated -shard-peers list, dropping empty
-// entries and trailing slashes so peer URLs concatenate cleanly with paths.
-func splitPeers(s string) []string {
-	if s == "" {
-		return nil
-	}
-	var peers []string
-	for _, p := range strings.Split(s, ",") {
-		p = strings.TrimRight(strings.TrimSpace(p), "/")
-		if p != "" {
-			peers = append(peers, p)
-		}
-	}
-	return peers
 }
 
 // preloadDatabases registers semicolon-separated name=file,file,... specs,

@@ -129,15 +129,9 @@ func (s *Service) ingest(ctx context.Context, database string, batch store.Batch
 	e.db.Store(applied.DB)
 	if g := e.group.Load(); g != nil {
 		// Rebase the shard layout onto the post-batch catalog: the batch's
-		// tuples route to their owning shards (in-process) or owning peers
-		// (remote), in WAL order under this same lock. The local apply above
-		// is already durable; a remote push failure therefore surfaces as an
-		// ingest error while the peers are considered stale — operators must
-		// rebuild the peer set from the coordinator (docs/SHARDING.md).
+		// tuples route to their owning shards, in WAL order under this same
+		// lock.
 		ng, gerr := g.Rebase(applied.DB, batch)
-		if gerr == nil && s.remoteExec != nil {
-			gerr = s.pushIngest(ctx, ng, database, batch)
-		}
 		if gerr != nil {
 			e.ingestMu.Unlock()
 			return IngestResult{}, fmt.Errorf("service: shard ingest %q: %w", database, gerr)

@@ -183,14 +183,6 @@ func newServiceMetrics(s *Service) *serviceMetrics {
 			}
 			return 0
 		})
-	r.GaugeFunc("joind_shard_remote_peers",
-		"Remote shard peers configured (0 = in-process shard execution).",
-		func() float64 {
-			if s.remoteExec == nil {
-				return 0
-			}
-			return float64(s.remoteExec.Shards())
-		})
 	r.CounterFunc("joind_shard_executions_total",
 		"Queries executed through scatter-gather across the shard group.",
 		func() float64 { return float64(s.shardScatter.Load()) })

@@ -128,12 +128,6 @@ type Config struct {
 	// shard.DefaultBroadcastThreshold; negative = never broadcast by
 	// size). Only meaningful with Shards > 1.
 	ShardBroadcastThreshold int
-	// ShardPeers are remote joind base URLs, one per shard. When set,
-	// shard execution fans out over HTTP to these peers instead of running
-	// in-process: registrations push each peer its partition and ingest
-	// routes each batch's tuples to the owning peers, in WAL order. The
-	// peer count overrides Shards.
-	ShardPeers []string
 }
 
 // withDefaults returns cfg with zero fields filled in.
@@ -158,9 +152,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.WorkerBudget <= 0 && cfg.QueryWorkers > 1 {
 		cfg.WorkerBudget = int64(cfg.Workers) * int64(cfg.QueryWorkers)
-	}
-	if len(cfg.ShardPeers) > 0 {
-		cfg.Shards = len(cfg.ShardPeers)
 	}
 	if cfg.Shards > 1 && cfg.ShardBroadcastThreshold == 0 {
 		cfg.ShardBroadcastThreshold = shard.DefaultBroadcastThreshold
@@ -312,9 +303,6 @@ type Service struct {
 	viewReducerSkips, viewRebuilds                atomic.Int64
 	viewBudgetAborts                              atomic.Int64
 
-	// remoteExec fans shard tasks out to cfg.ShardPeers; nil when shard
-	// execution is in-process (or sharding is off).
-	remoteExec *shard.HTTPExecutor
 	// Scatter-gather counters behind the joind_shard_* metric series.
 	shardScatter, shardSingle, shardTuples, shardIngestRouted atomic.Int64
 }
@@ -331,9 +319,6 @@ func New(cfg Config) *Service {
 	}
 	s.budgetRemaining.Store(cfg.GlobalMaxTuples)
 	s.workersRemaining.Store(cfg.WorkerBudget)
-	if len(cfg.ShardPeers) > 0 {
-		s.remoteExec = shard.NewHTTPExecutor(cfg.ShardPeers, nil)
-	}
 	s.ready.Store(true)
 	if cfg.SlowQueryThreshold > 0 {
 		s.slowLog = obs.NewSlowLog(cfg.SlowQueryThreshold, cfg.SlowLogSize)
@@ -391,11 +376,6 @@ func (s *Service) register(name string, db *relation.Database) (DatabaseInfo, er
 		g, err := shard.NewGroup(name, db, s.cfg.Shards, s.cfg.ShardBroadcastThreshold)
 		if err != nil {
 			return DatabaseInfo{}, fmt.Errorf("service: shard %q: %w", name, err)
-		}
-		if s.remoteExec != nil {
-			if err := s.pushGroup(g); err != nil {
-				return DatabaseInfo{}, fmt.Errorf("service: push shard partitions for %q: %w", name, err)
-			}
 		}
 		e.group.Store(g)
 	}

@@ -37,15 +37,13 @@ import (
 //     needs every operand partitioned — a broadcast operand's trie would be
 //     charged once per shard.
 //
-// Two plans are unclean by name whatever their program:
-//
-//   - reduce-then-join iterates pairwise semijoin reduction to a fixpoint
-//     whose round count is instance-local: a shard that converges early
-//     stops charging while the sequential run keeps scanning its tuples, so
-//     charges diverge structurally;
-//   - hybrid plans are chosen from the instance's statistics, and remote
-//     peers receive only the strategy name, so each peer would rederive its
-//     own route from its partition's sketches.
+// One plan is unclean by name whatever its program: reduce-then-join
+// iterates pairwise semijoin reduction to a fixpoint whose round count is
+// instance-local — a shard that converges early stops charging while the
+// sequential run keeps scanning its tuples, so charges diverge
+// structurally. Every other plan, including a hybrid route chosen from the
+// full instance's statistics, is judged by its program alone: each shard
+// runs that program as given.
 func (g *Group) CleanFor(plan *engine.Plan) (bool, string) {
 	if g.n == 1 {
 		return true, ""
@@ -53,11 +51,8 @@ func (g *Group) CleanFor(plan *engine.Plan) (bool, string) {
 	if g.PartitionedCount() == 0 {
 		return false, fmt.Sprintf("no relation partitions on %q (all broadcast or missing the attribute)", g.attr)
 	}
-	switch plan.Strategy {
-	case engine.StrategyReduceThenJoin:
+	if plan.Strategy == engine.StrategyReduceThenJoin {
 		return false, "fixpoint reduction rounds are instance-local, so per-shard charges cannot sum to the sequential total"
-	case engine.StrategyHybrid:
-		return false, "hybrid routes depend on the instance's statistics, and peers would rederive theirs per partition"
 	}
 	p := plan.Program
 	part := make(map[string]bool, len(p.Inputs)+len(p.Stmts))

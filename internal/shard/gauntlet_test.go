@@ -20,6 +20,7 @@ import (
 	"repro/internal/hypergraph"
 	"repro/internal/relation"
 	"repro/internal/shard"
+	"repro/internal/store"
 	"repro/internal/workload"
 )
 
@@ -113,10 +114,10 @@ func gauntletCases(t *testing.T, rng *rand.Rand, randomSchemes int) []gauntletCa
 
 // assertParity runs one (case, plan, shard count) trial against its
 // sequential baseline and fails on any observable divergence.
-func assertParity(t *testing.T, tag string, g *shard.Group, plan *engine.Plan, ex shard.Executor, seq *engine.Report) (scattered bool) {
+func assertParity(t *testing.T, tag string, g *shard.Group, plan *engine.Plan, seq *engine.Report) (scattered bool) {
 	t.Helper()
 	opts := engine.Options{Limits: govern.Limits{MaxTuples: hugeBudget}}
-	rep, err := shard.Run(g, plan, opts, ex)
+	rep, err := shard.Run(g, plan, opts, shard.NewInProcess(g))
 	if err != nil {
 		t.Fatalf("%s: sharded run failed: %v", tag, err)
 	}
@@ -137,7 +138,7 @@ func assertParity(t *testing.T, tag string, g *shard.Group, plan *engine.Plan, e
 // aborts both executions with ErrTupleBudget, and a budget exactly at the
 // charge aborts neither — the abort fires on the same global produced
 // count sharded and not.
-func assertAbortBoundary(t *testing.T, tag string, db *relation.Database, g *shard.Group, plan *engine.Plan, ex shard.Executor, seqProduced int64) {
+func assertAbortBoundary(t *testing.T, tag string, db *relation.Database, g *shard.Group, plan *engine.Plan, seqProduced int64) {
 	t.Helper()
 	if seqProduced < 2 {
 		return // a 0/1-tuple charge has no meaningful boundary below it
@@ -146,14 +147,14 @@ func assertAbortBoundary(t *testing.T, tag string, db *relation.Database, g *sha
 	if _, err := engine.ExecutePlan(db, plan, under); !errors.Is(err, govern.ErrTupleBudget) {
 		t.Fatalf("%s: sequential under-budget run: got %v, want ErrTupleBudget", tag, err)
 	}
-	if _, err := shard.Run(g, plan, under, ex); !errors.Is(err, govern.ErrTupleBudget) {
+	if _, err := shard.Run(g, plan, under, shard.NewInProcess(g)); !errors.Is(err, govern.ErrTupleBudget) {
 		t.Fatalf("%s: sharded under-budget run: got %v, want ErrTupleBudget", tag, err)
 	}
 	at := engine.Options{Limits: govern.Limits{MaxTuples: seqProduced}}
 	if _, err := engine.ExecutePlan(db, plan, at); err != nil {
 		t.Fatalf("%s: sequential at-budget run failed: %v", tag, err)
 	}
-	if _, err := shard.Run(g, plan, at, ex); err != nil {
+	if _, err := shard.Run(g, plan, at, shard.NewInProcess(g)); err != nil {
 		t.Fatalf("%s: sharded at-budget run failed: %v", tag, err)
 	}
 }
@@ -183,7 +184,7 @@ func TestDifferentialGauntlet(t *testing.T) {
 		t.Fatalf("gauntlet has %d cyclic cases, want >= 20", cyclic)
 	}
 
-	trials, scatters, accepted := 0, 0, 0
+	trials, scatters, accepted, hybridScatters := 0, 0, 0, 0
 	for _, c := range cases {
 		for _, strat := range engine.Strategies() {
 			plan, err := engine.PlanFor(c.db, engine.Options{Strategy: strat})
@@ -200,7 +201,7 @@ func TestDifferentialGauntlet(t *testing.T) {
 					t.Fatalf("%s: group(%d): %v", c.name, n, err)
 				}
 				tag := fmt.Sprintf("%s/%s/shards=%d/threshold=%d", c.name, strat, n, c.threshold)
-				scattered := assertParity(t, tag, g, plan, shard.NewInProcess(g), seq)
+				scattered := assertParity(t, tag, g, plan, seq)
 				if clean, _ := g.CleanFor(plan); clean && n > 1 {
 					accepted++
 					if !scattered {
@@ -209,10 +210,13 @@ func TestDifferentialGauntlet(t *testing.T) {
 				}
 				if scattered {
 					scatters++
+					if plan.Strategy == engine.StrategyHybrid {
+						hybridScatters++
+					}
 				}
 				trials++
 				if n == 4 {
-					assertAbortBoundary(t, tag, c.db, g, plan, shard.NewInProcess(g), seq.Produced)
+					assertAbortBoundary(t, tag, c.db, g, plan, seq.Produced)
 				}
 			}
 		}
@@ -220,7 +224,41 @@ func TestDifferentialGauntlet(t *testing.T) {
 	if scatters == 0 {
 		t.Fatal("gauntlet never scattered: every trial fell back to single-shard execution")
 	}
-	t.Logf("gauntlet: %d cases (%d cyclic), %d trials, %d accepted as clean, %d scattered", len(cases), cyclic, trials, accepted, scatters)
+	// Each shard runs the coordinator's plan as given, so a hybrid route
+	// chosen from the full instance's statistics scatters like any program.
+	if hybridScatters == 0 {
+		t.Fatal("no hybrid plan scattered")
+	}
+	t.Logf("gauntlet: %d cases (%d cyclic), %d trials, %d accepted as clean, %d scattered (%d hybrid)",
+		len(cases), cyclic, trials, accepted, scatters, hybridScatters)
+}
+
+// randomBatch draws one mutation batch against db: a few random inserts
+// over each relation's schema plus deletions of existing rows.
+func randomBatch(rng *rand.Rand, db *relation.Database) store.Batch {
+	var batch store.Batch
+	for i := 0; i < db.Len(); i++ {
+		rel := db.Relation(i)
+		m := store.Mutation{Relation: i}
+		for k := 0; k < 1+rng.Intn(4); k++ {
+			row := make(relation.Tuple, rel.Schema().Len())
+			for c := range row {
+				row[c] = relation.Int(int64(rng.Intn(8)))
+			}
+			m.Inserts = append(m.Inserts, row)
+		}
+		if rows := rel.Rows(); len(rows) > 0 && rng.Intn(2) == 0 {
+			m.Deletes = append(m.Deletes, rows[rng.Intn(len(rows))])
+		}
+		batch = append(batch, m)
+	}
+	return batch
+}
+
+// applyReference applies a batch to the unsharded catalog — the oracle the
+// rebased shard group is compared against.
+func applyReference(db *relation.Database, batch store.Batch) (*relation.Database, error) {
+	return store.ApplyBatch(db, batch)
 }
 
 // TestGauntletIngestRebase replays random ingest batches through
@@ -256,7 +294,7 @@ func TestGauntletIngestRebase(t *testing.T) {
 				t.Fatal(err)
 			}
 			tag := fmt.Sprintf("%s/round=%d", c.name, round)
-			assertParity(t, tag, g, plan, shard.NewInProcess(g), seq)
+			assertParity(t, tag, g, plan, seq)
 		}
 	}
 }

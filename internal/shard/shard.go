@@ -37,8 +37,8 @@ const DefaultBroadcastThreshold = 128
 // the highest-degree attribute maximizes the number of relations that can
 // be hash-partitioned instead of broadcast — when an attribute is on every
 // edge (a triangle's A, a star's center) the whole database partitions and
-// every strategy scatters cleanly. The choice is deterministic, so every
-// node of a remote group picks the same attribute independently.
+// every strategy scatters cleanly. The choice is deterministic: the same
+// scheme always partitions on the same attribute.
 func ChooseAttribute(h *hypergraph.Hypergraph) string {
 	best, bestDeg := "", 0
 	for _, a := range h.Attrs() {
@@ -62,7 +62,6 @@ func ChooseAttribute(h *hypergraph.Hypergraph) string {
 // (including the matching unsharded catalog, Full) with a single atomic
 // load.
 type Group struct {
-	name      string
 	attr      string
 	n         int
 	threshold int
@@ -81,22 +80,21 @@ type Group struct {
 	dbs       []*relation.Database
 }
 
-// NewGroup partitions db into shards shards on the attribute
-// ChooseAttribute picks. Relations lacking the attribute, or with fewer
-// than broadcastThreshold tuples (0 = never broadcast by size), are
-// broadcast: every shard database shares the full relation by pointer.
-// shards must be >= 1; shards == 1 yields a trivial group whose only shard
-// is db itself.
+// NewGroup partitions db, the catalog database called name, into shards
+// shards on the attribute ChooseAttribute picks. Relations lacking the
+// attribute, or with fewer than broadcastThreshold tuples (0 = never
+// broadcast by size), are broadcast: every shard database shares the full
+// relation by pointer. shards must be >= 1; shards == 1 yields a trivial
+// group whose only shard is db itself.
 func NewGroup(name string, db *relation.Database, shards, broadcastThreshold int) (*Group, error) {
 	if db == nil || db.Len() == 0 {
-		return nil, fmt.Errorf("shard: empty database")
+		return nil, fmt.Errorf("shard: %q: empty database", name)
 	}
 	if shards < 1 {
-		return nil, fmt.Errorf("shard: shard count %d < 1", shards)
+		return nil, fmt.Errorf("shard: %q: shard count %d < 1", name, shards)
 	}
 	h := hypergraph.OfScheme(db)
 	g := &Group{
-		name:      name,
 		attr:      ChooseAttribute(h),
 		n:         shards,
 		threshold: broadcastThreshold,
@@ -166,10 +164,6 @@ func (g *Group) split(db *relation.Database) error {
 	}
 	return nil
 }
-
-// Name returns the catalog name the group was built for (remote executors
-// query it on every peer).
-func (g *Group) Name() string { return g.name }
 
 // Attr returns the partition attribute.
 func (g *Group) Attr() string { return g.attr }
