@@ -73,7 +73,6 @@ func main() {
 	ex9Trials := 3
 	ex10Trials := 3
 	ex11Trials := 3
-	ex12Trials := 3
 	if *quick {
 		trials = 30
 		measured = []int64{6, 10}
@@ -82,7 +81,6 @@ func main() {
 		ex9Trials = 1
 		ex10Trials = 2
 		ex11Trials = 2
-		ex12Trials = 2
 	}
 	// q = 100 and 1000 are the paper's k = 2 and k = 3 instances; beyond
 	// q = 1000 the Θ(q⁵) CPF costs overflow int64.
@@ -115,7 +113,6 @@ func main() {
 		{"EX9", func() (*experiments.Table, error) { return experiments.IVMComparison(*seed, ex9Trials) }},
 		{"EX10", func() (*experiments.Table, error) { return experiments.ColumnarComparison(*seed, ex10Trials) }},
 		{"EX11", func() (*experiments.Table, error) { return experiments.ShardScaling(*seed, ex11Trials) }},
-		{"EX12", func() (*experiments.Table, error) { return experiments.HybridComparison(*seed, ex12Trials, *quick) }},
 		{"EX13", experiments.AdversarialGauntlet},
 	}
 

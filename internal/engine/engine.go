@@ -53,15 +53,6 @@ const (
 	// where Example 3 makes every CPF expression unboundedly suboptimal, this
 	// is the backend built for the job.
 	StrategyWCOJ
-	// StrategyHybrid is the statistics-driven chooser: per-relation sketches
-	// (degree / distinct counts / equi-depth histograms, incrementally
-	// maintained on the mutation path) estimate each route's §2.3 cost and
-	// pick between the worst-case-optimal triejoin on the skewed cyclic
-	// core, binary-join programs on the block executor elsewhere, or a
-	// mixed program — a multiway join on hypergraph.Core followed by a
-	// binary tree's joins over its output and the pendant edges. Pure
-	// routes compile and charge exactly as their static rungs do.
-	StrategyHybrid
 )
 
 // String names the strategy.
@@ -81,8 +72,6 @@ func (s Strategy) String() string {
 		return "direct"
 	case StrategyWCOJ:
 		return "wcoj"
-	case StrategyHybrid:
-		return "hybrid"
 	default:
 		return fmt.Sprintf("Strategy(%d)", int(s))
 	}
@@ -120,12 +109,6 @@ type Options struct {
 	// way. Workers is honored by direct Join calls and by cached-Plan
 	// execution.
 	Workers int
-	// Sketches, when non-nil, supplies StrategyHybrid's maintained
-	// per-relation statistics (aligned with the database as passed: sketch i
-	// describes relation i) plus the served-traffic correction feedback.
-	// When nil, hybrid planning builds throwaway sketches by scanning the
-	// database once.
-	Sketches *optimizer.DBSketches
 	// Trace, when non-nil, is the parent span the execution hangs its span
 	// tree under: per ladder rung a "derive plan" span and an "execute plan"
 	// attempt span, and per-phase / per-statement / per-variable children

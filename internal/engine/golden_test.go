@@ -48,7 +48,6 @@ func TestGoldenExplain(t *testing.T) {
 	}
 	strategies := []Strategy{
 		StrategyProgram, StrategyExpression, StrategyReduceThenJoin, StrategyDirect, StrategyWCOJ,
-		StrategyHybrid,
 	}
 	for _, d := range dbs {
 		want := d.mk().Join()

@@ -43,8 +43,8 @@ type Plan struct {
 	// Tree is the optimized join expression in canonical edge order: the
 	// expression the expression, reduce-then-join, and direct strategies
 	// compile, and the source expression Algorithm 1/2 derived from for the
-	// program strategy. It is nil for the acyclic pipeline, the leapfrog
-	// join and hybrid plans.
+	// program strategy. It is nil for the acyclic pipeline and the leapfrog
+	// join.
 	Tree *jointree.Tree
 	// Derivation carries the CPF tree and derived program for
 	// StrategyProgram (Algorithms 1 and 2, run once at plan time).
@@ -56,12 +56,6 @@ type Plan struct {
 	// for wcoj. Reduce-then-join runs it over the reduced relations. Like
 	// everything above it, it depends only on the scheme.
 	Program *program.Program
-	// Hybrid carries StrategyHybrid's route label and estimate (nil for the
-	// other strategies); the route itself is compiled into Program. Unlike
-	// the fields above the choice depends on the instance's statistics; the
-	// serving layer drops cached plans on every ingest, and a route chosen
-	// from stale statistics is still correct for the scheme (Theorem 1).
-	Hybrid *HybridPlan
 	// Notes records how the plan was obtained (search used, bound factors).
 	Notes []string
 	// text is Report.Plan: how Program was obtained, then its statements.
@@ -84,7 +78,6 @@ func Strategies() []Strategy {
 	return []Strategy{
 		StrategyAuto, StrategyProgram, StrategyExpression,
 		StrategyReduceThenJoin, StrategyAcyclic, StrategyDirect, StrategyWCOJ,
-		StrategyHybrid,
 	}
 }
 
@@ -172,9 +165,7 @@ func PlanFor(db *relation.Database, opts Options) (*Plan, error) {
 	case StrategyDirect:
 		p.Tree = leftDeep(cdb.Len())
 	case StrategyWCOJ:
-		if p.Program, err = leapfrogProgram(ch, ch.Full(), nil); err != nil {
-			return nil, err
-		}
+		p.Program = leapfrogProgram(ch)
 		p.Notes = append(p.Notes, "variable order derived greedily: connected prefixes first, ties to the attribute on most edges")
 	case StrategyExpression, StrategyReduceThenJoin:
 		tree, how, err := bestTree(cdb, ch, opts.Budget, exprSpace(ch))
@@ -183,10 +174,6 @@ func PlanFor(db *relation.Database, opts Options) (*Plan, error) {
 		}
 		p.Tree = tree
 		p.Notes = append(p.Notes, "optimized by "+how)
-	case StrategyHybrid:
-		if header, err = p.planHybrid(cdb, ch, h.CanonicalOrder(), opts); err != nil {
-			return nil, err
-		}
 	case StrategyProgram:
 		tree, how, err := bestTree(cdb, ch, opts.Budget, optimizer.SpaceAll)
 		if err != nil {
@@ -235,33 +222,16 @@ func (p *Plan) compileAcyclic(ch *hypergraph.Hypergraph) (string, error) {
 	return "full reducer; monotone expression: " + acyclic.MonotoneTree(jt).String(ch) + "\n", nil
 }
 
-// leapfrogProgram compiles one multiway statement over the edges of ch in
-// core, along the core's greedy variable order (wcoj.VariableOrder), then —
-// when outer is non-nil — outer's joins, whose leaf 0 reads the multiway
-// head and leaf k > 0 the k-th edge outside the core, in index order.
-func leapfrogProgram(ch *hypergraph.Hypergraph, core hypergraph.Mask, outer *jointree.Tree) (*program.Program, error) {
-	coreH := ch
-	if core != ch.Full() {
-		var err error
-		if coreH, err = coreHypergraph(ch, core); err != nil {
-			return nil, err
-		}
-	}
+// leapfrogProgram compiles one multiway statement over every edge of ch,
+// along its greedy variable order (wcoj.VariableOrder).
+func leapfrogProgram(ch *hypergraph.Hypergraph) *program.Program {
 	p := &program.Program{Inputs: jointree.SchemeNames(ch)}
-	stmt := program.Stmt{Op: program.OpMultiway, Head: p.FreshVar("W"), Order: wcoj.VariableOrder(coreH)}
-	leaves := []string{stmt.Head}
-	for i, name := range p.Inputs {
-		if core.Has(i) {
-			stmt.Args = append(stmt.Args, name)
-		} else {
-			leaves = append(leaves, name)
-		}
+	stmt := program.Stmt{
+		Op: program.OpMultiway, Head: p.FreshVar("W"),
+		Args: append([]string(nil), p.Inputs...), Order: wcoj.VariableOrder(ch),
 	}
 	p.Stmts, p.Output = []program.Stmt{stmt}, stmt.Head
-	if outer != nil {
-		p.Output = outer.AppendJoins(p, leaves)
-	}
-	return p, nil
+	return p
 }
 
 // ExecutePlan runs a previously derived plan against db, which must be over

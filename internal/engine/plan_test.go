@@ -150,8 +150,9 @@ func TestPlanForExecutePlanMatchesJoin(t *testing.T) {
 			}
 		}
 	}
-	if checked < 128*7*2 {
-		t.Fatalf("only %d strategy runs compared", checked)
+	// Every case runs every strategy but acyclic at both worker counts.
+	if floor := len(cases) * (len(Strategies()) - 1) * 2; checked < floor {
+		t.Fatalf("only %d strategy runs compared, want at least %d", checked, floor)
 	}
 }
 
@@ -223,18 +224,24 @@ func TestParseStrategyRoundTrip(t *testing.T) {
 	}
 }
 
-// TestParseColumnarStrategy pins the retirement of the "columnar" name:
-// it selected a kernel for the plan cpf-expression names, and every plan
-// now runs on those kernels, so it is rejected with the valid names listed.
+// TestParseColumnarStrategy pins the retired strategy names: "columnar"
+// selected a kernel for the plan cpf-expression names, and every plan now
+// runs on those kernels; "hybrid" was a second chooser beside auto. Both are
+// rejected with the valid names listed.
 func TestParseColumnarStrategy(t *testing.T) {
-	_, err := ParseStrategy("columnar")
-	if err == nil {
-		t.Fatal(`ParseStrategy("columnar") accepted a retired name`)
-	}
-	for _, name := range StrategyNames() {
-		if !strings.Contains(err.Error(), name) {
-			t.Errorf("error %q does not list valid strategy %q", err, name)
+	for _, retired := range []string{"columnar", "hybrid"} {
+		_, err := ParseStrategy(retired)
+		if err == nil {
+			t.Fatalf("ParseStrategy(%q) accepted a retired name", retired)
 		}
+		for _, name := range StrategyNames() {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("error %q does not list valid strategy %q", err, name)
+			}
+		}
+	}
+	if n := len(StrategyNames()); n != 7 {
+		t.Errorf("%d strategy names, want 7", n)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package experiments implements the reproduction harness: one function per
-// experiment, E1–E13 and EX1–EX13, each returning a Table that cmd/joinbench
+// experiment, E1–E13 and EX1–EX11 plus EX13, each returning a Table that cmd/joinbench
 // prints and EXPERIMENTS.md records. The benchmarks in the repository root
 // drive the same functions.
 package experiments

@@ -105,22 +105,12 @@ func (e *Estimator) EstimateTree(t *jointree.Tree) (cost int64, stats Stats) {
 // avoid-Cartesian-products heuristic inside the estimator's search, exactly
 // as the optimizers the paper cites do.
 func EstimatedOptimal(db *relation.Database, space Space) (Plan, error) {
-	return EstimatedOptimalStats(hypergraph.OfScheme(db), NewEstimator(db).base, space)
-}
-
-// EstimatedOptimalStats is EstimatedOptimal over pre-collected statistics —
-// the form the hybrid chooser uses, where the stats come from incrementally
-// maintained sketches rather than a fresh scan. base[i] must describe the
-// relation behind edge i of h.
-func EstimatedOptimalStats(h *hypergraph.Hypergraph, base []Stats, space Space) (Plan, error) {
+	h := hypergraph.OfScheme(db)
 	n := h.Len()
 	if n > MaxExactRelations {
 		return Plan{}, fmt.Errorf("optimizer: %d relations exceeds the exact-search limit %d", n, MaxExactRelations)
 	}
-	if len(base) != n {
-		return Plan{}, fmt.Errorf("optimizer: %d stats for %d relations", len(base), n)
-	}
-	e := &Estimator{base: base}
+	e := NewEstimator(db)
 	full := h.Full()
 
 	type cell struct {

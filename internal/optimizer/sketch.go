@@ -7,8 +7,8 @@ import (
 	"repro/internal/relation"
 )
 
-// Per-relation statistics sketches, maintained incrementally on the
-// mutation path. A Sketch holds one relation's row count and, per
+// Per-relation statistics sketches, maintained incrementally from mutation
+// batches (DBSketches.Apply). A Sketch holds one relation's row count and, per
 // attribute, the exact value→row-count map; from it the estimators'
 // Stats (cardinality + distinct counts) and equi-depth Histograms are
 // derived without rescanning the relation. DBSketches bundles one sketch
@@ -70,9 +70,6 @@ func (s *Sketch) Rows() int64 { return s.rows }
 // Drift returns the delta tuples applied since the last exact build.
 func (s *Sketch) Drift() int64 { return s.drift }
 
-// Attrs returns the schema attributes in column order.
-func (s *Sketch) Attrs() []string { return s.attrs }
-
 // Distinct returns the number of distinct values of attr (0 when the
 // attribute is not in the schema).
 func (s *Sketch) Distinct(attr string) int64 {
@@ -100,34 +97,6 @@ func (s *Sketch) MaxDegree(attr string) int64 {
 		return max
 	}
 	return 0
-}
-
-// Skew returns the relation's worst per-attribute skew ratio: the heavy
-// hitter's degree over the mean degree (rows/distinct). 1 means uniform;
-// large values mean a few values dominate and independence-assumption
-// estimates of joins through this relation are badly low.
-func (s *Sketch) Skew() float64 {
-	worst := 1.0
-	for i := range s.attrs {
-		d := int64(len(s.counts[i]))
-		if d == 0 || s.rows == 0 {
-			continue
-		}
-		var max int64
-		for _, c := range s.counts[i] {
-			if c > max {
-				max = c
-			}
-		}
-		mean := float64(s.rows) / float64(d)
-		if mean <= 0 {
-			continue
-		}
-		if ratio := float64(max) / mean; ratio > worst {
-			worst = ratio
-		}
-	}
-	return worst
 }
 
 // Stats derives the estimator input: cardinality plus per-attribute
@@ -258,34 +227,15 @@ func (s *Sketch) needsRebuild() bool {
 // DBSketches is a database's sketch set, safe for concurrent use:
 // readers take an immutable snapshot, the mutation
 // path clones-and-swaps the sketches it touches (copy-on-write, the same
-// discipline the catalog itself uses). It also accumulates the
-// estimation feedback loop: observed actual-vs-estimated cost ratios per
-// scheme fingerprint, folded back into future estimates as a
-// multiplicative correction.
+// discipline the catalog itself uses).
 type DBSketches struct {
 	mu       sync.RWMutex
 	sketches []*Sketch
-	// driftTotal accumulates, per relation, every delta tuple ever applied
-	// blindly — it keeps counting across rebuilds (which reset the
-	// per-sketch drift), so it is the monotone series behind the
-	// joind_optimizer_drift_total metric.
-	driftTotal []int64
-	rebuilds   int64
-	// feedback maps a scheme fingerprint to the EWMA of actual/estimated
-	// §2.3 cost ratios observed for plans executed over that scheme.
-	feedback map[string]float64
 }
-
-// feedbackAlpha is the EWMA weight of the newest observation.
-const feedbackAlpha = 0.3
 
 // CollectSketches builds the sketch set for a database.
 func CollectSketches(db *relation.Database) *DBSketches {
-	d := &DBSketches{
-		sketches:   make([]*Sketch, db.Len()),
-		driftTotal: make([]int64, db.Len()),
-		feedback:   make(map[string]float64),
-	}
+	d := &DBSketches{sketches: make([]*Sketch, db.Len())}
 	for i := 0; i < db.Len(); i++ {
 		d.sketches[i] = BuildSketch(db.Relation(i))
 	}
@@ -324,10 +274,8 @@ func (d *DBSketches) Apply(rel int, inserts, deletes []relation.Tuple, current *
 	}
 	next := d.sketches[rel].clone()
 	delta = next.apply(inserts, deletes)
-	d.driftTotal[rel] += delta
 	if next.needsRebuild() && current != nil {
 		next = BuildSketch(current)
-		d.rebuilds++
 		rebuilt = true
 	}
 	// Swap a fresh slice so concurrent Snapshot holders keep their view.
@@ -335,55 +283,4 @@ func (d *DBSketches) Apply(rel int, inserts, deletes []relation.Tuple, current *
 	sks[rel] = next
 	d.sketches = sks
 	return delta, rebuilt
-}
-
-// DriftTotals returns the cumulative per-relation delta tuples applied
-// (monotone across rebuilds).
-func (d *DBSketches) DriftTotals() []int64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return append([]int64(nil), d.driftTotal...)
-}
-
-// Rebuilds returns how many drift-triggered exact rebuilds have run.
-func (d *DBSketches) Rebuilds() int64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.rebuilds
-}
-
-// Observe records one executed plan's actual §2.3 cost against its
-// estimate, returning the q-error max(est/act, act/est) and folding the
-// ratio into the fingerprint's correction EWMA so served traffic tightens
-// future estimates.
-func (d *DBSketches) Observe(fingerprint string, estimated, actual int64) float64 {
-	if estimated <= 0 || actual <= 0 {
-		return 0
-	}
-	ratio := float64(actual) / float64(estimated)
-	d.mu.Lock()
-	if prev, ok := d.feedback[fingerprint]; ok {
-		d.feedback[fingerprint] = (1-feedbackAlpha)*prev + feedbackAlpha*ratio
-	} else {
-		d.feedback[fingerprint] = ratio
-	}
-	d.mu.Unlock()
-	if ratio < 1 {
-		return 1 / ratio
-	}
-	return ratio
-}
-
-// Correction returns the multiplicative correction learned for the
-// fingerprint (1 when nothing has been observed yet). Estimates of
-// generated tuples are scaled by it, so a scheme whose plans keep
-// producing more than estimated drifts the chooser toward the
-// conservative routes.
-func (d *DBSketches) Correction(fingerprint string) float64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if c, ok := d.feedback[fingerprint]; ok && c > 0 {
-		return c
-	}
-	return 1
 }

@@ -22,7 +22,8 @@ import (
 // join trees (jointree.Tree.Program), the acyclic pipeline and Yannakakis
 // (acyclic.JoinProgram, YannakakisProgram, Reduce), the pairwise
 // reduction's round program (engine.PairwiseReduceGoverned), and the
-// leapfrog plans built on the multiway statement (wcoj and hybrid). Each
+// programs built on the multiway statement (the wcoj plan, and a multiway
+// core ahead of binary joins). Each
 // runs over the shared case set at every worker count, with the range-split
 // path forced on, against the tuple-map references: Tree.Eval and the
 // oracle.
@@ -287,100 +288,100 @@ func TestPairwiseReduceMatchesOracleRounds(t *testing.T) {
 	}
 }
 
-// TestLeapfrogPlansMatchOracle (facet d): the engine's wcoj and hybrid
-// plans, run as the programs they compile to — the wcoj plan is one
-// multiway statement, hybrid's mixed route one on the cyclic core ahead of
-// binary joins — compute ⋈D (Theorem 1) and equal the tuple oracle in
-// output, cost and every head at every worker count. Their governor charge
-// is wcoj.JoinGoverned's for each multiway statement plus every other head,
-// and a MaxTuples budget of exactly that total, or a MaxIntermediateTuples
-// cap of exactly the largest single operator's charge, passes while one
-// tuple less aborts — in the oracle and at every worker count alike.
+// TestLeapfrogPlansMatchOracle (facet d): the engine's wcoj plans, and a
+// multiway statement on a cyclic core ahead of binary joins (mixedProgram),
+// run as programs — the wcoj plan is one multiway statement — compute ⋈D
+// (Theorem 1) and equal the tuple oracle in output, cost and every head at
+// every worker count. Their governor charge is wcoj.JoinGoverned's for each
+// multiway statement plus every other head, and a MaxTuples budget of
+// exactly that total, or a MaxIntermediateTuples cap of exactly the largest
+// single operator's charge, passes while one tuple less aborts — in the
+// oracle and at every worker count alike.
 func TestLeapfrogPlansMatchOracle(t *testing.T) {
 	defer relation.SetParallelThreshold(0)()
-	routes := map[string]int{}
+	type leapfrogCase struct {
+		name string
+		p    *program.Program
+		db   *relation.Database
+	}
+	var cases []leapfrogCase
 	for _, c := range append(differentialCases(t), skewedTrianglePendants()) {
 		cdb, err := c.db.Restrict(c.h.CanonicalOrder())
 		if err != nil {
 			t.Fatal(err)
 		}
-		full := c.db.Join()
-		for _, strat := range []engine.Strategy{engine.StrategyWCOJ, engine.StrategyHybrid} {
-			plan, err := engine.PlanFor(c.db, engine.Options{Strategy: strat})
+		plan, err := engine.PlanFor(c.db, engine.Options{Strategy: engine.StrategyWCOJ})
+		if err != nil {
+			t.Fatalf("%s, wcoj: %v", c.name, err)
+		}
+		cases = append(cases, leapfrogCase{c.name + ", wcoj", plan.Program, cdb})
+	}
+	mixed := skewedTrianglePendants()
+	cases = append(cases, leapfrogCase{mixed.name + ", multiway core then joins", mixedProgram(), mixed.db})
+	for _, c := range cases {
+		p, name, cdb := c.p, c.name, c.db
+		full := cdb.Join()
+		oracleG := unlimited()
+		want, err := p.ApplyOracle(cdb, oracleG)
+		if err != nil {
+			t.Fatalf("%s: oracle: %v", name, err)
+		}
+		if !want.Output.Equal(full) {
+			t.Fatalf("%s: %d tuples, ⋈D has %d\n%s", name, want.Output.Len(), full.Len(), p)
+		}
+		charge, widest := leapfrogCharges(t, p, cdb, want.Trace)
+		if oracleG.Produced() != charge {
+			t.Fatalf("%s: oracle charged %d, wcoj.JoinGoverned plus the heads account for %d", name, oracleG.Produced(), charge)
+		}
+		runs := map[string]func(*govern.Governor) (*program.Result, error){
+			"oracle": func(g *govern.Governor) (*program.Result, error) { return p.ApplyOracle(cdb, g) },
+		}
+		for _, w := range workerSweep {
+			g := unlimited()
+			got, err := p.ApplyParallelGoverned(cdb, g, w)
 			if err != nil {
-				t.Fatalf("%s, %s: %v", c.name, strat, err)
+				t.Fatalf("%s, %d workers: %v", name, w, err)
 			}
-			p, name := plan.Program, fmt.Sprintf("%s, %s", c.name, strat)
-			if plan.Hybrid != nil {
-				routes[plan.Hybrid.Route]++
-				name += " (" + plan.Hybrid.Route + " route)"
+			if !got.Output.Equal(want.Output) || got.Cost != want.Cost || g.Produced() != charge {
+				t.Fatalf("%s, %d workers: %d tuples cost %d charged %d; oracle %d tuples cost %d charged %d",
+					name, w, got.Output.Len(), got.Cost, g.Produced(), want.Output.Len(), want.Cost, charge)
 			}
-			oracleG := unlimited()
-			want, err := p.ApplyOracle(cdb, oracleG)
-			if err != nil {
-				t.Fatalf("%s: oracle: %v", name, err)
-			}
-			if !want.Output.Equal(full) {
-				t.Fatalf("%s: %d tuples, ⋈D has %d\n%s", name, want.Output.Len(), full.Len(), p)
-			}
-			charge, widest := leapfrogCharges(t, p, cdb, want.Trace)
-			if oracleG.Produced() != charge {
-				t.Fatalf("%s: oracle charged %d, wcoj.JoinGoverned plus the heads account for %d", name, oracleG.Produced(), charge)
-			}
-			runs := map[string]func(*govern.Governor) (*program.Result, error){
-				"oracle": func(g *govern.Governor) (*program.Result, error) { return p.ApplyOracle(cdb, g) },
-			}
-			for _, w := range workerSweep {
-				g := unlimited()
-				got, err := p.ApplyParallelGoverned(cdb, g, w)
-				if err != nil {
-					t.Fatalf("%s, %d workers: %v", name, w, err)
-				}
-				if !got.Output.Equal(want.Output) || got.Cost != want.Cost || g.Produced() != charge {
-					t.Fatalf("%s, %d workers: %d tuples cost %d charged %d; oracle %d tuples cost %d charged %d",
-						name, w, got.Output.Len(), got.Cost, g.Produced(), want.Output.Len(), want.Cost, charge)
-				}
-				for i, step := range got.Trace {
-					if step.Size != want.Trace[i].Size || !step.Schema.Equal(want.Trace[i].Schema) {
-						t.Fatalf("%s, %d workers: statement %d (%s) head %s/%d, oracle %s/%d", name, w, i+1,
-							step.Stmt, step.Schema, step.Size, want.Trace[i].Schema, want.Trace[i].Size)
-					}
-				}
-				runs[fmt.Sprintf("%d workers", w)] = func(g *govern.Governor) (*program.Result, error) {
-					return p.ApplyParallelGoverned(cdb, g, w)
+			for i, step := range got.Trace {
+				if step.Size != want.Trace[i].Size || !step.Schema.Equal(want.Trace[i].Schema) {
+					t.Fatalf("%s, %d workers: statement %d (%s) head %s/%d, oracle %s/%d", name, w, i+1,
+						step.Stmt, step.Schema, step.Size, want.Trace[i].Schema, want.Trace[i].Size)
 				}
 			}
-			for who, run := range runs {
-				for _, b := range []struct {
-					limit string
-					at    int64
-					lim   func(int64) govern.Limits
-				}{
-					{"MaxTuples", charge, func(n int64) govern.Limits { return govern.Limits{MaxTuples: n, CheckEvery: 1} }},
-					{"MaxIntermediateTuples", widest, func(n int64) govern.Limits { return govern.Limits{MaxIntermediateTuples: n, CheckEvery: 1} }},
-				} {
-					if b.at < 2 {
-						continue // a limit of 0 means unlimited
-					}
-					if _, err := run(govern.New(b.lim(b.at))); err != nil {
-						t.Fatalf("%s, %s: %s == %d must pass, got %v", name, who, b.limit, b.at, err)
-					}
-					if res, err := run(govern.New(b.lim(b.at - 1))); res != nil || !errors.Is(err, govern.ErrTupleBudget) {
-						t.Fatalf("%s, %s: %s == %d gave %v; want ErrTupleBudget and no result", name, who, b.limit, b.at-1, err)
-					}
+			runs[fmt.Sprintf("%d workers", w)] = func(g *govern.Governor) (*program.Result, error) {
+				return p.ApplyParallelGoverned(cdb, g, w)
+			}
+		}
+		for who, run := range runs {
+			for _, b := range []struct {
+				limit string
+				at    int64
+				lim   func(int64) govern.Limits
+			}{
+				{"MaxTuples", charge, func(n int64) govern.Limits { return govern.Limits{MaxTuples: n, CheckEvery: 1} }},
+				{"MaxIntermediateTuples", widest, func(n int64) govern.Limits { return govern.Limits{MaxIntermediateTuples: n, CheckEvery: 1} }},
+			} {
+				if b.at < 2 {
+					continue // a limit of 0 means unlimited
+				}
+				if _, err := run(govern.New(b.lim(b.at))); err != nil {
+					t.Fatalf("%s, %s: %s == %d must pass, got %v", name, who, b.limit, b.at, err)
+				}
+				if res, err := run(govern.New(b.lim(b.at - 1))); res != nil || !errors.Is(err, govern.ErrTupleBudget) {
+					t.Fatalf("%s, %s: %s == %d gave %v; want ErrTupleBudget and no result", name, who, b.limit, b.at-1, err)
 				}
 			}
 		}
 	}
-	if routes[optimizer.RouteBinary] == 0 || routes[optimizer.RouteWCOJ] == 0 || routes[optimizer.RouteMixed] == 0 {
-		t.Fatalf("hybrid route mix degenerate: %v", routes)
-	}
-	t.Logf("hybrid routes: %v", routes)
 }
 
-// skewedTrianglePendants is a case the hybrid chooser routes mixed: a
-// Zipf-skewed triangle AB, BC, AC with two selective pendant edges CD, DE
-// hanging off C, each holding one tuple per fresh value.
+// skewedTrianglePendants is a Zipf-skewed triangle AB, BC, AC with two
+// selective pendant edges CD, DE hanging off C, each holding one tuple per
+// fresh value.
 func skewedTrianglePendants() diffCase {
 	rng := rand.New(rand.NewSource(1))
 	var rels []*relation.Relation
@@ -401,6 +402,20 @@ func skewedTrianglePendants() diffCase {
 	}
 	db := relation.MustDatabase(rels...)
 	return diffCase{name: "skewed triangle with pendants", h: hypergraph.OfScheme(db), db: db}
+}
+
+// mixedProgram is the multiway-then-join shape over skewedTrianglePendants'
+// relations in their database order: one multiway statement over the
+// triangle, its head then joined to CD and to DE.
+func mixedProgram() *program.Program {
+	p := &program.Program{Inputs: []string{"AB", "BC", "AC", "CD", "DE"}}
+	p.Stmts = []program.Stmt{
+		{Op: program.OpMultiway, Head: "W1", Args: p.Inputs[:3], Order: []string{"A", "B", "C"}},
+		{Op: program.OpJoin, Head: "V1", Arg1: "W1", Arg2: "CD"},
+		{Op: program.OpJoin, Head: "V2", Arg1: "V1", Arg2: "DE"},
+	}
+	p.Output = "V2"
+	return p
 }
 
 // leapfrogCharges returns what a run of p over db must charge the governor —

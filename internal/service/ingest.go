@@ -139,20 +139,13 @@ func (s *Service) ingest(ctx context.Context, database string, batch store.Batch
 		e.group.Store(ng)
 		s.shardIngestRouted.Add(int64(batch.Tuples()))
 	}
-	// The plan cache's only staleness rule: planning reads cardinalities and
-	// sketches of the pre-batch instance, so drop every strategy's plan for
+	// The plan cache's only staleness rule: planning reads cardinalities of
+	// the pre-batch instance, so drop every strategy's plan for
 	// this fingerprint right after the swap. A query that pinned the old
 	// snapshot and derives its plan after this point may still cache it;
 	// that plan is correct for the scheme (Theorem 1). Other databases
 	// sharing the scheme lose their plans too — a recomputation only.
 	invalidated := s.cache.InvalidatePrefix(e.fingerprint + "#")
-	// Fold the batch into the entry's statistics sketches against the
-	// post-batch relations (exact rebuilds trigger when accumulated drift
-	// crosses the threshold), under ingestMu so sketch state tracks the
-	// catalog in WAL order — view or no view.
-	for _, m := range batch {
-		e.sketches.Apply(m.Relation, m.Inserts, m.Deletes, applied.DB.Relation(m.Relation))
-	}
 	maintained := s.maintainViews(database, batch, applied.DB)
 	e.ingestMu.Unlock()
 	s.ingests.Add(1)

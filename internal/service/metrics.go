@@ -33,13 +33,6 @@ type serviceMetrics struct {
 	// observation per view per ingest batch), rebuild included when the
 	// batch triggered one.
 	viewMaintenance *obs.Histogram
-	// optimizerQError is the hybrid estimator's q-error — max(est/actual,
-	// actual/est) of the chooser's §2.3 cost estimate against the governor's
-	// actual charge, one observation per executed hybrid query.
-	optimizerQError *obs.Histogram
-	// hybridRoutes partitions executed hybrid queries by the route the
-	// chooser picked (acyclic, binary, wcoj, mixed).
-	hybridRoutes *obs.CounterVec
 }
 
 // newServiceMetrics builds and registers the full series set against s.
@@ -65,12 +58,6 @@ func newServiceMetrics(s *Service) *serviceMetrics {
 			"End-to-end ingest latency: WAL append, fsync, and catalog swap.", nil),
 		viewMaintenance: r.Histogram("joind_view_maintenance_seconds",
 			"Per-view delta-maintenance latency per ingest batch (rebuild included when triggered).", nil),
-		optimizerQError: r.Histogram("joind_optimizer_qerror",
-			"Hybrid estimator q-error per executed hybrid query: max(estimated/actual, actual/estimated) of the chooser's cost against the governor's charge.",
-			[]float64{1, 1.25, 1.5, 2, 3, 5, 10, 25, 100}),
-		hybridRoutes: r.CounterVec("joind_optimizer_hybrid_routes_total",
-			"Executed hybrid queries, by the route the statistics chooser picked (acyclic, binary, wcoj, mixed).",
-			"route"),
 	}
 
 	r.GaugeFunc("joind_in_flight_queries",
@@ -195,16 +182,6 @@ func newServiceMetrics(s *Service) *serviceMetrics {
 	r.CounterFunc("joind_shard_ingest_routed_tuples_total",
 		"Ingest tuples routed to owning shards (broadcast fan-out counted once).",
 		func() float64 { return float64(s.shardIngestRouted.Load()) })
-
-	// Statistics-sketch series behind the hybrid chooser. The aggregates
-	// walk the catalog at scrape time (drift/rebuild counters are monotone
-	// per entry, so their sums are valid counters).
-	r.CounterFunc("joind_optimizer_sketch_drift_total",
-		"Delta tuples folded into statistics sketches since each database's last exact rebuild-or-build, summed over the catalog.",
-		func() float64 { d, _ := s.sketchTotals(); return float64(d) })
-	r.CounterFunc("joind_optimizer_sketch_rebuilds_total",
-		"Exact sketch rebuilds triggered by accumulated ingest drift, summed over the catalog.",
-		func() float64 { _, rb := s.sketchTotals(); return float64(rb) })
 
 	r.CounterFunc("joind_plan_cache_invalidations_total",
 		"Plan-cache entries dropped because their database was mutated by ingest.",

@@ -318,10 +318,10 @@ func TestMetricsEndpointServesValidText(t *testing.T) {
 	}
 }
 
-// TestColumnarQueryMetrics pins the retired "columnar" strategy name end to
-// end: a query asking for it is a 400 whose body lists the valid names, and
-// neither a columnar strategy label nor the old joind_columnar_tuples_total
-// series appears in /metrics.
+// TestColumnarQueryMetrics pins the retired strategy names end to end:
+// a query asking for "columnar" or "hybrid" is a 400 whose body lists the
+// valid names, and /metrics carries neither name as a strategy label nor
+// the series only they fed.
 func TestColumnarQueryMetrics(t *testing.T) {
 	s := New(Config{Workers: 1})
 	if _, err := s.Register("tri", triangleDB(t)); err != nil {
@@ -329,34 +329,42 @@ func TestColumnarQueryMetrics(t *testing.T) {
 	}
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
-	resp, err := http.Post(srv.URL+"/v1/query", "application/json",
-		strings.NewReader(`{"database":"tri","strategy":"columnar"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("columnar query: status %d, want 400: %s", resp.StatusCode, body)
-	}
-	for _, name := range engine.StrategyNames() {
-		if !strings.Contains(string(body), name) {
-			t.Errorf("400 body does not list strategy %q: %s", name, body)
+	for _, retired := range []string{"columnar", "hybrid"} {
+		resp, err := http.Post(srv.URL+"/v1/query", "application/json",
+			strings.NewReader(`{"database":"tri","strategy":"`+retired+`"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s query: status %d, want 400: %s", retired, resp.StatusCode, body)
+		}
+		for _, name := range engine.StrategyNames() {
+			if !strings.Contains(string(body), name) {
+				t.Errorf("400 body does not list strategy %q: %s", name, body)
+			}
 		}
 	}
-	resp, err = http.Get(srv.URL + "/metrics")
+	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if body, err = io.ReadAll(resp.Body); err != nil {
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if text := string(body); strings.Contains(text, `strategy="columnar"`) || strings.Contains(text, "joind_columnar_tuples_total") {
-		t.Errorf("retired columnar series still exported:\n%s", text)
+	// "hybrid" also covers the per-route counter; "qerror" and "sketch" the
+	// estimate-vs-actual histogram and the two sketch maintenance counters.
+	text := string(body)
+	for _, retired := range []string{`strategy="columnar"`, "joind_columnar_tuples_total", "hybrid", "qerror", "sketch"} {
+		if strings.Contains(text, retired) {
+			t.Errorf("retired %s still exported:\n%s", retired, text)
+		}
 	}
 }
 

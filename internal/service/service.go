@@ -24,7 +24,6 @@ import (
 	"repro/internal/govern"
 	"repro/internal/hypergraph"
 	"repro/internal/obs"
-	"repro/internal/optimizer"
 	"repro/internal/plancache"
 	"repro/internal/relation"
 	"repro/internal/shard"
@@ -178,11 +177,6 @@ type catalogEntry struct {
 	db          atomic.Pointer[relation.Database]
 	fingerprint string
 	acyclic     bool
-
-	// sketches are the per-relation statistics behind the hybrid strategy
-	// chooser: built at registration and maintained incrementally on the
-	// WAL-ordered ingest path. Never nil.
-	sketches *optimizer.DBSketches
 
 	// group is the database's sharded layout, nil when sharding is off.
 	// It is rebased (never mutated) on ingest under ingestMu; one load
@@ -369,7 +363,6 @@ func (s *Service) register(name string, db *relation.Database) (DatabaseInfo, er
 		name:        name,
 		fingerprint: h.Fingerprint(),
 		acyclic:     h.Acyclic(),
-		sketches:    optimizer.CollectSketches(db),
 	}
 	e.db.Store(db)
 	if s.cfg.Shards > 1 {
@@ -638,7 +631,6 @@ func (s *Service) execute(ctx context.Context, e *catalogEntry, strat engine.Str
 		Budget:   s.cfg.SearchBudget,
 		Limits:   lim,
 		Workers:  workers,
-		Sketches: e.sketches,
 	}
 	if trace != nil {
 		opts.Trace = trace.Root
@@ -648,11 +640,11 @@ func (s *Service) execute(ctx context.Context, e *catalogEntry, strat engine.Str
 	// starts at the plan it resolves to). Every rung's plan comes from the
 	// cache under its own key, so a degraded query on a known scheme
 	// derives no plan at all; two names over the same scheme share plans.
-	var plan *engine.Plan
 	var hit bool
 	rungs := 0
 	rep, err := engine.Climb(engine.DegradationLadder(strat, e.acyclic), func(rung engine.Strategy) (*engine.Report, error) {
 		rungs++
+		var plan *engine.Plan
 		var err error
 		if plan, hit, err = s.cachedPlan(e, db, rung, trace); err != nil {
 			return nil, err
@@ -672,15 +664,6 @@ func (s *Service) execute(ctx context.Context, e *catalogEntry, strat engine.Str
 	}
 	rep.PlanCacheHit = hit
 	rep.QueueWait = wait
-	// Close the estimation loop: a hybrid plan carries the §2.3 cost its
-	// chooser predicted; the governor charged the actual. The q-error folds
-	// into the entry's correction EWMA, biasing the next choice for this
-	// scheme, and feeds the joind_optimizer_qerror series.
-	if plan.Hybrid != nil && plan.Hybrid.EstCost > 0 && rep.Cost > 0 {
-		q := e.sketches.Observe(e.fingerprint, plan.Hybrid.EstCost, rep.Cost)
-		s.metrics.optimizerQError.Observe(q)
-		s.metrics.hybridRoutes.Inc(plan.Hybrid.Route)
-	}
 	s.succeeded.Add(1)
 	return rep, nil
 }
@@ -699,7 +682,7 @@ func (s *Service) cachedPlan(e *catalogEntry, db *relation.Database, rung engine
 		// and coalesced waiters carry no plan span.
 		sp := pcSpan.Child(obs.KindPlan, "derive plan")
 		defer sp.End()
-		return engine.PlanFor(db, engine.Options{Strategy: rung, Budget: s.cfg.SearchBudget, Sketches: e.sketches})
+		return engine.PlanFor(db, engine.Options{Strategy: rung, Budget: s.cfg.SearchBudget})
 	})
 	if pcSpan != nil {
 		if hit {
@@ -772,20 +755,6 @@ func (s *Service) finish(trace *obs.Trace, req Request, rep *engine.Report, err 
 			s.metrics.slow.Inc()
 		}
 	}
-}
-
-// sketchTotals aggregates the catalog's sketch counters for the
-// joind_optimizer_* series: total drift deltas and total exact rebuilds.
-func (s *Service) sketchTotals() (drift, rebuilds int64) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, e := range s.dbs {
-		for _, d := range e.sketches.DriftTotals() {
-			drift += d
-		}
-		rebuilds += e.sketches.Rebuilds()
-	}
-	return drift, rebuilds
 }
 
 // strategyName maps the empty request strategy to auto.

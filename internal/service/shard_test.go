@@ -31,7 +31,7 @@ func TestShardedServiceQueryParity(t *testing.T) {
 	if _, err := sharded.Register("tri", db); err != nil {
 		t.Fatal(err)
 	}
-	for _, strategy := range []string{"", "auto", "program", "cpf-expression", "hybrid", "wcoj", "reduce-then-join"} {
+	for _, strategy := range []string{"", "auto", "program", "cpf-expression", "wcoj", "reduce-then-join"} {
 		req := Request{Database: "tri", Strategy: strategy, MaxTuples: 1 << 40}
 		want, err := plain.Query(context.Background(), req)
 		if err != nil {

@@ -41,8 +41,7 @@ import (
 // iterates pairwise semijoin reduction to a fixpoint whose round count is
 // instance-local — a shard that converges early stops charging while the
 // sequential run keeps scanning its tuples, so charges diverge
-// structurally. Every other plan, including a hybrid route chosen from the
-// full instance's statistics, is judged by its program alone: each shard
+// structurally. Every other plan is judged by its program alone: each shard
 // runs that program as given.
 func (g *Group) CleanFor(plan *engine.Plan) (bool, string) {
 	if g.n == 1 {

@@ -184,7 +184,7 @@ func TestDifferentialGauntlet(t *testing.T) {
 		t.Fatalf("gauntlet has %d cyclic cases, want >= 20", cyclic)
 	}
 
-	trials, scatters, accepted, hybridScatters := 0, 0, 0, 0
+	trials, scatters, accepted, wcojScatters := 0, 0, 0, 0
 	for _, c := range cases {
 		for _, strat := range engine.Strategies() {
 			plan, err := engine.PlanFor(c.db, engine.Options{Strategy: strat})
@@ -210,8 +210,8 @@ func TestDifferentialGauntlet(t *testing.T) {
 				}
 				if scattered {
 					scatters++
-					if plan.Strategy == engine.StrategyHybrid {
-						hybridScatters++
+					if plan.Strategy == engine.StrategyWCOJ {
+						wcojScatters++
 					}
 				}
 				trials++
@@ -224,13 +224,13 @@ func TestDifferentialGauntlet(t *testing.T) {
 	if scatters == 0 {
 		t.Fatal("gauntlet never scattered: every trial fell back to single-shard execution")
 	}
-	// Each shard runs the coordinator's plan as given, so a hybrid route
-	// chosen from the full instance's statistics scatters like any program.
-	if hybridScatters == 0 {
-		t.Fatal("no hybrid plan scattered")
+	// Each shard runs the coordinator's plan as given, so a multiway
+	// statement over partitioned operands scatters like any program.
+	if wcojScatters == 0 {
+		t.Fatal("no wcoj plan scattered")
 	}
-	t.Logf("gauntlet: %d cases (%d cyclic), %d trials, %d accepted as clean, %d scattered (%d hybrid)",
-		len(cases), cyclic, trials, accepted, scatters, hybridScatters)
+	t.Logf("gauntlet: %d cases (%d cyclic), %d trials, %d accepted as clean, %d scattered (%d wcoj)",
+		len(cases), cyclic, trials, accepted, scatters, wcojScatters)
 }
 
 // randomBatch draws one mutation batch against db: a few random inserts

@@ -138,25 +138,6 @@ func TestCleanForReasons(t *testing.T) {
 		t.Fatal("reduce-then-join must never scatter")
 	}
 
-	// A hybrid route is judged by its program like any plan: every shard
-	// runs the route the full instance's statistics chose. A sparse
-	// triangle steers the chooser to binary joins, which scatter.
-	sparse, err := workload.TriangleSpec{Nodes: 30, Edges: 40}.TriangleDatabase(rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, err := NewGroup("tri", sparse, 2, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err = engine.PlanFor(sparse, engine.Options{Strategy: engine.StrategyHybrid})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok, reason := g2.CleanFor(plan); !ok {
-		t.Fatalf("hybrid sparse-triangle plan unclean: %s\n%s", reason, plan.Program)
-	}
-
 	// All-broadcast groups never scatter.
 	gb, err := NewGroup("tri", db, 4, 1<<30)
 	if err != nil {

@@ -40,9 +40,8 @@
 //     for a database and decode the result.
 //
 // JoinBlocks is what the program executor runs for a multiway statement
-// (internal/program): the engine's wcoj plan is that one statement, and the
-// hybrid chooser's mixed route puts one on the cyclic core ahead of binary
-// joins.
+// (internal/program): the engine's wcoj plan is that one statement, and a
+// program may put one on a cyclic core ahead of binary joins.
 package wcoj
 
 import (

@@ -19,14 +19,13 @@ import (
 // skewed cycles. The shapes follow the classic cartesian-explosion stress
 // suites for Datalog engines; each case is sized so every engine strategy
 // finishes within the case's tuple budget, which is what makes the corpus a
-// gauntlet rather than a denial-of-service: a strategy (or the hybrid
-// chooser) that mishandles the shape blows the budget and fails loudly,
-// instead of hanging CI.
+// gauntlet rather than a denial-of-service: a strategy that mishandles the
+// shape blows the budget and fails loudly, instead of hanging CI.
 //
 // The corpus lives in testdata/adversarial/*.json and is embedded, so
-// loading it needs no working directory: engine differential tests,
-// estimator acceptance tests, and the joinbench gauntlet (EX13) all read
-// the same cases.
+// loading it needs no working directory: engine differential tests, the
+// plan-route identity test, and the joinbench gauntlet (EX13) all read the
+// same cases.
 
 //go:embed testdata/adversarial/*.json
 var adversarialFS embed.FS
@@ -55,9 +54,6 @@ type AdversarialCase struct {
 	// Budget is the governor MaxTuples allowance every strategy must finish
 	// under — the gauntlet bound.
 	Budget int64 `json:"budget"`
-	// QErrorBound is the acceptance bound on the hybrid chooser's cost
-	// estimate: max(est/actual, actual/est) must stay at or below it.
-	QErrorBound float64 `json:"qerror_bound"`
 }
 
 // Hypergraph parses the case's scheme.
@@ -118,8 +114,6 @@ func (c AdversarialCase) Validate() error {
 		return fmt.Errorf("workload: case %q needs positive size and domain", c.Name)
 	case c.Budget < 1:
 		return fmt.Errorf("workload: case %q has no tuple budget", c.Name)
-	case c.QErrorBound < 1:
-		return fmt.Errorf("workload: case %q q-error bound %v below the identity 1", c.Name, c.QErrorBound)
 	case c.Generator == "zipf" && c.Skew <= 1:
 		return fmt.Errorf("workload: case %q needs Zipf exponent > 1, got %v", c.Name, c.Skew)
 	}

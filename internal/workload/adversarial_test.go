@@ -71,18 +71,17 @@ func TestAdversarialCorpusLoads(t *testing.T) {
 func TestAdversarialCaseValidation(t *testing.T) {
 	good := AdversarialCase{
 		Name: "x", Scheme: "AB BC", Generator: "uniform",
-		Size: 10, Domain: 5, Seed: 1, Budget: 100, QErrorBound: 2,
+		Size: 10, Domain: 5, Seed: 1, Budget: 100,
 	}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid case rejected: %v", err)
 	}
 	bad := []AdversarialCase{
 		{},
-		{Name: "x", Scheme: "", Generator: "uniform", Size: 10, Domain: 5, Budget: 100, QErrorBound: 2},
-		{Name: "x", Scheme: "AB", Generator: "uniform", Size: 0, Domain: 5, Budget: 100, QErrorBound: 2},
-		{Name: "x", Scheme: "AB", Generator: "uniform", Size: 10, Domain: 5, Budget: 0, QErrorBound: 2},
-		{Name: "x", Scheme: "AB", Generator: "uniform", Size: 10, Domain: 5, Budget: 100, QErrorBound: 0.5},
-		{Name: "x", Scheme: "AB", Generator: "zipf", Skew: 1, Size: 10, Domain: 5, Budget: 100, QErrorBound: 2},
+		{Name: "x", Scheme: "", Generator: "uniform", Size: 10, Domain: 5, Budget: 100},
+		{Name: "x", Scheme: "AB", Generator: "uniform", Size: 0, Domain: 5, Budget: 100},
+		{Name: "x", Scheme: "AB", Generator: "uniform", Size: 10, Domain: 5, Budget: 0},
+		{Name: "x", Scheme: "AB", Generator: "zipf", Skew: 1, Size: 10, Domain: 5, Budget: 100},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -91,7 +90,7 @@ func TestAdversarialCaseValidation(t *testing.T) {
 	}
 	if _, err := (AdversarialCase{
 		Name: "x", Scheme: "AB", Generator: "nope",
-		Size: 10, Domain: 5, Budget: 100, QErrorBound: 2,
+		Size: 10, Domain: 5, Budget: 100,
 	}).Database(); err == nil {
 		t.Error("unknown generator accepted")
 	}
