@@ -175,11 +175,26 @@ func (run *sortedRun) find(attrs []string) *sortedRun {
 	return nil
 }
 
-// sortRows builds the sorted copy behind SortedBy: an LSD radix sort of the
-// row indexes — one stable counting pass per key column, last column first,
-// with the column's dictionary size as the radix — then one gather per
-// column.
+// sortRows builds the sorted copy behind SortedBy: the rows of rowOrder(pos),
+// gathered once per column.
 func (b *ColBlock) sortRows(schema *Schema, pos []int) *ColBlock {
+	idx := b.rowOrder(pos)
+	out := &ColBlock{schema: schema, cols: make([]column, len(pos)), n: b.n}
+	for k, c := range pos {
+		src := b.cols[c].codes
+		codes := make([]uint32, b.n)
+		for r, i := range idx {
+			codes[r] = src[i]
+		}
+		out.cols[k] = column{dict: b.cols[c].dict, codes: codes}
+	}
+	return out
+}
+
+// rowOrder returns the block's row indexes sorted lexicographically by the
+// codes of columns pos: an LSD radix sort — one stable counting pass per key
+// column, last column first, with the column's dictionary size as the radix.
+func (b *ColBlock) rowOrder(pos []int) []int32 {
 	idx := make([]int32, b.n)
 	for i := range idx {
 		idx[i] = int32(i)
@@ -201,16 +216,7 @@ func (b *ColBlock) sortRows(schema *Schema, pos []int) *ColBlock {
 		}
 		idx, tmp = tmp, idx
 	}
-	out := &ColBlock{schema: schema, cols: make([]column, len(pos)), n: b.n}
-	for k, c := range pos {
-		src := b.cols[c].codes
-		codes := make([]uint32, b.n)
-		for r, i := range idx {
-			codes[r] = src[i]
-		}
-		out.cols[k] = column{dict: b.cols[c].dict, codes: codes}
-	}
-	return out
+	return idx
 }
 
 // ToRelation decodes the block back into a tuple-map Relation over the same
@@ -218,7 +224,9 @@ func (b *ColBlock) sortRows(schema *Schema, pos []int) *ColBlock {
 // sets). Blocks hold distinct rows by construction — FromRelation starts
 // from a set, joins of sets retaining every column stay sets, and
 // projections dedup — so decoding skips the per-tuple dedup probe and the
-// relation's index is built lazily if a consumer needs it.
+// relation's index is built lazily if a consumer needs it. The relation keeps
+// b as its resident block, so Block() and the JSON encoder read the codes the
+// executor produced instead of encoding the rows again.
 //
 // All rows are cut from one value slab, each with its capacity clipped to
 // its own length, so an append to a decoded tuple reallocates instead of
@@ -236,7 +244,9 @@ func (b *ColBlock) ToRelation() *Relation {
 	for i := range rows {
 		rows[i] = slab[i*nc : (i+1)*nc : (i+1)*nc]
 	}
-	return &Relation{schema: b.schema, rows: rows}
+	r := &Relation{schema: b.schema, rows: rows}
+	r.block.Store(b)
+	return r
 }
 
 // Schema returns the block's schema.

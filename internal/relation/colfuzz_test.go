@@ -1,6 +1,8 @@
 package relation
 
 import (
+	"bytes"
+	"encoding/json"
 	"strconv"
 	"strings"
 	"testing"
@@ -11,7 +13,8 @@ import (
 // and integer values (NUL-split fields; fields parsing as integers become
 // Int values, so the mixed-kind dictionary order is exercised), and the
 // encode must satisfy every block invariant (Validate), round-trip back to
-// the identical relation, and agree with the selection-vector path —
+// the identical relation — which keeps the block and encodes as the
+// reflective JSON encoder does — and agree with the selection-vector path —
 // FilterEq over each column 0's dictionary value selects exactly the rows
 // carrying it, and the selections partition the block.
 func FuzzColBlockRoundTrip(f *testing.F) {
@@ -35,8 +38,19 @@ func FuzzColBlockRoundTrip(f *testing.F) {
 		if b.Len() != r.Len() {
 			t.Fatalf("block has %d rows, relation %d", b.Len(), r.Len())
 		}
-		if !b.ToRelation().Equal(r) {
+		back := b.ToRelation()
+		if !back.Equal(r) {
 			t.Fatalf("round trip changed relation for blob %q", blob)
+		}
+		if back.Block() != b {
+			t.Fatalf("decoded relation does not keep its block\nblob=%q", blob)
+		}
+		got, err := json.Marshal(back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := reflectiveRelationJSON(r, 0); !bytes.Equal(got, want) {
+			t.Fatalf("encoded from the block:\n got %s\nwant %s\nblob=%q", got, want, blob)
 		}
 		// Selection-vector invariant: filtering on every dictionary value of
 		// the chosen column partitions the rows, and each selected row

@@ -68,44 +68,82 @@ type relationJSON struct {
 }
 
 // MarshalJSON renders the relation as {"attrs": [...], "tuples": [...]}
-// with tuples in deterministic (sorted) order, appending into one buffer
-// the bytes json.Marshal of relationJSON would produce ("tuples":null when
-// the relation is empty).
+// with tuples in deterministic (sorted) order: AppendJSON with no limit.
 func (r *Relation) MarshalJSON() ([]byte, error) {
+	buf, _, err := r.AppendJSON(nil, 0)
+	return buf, err
+}
+
+// AppendJSON appends to buf the bytes json.Marshal of relationJSON would
+// produce over the tuples in sorted order ("tuples":null when the relation
+// is empty), keeping only the first max tuples when max > 0; cut reports
+// whether any were left out. The tuples are read as codes off r.Block():
+// every dictionary is sorted, so rowOrder over the schema's columns is
+// Tuple.Compare order without one Value comparison, and each dictionary
+// entry is formatted once, on first use, then copied for every row.
+func (r *Relation) AppendJSON(buf []byte, max int) (_ []byte, cut bool, err error) {
 	attrs, err := json.Marshal(r.schema.Attrs())
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	buf := make([]byte, 0, len(attrs)+32+8*len(r.rows)*r.schema.Len())
 	buf = append(buf, `{"attrs":`...)
 	buf = append(buf, attrs...)
 	buf = append(buf, `,"tuples":`...)
-	if len(r.rows) == 0 {
-		return append(buf, "null}"...), nil
+	n := len(r.rows)
+	if cut = max > 0 && n > max; cut {
+		n = max
 	}
-	rows := slices.Clone(r.rows)
-	slices.SortFunc(rows, Tuple.Compare)
-	buf = append(buf, '[')
-	for i, t := range rows {
-		if i > 0 {
-			buf = append(buf, ',')
+	switch {
+	case n == 0:
+		return append(buf, "null}"...), false, nil
+	case r.schema.Len() == 0: // the one nullary tuple: nil is null, empty is []
+		if r.rows[0] == nil {
+			return append(buf, "[null]}"...), false, nil
 		}
-		if t == nil {
-			buf = append(buf, "null"...)
-			continue
-		}
-		buf = append(buf, '[')
-		for j, v := range t {
-			if j > 0 {
-				buf = append(buf, ',')
-			}
-			if buf, err = v.appendJSON(buf); err != nil {
-				return nil, err
-			}
-		}
-		buf = append(buf, ']')
+		return append(buf, "[[]]}"...), false, nil
 	}
-	return append(buf, "]}"...), nil
+	b := r.Block()
+	pos := make([]int, len(b.cols))
+	for c := range pos {
+		pos[c] = c
+	}
+	order := b.rowOrder(pos)[:n]
+	// Rows are written as ",[v0,…,vk]": each dictionary entry is formatted
+	// once, on first use, with the separators around it, and the first row's
+	// ',' becomes the list's '['. This pass also sums the exact output size.
+	text := make([][][]byte, len(b.cols))
+	var slab []byte
+	size := 2
+	for c := range b.cols {
+		col := &b.cols[c]
+		text[c] = make([][]byte, len(col.dict))
+		for _, i := range order {
+			code := col.codes[i]
+			if text[c][code] == nil {
+				at := len(slab)
+				if slab = append(slab, ','); c == 0 {
+					slab = append(slab, '[')
+				}
+				if slab, err = col.dict[code].appendJSON(slab); err != nil {
+					return nil, false, err
+				}
+				if c == len(b.cols)-1 {
+					slab = append(slab, ']')
+				}
+				text[c][code] = slab[at:]
+			}
+			size += len(text[c][code])
+		}
+	}
+	start := len(buf)
+	buf = slices.Grow(buf, size)
+	for _, i := range order {
+		for c := range text {
+			buf = append(buf, text[c][b.cols[c].codes[i]]...)
+		}
+	}
+	buf[start] = '['
+	return append(buf, "]}"...), cut, nil
 }
 
 // UnmarshalJSON reads the wire shape into r, replacing its contents.

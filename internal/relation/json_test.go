@@ -3,6 +3,8 @@ package relation
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -101,10 +103,14 @@ func TestValueJSONExactInt64(t *testing.T) {
 
 // reflectiveRelationJSON is the reflective encoder Relation.MarshalJSON
 // replaced: json.Marshal over the wire struct, each value boxed as an int64
-// or a string. It is the oracle for the appending encoder.
-func reflectiveRelationJSON(r *Relation) ([]byte, error) {
+// or a string, keeping the first max tuples of the sorted order when max > 0.
+// It is the oracle for the appending encoder.
+func reflectiveRelationJSON(r *Relation, max int) ([]byte, error) {
 	var tuples [][]any
-	for _, t := range r.SortedRows() {
+	for i, t := range r.SortedRows() {
+		if max > 0 && i == max {
+			break
+		}
 		var row []any
 		if t != nil {
 			row = make([]any, len(t))
@@ -124,9 +130,12 @@ func reflectiveRelationJSON(r *Relation) ([]byte, error) {
 	}{r.Schema().Attrs(), tuples})
 }
 
-// TestRelationJSONMatchesReflectiveEncoder pins MarshalJSON byte for byte to
-// the reflective encoder — alone and nested in a Database — over random
-// Int/String relations and the strings json escapes specially.
+// TestRelationJSONMatchesReflectiveEncoder pins MarshalJSON and every
+// AppendJSON prefix byte for byte to the reflective encoder — alone and
+// nested in a Database — over random Int/String relations and the strings
+// json escapes specially, as built by Insert, as decoded from their block,
+// and as kernel outputs, whose blocks share their inputs' non-minimal
+// dictionaries.
 func TestRelationJSONMatchesReflectiveEncoder(t *testing.T) {
 	rng := rand.New(rand.NewSource(2040))
 	specials := []string{"", "<&>", "\xff", "a\u2028b\u2029", `"quoted" \back`, "tab\tnl\n", "é", "\x00"}
@@ -152,18 +161,65 @@ func TestRelationJSONMatchesReflectiveEncoder(t *testing.T) {
 	nullary := New(MustSchema())
 	nullary.MustInsert(nil)
 	rels = append(rels, New(SchemaOfRunes("AB")), New(MustSchema()), nullary)
-	for i, r := range rels {
+	check := func(what string, r *Relation) {
+		t.Helper()
 		got, err := json.Marshal(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := reflectiveRelationJSON(r)
+		want, err := reflectiveRelationJSON(r, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("relation %d:\n got %s\nwant %s", i, got, want)
+			t.Fatalf("%s:\n got %s\nwant %s", what, got, want)
 		}
+		n := r.Len()
+		for _, max := range []int{0, 1, n - 1, n, n + 1} {
+			got, cut, err := r.AppendJSON([]byte("prefix"), max)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := reflectiveRelationJSON(r, max)
+			if !bytes.Equal(got, append([]byte("prefix"), want...)) || cut != (max > 0 && n > max) {
+				t.Fatalf("%s, max %d of %d: cut %v\n got %s\nwant prefix%s", what, max, n, cut, got, want)
+			}
+		}
+	}
+	for i, r := range rels {
+		check(fmt.Sprintf("relation %d", i), r)
+		check(fmt.Sprintf("relation %d decoded from its block", i), FromRelation(r).ToRelation())
+	}
+	// Kernel inputs draw from a small mixed pool, so their joins are not empty.
+	pool := []Value{Int(-3), Int(0), Int(7), String(""), String("<&>"), String("a\u2028b"), String("\xff")}
+	kernelInput := func() *ColBlock {
+		r := New(SchemaOfRunes([]string{"AB", "BC", "CA", "ABC", "B"}[rng.Intn(5)]))
+		for i, n := 0, rng.Intn(40); i < n; i++ {
+			row := make(Tuple, r.Schema().Len())
+			for c := range row {
+				row[c] = pool[rng.Intn(len(pool))]
+			}
+			r.MustInsert(row)
+		}
+		return r.Block()
+	}
+	for i := 0; i < 200; i++ {
+		l, r := kernelInput(), kernelInput()
+		join, err := JoinBlocksGoverned(nil, l, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		semi, err := SemijoinBlocksGoverned(nil, l, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		proj, err := ProjectBlocksGoverned(nil, join, join.Schema().AttrSet().Intersect(AttrSetOfRunes("BC")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("join %d", i), join.ToRelation())
+		check(fmt.Sprintf("semijoin %d", i), semi.ToRelation())
+		check(fmt.Sprintf("projection %d", i), proj.ToRelation())
 	}
 	if got, _ := json.Marshal(rels[len(rels)-3]); string(got) != `{"attrs":["A","B"],"tuples":null}` {
 		t.Errorf("empty relation encodes as %s", got)
@@ -174,7 +230,7 @@ func TestRelationJSONMatchesReflectiveEncoder(t *testing.T) {
 	}
 	want := []byte{'['}
 	for i, r := range rels[:3] {
-		b, _ := reflectiveRelationJSON(r)
+		b, _ := reflectiveRelationJSON(r, 0)
 		if i > 0 {
 			want = append(want, ',')
 		}
@@ -182,5 +238,39 @@ func TestRelationJSONMatchesReflectiveEncoder(t *testing.T) {
 	}
 	if want = append(want, ']'); !bytes.Equal(got, want) {
 		t.Errorf("database:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestAppendJSONAllocatesPerColumnNotPerRow pins the encoder's allocations
+// to its columns and dictionaries: over resident blocks with the same
+// dictionaries, 200 rows and 3 000 rows allocate the same number of times
+// (the sort's index and count arrays, one formatted entry table per column,
+// the entries' slab and one output buffer), whatever the row count.
+func TestAppendJSONAllocatesPerColumnNotPerRow(t *testing.T) {
+	allocs := func(n int) (float64, int) {
+		r := New(SchemaOfRunes("ABC"))
+		for i := 0; i < n; i++ {
+			a, b := i%60, i%50 // 200 rows: pairwise distinct, as is the 60 × 50 grid
+			if n > 200 {
+				a, b = i/50, i%50
+			}
+			r.MustInsert(Ints(int64(a), int64(b), int64((a+b)%7)))
+		}
+		r = r.Block().ToRelation()
+		// The attrs go through json.Marshal, whose encoder state comes from a
+		// sync.Pool that the race detector drops items from at random: keep
+		// the fewest allocations of several runs.
+		var out []byte
+		least := math.Inf(1)
+		for k := 0; k < 10; k++ {
+			least = min(least, testing.AllocsPerRun(1, func() { out, _, _ = r.AppendJSON(nil, 0) }))
+		}
+		return least, len(out)
+	}
+	small, smallBytes := allocs(200)
+	big, bigBytes := allocs(3000)
+	if big != small || big > 30 {
+		t.Fatalf("AppendJSON allocates %.0f times for %d bytes and %.0f for %d, want one count of at most 30",
+			small, smallBytes, big, bigBytes)
 	}
 }

@@ -96,8 +96,8 @@ func (t Tuple) String() string {
 // The dedup index is built lazily: relations constructed from rows already
 // known to be distinct (NewFromDistinctRows, partition merges) pay for it
 // only if Insert, Contains, or an Equal receiver actually needs it. The
-// columnar encoding (Block) is a second lazily-built memo, published the
-// same way.
+// columnar encoding (Block) is a second memo, published the same way; a
+// relation decoded from a block starts with it.
 type Relation struct {
 	schema *Schema
 	rows   []Tuple
@@ -157,9 +157,10 @@ func (r *Relation) index() seenSet {
 	return *r.seen.Load()
 }
 
-// Block returns the relation's columnar encoding — FromRelation(r), built on
-// first use and kept on the relation, so every later reader of the same
-// snapshot shares one encoding (and the sorted runs memoized on it). Like
+// Block returns the relation's columnar encoding — the block a ToRelation
+// decoded it from, or else FromRelation(r), built on first use and kept on
+// the relation, so every later reader of the same snapshot shares one
+// encoding (and the sorted runs memoized on it). Like
 // index, concurrent first readers may race to build it and one build wins;
 // Insert and UnmarshalJSON, the only ways a relation's rows change in place,
 // drop it. A relation that is never mutated after it is shared — every

@@ -1,10 +1,12 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"time"
 
 	"repro/internal/govern"
@@ -79,7 +81,8 @@ type queryRequest struct {
 	// IncludeResult returns the result tuples (capped by MaxResultTuples).
 	IncludeResult bool `json:"include_result,omitempty"`
 	// MaxResultTuples caps the tuples echoed back when IncludeResult is set
-	// (0 = all). The join itself is not truncated — only the response body.
+	// (0 = all; negative is a 400). The join itself is not truncated — only
+	// the response body.
 	MaxResultTuples int `json:"max_result_tuples,omitempty"`
 }
 
@@ -104,7 +107,8 @@ type queryResponse struct {
 	Plan   string   `json:"plan,omitempty"`
 	Notes  []string `json:"notes,omitempty"`
 	// Result is present when include_result was set: the result relation,
-	// possibly truncated to max_result_tuples (see ResultTruncated).
+	// possibly truncated to max_result_tuples (see ResultTruncated). Both
+	// stay last and unset: writeWithResult appends them.
 	Result          *relation.Relation `json:"result,omitempty"`
 	ResultTruncated bool               `json:"result_truncated,omitempty"`
 }
@@ -201,6 +205,10 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if err := decodeJSON(w, r, &req); err != nil {
 		return
 	}
+	if req.MaxResultTuples < 0 {
+		writeError(w, http.StatusBadRequest, "bad_request", "max_result_tuples must be a non-negative integer")
+		return
+	}
 	rep, err := s.Query(r.Context(), Request{
 		Database:              req.Database,
 		Strategy:              req.Strategy,
@@ -228,7 +236,8 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Notes:       rep.Notes,
 	}
 	if req.IncludeResult {
-		resp.Result, resp.ResultTruncated = truncate(rep.Result, req.MaxResultTuples)
+		writeWithResult(w, resp, rep.Result, req.MaxResultTuples)
+		return
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -287,7 +296,7 @@ type viewRequest struct {
 
 // viewResponse is the body of GET /v1/views/{id}: the view's info and its
 // materialized result (possibly truncated by the max_result query
-// parameter).
+// parameter), which writeWithResult appends after the info.
 type viewResponse struct {
 	ViewInfo
 	Result          *relation.Relation `json:"result,omitempty"`
@@ -326,16 +335,14 @@ func (s *Service) handleGetView(w http.ResponseWriter, r *http.Request) {
 		writeServiceError(w, err)
 		return
 	}
-	resp := viewResponse{ViewInfo: info}
 	maxResult := 0
 	if q := r.URL.Query().Get("max_result"); q != "" {
-		if _, err := fmt.Sscanf(q, "%d", &maxResult); err != nil {
-			writeError(w, http.StatusBadRequest, "bad_request", "max_result must be an integer")
+		if maxResult, err = strconv.Atoi(q); err != nil || maxResult < 0 {
+			writeError(w, http.StatusBadRequest, "bad_request", "max_result must be a non-negative integer")
 			return
 		}
 	}
-	resp.Result, resp.ResultTruncated = truncate(result, maxResult)
-	writeJSON(w, http.StatusOK, resp)
+	writeWithResult(w, viewResponse{ViewInfo: info}, result, maxResult)
 }
 
 func (s *Service) handleDropView(w http.ResponseWriter, r *http.Request) {
@@ -377,21 +384,6 @@ func (s *Service) handleSlow(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.Metrics().WriteText(w)
-}
-
-// truncate returns r limited to max tuples (max <= 0 = no limit), and
-// whether truncation happened. Truncation keeps the sorted prefix so the
-// echoed sample is deterministic.
-func truncate(r *relation.Relation, max int) (*relation.Relation, bool) {
-	if max <= 0 || r.Len() <= max {
-		return r, false
-	}
-	// A sorted prefix of a set is a set: no re-deduplication.
-	out, err := relation.NewFromDistinctRows(r.Schema(), r.SortedRows()[:max])
-	if err != nil {
-		panic(err) // unreachable: the rows are r's own
-	}
-	return out, true
 }
 
 // decodeJSON parses the body into v, writing a 400 (or 413 when the body
@@ -451,4 +443,31 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	_ = enc.Encode(v)
+}
+
+// writeWithResult writes head, a 200 body whose Result and ResultTruncated
+// (its last fields) are left unset, with the result spliced in as those
+// fields: at most max tuples (max <= 0 = all) in sorted order, appended
+// straight from the result's block, and result_truncated when any were cut.
+// The bytes are the ones writeJSON would write with the fields set.
+func writeWithResult(w http.ResponseWriter, head any, result *relation.Relation, max int) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false) // as writeJSON
+	if err := enc.Encode(head); err != nil {
+		writeError(w, http.StatusInternalServerError, "internal", err.Error())
+		return
+	}
+	body := append(bytes.TrimSuffix(buf.Bytes(), []byte("}\n")), `,"result":`...)
+	body, cut, err := result.AppendJSON(body, max)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "internal", err.Error())
+		return
+	}
+	if cut {
+		body = append(body, `,"result_truncated":true`...)
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(append(body, "}\n"...))
 }
