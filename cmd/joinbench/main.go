@@ -68,19 +68,9 @@ func main() {
 	trials := 200
 	measured := []int64{6, 10, 16, 20}
 	e3Scale := int64(10)
-	ex7Scale, ex7Trials := int64(20), 3
-	ex8Trials := 3
-	ex9Trials := 3
-	ex10Trials := 3
-	ex11Trials := 3
 	if *quick {
 		trials = 30
 		measured = []int64{6, 10}
-		ex7Scale, ex7Trials = 12, 2
-		ex8Trials = 1
-		ex9Trials = 1
-		ex10Trials = 2
-		ex11Trials = 2
 	}
 	// q = 100 and 1000 are the paper's k = 2 and k = 3 instances; beyond
 	// q = 1000 the Θ(q⁵) CPF costs overflow int64.
@@ -108,11 +98,8 @@ func main() {
 		{"EX4", func() (*experiments.Table, error) { return experiments.EstimatorAccuracy(*seed) }},
 		{"EX5", func() (*experiments.Table, error) { return experiments.TriangleExperiment(*seed) }},
 		{"EX6", func() (*experiments.Table, error) { return experiments.GovernanceLadder(e3Scale, *maxTuples) }},
-		{"EX7", func() (*experiments.Table, error) { return experiments.ParallelSpeedup(ex7Scale, ex7Trials) }},
-		{"EX8", func() (*experiments.Table, error) { return experiments.WCOJComparison(*seed, ex8Trials) }},
-		{"EX9", func() (*experiments.Table, error) { return experiments.IVMComparison(*seed, ex9Trials) }},
-		{"EX10", func() (*experiments.Table, error) { return experiments.ColumnarComparison(*seed, ex10Trials) }},
-		{"EX11", func() (*experiments.Table, error) { return experiments.ShardScaling(*seed, ex11Trials) }},
+		{"EX8", func() (*experiments.Table, error) { return experiments.WCOJComparison(*seed) }},
+		{"EX9", func() (*experiments.Table, error) { return experiments.IVMComparison(*seed) }},
 		{"EX13", experiments.AdversarialGauntlet},
 	}
 

@@ -43,14 +43,14 @@ func joinbench(t *testing.T, dir string, args ...string) (stdout, stderr string,
 }
 
 func TestOnlyRejectsUnknownIDs(t *testing.T) {
-	stdout, stderr, code := joinbench(t, t.TempDir(), "-quick", "-only", "E1,EX14")
+	stdout, stderr, code := joinbench(t, t.TempDir(), "-quick", "-only", "E1,EX7,EX14")
 	if code != 2 {
-		t.Fatalf("-only E1,EX14 exited %d, want 2 (stderr %q)", code, stderr)
+		t.Fatalf("-only E1,EX7,EX14 exited %d, want 2 (stderr %q)", code, stderr)
 	}
 	if stdout != "" {
-		t.Errorf("-only E1,EX14 ran something before rejecting the id:\n%s", stdout)
+		t.Errorf("-only E1,EX7,EX14 ran something before rejecting the id:\n%s", stdout)
 	}
-	for _, want := range []string{"EX14", "E1, E2", "E5/E6", "EX13"} {
+	for _, want := range []string{"EX14, EX7", "E1, E2", "E5/E6", "EX13"} {
 		if !strings.Contains(stderr, want) {
 			t.Errorf("stderr %q does not mention %q", stderr, want)
 		}

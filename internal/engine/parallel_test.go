@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/govern"
 	"repro/internal/relation"
+	"repro/internal/workload"
 )
 
 // Tests for Options.Workers: the engine must produce the same Report
@@ -17,28 +18,50 @@ import (
 
 func TestJoinWorkersMatchesSequential(t *testing.T) {
 	defer relation.SetParallelThreshold(0)()
-	for _, strat := range []Strategy{StrategyProgram, StrategyExpression, StrategyDirect, StrategyReduceThenJoin} {
-		db := triangleDB(t)
-		seq, err := Join(db, Options{Strategy: strat})
-		if err != nil {
-			t.Fatalf("%v sequential: %v", strat, err)
-		}
-		if seq.Parallelism != 1 {
-			t.Fatalf("%v sequential: Parallelism = %d, want 1", strat, seq.Parallelism)
-		}
-		for _, w := range []int{2, 4} {
-			par, err := Join(db, Options{Strategy: strat, Workers: w})
+	spec, err := workload.Example3(20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycle, err := spec.CycleDatabase()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The huge budget never binds; it makes Produced the governed total.
+	limits := govern.Limits{MaxTuples: 1 << 40}
+	// The classical routes cost Θ(q⁵) on the Example 3 cycle, so it runs the
+	// derived program only.
+	for _, c := range []struct {
+		name   string
+		db     *relation.Database
+		strats []Strategy
+	}{
+		{"triangle", triangleDB(t), []Strategy{StrategyProgram, StrategyExpression, StrategyDirect, StrategyReduceThenJoin}},
+		{"Example3(q=20)", cycle, []Strategy{StrategyProgram}},
+	} {
+		name, db := c.name, c.db
+		for _, strat := range c.strats {
+			seq, err := Join(db, Options{Strategy: strat, Limits: limits})
 			if err != nil {
-				t.Fatalf("%v %d workers: %v", strat, w, err)
+				t.Fatalf("%s %v sequential: %v", name, strat, err)
 			}
-			if !par.Result.Equal(seq.Result) {
-				t.Fatalf("%v %d workers: result differs from sequential", strat, w)
+			if seq.Parallelism != 1 {
+				t.Fatalf("%s %v sequential: Parallelism = %d, want 1", name, strat, seq.Parallelism)
 			}
-			if par.Cost != seq.Cost {
-				t.Fatalf("%v %d workers: cost %d, sequential %d", strat, w, par.Cost, seq.Cost)
-			}
-			if par.Parallelism != w {
-				t.Fatalf("%v %d workers: Parallelism = %d", strat, w, par.Parallelism)
+			for _, w := range []int{2, 4} {
+				par, err := Join(db, Options{Strategy: strat, Workers: w, Limits: limits})
+				if err != nil {
+					t.Fatalf("%s %v %d workers: %v", name, strat, w, err)
+				}
+				if !par.Result.Equal(seq.Result) {
+					t.Fatalf("%s %v %d workers: result differs from sequential", name, strat, w)
+				}
+				if par.Cost != seq.Cost || par.Produced != seq.Produced {
+					t.Fatalf("%s %v %d workers: cost %d produced %d, sequential %d and %d",
+						name, strat, w, par.Cost, par.Produced, seq.Cost, seq.Produced)
+				}
+				if par.Parallelism != w {
+					t.Fatalf("%s %v %d workers: Parallelism = %d", name, strat, w, par.Parallelism)
+				}
 			}
 		}
 	}

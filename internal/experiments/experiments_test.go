@@ -315,6 +315,66 @@ func TestEstimatorAccuracyTable(t *testing.T) {
 	}
 }
 
+func TestWCOJComparisonTable(t *testing.T) {
+	table, err := WCOJComparison(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(table.Rows) != 5 {
+		t.Fatalf("rows = %d, want 3 triangles + 2 cycles", len(table.Rows))
+	}
+	for _, row := range table.Rows {
+		if row[4] != "0" {
+			t.Errorf("wcoj intermediates %s, want 0: %v", row[4], row)
+		}
+		if strings.HasPrefix(row[0], "G(") && row[3] == "0" {
+			t.Errorf("program intermediates 0 on a triangle: %v", row)
+		}
+	}
+}
+
+func TestIVMComparisonTable(t *testing.T) {
+	table, err := IVMComparison(1992)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(table.Rows) != 8 {
+		t.Fatalf("rows = %d, want 2 workloads × 4 batches", len(table.Rows))
+	}
+	// The acceptance is in counts: the delta route's step rows stay strictly
+	// below a from-empty rebuild's on every batch.
+	for _, row := range table.Rows {
+		delta, err1 := strconv.ParseInt(row[5], 10, 64)
+		rebuild, err2 := strconv.ParseInt(row[6], 10, 64)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("step-row cells %q, %q", row[5], row[6])
+		}
+		if delta >= rebuild {
+			t.Errorf("Δ step rows %d not below rebuild's %d: %v", delta, rebuild, row)
+		}
+	}
+}
+
+func TestAdversarialGauntletTable(t *testing.T) {
+	table, err := AdversarialGauntlet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(table.Rows) == 0 {
+		t.Fatal("no rows")
+	}
+	for _, row := range table.Rows {
+		budget, err1 := strconv.ParseInt(row[4], 10, 64)
+		charge, err2 := strconv.ParseInt(row[5], 10, 64)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("budget/charge cells %q, %q", row[4], row[5])
+		}
+		if charge > budget {
+			t.Errorf("max charge %d above the case budget %d: %v", charge, budget, row)
+		}
+	}
+}
+
 func TestTriangleExperimentTable(t *testing.T) {
 	table, err := TriangleExperiment(15)
 	if err != nil {

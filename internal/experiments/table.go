@@ -1,7 +1,8 @@
 // Package experiments implements the reproduction harness: one function per
-// experiment, E1–E13 and EX1–EX11 plus EX13, each returning a Table that cmd/joinbench
-// prints and EXPERIMENTS.md records. The benchmarks in the repository root
-// drive the same functions.
+// experiment, E1–E13, EX1–EX6, EX8, EX9 and EX13, each returning a Table
+// that cmd/joinbench prints and EXPERIMENTS.md records. Every table asserts
+// counts, never clocks; wall time is the served benchmark's (bench/). The
+// benchmarks in the repository root drive the same functions.
 package experiments
 
 import (

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/relation"
@@ -20,20 +19,13 @@ import (
 // bindings attribute-by-attribute, never a pairwise join), and the
 // experiment fails if it is not strictly below the program's on every
 // triangle workload — the acceptance bar for the subsystem. Wall time is
-// reported as best-of-trials for both routes; it is informative, not a
-// pass/fail criterion.
-func WCOJComparison(seed int64, trials int) (*Table, error) {
-	if trials <= 0 {
-		trials = 3
-	}
+// the served benchmark's to measure (bench/README.md).
+func WCOJComparison(seed int64) (*Table, error) {
 	rng := rand.New(rand.NewSource(seed))
 	t := &Table{
-		ID:    "EX8",
-		Title: "Extension — worst-case-optimal triejoin vs derived program on cyclic schemes",
-		Columns: []string{
-			"workload", "inputs", "result",
-			"program interm.", "wcoj interm.", "program wall", "wcoj wall",
-		},
+		ID:      "EX8",
+		Title:   "Extension — worst-case-optimal triejoin vs derived program on cyclic schemes",
+		Columns: []string{"workload", "inputs", "result", "program interm.", "wcoj interm."},
 	}
 
 	type workloadCase struct {
@@ -76,30 +68,21 @@ func WCOJComparison(seed int64, trials int) (*Table, error) {
 	for _, c := range cases {
 		want := c.db.Join()
 		inputs := int64(c.db.TotalTuples())
-		run := func(s engine.Strategy) (*engine.Report, time.Duration, error) {
-			var best time.Duration
-			var rep *engine.Report
-			for i := 0; i < trials; i++ {
-				start := time.Now()
-				r, err := engine.Join(c.db, engine.Options{Strategy: s})
-				wall := time.Since(start)
-				if err != nil {
-					return nil, 0, fmt.Errorf("EX8 %s %s: %w", c.config, s, err)
-				}
-				if !r.Result.Equal(want) {
-					return nil, 0, fmt.Errorf("EX8 %s: strategy %s computed a wrong result", c.config, s)
-				}
-				if rep == nil || wall < best {
-					best, rep = wall, r
-				}
+		run := func(s engine.Strategy) (*engine.Report, error) {
+			r, err := engine.Join(c.db, engine.Options{Strategy: s})
+			if err != nil {
+				return nil, fmt.Errorf("EX8 %s %s: %w", c.config, s, err)
 			}
-			return rep, best, nil
+			if !r.Result.Equal(want) {
+				return nil, fmt.Errorf("EX8 %s: strategy %s computed a wrong result", c.config, s)
+			}
+			return r, nil
 		}
-		prog, progWall, err := run(engine.StrategyProgram)
+		prog, err := run(engine.StrategyProgram)
 		if err != nil {
 			return nil, err
 		}
-		wcoj, wcojWall, err := run(engine.StrategyWCOJ)
+		wcoj, err := run(engine.StrategyWCOJ)
 		if err != nil {
 			return nil, err
 		}
@@ -114,8 +97,7 @@ func WCOJComparison(seed int64, trials int) (*Table, error) {
 			return nil, fmt.Errorf("EX8 %s: wcoj intermediates (%d) not strictly below the program's (%d)",
 				c.config, wcojInter, progInter)
 		}
-		t.AddRow(c.config, inputs, want.Len(), progInter, wcojInter,
-			progWall.Round(10*time.Microsecond), wcojWall.Round(10*time.Microsecond))
+		t.AddRow(c.config, inputs, want.Len(), progInter, wcojInter)
 	}
 	t.AddNote("intermediates = §2.3 cost − inputs − output: what a route materializes beyond the question and the answer")
 	t.AddNote("the triejoin's intermediates are structurally zero — it intersects trie levels attribute-by-attribute and never forms a pairwise join")

@@ -16,6 +16,7 @@ import (
 	"repro/internal/program"
 	"repro/internal/relation"
 	"repro/internal/wcoj"
+	"repro/internal/workload"
 )
 
 // Facets of the differential harness for the plans compiled to programs:
@@ -56,7 +57,18 @@ func optimizerTree(t *testing.T, c diffCase) *jointree.Tree {
 // the same rows in the same order at every worker count.
 func TestCompiledTreesMatchEval(t *testing.T) {
 	defer relation.SetParallelThreshold(0)()
-	for _, c := range differentialCases(t) {
+	// Beside the shared small cases, one large input: the Example 3 cycle at
+	// q = 14, whose cheapest CPF tree materializes over 10⁵ intermediates.
+	spec, err := workload.Example3(14)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycle, err := spec.CycleDatabase()
+	if err != nil {
+		t.Fatal(err)
+	}
+	example3 := diffCase{name: "Example3(q=14)", h: hypergraph.OfScheme(cycle), db: cycle}
+	for _, c := range append(differentialCases(t), example3) {
 		trees := map[string]*jointree.Tree{"optimizer": optimizerTree(t, c)}
 		if c.tree != nil {
 			trees["random"] = c.tree

@@ -60,6 +60,73 @@ func TestMutationsGatedOnReadiness(t *testing.T) {
 	}
 }
 
+// TestNegativeBudgetsAreBadRequests: the governor reads a negative limit as
+// none, so a negative query or view budget is a 400, never a run without
+// limits or a view definition persisted with one.
+func TestNegativeBudgetsAreBadRequests(t *testing.T) {
+	s := newStoreService(t, t.TempDir(), Config{Workers: 1})
+	defer s.Close(context.Background())
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	if _, err := s.Register("tri", triDB(t)); err != nil {
+		t.Fatal(err)
+	}
+	// The budget binds: one tuple is too few for the triangle.
+	if code, out := postJSON(t, srv, "/v1/query", `{"database":"tri","strategy":"cpf-expression","max_tuples":1}`); code != http.StatusUnprocessableEntity {
+		t.Fatalf("max_tuples 1 = %d %v, want 422", code, out)
+	}
+	for _, body := range []string{
+		`{"database":"tri","strategy":"cpf-expression","max_tuples":-1}`,
+		`{"database":"tri","max_intermediate_tuples":-1}`,
+		`{"database":"tri","timeout_ms":-1}`,
+	} {
+		if code, out := postJSON(t, srv, "/v1/query", body); code != http.StatusBadRequest || out["kind"] != "bad_request" {
+			t.Errorf("query %s = %d %v, want 400 bad_request", body, code, out)
+		}
+	}
+	for _, body := range []string{
+		`{"id":"tv","database":"tri","max_tuples":-1}`,
+		`{"id":"tv","database":"tri","max_intermediate_tuples":-5}`,
+	} {
+		if code, out := postJSON(t, srv, "/v1/views", body); code != http.StatusBadRequest || out["kind"] != "bad_request" {
+			t.Errorf("view %s = %d %v, want 400 bad_request", body, code, out)
+		}
+	}
+	if views := s.Views(); len(views) != 0 {
+		t.Fatalf("rejected view definitions registered: %v", views)
+	}
+}
+
+// TestRequestBodyIsOneObject: a request body is one JSON object and then
+// only whitespace. Trailing bytes — garbage or a second object — are a 400,
+// so a concatenated second ingest batch is never silently dropped.
+func TestRequestBodyIsOneObject(t *testing.T) {
+	s := newStoreService(t, t.TempDir(), Config{Workers: 1})
+	defer s.Close(context.Background())
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	if _, err := s.Register("tri", triDB(t)); err != nil {
+		t.Fatal(err)
+	}
+	if code, out := postJSON(t, srv, "/v1/query", "{\"database\":\"tri\"} \n\t"); code != http.StatusOK {
+		t.Fatalf("query with trailing whitespace = %d %v, want 200", code, out)
+	}
+	batch := `{"database":"tri","mutations":[{"relation":0,"inserts":[[10,11]]}]}`
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/query", `{"database":"tri"} trailing garbage`},
+		{"/v1/query", `{"database":"tri"}{"database":"nope"}`},
+		{"/v1/ingest", batch + batch},
+		{"/v1/views", `{"id":"tv","database":"tri"}]`},
+	} {
+		if code, out := postJSON(t, srv, tc.path, tc.body); code != http.StatusBadRequest || out["kind"] != "bad_request" {
+			t.Errorf("POST %s %s = %d %v, want 400 bad_request", tc.path, tc.body, code, out)
+		}
+	}
+	if st := s.Stats(); st.Ingests != 0 || len(s.Views()) != 0 {
+		t.Fatalf("rejected bodies took effect: %d ingests, views %v", st.Ingests, s.Views())
+	}
+}
+
 // TestRequestBodyLimits pins the per-endpoint MaxBytesReader caps: an
 // oversized body is 413 with kind "too_large", not an unbounded allocation.
 func TestRequestBodyLimits(t *testing.T) {

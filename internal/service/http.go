@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -386,22 +387,29 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.Metrics().WriteText(w)
 }
 
-// decodeJSON parses the body into v, writing a 400 (or 413 when the body
-// blew its MaxBytesReader cap) and returning non-nil on failure.
+// decodeJSON parses the body — one JSON object, then only whitespace — into
+// v, writing a 400 (or 413 when the body blew its MaxBytesReader cap) and
+// returning non-nil on failure.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, "too_large",
-				fmt.Sprintf("request body exceeds the %d-byte limit for this endpoint", tooBig.Limit))
-			return err
+	var tooBig *http.MaxBytesError
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return nil
 		}
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+		if !errors.As(err, &tooBig) {
+			err = errors.New("unexpected data after the request object")
+		}
+	}
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge, "too_large",
+			fmt.Sprintf("request body exceeds the %d-byte limit for this endpoint", tooBig.Limit))
 		return err
 	}
-	return nil
+	writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+	return err
 }
 
 // writeServiceError maps a service/engine/govern error to its HTTP status.

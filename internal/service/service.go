@@ -548,11 +548,25 @@ func (s *Service) Query(ctx context.Context, req Request) (*engine.Report, error
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
+	if err := checkBudgets(req.MaxTuples, req.MaxIntermediateTuples, int64(req.Timeout)); err != nil {
+		return nil, err
+	}
 	start := time.Now()
 	trace := s.startTrace(req.Database)
 	rep, err := s.execute(ctx, e, strat, req, trace)
 	s.finish(trace, req, rep, err, start)
 	return rep, err
+}
+
+// checkBudgets rejects a negative limit with ErrBadRequest: the governor
+// would read it as no limit at all.
+func checkBudgets(limits ...int64) error {
+	for _, l := range limits {
+		if l < 0 {
+			return fmt.Errorf("%w: tuple budgets and timeouts must be non-negative", ErrBadRequest)
+		}
+	}
+	return nil
 }
 
 // startTrace begins a span tree for one query when anything will consume

@@ -140,6 +140,9 @@ func (s *Service) RegisterView(def store.ViewDef) (ViewInfo, error) {
 	if !viewID.MatchString(def.ID) {
 		return ViewInfo{}, fmt.Errorf("%w: invalid view id %q (want %s)", ErrBadRequest, def.ID, viewID)
 	}
+	if err := checkBudgets(def.MaxTuples, def.MaxIntermediateTuples); err != nil {
+		return ViewInfo{}, err
+	}
 	e, err := s.lookup(def.Database)
 	if err != nil {
 		return ViewInfo{}, err

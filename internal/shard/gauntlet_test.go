@@ -31,6 +31,8 @@ type gauntletCase struct {
 	cyclic bool
 	// threshold is the broadcast threshold for this trial's groups.
 	threshold int
+	// strategies are the plans tried on the case.
+	strategies []engine.Strategy
 }
 
 // hugeBudget makes the governor count charges without ever aborting, so
@@ -51,10 +53,11 @@ func gauntletCases(t *testing.T, rng *rand.Rand, randomSchemes int) []gauntletCa
 	add := func(name string, db *relation.Database) {
 		h := hypergraph.OfScheme(db)
 		cases = append(cases, gauntletCase{
-			name:      name,
-			db:        db,
-			cyclic:    !h.Acyclic(),
-			threshold: thresholds[len(cases)%len(thresholds)],
+			name:       name,
+			db:         db,
+			cyclic:     !h.Acyclic(),
+			threshold:  thresholds[len(cases)%len(thresholds)],
+			strategies: engine.Strategies(),
 		})
 	}
 
@@ -112,6 +115,31 @@ func gauntletCases(t *testing.T, rng *rand.Rand, randomSchemes int) []gauntletCa
 	return cases
 }
 
+// largeCases are two inputs far above the random draws: a triangle over
+// G(300 nodes, 18 000 edges) and the Example 3 cycle at q = 14, each
+// partitioned everywhere (threshold 0) and tried under cpf-expression
+// only, which keeps the test's run time and memory small.
+func largeCases(t *testing.T) []gauntletCase {
+	t.Helper()
+	tri, err := workload.TriangleSpec{Nodes: 300, Edges: 18000}.TriangleDatabase(rand.New(rand.NewSource(1992)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := workload.Example3(14)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycle, err := spec.CycleDatabase()
+	if err != nil {
+		t.Fatal(err)
+	}
+	only := []engine.Strategy{engine.StrategyExpression}
+	return []gauntletCase{
+		{name: "triangle-G(300,18000)", db: tri, cyclic: true, strategies: only},
+		{name: "example3-q14", db: cycle, cyclic: true, strategies: only},
+	}
+}
+
 // assertParity runs one (case, plan, shard count) trial against its
 // sequential baseline and fails on any observable divergence.
 func assertParity(t *testing.T, tag string, g *shard.Group, plan *engine.Plan, seq *engine.Report) (scattered bool) {
@@ -160,10 +188,11 @@ func assertAbortBoundary(t *testing.T, tag string, db *relation.Database, g *sha
 }
 
 // TestDifferentialGauntlet is the in-process gauntlet: 100+ schemes (20+
-// cyclic), every strategy, shard counts {1,2,4,8}, with abort-boundary
-// probes at 4 shards. Every plan CleanFor accepts at more than one shard
-// must actually scatter, so the parity asserted on it is the scattered
-// run's, not the single-shard fallback's.
+// cyclic), every strategy, plus largeCases under cpf-expression outside
+// -short, shard counts {1,2,4,8}, with abort-boundary probes at 4 shards.
+// Every plan CleanFor accepts at more than one shard must actually
+// scatter, so the parity asserted on it is the scattered run's, not the
+// single-shard fallback's.
 func TestDifferentialGauntlet(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	randomSchemes := 80
@@ -171,6 +200,9 @@ func TestDifferentialGauntlet(t *testing.T) {
 		randomSchemes = 20
 	}
 	cases := gauntletCases(t, rng, randomSchemes)
+	if !testing.Short() {
+		cases = append(cases, largeCases(t)...)
+	}
 	cyclic := 0
 	for _, c := range cases {
 		if c.cyclic {
@@ -186,7 +218,7 @@ func TestDifferentialGauntlet(t *testing.T) {
 
 	trials, scatters, accepted, wcojScatters := 0, 0, 0, 0
 	for _, c := range cases {
-		for _, strat := range engine.Strategies() {
+		for _, strat := range c.strategies {
 			plan, err := engine.PlanFor(c.db, engine.Options{Strategy: strat})
 			if err != nil {
 				continue // e.g. the acyclic pipeline on a cyclic scheme
