@@ -8,8 +8,14 @@
 // as the engine facade can distinguish "this strategy blew its budget, try
 // a safer one" from a genuine failure.
 //
-// The Governor is safe for concurrent use (counters are atomic), and a nil
-// *Governor is a valid, zero-cost "no limits" governor, so operator
+// Operators charge through an OpScope, one per operator. A sequential
+// tuple-map operator reports its running output with OpScope.Visit; a
+// kernel gives each of its goroutines a Meter, which counts locally and
+// settles against the shared atomic counters only near a budget, every
+// CheckEvery tuples or calls, and at Close. A sole charger aborts on exactly
+// the tuple that crosses a budget; concurrent meters abort exactly when the
+// final total exceeds one, and only the count they report may run past it.
+// A nil *Governor is a valid, zero-cost "no limits" governor, so operator
 // implementations thread it unconditionally.
 package govern
 
@@ -17,6 +23,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -64,15 +71,16 @@ type Limits struct {
 	// Context cancels execution when done (nil = context.Background()).
 	Context context.Context
 	// CheckEvery is the number of operator loop iterations between
-	// cancellation/deadline polls (0 = DefaultCheckEvery). Budgets are
-	// enforced on every produced tuple regardless.
+	// cancellation/deadline polls (0 = DefaultCheckEvery), and the number of
+	// tuples at which a Meter settles. Budgets do not wait for either: a
+	// Meter settles as soon as its pending tuples could cross one.
 	CheckEvery int
 	// Pool, when set, is a tuple budget shared with other executions: every
 	// produced tuple is charged against the pool in addition to this
 	// execution's own MaxTuples. A scatter-gather coordinator gives each
-	// shard the same Pool so the shards collectively observe exactly the
-	// budget one sequential execution would — the abort fires on the same
-	// global produced count regardless of how tuples split across shards.
+	// shard the same Pool so the shards collectively observe the budget one
+	// sequential execution would: they abort if and only if the global
+	// produced count exceeds it, however tuples split across shards.
 	Pool *Pool
 }
 
@@ -82,11 +90,12 @@ func (l Limits) Enabled() bool {
 		!l.Deadline.IsZero() || l.Context != nil || l.Pool != nil
 }
 
-// Pool is a tuple budget shared by several Governors. Charges are atomic,
-// so concurrent executions (the per-shard governors of one scatter-gather
-// query) collectively abort exactly when their total produced count first
-// exceeds the budget — the same boundary a single Governor with
-// MaxTuples = max enforces over one sequential execution.
+// Pool is a tuple budget shared by several Governors. Meters settle into
+// it with atomic adds and check the post-add total, so concurrent
+// executions (the per-shard governors of one scatter-gather query)
+// collectively abort if and only if their total produced count exceeds the
+// budget — the outcome a single Governor with MaxTuples = max gives one
+// sequential execution.
 type Pool struct {
 	max  int64
 	used atomic.Int64
@@ -99,22 +108,6 @@ func NewPool(max int64) *Pool {
 		return nil
 	}
 	return &Pool{max: max}
-}
-
-// Max returns the pool's budget.
-func (p *Pool) Max() int64 {
-	if p == nil {
-		return 0
-	}
-	return p.max
-}
-
-// Used returns the tuples charged so far across all sharing governors.
-func (p *Pool) Used() int64 {
-	if p == nil {
-		return 0
-	}
-	return p.used.Load()
 }
 
 // WithTimeout returns a copy of l whose Deadline is now+d (taking the
@@ -297,10 +290,7 @@ func (g *Governor) Begin(op string) (*OpScope, error) {
 		// Only fault injection applies: skip per-tuple accounting entirely.
 		return nil, nil
 	}
-	s := &OpScope{g: g, op: op}
-	s.produced = &s.own
-	s.tick.Store(int64(g.checkEvery))
-	return s, nil
+	return &OpScope{g: g, op: op, tick: g.checkEvery}, nil
 }
 
 // poll checks context cancellation and the deadline.
@@ -326,94 +316,189 @@ func (g *Governor) poll(op string) error {
 // OpScope tracks one operator's output against the governor. The nil scope
 // (from a nil Governor) accepts everything.
 //
-// The counters are atomic, so one scope may be charged from many goroutines
-// at once: a parallel operator begins a single scope and has every partition
-// worker call Add with its deltas, which keeps MaxIntermediateTuples a
-// property of the whole operator's output rather than of any one partition.
-// Visit's cardinality-delta protocol is inherently single-writer; concurrent
-// chargers must use Add.
+// A sequential operator reports its running output cardinality with Visit.
+// A kernel charges through Meters instead — one per goroutine, all adding
+// into the scope's one counter — so MaxIntermediateTuples stays a property
+// of the whole operator's output rather than of any one worker's share.
 type OpScope struct {
-	g  *Governor
-	op string
-	// produced is the operator's output count: the scope's own counter, or
-	// for a Fork the counter of the scope it was forked from.
-	produced *atomic.Int64
-	own      atomic.Int64
-	tick     atomic.Int64
-}
-
-// Fork returns a scope for one worker of a parallel operator. It charges
-// into s's counters, so both budgets still see the operator's whole output
-// and abort on the same tuple, but counts its own calls toward the
-// cancellation poll: a worker that calls Add once per loop iteration then
-// touches shared memory only on the iterations that emit something. The
-// fork is for one goroutine's use; s stays usable beside it.
-func (s *OpScope) Fork() *OpScope {
-	if s == nil {
-		return nil
-	}
-	f := &OpScope{g: s.g, op: s.op, produced: s.produced}
-	f.tick.Store(int64(s.g.checkEvery))
-	return f
+	g        *Governor
+	op       string
+	produced atomic.Int64 // the operator's output, across all its meters
+	tick     int          // Visit calls left until the next poll
 }
 
 // Visit is called once per operator loop iteration with the operator's
 // current output cardinality. It charges the delta since the last call
-// against both budgets and periodically polls cancellation/deadline (every
-// CheckEvery iterations, so a mid-operator cancellation is still observed
-// promptly on iterations that produce nothing, e.g. a probe streak with no
-// matches). Visit is for sequential operators — a single goroutine owns the
-// cumulative count; concurrent partition workers charge with Add instead.
+// against the budgets and polls cancellation/deadline every CheckEvery
+// calls, so a mid-operator cancellation is still observed promptly on
+// iterations that produce nothing (a probe streak with no matches). Visit
+// is for sequential operators: one goroutine owns the cumulative count and
+// the poll countdown.
 func (s *OpScope) Visit(produced int) error {
 	if s == nil {
 		return nil
 	}
-	delta := int64(produced) - s.produced.Load()
-	if delta < 0 {
-		delta = 0
-	}
-	return s.add(delta)
-}
-
-// Add charges delta newly produced tuples against both budgets and, like
-// Visit, polls cancellation/deadline every CheckEvery calls — so workers
-// should call it once per loop iteration even when the iteration produced
-// nothing (delta 0), or a probe streak with no matches would never observe
-// a cancellation. Add is safe for concurrent use: the per-operator and
-// global counters are atomic, and the budget checks read the post-add
-// totals, so across racing workers exactly the charges that fit the budget
-// succeed and the first overshooting charge fails.
-func (s *OpScope) Add(delta int) error {
-	if s == nil {
-		return nil
-	}
-	if delta < 0 {
-		delta = 0
-	}
-	return s.add(int64(delta))
-}
-
-// add is the shared charging core of Visit and Add.
-func (s *OpScope) add(delta int64) error {
-	g := s.g
-	if delta > 0 {
-		opTotal := s.produced.Add(delta)
-		total := g.produced.Add(delta)
-		if g.lim.MaxIntermediateTuples > 0 && opTotal > g.lim.MaxIntermediateTuples {
-			return &LimitError{Op: s.op, Limit: "MaxIntermediateTuples", Max: g.lim.MaxIntermediateTuples, Produced: opTotal}
-		}
-		if g.lim.MaxTuples > 0 && total > g.lim.MaxTuples {
-			return &LimitError{Op: s.op, Limit: "MaxTuples", Max: g.lim.MaxTuples, Produced: total}
-		}
-		if p := g.lim.Pool; p != nil {
-			if pooled := p.used.Add(delta); pooled > p.max {
-				return &LimitError{Op: s.op, Limit: "MaxTuples", Max: p.max, Produced: pooled}
-			}
+	if delta := int64(produced) - s.produced.Load(); delta > 0 {
+		if _, err := s.charge(delta); err != nil {
+			return err
 		}
 	}
-	if s.tick.Add(-1) <= 0 {
-		s.tick.Store(int64(g.checkEvery))
-		return g.poll(s.op)
+	s.tick--
+	if s.tick <= 0 {
+		s.tick = s.g.checkEvery
+		return s.g.poll(s.op)
 	}
 	return nil
+}
+
+// charge adds delta (≥ 0) to the operator's, the governor's and the pool's
+// counters — one atomic add each; a zero delta only reads them — and checks
+// each budget against the new totals in that order. It returns the headroom
+// left: the fewest tuples any budget can still take, math.MaxInt64 when none
+// is set, 0 on failure.
+func (s *OpScope) charge(delta int64) (room int64, err error) {
+	g := s.g
+	var opTotal, total int64
+	if delta > 0 {
+		opTotal, total = s.produced.Add(delta), g.produced.Add(delta)
+	} else {
+		opTotal, total = s.produced.Load(), g.produced.Load()
+	}
+	room = math.MaxInt64
+	if lim := g.lim.MaxIntermediateTuples; lim > 0 {
+		if opTotal > lim {
+			return 0, &LimitError{Op: s.op, Limit: "MaxIntermediateTuples", Max: lim, Produced: opTotal}
+		}
+		room = lim - opTotal
+	}
+	if lim := g.lim.MaxTuples; lim > 0 {
+		if total > lim {
+			return 0, &LimitError{Op: s.op, Limit: "MaxTuples", Max: lim, Produced: total}
+		}
+		room = min(room, lim-total)
+	}
+	if p := g.lim.Pool; p != nil {
+		var pooled int64
+		if delta > 0 {
+			pooled = p.used.Add(delta)
+		} else {
+			pooled = p.used.Load()
+		}
+		if pooled > p.max {
+			return 0, &LimitError{Op: s.op, Limit: "MaxTuples", Max: p.max, Produced: pooled}
+		}
+		room = min(room, p.max-pooled)
+	}
+	return room, nil
+}
+
+// Meter is one goroutine's handle on an OpScope. Add and AddEach count into
+// a private pending total, and the meter settles — one atomic add per
+// counter, the budget checks, and a cancellation/deadline poll — only when
+// pending exceeds the headroom the budgets had at its last settle, when
+// pending reaches CheckEvery tuples, every CheckEvery calls, and at Close.
+// The zero Meter, like the nil scope's, charges nothing.
+//
+// A sole charger therefore aborts on exactly the charge that crosses a
+// budget, with the LimitError a tuple-at-a-time count reports, and with
+// CheckEvery 1 every call settles. Meters charging one governor at once
+// keep the outcome: every settle checks the post-add totals and every meter
+// settles at Close, so an execution aborts if and only if its final total
+// exceeds a budget. A settle fails on an exhausted budget even when the
+// meter holds nothing, so the siblings of an aborted meter stop within
+// CheckEvery calls. Only the count an abort reports may run past the
+// crossing tuple, by what the other meters settle after it: each holds less
+// than CheckEvery tuples plus the charge that makes it settle.
+type Meter struct {
+	s     *OpScope
+	room  int // the budgets' headroom at the last settle
+	flush int // min(room, CheckEvery−1): the most tuples held unsettled
+	left  int // flush minus the tuples held; negative settles
+	calls int // calls left before the next settle; negative settles
+}
+
+// unmetered is the nil scope's meter: its counters start so high that it
+// never settles.
+var unmetered = Meter{flush: math.MaxInt, left: math.MaxInt, calls: math.MaxInt}
+
+// Meter returns a meter on s for one goroutine. Every meter must be closed
+// before its operator returns a result.
+func (s *OpScope) Meter() Meter {
+	if s == nil {
+		return unmetered
+	}
+	m := Meter{s: s}
+	room, _ := s.charge(0)
+	m.arm(room)
+	return m
+}
+
+// Add charges delta ≥ 0 newly produced tuples. Callers call it once per
+// loop iteration even when the iteration produced nothing (delta 0): the
+// calls count toward the poll, so a probe streak with no matches still
+// observes a cancellation within CheckEvery calls. Add is small enough to
+// inline into a kernel's probe loop: one sign test covers both counters.
+func (m *Meter) Add(delta int) error {
+	m.left -= delta
+	m.calls--
+	if m.left|m.calls < 0 {
+		return m.settle()
+	}
+	return nil
+}
+
+// AddEach charges n tuples as n calls of Add(1) would, in O(1). When the n
+// overrun the headroom, only the tuples up to the first one past it are
+// charged and the meter settles on that tuple: for a sole charger exactly
+// the tuple a one-at-a-time loop aborts on, with the same LimitError.
+func (m *Meter) AddEach(n int) error {
+	if m.s == nil || n <= 0 {
+		return nil
+	}
+	if n > m.room-m.held() {
+		m.left = m.flush - (m.room + 1)
+		return m.settle()
+	}
+	m.left -= n
+	m.calls -= n
+	if m.left|m.calls < 0 {
+		return m.settle()
+	}
+	return nil
+}
+
+// Close settles whatever the meter still holds, failing if those tuples
+// cross a budget.
+func (m *Meter) Close() error {
+	if m.s == nil || m.held() == 0 {
+		return nil
+	}
+	return m.settle()
+}
+
+// held returns the tuples charged since the last settle.
+func (m *Meter) held() int { return m.flush - m.left }
+
+// settle charges the held tuples to the shared counters, re-arms the meter
+// with the new headroom and polls cancellation/deadline.
+func (m *Meter) settle() error {
+	s := m.s
+	if s == nil {
+		*m = unmetered // the zero Meter: nothing to charge, ever
+		return nil
+	}
+	room, err := s.charge(int64(m.held()))
+	m.arm(room)
+	if err != nil {
+		return err
+	}
+	return s.g.poll(s.op)
+}
+
+// arm starts a settle interval at the headroom room. A failed charge reads
+// as no room, so the next tuple settles and fails again.
+func (m *Meter) arm(room int64) {
+	m.room = int(min(room, math.MaxInt))
+	m.flush = min(m.room, m.s.g.checkEvery-1)
+	m.left, m.calls = m.flush, m.s.g.checkEvery-1
 }

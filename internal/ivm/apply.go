@@ -190,6 +190,7 @@ func projectDelta(s *step, d1 *delta, scope *govern.OpScope, stats *BatchStats) 
 	if d1.isEmpty() {
 		return dz, nil
 	}
+	m := scope.Meter()
 	for _, dx := range d1.rows {
 		row := make(relation.Tuple, len(s.projPos))
 		for i, p := range s.projPos {
@@ -197,11 +198,11 @@ func projectDelta(s *step, d1 *delta, scope *govern.OpScope, stats *BatchStats) 
 		}
 		dz.add(row, dx.n)
 		stats.StepRows++
-		if err := scope.Add(1); err != nil {
+		if err := m.Add(1); err != nil {
 			return nil, err
 		}
 	}
-	return dz, nil
+	return dz, m.Close()
 }
 
 // joinDelta is the distributive rule against post-batch operand states:
@@ -212,6 +213,7 @@ func projectDelta(s *step, d1 *delta, scope *govern.OpScope, stats *BatchStats) 
 // Counts multiply, as joint derivation counts do.
 func joinDelta(s *step, d1, d2 *delta, scope *govern.OpScope, stats *BatchStats) (*delta, error) {
 	dz := newDelta(s.out.schema)
+	m := scope.Meter()
 	emit := func(lt, rt relation.Tuple, n int64) error {
 		row := make(relation.Tuple, 0, len(lt)+len(s.only2))
 		row = append(row, lt...)
@@ -220,7 +222,7 @@ func joinDelta(s *step, d1, d2 *delta, scope *govern.OpScope, stats *BatchStats)
 		}
 		dz.add(row, n)
 		stats.StepRows++
-		return scope.Add(1)
+		return m.Add(1)
 	}
 	if !d1.isEmpty() {
 		for _, dx := range d1.rows {
@@ -270,7 +272,7 @@ func joinDelta(s *step, d1, d2 *delta, scope *govern.OpScope, stats *BatchStats)
 			}
 		}
 	}
-	return dz, nil
+	return dz, m.Close()
 }
 
 // semijoinDelta differentiates Z = X ⋉ Y with Z(t) = X(t)·s(k(t)), where s
@@ -316,13 +318,14 @@ func semijoinDelta(s *step, d1, d2 *delta, scope *govern.OpScope, stats *BatchSt
 			span.Note("safe subjoin: reducer delta flips no key; left operand not re-reduced")
 		}
 	}
+	m := scope.Meter()
 	if !d1.isEmpty() {
 		for key, dx := range d1.rows {
 			gk := groupKey(dx.t, s.pos1)
 			if s.idx2.totals[gk]-dyTot[gk] > 0 { // pre-batch support
 				dz.addKeyed(key, dx.t, dx.n)
 				stats.StepRows++
-				if err := scope.Add(1); err != nil {
+				if err := m.Add(1); err != nil {
 					return nil, err
 				}
 			}
@@ -332,12 +335,12 @@ func semijoinDelta(s *step, d1, d2 *delta, scope *govern.OpScope, stats *BatchSt
 		for key, x := range s.idx1.buckets[gk] {
 			dz.addKeyed(key, x.t, sign*x.n)
 			stats.StepRows++
-			if err := scope.Add(1); err != nil {
+			if err := m.Add(1); err != nil {
 				return nil, err
 			}
 		}
 	}
-	return dz, nil
+	return dz, m.Close()
 }
 
 // Rebuild discards every node's state and reloads the view from db — the

@@ -38,8 +38,10 @@ import (
 // blocks back — every name's final binding, nothing decoded. Resource
 // governance cannot tell the representation or the worker count: every
 // statement begins the "program.Stmt" governor site, the kernels charge the
-// tuple-map operators' totals under their op names with one call per probe
-// row, and an abort returns the typed govern error with no partial Result.
+// tuple-map operators' totals under their op names with one meter call per
+// probe row — a local count that settles against the shared counters only
+// near a budget and every CheckEvery rows — and an abort returns the typed
+// govern error with no partial Result.
 
 // valueRef identifies the producer of one operand version: statement index
 // i >= 0, or input k encoded as -(k+1).

@@ -91,13 +91,18 @@ func multiwayOracle(g *govern.Governor, env map[string]*relation.Relation, s Stm
 	return out, chargeEach(g, "wcoj.join", out.Len())
 }
 
-// chargeEach charges n tuples one at a time under a fresh scope of op.
+// chargeEach charges n tuples, with the one-at-a-time abort boundary, under
+// a fresh scope of op.
 func chargeEach(g *govern.Governor, op string, n int) error {
 	scope, err := g.Begin(op)
-	for ; err == nil && n > 0; n-- {
-		err = scope.Add(1)
+	if err != nil {
+		return err
 	}
-	return err
+	m := scope.Meter()
+	if err := m.AddEach(n); err != nil {
+		return err
+	}
+	return m.Close()
 }
 
 // CountEncodings swaps the executor's input encoder for one that counts its

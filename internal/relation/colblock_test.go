@@ -1,10 +1,13 @@
 package relation
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/govern"
 )
 
 func TestFromRelationRoundTrip(t *testing.T) {
@@ -180,6 +183,41 @@ func TestJoinAllocatesPerColumnNotPerRow(t *testing.T) {
 	if big != small || big > 40 {
 		t.Fatalf("join allocates %.0f times for %d output rows and %.0f for %d, want one count of at most 40",
 			small, smallOut, big, bigOut)
+	}
+}
+
+// TestGovernedJoinAllocatesOneScope pins what governing a join costs in
+// allocations: the operator's scope and nothing else — each range's meter
+// lives on its goroutine's stack — whatever the row count, on the keyed
+// path and on the product path (which charges one AddEach per probe row).
+// max is the whole governed join's count at one range; a meter that escaped
+// to the heap would add one more, to the ungoverned join as well.
+func TestGovernedJoinAllocatesOneScope(t *testing.T) {
+	rng := rand.New(rand.NewSource(2038))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	g := govern.New(govern.Limits{Context: ctx})
+	for _, c := range []struct {
+		l, r string
+		max  float64
+	}{{"ABC", "BCD", 38}, {"AB", "CD", 24}} {
+		allocs := func(n int) (plain, governed float64) {
+			l := FromRelation(randRel(rng, c.l, n, 8))
+			r := FromRelation(randRel(rng, c.r, n, 8))
+			plain = testing.AllocsPerRun(20, func() { _, _ = JoinBlocksGoverned(nil, l, r) })
+			governed = testing.AllocsPerRun(20, func() {
+				if _, err := JoinBlocksGoverned(g, l, r); err != nil {
+					t.Fatal(err)
+				}
+			})
+			return plain, governed
+		}
+		smallPlain, small := allocs(40)
+		bigPlain, big := allocs(600)
+		if small > smallPlain+1 || big > bigPlain+1 || big != small || big > c.max {
+			t.Fatalf("%s ⋈ %s: governed join allocates %.0f times at 40 rows and %.0f at 600, ungoverned %.0f and %.0f; want at most one more, the same at both sizes, at most %.0f",
+				c.l, c.r, small, big, smallPlain, bigPlain, c.max)
+		}
 	}
 }
 

@@ -1,11 +1,9 @@
 package relation
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/govern"
 )
@@ -13,10 +11,12 @@ import (
 // Vectorized batch kernels over ColBlocks: join, semijoin, and projection
 // operating on dictionary codes instead of tuples. Each kernel mirrors its
 // tuple-map counterpart in ops.go exactly — same output schema, same
-// build/probe side choice, same governor op name, and the same Visit call
-// per probe row — so the governor cannot tell the two apart: charge totals,
-// MaxIntermediateTuples boundaries, and abort points coincide. The
-// differential gauntlet in columnardiff_test.go enforces this.
+// build/probe side choice, same governor op name, and the same charge per
+// probe row, counted on a govern.Meter that settles before a budget could be
+// crossed — so the governor cannot tell the two apart: charge totals,
+// MaxIntermediateTuples boundaries and whether a budget aborts coincide,
+// and so does the abort point on one range. The differential gauntlet in
+// columnardiff_test.go enforces this.
 //
 // Matching across blocks works by code remapping: for every common column,
 // the probe side's sorted dictionary is merged once against the build
@@ -39,12 +39,13 @@ func JoinBlocksGoverned(g *govern.Governor, l, r *ColBlock) (*ColBlock, error) {
 
 // ParallelJoinBlocksGoverned is JoinBlocksGoverned probing with up to
 // workers goroutines: the build table is built once, the probe side is cut
-// into contiguous row ranges, every range charges its per-row deltas into
-// the operator's one scope, and the ranges write their output rows in range
-// order. Output rows, their order, the charged total, and the budget-abort
-// boundary therefore equal the single-range run exactly. workers <= 1 and
-// inputs below the parallel threshold probe as one range on the calling
-// goroutine.
+// into contiguous row ranges, every range charges its per-row deltas through
+// its own meter on the operator's one scope, and the ranges write their
+// output rows in range order. Output rows, their order, the charged total,
+// and whether a budget aborts therefore equal the single-range run's; only
+// an abort's reported count may run past the single-range one, by what the
+// sibling ranges held unsettled. workers <= 1 and inputs below the parallel
+// threshold probe as one range on the calling goroutine.
 func ParallelJoinBlocksGoverned(g *govern.Governor, l, r *ColBlock, workers int) (*ColBlock, error) {
 	scope, err := g.Begin("relation.Join")
 	if err != nil {
@@ -142,7 +143,7 @@ func SemijoinBlocksGoverned(g *govern.Governor, l, r *ColBlock) (*ColBlock, erro
 // ParallelSemijoinBlocksGoverned is SemijoinBlocksGoverned scanning with up
 // to workers goroutines over contiguous row ranges, under the same contract
 // as ParallelJoinBlocksGoverned: identical rows, row order, charges, and
-// abort boundary at every worker count.
+// abort outcome at every worker count.
 func ParallelSemijoinBlocksGoverned(g *govern.Governor, l, r *ColBlock, workers int) (*ColBlock, error) {
 	scope, err := g.Begin("relation.Semijoin")
 	if err != nil {
@@ -185,18 +186,18 @@ func ParallelSemijoinBlocksGoverned(g *govern.Governor, l, r *ColBlock, workers 
 		remaps := remapCols(r, rPos, l, lPos)
 		bounds := splitRanges(r.n, workers)
 		marks := make([][]bool, len(bounds)-1)
-		err := runRanges(scope, bounds, func(k, lo, hi int, charge rowCharger) error {
-			set, marked := keys.reader(), make([]bool, keys.len())
+		err := runRanges(bounds, func(k, lo, hi int) error {
+			set, marked, m := keys.reader(), make([]bool, keys.len()), scope.Meter()
 			marks[k] = marked
 			for j := lo; j < hi; j++ {
 				if id := set.find(rCols, remaps, j); id >= 0 {
 					marked[id] = true
 				}
-				if err := charge.row(0); err != nil {
+				if err := m.Add(0); err != nil {
 					return err
 				}
 			}
-			return nil
+			return m.Close()
 		})
 		if err != nil {
 			return nil, err
@@ -251,16 +252,22 @@ func ProjectBlocksGoverned(g *govern.Governor, b *ColBlock, attrs AttrSet) (*Col
 	}
 	cols := keyCols(b, pos)
 	seen := newCodeSet(b, pos)
+	m := scope.Meter()
 	for i := 0; i < b.n; i++ {
-		if _, fresh := seen.put(cols, i); fresh {
+		fresh := 0
+		if _, ok := seen.put(cols, i); ok {
 			for k, p := range pos {
 				out.cols[k].codes = append(out.cols[k].codes, b.cols[p].codes[i])
 			}
 			out.n++
+			fresh = 1
 		}
-		if err := scope.Visit(out.n); err != nil {
+		if err := m.Add(fresh); err != nil {
 			return nil, err
 		}
+	}
+	if err := m.Close(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -281,32 +288,33 @@ type colSource struct {
 
 // countThenFill runs a kernel's two passes over nProbe probe rows, cut into
 // up to workers contiguous ranges. The count pass asks every probe row for
-// its matches and charges them — one governor call per probe row, or one
-// per output pair when perPair — exactly as the tuple-map operator does.
-// Only when every range counted without error does the fill pass allocate
-// each output column once and write each range's rows from that range's
-// offset, so an aborted kernel writes no output. Each pass builds its own
-// matcher per range, so a matcher may keep private scratch state.
+// its matches and charges them on the range's own meter — one Add per probe
+// row, or when perPair one AddEach standing for one call per output pair —
+// exactly as the tuple-map operator charges them. Only when every range
+// counted without error does the fill pass allocate each output column once
+// and write each range's rows from that range's offset, so an aborted kernel
+// writes no output. Each pass builds its own matcher per range, so a matcher
+// may keep private scratch state.
 func countThenFill(scope *govern.OpScope, workers, nProbe int, schema *Schema, srcs []colSource, newMatcher func() matcher, perPair bool) (*ColBlock, error) {
 	bounds := splitRanges(nProbe, workers)
 	at := make([]int, len(bounds)) // at[k+1] counts range k's rows, then becomes its end offset
-	err := runRanges(scope, bounds, func(k, lo, hi int, charge rowCharger) error {
-		matches, n := newMatcher(), 0
+	err := runRanges(bounds, func(k, lo, hi int) error {
+		matches, n, meter := newMatcher(), 0, scope.Meter()
 		for p := lo; p < hi; p++ {
 			m := matches(p)
 			n += len(m)
+			var err error
 			if perPair {
-				for range m {
-					if err := charge.row(1); err != nil {
-						return err
-					}
-				}
-			} else if err := charge.row(len(m)); err != nil {
+				err = meter.AddEach(len(m))
+			} else {
+				err = meter.Add(len(m))
+			}
+			if err != nil {
 				return err
 			}
 		}
 		at[k+1] = n
-		return nil
+		return meter.Close()
 	})
 	if err != nil {
 		return nil, err
@@ -318,8 +326,8 @@ func countThenFill(scope *govern.OpScope, workers, nProbe int, schema *Schema, s
 	for c, src := range srcs {
 		out.cols[c] = column{dict: src.dict, codes: make([]uint32, out.n)}
 	}
-	// The fill charges nothing: a nil scope only splits the work.
-	_ = runRanges(nil, bounds, func(k, lo, hi int, _ rowCharger) error {
+	// The fill charges nothing and cannot fail.
+	_ = runRanges(bounds, func(k, lo, hi int) error {
 		matches, row := newMatcher(), at[k]
 		for p := lo; p < hi; p++ {
 			m := matches(p)
@@ -363,39 +371,6 @@ func SetParallelThreshold(n int) (restore func()) {
 	return func() { parallelMinInput = prev }
 }
 
-// errParallelStopped is the internal sentinel a range worker returns when it
-// bails out because a sibling already failed; it never escapes the kernels.
-var errParallelStopped = errors.New("relation: parallel worker stopped")
-
-// parallelRun executes fn(w, stop) for each w in [0, n) on n goroutines and
-// returns the first real error. A worker that fails sets the stop flag;
-// siblings poll it via their charge calls and bail with errParallelStopped,
-// which is swallowed here.
-func parallelRun(n int, fn func(w int, stop *atomic.Bool) error) error {
-	var (
-		wg    sync.WaitGroup
-		mu    sync.Mutex
-		first error
-		stop  atomic.Bool
-	)
-	for w := 0; w < n; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			if err := fn(w, &stop); err != nil && !errors.Is(err, errParallelStopped) {
-				mu.Lock()
-				if first == nil {
-					first = err
-				}
-				mu.Unlock()
-				stop.Store(true)
-			}
-		}(w)
-	}
-	wg.Wait()
-	return first
-}
-
 // rangeWorkers resolves a kernel's worker count: 0 means GOMAXPROCS, and
 // inputs below the parallel threshold (SetParallelThreshold) run as one
 // range, where goroutine and concatenation overhead would dominate.
@@ -427,35 +402,32 @@ func splitRanges(n, workers int) []int {
 	return bounds
 }
 
-// rowCharger is one range's handle on the operator's governor scope.
-type rowCharger struct {
-	scope *govern.OpScope
-	stop  *atomic.Bool // set when a sibling range failed; nil in a single-range run
-}
-
-// row is one probe row's governor call: it charges the row's emitted tuples
-// into the operator's scope (one Add per row, the cadence Visit has in the
-// tuple-map operators) and, in a multi-range run, bails out first when a
-// sibling range already failed.
-func (c rowCharger) row(emitted int) error {
-	if c.stop != nil && c.stop.Load() {
-		return errParallelStopped
-	}
-	return c.scope.Add(emitted)
-}
-
-// runRanges runs body over every range of bounds: a single range inline on
-// the calling goroutine charging scope itself, several on one goroutine each
-// under parallelRun's first-error-wins protocol, each charging a fork of
-// scope — same counters, same budget checks, but rows that emit nothing stay
-// off the shared cache line.
-func runRanges(scope *govern.OpScope, bounds []int, body func(k, lo, hi int, charge rowCharger) error) error {
+// runRanges runs body over every range of bounds — a single range inline on
+// the calling goroutine, several on one goroutine each — and returns the
+// error of the lowest failed range. A charging body takes its own
+// govern.Meter on the operator's scope and closes it; once one range has
+// aborted on a budget, its siblings' meters fail at their next settle, so
+// they stop within CheckEvery rows.
+func runRanges(bounds []int, body func(k, lo, hi int) error) error {
 	if len(bounds) == 2 {
-		return body(0, bounds[0], bounds[1], rowCharger{scope: scope})
+		return body(0, bounds[0], bounds[1])
 	}
-	return parallelRun(len(bounds)-1, func(k int, stop *atomic.Bool) error {
-		return body(k, bounds[k], bounds[k+1], rowCharger{scope: scope.Fork(), stop: stop})
-	})
+	errs := make([]error, len(bounds)-1)
+	var wg sync.WaitGroup
+	for k := range errs {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			errs[k] = body(k, bounds[k], bounds[k+1])
+		}(k)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // remapCols builds, for every key column, probe-code → build-code (or -1

@@ -31,10 +31,12 @@ func fromBlock(b *relation.ColBlock, order []string, scope *govern.OpScope) (*tr
 	if len(attrs) != schema.Len() {
 		return nil, fmt.Errorf("wcoj: order %v does not cover schema %s", order, schema)
 	}
-	for i := b.Len(); i > 0; i-- {
-		if err := scope.Add(1); err != nil {
-			return nil, err
-		}
+	m := scope.Meter()
+	if err := m.AddEach(b.Len()); err != nil {
+		return nil, err
+	}
+	if err := m.Close(); err != nil {
+		return nil, err
 	}
 	sorted, built, err := b.SortedBy(attrs)
 	if err != nil {

@@ -1,16 +1,15 @@
 package wcoj
 
 import (
-	"sync/atomic"
-
 	"repro/internal/govern"
 )
 
-// executor holds the per-enumeration state: one trie iterator per relation
-// (over shared, read-only trie indexes), per variable the relations whose
-// schemes contain it, and per variable the reusable leapfrog and iterator
-// scratch for that depth of the recursion. Executors are cheap — the
-// parallel variant builds one per worker.
+// executor holds one goroutine's enumeration state: one trie iterator per
+// relation (over shared, read-only trie indexes), per variable the relations
+// whose schemes contain it, per variable the reusable leapfrog and iterator
+// scratch for that depth of the recursion, the goroutine's governor meter,
+// and the output it emits. Executors are cheap — the parallel variant builds
+// one per worker.
 type executor struct {
 	order []string
 	byVar [][]int // byVar[v] = indexes of the relations containing order[v]
@@ -19,20 +18,25 @@ type executor struct {
 	// from byVar[v] on every descent because the leapfrog reorders it.
 	level [][]*trieIter
 	lfs   []leapfrog
-	// bindings counts the values bound per variable during enumeration —
-	// the per-variable leapfrog work a trace reports. nil when untraced;
-	// shared across the parallel workers (hence atomic).
-	bindings []atomic.Int64
+	meter govern.Meter
+	out   emitter
+	// bindings counts the values bound per variable — the per-variable
+	// leapfrog work a trace reports. nil when untraced; never shared between
+	// goroutines.
+	bindings []int64
 }
 
-// newExecutor builds fresh iterators over the shared tries.
-func newExecutor(order []string, tries []*trieIndex, bindings []atomic.Int64) *executor {
+// newExecutor builds fresh iterators over the shared tries, charging scope
+// through a meter of its own and counting bindings into bindings.
+func newExecutor(order []string, tries []*trieIndex, scope *govern.OpScope, bindings []int64) *executor {
 	ex := &executor{
 		order:    order,
 		byVar:    make([][]int, len(order)),
 		iters:    make([]*trieIter, len(tries)),
 		level:    make([][]*trieIter, len(order)),
 		lfs:      make([]leapfrog, len(order)),
+		meter:    scope.Meter(),
+		out:      emitter{cols: make([][]uint32, len(order))},
 		bindings: bindings,
 	}
 	for i, t := range tries {
@@ -63,27 +67,27 @@ func (ex *executor) openLevel(v int) *leapfrog {
 	return lf
 }
 
-// run enumerates all extensions of binding[0:v] to full results, calling
-// emit with the (reused) full binding — one aligned code per variable — for
-// each. Invariant: when run is entered at variable v, every relation's
-// iterator has exactly its attributes among order[0:v] open — so the
-// relations of byVar[v] are each one open() away from the level keyed by
-// order[v]. Every leapfrog step charges a zero delta to scope, so deadlines
-// and cancellation are observed during long seek streaks that emit nothing.
-func (ex *executor) run(v int, binding []uint32, scope *govern.OpScope, emit func([]uint32) error) error {
+// run enumerates all extensions of binding[0:v] to full results, emitting
+// the (reused) full binding — one aligned code per variable — for each.
+// Invariant: when run is entered at variable v, every relation's iterator
+// has exactly its attributes among order[0:v] open — so the relations of
+// byVar[v] are each one open() away from the level keyed by order[v]. Every
+// leapfrog step charges a zero delta to the meter, so deadlines and
+// cancellation are observed during long seek streaks that emit nothing.
+func (ex *executor) run(v int, binding []uint32) error {
 	if v == len(ex.order) {
-		return emit(binding)
+		return ex.emit(binding)
 	}
 	var err error
 	for lf := ex.openLevel(v); !lf.done; lf.next() {
-		if err = scope.Add(0); err != nil {
+		if err = ex.meter.Add(0); err != nil {
 			break
 		}
 		binding[v] = lf.key()
 		if ex.bindings != nil {
-			ex.bindings[v].Add(1)
+			ex.bindings[v]++
 		}
-		if err = ex.run(v+1, binding, scope, emit); err != nil {
+		if err = ex.run(v+1, binding); err != nil {
 			break
 		}
 	}
@@ -93,38 +97,34 @@ func (ex *executor) run(v int, binding []uint32, scope *govern.OpScope, emit fun
 	return err
 }
 
-// emitter collects the output: each emitted binding is charged to scope and
-// appended to one aligned-code column per variable. Nothing is decoded.
-type emitter struct {
-	scope *govern.OpScope
-	cols  [][]uint32
-	n     int
-}
-
-func newEmitter(vars int, scope *govern.OpScope) *emitter {
-	return &emitter{scope: scope, cols: make([][]uint32, vars)}
-}
-
-func (e *emitter) emit(binding []uint32) error {
-	if err := e.scope.Add(1); err != nil {
+// emit charges one output tuple and appends binding to the output columns.
+// Nothing is decoded.
+func (ex *executor) emit(binding []uint32) error {
+	if err := ex.meter.Add(1); err != nil {
 		return err
 	}
 	for v, code := range binding {
-		e.cols[v] = append(e.cols[v], code)
+		ex.out.cols[v] = append(ex.out.cols[v], code)
 	}
-	e.n++
+	ex.out.n++
 	return nil
+}
+
+// emitter is an enumeration's output: one aligned-code column per variable
+// and n rows.
+type emitter struct {
+	cols [][]uint32
+	n    int
 }
 
 // enumerate runs the full sequential join, charging each output tuple, and
 // returns the emitter holding the output rows — pairwise distinct, because
 // each full binding is reached once. bindings, when non-nil, receives the
 // per-variable binding counts.
-func enumerate(order []string, tries []*trieIndex, scope *govern.OpScope, bindings []atomic.Int64) (*emitter, error) {
-	ex := newExecutor(order, tries, bindings)
-	out := newEmitter(len(order), scope)
-	if err := ex.run(0, make([]uint32, len(order)), scope, out.emit); err != nil {
+func enumerate(order []string, tries []*trieIndex, scope *govern.OpScope, bindings []int64) (*emitter, error) {
+	ex := newExecutor(order, tries, scope, bindings)
+	if err := ex.run(0, make([]uint32, len(order))); err != nil {
 		return nil, err
 	}
-	return out, nil
+	return &ex.out, ex.meter.Close()
 }

@@ -46,7 +46,6 @@ package wcoj
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/govern"
 	"repro/internal/obs"
@@ -127,9 +126,10 @@ func JoinGoverned(db *relation.Database, order []string, gov *govern.Governor, w
 // operator "wcoj.trie" (one scope per operand, so MaxIntermediateTuples
 // bounds any single index) before it is fetched from the block or built, so
 // charges do not depend on what earlier queries left resident; enumeration
-// charges each output tuple — and polls cancellation/deadline on every
-// leapfrog step, even when nothing is emitted — under "wcoj.join". When span
-// is non-nil, each trie and the enumeration get a child span under it.
+// charges each output tuple — and counts every leapfrog step toward the
+// cancellation/deadline poll, even when nothing is emitted — under
+// "wcoj.join", one meter per enumerating goroutine. When span is non-nil,
+// each trie and the enumeration get a child span under it.
 func JoinBlocks(blocks []*relation.ColBlock, order []string, gov *govern.Governor, workers int, span *obs.Span) (*Result, error) {
 	if len(blocks) == 0 {
 		return nil, fmt.Errorf("wcoj: no operands")
@@ -172,13 +172,12 @@ func JoinBlocks(blocks []*relation.ColBlock, order []string, gov *govern.Governo
 	}
 	// When traced, enumeration runs under its own span with one binding
 	// counter per variable — the per-variable leapfrog work — rendered as
-	// KindVar children. The counters are atomic because parallel enumeration
-	// charges them from every worker.
+	// KindVar children.
 	var enumSpan *obs.Span
-	var bindings []atomic.Int64
+	var bindings []int64
 	if span != nil {
 		enumSpan = span.Child(obs.KindEnumerate, "leapfrog enumeration")
-		bindings = make([]atomic.Int64, len(order))
+		bindings = make([]int64, len(order))
 	}
 	before := gov.Produced()
 	doms := alignTries(order, tries)
@@ -192,7 +191,7 @@ func JoinBlocks(blocks []*relation.ColBlock, order []string, gov *govern.Governo
 		enumSpan.AddTuples(gov.Produced() - before)
 		for v, name := range order {
 			vs := enumSpan.Child(obs.KindVar, "var "+name)
-			vs.Note("%d bindings examined", bindings[v].Load())
+			vs.Note("%d bindings examined", bindings[v])
 			vs.End()
 		}
 		if err != nil {
