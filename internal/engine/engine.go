@@ -309,9 +309,10 @@ func tracedPhase(gov *govern.Governor, kind obs.Kind, fn func() error) error {
 // plan's phase span and an "execute program" span: the governor's span is
 // swapped to the execute span for the duration so the executor's
 // per-statement spans nest under it, then restored. The span's self time is
-// the executor's work outside statements — encoding the inputs and decoding
-// the output. The swap is safe because the executor's worker goroutines are
-// spawned (and joined) strictly inside the call.
+// the executor's work outside statements — encoding the inputs (the output
+// leaves as a block, decoded only if read). The swap is safe because the
+// executor's worker goroutines are spawned (and joined) strictly inside the
+// call.
 func executeTraced(gov *govern.Governor, phase obs.Kind, fn func() error) error {
 	return tracedPhase(gov, phase, func() error {
 		parent := gov.Span()
@@ -437,7 +438,8 @@ func bestTree(db *relation.Database, h *hypergraph.Hypergraph, budget int64, spa
 
 // reduceThenJoin reduces pairwise to a fixpoint — the round program re-run
 // on the block executor — then runs the plan's program over the reduced
-// blocks the last round returned; only the output is decoded.
+// blocks the last round returned; the output is block-backed, like every
+// executor output.
 func reduceThenJoin(cdb *relation.Database, ch *hypergraph.Hypergraph, plan *Plan, gov *govern.Governor, opts Options) (*Report, error) {
 	var red *PairwiseReduction
 	var blocks []*relation.ColBlock

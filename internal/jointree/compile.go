@@ -36,9 +36,10 @@ func (t *Tree) AppendJoins(p *program.Program, leaves []string) string {
 
 // EvalColumnarGoverned evaluates the tree under a governor on the block
 // executor: the compiled Program applied to db, its leaves the relations'
-// resident blocks and only the root decoded. Result and cost equal Eval's;
-// every join charges its output and a blown budget, cancellation or
-// deadline aborts with the governor's typed error and no partial result.
+// resident blocks and the root returned block-backed (its rows decoded only
+// if read). Result and cost equal Eval's; every join charges its output and
+// a blown budget, cancellation or deadline aborts with the governor's typed
+// error and no partial result.
 func (t *Tree) EvalColumnarGoverned(db *relation.Database, g *govern.Governor) (*relation.Relation, int, error) {
 	res, err := t.Program(hypergraph.OfScheme(db)).ApplyGoverned(db, g)
 	if err != nil {

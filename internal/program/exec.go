@@ -33,7 +33,8 @@ import (
 //
 // Every input some statement reads is dictionary-encoded exactly once,
 // before the first statement; kernels share dictionaries by reference down
-// the chain, so nothing is re-encoded, and only the output is decoded.
+// the chain, so nothing is re-encoded, and the output is returned as a
+// block-backed relation whose rows are decoded only if a caller reads them.
 // Execute is the same run for callers that hold blocks already and want
 // blocks back — every name's final binding, nothing decoded. Resource
 // governance cannot tell the representation or the worker count: every
@@ -113,7 +114,8 @@ func (p *Program) ApplyParallelGoverned(db *relation.Database, g *govern.Governo
 var encodeInput = (*relation.Relation).Block
 
 // execute is the executor behind the three Apply entry points: fetch the
-// resident block of every input some statement reads, run, decode Output.
+// resident block of every input some statement reads, run, return Output
+// block-backed.
 func (p *Program) execute(db *relation.Database, g *govern.Governor, workers int) (*Result, error) {
 	if db.Len() != len(p.Inputs) {
 		return nil, fmt.Errorf("program: database has %d relations, program has %d inputs",

@@ -1,7 +1,9 @@
 package relation
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -160,6 +162,160 @@ func TestBlockMemoConcurrentFirstUse(t *testing.T) {
 		}
 		if blocks[0] != r.Block() {
 			t.Fatalf("trial %d: the retained block is not the one readers got", trial)
+		}
+	}
+}
+
+// TestToRelationDecodesOnDemand pins ToRelation to the Relation header: the
+// rows are not decoded until someone reads them, so counting an executor
+// output costs one allocation whatever its size.
+func TestToRelationDecodesOnDemand(t *testing.T) {
+	for _, n := range []int{10, 10000} {
+		r := New(SchemaOfRunes("AB"))
+		for i := 0; i < n; i++ {
+			r.MustInsert(Ints(int64(i), int64(i%7)))
+		}
+		b := FromRelation(r)
+		got := 0
+		if avg := testing.AllocsPerRun(100, func() { got = b.ToRelation().Len() }); avg > 1 {
+			t.Fatalf("ToRelation().Len() allocates %.1f times for %d rows, want at most 1", avg, n)
+		}
+		if got != n {
+			t.Fatalf("Len() = %d, want %d", got, n)
+		}
+	}
+}
+
+// TestToRelationFirstReadersRace races the first readers of a fresh
+// ToRelation output (run with -race): whichever of them decodes, all of
+// them must see one decoded slice, and the block must stay the one passed
+// in.
+func TestToRelationFirstReadersRace(t *testing.T) {
+	rng := rand.New(rand.NewSource(2043))
+	src := randRel(rng, "ABC", 3000, 40)
+	want, err := src.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := src.Rows()[0]
+	firstUse := []func(r *Relation) error{
+		func(r *Relation) error { r.Rows(); return nil },
+		func(r *Relation) error {
+			if r.Len() != src.Len() {
+				return fmt.Errorf("Len() = %d, want %d", r.Len(), src.Len())
+			}
+			return nil
+		},
+		func(r *Relation) error {
+			if !r.Contains(probe) {
+				return fmt.Errorf("Contains(%v) = false", probe)
+			}
+			return nil
+		},
+		func(r *Relation) error {
+			if got := len(r.SortedRows()); got != src.Len() {
+				return fmt.Errorf("SortedRows() has %d rows, want %d", got, src.Len())
+			}
+			return nil
+		},
+		func(r *Relation) error { r.Block(); return nil },
+		func(r *Relation) error {
+			got, _, err := r.AppendJSON(nil, 0)
+			if err == nil && !bytes.Equal(got, want) {
+				err = fmt.Errorf("AppendJSON differs from the row-backed encoding")
+			}
+			return err
+		},
+	}
+	for trial := 0; trial < 20; trial++ {
+		b := FromRelation(src)
+		r := b.ToRelation()
+		const readers = 8
+		heads := make([]*Tuple, readers)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < readers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				<-start
+				if err := firstUse[g%len(firstUse)](r); err != nil {
+					t.Error(err)
+				}
+				heads[g] = &r.Rows()[0]
+			}(g)
+		}
+		close(start)
+		wg.Wait()
+		for g := range heads {
+			if heads[g] != heads[0] {
+				t.Fatalf("trial %d: reader %d decoded its own rows", trial, g)
+			}
+		}
+		if r.Block() != b {
+			t.Fatalf("trial %d: the block is not the one ToRelation was given", trial)
+		}
+		if !r.Equal(src) {
+			t.Fatalf("trial %d: decoded rows differ from the source", trial)
+		}
+	}
+}
+
+// TestBlockBackedRelationEdges pins what changes and what does not when a
+// ToRelation output is copied, mutated or overwritten, before and after its
+// rows are decoded.
+func TestBlockBackedRelationEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(2044))
+	src := randRel(rng, "ABC", 60, 5)
+	b := FromRelation(src)
+	for _, decode := range []bool{false, true} {
+		fresh := func() *Relation {
+			r := b.ToRelation()
+			if decode {
+				r.Rows()
+			}
+			return r
+		}
+
+		c := fresh().Clone()
+		if c.block.Load() != nil || !c.Equal(src) {
+			t.Fatalf("decode=%v: Clone kept the block, or lost rows", decode)
+		}
+
+		r := fresh()
+		r.MustInsert(src.Rows()[0])
+		if r.Block() != b || r.Len() != src.Len() {
+			t.Fatalf("decode=%v: a duplicate Insert changed the relation", decode)
+		}
+		row := Ints(99, 99, 99)
+		r.MustInsert(row)
+		nb := checkBlock(t, r, "after Insert")
+		if nb == b || nb.Len() != b.Len()+1 || !nb.ToRelation().Contains(row) {
+			t.Fatalf("decode=%v: the block after Insert does not hold the new row", decode)
+		}
+
+		r = fresh()
+		if err := json.Unmarshal([]byte(`{"attrs":["X"],"tuples":[[1],[2],[1]]}`), r); err != nil {
+			t.Fatal(err)
+		}
+		if r.Len() != 2 || !r.Schema().Has("X") || r.Block() == b || !r.Contains(Ints(2)) || len(r.Rows()) != 2 {
+			t.Fatalf("decode=%v: UnmarshalJSON did not replace the relation: %v", decode, r)
+		}
+	}
+
+	one := New(MustSchema())
+	one.MustInsert(Tuple{})
+	nb := FromRelation(one).ToRelation()
+	for _, when := range []string{"before Rows()", "after Rows()"} {
+		if got, _ := nb.MarshalJSON(); !bytes.HasSuffix(got, []byte(`"tuples":[[]]}`)) {
+			t.Fatalf("1-row nullary block %s: %s", when, got)
+		}
+		nb.Rows()
+	}
+	for _, r := range []*Relation{New(MustSchema()), FromRelation(New(MustSchema())).ToRelation()} {
+		r.MustInsert(nil)
+		if got, _ := r.MarshalJSON(); !bytes.HasSuffix(got, []byte(`"tuples":[null]}`)) {
+			t.Fatalf("MustInsert(nil): %s", got)
 		}
 	}
 }

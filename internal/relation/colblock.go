@@ -219,19 +219,25 @@ func (b *ColBlock) rowOrder(pos []int) []int32 {
 	return idx
 }
 
-// ToRelation decodes the block back into a tuple-map Relation over the same
-// schema. It is the inverse of FromRelation up to row order (both sides are
-// sets). Blocks hold distinct rows by construction — FromRelation starts
-// from a set, joins of sets retaining every column stay sets, and
-// projections dedup — so decoding skips the per-tuple dedup probe and the
-// relation's index is built lazily if a consumer needs it. The relation keeps
-// b as its resident block, so Block() and the JSON encoder read the codes the
-// executor produced instead of encoding the rows again.
-//
-// All rows are cut from one value slab, each with its capacity clipped to
-// its own length, so an append to a decoded tuple reallocates instead of
-// writing into its neighbour.
+// ToRelation returns the block as a tuple-map Relation over the same schema,
+// the inverse of FromRelation up to row order (both sides are sets). The
+// relation is block-backed: it holds b as its resident block and no rows, so
+// Len, Block() and the JSON encoder read the codes the executor produced,
+// and the rows are decoded only if a caller asks for them (Rows, Contains,
+// SortedRows, Insert, ...). Blocks hold distinct rows by construction —
+// FromRelation starts from a set, joins of sets retaining every column stay
+// sets, and projections dedup — so decoding skips the per-tuple dedup probe
+// and the relation's index is built lazily if a consumer needs it.
 func (b *ColBlock) ToRelation() *Relation {
+	r := &Relation{schema: b.schema, src: b}
+	r.block.Store(b)
+	return r
+}
+
+// decode materializes the block's rows. All rows are cut from one value
+// slab, each with its capacity clipped to its own length, so an append to a
+// decoded tuple reallocates instead of writing into its neighbour.
+func (b *ColBlock) decode() []Tuple {
 	nc := len(b.cols)
 	slab := make([]Value, b.n*nc)
 	for c := range b.cols {
@@ -244,9 +250,7 @@ func (b *ColBlock) ToRelation() *Relation {
 	for i := range rows {
 		rows[i] = slab[i*nc : (i+1)*nc : (i+1)*nc]
 	}
-	r := &Relation{schema: b.schema, rows: rows}
-	r.block.Store(b)
-	return r
+	return rows
 }
 
 // Schema returns the block's schema.

@@ -74,8 +74,8 @@ func (d *Database) Restrict(keep []int) (*Database, error) {
 
 // Reduced returns the database whose relation i holds the rows of
 // blocks[i], which must be a semijoin reduction of d's relation i (a subset
-// of its rows): relations the reduction did not shrink are d's own, only the
-// shrunk ones are decoded.
+// of its rows): relations the reduction did not shrink are d's own, and the
+// shrunk ones are block-backed (ToRelation), their rows decoded only if read.
 func (d *Database) Reduced(blocks []*ColBlock) (*Database, error) {
 	if len(blocks) != len(d.rels) {
 		return nil, fmt.Errorf("relation: %d reduced blocks for %d relations", len(blocks), len(d.rels))

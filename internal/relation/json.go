@@ -89,7 +89,7 @@ func (r *Relation) AppendJSON(buf []byte, max int) (_ []byte, cut bool, err erro
 	buf = append(buf, `{"attrs":`...)
 	buf = append(buf, attrs...)
 	buf = append(buf, `,"tuples":`...)
-	n := len(r.rows)
+	n := r.Len()
 	if cut = max > 0 && n > max; cut {
 		n = max
 	}
@@ -97,7 +97,7 @@ func (r *Relation) AppendJSON(buf []byte, max int) (_ []byte, cut bool, err erro
 	case n == 0:
 		return append(buf, "null}"...), false, nil
 	case r.schema.Len() == 0: // the one nullary tuple: nil is null, empty is []
-		if r.rows[0] == nil {
+		if r.src == nil && r.rows[0] == nil { // a decoded tuple is never nil
 			return append(buf, "[null]}"...), false, nil
 		}
 		return append(buf, "[[]]}"...), false, nil
@@ -164,8 +164,10 @@ func (r *Relation) UnmarshalJSON(data []byte) error {
 			return fmt.Errorf("relation: tuple %d: %w", i, err)
 		}
 	}
-	// Field-wise assignment: copying the struct would copy its atomic field.
-	r.schema, r.rows = out.schema, out.rows
+	// Field-wise assignment: copying the struct would copy its atomic fields.
+	// A block-backed r becomes row-backed; its block and rows are dropped.
+	r.schema, r.rows, r.src = out.schema, out.rows, nil
+	r.decoded.Store(nil)
 	r.seen.Store(out.seen.Load())
 	r.block.Store(nil)
 	return nil

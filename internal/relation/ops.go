@@ -44,8 +44,8 @@ func JoinGoverned(g *govern.Governor, l, r *Relation) (*Relation, error) {
 	}
 
 	if common.IsEmpty() {
-		for _, lt := range l.rows {
-			for _, rt := range r.rows {
+		for _, lt := range l.tuples() {
+			for _, rt := range r.tuples() {
 				out.appendJoined(lt, rt, rOnlyPos)
 				if err := scope.Visit(out.Len()); err != nil {
 					return nil, err
@@ -58,7 +58,7 @@ func JoinGoverned(g *govern.Governor, l, r *Relation) (*Relation, error) {
 	lPos, _ := l.schema.Positions(common)
 	rPos, _ := r.schema.Positions(common)
 
-	if err := hashJoinInto(out, l.rows, r.rows, lPos, rPos, rOnlyPos,
+	if err := hashJoinInto(out, l.tuples(), r.tuples(), lPos, rPos, rOnlyPos,
 		func(int) error { return scope.Visit(out.Len()) }); err != nil {
 		return nil, err
 	}
@@ -154,7 +154,7 @@ func SemijoinGoverned(g *govern.Governor, l, r *Relation) (*Relation, error) {
 	out := New(l.schema)
 	if common.IsEmpty() {
 		if r.Len() > 0 {
-			for _, lt := range l.rows {
+			for _, lt := range l.tuples() {
 				out.MustInsert(lt)
 				if err := scope.Visit(out.Len()); err != nil {
 					return nil, err
@@ -170,10 +170,10 @@ func SemijoinGoverned(g *govern.Governor, l, r *Relation) (*Relation, error) {
 		// which have support, then emit the supported l tuples. The map
 		// stays |l|-sized even when r is huge.
 		support := make(map[string]bool, l.Len())
-		for _, lt := range l.rows {
+		for _, lt := range l.tuples() {
 			support[lt.keyAt(lPos)] = false
 		}
-		for _, rt := range r.rows {
+		for _, rt := range r.tuples() {
 			k := rt.keyAt(rPos)
 			if _, interesting := support[k]; interesting {
 				support[k] = true
@@ -182,7 +182,7 @@ func SemijoinGoverned(g *govern.Governor, l, r *Relation) (*Relation, error) {
 				return nil, err
 			}
 		}
-		for _, lt := range l.rows {
+		for _, lt := range l.tuples() {
 			if support[lt.keyAt(lPos)] {
 				out.MustInsert(lt)
 			}
@@ -193,10 +193,10 @@ func SemijoinGoverned(g *govern.Governor, l, r *Relation) (*Relation, error) {
 		return out, nil
 	}
 	keys := make(map[string]struct{}, r.Len())
-	for _, rt := range r.rows {
+	for _, rt := range r.tuples() {
 		keys[rt.keyAt(rPos)] = struct{}{}
 	}
-	for _, lt := range l.rows {
+	for _, lt := range l.tuples() {
 		if _, ok := keys[lt.keyAt(lPos)]; ok {
 			out.MustInsert(lt)
 		}
@@ -227,7 +227,7 @@ func ProjectGoverned(g *govern.Governor, r *Relation, attrs AttrSet) (*Relation,
 	}
 	pos, _ := r.schema.Positions(attrs)
 	out := New(MustSchema(attrs...))
-	for _, t := range r.rows {
+	for _, t := range r.tuples() {
 		row := make(Tuple, len(pos))
 		for i, p := range pos {
 			row[i] = t[p]

@@ -96,13 +96,19 @@ func (t Tuple) String() string {
 // The dedup index is built lazily: relations constructed from rows already
 // known to be distinct (NewFromDistinctRows, partition merges) pay for it
 // only if Insert, Contains, or an Equal receiver actually needs it. The
-// columnar encoding (Block) is a second memo, published the same way; a
-// relation decoded from a block starts with it.
+// columnar encoding (Block) is a second memo, published the same way. A
+// relation made by ColBlock.ToRelation is block-backed: it holds that block
+// and no rows, and its rows are a third memo, decoded on first read.
 type Relation struct {
 	schema *Schema
 	rows   []Tuple
-	seen   atomic.Pointer[seenSet]
-	block  atomic.Pointer[ColBlock]
+	// src is the block a block-backed relation's rows are decoded from
+	// (nil for a row-backed one). Only ToRelation sets it; Insert moves the
+	// decoded rows into rows and clears it, and UnmarshalJSON clears it.
+	src     *ColBlock
+	decoded atomic.Pointer[[]Tuple]
+	seen    atomic.Pointer[seenSet]
+	block   atomic.Pointer[ColBlock]
 }
 
 // seenSet is the dedup index: the key-encoded tuples currently in rows.
@@ -149,16 +155,34 @@ func (r *Relation) index() seenSet {
 	if p := r.seen.Load(); p != nil {
 		return *p
 	}
-	m := make(seenSet, len(r.rows))
-	for _, t := range r.rows {
+	rows := r.tuples()
+	m := make(seenSet, len(rows))
+	for _, t := range rows {
 		m[t.key()] = struct{}{}
 	}
 	r.seen.CompareAndSwap(nil, &m)
 	return *r.seen.Load()
 }
 
+// tuples returns the relation's rows; every reader of them goes through it
+// (rows itself is read directly only where src is known to be nil). A
+// block-backed relation decodes src on first use and publishes the rows the
+// way index publishes its set: concurrent first readers may race to decode,
+// and every caller gets the one slice that won.
+func (r *Relation) tuples() []Tuple {
+	if r.src == nil {
+		return r.rows
+	}
+	if p := r.decoded.Load(); p != nil {
+		return *p
+	}
+	rows := r.src.decode()
+	r.decoded.CompareAndSwap(nil, &rows)
+	return *r.decoded.Load()
+}
+
 // Block returns the relation's columnar encoding — the block a ToRelation
-// decoded it from, or else FromRelation(r), built on first use and kept on
+// made it from, or else FromRelation(r), built on first use and kept on
 // the relation, so every later reader of the same snapshot shares one
 // encoding (and the sorted runs memoized on it). Like
 // index, concurrent first readers may race to build it and one build wins;
@@ -177,14 +201,20 @@ func (r *Relation) Block() *ColBlock {
 func (r *Relation) Schema() *Schema { return r.schema }
 
 // Len returns the number of (distinct) tuples — |R| in the paper's notation.
-func (r *Relation) Len() int { return len(r.rows) }
+func (r *Relation) Len() int {
+	if r.src != nil {
+		return r.src.n
+	}
+	return len(r.rows)
+}
 
 // IsEmpty reports whether the relation has no tuples.
-func (r *Relation) IsEmpty() bool { return len(r.rows) == 0 }
+func (r *Relation) IsEmpty() bool { return r.Len() == 0 }
 
-// Rows returns the underlying tuples. Callers must not modify the returned
-// slice or its tuples.
-func (r *Relation) Rows() []Tuple { return r.rows }
+// Rows returns the underlying tuples, decoding a block-backed relation's
+// block on first use. Callers must not modify the returned slice or its
+// tuples.
+func (r *Relation) Rows() []Tuple { return r.tuples() }
 
 // Insert adds a tuple, ignoring duplicates. It returns an error if the
 // tuple's arity does not match the schema.
@@ -192,6 +222,9 @@ func (r *Relation) Insert(t Tuple) error {
 	if len(t) != r.schema.Len() {
 		return fmt.Errorf("relation: tuple arity %d does not match schema %s (arity %d)",
 			len(t), r.schema, r.schema.Len())
+	}
+	if r.src != nil { // become row-backed: the new row joins the decoded ones
+		r.rows, r.src = r.tuples(), nil
 	}
 	k := t.key()
 	idx := r.index()
@@ -226,12 +259,13 @@ func (r *Relation) Contains(t Tuple) bool {
 }
 
 // Clone returns a deep-enough copy: the row slice is copied; tuples are
-// shared (they are treated as immutable). The clone's dedup index and
-// columnar encoding are rebuilt lazily if needed.
+// shared (they are treated as immutable). The clone is row-backed even when
+// r is block-backed: its dedup index and columnar encoding are rebuilt
+// lazily if needed.
 func (r *Relation) Clone() *Relation {
 	return &Relation{
 		schema: r.schema,
-		rows:   append([]Tuple(nil), r.rows...),
+		rows:   append([]Tuple(nil), r.tuples()...),
 	}
 }
 
@@ -249,7 +283,7 @@ func (r *Relation) Equal(s *Relation) bool {
 	if err != nil {
 		return false
 	}
-	for _, row := range s.rows {
+	for _, row := range s.tuples() {
 		re := make(Tuple, len(pos))
 		for i, p := range pos {
 			re[i] = row[p]
@@ -264,7 +298,7 @@ func (r *Relation) Equal(s *Relation) bool {
 // SortedRows returns the tuples in lexicographic order; for deterministic
 // output in tests, goldens, and printing.
 func (r *Relation) SortedRows() []Tuple {
-	out := append([]Tuple(nil), r.rows...)
+	out := append([]Tuple(nil), r.tuples()...)
 	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
 	return out
 }

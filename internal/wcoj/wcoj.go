@@ -37,7 +37,7 @@
 //     partition-parallel variant that splits the outermost variable's key
 //     range across workers (parallel.go). Its output is a block over the
 //     aligned domains, so nothing is decoded; Join and JoinGoverned wrap it
-//     for a database and decode the result.
+//     for a database and return it as a block-backed relation.
 //
 // JoinBlocks is what the program executor runs for a multiway statement
 // (internal/program): the engine's wcoj plan is that one statement, and a
@@ -60,7 +60,8 @@ type Result struct {
 	// domains the operands were aligned to, so it was built without decoding
 	// a value.
 	Block *relation.ColBlock
-	// Output is Block decoded; only JoinGoverned sets it.
+	// Output is Block as a relation (block-backed: its rows are decoded
+	// only if read); only JoinGoverned sets it.
 	Output *relation.Relation
 	// TrieTuples is the number of index entries read — Σ|Rᵢ|, since each
 	// trie re-sorts its operand without generating new tuples. It is charged
@@ -102,7 +103,7 @@ func Join(db *relation.Database, order []string) (*relation.Relation, error) {
 }
 
 // JoinGoverned is JoinBlocks over db's resident blocks, tracing under the
-// governor's span, with the output decoded into Result.Output.
+// governor's span, with the output block wrapped as Result.Output.
 func JoinGoverned(db *relation.Database, order []string, gov *govern.Governor, workers int) (*Result, error) {
 	if db == nil || db.Len() == 0 {
 		return nil, fmt.Errorf("wcoj: empty database")
