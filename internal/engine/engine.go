@@ -1,3 +1,8 @@
+// Package engine is the user-facing facade: given a database, it picks (or
+// is told) a strategy — the classical acyclic pipeline, direct evaluation of
+// an optimized join expression, or the paper's derive-a-program route — runs
+// it, and returns the result with cost accounting and an EXPLAIN-style
+// report.
 package engine
 
 import (
@@ -33,10 +38,14 @@ const (
 	// StrategyExpression evaluates the cheapest Cartesian-product-free join
 	// expression directly — the classical heuristic the paper critiques.
 	StrategyExpression
-	// StrategyReduceThenJoin runs the pairwise semijoin reduction to a
-	// fixpoint, then evaluates the cheapest CPF expression (searched on the
-	// unreduced instance at plan time) over the reduced relations — the
-	// classical generalization of "full-reduce then join".
+	// StrategyReduceThenJoin runs one pairwise semijoin round (R_i := R_i ⋉
+	// R_j for every overlapping ordered pair), then the cheapest CPF
+	// expression's joins (searched on the unreduced instance at plan time)
+	// over the reduced relations, compiled into one program — the classical
+	// generalization of "full-reduce then join". A semijoin never removes a
+	// tuple of ⋈D, so the joins still compute it. One round promises no
+	// consistency, not even pairwise: it strips only the dangling tuples it
+	// reaches.
 	StrategyReduceThenJoin
 	// StrategyAcyclic runs the full reducer plus a monotone join
 	// expression; it fails on cyclic schemes.
@@ -103,7 +112,7 @@ type Options struct {
 	// dependency DAG, their joins and semijoins probe in parallel row
 	// ranges, and a multiway join partitions its outermost variable. Every
 	// plan runs as a program on that executor — join trees, the acyclic
-	// pipeline, the pairwise reduction and the leapfrog join included. All
+	// pipeline, reduce-then-join and the leapfrog join included. All
 	// workers charge the same governor budgets. 0 or 1 executes
 	// sequentially (the default); results and costs are identical either
 	// way. Workers is honored by direct Join calls and by cached-Plan
@@ -148,8 +157,8 @@ type Report struct {
 	// Plan describes the executed plan: how its program was obtained (the
 	// join expression, the route) and the program's statements.
 	Plan string
-	// Notes carries strategy-specific detail (reduction rounds, trie counts,
-	// bound factors, …).
+	// Notes carries strategy-specific detail (trie counts, bound factors,
+	// …).
 	Notes []string
 	// PlanCacheHit reports whether execution reused a cached plan instead of
 	// running optimizer search (set by the serving layer; always false for
@@ -166,10 +175,11 @@ type Report struct {
 	// the merged totals, corrected to match what one sequential execution
 	// would have charged.
 	Shards int
-	// Steps carries per-statement timings of the executed program (for
-	// reduce-then-join, of the program run after the reduction). Under
-	// parallel execution concurrent steps overlap, so their Walls sum to more
-	// than the query's elapsed time.
+	// Steps carries per-statement timings of the executed program, one per
+	// statement in program order (for reduce-then-join, the round's
+	// semijoins first, then the joins). Under parallel execution concurrent
+	// steps overlap, so their Walls sum to more than the query's elapsed
+	// time.
 	Steps []StepTiming
 }
 
@@ -274,7 +284,7 @@ func newGovernor(opts Options) *govern.Governor {
 
 // phaseNames names the span of each phase an execution runs its work under.
 var phaseNames = map[obs.Kind]string{
-	obs.KindReduce:   "pairwise semijoin reduction",
+	obs.KindReduce:   "pairwise semijoin round, then joins",
 	obs.KindEval:     "evaluate expression",
 	obs.KindPipeline: "full-reducer pipeline",
 }
@@ -360,9 +370,9 @@ func programReport(out *relation.Relation, cost int, trace []program.Step) *Repo
 // at Resolve(h, auto), the plan the serving layer caches: the full-reducer
 // pipeline on acyclic schemes, the paper's derived program otherwise. Behind
 // the acyclic pipeline only the program route remains. Behind the program
-// come the cheapest CPF expression, fixpoint semijoin reduction followed by
-// the cheapest CPF expression, and last the worst-case-optimal Leapfrog
-// Triejoin, which materializes no pairwise intermediate at all.
+// come the cheapest CPF expression, the same expression behind one pairwise
+// semijoin round, and last the worst-case-optimal Leapfrog Triejoin, which
+// materializes no pairwise intermediate at all.
 func DegradationLadder(s Strategy, acyclic bool) []Strategy {
 	switch {
 	case s != StrategyAuto:
@@ -434,33 +444,4 @@ func bestTree(db *relation.Database, h *hypergraph.Hypergraph, budget int64, spa
 		return nil, "", err
 	}
 	return plan.Tree, fmt.Sprintf("greedy (cost %d)", plan.Cost), nil
-}
-
-// reduceThenJoin reduces pairwise to a fixpoint — the round program re-run
-// on the block executor — then runs the plan's program over the reduced
-// blocks the last round returned; the output is block-backed, like every
-// executor output.
-func reduceThenJoin(cdb *relation.Database, ch *hypergraph.Hypergraph, plan *Plan, gov *govern.Governor, opts Options) (*Report, error) {
-	var red *PairwiseReduction
-	var blocks []*relation.ColBlock
-	if err := tracedPhase(gov, obs.KindReduce, func() (err error) {
-		red, blocks, err = pairwiseReduce(cdb, ch, 0, gov, opts.workerCount())
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	p := plan.Program
-	var bound map[string]*relation.ColBlock
-	var trace []program.Step
-	if err := executeTraced(gov, plan.phase, func() (err error) {
-		bound, trace, err = p.Execute(blocks, gov, opts.workerCount())
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	// The original inputs once, the reduction heads, the join heads: the
-	// program's inputs are the reduced relations the reduction paid for.
-	rep := programReport(bound[p.Output].ToRelation(), cdb.TotalTuples()+red.Cost+program.Generated(trace), trace)
-	rep.Notes = append([]string{fmt.Sprintf("pairwise reduction: %d rounds, %d tuples removed", red.Rounds, red.Removed)}, rep.Notes...)
-	return rep, nil
 }

@@ -99,6 +99,64 @@ func degradationNotes(notes []string) []string {
 	return falls
 }
 
+// hubTriangleDB is a triangle R(A,B), S(B,C), T(C,A) with a 1-tuple join,
+// (A,B,C) = (1,0,1). R holds a hub B = 0 and S fans out on it, so R ⋈ S
+// is 64 tuples, of which T closes one. Every other row dangles: it matches
+// one neighbour but not the other, and the three pairs' dangling rows meet
+// on A = 1 or C = 1, so S ⋈ T and T ⋈ R are large too. Semijoins strip
+// every relation to its one joining row, so the CPF expressions pay for a
+// pairwise join the reduction never builds.
+func hubTriangleDB() *relation.Database {
+	r := relation.New(relation.MustSchema("A", "B"))
+	s := relation.New(relation.MustSchema("B", "C"))
+	tr := relation.New(relation.MustSchema("C", "A"))
+	for i := int64(1); i <= 8; i++ {
+		r.MustInsert(relation.Ints(i, 0)) // the hub: only A = 1 joins T
+		s.MustInsert(relation.Ints(0, i)) // the fan-out: only C = 1 joins T
+	}
+	for i := int64(1); i <= 9; i++ {
+		r.MustInsert(relation.Ints(1, 300+i)) // joins T, no S partner
+	}
+	for i := int64(1); i <= 6; i++ {
+		s.MustInsert(relation.Ints(200+i, 1))  // joins T, no R partner
+		tr.MustInsert(relation.Ints(1, 100+i)) // joins S, no R partner
+	}
+	for i := int64(1); i <= 10; i++ {
+		tr.MustInsert(relation.Ints(400+i, 1)) // joins R, no S partner
+	}
+	tr.MustInsert(relation.Ints(1, 1)) // closes the one triangle
+	return relation.MustDatabase(r, s, tr)
+}
+
+// TestAutoLadderLandsOnReduceThenJoin pins the rescue reduce-then-join
+// exists for. On hubTriangleDB the rungs charge 58 tuples (program), 50
+// (cpf-expression), 34 (reduce-then-join) and 49 (wcoj: the 48 inputs'
+// tries plus the output). Under a budget of 40 only reduce-then-join fits:
+// auto falls through two rungs and lands there, and wcoj alone aborts.
+func TestAutoLadderLandsOnReduceThenJoin(t *testing.T) {
+	db := hubTriangleDB()
+	const budget = 40
+	rep, err := Join(db, Options{Limits: govern.Limits{MaxTuples: budget}})
+	if err != nil {
+		t.Fatalf("ladder failed: %v", err)
+	}
+	if rep.Strategy != StrategyReduceThenJoin {
+		t.Errorf("ladder landed on %s, want %s", rep.Strategy, StrategyReduceThenJoin)
+	}
+	if want := db.Join(); want.Len() != 1 || !rep.Result.Equal(want) {
+		t.Errorf("result %d tuples, want ⋈D's %d", rep.Result.Len(), want.Len())
+	}
+	falls := degradationNotes(rep.Notes)
+	if len(falls) != 2 ||
+		!strings.HasPrefix(falls[0], "degradation: "+StrategyProgram.String()+" aborted") ||
+		!strings.HasPrefix(falls[1], "degradation: "+StrategyExpression.String()+" aborted") {
+		t.Errorf("fallback chain %q, want program then cpf-expression", falls)
+	}
+	if _, err := Join(db, Options{Strategy: StrategyWCOJ, Limits: govern.Limits{MaxTuples: budget}}); !errors.Is(err, govern.ErrTupleBudget) {
+		t.Errorf("wcoj under %d tuples: want ErrTupleBudget, got %v", budget, err)
+	}
+}
+
 // TestAutoLadderDegradesToProgram forces the acyclic pipeline, the first
 // rung of an acyclic scheme's ladder, to blow its budget (a failpoint
 // injects the abort on the first attempt; the pipeline's charge never
@@ -190,12 +248,14 @@ func TestCancellationIsFinalNotDegraded(t *testing.T) {
 	db := example3DB(t, 10)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already canceled: the very first Begin must abort
-	rep, err := Join(db, Options{Limits: govern.Limits{Context: ctx}})
-	if rep != nil || !errors.Is(err, govern.ErrCanceled) {
-		t.Fatalf("want ErrCanceled with no report, got rep=%v err=%v", rep, err)
-	}
-	if strings.Contains(err.Error(), "ladder") {
-		t.Errorf("cancellation should not walk the ladder: %v", err)
+	for _, s := range []Strategy{StrategyAuto, StrategyReduceThenJoin} {
+		rep, err := Join(db, Options{Strategy: s, Limits: govern.Limits{Context: ctx}})
+		if rep != nil || !errors.Is(err, govern.ErrCanceled) {
+			t.Fatalf("%s: want ErrCanceled with no report, got rep=%v err=%v", s, rep, err)
+		}
+		if strings.Contains(err.Error(), "ladder") {
+			t.Errorf("%s: cancellation should not walk the ladder: %v", s, err)
+		}
 	}
 }
 
@@ -275,17 +335,6 @@ func TestProjectHonorsLimits(t *testing.T) {
 	})
 	if !errors.Is(err, govern.ErrTupleBudget) {
 		t.Fatalf("want ErrTupleBudget from Project, got %v", err)
-	}
-}
-
-func TestPairwiseReduceGovernedCancel(t *testing.T) {
-	db := example3DB(t, 8)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	g := govern.New(govern.Limits{Context: ctx})
-	_, err := PairwiseReduceGoverned(db, 0, g)
-	if !errors.Is(err, govern.ErrCanceled) {
-		t.Fatalf("want ErrCanceled, got %v", err)
 	}
 }
 

@@ -85,7 +85,7 @@ func TestTraceShapePerStrategy(t *testing.T) {
 	}{
 		{StrategyProgram, []obs.Kind{obs.KindExecute}},
 		{StrategyExpression, []obs.Kind{obs.KindEval}},
-		{StrategyReduceThenJoin, []obs.Kind{obs.KindReduce, obs.KindEval}},
+		{StrategyReduceThenJoin, []obs.Kind{obs.KindReduce}},
 		{StrategyDirect, []obs.Kind{obs.KindEval}},
 		{StrategyWCOJ, []obs.Kind{obs.KindExecute}},
 	}

@@ -41,27 +41,28 @@ type Plan struct {
 	// Strategy is the resolved execution route — never StrategyAuto.
 	Strategy Strategy
 	// Tree is the optimized join expression in canonical edge order: the
-	// expression the expression, reduce-then-join, and direct strategies
-	// compile, and the source expression Algorithm 1/2 derived from for the
-	// program strategy. It is nil for the acyclic pipeline and the leapfrog
-	// join.
+	// expression the expression and direct strategies compile, whose joins
+	// reduce-then-join appends to its semijoin round, and the source
+	// expression Algorithm 1/2 derived from for the program strategy. It is
+	// nil for the acyclic pipeline and the leapfrog join.
 	Tree *jointree.Tree
 	// Derivation carries the CPF tree and derived program for
 	// StrategyProgram (Algorithms 1 and 2, run once at plan time).
 	Derivation *core.Derivation
 	// Program is what ExecutePlan runs, over inputs named
 	// jointree.SchemeNames of the canonical scheme: the derived program, the
-	// tree's joins (Tree.Program), the acyclic pipeline
+	// tree's joins (Tree.Program), one pairwise semijoin round followed by
+	// the tree's joins for reduce-then-join, the acyclic pipeline
 	// (acyclic.JoinProgram), or one multiway statement over every relation
-	// for wcoj. Reduce-then-join runs it over the reduced relations. Like
-	// everything above it, it depends only on the scheme.
+	// for wcoj. Like everything above it, it depends only on the scheme.
 	Program *program.Program
 	// Notes records how the plan was obtained (search used, bound factors).
 	Notes []string
 	// text is Report.Plan: how Program was obtained, then its statements.
 	text string
 	// phase is the span kind Program runs under when traced: KindEval for a
-	// join expression, KindPipeline for the acyclic pipeline, "" for none.
+	// join expression, KindReduce for reduce-then-join, KindPipeline for the
+	// acyclic pipeline, "" for none.
 	phase obs.Kind
 }
 
@@ -174,6 +175,13 @@ func PlanFor(db *relation.Database, opts Options) (*Plan, error) {
 		}
 		p.Tree = tree
 		p.Notes = append(p.Notes, "optimized by "+how)
+		if p.Strategy == StrategyReduceThenJoin {
+			// A semijoin never removes a tuple of ⋈D, so the tree's joins
+			// over the reduced inputs still compute it (Theorem 1).
+			p.Program, p.phase = pairwiseRound(ch), obs.KindReduce
+			p.Program.Output = tree.AppendJoins(p.Program, p.Program.Inputs)
+			header = "one pairwise semijoin round, then " + tree.String(ch) + "\n"
+		}
 	case StrategyProgram:
 		tree, how, err := bestTree(cdb, ch, opts.Budget, optimizer.SpaceAll)
 		if err != nil {
@@ -222,6 +230,22 @@ func (p *Plan) compileAcyclic(ch *hypergraph.Hypergraph) (string, error) {
 	return "full reducer; monotone expression: " + acyclic.MonotoneTree(jt).String(ch) + "\n", nil
 }
 
+// pairwiseRound is one round of pairwise semijoin reduction as a program:
+// R_i := R_i ⋉ R_j for every ordered pair of distinct overlapping relations,
+// i the outer and j the inner index, over inputs jointree.SchemeNames(h).
+// Its Output is unset.
+func pairwiseRound(h *hypergraph.Hypergraph) *program.Program {
+	p := &program.Program{Inputs: jointree.SchemeNames(h)}
+	for i, ri := range p.Inputs {
+		for j, rj := range p.Inputs {
+			if i != j && h.Edge(i).Overlaps(h.Edge(j)) {
+				p.Stmts = append(p.Stmts, program.Stmt{Op: program.OpSemijoin, Head: ri, Arg1: ri, Arg2: rj})
+			}
+		}
+	}
+	return p
+}
+
 // leapfrogProgram compiles one multiway statement over every edge of ch,
 // along its greedy variable order (wcoj.VariableOrder).
 func leapfrogProgram(ch *hypergraph.Hypergraph) *program.Program {
@@ -237,9 +261,9 @@ func leapfrogProgram(ch *hypergraph.Hypergraph) *program.Program {
 // ExecutePlan runs a previously derived plan against db, which must be over
 // the same scheme (equal Fingerprint; any edge order). No optimizer search
 // or algorithm derivation happens here — this is the serving hot path: the
-// plan's Program runs on the program executor, after the pairwise
-// reduction for reduce-then-join. Options.Limits and Options.Workers apply;
-// Options.Strategy and Options.Budget are ignored (the plan fixed both).
+// plan's Program runs on the program executor, the one path every strategy
+// takes. Options.Limits and Options.Workers apply; Options.Strategy and
+// Options.Budget are ignored (the plan fixed both).
 // The plan is not mutated, so concurrent ExecutePlan calls on one plan are
 // safe — including parallel executions of the same cached plan, each with
 // its own governor and worker pool.
@@ -254,7 +278,7 @@ func ExecutePlan(db *relation.Database, plan *Plan, opts Options) (rep *Report, 
 	if fp := h.Fingerprint(); fp != plan.Fingerprint {
 		return nil, fmt.Errorf("engine: plan fingerprint %q does not match database scheme %q", plan.Fingerprint, fp)
 	}
-	cdb, ch, err := canonicalize(db, h)
+	cdb, _, err := canonicalize(db, h)
 	if err != nil {
 		return nil, err
 	}
@@ -272,12 +296,7 @@ func ExecutePlan(db *relation.Database, plan *Plan, opts Options) (rep *Report, 
 	if _, err := gov.Begin("engine.strategy"); err != nil {
 		return nil, err
 	}
-	if plan.Strategy == StrategyReduceThenJoin {
-		rep, err = reduceThenJoin(cdb, ch, plan, gov, opts)
-	} else {
-		rep, err = runPlan(cdb, plan, gov, opts)
-	}
-	if err != nil {
+	if rep, err = runPlan(cdb, plan, gov, opts); err != nil {
 		return nil, err
 	}
 	rep.Strategy = plan.Strategy

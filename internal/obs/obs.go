@@ -56,7 +56,8 @@ const (
 	KindAttempt Kind = "attempt"
 	// KindExecute covers governed execution of a cached plan.
 	KindExecute Kind = "execute"
-	// KindReduce covers a semijoin reduction pass.
+	// KindReduce covers a reduce-then-join program: a pairwise semijoin
+	// round, then joins.
 	KindReduce Kind = "reduce"
 	// KindEval covers join-expression evaluation.
 	KindEval Kind = "eval"

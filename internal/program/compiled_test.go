@@ -21,8 +21,8 @@ import (
 
 // Facets of the differential harness for the plans compiled to programs:
 // join trees (jointree.Tree.Program), the acyclic pipeline and Yannakakis
-// (acyclic.JoinProgram, YannakakisProgram, Reduce), the pairwise
-// reduction's round program (engine.PairwiseReduceGoverned), and the
+// (acyclic.JoinProgram, YannakakisProgram, Reduce), the reduce-then-join
+// plans (one pairwise semijoin round, then a tree's joins), and the
 // programs built on the multiway statement (the wcoj plan, and a multiway
 // core ahead of binary joins). Each
 // runs over the shared case set at every worker count, with the range-split
@@ -220,81 +220,56 @@ func TestAcyclicProgramsMatchOracle(t *testing.T) {
 	}
 }
 
-// TestPairwiseReduceMatchesOracleRounds (facet c):
-// engine.PairwiseReduceGoverned equals re-running its round program —
-// R_i := R_i ⋉ R_j for every ordered overlapping pair, i outer — on the
-// oracle until a round shrinks nothing: same rounds, removed count, cost, and
-// reduced relations. reduce-then-join reports the same cost, result and notes
-// at every worker count.
-func TestPairwiseReduceMatchesOracleRounds(t *testing.T) {
+// TestReduceThenJoinPlansMatchOracle (facet c): the engine's
+// reduce-then-join plans — one pairwise round R_i := R_i ⋉ R_j over every
+// ordered overlapping pair, then the CPF tree's joins — compute ⋈D
+// (semijoins never remove a tuple of it) and equal the tuple oracle running
+// the same program in output, cost, governor charge and every head at every
+// worker count, and a MaxTuples budget of exactly that charge passes while
+// one tuple less aborts.
+func TestReduceThenJoinPlansMatchOracle(t *testing.T) {
 	defer relation.SetParallelThreshold(0)()
 	for _, c := range differentialCases(t) {
-		names := jointree.SchemeNames(c.h)
-		round := &program.Program{Inputs: names, Output: names[0]}
-		for i := range names {
-			for j := range names {
-				if i != j && c.h.Edge(i).Overlaps(c.h.Edge(j)) {
-					round.Stmts = append(round.Stmts, program.Stmt{Op: program.OpSemijoin, Head: names[i], Arg1: names[i], Arg2: names[j]})
-				}
-			}
-		}
-		db, rounds, cost := c.db, 0, 0
-		for {
-			rounds++
-			env, trace, err := round.ExecuteOracle(db, nil)
-			if err != nil {
-				t.Fatalf("%s: oracle round: %v", c.name, err)
-			}
-			cost += program.Generated(trace)
-			rels := make([]*relation.Relation, len(names))
-			for i, name := range names {
-				rels[i] = env[name]
-			}
-			next := relation.MustDatabase(rels...)
-			if next.TotalTuples() == db.TotalTuples() {
-				break
-			}
-			db = next
-		}
-		red, err := engine.PairwiseReduceGoverned(c.db, 0, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		removed := c.db.TotalTuples() - db.TotalTuples()
-		if red.Rounds != rounds || red.Removed != removed || red.Cost != cost {
-			t.Fatalf("%s: %d rounds, %d removed, cost %d; oracle %d, %d, %d",
-				c.name, red.Rounds, red.Removed, red.Cost, rounds, removed, cost)
-		}
-		for i := range names {
-			if !red.Database.Relation(i).Equal(db.Relation(i)) {
-				t.Fatalf("%s: reduced relation %d differs from the oracle's", c.name, i)
-			}
-		}
-		// The reduce-then-join plan reduces in the scheme's canonical edge
-		// order, and a round's charge depends on its semijoin order.
 		cdb, err := c.db.Restrict(c.h.CanonicalOrder())
 		if err != nil {
 			t.Fatal(err)
 		}
-		cred, err := engine.PairwiseReduceGoverned(cdb, 0, nil)
+		plan, err := engine.PlanFor(c.db, engine.Options{Strategy: engine.StrategyReduceThenJoin})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", c.name, err)
 		}
-		var first *engine.Report
+		p := plan.Program
+		oracleG := unlimited()
+		want, err := p.ApplyOracle(cdb, oracleG)
+		if err != nil {
+			t.Fatalf("%s: oracle: %v", c.name, err)
+		}
+		if full := cdb.Join(); !want.Output.Equal(full) {
+			t.Fatalf("%s: %d tuples, ⋈D has %d\n%s", c.name, want.Output.Len(), full.Len(), p)
+		}
 		for _, w := range workerSweep {
-			rep, err := engine.Join(c.db, engine.Options{Strategy: engine.StrategyReduceThenJoin, Workers: w})
+			g := unlimited()
+			got, err := p.ApplyParallelGoverned(cdb, g, w)
 			if err != nil {
-				t.Fatalf("%s, %d workers: reduce-then-join: %v", c.name, w, err)
+				t.Fatalf("%s, %d workers: %v", c.name, w, err)
 			}
-			if first == nil {
-				first = rep
-				if want := c.db.TotalTuples() + cred.Cost; rep.Cost < int64(want) {
-					t.Fatalf("%s: reduce-then-join cost %d below inputs + reduction %d", c.name, rep.Cost, want)
+			if !got.Output.Equal(want.Output) || got.Cost != want.Cost || g.Produced() != oracleG.Produced() {
+				t.Fatalf("%s, %d workers: %d tuples cost %d charged %d; oracle %d tuples cost %d charged %d", c.name, w,
+					got.Output.Len(), got.Cost, g.Produced(), want.Output.Len(), want.Cost, oracleG.Produced())
+			}
+			for i, step := range got.Trace {
+				if step.Size != want.Trace[i].Size || !step.Schema.Equal(want.Trace[i].Schema) {
+					t.Fatalf("%s, %d workers: statement %d (%s) head %s/%d, oracle %s/%d", c.name, w, i+1,
+						step.Stmt, step.Schema, step.Size, want.Trace[i].Schema, want.Trace[i].Size)
 				}
-				continue
 			}
-			if !rep.Result.Equal(first.Result) || rep.Cost != first.Cost || fmt.Sprint(rep.Notes) != fmt.Sprint(first.Notes) {
-				t.Fatalf("%s, %d workers: reduce-then-join report differs from one worker's", c.name, w)
+			if at := oracleG.Produced(); at >= 2 {
+				if _, err := p.ApplyParallelGoverned(cdb, govern.New(govern.Limits{MaxTuples: at, CheckEvery: 1}), w); err != nil {
+					t.Fatalf("%s, %d workers: MaxTuples == %d must pass, got %v", c.name, w, at, err)
+				}
+				if res, err := p.ApplyParallelGoverned(cdb, govern.New(govern.Limits{MaxTuples: at - 1, CheckEvery: 1}), w); res != nil || !errors.Is(err, govern.ErrTupleBudget) {
+					t.Fatalf("%s, %d workers: MaxTuples == %d gave %v; want ErrTupleBudget and no result", c.name, w, at-1, err)
+				}
 			}
 		}
 	}

@@ -37,21 +37,14 @@ import (
 //     needs every operand partitioned — a broadcast operand's trie would be
 //     charged once per shard.
 //
-// One plan is unclean by name whatever its program: reduce-then-join
-// iterates pairwise semijoin reduction to a fixpoint whose round count is
-// instance-local — a shard that converges early stops charging while the
-// sequential run keeps scanning its tuples, so charges diverge
-// structurally. Every other plan is judged by its program alone: each shard
-// runs that program as given.
+// No plan is judged by its strategy: each shard runs the plan's program as
+// given, so the program alone decides.
 func (g *Group) CleanFor(plan *engine.Plan) (bool, string) {
 	if g.n == 1 {
 		return true, ""
 	}
 	if g.PartitionedCount() == 0 {
 		return false, fmt.Sprintf("no relation partitions on %q (all broadcast or missing the attribute)", g.attr)
-	}
-	if plan.Strategy == engine.StrategyReduceThenJoin {
-		return false, "fixpoint reduction rounds are instance-local, so per-shard charges cannot sum to the sequential total"
 	}
 	p := plan.Program
 	part := make(map[string]bool, len(p.Inputs)+len(p.Stmts))

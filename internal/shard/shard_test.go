@@ -129,13 +129,38 @@ func TestCleanForReasons(t *testing.T) {
 		t.Fatalf("wcoj clean = %v (%s), want unclean leapfrog reason", ok, reason)
 	}
 
-	// Fixpoint reduction is never clean.
+	// Reduce-then-join is judged by its program like any plan. Its round
+	// filters the broadcast S by the partitioned R, which differs per shard.
 	plan, err = engine.PlanFor(db, engine.Options{Strategy: engine.StrategyReduceThenJoin})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ := g.CleanFor(plan); ok {
-		t.Fatal("reduce-then-join must never scatter")
+	if ok, reason := g.CleanFor(plan); ok || !strings.Contains(reason, "⋉") {
+		t.Fatalf("reduce-then-join with S broadcast: clean = %v (%s), want unclean at a semijoin", ok, reason)
+	}
+	// Over a star every relation carries the hub, so every semijoin filters
+	// a partitioned relation and the plan scatters.
+	star, err := workload.StarScheme(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sdb, err := workload.RandomDatabase(rand.New(rand.NewSource(3)), star, 20, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs, err := NewGroup("star", sdb, 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gs.PartitionedCount() != sdb.Len() {
+		t.Fatalf("star: %d of %d relations partitioned, want all", gs.PartitionedCount(), sdb.Len())
+	}
+	plan, err = engine.PlanFor(sdb, engine.Options{Strategy: engine.StrategyReduceThenJoin})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, reason := gs.CleanFor(plan); !ok {
+		t.Fatalf("reduce-then-join over a fully partitioned star unclean: %s", reason)
 	}
 
 	// All-broadcast groups never scatter.
