@@ -533,7 +533,7 @@ func BenchmarkProgramTriangle(b *testing.B) {
 // on the wcoj route, then the cached plan executed under a tuple budget.
 // warm re-reads one database, so after the first iteration every index is
 // resident on its relation; cold clones the relations each iteration, so
-// every iteration pays the encode and the sort.
+// every iteration pays the encode, the trie build and the alignment.
 func BenchmarkWCOJSparseTriangle(b *testing.B) {
 	db, err := workload.TriangleSpec{Nodes: 2000, Edges: 16000}.TriangleDatabase(rand.New(rand.NewSource(1992)))
 	if err != nil {

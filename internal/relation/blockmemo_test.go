@@ -5,12 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
 
 // The resident-encoding tests. A relation keeps its ColBlock, and the block
-// its sorted runs, for as long as the rows they encode cannot change; these
+// its tries, for as long as the rows they encode cannot change; these
 // tests pin that a block is never stale — the property every "encode once,
 // query many" reader stands on.
 
@@ -79,57 +80,95 @@ func TestBlockIsMemoizedAndNeverStale(t *testing.T) {
 	}
 }
 
-func TestSortedByMemoizesPerOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(2041))
-	r := randRel(rng, "ABC", 60, 5)
-	b := r.Block()
-	orders := [][]string{{"A", "B", "C"}, {"C", "A", "B"}, {"B", "C", "A"}}
-	runs := make([]*ColBlock, len(orders))
-	for i, order := range orders {
-		s, built, err := b.SortedBy(order)
-		if err != nil || !built {
-			t.Fatalf("order %v: built=%v err=%v", order, built, err)
+// checkTrie asserts trie is r indexed along order in CSR form: levels in
+// order, keys strictly ascending within every node's child range and in
+// their dictionary's range, Start monotone from 0 to the next level's size,
+// one leaf per tuple, and root-to-leaf paths decoding to exactly r.
+func checkTrie(t *testing.T, trie *Trie, order []string, r *Relation) {
+	t.Helper()
+	if got := trie.Schema().Attrs(); !slices.Equal(got, order) {
+		t.Fatalf("order %v: levels %v", order, got)
+	}
+	k := len(order)
+	for d := 0; d < k-1; d++ {
+		start := trie.Start(d)
+		if len(start) != len(trie.Keys(d))+1 || start[0] != 0 || int(start[len(start)-1]) != len(trie.Keys(d+1)) {
+			t.Fatalf("order %v: level %d has %d keys, %d offsets %v..., level %d has %d keys",
+				order, d, len(trie.Keys(d)), len(start), start[:min(len(start), 4)], d+1, len(trie.Keys(d+1)))
 		}
-		if err := s.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		if !s.ToRelation().Equal(r) {
-			t.Fatalf("order %v: sorted run is not the relation", order)
-		}
-		for c, a := range order {
-			if s.Schema().Attr(c) != a {
-				t.Fatalf("order %v: schema %s", order, s.Schema())
+		for i := 1; i < len(start); i++ {
+			if start[i-1] >= start[i] {
+				t.Fatalf("order %v: level %d offsets not strictly ascending at %d", order, d, i)
 			}
 		}
-		for row := 1; row < s.Len(); row++ {
-			less := false
-			for c := range order {
-				if x, y := s.Codes(c)[row-1], s.Codes(c)[row]; x != y {
-					less = x < y
-					break
+	}
+	if leaves := len(trie.Keys(k - 1)); leaves != r.Len() {
+		t.Fatalf("order %v: %d leaves, relation has %d tuples", order, leaves, r.Len())
+	}
+	pos, err := r.Schema().Positions(order)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths := 0
+	row := make(Tuple, k)
+	var walk func(d, lo, hi int)
+	walk = func(d, lo, hi int) {
+		keys := trie.Keys(d)
+		for i := lo; i < hi; i++ {
+			if i > lo && keys[i-1] >= keys[i] {
+				t.Fatalf("order %v: level %d keys not strictly ascending at %d", order, d, i)
+			}
+			if int(keys[i]) >= len(trie.Dict(d)) {
+				t.Fatalf("order %v: level %d code %d out of range", order, d, keys[i])
+			}
+			row[pos[d]] = trie.Dict(d)[keys[i]]
+			if d == k-1 {
+				paths++
+				if !r.Contains(row) {
+					t.Fatalf("order %v: path %v is not a tuple of the relation", order, row)
 				}
+				continue
 			}
-			if !less {
-				t.Fatalf("order %v: rows %d, %d not strictly ascending", order, row-1, row)
-			}
-		}
-		runs[i] = s
-	}
-	for i, order := range orders {
-		s, built, err := b.SortedBy(order)
-		if err != nil || built || s != runs[i] {
-			t.Fatalf("order %v: second request rebuilt (built=%v, same=%v, err=%v)", order, built, s == runs[i], err)
+			walk(d+1, int(trie.Start(d)[i]), int(trie.Start(d)[i+1]))
 		}
 	}
-	for _, bad := range [][]string{{"A", "B"}, {"A", "B", "Z"}, {"A", "B", "B"}, {"A", "B", "C", "A"}} {
-		if _, _, err := b.SortedBy(bad); err == nil {
-			t.Errorf("order %v accepted", bad)
+	walk(0, 0, len(trie.Keys(0)))
+	if paths != r.Len() {
+		t.Fatalf("order %v: %d paths, relation has %d tuples", order, paths, r.Len())
+	}
+}
+
+func TestTrieMemoizesPerOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(2041))
+	for _, size := range []int{0, 1, 60} {
+		r := randRel(rng, "ABC", size, 5)
+		b := r.Block()
+		orders := [][]string{{"A", "B", "C"}, {"C", "A", "B"}, {"B", "C", "A"}}
+		tries := make([]*Trie, len(orders))
+		for i, order := range orders {
+			trie, built, err := b.Trie(order)
+			if err != nil || !built {
+				t.Fatalf("order %v: built=%v err=%v", order, built, err)
+			}
+			checkTrie(t, trie, order, r)
+			tries[i] = trie
+		}
+		for i, order := range orders {
+			trie, built, err := b.Trie(order)
+			if err != nil || built || trie != tries[i] {
+				t.Fatalf("order %v: second request rebuilt (built=%v, same=%v, err=%v)", order, built, trie == tries[i], err)
+			}
+		}
+		for _, bad := range [][]string{{"A", "B"}, {"A", "B", "Z"}, {"A", "B", "B"}, {"A", "B", "C", "A"}} {
+			if _, _, err := b.Trie(bad); err == nil {
+				t.Errorf("order %v accepted", bad)
+			}
 		}
 	}
 }
 
 // TestBlockMemoConcurrentFirstUse races first readers (run with -race): all
-// of them must end up on one block and one sorted run per order.
+// of them must end up on one block and one trie per order.
 func TestBlockMemoConcurrentFirstUse(t *testing.T) {
 	rng := rand.New(rand.NewSource(2042))
 	for trial := 0; trial < 20; trial++ {
@@ -137,7 +176,7 @@ func TestBlockMemoConcurrentFirstUse(t *testing.T) {
 		orders := [][]string{{"A", "B", "C"}, {"C", "B", "A"}}
 		const readers = 8
 		blocks := make([]*ColBlock, readers)
-		runs := make([][2]*ColBlock, readers)
+		tries := make([][2]*Trie, readers)
 		var wg sync.WaitGroup
 		for g := 0; g < readers; g++ {
 			wg.Add(1)
@@ -145,23 +184,28 @@ func TestBlockMemoConcurrentFirstUse(t *testing.T) {
 				defer wg.Done()
 				blocks[g] = r.Block()
 				for o, order := range orders {
-					s, _, err := blocks[g].SortedBy(order)
+					trie, _, err := blocks[g].Trie(order)
 					if err != nil {
 						t.Error(err)
 						return
 					}
-					runs[g][o] = s
+					tries[g][o] = trie
 				}
 			}(g)
 		}
 		wg.Wait()
 		for g := 1; g < readers; g++ {
-			if blocks[g] != blocks[0] || runs[g] != runs[0] {
+			if blocks[g] != blocks[0] || tries[g] != tries[0] {
 				t.Fatalf("trial %d: reader %d kept its own encoding", trial, g)
 			}
 		}
 		if blocks[0] != r.Block() {
 			t.Fatalf("trial %d: the retained block is not the one readers got", trial)
+		}
+		for o, order := range orders {
+			if trie, built, _ := blocks[0].Trie(order); built || trie != tries[0][o] {
+				t.Fatalf("trial %d: order %v: the retained trie is not the one readers got", trial, order)
+			}
 		}
 	}
 }

@@ -2,7 +2,6 @@ package relation
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -21,23 +20,12 @@ import (
 // fuzz target checks: strictly sorted dictionaries, every code in range,
 // and all columns the same length. ColBlocks are immutable once built and
 // share dictionaries freely, so they must never be mutated in place — which
-// is also why the sorted runs SortedBy memoizes on a block never need
-// invalidating.
+// is also why the tries Trie memoizes on a block never need invalidating.
 type ColBlock struct {
 	schema *Schema
 	cols   []column
 	n      int
-	sorted atomic.Pointer[sortedRun]
-}
-
-// sortedRun is one entry of a block's memo of sorted copies: the block with
-// its columns in attrs order and its rows sorted by code. The memo is an
-// immutable list pushed at the head; a relation belongs to one scheme, so in
-// practice it holds one entry.
-type sortedRun struct {
-	attrs []string
-	block *ColBlock
-	next  *sortedRun
+	tries  atomic.Pointer[trieRun]
 }
 
 // column is one dictionary-encoded column: dict is sorted strictly
@@ -128,67 +116,6 @@ func sortDict(dict []Value) []uint32 {
 		rank[e.old] = uint32(newCode)
 	}
 	return rank
-}
-
-// SortedBy returns the block with its columns rearranged into attrs order —
-// attrs must be a permutation of the schema's attributes — and its rows
-// sorted lexicographically by code, which is lexicographic value order
-// because every dictionary is sorted. Dictionaries are shared with b. The
-// result is built on the first call for a given attrs and kept on the
-// block, so later calls (from any goroutine) return the same *ColBlock;
-// built reports whether this call did the sorting.
-func (b *ColBlock) SortedBy(attrs []string) (sorted *ColBlock, built bool, err error) {
-	head := b.sorted.Load()
-	if run := head.find(attrs); run != nil {
-		return run.block, false, nil
-	}
-	if len(attrs) != len(b.cols) {
-		return nil, false, fmt.Errorf("colblock: sort order %v is not a permutation of schema %s", attrs, b.schema)
-	}
-	pos, err := b.schema.Positions(attrs)
-	if err != nil {
-		return nil, false, err
-	}
-	schema, err := NewSchema(attrs...)
-	if err != nil {
-		return nil, false, err
-	}
-	run := &sortedRun{attrs: schema.attrs, block: b.sortRows(schema, pos), next: head}
-	for !b.sorted.CompareAndSwap(run.next, run) {
-		// Lost a race: keep the winner's run if it is for the same order, so
-		// only one sorted copy per order is ever retained.
-		run.next = b.sorted.Load()
-		if won := run.next.find(attrs); won != nil {
-			return won.block, true, nil
-		}
-	}
-	return run.block, true, nil
-}
-
-// find returns the list entry for attrs, or nil.
-func (run *sortedRun) find(attrs []string) *sortedRun {
-	for ; run != nil; run = run.next {
-		if slices.Equal(run.attrs, attrs) {
-			return run
-		}
-	}
-	return nil
-}
-
-// sortRows builds the sorted copy behind SortedBy: the rows of rowOrder(pos),
-// gathered once per column.
-func (b *ColBlock) sortRows(schema *Schema, pos []int) *ColBlock {
-	idx := b.rowOrder(pos)
-	out := &ColBlock{schema: schema, cols: make([]column, len(pos)), n: b.n}
-	for k, c := range pos {
-		src := b.cols[c].codes
-		codes := make([]uint32, b.n)
-		for r, i := range idx {
-			codes[r] = src[i]
-		}
-		out.cols[k] = column{dict: b.cols[c].dict, codes: codes}
-	}
-	return out
 }
 
 // rowOrder returns the block's row indexes sorted lexicographically by the

@@ -184,7 +184,7 @@ func (r *Relation) tuples() []Tuple {
 // Block returns the relation's columnar encoding — the block a ToRelation
 // made it from, or else FromRelation(r), built on first use and kept on
 // the relation, so every later reader of the same snapshot shares one
-// encoding (and the sorted runs memoized on it). Like
+// encoding (and the tries memoized on it). Like
 // index, concurrent first readers may race to build it and one build wins;
 // Insert and UnmarshalJSON, the only ways a relation's rows change in place,
 // drop it. A relation that is never mutated after it is shared — every

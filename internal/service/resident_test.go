@@ -12,7 +12,7 @@ import (
 )
 
 // Tests that the encodings resident on a catalog snapshot's relations
-// (relation.Relation.Block and the sorted runs on it) are invalidated by
+// (relation.Relation.Block and the tries on it) are invalidated by
 // nothing but the copy-on-write swap ingest already performs: a relation a
 // batch does not touch keeps its pointer, hence its encoding; a touched one
 // is a new relation and is re-encoded by the next query that reads it.

@@ -13,13 +13,13 @@ func FromColumns(rel *relation.Relation, order []string, scope *govern.OpScope) 
 	return fromBlock(rel.Block(), order, scope)
 }
 
-// fromBlock returns the trie index for b along order: the block sorted by
-// code along the order's restriction to its attributes (ColBlock.SortedBy).
-// It charges first — one tuple per index entry against scope (nil charges
-// nothing) — and only then fetches the sorted run, building it if this is
-// the first query to ask the block for this order. So the governor sees the
-// same charges whether the index was resident or not, and a budget smaller
-// than the block aborts before any sorting is paid for.
+// fromBlock returns the trie index for b along order: the block's trie for
+// the order's restriction to its attributes (ColBlock.Trie). It charges
+// first — one tuple per index entry against scope (nil charges nothing) —
+// and only then fetches the trie, building it if this is the first query to
+// ask the block for this order. So the governor sees the same charges
+// whether the index was resident or not, and a budget smaller than the
+// block aborts before any building is paid for.
 func fromBlock(b *relation.ColBlock, order []string, scope *govern.OpScope) (*trieIndex, error) {
 	schema := b.Schema()
 	attrs := make([]string, 0, schema.Len())
@@ -38,9 +38,9 @@ func fromBlock(b *relation.ColBlock, order []string, scope *govern.OpScope) (*tr
 	if err := m.Close(); err != nil {
 		return nil, err
 	}
-	sorted, built, err := b.SortedBy(attrs)
+	trie, built, err := b.Trie(attrs)
 	if err != nil {
 		return nil, err
 	}
-	return newTrieIndex(sorted, built), nil
+	return newTrieIndex(trie, built), nil
 }

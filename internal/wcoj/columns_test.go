@@ -28,11 +28,14 @@ func randTrieRel(rng *rand.Rand, size int) (*relation.Relation, []string) {
 	return r, order
 }
 
-// TestFromColumnsIsSortedResidentBlock pins what the trie is: the relation's
-// own tuple set, columns in variable order, rows strictly ascending by code
-// — and that it is built once per relation snapshot: the second request
-// returns the same sorted block, reports it resident, and charges the same.
-func TestFromColumnsIsSortedResidentBlock(t *testing.T) {
+// TestFromColumnsIsResidentTrie pins what the trie is: the relation's own
+// tuple set as a CSR trie along the variable order — keys strictly
+// ascending within every node's child range, offsets monotone from 0 to the
+// next level's size, one leaf per tuple, root-to-leaf paths decoding to
+// exactly the relation — and that it is built once per relation snapshot:
+// the second request returns the same trie, reports it resident, and
+// charges the same. Orders that miss or repeat an attribute are rejected.
+func TestFromColumnsIsResidentTrie(t *testing.T) {
 	rng := rand.New(rand.NewSource(2031))
 	for trial := 0; trial < 200; trial++ {
 		r, order := randTrieRel(rng, rng.Intn(50))
@@ -57,40 +60,59 @@ func TestFromColumnsIsSortedResidentBlock(t *testing.T) {
 		if !cold.built || warm.built {
 			t.Fatalf("trial %d: built = %v then %v, want true then false", trial, cold.built, warm.built)
 		}
-		if cold.block != warm.block {
-			t.Fatalf("trial %d: second request built a second sorted block", trial)
+		if cold.trie != warm.trie {
+			t.Fatalf("trial %d: second request built a second trie", trial)
 		}
 
-		b := cold.block
-		if err := b.Validate(); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if got := b.Schema().Attrs(); !slices.Equal(got, order) {
+		trie := cold.trie
+		if got := trie.Schema().Attrs(); !slices.Equal(got, order) {
 			t.Fatalf("trial %d: levels %v, want %v", trial, got, order)
 		}
-		if !b.ToRelation().Equal(r) {
-			t.Fatalf("trial %d: sorted block is not the relation", trial)
-		}
-		for i := 1; i < b.Len(); i++ {
-			if compareCodes(b, i-1, i) >= 0 {
-				t.Fatalf("trial %d: rows %d and %d out of order", trial, i-1, i)
+		k := len(order)
+		for d := 0; d < k-1; d++ {
+			start := trie.Start(d)
+			if len(start) != len(trie.Keys(d))+1 || start[0] != 0 || int(start[len(start)-1]) != len(trie.Keys(d+1)) {
+				t.Fatalf("trial %d: level %d offsets do not span level %d", trial, d, d+1)
+			}
+			for i := 1; i < len(start); i++ {
+				if start[i-1] > start[i] {
+					t.Fatalf("trial %d: level %d offsets descend at %d", trial, d, i)
+				}
 			}
 		}
-	}
-}
+		if leaves := len(trie.Keys(k - 1)); leaves != r.Len() {
+			t.Fatalf("trial %d: %d leaves, relation has %d tuples", trial, leaves, r.Len())
+		}
+		paths := relation.New(relation.MustSchema(order...))
+		row := make(relation.Tuple, k)
+		var walk func(d, lo, hi int)
+		walk = func(d, lo, hi int) {
+			keys := trie.Keys(d)
+			for i := lo; i < hi; i++ {
+				if i > lo && keys[i-1] >= keys[i] {
+					t.Fatalf("trial %d: level %d keys not strictly ascending at %d", trial, d, i)
+				}
+				row[d] = trie.Dict(d)[keys[i]]
+				if d == k-1 {
+					paths.MustInsert(slices.Clone(row))
+				} else {
+					walk(d+1, int(trie.Start(d)[i]), int(trie.Start(d)[i+1]))
+				}
+			}
+		}
+		walk(0, 0, len(trie.Keys(0)))
+		if !paths.Equal(r) {
+			t.Fatalf("trial %d: root-to-leaf paths are not the relation", trial)
+		}
 
-// compareCodes orders rows i and j of b lexicographically by code.
-func compareCodes(b *relation.ColBlock, i, j int) int {
-	for c := 0; c < b.Schema().Len(); c++ {
-		codes := b.Codes(c)
-		if codes[i] != codes[j] {
-			if codes[i] < codes[j] {
-				return -1
+		// The global order may name other variables, but must name each of
+		// the relation's attributes exactly once.
+		for _, bad := range [][]string{order[1:], append(slices.Clone(order), order[0])} {
+			if _, err := FromColumns(r, bad, nil); err == nil {
+				t.Fatalf("trial %d: order %v accepted for schema %s", trial, bad, r.Schema())
 			}
-			return 1
 		}
 	}
-	return 0
 }
 
 // TestFromColumnsAbortParity checks a budget one entry short of the

@@ -128,7 +128,7 @@ func leapCases(t *testing.T) []leapCase {
 	return cases
 }
 
-// coldCopy returns db over cloned relations: no block, no sorted run.
+// coldCopy returns db over cloned relations: no block, no trie.
 func coldCopy(db *relation.Database) *relation.Database {
 	rels := make([]*relation.Relation, db.Len())
 	for i, r := range db.Relations() {

@@ -11,9 +11,10 @@ import (
 // past it.
 const fuzzDomain = 16
 
-// FuzzTrieIter drives the code trie iterator with an arbitrary row set and
+// FuzzTrieIter drives the CSR trie iterator with an arbitrary row set and
 // an arbitrary forward-only seek/next script, checking every step against a
-// naive model: the sorted distinct values of the open level. The first byte
+// naive model: the sorted distinct values of the open level, i.e. its node
+// keys. The first byte
 // sizes the relation, the next 2n bytes are (x, y) rows, and the remainder
 // is the script (even byte = next, odd byte = seek to byte>>1 mod
 // fuzzDomain+1). The iterator's x level is aligned against a second relation
@@ -21,8 +22,8 @@ const fuzzDomain = 16
 // relation's local codes, every seek target has an aligned code whether or
 // not the relation holds the value (absent keys), and fuzzDomain itself lies
 // past the end. After the script, whatever position the iterator holds is
-// opened one level down and the child keys are compared against the model's
-// sub-list for that prefix.
+// opened one level down — the node's child range — and the child keys are
+// compared against the model's sub-list for that prefix.
 func FuzzTrieIter(f *testing.F) {
 	f.Add([]byte{4, 1, 2, 1, 3, 5, 0, 5, 9, 7, 12, 3})
 	f.Add([]byte{8, 0, 0, 0, 1, 1, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 2, 9, 4})

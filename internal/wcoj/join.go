@@ -44,7 +44,7 @@ func newExecutor(order []string, tries []*trieIndex, scope *govern.OpScope, bind
 	}
 	for v, name := range order {
 		for i, t := range tries {
-			if t.block.Schema().Has(name) {
+			if t.trie.Schema().Has(name) {
 				ex.byVar[v] = append(ex.byVar[v], i)
 			}
 		}

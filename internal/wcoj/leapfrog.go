@@ -39,11 +39,16 @@ func (lf *leapfrog) init(iters []*trieIter) {
 // key until every iterator agrees (a common key, not past it) or one runs
 // out.
 func (lf *leapfrog) search() {
-	k := len(lf.iters)
-	max := lf.iters[(lf.p+k-1)%k].key()
+	iters, p := lf.iters, lf.p
+	last := p - 1
+	if last < 0 {
+		last = len(iters) - 1
+	}
+	max := iters[last].key()
 	for {
-		it := lf.iters[lf.p]
+		it := iters[p]
 		if it.key() == max {
+			lf.p = p
 			return // all k iterators are at max: a common key
 		}
 		it.seek(max)
@@ -52,7 +57,9 @@ func (lf *leapfrog) search() {
 			return
 		}
 		max = it.key()
-		lf.p = (lf.p + 1) % k
+		if p++; p == len(iters) {
+			p = 0
+		}
 	}
 }
 
@@ -69,6 +76,8 @@ func (lf *leapfrog) next() {
 		lf.done = true
 		return
 	}
-	lf.p = (lf.p + 1) % len(lf.iters)
+	if lf.p++; lf.p == len(lf.iters) {
+		lf.p = 0
+	}
 	lf.search()
 }

@@ -19,16 +19,19 @@
 //   - VariableOrder: a deterministic global attribute order for a scheme,
 //     preferring orders whose prefixes stay connected (order.go);
 //   - trie indexes with the classical open/up/next/seek iterator interface
-//     (trie.go). A trie is the relation's resident columnar block, columns
-//     permuted into variable order and rows sorted lexicographically by
-//     uint32 dictionary code: level d is code column d, nothing is decoded
-//     to build or walk it, and it is built once per relation snapshot —
-//     memoized on the relation, so every later query reuses it until ingest
-//     replaces the relation (columns.go);
-//   - per-query dictionary alignment (alignTries in trie.go): dictionaries
-//     are per relation, so for each variable the dictionaries of the
-//     relations carrying it are merged into one sorted value list and a
-//     monotone local-code → aligned-code table per trie level;
+//     (trie.go). A trie is the relation's resident columnar block indexed
+//     along the variable order in CSR form (relation.Trie): per level the
+//     uint32 dictionary codes of the distinct prefixes and, above the last
+//     level, each node's child range, so open reads two offsets and next is
+//     one increment. Nothing is decoded to build or walk it, and it is
+//     built once per relation snapshot — memoized on the relation's block,
+//     so every later query reuses it until ingest replaces the relation
+//     (columns.go);
+//   - dictionary alignment (alignTries in trie.go): dictionaries are per
+//     relation, so for each variable the dictionaries of the relations
+//     carrying it are merged into one sorted value list and a monotone
+//     local-code → aligned-code table per trie level, memoized in the trie
+//     level's slot for as long as the same dictionaries meet again;
 //   - the leapfrog k-way intersection of trie levels over aligned codes —
 //     integer comparisons only (leapfrog.go);
 //   - JoinBlocks: the full multiway join over []uint32 bindings, charging
@@ -64,11 +67,11 @@ type Result struct {
 	// only if read); only JoinGoverned sets it.
 	Output *relation.Relation
 	// TrieTuples is the number of index entries read — Σ|Rᵢ|, since each
-	// trie re-sorts its operand without generating new tuples. It is charged
+	// trie indexes its operand without generating new tuples. It is charged
 	// in full whether an index was resident or built.
 	TrieTuples int64
 	// TriesBuilt is how many of the operands' indexes this call had to build
-	// (sort) because no earlier query had left them resident on the block;
+	// because no earlier query had left them resident on the block;
 	// the rest were reused.
 	TriesBuilt int
 	// Tries is the number of operands, one trie each.
@@ -162,10 +165,10 @@ func JoinBlocks(blocks []*relation.ColBlock, order []string, gov *govern.Governo
 		} else {
 			sp.Note("resident")
 		}
-		sp.AddTuples(int64(tr.entries()))
+		sp.AddTuples(int64(b.Len()))
 		sp.End()
 		tries[i] = tr
-		res.TrieTuples += int64(tr.entries())
+		res.TrieTuples += int64(b.Len())
 	}
 	scope, err := gov.Begin("wcoj.join")
 	if err != nil {

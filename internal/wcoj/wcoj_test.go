@@ -272,12 +272,13 @@ func TestFromColumnsRejectsBadOrder(t *testing.T) {
 }
 
 // TestWarmJoinAllocatesOutputNotInput pins what "resident" buys: once the
-// indexes sit on the relations, a sequential join of the sparse 2 000-node,
-// 16 000-edge triangle (48 000 input tuples, ~500 output) allocates one
-// tuple per output row plus per-query state sized by the distinct values —
-// alignment tables, merged dictionaries, iterators — and nothing per input
-// tuple. (Re-encoding and re-sorting every query cost 74 919 allocations and
-// 11 MB here.)
+// tries and their dictionary alignment sit on the relations, a sequential
+// join of the sparse 2 000-node, 16 000-edge triangle (48 000 input tuples,
+// ~500 output) allocates its output columns and per-query state sized by
+// the query — iterators, alignment lookups — and nothing per input tuple or
+// per dictionary entry. (Re-encoding and re-sorting every query cost 74 919
+// allocations and 11 MB here; re-merging the dictionaries every query,
+// about 260 KB.)
 func TestWarmJoinAllocatesOutputNotInput(t *testing.T) {
 	db, err := workload.TriangleSpec{Nodes: 2000, Edges: 16000}.TriangleDatabase(rand.New(rand.NewSource(1992)))
 	if err != nil {
@@ -308,7 +309,8 @@ func TestWarmJoinAllocatesOutputNotInput(t *testing.T) {
 	if limit := float64(res.Output.Len() + 256); allocs > limit {
 		t.Errorf("warm join allocates %.0f times for %d output tuples, want at most %.0f", allocs, res.Output.Len(), limit)
 	}
-	if limit := uint64(1 << 20); bytes > limit {
+	t.Logf("warm join: %.0f allocations, %d bytes, %d output tuples", allocs, bytes, res.Output.Len())
+	if limit := uint64(64 << 10); bytes > limit {
 		t.Errorf("warm join allocates %d bytes, want at most %d (the input is %d tuples)", bytes, limit, db.TotalTuples())
 	}
 }
