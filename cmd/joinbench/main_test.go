@@ -2,11 +2,15 @@ package main
 
 import (
 	"errors"
+	"flag"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/suite.golden from this run")
 
 // TestMain lets a test re-execute this binary as joinbench itself: with
 // RUN_JOINBENCH=1 set, the process runs main on its own arguments.
@@ -80,5 +84,46 @@ func TestRunLeavesNoSideFiles(t *testing.T) {
 	}
 	for _, e := range entries {
 		t.Errorf("-only EX8 left %s behind in its working directory", e.Name())
+	}
+}
+
+// TestSuiteMatchesGolden runs the full suite at its default seed, as
+// `go run ./cmd/joinbench` does, and diffs its output against
+// testdata/suite.golden: a change that moves any cost, count or table row
+// fails here. After a deliberate change, rewrite the golden with
+// `go test ./cmd/joinbench -run TestSuiteMatchesGolden -update` and say in
+// the change why the rows moved.
+func TestSuiteMatchesGolden(t *testing.T) {
+	stdout, stderr, code := joinbench(t, t.TempDir())
+	if code != 0 {
+		t.Fatalf("the suite exited %d: %s", code, stderr)
+	}
+	golden := filepath.Join("testdata", "suite.golden")
+	if *update {
+		if err := os.WriteFile(golden, []byte(stdout), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stdout == string(want) {
+		return
+	}
+	got, wantLines := strings.Split(stdout, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < max(len(got), len(wantLines)); i++ {
+		g, w := "<end of output>", "<end of golden>"
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if g != w {
+			t.Fatalf("suite output differs from %s at line %d:\n got: %s\nwant: %s\n(%d lines, golden %d; -update rewrites it)",
+				golden, i+1, g, w, len(got), len(wantLines))
+		}
 	}
 }

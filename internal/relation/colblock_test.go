@@ -127,10 +127,11 @@ func TestSelVecZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestKernelProbeZeroAllocs pins the join kernel's probe path at zero
-// allocations on both table shapes — the direct-addressed arrays and the
+// TestKernelProbeZeroAllocs pins the kernels' batch probe at zero
+// allocations on both table shapes — the direct-addressed key space and the
 // packed uint64 map — over hits, misses, and probes whose codes have no
-// image in the build dictionary.
+// image in the build dictionary: a probe pass keys every batch, looks its
+// match ids up and sums their ranges, as the count pass does.
 func TestKernelProbeZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(2035))
 	for _, c := range []struct {
@@ -139,29 +140,30 @@ func TestKernelProbeZeroAllocs(t *testing.T) {
 		direct       bool
 	}{
 		{"AB", "BC", 8, true},
-		{"ABC", "BCD", 400, false},
+		{"ABC", "BCD", 100, false},
 	} {
-		lb := FromRelation(randRel(rng, c.build, 256, c.domain))
-		rb := FromRelation(randRel(rng, c.probe, 256, 2*c.domain)) // wider domain: misses and no-image codes
-		common := lb.Schema().AttrSet().Intersect(rb.Schema().AttrSet())
-		lPos, _ := lb.Schema().Positions(common)
-		rPos, _ := rb.Schema().Positions(common)
-		ht := buildCodeHash(lb, lPos)
-		if direct := ht.start != nil; direct != c.direct {
-			t.Fatalf("%s ⋈ %s over domain %d: direct table %v, want %v", c.build, c.probe, c.domain, direct, c.direct)
+		lb := FromRelation(randRel(rng, c.build, 500, c.domain))
+		// A wider domain on the probe side: misses and no-image codes.
+		rb := FromRelation(randRel(rng, c.probe, 1000, 2*c.domain))
+		ix := indexJoin(lb, rb) // builds lb, the smaller side
+		if direct := ix.probe.space.direct(); direct != c.direct || ix.probeIsL {
+			t.Fatalf("%s ⋈ %s over domain %d: direct table %v (probe is l: %v), want %v", c.build, c.probe, c.domain, direct, ix.probeIsL, c.direct)
 		}
-		probeCols := keyCols(rb, rPos)
-		remaps := remapCols(rb, rPos, lb, lPos)
-		n := rb.Len()
-		sink := 0
+		n := ix.probe.n
+		sink := int32(0)
 		if avg := testing.AllocsPerRun(100, func() {
-			for i := 0; i < n; i++ {
-				sink += len(ht.lookup(probeCols, remaps, i))
+			var b batch
+			for lo := 0; lo < n; lo += probeBatch {
+				for _, id := range ix.probe.ids(&b, lo, min(probeBatch, n-lo), false) {
+					sink += ix.table.start[id+1] - ix.table.start[id]
+				}
 			}
 		}); avg != 0 {
-			t.Fatalf("%s ⋈ %s (direct %v): probe loop allocates %.1f times per run, want 0", c.build, c.probe, c.direct, avg)
+			t.Fatalf("%s ⋈ %s (direct %v): probe pass allocates %.1f times per run, want 0", c.build, c.probe, c.direct, avg)
 		}
-		_ = sink
+		if sink == 0 {
+			t.Fatalf("%s ⋈ %s: the probe pass matched nothing", c.build, c.probe)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"sync"
@@ -18,16 +19,27 @@ import (
 // and so does the abort point on one range. The differential gauntlet in
 // columnardiff_test.go enforces this.
 //
-// Matching across blocks works by code remapping: for every common column,
-// the probe side's sorted dictionary is merged once against the build
-// side's (O(|dictL| + |dictR|)), yielding probe-code → build-code (or -1
-// when the value is absent and the row can never match). After that, all
-// per-row work is integer arithmetic on codes. The side being indexed picks
-// its table's shape from its own size (directSpace): when its key columns'
-// dictionaries span few enough keys, a key is the mixed-radix number of its
-// codes and the table is a plain array over the key space; otherwise keys
-// pack into a uint64 map (one or two columns) or a byte-string map (three
-// or more). Either way the probe loop allocates nothing.
+// A kernel indexes one side's key columns in a keySpace and keys the other
+// side into it probeBatch rows at a time. Matching across blocks works by
+// translation tables built once per call: for every key column, the probe
+// side's sorted dictionary is merged against the indexed side's
+// (O(|dictL| + |dictR|)) into probe code → that code's term of the key, so
+// a batch's keys are sums of table reads, one column at a time. The indexed
+// side picks the space's shape from its own size (directSpace): when its
+// key columns' dictionaries span few enough keys, a key is the mixed-radix
+// number of its codes and is its own match id, and a code with no image
+// adds the space's size, so min(key, size) sends the row to one sentinel id
+// that matches nothing; otherwise keys pack into a uint64 (one or two
+// columns) or a byte string (three or more) that a map numbers. Every
+// kernel's table has one form, a matchTable: a CSR from match id to build
+// rows. The count pass charges a batch's matches row by row; the fill pass
+// keys the batch again, compacts it to the rows that matched and writes
+// each output column over that selection only. Neither pass allocates but
+// for a wide key's byte buffer, one per range.
+
+// probeBatch is the number of rows the kernels key, look up and fill at a
+// time.
+const probeBatch = 256
 
 // JoinBlocksGoverned computes the natural join l ⋈ r over column blocks.
 // The output schema is l's columns followed by r's columns not in l, and
@@ -51,70 +63,55 @@ func ParallelJoinBlocksGoverned(g *govern.Governor, l, r *ColBlock, workers int)
 	if err != nil {
 		return nil, err
 	}
-	workers = rangeWorkers(workers, l.n+r.n)
-	common := l.schema.AttrSet().Intersect(r.schema.AttrSet())
-	schema := joinSchema(l.schema, r.schema)
-	if common.IsEmpty() {
-		// The Cartesian product: every l row pairs with every r row, charged
-		// one pair at a time as the tuple-map join does.
-		all := make([]int32, r.n)
-		for j := range all {
-			all[j] = int32(j)
-		}
-		return countThenFill(scope, workers, l.n, schema, joinSources(l, r, true), func() matcher {
-			return func(int) []int32 { return all }
-		}, true)
-	}
-	ix := indexJoin(l, r, common)
-	return countThenFill(scope, workers, ix.probeN, schema, joinSources(l, r, ix.probeIsL), func() matcher {
-		ht := ix.build.reader()
-		return func(p int) []int32 { return ht.lookup(ix.probe, ix.remaps, p) }
-	}, false)
+	ix := indexJoin(l, r)
+	// The Cartesian product (no common attribute) is charged one pair at a
+	// time, as the tuple-map join charges it.
+	return countThenFill(scope, rangeWorkers(workers, l.n+r.n), ix.probe, ix.table,
+		joinSchema(l.schema, r.schema), joinSources(l, r, ix.probeIsL), ix.product)
 }
 
 // JoinSizeBlocks returns |l ⋈ r| without building the join: the smaller side
 // is indexed exactly as JoinBlocksGoverned indexes it, and every probe row
 // adds its number of matches. It charges nothing.
 func JoinSizeBlocks(l, r *ColBlock) int64 {
-	common := l.schema.AttrSet().Intersect(r.schema.AttrSet())
-	if common.IsEmpty() {
-		return int64(l.n) * int64(r.n)
-	}
-	ix := indexJoin(l, r, common)
+	ix := indexJoin(l, r)
+	var b batch
 	var n int64
-	for p := 0; p < ix.probeN; p++ {
-		n += int64(len(ix.build.lookup(ix.probe, ix.remaps, p)))
+	for lo := 0; lo < ix.probe.n; lo += probeBatch {
+		for _, id := range ix.probe.ids(&b, lo, min(probeBatch, ix.probe.n-lo), false) {
+			n += int64(ix.table.start[id+1] - ix.table.start[id])
+		}
 	}
 	return n
 }
 
-// joinIndex is a join's build table over the smaller side (l on a tie, as
-// in hashJoinInto), with the probe side's key columns and their remaps into
-// the table's key space.
+// joinIndex is a join's build table, with the probe side keyed into its key
+// space.
 type joinIndex struct {
-	build    *codeHash
-	probe    [][]uint32
-	remaps   [][]int32
+	probe    prober
+	table    matchTable
 	probeIsL bool
-	probeN   int
+	product  bool
 }
 
-// indexJoin builds the joinIndex of l ⋈ r on their nonempty common
-// attributes.
-func indexJoin(l, r *ColBlock, common AttrSet) joinIndex {
-	lPos, _ := l.schema.Positions(common)
-	rPos, _ := r.schema.Positions(common)
+// indexJoin indexes l ⋈ r on their common attributes: the smaller side is
+// built (l on a tie, as in hashJoinInto), except that a Cartesian product
+// builds r, its inner side, on the empty key.
+func indexJoin(l, r *ColBlock) joinIndex {
+	lPos, rPos := CommonPositions(l.schema, r.schema)
+	product := len(lPos) == 0
 	build, buildPos, probe, probePos := l, lPos, r, rPos
-	probeIsL := l.n > r.n
+	probeIsL := l.n > r.n || product
 	if probeIsL {
 		build, buildPos, probe, probePos = r, rPos, l, lPos
 	}
+	space := newKeySpace(build, buildPos)
+	own := newProber(space, build, buildPos, build, buildPos)
 	return joinIndex{
-		build:    buildCodeHash(build, buildPos),
-		probe:    keyCols(probe, probePos),
-		remaps:   remapCols(probe, probePos, build, buildPos),
+		table:    own.index(false),
+		probe:    newProber(space, probe, probePos, build, buildPos),
 		probeIsL: probeIsL,
-		probeN:   probe.n,
+		product:  product,
 	}
 }
 
@@ -150,87 +147,55 @@ func ParallelSemijoinBlocksGoverned(g *govern.Governor, l, r *ColBlock, workers 
 		return nil, err
 	}
 	workers = rangeWorkers(workers, l.n+r.n)
-	common := l.schema.AttrSet().Intersect(r.schema.AttrSet())
 	// The output is l's supported rows: l probes, every output column is
-	// read from it, and a supported row's one "match" is a placeholder.
+	// read from it, and a supported row has one match in a hit table.
 	srcs := make([]colSource, len(l.cols))
 	for c, col := range l.cols {
 		srcs[c] = colSource{col.dict, col.codes, true}
 	}
-	hit := []int32{0}
-	emit := func(n int, newMatcher func() matcher) (*ColBlock, error) {
-		return countThenFill(scope, workers, n, l.schema, srcs, newMatcher, false)
+	lPos, rPos := CommonPositions(l.schema, r.schema)
+	if len(lPos) == 0 || l.n > r.n {
+		// Index r's distinct keys — with no common attribute, the empty key,
+		// present when r has a row — and key l's rows into them.
+		space := newKeySpace(r, rPos)
+		hits := newProber(space, r, rPos, r, rPos).index(true)
+		return countThenFill(scope, workers, newProber(space, l, lPos, r, rPos), hits, l.schema, srcs, false)
 	}
-	if common.IsEmpty() {
-		// l ⋉ r is l when r has a row and empty otherwise.
-		n := l.n
-		if r.n == 0 {
-			n = 0
-		}
-		return emit(n, func() matcher { return func(int) []int32 { return hit } })
-	}
-	lPos, _ := l.schema.Positions(common)
-	rPos, _ := r.schema.Positions(common)
-	lCols, rCols := keyCols(l, lPos), keyCols(r, rPos)
-	if l.n <= r.n {
-		// Index the smaller (left) side: number l's distinct keys, scan r
-		// marking which have support, then emit the supported l rows — the
-		// same |l|-bounded-memory shape as the sequential operator. Every
-		// range of the r scan marks its own bit vector (the key table is
-		// read-only by then); the vectors are OR-ed before the emit pass.
-		keys := newCodeSet(l, lPos)
-		keyOf := make([]int32, l.n)
-		for i := range keyOf {
-			keyOf[i], _ = keys.put(lCols, i)
-		}
-		remaps := remapCols(r, rPos, l, lPos)
-		bounds := splitRanges(r.n, workers)
-		marks := make([][]bool, len(bounds)-1)
-		err := runRanges(bounds, func(k, lo, hi int) error {
-			set, marked, m := keys.reader(), make([]bool, keys.len()), scope.Meter()
-			marks[k] = marked
-			for j := lo; j < hi; j++ {
-				if id := set.find(rCols, remaps, j); id >= 0 {
-					marked[id] = true
-				}
+	// Index the smaller (left) side: number l's distinct keys, scan r
+	// marking which have support, then emit the supported l rows — the
+	// same |l|-bounded-memory shape as the sequential operator. Every range
+	// of the r scan marks its own vector (the key space is read-only by
+	// then) and polls its meter once per row, as the tuple-map scan visits;
+	// the vectors are OR-ed into the hit table.
+	space := newKeySpace(l, lPos)
+	own := newProber(space, l, lPos, l, lPos)
+	own.number()
+	scan := newProber(space, r, rPos, l, lPos)
+	bounds := splitRanges(r.n, workers)
+	marks := make([][]int32, len(bounds)-1)
+	err = runRanges(bounds, func(k, lo, hi int) error {
+		var b batch
+		marked, m := make([]int32, space.miss()+2), scope.Meter()
+		marks[k] = marked
+		for ; lo < hi; lo += probeBatch {
+			for _, id := range scan.ids(&b, lo, min(probeBatch, hi-lo), false) {
+				marked[id+1] = 1
 				if err := m.Add(0); err != nil {
 					return err
 				}
 			}
-			return m.Close()
-		})
-		if err != nil {
-			return nil, err
 		}
-		supported := marks[0]
-		for _, m := range marks[1:] {
-			for id, ok := range m {
-				supported[id] = supported[id] || ok
-			}
-		}
-		return emit(l.n, func() matcher {
-			return func(i int) []int32 {
-				if supported[keyOf[i]] {
-					return hit
-				}
-				return nil
-			}
-		})
-	}
-	keys := newCodeSet(r, rPos)
-	for j := 0; j < r.n; j++ {
-		keys.put(rCols, j)
-	}
-	remaps := remapCols(l, lPos, r, rPos)
-	return emit(l.n, func() matcher {
-		set := keys.reader()
-		return func(i int) []int32 {
-			if set.find(lCols, remaps, i) >= 0 {
-				return hit
-			}
-			return nil
-		}
+		return m.Close()
 	})
+	if err != nil {
+		return nil, err
+	}
+	for _, m := range marks[1:] {
+		for i, hit := range m {
+			marks[0][i] |= hit
+		}
+	}
+	return countThenFill(scope, workers, own, hitTable(marks[0]), l.schema, srcs, false)
 }
 
 // ProjectBlocksGoverned computes π_attrs(b) over a column block,
@@ -250,20 +215,24 @@ func ProjectBlocksGoverned(g *govern.Governor, b *ColBlock, attrs AttrSet) (*Col
 	for k, p := range pos {
 		out.cols[k].dict = b.cols[p].dict
 	}
-	cols := keyCols(b, pos)
-	seen := newCodeSet(b, pos)
+	own := newProber(newKeySpace(b, pos), b, pos, b, pos)
+	seen := make([]bool, own.space.idBound(b.n))
 	m := scope.Meter()
-	for i := 0; i < b.n; i++ {
-		fresh := 0
-		if _, ok := seen.put(cols, i); ok {
-			for k, p := range pos {
-				out.cols[k].codes = append(out.cols[k].codes, b.cols[p].codes[i])
+	var bt batch
+	for lo := 0; lo < b.n; lo += probeBatch {
+		for i, id := range own.ids(&bt, lo, min(probeBatch, b.n-lo), true) {
+			fresh := 0
+			if !seen[id] {
+				seen[id] = true
+				for k, p := range pos {
+					out.cols[k].codes = append(out.cols[k].codes, b.cols[p].codes[lo+i])
+				}
+				out.n++
+				fresh = 1
 			}
-			out.n++
-			fresh = 1
-		}
-		if err := m.Add(fresh); err != nil {
-			return nil, err
+			if err := m.Add(fresh); err != nil {
+				return nil, err
+			}
 		}
 	}
 	if err := m.Close(); err != nil {
@@ -271,10 +240,6 @@ func ProjectBlocksGoverned(g *govern.Governor, b *ColBlock, attrs AttrSet) (*Col
 	}
 	return out, nil
 }
-
-// matcher returns the build rows probe row p pairs with, in increasing row
-// order. The slice belongs to the table and must not be modified.
-type matcher func(p int) []int32
 
 // colSource is one output column of a kernel: its dictionary, and the code
 // column it is read from — on the probe side one code per probe row,
@@ -286,31 +251,35 @@ type colSource struct {
 	fromProbe bool
 }
 
-// countThenFill runs a kernel's two passes over nProbe probe rows, cut into
-// up to workers contiguous ranges. The count pass asks every probe row for
-// its matches and charges them on the range's own meter — one Add per probe
-// row, or when perPair one AddEach standing for one call per output pair —
-// exactly as the tuple-map operator charges them. Only when every range
-// counted without error does the fill pass allocate each output column once
-// and write each range's rows from that range's offset, so an aborted kernel
-// writes no output. Each pass builds its own matcher per range, so a matcher
-// may keep private scratch state.
-func countThenFill(scope *govern.OpScope, workers, nProbe int, schema *Schema, srcs []colSource, newMatcher func() matcher, perPair bool) (*ColBlock, error) {
-	bounds := splitRanges(nProbe, workers)
+// countThenFill runs a kernel's two passes over p's rows, cut into up to
+// workers contiguous ranges and each range into batches. The count pass
+// looks up every probe row's matches in t and charges them on the range's
+// own meter, row by row — one Add per probe row, or when perPair one AddEach
+// standing for one call per output pair — exactly as the tuple-map operator
+// charges them. Only when every range counted without error does the fill
+// pass allocate each output column once and write each range's rows from
+// that range's offset, so an aborted kernel writes no output. The fill keys
+// each batch again and compacts it to the rows with a nonempty match range
+// before writing any column.
+func countThenFill(scope *govern.OpScope, workers int, p prober, t matchTable, schema *Schema, srcs []colSource, perPair bool) (*ColBlock, error) {
+	bounds := splitRanges(p.n, workers)
 	at := make([]int, len(bounds)) // at[k+1] counts range k's rows, then becomes its end offset
 	err := runRanges(bounds, func(k, lo, hi int) error {
-		matches, n, meter := newMatcher(), 0, scope.Meter()
-		for p := lo; p < hi; p++ {
-			m := matches(p)
-			n += len(m)
-			var err error
-			if perPair {
-				err = meter.AddEach(len(m))
-			} else {
-				err = meter.Add(len(m))
-			}
-			if err != nil {
-				return err
+		var b batch
+		n, meter := 0, scope.Meter()
+		for ; lo < hi; lo += probeBatch {
+			for _, id := range p.ids(&b, lo, min(probeBatch, hi-lo), false) {
+				c := int(t.start[id+1] - t.start[id])
+				n += c
+				var err error
+				if perPair {
+					err = meter.AddEach(c)
+				} else {
+					err = meter.Add(c)
+				}
+				if err != nil {
+					return err
+				}
 			}
 		}
 		at[k+1] = n
@@ -328,26 +297,54 @@ func countThenFill(scope *govern.OpScope, workers, nProbe int, schema *Schema, s
 	}
 	// The fill charges nothing and cannot fail.
 	_ = runRanges(bounds, func(k, lo, hi int) error {
-		matches, row := newMatcher(), at[k]
-		for p := lo; p < hi; p++ {
-			m := matches(p)
-			if len(m) == 0 {
-				continue
+		var b batch
+		row := at[k]
+		for ; lo < hi; lo += probeBatch {
+			ids := p.ids(&b, lo, min(probeBatch, hi-lo), false)
+			sel, n := 0, 0
+			for i, id := range ids {
+				c := t.start[id+1] - t.start[id]
+				b.sel[sel] = int32(i)
+				sel += int(uint32(-c) >> 31) // 1 when the range is nonempty
+				n += int(c)
 			}
+			// single: every selected row has one match, so each column is a
+			// plain gather.
+			single := n == sel
 			for c, src := range srcs {
-				dst := out.cols[c].codes[row : row+len(m)]
-				if src.fromProbe {
-					code := src.codes[p]
-					for i := range dst {
-						dst[i] = code
+				dst := out.cols[c].codes[row : row+n]
+				switch {
+				case src.fromProbe && single:
+					codes := src.codes[lo:hi]
+					for j, i := range b.sel[:sel] {
+						dst[j] = codes[i]
 					}
-				} else {
-					for i, b := range m {
-						dst[i] = src.codes[b]
+				case src.fromProbe:
+					codes, w := src.codes[lo:hi], 0
+					for _, i := range b.sel[:sel] {
+						id := ids[i]
+						d := dst[w : w+int(t.start[id+1]-t.start[id])]
+						for j := range d {
+							d[j] = codes[i]
+						}
+						w += len(d)
+					}
+				case single:
+					for j, i := range b.sel[:sel] {
+						dst[j] = src.codes[t.rows[t.start[ids[i]]]]
+					}
+				default:
+					w := 0
+					for _, i := range b.sel[:sel] {
+						id := ids[i]
+						for _, r := range t.rows[t.start[id]:t.start[id+1]] {
+							dst[w] = src.codes[r]
+							w++
+						}
 					}
 				}
 			}
-			row += len(m)
+			row += n
 		}
 		return nil
 	})
@@ -430,105 +427,38 @@ func runRanges(bounds []int, body func(k, lo, hi int) error) error {
 	return nil
 }
 
-// remapCols builds, for every key column, probe-code → build-code (or -1
-// when the probe value is absent from the build dictionary). One sorted
-// merge per column; after this, cross-block matching is pure integer work.
-func remapCols(from *ColBlock, fromPos []int, to *ColBlock, toPos []int) [][]int32 {
-	out := make([][]int32, len(fromPos))
-	for k := range fromPos {
-		out[k] = remapDict(from.cols[fromPos[k]].dict, to.cols[toPos[k]].dict)
-	}
-	return out
-}
-
-// remapDict merges two sorted dictionaries: out[i] is from[i]'s code in to,
-// or -1.
-func remapDict(from, to []Value) []int32 {
-	out := make([]int32, len(from))
-	j := 0
-	for i, v := range from {
-		for j < len(to) && to[j].Compare(v) < 0 {
-			j++
-		}
-		if j < len(to) && to[j].Equal(v) {
-			out[i] = int32(j)
-		} else {
-			out[i] = -1
-		}
-	}
-	return out
-}
-
-// packedKeyAt packs row i's codes over the key columns into one uint64 —
-// collision-free for up to two columns (each code is 32 bits). remaps maps
-// each column's codes into the build side's code space; nil means the row's
-// codes are already in that space. ok is false when a code has no image, in
-// which case the row cannot match anything.
-func packedKeyAt(cols [][]uint32, remaps [][]int32, i int) (key uint64, ok bool) {
-	for k, codes := range cols {
-		c := codes[i]
-		if remaps != nil {
-			m := remaps[k][c]
-			if m < 0 {
-				return 0, false
-			}
-			c = uint32(m)
-		}
-		key = key<<32 | uint64(c)
-	}
-	return key, true
-}
-
-// wideKeyAt is packedKeyAt for three or more key columns: the codes are
-// appended big-endian to buf (reset first), yielding an injective byte key.
-func wideKeyAt(buf []byte, cols [][]uint32, remaps [][]int32, i int) ([]byte, bool) {
-	buf = buf[:0]
-	for k, codes := range cols {
-		c := codes[i]
-		if remaps != nil {
-			m := remaps[k][c]
-			if m < 0 {
-				return buf, false
-			}
-			c = uint32(m)
-		}
-		buf = append(buf, byte(c>>24), byte(c>>16), byte(c>>8), byte(c))
-	}
-	return buf, true
-}
-
-// keyCols gathers the code columns of b at the given positions.
-func keyCols(b *ColBlock, pos []int) [][]uint32 {
-	cols := make([][]uint32, len(pos))
-	for k, p := range pos {
-		cols[k] = b.cols[p].codes
-	}
-	return cols
-}
-
 // directSlack is the key-space allowance of directSpace: a side of n rows
 // is addressed directly when its key columns span at most 8·n + directSlack
-// keys. The arrays then take 4·(K+n) bytes, no more than the map entries
-// they replace, and the slack covers tiny blocks over small dictionaries.
+// keys. The table then takes 4·(K+n) bytes, no more than the map entries it
+// replaces, and the slack covers tiny blocks over small dictionaries.
 const directSlack = 256
 
-// keySpace numbers the keys of one block's key columns by mixed radix: the
-// key of codes (c_0, …, c_m) is Σ c_k·strides[k], dense in [0, size), where
-// the radixes are the columns' dictionary sizes.
+// keySpace is the key numbering of one block's key columns — the side a
+// kernel indexes — and maps every key to a match id in [0, miss()], miss()
+// being the id of every key the side does not hold. A key column's code c
+// adds c·strides[k] to the key. On a direct space the key is the
+// mixed-radix number of the codes, dense in [0, size), and is its own id;
+// on the map shapes the codes pack into 32-bit fields of a uint64 (one or
+// two columns, packed) or into a byte string (three or more, wide), and the
+// map numbers the side's keys densely in first-seen order. A key is a
+// uint64 sum that cannot overflow: a direct one is at most m·size for m
+// key columns, and packed fields are disjoint.
 type keySpace struct {
-	strides []int
-	size    int
+	strides []uint64
+	size    uint64
+	packed  map[uint64]int32
+	wide    map[string]int32
 }
 
-// directSpace returns the key space of b's columns at pos and whether it is
-// small enough to address directly: size ≤ 8·b.n + directSlack. The rule
-// reads only the block, so the same input always gets the same table.
+// directSpace returns the direct key space of b's columns at pos and
+// whether it is small enough to address: size ≤ 8·b.n + directSlack. The
+// rule reads only the block, so the same input always gets the same table.
 func directSpace(b *ColBlock, pos []int) (keySpace, bool) {
-	limit := 8*b.n + directSlack
-	s := keySpace{strides: make([]int, len(pos)), size: 1}
+	limit := uint64(8*b.n + directSlack)
+	s := keySpace{strides: make([]uint64, len(pos)), size: 1}
 	for k := len(pos) - 1; k >= 0; k-- {
 		s.strides[k] = s.size
-		d := len(b.cols[pos[k]].dict)
+		d := uint64(len(b.cols[pos[k]].dict))
 		if d > 0 && s.size > limit/d {
 			return keySpace{}, false
 		}
@@ -537,209 +467,271 @@ func directSpace(b *ColBlock, pos []int) (keySpace, bool) {
 	return s, true
 }
 
-// at returns row i's key, read from the code columns cols and translated
-// through remaps as packedKeyAt does. ok is false when a code has no image,
-// in which case the row cannot match anything.
-func (s keySpace) at(cols [][]uint32, remaps [][]int32, i int) (key int, ok bool) {
-	for k, codes := range cols {
-		c := int(codes[i])
-		if remaps != nil {
-			m := remaps[k][c]
-			if m < 0 {
-				return 0, false
-			}
-			c = int(m)
-		}
-		key += c * s.strides[k]
+// newKeySpace returns the key space of b's columns at pos: direct when
+// directSpace allows it, else an empty map shape that the indexed side's
+// rows number as they are keyed.
+func newKeySpace(b *ColBlock, pos []int) keySpace {
+	if s, ok := directSpace(b, pos); ok {
+		return s
 	}
-	return key, true
-}
-
-// codeHash is the join build table: build-row indexes keyed by codes. When
-// directSpace allows it the table is CSR over the key space — the rows of
-// key k are rows[start[k]:start[k+1]] — and otherwise a map keyed by packed
-// codes (uint64 up to two key columns, byte string beyond). Either way each
-// key's rows are in increasing row order.
-type codeHash struct {
-	space  keySpace
-	start  []int32
-	rows   []int32
-	packed map[uint64][]int32
-	wide   map[string][]int32
-	buf    []byte
-}
-
-// buildCodeHash indexes b's rows on the key columns at pos.
-func buildCodeHash(b *ColBlock, pos []int) *codeHash {
-	cols := keyCols(b, pos)
-	if space, ok := directSpace(b, pos); ok {
-		// A counting sort: count each key's rows, prefix-sum the counts to
-		// each key's end, then place rows from the last one backwards, which
-		// leaves start[k] at the key's first slot and every key's rows in
-		// increasing order.
-		h := &codeHash{space: space, start: make([]int32, space.size+1), rows: make([]int32, b.n)}
-		for i := 0; i < b.n; i++ {
-			k, _ := space.at(cols, nil, i)
-			h.start[k]++
+	s := keySpace{strides: make([]uint64, len(pos))}
+	for k := range s.strides {
+		s.strides[k] = 1
+		if len(pos) == 2 && k == 0 {
+			s.strides[k] = 1 << 32
 		}
-		for k := 1; k <= space.size; k++ {
-			h.start[k] += h.start[k-1]
-		}
-		for i := b.n - 1; i >= 0; i-- {
-			k, _ := space.at(cols, nil, i)
-			h.start[k]--
-			h.rows[h.start[k]] = int32(i)
-		}
-		return h
-	}
-	h := &codeHash{}
-	if len(pos) <= 2 {
-		h.packed = make(map[uint64][]int32, b.n)
-		for i := 0; i < b.n; i++ {
-			k, _ := packedKeyAt(cols, nil, i)
-			h.packed[k] = append(h.packed[k], int32(i))
-		}
-		return h
-	}
-	h.wide = make(map[string][]int32, b.n)
-	for i := 0; i < b.n; i++ {
-		h.buf, _ = wideKeyAt(h.buf, cols, nil, i)
-		h.wide[string(h.buf)] = append(h.wide[string(h.buf)], int32(i))
-	}
-	return h
-}
-
-// reader returns a view of the table for one probing goroutine: the arrays
-// and maps are shared (read-only once built), the wide-key scratch buffer
-// is private.
-func (h *codeHash) reader() *codeHash {
-	r := *h
-	r.buf = nil
-	return &r
-}
-
-// lookup returns the build rows matching probe row i, read from the probe
-// side's code columns and translated through remaps. A probe whose codes
-// have no image in the build dictionaries returns nil without touching the
-// table. Direct and packed lookups allocate nothing.
-func (h *codeHash) lookup(probeCols [][]uint32, remaps [][]int32, i int) []int32 {
-	if h.start != nil {
-		k, ok := h.space.at(probeCols, remaps, i)
-		if !ok {
-			return nil
-		}
-		return h.rows[h.start[k]:h.start[k+1]]
-	}
-	if h.packed != nil {
-		k, ok := packedKeyAt(probeCols, remaps, i)
-		if !ok {
-			return nil
-		}
-		return h.packed[k]
-	}
-	buf, ok := wideKeyAt(h.buf, probeCols, remaps, i)
-	h.buf = buf
-	if !ok {
-		return nil
-	}
-	return h.wide[string(buf)]
-}
-
-// codeSet numbers the distinct code keys it is given, densely from 0 in
-// first-seen order: the semijoin key table (whose ids index the support bit
-// vectors) and the projection dedup table. When directSpace allows it the
-// ids live in an array over the key space, −1 marking an absent key, and
-// otherwise in a map keyed by packed codes, as in codeHash.
-type codeSet struct {
-	space  keySpace
-	ids    []int32
-	n      int32 // keys numbered in ids
-	packed map[uint64]int32
-	wide   map[string]int32
-	buf    []byte
-}
-
-// newCodeSet prepares an empty set over b's key columns at pos, sized for
-// b's rows.
-func newCodeSet(b *ColBlock, pos []int) *codeSet {
-	if space, ok := directSpace(b, pos); ok {
-		ids := make([]int32, space.size)
-		for k := range ids {
-			ids[k] = -1
-		}
-		return &codeSet{space: space, ids: ids}
 	}
 	if len(pos) <= 2 {
-		return &codeSet{packed: make(map[uint64]int32, b.n)}
+		s.packed = make(map[uint64]int32, b.n)
+	} else {
+		s.wide = make(map[string]int32, b.n)
 	}
-	return &codeSet{wide: make(map[string]int32, b.n)}
+	return s
 }
 
-// len returns the number of distinct keys.
-func (s *codeSet) len() int { return int(s.n) + len(s.packed) + len(s.wide) }
+// direct reports whether keys are their own ids.
+func (s keySpace) direct() bool { return s.packed == nil && s.wide == nil }
 
-// reader is codeHash.reader for a finished set: shared tables, private
-// scratch buffer, find only.
-func (s *codeSet) reader() *codeSet {
-	r := *s
-	r.buf = nil
-	return &r
+// miss returns the id of every key the indexed side does not hold.
+func (s keySpace) miss() int32 {
+	if s.direct() {
+		return int32(s.size)
+	}
+	return int32(len(s.packed) + len(s.wide))
 }
 
-// put returns the id of row i's key, inserting it when absent; fresh
-// reports whether this call inserted it (the projection dedup step).
-func (s *codeSet) put(cols [][]uint32, i int) (id int32, fresh bool) {
-	if s.ids != nil {
-		k, _ := s.space.at(cols, nil, i)
-		if id := s.ids[k]; id >= 0 {
-			return id, false
-		}
-		s.ids[k] = s.n
-		s.n++
-		return s.ids[k], true
+// idBound bounds the ids of the keys of a side of n rows: the size of a
+// direct space, otherwise n.
+func (s keySpace) idBound(n int) int {
+	if s.direct() {
+		return int(s.size)
 	}
-	if s.packed != nil {
-		k, _ := packedKeyAt(cols, nil, i)
-		if id, ok := s.packed[k]; ok {
-			return id, false
-		}
-		id = int32(len(s.packed))
-		s.packed[k] = id
-		return id, true
-	}
-	s.buf, _ = wideKeyAt(s.buf, cols, nil, i)
-	if id, ok := s.wide[string(s.buf)]; ok {
-		return id, false
-	}
-	id = int32(len(s.wide))
-	s.wide[string(s.buf)] = id
-	return id, true
+	return n
 }
 
-// find returns the id of row i's key, read from another block's code
-// columns and translated through remaps, or -1 when the key is absent or a
-// code has no image in the key space (such a row cannot match).
-func (s *codeSet) find(cols [][]uint32, remaps [][]int32, i int) int32 {
-	if s.ids != nil {
-		if k, ok := s.space.at(cols, remaps, i); ok {
-			return s.ids[k]
-		}
-		return -1
+// absent is key column k's term for a code with no image in the space: on
+// a direct space its size, which the clamp turns into the miss id, and on
+// the map shapes a field of all ones, which no key of the space holds.
+func (s keySpace) absent(k int) uint64 {
+	if s.direct() {
+		return s.size
 	}
-	if s.packed != nil {
-		if k, ok := packedKeyAt(cols, remaps, i); ok {
-			if id, present := s.packed[k]; present {
-				return id
+	return 0xFFFFFFFF * s.strides[k]
+}
+
+// prober keys the n rows of one side into a key space, a batch at a time.
+type prober struct {
+	space keySpace
+	cols  []keyCol
+	n     int
+}
+
+// keyCol is one key column of a prober: its codes, and the translation
+// table from a code to its term of the key — nil when the column shares the
+// space's dictionary, whose code c is the term c·stride.
+type keyCol struct {
+	codes  []uint32
+	terms  []uint64
+	stride uint64
+}
+
+// newProber keys b's rows at pos into space, the key space of onto's
+// columns at ontoPos. A column whose dictionary differs from onto's gets a
+// translation table, merged from the two sorted dictionaries; all of a
+// prober's tables are carved from one allocation.
+func newProber(space keySpace, b *ColBlock, pos []int, onto *ColBlock, ontoPos []int) prober {
+	p := prober{space: space, cols: make([]keyCol, len(pos)), n: b.n}
+	total := 0
+	for k, q := range pos {
+		p.cols[k] = keyCol{codes: b.cols[q].codes, stride: space.strides[k]}
+		if !sameDict(b.cols[q].dict, onto.cols[ontoPos[k]].dict) {
+			total += len(b.cols[q].dict)
+		}
+	}
+	terms := make([]uint64, total)
+	for k, q := range pos {
+		from, to := b.cols[q].dict, onto.cols[ontoPos[k]].dict
+		if sameDict(from, to) {
+			continue
+		}
+		c := &p.cols[k]
+		c.terms, terms = terms[:len(from):len(from)], terms[len(from):]
+		// Merge the sorted dictionaries: from[i]'s code in to, or absent.
+		j := 0
+		for i, v := range from {
+			for j < len(to) && to[j].Compare(v) < 0 {
+				j++
+			}
+			if j < len(to) && to[j].Equal(v) {
+				c.terms[i] = uint64(j) * c.stride
+			} else {
+				c.terms[i] = space.absent(k)
 			}
 		}
-		return -1
 	}
-	buf, ok := wideKeyAt(s.buf, cols, remaps, i)
-	s.buf = buf
-	if ok {
-		if id, present := s.wide[string(buf)]; present {
-			return id
+	return p
+}
+
+// sameDict reports whether two dictionaries are one slice, as when kernel
+// outputs share their inputs' dictionaries.
+func sameDict(a, b []Value) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// batch is one goroutine's scratch for probeBatch rows: a value on its
+// stack, so probing allocates nothing (wide keys aside, whose buffer is
+// made once per batch value).
+type batch struct {
+	keys [probeBatch]uint64
+	ids  [probeBatch]int32
+	sel  [probeBatch]int32
+	wide []byte
+}
+
+// ids returns the match ids of p's rows [lo, lo+n), n ≤ probeBatch: their
+// keys, summed one column at a time, then clamped to the miss id on a
+// direct space or looked up on the map shapes. With insert, a map shape
+// numbers the keys it does not hold (the indexed side's own rows);
+// otherwise they take the miss id.
+func (p *prober) ids(b *batch, lo, n int, insert bool) []int32 {
+	ids := b.ids[:n]
+	if p.space.wide != nil {
+		p.wideIDs(b, lo, ids, insert)
+		return ids
+	}
+	keys := b.keys[:n]
+	clear(keys)
+	for _, c := range p.cols {
+		codes := c.codes[lo : lo+n]
+		if c.terms == nil {
+			for i, code := range codes {
+				keys[i] += uint64(code) * c.stride
+			}
+		} else {
+			for i, code := range codes {
+				keys[i] += c.terms[code]
+			}
 		}
 	}
-	return -1
+	if m := p.space.packed; m != nil {
+		for i, key := range keys {
+			id, ok := m[key]
+			if !ok {
+				id = int32(len(m))
+				if insert {
+					m[key] = id
+				}
+			}
+			ids[i] = id
+		}
+		return ids
+	}
+	for i, key := range keys {
+		ids[i] = int32(min(key, p.space.size))
+	}
+	return ids
+}
+
+// wideIDs is ids on the wide shape: each row's terms are written
+// big-endian, one column at a time, into its slot of the batch's byte
+// buffer, and the slots are looked up.
+func (p *prober) wideIDs(b *batch, lo int, ids []int32, insert bool) {
+	w := 4 * len(p.cols)
+	if len(b.wide) < probeBatch*w {
+		b.wide = make([]byte, probeBatch*w)
+	}
+	for k, c := range p.cols {
+		for i, code := range c.codes[lo : lo+len(ids)] {
+			t := uint64(code)
+			if c.terms != nil {
+				t = c.terms[code]
+			}
+			binary.BigEndian.PutUint32(b.wide[i*w+4*k:], uint32(t))
+		}
+	}
+	m := p.space.wide
+	for i := range ids {
+		key := b.wide[i*w : (i+1)*w]
+		id, ok := m[string(key)]
+		if !ok {
+			id = int32(len(m))
+			if insert {
+				m[string(key)] = id
+			}
+		}
+		ids[i] = id
+	}
+}
+
+// number keys every row of p, the indexed side's own, so that a map shape
+// holds all of the side's keys before another side probes it.
+func (p *prober) number() {
+	if p.space.direct() {
+		return
+	}
+	var b batch
+	for lo := 0; lo < p.n; lo += probeBatch {
+		p.ids(&b, lo, min(probeBatch, p.n-lo), true)
+	}
+}
+
+// matchTable is every binary kernel's build table: the matches of id m are
+// rows[start[m]:start[m+1]], in increasing order, and the miss id's range
+// is empty. A semijoin's hit table (hitTable) gives each id at most one
+// match and has no rows.
+type matchTable struct {
+	start, rows []int32
+}
+
+// index builds the table over p's rows, the indexed side's own, numbering
+// their keys on a map shape. Each id's rows are the rows holding its key —
+// a counting sort over the ids — or, when distinct, the id is a hit when
+// any row holds it: the semijoin's table.
+func (p prober) index(distinct bool) matchTable {
+	bound, n := p.space.idBound(p.n), p.n
+	if distinct {
+		n = 0
+	}
+	slab := make([]int32, bound+2+n)
+	start, rows := slab[:bound+2], slab[bound+2:]
+	var b batch
+	for lo := 0; lo < p.n; lo += probeBatch {
+		for _, id := range p.ids(&b, lo, min(probeBatch, p.n-lo), true) {
+			if distinct {
+				start[id+1] = 1
+			} else {
+				start[id+1]++
+			}
+		}
+	}
+	start = start[:p.space.miss()+2]
+	if distinct {
+		return hitTable(start)
+	}
+	for id := 1; id < len(start); id++ {
+		start[id] += start[id-1]
+	}
+	// Place every row at its id's cursor, which leaves start[id] at the
+	// id's end; shifting by one restores the starts.
+	for lo := 0; lo < p.n; lo += probeBatch {
+		for i, id := range p.ids(&b, lo, min(probeBatch, p.n-lo), false) {
+			rows[start[id]] = int32(lo + i)
+			start[id]++
+		}
+	}
+	copy(start[1:], start)
+	start[0] = 0
+	return matchTable{start: start, rows: rows}
+}
+
+// hitTable turns marks, where marks[id+1] is 1 when id is a hit, into the
+// semijoin's table in place: one match for every hit but the last id, the
+// miss id, which has none. A hit table has no rows — its kernel reads no
+// build column — so its matches are counted, never read.
+func hitTable(marks []int32) matchTable {
+	marks[len(marks)-1] = 0
+	for id := 1; id < len(marks); id++ {
+		marks[id] += marks[id-1]
+	}
+	return matchTable{start: marks}
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/govern"
@@ -616,15 +617,19 @@ func sameRowsAs(b *ColBlock, r *Relation) bool {
 	return true
 }
 
-// checkKernelAgainstTupleMap runs kernel on (l, r) at workers 1, 2 and 4 and
-// the tuple-map oracle on the decoded blocks: the kernel must return the
-// oracle's rows in the oracle's order and charge its total, and on a budget
-// one tuple short it must abort with ErrTupleBudget — on one range at the
-// very charge the oracle aborts at.
+// checkKernelAgainstTupleMap runs kernel on (l, r) at the given worker
+// counts (1, 2 and 4 when none are given) and the tuple-map oracle on the
+// decoded blocks: the kernel must return the oracle's rows in the oracle's
+// order and charge its total, and on a budget one tuple short it must abort
+// with ErrTupleBudget — on one range at the very charge the oracle aborts
+// at.
 func checkKernelAgainstTupleMap(t *testing.T, name string, l, r *ColBlock,
 	kernel func(*govern.Governor, *ColBlock, *ColBlock, int) (*ColBlock, error),
-	oracle func(*govern.Governor, *Relation, *Relation) (*Relation, error)) {
+	oracle func(*govern.Governor, *Relation, *Relation) (*Relation, error), workers ...int) {
 	t.Helper()
+	if len(workers) == 0 {
+		workers = []int{1, 2, 4}
+	}
 	lt, rt := l.ToRelation(), r.ToRelation()
 	g := govern.New(govern.Limits{MaxTuples: 1 << 40})
 	want, err := oracle(g, lt, rt)
@@ -640,7 +645,7 @@ func checkKernelAgainstTupleMap(t *testing.T, name string, l, r *ColBlock,
 		}
 		abortAt = ag.Produced()
 	}
-	for _, w := range []int{1, 2, 4} {
+	for _, w := range workers {
 		kg := govern.New(govern.Limits{MaxTuples: 1 << 40})
 		got, err := kernel(kg, l, r, w)
 		if err != nil {
@@ -727,6 +732,168 @@ func TestKernelTableShapesMatchTupleMapOps(t *testing.T) {
 			if !reached[shape{keys, direct}] {
 				t.Errorf("no join indexed %d key columns with direct=%v", keys, direct)
 			}
+		}
+	}
+}
+
+// TestKernelBatchBoundariesMatchTupleMapOps drives the join and semijoin
+// kernels across probe batch boundaries: probe sides of 0, 1, probeBatch−1,
+// probeBatch, probeBatch+1 and 3·probeBatch+7 rows against a build side of
+// at most 40, keyed on one, two and three columns through a direct table
+// and through a map (packed up to two columns, wide beyond), with probe
+// codes that have no image in the build dictionary in no key column, in
+// one, in some and in all — the rows the direct table clamps to its
+// sentinel id. Both argument orders run, so the larger side probes as l and
+// as r, and the semijoin takes both of its paths. At workers 1 and 3, with
+// the range split forced on so that range ends fall inside batches, rows,
+// row order and the charged total must match the tuple-map operators, and
+// so must the abort on a budget one tuple short and on a budget whose
+// crossing tuple falls inside a later batch: the same LimitError on one
+// range, ErrTupleBudget on three.
+func TestKernelBatchBoundariesMatchTupleMapOps(t *testing.T) {
+	defer SetParallelThreshold(0)()
+	rng := rand.New(rand.NewSource(2042))
+	midBatch := 0
+	for _, keys := range []string{"B", "BC", "BCD"} {
+		for _, direct := range []bool{true, false} {
+			for _, n := range []int{0, 1, probeBatch - 1, probeBatch, probeBatch + 1, 3*probeBatch + 7} {
+				for _, alien := range []string{"none", "one", "some", "all"} {
+					build, probe := boundaryPair(rng, keys, min(n, 40), n, direct, alien)
+					pos, _ := build.Schema().Positions(NewAttrSet(strings.Split(keys, "")...))
+					if got := newKeySpace(build, pos).direct(); got != direct {
+						t.Fatalf("%s key, build of %d rows: direct table %v, want %v", keys, build.Len(), got, direct)
+					}
+					name := fmt.Sprintf("%s key (direct %v), %d probe rows, no image in %s", keys, direct, n, alien)
+					for _, order := range [][2]*ColBlock{{build, probe}, {probe, build}} {
+						l, r := order[0], order[1]
+						checkKernelAgainstTupleMap(t, "join "+name, l, r, ParallelJoinBlocksGoverned, JoinGoverned, 1, 3)
+						checkKernelAgainstTupleMap(t, "semijoin "+name, l, r, ParallelSemijoinBlocksGoverned, SemijoinGoverned, 1, 3)
+					}
+					// A budget whose crossing tuple lies inside a batch past the
+					// first, where the probe side is larger than the build side.
+					if budget, ok := midBatchBudget(build, probe, false); ok {
+						midBatch++
+						checkAbortAt(t, "join "+name, build, probe, budget, ParallelJoinBlocksGoverned, JoinGoverned)
+						checkAbortAt(t, "join "+name, probe, build, budget, ParallelJoinBlocksGoverned, JoinGoverned)
+					}
+					if budget, ok := midBatchBudget(build, probe, true); ok {
+						checkAbortAt(t, "semijoin "+name, probe, build, budget, ParallelSemijoinBlocksGoverned, SemijoinGoverned)
+					}
+				}
+			}
+		}
+	}
+	if midBatch == 0 {
+		t.Fatal("no budget crossed inside a later batch")
+	}
+}
+
+// boundaryPair returns a build block of m rows over A and keys and a probe
+// block of n rows over keys and Z, each row made distinct by its A or Z.
+// A direct build draws its keys from small domains; a map-shaped one is cut
+// from 2 000 rows over wide domains, keeping their dictionaries, so that
+// even a one-column key spans too many codes to address. alien picks which
+// probe key columns hold values absent from the build dictionaries: none,
+// the first on alternate rows, a random third of them, or all; every other
+// probe value is from the build dictionary, and half the probe rows copy a
+// build row's key outright.
+func boundaryPair(rng *rand.Rand, keys string, m, n int, direct bool, alien string) (build, probe *ColBlock) {
+	k := len(keys)
+	domain := map[int]int{1: 40, 2: 12, 3: 6}[k]
+	rows := m
+	if !direct {
+		domain, rows = 1000, 2000
+	}
+	b := New(SchemaOfRunes("A" + keys))
+	for i := 0; i < rows; i++ {
+		row := Tuple{Int(int64(i))}
+		for c := 0; c < k; c++ {
+			row = append(row, Int(int64(rng.Intn(domain))))
+		}
+		b.MustInsert(row)
+	}
+	build = FromRelation(b)
+	if !direct {
+		keep := New(SchemaOfRunes("A"))
+		for i := 0; i < m; i++ {
+			keep.MustInsert(Tuple{Int(int64(i))})
+		}
+		build, _ = SemijoinBlocksGoverned(nil, build, FromRelation(keep))
+	}
+	p := New(SchemaOfRunes(keys + "Z"))
+	for i := 0; i < n; i++ {
+		row := make(Tuple, 0, k+1)
+		copyRow := build.Len() > 0 && rng.Intn(2) == 0
+		src := 0
+		if build.Len() > 0 {
+			src = rng.Intn(build.Len())
+		}
+		for c := 0; c < k; c++ {
+			absent := build.Len() == 0 || alien == "all" ||
+				(alien == "one" && c == 0 && i%2 == 0) || (alien == "some" && rng.Intn(3) == 0)
+			switch {
+			case absent:
+				row = append(row, Int(int64(1_000_000+rng.Intn(50))))
+			case copyRow:
+				row = append(row, build.Value(src, c+1))
+			default:
+				dict := build.Dict(c + 1)
+				row = append(row, dict[rng.Intn(len(dict))])
+			}
+		}
+		p.MustInsert(append(row, Int(int64(i))))
+	}
+	return build, FromRelation(p)
+}
+
+// midBatchBudget returns a budget whose crossing tuple is charged by a
+// probe row in the middle of a batch past the first, when the larger probe
+// side probes: the join charges each probe row's matches, the semijoin
+// (semi) one tuple per probe row with a match.
+func midBatchBudget(build, probe *ColBlock, semi bool) (int64, bool) {
+	if probe.Len() <= probeBatch || probe.Len() <= build.Len() {
+		return 0, false
+	}
+	bPos, pPos := CommonPositions(build.Schema(), probe.Schema())
+	matches := map[string]int64{}
+	for _, row := range build.ToRelation().Rows() {
+		matches[row.keyAt(bPos)]++
+	}
+	var charged int64
+	budget, ok := int64(0), false
+	for i, row := range probe.ToRelation().Rows() {
+		c := matches[row.keyAt(pPos)]
+		if semi {
+			c = min(c, 1)
+		}
+		if off := i % probeBatch; i >= probeBatch && off > probeBatch/4 && off < 3*probeBatch/4 && c > 0 && charged+c > 1 {
+			budget, ok = charged+c-1, true
+		}
+		charged += c
+	}
+	return budget, ok
+}
+
+// checkAbortAt runs kernel on (l, r) and the tuple-map oracle under
+// MaxTuples budget at the governor's default settle interval: both must
+// abort, with the same LimitError on one range and ErrTupleBudget and no
+// output on three.
+func checkAbortAt(t *testing.T, name string, l, r *ColBlock, budget int64,
+	kernel func(*govern.Governor, *ColBlock, *ColBlock, int) (*ColBlock, error),
+	oracle func(*govern.Governor, *Relation, *Relation) (*Relation, error)) {
+	t.Helper()
+	var want *govern.LimitError
+	if _, err := oracle(govern.New(govern.Limits{MaxTuples: budget}), l.ToRelation(), r.ToRelation()); !errors.As(err, &want) {
+		t.Fatalf("%s: oracle under budget %d: %v, want a LimitError", name, budget, err)
+	}
+	for _, w := range []int{1, 3} {
+		out, err := kernel(govern.New(govern.Limits{MaxTuples: budget}), l, r, w)
+		var got *govern.LimitError
+		if out != nil || !errors.As(err, &got) {
+			t.Fatalf("%s, %d workers: budget %d gave %v, %v; want a LimitError", name, w, budget, out, err)
+		}
+		if w == 1 && *got != *want {
+			t.Fatalf("%s: budget %d aborted with %+v, tuple-map with %+v", name, budget, *got, *want)
 		}
 	}
 }

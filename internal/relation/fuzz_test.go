@@ -2,6 +2,7 @@ package relation
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -29,6 +30,15 @@ func FuzzParallelJoinKeys(f *testing.F) {
 	f.Add([]byte("a\x00b\x00c\x00a\x00d\x00e\x00f\x00b\x00c"), []byte("b\x00c\x00x\x00d\x00e\x00y"), uint8(0x11))
 	f.Add([]byte("p\x00q\x00r\x00s\x00p\x00t\x00u\x00v"), []byte("q\x00r\x00s\x00w\x00t\x00u\x00v\x00z"), uint8(0x22))
 	f.Add([]byte("k\x00a\x00k\x00b\x00j\x00c"), []byte("a\x001\x00b\x002\x00c\x003"), uint8(0xc3))
+	// Both sides decode to more than one probe batch of rows, at 3 workers.
+	var lBig, rBig []byte
+	for i := 0; i < 3*probeBatch; i++ {
+		lBig = fmt.Appendf(lBig, "a%d\x00b%d\x00", i, i%50)
+	}
+	for i := 0; i < probeBatch+7; i++ {
+		rBig = fmt.Appendf(rBig, "b%d\x00c%d\x00", i%70, i)
+	}
+	f.Add(lBig, rBig, uint8(0x02))
 	f.Fuzz(func(t *testing.T, lBlob, rBlob []byte, workers uint8) {
 		defer SetParallelThreshold(0)()
 		w := int(workers%16) + 1
