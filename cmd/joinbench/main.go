@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	joinbench [-quick] [-seed N] [-only E1,E3,...] [-timeout 5m] [-max-tuples n] [-json results.json] [-csv dir]
+//	joinbench [-quick] [-seed N] [-only E1,E3,...] [-timeout 5m] [-max-tuples n]
 //
 // -quick lowers trial counts and scales for a fast smoke run; -only selects
 // a comma-separated subset of experiment ids (E5 and E6 each select the
@@ -12,19 +12,15 @@
 // (exit status 2) that lists the valid ids. -timeout bounds the whole
 // suite: the deadline is checked between experiments, and the remaining
 // ones are skipped (reported, exit status 1) once it passes. -max-tuples
-// sets the tuple budget for the governance experiment EX6. -json also
-// writes every experiment's outcome — id, title, ok/error, wall-clock
-// milliseconds, and the table's columns, rows, and notes — as a JSON array
-// to the given file ("-" for stdout), for dashboards and regression diffs.
-// -csv also writes each table as <id>.csv into a directory.
+// sets the tuple budget for the governance experiment EX6. A negative
+// -timeout or -max-tuples is a usage error (exit status 2).
+// cmd/joinbench/testdata/suite.golden records the full suite's output.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"time"
@@ -36,11 +32,13 @@ func main() {
 	quick := flag.Bool("quick", false, "run reduced trial counts and scales")
 	seed := flag.Int64("seed", 1992, "random seed for the randomized experiments")
 	only := flag.String("only", "", "comma-separated experiment ids to run (default: all)")
-	csvDir := flag.String("csv", "", "also write each table as CSV into this directory")
 	timeout := flag.Duration("timeout", 0, "suite deadline, checked between experiments (0 = none)")
 	maxTuples := flag.Int64("max-tuples", 0, "tuple budget for the EX6 governance experiment (0 = its default)")
-	jsonOut := flag.String("json", "", "write per-experiment results as JSON to this file (\"-\" for stdout)")
 	flag.Parse()
+	if *timeout < 0 || *maxTuples < 0 {
+		fmt.Fprintln(os.Stderr, "joinbench: -timeout and -max-tuples must not be negative")
+		os.Exit(2)
+	}
 
 	var deadline time.Time
 	if *timeout > 0 {
@@ -132,95 +130,25 @@ func main() {
 		fmt.Println()
 	}
 	failed := 0
-	var results []experimentResult
 	for _, r := range runs {
 		if !want(r.id) {
 			continue
 		}
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			fmt.Fprintf(os.Stderr, "%s SKIPPED: suite deadline (%s) passed\n", r.id, *timeout)
-			results = append(results, experimentResult{ID: r.id, Error: "skipped: suite deadline passed"})
 			failed++
 			continue
 		}
-		start := time.Now()
 		table, err := r.fn()
-		wallMS := float64(time.Since(start)) / float64(time.Millisecond)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s FAILED: %v\n", r.id, err)
-			results = append(results, experimentResult{ID: r.id, Error: err.Error(), WallMS: wallMS})
 			failed++
 			continue
 		}
-		results = append(results, experimentResult{
-			ID:      table.ID,
-			Title:   table.Title,
-			OK:      true,
-			WallMS:  wallMS,
-			Columns: table.Columns,
-			Rows:    table.Rows,
-			Notes:   table.Notes,
-		})
 		table.Render(os.Stdout)
 		fmt.Println()
-		if *csvDir != "" {
-			if err := writeCSV(*csvDir, table); err != nil {
-				fmt.Fprintf(os.Stderr, "csv %s: %v\n", r.id, err)
-				failed++
-			}
-		}
-	}
-	if *jsonOut != "" {
-		if err := writeResults(*jsonOut, results); err != nil {
-			fmt.Fprintf(os.Stderr, "json: %v\n", err)
-			failed++
-		}
 	}
 	if failed > 0 {
 		os.Exit(1)
 	}
-}
-
-// experimentResult is one entry of the -json output: the experiment's
-// outcome plus its full table, machine-readable.
-type experimentResult struct {
-	ID      string     `json:"id"`
-	Title   string     `json:"title,omitempty"`
-	OK      bool       `json:"ok"`
-	Error   string     `json:"error,omitempty"`
-	WallMS  float64    `json:"wall_ms"`
-	Columns []string   `json:"columns,omitempty"`
-	Rows    [][]string `json:"rows,omitempty"`
-	Notes   []string   `json:"notes,omitempty"`
-}
-
-// writeResults stores the -json report ("-" = stdout).
-func writeResults(path string, results []experimentResult) error {
-	w := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	enc.SetIndent("", "  ")
-	return enc.Encode(results)
-}
-
-// writeCSV stores a table as <dir>/<id>.csv.
-func writeCSV(dir string, table *experiments.Table) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	name := strings.ReplaceAll(table.ID, "/", "-") + ".csv"
-	f, err := os.Create(filepath.Join(dir, name))
-	if err != nil {
-		return err
-	}
-	table.RenderCSV(f)
-	return f.Close()
 }

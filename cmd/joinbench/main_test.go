@@ -73,6 +73,25 @@ func TestOnlySelectsCompositeIDByEitherPart(t *testing.T) {
 	}
 }
 
+// TestNegativeLimitsAreUsageErrors: a negative -max-tuples or -timeout
+// exits 2 before any experiment runs, instead of falling back to EX6's
+// default budget or to no deadline.
+func TestNegativeLimitsAreUsageErrors(t *testing.T) {
+	for _, args := range [][]string{{"-max-tuples", "-5"}, {"-timeout", "-1s"}} {
+		stdout, stderr, code := joinbench(t, t.TempDir(), append([]string{"-only", "EX6"}, args...)...)
+		if code != 2 {
+			t.Errorf("%s exited %d, want 2 (stderr %q)", strings.Join(args, " "), code, stderr)
+			continue
+		}
+		if stdout != "" {
+			t.Errorf("%s ran something before rejecting the limit:\n%s", strings.Join(args, " "), stdout)
+		}
+		if !strings.Contains(stderr, args[0]) {
+			t.Errorf("%s: stderr %q does not name the flag", strings.Join(args, " "), stderr)
+		}
+	}
+}
+
 func TestRunLeavesNoSideFiles(t *testing.T) {
 	dir := t.TempDir()
 	if _, stderr, code := joinbench(t, dir, "-quick", "-only", "EX8"); code != 0 {

@@ -1,0 +1,107 @@
+package main
+
+import (
+	"errors"
+	"math/rand"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+
+	"repro/internal/workload"
+)
+
+// TestMain lets a test re-execute this binary as joinrun itself: with
+// RUN_JOINRUN=1 set, the process runs main on its own arguments.
+func TestMain(m *testing.M) {
+	if os.Getenv("RUN_JOINRUN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// joinrun runs main in a child process and returns its stdout, stderr and
+// exit status.
+func joinrun(t *testing.T, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(exe, args...)
+	cmd.Env = append(os.Environ(), "RUN_JOINRUN=1")
+	var out, errOut strings.Builder
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err = cmd.Run()
+	var exit *exec.ExitError
+	switch {
+	case errors.As(err, &exit):
+		code = exit.ExitCode()
+	case err != nil:
+		t.Fatal(err)
+	}
+	return out.String(), errOut.String(), code
+}
+
+// triangleData writes a 30-tuple triangle database (three copies of a
+// 10-edge random graph on 5 nodes; its join has 9 tuples) as TSV files
+// and returns joinrun's -data value.
+func triangleData(t *testing.T) string {
+	t.Helper()
+	db, err := workload.TriangleSpec{Nodes: 5, Edges: 10}.TriangleDatabase(rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	var paths []string
+	for i := 0; i < db.Len(); i++ {
+		path := filepath.Join(dir, "r"+strconv.Itoa(i)+".tsv")
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Relation(i).WriteTSV(f); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, path)
+	}
+	return strings.Join(paths, ",")
+}
+
+// TestNegativeLimitsAreUsageErrors: a negative -max-tuples,
+// -max-intermediate or -timeout exits 2 before any join runs, instead of
+// running unlimited; zero still means "no limit", and a real budget still
+// aborts with exit status 3.
+func TestNegativeLimitsAreUsageErrors(t *testing.T) {
+	data := triangleData(t)
+	for _, flagArgs := range [][]string{
+		{"-max-tuples", "-1"},
+		{"-max-intermediate", "-1"},
+		{"-timeout", "-1s"},
+	} {
+		args := append([]string{"-data", data, "-strategy", "program"}, flagArgs...)
+		stdout, stderr, code := joinrun(t, args...)
+		if code != 2 {
+			t.Errorf("%s exited %d, want 2 (stdout %q, stderr %q)", strings.Join(flagArgs, " "), code, stdout, stderr)
+			continue
+		}
+		if stdout != "" {
+			t.Errorf("%s ran before rejecting the limit:\n%s", strings.Join(flagArgs, " "), stdout)
+		}
+		if !strings.Contains(stderr, flagArgs[0]) {
+			t.Errorf("%s: stderr %q does not name the flag", strings.Join(flagArgs, " "), stderr)
+		}
+	}
+	if _, stderr, code := joinrun(t, "-data", data, "-strategy", "program", "-max-tuples", "0"); code != 0 {
+		t.Errorf("-max-tuples 0 exited %d, want 0: %s", code, stderr)
+	}
+	if _, stderr, code := joinrun(t, "-data", data, "-strategy", "program", "-max-tuples", "1"); code != 3 {
+		t.Errorf("-max-tuples 1 exited %d, want 3 (a resource abort): %s", code, stderr)
+	}
+}

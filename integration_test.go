@@ -139,45 +139,6 @@ func TestEndToEndAcyclicAgreesWithPrograms(t *testing.T) {
 	}
 }
 
-// TestEndToEndDeadCodeSafety: eliminating dead statements from derived
-// programs never changes the result (derived programs should have none).
-func TestEndToEndDeadCodeSafety(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 20; trial++ {
-		h, err := workload.RandomScheme(rng, workload.RandomSchemeSpec{
-			Relations: 2 + rng.Intn(4), Attrs: 5, MaxArity: 3, Connected: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		db, err := workload.RandomDatabase(rng, h, 10, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tree := jointree.RandomTree(rng, h.Len())
-		d, err := core.DeriveFromTree(tree, h, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lean := d.Program.EliminateDead()
-		a, err := d.Program.Apply(db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := lean.Apply(db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !a.Output.Equal(b.Output) {
-			t.Fatalf("trial %d: dead-code elimination changed the output", trial)
-		}
-		if lean.Len() != d.Program.Len() {
-			// Not an error — but derived programs are expected lean; log it.
-			t.Logf("trial %d: derived program had %d dead statements", trial, d.Program.Len()-lean.Len())
-		}
-	}
-}
-
 // TestTSVBridge writes a workload relation to TSV and reads it back.
 func TestTSVBridge(t *testing.T) {
 	spec := workload.UniformCycle(4, 2, 3)

@@ -144,18 +144,11 @@ func JoinGoverned(db *relation.Database, g *govern.Governor) (*relation.Relation
 //
 // out must be a subset of the scheme's attributes.
 func Yannakakis(db *relation.Database, out relation.AttrSet) (*relation.Relation, int, error) {
-	return YannakakisGoverned(db, out, nil)
-}
-
-// YannakakisGoverned is Yannakakis under a governor: YannakakisProgram
-// applied to db, so the reducer, the bottom-up joins and projections, and
-// the final projection charge their outputs and honor cancellation.
-func YannakakisGoverned(db *relation.Database, out relation.AttrSet, g *govern.Governor) (*relation.Relation, int, error) {
 	p, err := YannakakisProgram(hypergraph.OfScheme(db), out)
 	if err != nil {
 		return nil, 0, err
 	}
-	res, err := p.ApplyGoverned(db, g)
+	res, err := p.Apply(db)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -328,16 +328,6 @@ func TestLadderDoesNotRetryInjectedFault(t *testing.T) {
 	}
 }
 
-func TestProjectHonorsLimits(t *testing.T) {
-	db := example3DB(t, 10)
-	_, err := Project(db, db.Relation(0).Schema().AttrSet(), Options{
-		Limits: govern.Limits{MaxTuples: 100},
-	})
-	if !errors.Is(err, govern.ErrTupleBudget) {
-		t.Fatalf("want ErrTupleBudget from Project, got %v", err)
-	}
-}
-
 func TestReportProducedMatchesWork(t *testing.T) {
 	db := example3DB(t, 6)
 	rep, err := Join(db, Options{

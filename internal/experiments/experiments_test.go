@@ -215,17 +215,6 @@ func TestFigureTreesRender(t *testing.T) {
 	}
 }
 
-func TestRenderCSV(t *testing.T) {
-	table := &Table{ID: "X", Columns: []string{"a", "b"}}
-	table.AddRow("plain", `quo"te,comma`)
-	var sb strings.Builder
-	table.RenderCSV(&sb)
-	want := "a,b\nplain,\"quo\"\"te,comma\"\n"
-	if sb.String() != want {
-		t.Errorf("RenderCSV = %q, want %q", sb.String(), want)
-	}
-}
-
 func TestHeadlineClaimTable(t *testing.T) {
 	table, err := HeadlineClaim(2, 9)
 	if err != nil {

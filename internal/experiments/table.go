@@ -74,27 +74,6 @@ func (t *Table) Render(w io.Writer) {
 	}
 }
 
-// RenderCSV writes the table as RFC-4180-style CSV (header row first, one
-// line per row; cells containing commas, quotes, or newlines are quoted) —
-// the plotting-friendly twin of Render. Notes are omitted.
-func (t *Table) RenderCSV(w io.Writer) {
-	writeCSVRow(w, t.Columns)
-	for _, row := range t.Rows {
-		writeCSVRow(w, row)
-	}
-}
-
-func writeCSVRow(w io.Writer, cells []string) {
-	parts := make([]string, len(cells))
-	for i, c := range cells {
-		if strings.ContainsAny(c, ",\"\n") {
-			c = "\"" + strings.ReplaceAll(c, "\"", "\"\"") + "\""
-		}
-		parts[i] = c
-	}
-	fmt.Fprintln(w, strings.Join(parts, ","))
-}
-
 // displayWidth approximates the printed width: counts runes, not bytes, so
 // ⋈ and π align.
 func displayWidth(s string) int { return len([]rune(s)) }

@@ -41,21 +41,3 @@ func ExampleHypergraph_Components() {
 	// components: 2
 	// adjacent connected: true
 }
-
-// ExampleHypergraph_Core extracts the irreducibly cyclic part of a scheme.
-func ExampleHypergraph_Core() {
-	h, err := hypergraph.ParseScheme("AB BC CA CX XY")
-	if err != nil {
-		log.Fatal(err)
-	}
-	core := h.Core()
-	fmt.Println("core edges:", core.Count())
-	for _, i := range core.Indexes() {
-		fmt.Println(" ", h.DisplayName(i))
-	}
-	// Output:
-	// core edges: 3
-	//   AB
-	//   BC
-	//   CA
-}

@@ -92,24 +92,6 @@ func (h *Hypergraph) Acyclic() bool {
 	return ok
 }
 
-// Core returns the scheme's cyclic core: the edges that remain after
-// removing ears until none is left. An acyclic scheme's core is empty (or
-// the last single edge); a cyclic scheme's core is the irreducibly cyclic
-// part — for a cycle with pendant chains attached, exactly the cycle. The
-// core is what any reduction-based method is ultimately stuck with, and
-// what the paper's program derivation handles head-on.
-func (h *Hypergraph) Core() Mask {
-	remaining := h.Full()
-	for remaining.Count() > 1 {
-		ear, _ := h.findEar(remaining)
-		if ear < 0 {
-			return remaining
-		}
-		remaining = remaining.Without(ear)
-	}
-	return 0
-}
-
 // Validate checks the join-tree invariant against the hypergraph: for every
 // attribute, the nodes containing it induce a connected subtree. It returns
 // nil when the invariant holds.

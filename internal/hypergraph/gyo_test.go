@@ -170,29 +170,3 @@ func isTree(parent []int, root int) bool {
 	}
 	return true
 }
-
-func TestCore(t *testing.T) {
-	// Acyclic schemes have empty cores.
-	for _, s := range []string{"AB BC CD", "AB AC AD", "ABC AB BC"} {
-		h := mustParse(t, s)
-		if core := h.Core(); core != 0 {
-			t.Errorf("Core(%s) = %v, want empty", s, core)
-		}
-	}
-	// A pure cycle is its own core.
-	cyc := mustParse(t, "ABC CDE EFG GHA")
-	if core := cyc.Core(); core != cyc.Full() {
-		t.Errorf("Core(4-cycle) = %v, want all edges", core)
-	}
-	// Cycle plus pendant chain: the chain strips away, the cycle remains.
-	mixed := mustParse(t, "AB BC CA CX XY")
-	core := mixed.Core()
-	if core != MaskOf(0, 1, 2) {
-		t.Errorf("Core(triangle+chain) = %v, want {0,1,2}", core)
-	}
-	// Two disjoint triangles: both remain.
-	two := mustParse(t, "AB BC CA DE EF FD")
-	if got := two.Core().Count(); got != 6 {
-		t.Errorf("Core(two triangles) has %d edges, want 6", got)
-	}
-}

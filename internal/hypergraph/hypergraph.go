@@ -227,16 +227,6 @@ func (h *Hypergraph) Connected(m Mask) bool {
 	return comp == m
 }
 
-// Neighbors returns the mask of edges in candidates that share at least one
-// attribute with some edge in m.
-func (h *Hypergraph) Neighbors(m, candidates Mask) Mask {
-	var out Mask
-	for _, i := range m.Indexes() {
-		out |= h.adjacency[i] & candidates
-	}
-	return out &^ m
-}
-
 // Path returns a path from edge i to edge j within the edges of m, in the
 // paper's §2.1 sense: a sequence of edges each sharing at least one
 // attribute with the next, starting at i and ending at j. The path is

@@ -130,13 +130,8 @@ func TestConnected(t *testing.T) {
 	}
 }
 
-func TestNeighborsAndOverlapping(t *testing.T) {
+func TestOverlapping(t *testing.T) {
 	h := paperScheme(t)
-	// Neighbors of ABC among all others: CDE (C) and GHA (A), not EFG.
-	got := h.Neighbors(MaskOf(0), h.Full())
-	if got != MaskOf(1, 3) {
-		t.Errorf("Neighbors = %v", got)
-	}
 	if !h.Overlapping(MaskOf(0), MaskOf(1)) || h.Overlapping(MaskOf(0), MaskOf(2)) {
 		t.Error("Overlapping wrong")
 	}

@@ -39,7 +39,6 @@ type step struct {
 // View is not safe for concurrent use.
 type View struct {
 	fingerprint string
-	notes       []string
 
 	nodes  []*node
 	inputs []*node // canonical edge order
@@ -73,7 +72,7 @@ func Compile(db *relation.Database) (*View, error) {
 	if err != nil {
 		return nil, err
 	}
-	v := &View{fingerprint: plan.Fingerprint, notes: plan.Notes}
+	v := &View{fingerprint: plan.Fingerprint}
 	v.inputs = make([]*node, cdb.Len())
 	v.inputOf = make([]int, len(perm))
 	for ci, orig := range perm {
@@ -200,9 +199,6 @@ func joinSchema(l, r *relation.Schema) *relation.Schema {
 // compiled for.
 func (v *View) Fingerprint() string { return v.fingerprint }
 
-// PlanNotes returns how the underlying plan was obtained.
-func (v *View) PlanNotes() []string { return v.notes }
-
 // Steps returns the number of delta-program steps (0 for a single-relation
 // view, whose output is the input itself).
 func (v *View) Steps() int { return len(v.steps) }
@@ -222,9 +218,6 @@ func (v *View) OpCounts() (projects, joins, semijoins int) {
 	}
 	return projects, joins, semijoins
 }
-
-// OutputSchema returns the view result's schema.
-func (v *View) OutputSchema() *relation.Schema { return v.out.schema }
 
 // ResultCount returns the current result cardinality without
 // materializing.

@@ -129,7 +129,7 @@ func sameOrder(a, b []relation.Tuple) bool {
 
 // TestAcyclicProgramsMatchOracle (facet b): on every acyclic case, the
 // pipeline (acyclic.JoinGoverned, and JoinProgram at every worker count),
-// Yannakakis (YannakakisGoverned and YannakakisProgram) and Reduce equal the
+// Yannakakis (YannakakisProgram applied to the database) and Reduce equal the
 // oracle in result, cost and charge; Reduce leaves every relation the
 // projection of ⋈D onto its scheme; and on the reduced inputs every join
 // head of the monotone expression is at most |⋈D| — the monotone property.
@@ -154,7 +154,11 @@ func TestAcyclicProgramsMatchOracle(t *testing.T) {
 		public := map[*program.Program]func(*govern.Governor) (*relation.Relation, int, error){
 			joinP: func(g *govern.Governor) (*relation.Relation, int, error) { return acyclic.JoinGoverned(c.db, g) },
 			yannP: func(g *govern.Governor) (*relation.Relation, int, error) {
-				return acyclic.YannakakisGoverned(c.db, out, g)
+				res, err := yannP.ApplyGoverned(c.db, g)
+				if err != nil {
+					return nil, 0, err
+				}
+				return res.Output, res.Cost, nil
 			},
 		}
 		for p, run := range public {

@@ -236,60 +236,3 @@ func (b *ColBlock) Validate() error {
 	}
 	return nil
 }
-
-// SelVec is a reusable selection vector: the row indexes of a ColBlock that
-// survive a chain of filters. Reset and Filter reuse the vector's capacity,
-// so a steady-state scan loop performs no allocation at all — the property
-// the AllocsPerRun regression tests pin.
-type SelVec struct {
-	idx []int32
-}
-
-// Reset fills the vector with 0..n-1, growing its buffer only when n
-// exceeds the current capacity.
-func (s *SelVec) Reset(n int) {
-	if cap(s.idx) < n {
-		s.idx = make([]int32, n)
-	}
-	s.idx = s.idx[:n]
-	for i := range s.idx {
-		s.idx[i] = int32(i)
-	}
-}
-
-// Len returns the number of selected rows.
-func (s *SelVec) Len() int { return len(s.idx) }
-
-// Indices returns the selected row indexes. The slice aliases the vector's
-// buffer and is invalidated by the next Reset or Filter.
-func (s *SelVec) Indices() []int32 { return s.idx }
-
-// Filter compacts the vector in place to the rows keep accepts.
-func (s *SelVec) Filter(keep func(row int32) bool) {
-	out := s.idx[:0]
-	for _, i := range s.idx {
-		if keep(i) {
-			out = append(out, i)
-		}
-	}
-	s.idx = out
-}
-
-// FilterEq narrows sel to the rows of column c equal to v: one dictionary
-// binary search, then a tight scan comparing uint32 codes — no Value
-// comparison and no allocation in the loop.
-func (b *ColBlock) FilterEq(sel *SelVec, c int, v Value) {
-	code, ok := b.FindCode(c, v)
-	if !ok {
-		sel.idx = sel.idx[:0]
-		return
-	}
-	codes := b.cols[c].codes
-	out := sel.idx[:0]
-	for _, i := range sel.idx {
-		if codes[i] == code {
-			out = append(out, i)
-		}
-	}
-	sel.idx = out
-}

@@ -68,65 +68,6 @@ func TestFindCode(t *testing.T) {
 	}
 }
 
-func TestSelVecFilterEq(t *testing.T) {
-	r := mkRel(t, "AB",
-		[]int64{1, 1}, []int64{1, 2}, []int64{2, 1}, []int64{2, 2}, []int64{3, 1})
-	b := FromRelation(r)
-	var sel SelVec
-	sel.Reset(b.Len())
-	if sel.Len() != 5 {
-		t.Fatalf("Reset(5) gives %d rows", sel.Len())
-	}
-	b.FilterEq(&sel, 0, Int(2)) // rows with A=2
-	if sel.Len() != 2 {
-		t.Fatalf("A=2 selects %d rows, want 2", sel.Len())
-	}
-	b.FilterEq(&sel, 1, Int(1)) // then B=1
-	if sel.Len() != 1 {
-		t.Fatalf("A=2 ∧ B=1 selects %d rows, want 1", sel.Len())
-	}
-	i := sel.Indices()[0]
-	if !b.Value(int(i), 0).Equal(Int(2)) || !b.Value(int(i), 1).Equal(Int(1)) {
-		t.Fatalf("selected row %d is not (2,1)", i)
-	}
-	// A value absent from the dictionary empties the selection.
-	sel.Reset(b.Len())
-	b.FilterEq(&sel, 0, Int(99))
-	if sel.Len() != 0 {
-		t.Fatalf("absent value selects %d rows", sel.Len())
-	}
-	// Filter-based compaction agrees with FilterEq.
-	sel.Reset(b.Len())
-	codes := b.Codes(1)
-	sel.Filter(func(row int32) bool { return codes[row] == 0 })
-	want := 3 // rows with B=1 (code 0, the smallest value)
-	if sel.Len() != want {
-		t.Fatalf("Filter on B's code 0 selects %d rows, want %d", sel.Len(), want)
-	}
-}
-
-// TestSelVecZeroAllocs pins the selection-vector hot loop at zero
-// allocations: once the vector has grown to capacity, Reset, Filter, and
-// FilterEq never allocate again.
-func TestSelVecZeroAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(2034))
-	r := randRel(rng, "AB", 512, 8)
-	b := FromRelation(r)
-	n := b.Len()
-	var sel SelVec
-	sel.Reset(n) // warm: one growth to capacity n
-	codes := b.Codes(0)
-	keep := func(row int32) bool { return codes[row]%2 == 0 }
-	v := b.Dict(1)[0]
-	if avg := testing.AllocsPerRun(100, func() {
-		sel.Reset(n)
-		sel.Filter(keep)
-		b.FilterEq(&sel, 1, v)
-	}); avg != 0 {
-		t.Fatalf("selection hot loop allocates %.1f times per run, want 0", avg)
-	}
-}
-
 // TestKernelProbeZeroAllocs pins the kernels' batch probe at zero
 // allocations on both table shapes — the direct-addressed key space and the
 // packed uint64 map — over hits, misses, and probes whose codes have no
