@@ -72,12 +72,9 @@ func BenchmarkExample3Expressions(b *testing.B) {
 // and executes it on the Example-3 database.
 func BenchmarkExample3Program(b *testing.B) {
 	for _, q := range []int64{6, 10, 16} {
-		spec, db := example3(b, q)
+		_, db := example3(b, q)
 		h := hypergraph.OfScheme(db)
-		tree, err := spec.NonCPFCycleExpression()
-		if err != nil {
-			b.Fatal(err)
-		}
+		tree := experiments.Figure1Tree(h)
 		b.Run(bname("q", q), func(b *testing.B) {
 			var cost int
 			for i := 0; i < b.N; i++ {
@@ -209,12 +206,9 @@ func BenchmarkDeriveAndRun(b *testing.B) {
 // BenchmarkTheorem2Bound (E5/E6) measures one bound-verification trial and
 // reports the observed cost ratio against r(a+5).
 func BenchmarkTheorem2Bound(b *testing.B) {
-	spec, db := example3(b, 10)
+	_, db := example3(b, 10)
 	h := hypergraph.OfScheme(db)
-	tree, err := spec.NonCPFCycleExpression()
-	if err != nil {
-		b.Fatal(err)
-	}
+	tree := experiments.Figure1Tree(h)
 	t1Cost := tree.Cost(db)
 	var ratio float64
 	var bound int
@@ -379,21 +373,6 @@ func BenchmarkOptimizers(b *testing.B) {
 	b.Run("greedy", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := optimizer.Greedy(warm, false); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	rng := rand.New(rand.NewSource(4))
-	b.Run("simulatedAnnealing", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := optimizer.SimulatedAnnealing(warm, rng, optimizer.AnnealOptions{Epochs: 10}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("estimatorDP", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := optimizer.EstimatedOptimal(db, optimizer.SpaceCPF); err != nil {
 				b.Fatal(err)
 			}
 		}

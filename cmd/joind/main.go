@@ -18,6 +18,10 @@
 //	      [-fsync-interval 100ms] [-checkpoint-every n]
 //	      [-shards n] [-shard-broadcast-threshold n]
 //
+// A negative number for any numeric flag but -checkpoint-every and
+// -shard-broadcast-threshold, whose help gives negatives a meaning, is a
+// usage error (exit status 2), as a negative budget is a 400 in a request.
+//
 // With -shards N > 1, every registered database is hash-partitioned on a
 // join attribute chosen from its hypergraph and queries scatter across an
 // in-process shard group. See docs/SHARDING.md.
@@ -96,6 +100,10 @@ func main() {
 			strings.Join(engine.StrategyNames(), ", "))
 	}
 	flag.Parse()
+	if bad := negativeFlags(); len(bad) > 0 {
+		fmt.Fprintf(os.Stderr, "joind: %s must not be negative\n", strings.Join(bad, ", "))
+		os.Exit(2)
+	}
 
 	// Crash/fault injection for the recovery harness and smoke tests; unset
 	// in normal operation.
@@ -250,4 +258,29 @@ func preloadDatabases(svc *service.Service, specs string) error {
 			info.Name, info.Relations, info.Tuples, info.Acyclic)
 	}
 	return nil
+}
+
+// negativeFlags names the set numeric flags holding a negative value,
+// except -checkpoint-every and -shard-broadcast-threshold, where a negative
+// value means "manual checkpoints only" and "never broadcast by size".
+func negativeFlags() []string {
+	var bad []string
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "checkpoint-every" || f.Name == "shard-broadcast-threshold" {
+			return
+		}
+		var negative bool
+		switch v := f.Value.(flag.Getter).Get().(type) {
+		case int:
+			negative = v < 0
+		case int64:
+			negative = v < 0
+		case time.Duration:
+			negative = v < 0
+		}
+		if negative {
+			bad = append(bad, "-"+f.Name)
+		}
+	})
+	return bad
 }

@@ -19,7 +19,7 @@
 // gets its kill points without a code path to its registry.
 //
 // The registry is process-global and mutex-guarded; tests that enable
-// failpoints must Reset (or Disable) them when done and must not run in
+// failpoints must Reset them when done and must not run in
 // parallel with other failpoint users.
 package failpoint
 
@@ -166,13 +166,6 @@ func EnableFromEnv(envVar string) error {
 		}
 	}
 	return nil
-}
-
-// Disable removes the named failpoint.
-func Disable(name string) {
-	mu.Lock()
-	defer mu.Unlock()
-	delete(points, name)
 }
 
 // Reset removes every failpoint.

@@ -118,7 +118,7 @@ func TestWCOJPlanRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if s := plan.Program.Stmts; plan.Strategy != StrategyWCOJ || len(s) != 1 || s[0].Op != program.OpMultiway ||
-		len(s[0].Args) != db.Len() || len(s[0].Order) != db.Attrs().Len() {
+		len(s[0].Args) != db.Len() || len(s[0].Order) != hypergraph.OfScheme(db).Attrs().Len() {
 		t.Fatalf("plan = %+v, want wcoj as one multiway statement over every relation and attribute", plan)
 	}
 	want := db.Join()

@@ -210,14 +210,6 @@ func New(lim Limits) *Governor {
 	return g
 }
 
-// Limits returns the configured limits.
-func (g *Governor) Limits() Limits {
-	if g == nil {
-		return Limits{}
-	}
-	return g.lim
-}
-
 // SetFailpoint installs a fault-injection hook consulted at every operator
 // start (the engine wires the failpoint registry here). Must be set before
 // execution starts; it is not synchronized against concurrent Begin calls.

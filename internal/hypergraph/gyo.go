@@ -17,17 +17,6 @@ type JoinTree struct {
 	RemovalOrder []int
 }
 
-// Children returns, for each node, its children in ascending index order.
-func (t *JoinTree) Children() [][]int {
-	ch := make([][]int, len(t.Parent))
-	for i, p := range t.Parent {
-		if p >= 0 {
-			ch[p] = append(ch[p], i)
-		}
-	}
-	return ch
-}
-
 // GYO runs the Graham / Yu–Özsoyoğlu reduction. It returns a join tree and
 // true when the scheme is acyclic (a "tree scheme"); otherwise nil and
 // false.

@@ -76,22 +76,6 @@ func TestGYOCyclicReturnsNil(t *testing.T) {
 	}
 }
 
-func TestJoinTreeChildren(t *testing.T) {
-	h := mustParse(t, "AB BC CD")
-	jt, ok := h.GYO()
-	if !ok {
-		t.Fatal("chain reported cyclic")
-	}
-	ch := jt.Children()
-	total := 0
-	for _, c := range ch {
-		total += len(c)
-	}
-	if total != h.Len()-1 {
-		t.Errorf("children count = %d, want %d", total, h.Len()-1)
-	}
-}
-
 // TestGYOAgreesWithEnumeration cross-checks GYO against a brute-force
 // acyclicity oracle on random small schemes: a scheme is acyclic iff some
 // join tree over the edges satisfies the running-intersection property.

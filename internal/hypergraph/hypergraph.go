@@ -36,9 +36,6 @@ func FullMask(n int) Mask {
 	return (1 << uint(n)) - 1
 }
 
-// Has reports whether edge i is in the mask.
-func (m Mask) Has(i int) bool { return m&(1<<uint(i)) != 0 }
-
 // With returns the mask with edge i added.
 func (m Mask) With(i int) Mask { return m | 1<<uint(i) }
 
@@ -225,48 +222,6 @@ func (h *Hypergraph) Connected(m Mask) bool {
 		frontier = next
 	}
 	return comp == m
-}
-
-// Path returns a path from edge i to edge j within the edges of m, in the
-// paper's §2.1 sense: a sequence of edges each sharing at least one
-// attribute with the next, starting at i and ending at j. The path is
-// shortest in edge count (BFS). It returns nil when no path exists or
-// either endpoint is outside m; the one-edge path {i} is returned when
-// i == j.
-func (h *Hypergraph) Path(i, j int, m Mask) []int {
-	if !m.Has(i) || !m.Has(j) {
-		return nil
-	}
-	if i == j {
-		return []int{i}
-	}
-	prev := make(map[int]int, m.Count())
-	prev[i] = -1
-	frontier := []int{i}
-	for len(frontier) > 0 {
-		var next []int
-		for _, u := range frontier {
-			for _, v := range (h.adjacency[u] & m).Indexes() {
-				if _, seen := prev[v]; seen {
-					continue
-				}
-				prev[v] = u
-				if v == j {
-					var path []int
-					for at := j; at != -1; at = prev[at] {
-						path = append(path, at)
-					}
-					for a, b := 0, len(path)-1; a < b; a, b = a+1, b-1 {
-						path[a], path[b] = path[b], path[a]
-					}
-					return path
-				}
-				next = append(next, v)
-			}
-		}
-		frontier = next
-	}
-	return nil
 }
 
 // Overlapping reports whether the attribute sets of the two edge subsets

@@ -41,22 +41,6 @@ func (t *Tree) Mask() hypergraph.Mask {
 	return t.Left.Mask() | t.Right.Mask()
 }
 
-// Leaves returns the leaf indexes in left-to-right order.
-func (t *Tree) Leaves() []int {
-	var out []int
-	t.walkLeaves(&out)
-	return out
-}
-
-func (t *Tree) walkLeaves(out *[]int) {
-	if t.IsLeaf() {
-		*out = append(*out, t.Leaf)
-		return
-	}
-	t.Left.walkLeaves(out)
-	t.Right.walkLeaves(out)
-}
-
 // Size returns the number of leaves.
 func (t *Tree) Size() int {
 	if t.IsLeaf() {
@@ -169,19 +153,6 @@ func (t *Tree) Canon() string {
 	return "(" + t.Left.Canon() + " " + t.Right.Canon() + ")"
 }
 
-// CanonUnordered returns a canonical key treating join as commutative: trees
-// that differ only by swapping operands map to the same key.
-func (t *Tree) CanonUnordered() string {
-	if t.IsLeaf() {
-		return fmt.Sprintf("%d", t.Leaf)
-	}
-	l, r := t.Left.CanonUnordered(), t.Right.CanonUnordered()
-	if l > r {
-		l, r = r, l
-	}
-	return "(" + l + " " + r + ")"
-}
-
 // Eval evaluates the tree over the database (which must have one relation
 // per edge of the scheme the tree is over) on the tuple-map operators and
 // returns the result together with the paper's cost: the sum of |R| over
@@ -203,18 +174,4 @@ func (t *Tree) Eval(db *relation.Database) (*relation.Relation, int) {
 func (t *Tree) Cost(db *relation.Database) int {
 	_, c := t.Eval(db)
 	return c
-}
-
-// Depth returns the length of the longest root-to-leaf path in join steps:
-// 0 for a leaf, n−1 for a linear tree over n relations, ⌈log₂ n⌉ for a
-// balanced bushy tree.
-func (t *Tree) Depth() int {
-	if t.IsLeaf() {
-		return 0
-	}
-	l, r := t.Left.Depth(), t.Right.Depth()
-	if r > l {
-		l = r
-	}
-	return l + 1
 }

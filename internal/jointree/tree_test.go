@@ -28,10 +28,6 @@ func TestTreeBasics(t *testing.T) {
 	if tr.Mask() != hypergraph.MaskOf(0, 1, 2, 3) {
 		t.Errorf("Mask = %v", tr.Mask())
 	}
-	leaves := tr.Leaves()
-	if len(leaves) != 4 || leaves[0] != 0 || leaves[1] != 2 || leaves[2] != 1 || leaves[3] != 3 {
-		t.Errorf("Leaves = %v", leaves)
-	}
 }
 
 func TestValidateExactlyOver(t *testing.T) {
@@ -134,9 +130,6 @@ func TestEqualCloneCanon(t *testing.T) {
 	if a.Canon() == c.Canon() {
 		t.Error("ordered canon should distinguish operand order")
 	}
-	if a.CanonUnordered() != c.CanonUnordered() {
-		t.Error("unordered canon should identify operand-swapped trees")
-	}
 }
 
 // cycleDB builds the small Example-3-style database used across tests.
@@ -207,19 +200,5 @@ func TestEvalAllTreesSameResult(t *testing.T) {
 		if cost < db.TotalTuples()+want.Len() {
 			t.Fatalf("cost %d below inputs+output lower bound", cost)
 		}
-	}
-}
-
-func TestDepth(t *testing.T) {
-	if NewLeaf(0).Depth() != 0 {
-		t.Error("leaf depth should be 0")
-	}
-	lin := NewJoin(NewJoin(NewJoin(NewLeaf(0), NewLeaf(1)), NewLeaf(2)), NewLeaf(3))
-	if lin.Depth() != 3 {
-		t.Errorf("linear depth = %d, want 3", lin.Depth())
-	}
-	bushy := NewJoin(NewJoin(NewLeaf(0), NewLeaf(1)), NewJoin(NewLeaf(2), NewLeaf(3)))
-	if bushy.Depth() != 2 {
-		t.Errorf("bushy depth = %d, want 2", bushy.Depth())
 	}
 }

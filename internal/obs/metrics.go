@@ -96,9 +96,6 @@ func (c *Counter) Add(n int64) {
 	}
 }
 
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
 func (c *Counter) write(w io.Writer) {
 	header(w, c.name, c.help, "counter")
 	fmt.Fprintf(w, "%s %d\n", c.name, c.v.Load())
@@ -142,16 +139,6 @@ func (v *CounterVec) Add(n int64, labelValues ...string) {
 	}
 	v.mu.Unlock()
 	cell.Add(n)
-}
-
-// Value returns the current count for the given label values.
-func (v *CounterVec) Value(labelValues ...string) int64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if cell, ok := v.vals[strings.Join(labelValues, "\xff")]; ok {
-		return cell.Load()
-	}
-	return 0
 }
 
 func (v *CounterVec) write(w io.Writer) {
@@ -246,15 +233,6 @@ func (h *Histogram) Observe(v float64) {
 			return
 		}
 	}
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	var n int64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
 }
 
 func (h *Histogram) write(w io.Writer) {

@@ -10,11 +10,10 @@
 //
 // On top of the sizer sit exact dynamic programs for the four spaces the
 // paper discusses — all bushy trees, CPF trees, linear trees, and linear CPF
-// trees — plus the heuristic baselines of the related work it cites: a
-// greedy smallest-intermediate heuristic, the iterative-improvement and
-// simulated-annealing searches of Swami and Gupta, and an
-// independence-assumption cardinality estimator with a System-R-style
-// estimated-cost DP.
+// trees — and a greedy smallest-intermediate heuristic for schemes past the
+// exact-search limit. Estimator inputs (Stats, histograms and the
+// maintained sketches) are collected here too, for experiment EX4 and the
+// served benchmark's probes; no search plans with them.
 package optimizer
 
 import (
@@ -237,6 +236,3 @@ func (c *Catalog) materialize(mask hypergraph.Mask) (*relation.ColBlock, error) 
 	c.mat[mask] = out
 	return out, nil
 }
-
-// Spent reports the total tuples materialized so far.
-func (c *Catalog) Spent() int64 { return c.spent }

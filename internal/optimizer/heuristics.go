@@ -3,7 +3,6 @@ package optimizer
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/hypergraph"
 	"repro/internal/jointree"
@@ -55,123 +54,4 @@ func Greedy(c Sizer, cpfOnly bool) (Plan, error) {
 		return Plan{}, err
 	}
 	return Plan{Tree: parts[0].tree, Cost: cost}, nil
-}
-
-// orderCost computes the cost of the linear order using catalog sizes.
-func orderCost(c Sizer, order []int) (int64, error) {
-	total := int64(0)
-	var prefix hypergraph.Mask
-	for k, i := range order {
-		total = satAdd(total, leafSize(c, i))
-		prefix = prefix.With(i)
-		if k >= 1 {
-			size, err := c.Size(prefix)
-			if err != nil {
-				return 0, err
-			}
-			total = satAdd(total, size)
-		}
-	}
-	return total, nil
-}
-
-// orderTree converts a left-deep order into a tree.
-func orderTree(order []int) *jointree.Tree {
-	t := jointree.NewLeaf(order[0])
-	for _, i := range order[1:] {
-		t = jointree.NewJoin(t, jointree.NewLeaf(i))
-	}
-	return t
-}
-
-// IterativeImprovement searches linear orders by repeated random restarts,
-// each followed by the Smith–Genesereth adjacency rule (AdjacencyImprove),
-// in the spirit of Swami and Gupta's iterative improvement. restarts
-// controls the number of random starting orders.
-func IterativeImprovement(c Sizer, rng *rand.Rand, restarts int) (Plan, error) {
-	n := c.Hypergraph().Len()
-	if restarts <= 0 {
-		restarts = 10
-	}
-	best := Plan{Cost: math.MaxInt64}
-	for s := 0; s < restarts; s++ {
-		plan, err := AdjacencyImprove(c, rng.Perm(n))
-		if err != nil {
-			return Plan{}, err
-		}
-		if plan.Cost < best.Cost {
-			best = plan
-		}
-	}
-	return best, nil
-}
-
-// AnnealOptions tunes SimulatedAnnealing.
-type AnnealOptions struct {
-	// InitialTemp is the starting temperature (0 = derived from the initial
-	// cost).
-	InitialTemp float64
-	// Cooling is the geometric cooling factor per epoch (0 = 0.9).
-	Cooling float64
-	// StepsPerEpoch is the number of proposed moves per temperature
-	// (0 = 4·n²).
-	StepsPerEpoch int
-	// Epochs is the number of cooling steps (0 = 30).
-	Epochs int
-}
-
-// SimulatedAnnealing searches linear orders with random transposition moves
-// accepted by the Metropolis criterion, after Swami and Gupta.
-func SimulatedAnnealing(c Sizer, rng *rand.Rand, opts AnnealOptions) (Plan, error) {
-	n := c.Hypergraph().Len()
-	order := rng.Perm(n)
-	cost, err := orderCost(c, order)
-	if err != nil {
-		return Plan{}, err
-	}
-	bestOrder := append([]int(nil), order...)
-	bestCost := cost
-
-	temp := opts.InitialTemp
-	if temp <= 0 {
-		temp = float64(cost)/float64(n) + 1
-	}
-	cooling := opts.Cooling
-	if cooling <= 0 || cooling >= 1 {
-		cooling = 0.9
-	}
-	steps := opts.StepsPerEpoch
-	if steps <= 0 {
-		steps = 4 * n * n
-	}
-	epochs := opts.Epochs
-	if epochs <= 0 {
-		epochs = 30
-	}
-
-	for e := 0; e < epochs; e++ {
-		for s := 0; s < steps; s++ {
-			i, j := rng.Intn(n), rng.Intn(n)
-			if i == j {
-				continue
-			}
-			order[i], order[j] = order[j], order[i]
-			nc, err := orderCost(c, order)
-			if err != nil {
-				return Plan{}, err
-			}
-			delta := float64(nc - cost)
-			if delta <= 0 || rng.Float64() < math.Exp(-delta/temp) {
-				cost = nc
-				if cost < bestCost {
-					bestCost = cost
-					copy(bestOrder, order)
-				}
-			} else {
-				order[i], order[j] = order[j], order[i]
-			}
-		}
-		temp *= cooling
-	}
-	return Plan{Tree: orderTree(bestOrder), Cost: bestCost}, nil
 }

@@ -69,15 +69,6 @@ func BuildHistogram(r *relation.Relation, attr string, buckets int) (*Histogram,
 	return h, nil
 }
 
-// TotalRows returns the number of rows covered.
-func (h *Histogram) TotalRows() int64 {
-	var n int64
-	for _, r := range h.Rows {
-		n += r
-	}
-	return n
-}
-
 // EstimateEquiJoin estimates |σ(a.x = b.x)| — the number of matching pairs
 // on the histogrammed attribute — by aligning the two histograms' bucket
 // ranges and, within each overlap, assuming per-distinct-value uniformity.

@@ -25,9 +25,6 @@ func TestBuildHistogramBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.TotalRows() != 10 {
-		t.Errorf("TotalRows = %d", h.TotalRows())
-	}
 	// Buckets cover the sorted values in order and never split a value.
 	var seen int64
 	for i := range h.Bounds {
@@ -56,7 +53,7 @@ func TestBuildHistogramEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.TotalRows() != 0 || len(h.Bounds) != 0 {
+	if len(h.Bounds) != 0 {
 		t.Errorf("empty histogram wrong: %+v", h)
 	}
 	if EstimateEquiJoin(h, h) != 0 {
@@ -168,7 +165,11 @@ func TestHistogramOnWorkloadZipf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hist.TotalRows() != int64(db.Relation(0).Len()) {
-		t.Errorf("TotalRows %d vs relation %d", hist.TotalRows(), db.Relation(0).Len())
+	var rows int64
+	for _, n := range hist.Rows {
+		rows += n
+	}
+	if rows != int64(db.Relation(0).Len()) {
+		t.Errorf("buckets hold %d rows vs relation %d", rows, db.Relation(0).Len())
 	}
 }

@@ -67,9 +67,6 @@ func BuildSketch(r *relation.Relation) *Sketch {
 // Rows returns the (possibly drifted) row count.
 func (s *Sketch) Rows() int64 { return s.rows }
 
-// Drift returns the delta tuples applied since the last exact build.
-func (s *Sketch) Drift() int64 { return s.drift }
-
 // Distinct returns the number of distinct values of attr (0 when the
 // attribute is not in the schema).
 func (s *Sketch) Distinct(attr string) int64 {
@@ -77,24 +74,6 @@ func (s *Sketch) Distinct(attr string) int64 {
 		if a == attr {
 			return int64(len(s.counts[i]))
 		}
-	}
-	return 0
-}
-
-// MaxDegree returns the row count of attr's most frequent value — the
-// heavy hitter the uniformity assumption cannot see.
-func (s *Sketch) MaxDegree(attr string) int64 {
-	for i, a := range s.attrs {
-		if a != attr {
-			continue
-		}
-		var max int64
-		for _, c := range s.counts[i] {
-			if c > max {
-				max = c
-			}
-		}
-		return max
 	}
 	return 0
 }

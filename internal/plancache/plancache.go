@@ -102,30 +102,6 @@ func (c *Cache) Get(key string) (*engine.Plan, bool) {
 	return nil, false
 }
 
-// Put stores a plan under key, evicting the least recently used entry when
-// over capacity. Storing an existing key replaces its plan.
-func (c *Cache) Put(key string, p *engine.Plan) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.put(key, p)
-}
-
-// put is Put without locking.
-func (c *Cache) put(key string, p *engine.Plan) {
-	if el, ok := c.items[key]; ok {
-		el.Value.(*entry).plan = p
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.items[key] = c.ll.PushFront(&entry{key: key, plan: p})
-	for c.ll.Len() > c.capacity {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*entry).key)
-		c.evictions++
-	}
-}
-
 // GetOrCompute returns the plan for key, computing and caching it on a
 // miss. Concurrent callers missing on the same key share one computation:
 // the first runs compute, the rest block until it finishes and receive its
@@ -158,7 +134,15 @@ func (c *Cache) GetOrCompute(key string, compute func() (*engine.Plan, error)) (
 	c.mu.Lock()
 	delete(c.inflight, key)
 	if f.err == nil && !f.invalidated {
-		c.put(key, f.plan)
+		// The flight kept every other caller of key off the cache, so key
+		// is not cached: insert it, evicting the least recently used.
+		c.items[key] = c.ll.PushFront(&entry{key: key, plan: f.plan})
+		for c.ll.Len() > c.capacity {
+			oldest := c.ll.Back()
+			c.ll.Remove(oldest)
+			delete(c.items, oldest.Value.(*entry).key)
+			c.evictions++
+		}
 	}
 	c.mu.Unlock()
 	close(f.done)
@@ -194,13 +178,6 @@ func (c *Cache) InvalidatePrefix(prefix string) int {
 	}
 	c.invalidations += int64(n)
 	return n
-}
-
-// Len returns the number of cached plans.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
 }
 
 // Stats returns a snapshot of the counters.

@@ -15,14 +15,21 @@ func plan(fp string) *engine.Plan {
 	return &engine.Plan{Fingerprint: fp, Strategy: engine.StrategyDirect}
 }
 
+// put caches p under key through a GetOrCompute miss.
+func put(c *Cache, key string, p *engine.Plan) {
+	if _, _, err := c.GetOrCompute(key, func() (*engine.Plan, error) { return p, nil }); err != nil {
+		panic(err)
+	}
+}
+
 func TestLRUEviction(t *testing.T) {
 	c := New(2)
-	c.Put("a", plan("a"))
-	c.Put("b", plan("b"))
+	put(c, "a", plan("a"))
+	put(c, "b", plan("b"))
 	if _, ok := c.Get("a"); !ok { // a is now most recently used
 		t.Fatal("a missing")
 	}
-	c.Put("c", plan("c")) // evicts b, the least recently used
+	put(c, "c", plan("c")) // evicts b, the least recently used
 	if _, ok := c.Get("b"); ok {
 		t.Error("b should have been evicted")
 	}
@@ -37,28 +44,15 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-func TestPutReplacesExistingKey(t *testing.T) {
-	c := New(2)
-	c.Put("a", plan("old"))
-	c.Put("a", plan("new"))
-	if c.Len() != 1 {
-		t.Fatalf("len = %d, want 1", c.Len())
-	}
-	p, ok := c.Get("a")
-	if !ok || p.Fingerprint != "new" {
-		t.Errorf("got %v, want replaced plan", p)
-	}
-}
-
 func TestCounters(t *testing.T) {
 	c := New(4)
 	c.Get("missing")
-	c.Put("a", plan("a"))
+	put(c, "a", plan("a"))
 	c.Get("a")
 	c.Get("a")
 	st := c.Stats()
-	if st.Hits != 2 || st.Misses != 1 {
-		t.Errorf("stats = %+v, want 2 hits, 1 miss", st)
+	if st.Hits != 2 || st.Misses != 2 {
+		t.Errorf("stats = %+v, want 2 hits, 2 misses", st)
 	}
 }
 
@@ -112,7 +106,7 @@ func TestGetOrComputeErrorNotCached(t *testing.T) {
 	}
 }
 
-// TestConcurrentStress hammers Get/Put/GetOrCompute across overlapping keys
+// TestConcurrentStress hammers Get and GetOrCompute across overlapping keys
 // with a capacity small enough to force constant eviction; run under -race
 // this is the cache's data-race certificate.
 func TestConcurrentStress(t *testing.T) {
@@ -128,7 +122,7 @@ func TestConcurrentStress(t *testing.T) {
 				key := fmt.Sprintf("k%d", (g+i)%24)
 				switch i % 3 {
 				case 0:
-					c.Put(key, plan(key))
+					put(c, key, plan(key))
 				case 1:
 					if p, ok := c.Get(key); ok && p.Fingerprint != key {
 						t.Errorf("key %s holds plan %s", key, p.Fingerprint)
@@ -213,7 +207,7 @@ func TestDistinctStrategiesSameFingerprintDoNotCoalesce(t *testing.T) {
 	// kept recently used, must survive with its own plan.
 	wcojKey := fp + "#" + engine.StrategyWCOJ.String()
 	for i := 0; i < 3; i++ {
-		c.Put(fmt.Sprintf("filler%d", i), plan("filler"))
+		put(c, fmt.Sprintf("filler%d", i), plan("filler"))
 		if _, ok := c.Get(wcojKey); !ok {
 			t.Fatalf("wcoj plan evicted while recently used (filler %d)", i)
 		}
@@ -228,10 +222,10 @@ func TestDistinctStrategiesSameFingerprintDoNotCoalesce(t *testing.T) {
 
 func TestInvalidatePrefix(t *testing.T) {
 	c := New(8)
-	c.Put("fpA#direct", plan("fpA"))
-	c.Put("fpA#program", plan("fpA"))
-	c.Put("fpB#direct", plan("fpB"))
-	c.Put("fpAB#direct", plan("fpAB")) // shares a prefix with fpA's keys but not "fpA#"
+	put(c, "fpA#direct", plan("fpA"))
+	put(c, "fpA#program", plan("fpA"))
+	put(c, "fpB#direct", plan("fpB"))
+	put(c, "fpAB#direct", plan("fpAB")) // shares a prefix with fpA's keys but not "fpA#"
 
 	if n := c.InvalidatePrefix("fpA#"); n != 2 {
 		t.Fatalf("invalidated %d entries, want 2", n)
@@ -263,15 +257,15 @@ func TestInvalidatePrefix(t *testing.T) {
 
 func TestInvalidatePrefixKeepsLRUConsistent(t *testing.T) {
 	c := New(3)
-	c.Put("x#1", plan("x"))
-	c.Put("y#1", plan("y"))
-	c.Put("x#2", plan("x"))
+	put(c, "x#1", plan("x"))
+	put(c, "y#1", plan("y"))
+	put(c, "x#2", plan("x"))
 	c.InvalidatePrefix("x#")
 	// The list and map must still agree: filling back to capacity and over
 	// evicts exactly once.
-	c.Put("z#1", plan("z"))
-	c.Put("z#2", plan("z"))
-	c.Put("z#3", plan("z"))
+	put(c, "z#1", plan("z"))
+	put(c, "z#2", plan("z"))
+	put(c, "z#3", plan("z"))
 	st := c.Stats()
 	if st.Len != 3 {
 		t.Fatalf("len = %d, want 3", st.Len)

@@ -116,15 +116,7 @@ func TestCompiledTreesMatchEval(t *testing.T) {
 
 // sameOrder reports whether two row lists are equal element by element.
 func sameOrder(a, b []relation.Tuple) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !a[i].Equal(b[i]) {
-			return false
-		}
-	}
-	return true
+	return slices.EqualFunc(a, b, func(x, y relation.Tuple) bool { return x.Compare(y) == 0 })
 }
 
 // TestAcyclicProgramsMatchOracle (facet b): on every acyclic case, the
@@ -262,7 +254,7 @@ func TestReduceThenJoinPlansMatchOracle(t *testing.T) {
 					got.Output.Len(), got.Cost, g.Produced(), want.Output.Len(), want.Cost, oracleG.Produced())
 			}
 			for i, step := range got.Trace {
-				if step.Size != want.Trace[i].Size || !step.Schema.Equal(want.Trace[i].Schema) {
+				if step.Size != want.Trace[i].Size || !slices.Equal(step.Schema.Attrs(), want.Trace[i].Schema.Attrs()) {
 					t.Fatalf("%s, %d workers: statement %d (%s) head %s/%d, oracle %s/%d", c.name, w, i+1,
 						step.Stmt, step.Schema, step.Size, want.Trace[i].Schema, want.Trace[i].Size)
 				}
@@ -338,7 +330,7 @@ func TestLeapfrogPlansMatchOracle(t *testing.T) {
 					name, w, got.Output.Len(), got.Cost, g.Produced(), want.Output.Len(), want.Cost, charge)
 			}
 			for i, step := range got.Trace {
-				if step.Size != want.Trace[i].Size || !step.Schema.Equal(want.Trace[i].Schema) {
+				if step.Size != want.Trace[i].Size || !slices.Equal(step.Schema.Attrs(), want.Trace[i].Schema.Attrs()) {
 					t.Fatalf("%s, %d workers: statement %d (%s) head %s/%d, oracle %s/%d", name, w, i+1,
 						step.Stmt, step.Schema, step.Size, want.Trace[i].Schema, want.Trace[i].Size)
 				}

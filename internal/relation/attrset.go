@@ -146,31 +146,6 @@ func (s AttrSet) Intersect(t AttrSet) AttrSet {
 	return out
 }
 
-// Diff returns s − t.
-func (s AttrSet) Diff(t AttrSet) AttrSet {
-	var out AttrSet
-	j := 0
-	for _, a := range s {
-		for j < len(t) && t[j] < a {
-			j++
-		}
-		if j < len(t) && t[j] == a {
-			continue
-		}
-		out = append(out, a)
-	}
-	return out
-}
-
-// UnionAll returns the union of all the given sets.
-func UnionAll(sets ...AttrSet) AttrSet {
-	var out AttrSet
-	for _, s := range sets {
-		out = out.Union(s)
-	}
-	return out
-}
-
 // String renders the set in the paper's compact style: single-character
 // attributes concatenate ("ABC"); otherwise names join with commas inside
 // braces ("{city,year}").

@@ -46,9 +46,6 @@ func TestAttrSetOps(t *testing.T) {
 	if got := a.Intersect(b); !got.Equal(NewAttrSet("B", "C")) {
 		t.Errorf("Intersect = %v", got)
 	}
-	if got := a.Diff(b); !got.Equal(NewAttrSet("A")) {
-		t.Errorf("Diff = %v", got)
-	}
 	if !a.Overlaps(b) {
 		t.Error("Overlaps false for overlapping sets")
 	}
@@ -65,19 +62,8 @@ func TestAttrSetImmutability(t *testing.T) {
 	b := NewAttrSet("C")
 	_ = a.Union(b)
 	_ = a.Intersect(b)
-	_ = a.Diff(b)
 	if !a.Equal(NewAttrSet("A", "B")) || !b.Equal(NewAttrSet("C")) {
 		t.Error("set operations modified their receivers")
-	}
-}
-
-func TestUnionAll(t *testing.T) {
-	got := UnionAll(NewAttrSet("A"), NewAttrSet("B"), NewAttrSet("A", "C"))
-	if !got.Equal(NewAttrSet("A", "B", "C")) {
-		t.Errorf("UnionAll = %v", got)
-	}
-	if UnionAll().Len() != 0 {
-		t.Error("UnionAll() not empty")
 	}
 }
 
@@ -122,19 +108,12 @@ func TestAttrSetAlgebraProperties(t *testing.T) {
 		if !a.Intersect(b.Union(c)).Equal(a.Intersect(b).Union(a.Intersect(c))) {
 			t.Fatalf("intersection does not distribute: %v %v %v", a, b, c)
 		}
-		// Diff partition: (a−b) ∪ (a∩b) = a, and they are disjoint.
-		if !a.Diff(b).Union(a.Intersect(b)).Equal(a) {
-			t.Fatalf("diff/intersect do not partition: %v %v", a, b)
-		}
-		if a.Diff(b).Overlaps(b) {
-			t.Fatalf("a−b overlaps b: %v %v", a, b)
-		}
 		// Overlaps agrees with intersection emptiness.
 		if a.Overlaps(b) != !a.Intersect(b).IsEmpty() {
 			t.Fatalf("Overlaps inconsistent with Intersect: %v %v", a, b)
 		}
 		// The result is always sorted and duplicate-free.
-		for _, s := range []AttrSet{a.Union(b), a.Intersect(b), a.Diff(b)} {
+		for _, s := range []AttrSet{a.Union(b), a.Intersect(b)} {
 			if !sort.StringsAreSorted(s) {
 				t.Fatalf("unsorted result %v", s)
 			}

@@ -46,7 +46,7 @@ func TestTupleBinaryRoundTrip(t *testing.T) {
 		{},
 		Ints(1, 2, 3),
 		{Int(7), String("x"), Int(-3)},
-		Strs("a", "", "b"),
+		Tuple{String("a"), String(""), String("b")},
 	}
 	var buf []byte
 	for _, tp := range tuples {
@@ -58,7 +58,7 @@ func TestTupleBinaryRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("tuple %d: %v", i, err)
 		}
-		if !got.Equal(want) {
+		if got.Compare(want) != 0 {
 			t.Fatalf("tuple %d: got %v, want %v", i, got, want)
 		}
 		off += n

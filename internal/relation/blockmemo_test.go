@@ -49,7 +49,7 @@ func TestBlockIsMemoizedAndNeverStale(t *testing.T) {
 	if after == b {
 		t.Fatal("Insert kept the stale block")
 	}
-	if _, ok := after.FindCode(0, Int(100)); !ok {
+	if !slices.Contains(after.Dict(0), Int(100)) {
 		t.Fatal("block after Insert lacks the inserted value")
 	}
 

@@ -190,25 +190,10 @@ func (b *ColBlock) Len() int { return b.n }
 // dictionaries are shared across blocks.
 func (b *ColBlock) Dict(c int) []Value { return b.cols[c].dict }
 
-// Codes returns column c's per-row dictionary codes. Callers must not
-// modify the slice.
-func (b *ColBlock) Codes(c int) []uint32 { return b.cols[c].codes }
-
 // Value decodes the value at row i, column c.
 func (b *ColBlock) Value(i, c int) Value {
 	col := &b.cols[c]
 	return col.dict[col.codes[i]]
-}
-
-// FindCode returns the dictionary code of v in column c and whether the
-// column contains it, by binary search over the sorted dictionary.
-func (b *ColBlock) FindCode(c int, v Value) (uint32, bool) {
-	dict := b.cols[c].dict
-	i := sort.Search(len(dict), func(i int) bool { return dict[i].Compare(v) >= 0 })
-	if i < len(dict) && dict[i].Equal(v) {
-		return uint32(i), true
-	}
-	return 0, false
 }
 
 // Validate checks the block's structural invariants: equal column lengths,

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/govern"
@@ -44,27 +45,10 @@ func TestFromRelationDictionariesMinimalAndSorted(t *testing.T) {
 	// Code order is value order: row decoding through Value matches dicts.
 	for i := 0; i < b.Len(); i++ {
 		for c := 0; c < 2; c++ {
-			if !b.Value(i, c).Equal(b.Dict(c)[b.Codes(c)[i]]) {
+			if !b.Value(i, c).Equal(b.Dict(c)[b.cols[c].codes[i]]) {
 				t.Fatalf("row %d col %d decodes inconsistently", i, c)
 			}
 		}
-	}
-}
-
-func TestFindCode(t *testing.T) {
-	r := mkRel(t, "A", []int64{10}, []int64{20}, []int64{30})
-	b := FromRelation(r)
-	for i, v := range []int64{10, 20, 30} {
-		code, ok := b.FindCode(0, Int(v))
-		if !ok || code != uint32(i) {
-			t.Errorf("FindCode(%d) = %d,%v; want %d,true", v, code, ok, i)
-		}
-	}
-	if _, ok := b.FindCode(0, Int(25)); ok {
-		t.Error("FindCode found a value not in the column")
-	}
-	if _, ok := b.FindCode(0, String("10")); ok {
-		t.Error("FindCode conflated Int(10) with String(\"10\")")
 	}
 }
 
@@ -176,7 +160,7 @@ func TestToRelationSlabDecode(t *testing.T) {
 	}
 	rows := b.ToRelation().Rows()
 	next := append(Tuple(nil), rows[1]...)
-	if grown := append(rows[0], Int(-1)); cap(rows[0]) != len(rows[0]) || !rows[1].Equal(next) || len(grown) != 4 {
+	if grown := append(rows[0], Int(-1)); cap(rows[0]) != len(rows[0]) || rows[1].Compare(next) != 0 || len(grown) != 4 {
 		t.Fatalf("appending to row 0 (cap %d, len %d) reached row 1: %v, was %v", cap(rows[0]), len(rows[0]), rows[1], next)
 	}
 }
@@ -201,8 +185,8 @@ func TestColumnarJSONBoundaryInt64(t *testing.T) {
 	}
 	for _, v := range []int64{math.MinInt64, math.MaxInt64} {
 		for c := 0; c < 2; c++ {
-			code, ok := b.FindCode(c, Int(v))
-			if !ok {
+			code := slices.Index(b.Dict(c), Int(v))
+			if code < 0 {
 				t.Fatalf("column %d dictionary lost boundary value %d", c, v)
 			}
 			if got := b.Dict(c)[code].AsInt(); got != v {

@@ -130,17 +130,12 @@ func joinSources(l, r *ColBlock, probeIsL bool) []colSource {
 	return srcs
 }
 
-// SemijoinBlocksGoverned computes l ⋉ r over column blocks: the rows of l
-// with at least one match in r. The output shares l's schema and
-// dictionaries; only code vectors are written.
-func SemijoinBlocksGoverned(g *govern.Governor, l, r *ColBlock) (*ColBlock, error) {
-	return ParallelSemijoinBlocksGoverned(g, l, r, 1)
-}
-
-// ParallelSemijoinBlocksGoverned is SemijoinBlocksGoverned scanning with up
-// to workers goroutines over contiguous row ranges, under the same contract
-// as ParallelJoinBlocksGoverned: identical rows, row order, charges, and
-// abort outcome at every worker count.
+// ParallelSemijoinBlocksGoverned computes l ⋉ r over column blocks: the
+// rows of l with at least one match in r. The output shares l's schema and
+// dictionaries; only code vectors are written. It scans with up to workers
+// goroutines over contiguous row ranges, under the same contract as
+// ParallelJoinBlocksGoverned: identical rows, row order, charges, and abort
+// outcome at every worker count.
 func ParallelSemijoinBlocksGoverned(g *govern.Governor, l, r *ColBlock, workers int) (*ColBlock, error) {
 	scope, err := g.Begin("relation.Semijoin")
 	if err != nil {

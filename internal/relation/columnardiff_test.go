@@ -13,7 +13,7 @@ import (
 )
 
 // Differential tests for the columnar batch kernels: JoinBlocksGoverned,
-// SemijoinBlocksGoverned, and ProjectBlocksGoverned must be extensionally
+// ParallelSemijoinBlocksGoverned, and ProjectBlocksGoverned must be extensionally
 // indistinguishable from the tuple-map operators — same result set, same
 // governed tuple totals, same budget-abort boundary — over the full schema
 // overlap spectrum (schemePairs, including the disjoint Cartesian pair).
@@ -82,7 +82,7 @@ func TestColumnarSemijoinMatchesSemijoinRandom(t *testing.T) {
 		l := randRel(rng, pair[0], rng.Intn(40), 3)
 		r := randRel(rng, pair[1], rng.Intn(40), 3)
 		want := Semijoin(l, r)
-		out, err := SemijoinBlocksGoverned(nil, roundTrip(t, l), roundTrip(t, r))
+		out, err := ParallelSemijoinBlocksGoverned(nil, roundTrip(t, l), roundTrip(t, r), 1)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -164,7 +164,7 @@ func TestColumnarGovernedChargesSequentialTotals(t *testing.T) {
 			t.Fatalf("trial %d sequential semijoin: %v", trial, err)
 		}
 		colG = govern.New(govern.Limits{MaxTuples: 1 << 40})
-		colSemi, err := SemijoinBlocksGoverned(colG, roundTrip(t, l), roundTrip(t, r))
+		colSemi, err := ParallelSemijoinBlocksGoverned(colG, roundTrip(t, l), roundTrip(t, r), 1)
 		if err != nil {
 			t.Fatalf("trial %d columnar semijoin: %v", trial, err)
 		}
@@ -214,7 +214,7 @@ func TestColumnarGovernedBudgetAbortsCoincide(t *testing.T) {
 
 // sameRows reports whether two blocks hold the same rows in the same order.
 func sameRows(a, b *ColBlock) bool {
-	if a.Len() != b.Len() || !a.Schema().Equal(b.Schema()) {
+	if a.Len() != b.Len() || !slices.Equal(a.Schema().Attrs(), b.Schema().Attrs()) {
 		return false
 	}
 	for i := 0; i < a.Len(); i++ {
@@ -549,7 +549,7 @@ func TestColumnarJoinEdgeCases(t *testing.T) {
 		t.Fatalf("Cartesian: columnar %d tuples, sequential %d", got.Len(), want.Len())
 	}
 	// Degenerate semijoin against an empty right side with no common attrs.
-	semi, err := SemijoinBlocksGoverned(nil, roundTrip(t, a), roundTrip(t, New(SchemaOfRunes("CD"))))
+	semi, err := ParallelSemijoinBlocksGoverned(nil, roundTrip(t, a), roundTrip(t, New(SchemaOfRunes("CD"))), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -594,7 +594,7 @@ func cutBlock(b *ColBlock) *ColBlock {
 	}
 	key := New(MustSchema(b.Schema().Attrs()[0]))
 	key.MustInsert(Tuple{b.Value(0, 0)})
-	out, err := SemijoinBlocksGoverned(nil, b, FromRelation(key))
+	out, err := ParallelSemijoinBlocksGoverned(nil, b, FromRelation(key), 1)
 	if err != nil {
 		panic(err) // unreachable: a nil governor never aborts
 	}
@@ -818,7 +818,7 @@ func boundaryPair(rng *rand.Rand, keys string, m, n int, direct bool, alien stri
 		for i := 0; i < m; i++ {
 			keep.MustInsert(Tuple{Int(int64(i))})
 		}
-		build, _ = SemijoinBlocksGoverned(nil, build, FromRelation(keep))
+		build, _ = ParallelSemijoinBlocksGoverned(nil, build, FromRelation(keep), 1)
 	}
 	p := New(SchemaOfRunes(keys + "Z"))
 	for i := 0; i < n; i++ {

@@ -53,12 +53,6 @@ func (d *Database) Schemes() []AttrSet {
 	return out
 }
 
-// Attrs returns the set of all attributes appearing in the scheme (a in
-// Theorem 2 is its size).
-func (d *Database) Attrs() AttrSet {
-	return UnionAll(d.Schemes()...)
-}
-
 // Restrict returns the database restricted to the relation indexes in keep,
 // in the order given — D[𝒟'] in the paper's notation.
 func (d *Database) Restrict(keep []int) (*Database, error) {

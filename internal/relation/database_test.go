@@ -1,6 +1,9 @@
 package relation
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // exampleDB is a tiny database over the paper's 4-cycle scheme whose links
 // increment mod 3 plus a closing bottom tuple: pairwise consistent, join of
@@ -40,9 +43,6 @@ func TestDatabaseSchemesAndAttrs(t *testing.T) {
 	schemes := db.Schemes()
 	if len(schemes) != 4 || !schemes[0].Equal(AttrSetOfRunes("ABC")) {
 		t.Errorf("Schemes = %v", schemes)
-	}
-	if !db.Attrs().Equal(AttrSetOfRunes("ABCDEFGH")) {
-		t.Errorf("Attrs = %v", db.Attrs())
 	}
 }
 
@@ -87,7 +87,7 @@ func TestDatabaseRestrict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sub.Len() != 2 || !sub.Relation(0).Schema().Equal(SchemaOfRunes("EFG")) {
+	if sub.Len() != 2 || !slices.Equal(sub.Relation(0).Schema().Attrs(), SchemaOfRunes("EFG").Attrs()) {
 		t.Errorf("Restrict wrong: %s", sub)
 	}
 	if _, err := db.Restrict([]int{9}); err == nil {

@@ -209,7 +209,7 @@ func TestRelationJSONMatchesReflectiveEncoder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		semi, err := SemijoinBlocksGoverned(nil, l, r)
+		semi, err := ParallelSemijoinBlocksGoverned(nil, l, r, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

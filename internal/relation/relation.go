@@ -19,28 +19,6 @@ func Ints(vs ...int64) Tuple {
 	return t
 }
 
-// Strs builds a tuple of string values.
-func Strs(vs ...string) Tuple {
-	t := make(Tuple, len(vs))
-	for i, v := range vs {
-		t[i] = String(v)
-	}
-	return t
-}
-
-// Equal reports whether two tuples have the same length and values.
-func (t Tuple) Equal(u Tuple) bool {
-	if len(t) != len(u) {
-		return false
-	}
-	for i := range t {
-		if !t[i].Equal(u[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // Compare orders tuples lexicographically.
 func (t Tuple) Compare(u Tuple) int {
 	n := len(t)
@@ -117,18 +95,6 @@ type seenSet = map[string]struct{}
 // New returns an empty relation over the given schema.
 func New(schema *Schema) *Relation {
 	return &Relation{schema: schema}
-}
-
-// NewFromRows returns a relation over schema containing the given rows
-// (deduplicated). It returns an error on an arity mismatch.
-func NewFromRows(schema *Schema, rows []Tuple) (*Relation, error) {
-	r := New(schema)
-	for _, row := range rows {
-		if err := r.Insert(row); err != nil {
-			return nil, err
-		}
-	}
-	return r, nil
 }
 
 // NewFromDistinctRows returns a relation over schema that takes ownership

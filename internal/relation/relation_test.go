@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -32,19 +33,6 @@ func TestMustInsertPanics(t *testing.T) {
 		}
 	}()
 	New(SchemaOfRunes("AB")).MustInsert(Ints(1))
-}
-
-func TestNewFromRows(t *testing.T) {
-	r, err := NewFromRows(SchemaOfRunes("AB"), []Tuple{Ints(1, 2), Ints(1, 2), Ints(3, 4)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Len() != 2 {
-		t.Errorf("Len = %d, want 2", r.Len())
-	}
-	if _, err := NewFromRows(SchemaOfRunes("AB"), []Tuple{Ints(1)}); err == nil {
-		t.Error("bad arity accepted")
-	}
 }
 
 func TestClone(t *testing.T) {
@@ -92,7 +80,7 @@ func TestSortedRowsDeterministic(t *testing.T) {
 			t.Errorf("SortedRows out of order at %d: %v", i, got)
 		}
 	}
-	if r.Rows()[0].Equal(got[0]) && r.Rows()[1].Equal(got[1]) && r.Rows()[2].Equal(got[2]) {
+	if slices.EqualFunc(r.Rows(), got, func(a, b Tuple) bool { return a.Compare(b) == 0 }) {
 		// Insertion order 3,1,2 differs from sorted 1,2,3 — SortedRows must
 		// not have mutated Rows.
 		t.Error("SortedRows appears to have sorted in place")

@@ -59,9 +59,6 @@ func (s *Schema) Len() int { return len(s.attrs) }
 // the returned slice.
 func (s *Schema) Attrs() []string { return s.attrs }
 
-// Attr returns the attribute at column i.
-func (s *Schema) Attr(i int) string { return s.attrs[i] }
-
 // Has reports whether attr is a column of the schema.
 func (s *Schema) Has(attr string) bool {
 	_, ok := s.pos[attr]
@@ -76,24 +73,6 @@ func (s *Schema) Position(attr string) (int, bool) {
 
 // AttrSet returns the schema's attributes as a set.
 func (s *Schema) AttrSet() AttrSet { return NewAttrSet(s.attrs...) }
-
-// Equal reports whether the schemas have the same attributes in the same
-// order.
-func (s *Schema) Equal(t *Schema) bool {
-	if s.Len() != t.Len() {
-		return false
-	}
-	for i := range s.attrs {
-		if s.attrs[i] != t.attrs[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// EqualSet reports whether the schemas have the same attributes, ignoring
-// order.
-func (s *Schema) EqualSet(t *Schema) bool { return s.AttrSet().Equal(t.AttrSet()) }
 
 // Positions returns the column indexes of the given attributes, in the order
 // given. It returns an error naming the first attribute that is missing.

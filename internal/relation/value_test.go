@@ -98,8 +98,8 @@ func TestValueKeyInjective(t *testing.T) {
 // self-delimiting).
 func TestTupleKeyInjective(t *testing.T) {
 	pairs := [][2]Tuple{
-		{Strs("ab", "c"), Strs("a", "bc")},
-		{Strs("", "x"), Strs("x", "")},
+		{Tuple{String("ab"), String("c")}, Tuple{String("a"), String("bc")}},
+		{Tuple{String(""), String("x")}, Tuple{String("x"), String("")}},
 		{Ints(1, 2), Ints(12)},
 		{Tuple{Int(1), String("2")}, Tuple{String("1"), Int(2)}},
 	}
@@ -125,17 +125,5 @@ func TestTupleCompare(t *testing.T) {
 	}
 	if Ints(1, 2, 3).Compare(Ints(1, 2)) != 1 {
 		t.Error("longer tuple with equal prefix sorts after")
-	}
-}
-
-func TestTupleEqual(t *testing.T) {
-	if !Ints(1, 2).Equal(Ints(1, 2)) {
-		t.Error("equal tuples reported unequal")
-	}
-	if Ints(1, 2).Equal(Ints(1)) {
-		t.Error("different arities reported equal")
-	}
-	if Ints(1).Equal(Tuple{String("1")}) {
-		t.Error("different kinds reported equal")
 	}
 }

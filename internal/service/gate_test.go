@@ -62,7 +62,8 @@ func TestMutationsGatedOnReadiness(t *testing.T) {
 
 // TestNegativeBudgetsAreBadRequests: the governor reads a negative limit as
 // none, so a negative query or view budget is a 400, never a run without
-// limits or a view definition persisted with one.
+// limits or a view definition persisted with one. A negative worker ask is
+// a 400 too, not the service default.
 func TestNegativeBudgetsAreBadRequests(t *testing.T) {
 	s := newStoreService(t, t.TempDir(), Config{Workers: 1})
 	defer s.Close(context.Background())
@@ -79,6 +80,7 @@ func TestNegativeBudgetsAreBadRequests(t *testing.T) {
 		`{"database":"tri","strategy":"cpf-expression","max_tuples":-1}`,
 		`{"database":"tri","max_intermediate_tuples":-1}`,
 		`{"database":"tri","timeout_ms":-1}`,
+		`{"database":"tri","workers":-1}`,
 	} {
 		if code, out := postJSON(t, srv, "/v1/query", body); code != http.StatusBadRequest || out["kind"] != "bad_request" {
 			t.Errorf("query %s = %d %v, want 400 bad_request", body, code, out)

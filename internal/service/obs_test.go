@@ -382,7 +382,7 @@ func TestUntracedServiceAssignsNoTraceIDs(t *testing.T) {
 	if rep.TraceID != "" {
 		t.Fatalf("untraced query carries trace ID %q", rep.TraceID)
 	}
-	if s.SlowLog() != nil {
+	if s.slowLog != nil {
 		t.Fatal("slow log exists with a zero threshold")
 	}
 }

@@ -204,9 +204,10 @@ type Request struct {
 	Timeout time.Duration
 	// Workers asks for intra-query parallelism: the number of goroutines
 	// this query's joins may use. 0 takes the service default
-	// (Config.QueryWorkers); a nonzero ask is clamped to it. The grant may
-	// be lower still when the shared worker budget is depleted — the query
-	// then degrades toward sequential execution instead of being rejected.
+	// (Config.QueryWorkers); a positive ask is clamped to it, and a negative
+	// one is ErrBadRequest. The grant may be lower still when the shared
+	// worker budget is depleted — the query then degrades toward sequential
+	// execution instead of being rejected.
 	Workers int
 }
 
@@ -320,9 +321,6 @@ func New(cfg Config) *Service {
 	s.metrics = newServiceMetrics(s)
 	return s
 }
-
-// SlowLog returns the slow-query log, nil when disabled.
-func (s *Service) SlowLog() *obs.SlowLog { return s.slowLog }
 
 // Metrics returns the service's Prometheus registry (the body of
 // GET /metrics).
@@ -548,7 +546,7 @@ func (s *Service) Query(ctx context.Context, req Request) (*engine.Report, error
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	if err := checkBudgets(req.MaxTuples, req.MaxIntermediateTuples, int64(req.Timeout)); err != nil {
+	if err := checkBudgets(req.MaxTuples, req.MaxIntermediateTuples, int64(req.Timeout), int64(req.Workers)); err != nil {
 		return nil, err
 	}
 	start := time.Now()
@@ -558,12 +556,13 @@ func (s *Service) Query(ctx context.Context, req Request) (*engine.Report, error
 	return rep, err
 }
 
-// checkBudgets rejects a negative limit with ErrBadRequest: the governor
-// would read it as no limit at all.
+// checkBudgets rejects a negative limit or worker ask with ErrBadRequest:
+// the governor would read a negative limit as no limit at all, and
+// carveWorkers a negative ask as the service default.
 func checkBudgets(limits ...int64) error {
 	for _, l := range limits {
 		if l < 0 {
-			return fmt.Errorf("%w: tuple budgets and timeouts must be non-negative", ErrBadRequest)
+			return fmt.Errorf("%w: tuple budgets, timeouts and workers must be non-negative", ErrBadRequest)
 		}
 	}
 	return nil

@@ -238,15 +238,6 @@ func (s *Service) lookupView(id string) (*viewEntry, error) {
 	return ve, nil
 }
 
-// View returns one view's info without its result.
-func (s *Service) View(id string) (ViewInfo, error) {
-	ve, err := s.lookupView(id)
-	if err != nil {
-		return ViewInfo{}, err
-	}
-	return ve.info(), nil
-}
-
 // ViewResult returns one view's info and materialized result. A stale view
 // (failed maintenance whose rebuild has not succeeded) refuses the read with
 // ErrViewStale rather than serving a result known to be wrong.

@@ -298,7 +298,7 @@ func TestViewPersistsThroughRecovery(t *testing.T) {
 	// from the recovered catalog, and maintenance continues.
 	s2 := newStoreService(t, dir, Config{Workers: 2})
 	defer s2.Close(context.Background())
-	info, err := s2.View("tv")
+	info, _, err := s2.ViewResult("tv")
 	if err != nil {
 		t.Fatal(err)
 	}

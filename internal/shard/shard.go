@@ -179,10 +179,6 @@ func (g *Group) Full() *relation.Database { return g.full }
 // DB returns shard i's database.
 func (g *Group) DB(i int) *relation.Database { return g.dbs[i] }
 
-// Partitioned reports whether relation i (registration order) is
-// hash-partitioned; false means broadcast.
-func (g *Group) Partitioned(i int) bool { return g.part[i] }
-
 // PartitionedCount returns how many relations are hash-partitioned.
 func (g *Group) PartitionedCount() int {
 	c := 0

@@ -22,10 +22,10 @@ func triangleDB(t *testing.T) *relation.Database {
 
 func TestChooseAttribute(t *testing.T) {
 	// Star: the hub attribute is on every edge; leaves are on one each.
-	h, err := workload.StarScheme(4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := hypergraph.Must([]relation.AttrSet{
+		relation.NewAttrSet("hub", "x1"), relation.NewAttrSet("hub", "x2"),
+		relation.NewAttrSet("hub", "x3"), relation.NewAttrSet("hub", "x4"),
+	})
 	if got := ChooseAttribute(h); got != "hub" {
 		t.Fatalf("star partition attribute = %q, want hub", got)
 	}
@@ -49,8 +49,8 @@ func TestGroupPartitionInvariants(t *testing.T) {
 	// R(A,B) and T(C,A) carry A and partition; S(B,C) lacks it: broadcast.
 	wantPart := []bool{true, false, true}
 	for i, want := range wantPart {
-		if g.Partitioned(i) != want {
-			t.Fatalf("relation %d partitioned = %v, want %v", i, g.Partitioned(i), want)
+		if g.part[i] != want {
+			t.Fatalf("relation %d partitioned = %v, want %v", i, g.part[i], want)
 		}
 	}
 	// Partitioned relations: shard tuple counts sum to the full relation and
@@ -58,7 +58,7 @@ func TestGroupPartitionInvariants(t *testing.T) {
 	// pointer-shared with the full catalog.
 	for i := 0; i < db.Len(); i++ {
 		full := db.Relation(i)
-		if !g.Partitioned(i) {
+		if !g.part[i] {
 			for s := 0; s < g.Shards(); s++ {
 				if g.DB(s).Relation(i) != full {
 					t.Fatalf("broadcast relation %d on shard %d is not pointer-shared", i, s)
@@ -140,10 +140,9 @@ func TestCleanForReasons(t *testing.T) {
 	}
 	// Over a star every relation carries the hub, so every semijoin filters
 	// a partitioned relation and the plan scatters.
-	star, err := workload.StarScheme(3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	star := hypergraph.Must([]relation.AttrSet{
+		relation.NewAttrSet("hub", "x1"), relation.NewAttrSet("hub", "x2"), relation.NewAttrSet("hub", "x3"),
+	})
 	sdb, err := workload.RandomDatabase(rand.New(rand.NewSource(3)), star, 20, 4)
 	if err != nil {
 		t.Fatal(err)

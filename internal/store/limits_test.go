@@ -67,7 +67,7 @@ func TestApplyRejectsOversizedBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One tuple whose string value alone exceeds the WAL record cap.
-	huge := relation.Strs(strings.Repeat("x", MaxRecordSize+1), "y")
+	huge := relation.Tuple{relation.String(strings.Repeat("x", MaxRecordSize+1)), relation.String("y")}
 	if _, err := s.Apply("tri", Batch{{Relation: 0, Inserts: []relation.Tuple{huge}}}); !errors.Is(err, ErrBadBatch) {
 		t.Fatalf("oversized batch: got %v, want ErrBadBatch", err)
 	}
@@ -101,7 +101,7 @@ func TestSnapshotLargerThanWALRecordLimit(t *testing.T) {
 	// the snapshot must still write and, crucially, still load on reopen.
 	r := relation.New(relation.MustSchema("A", "B"))
 	for i := 0; i < 9; i++ {
-		r.MustInsert(relation.Strs(strings.Repeat("x", 8<<20)+fmt.Sprint(i), "y"))
+		r.MustInsert(relation.Tuple{relation.String(strings.Repeat("x", 8<<20) + fmt.Sprint(i)), relation.String("y")})
 	}
 	if err := s.Create("big", relation.MustDatabase(r)); err != nil {
 		t.Fatal(err)

@@ -299,17 +299,6 @@ func (s *Store) Current(name string) (*relation.Database, error) {
 	return st.current.Load(), nil
 }
 
-// Databases returns every recovered/created catalog by name.
-func (s *Store) Databases() map[string]*relation.Database {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]*relation.Database, len(s.dbs))
-	for name, st := range s.dbs {
-		out[name] = st.current.Load()
-	}
-	return out
-}
-
 // Names returns the database names, sorted.
 func (s *Store) Names() []string {
 	s.mu.Lock()
@@ -565,9 +554,6 @@ func (s *Store) Close() error {
 	}
 	return errors.Join(errs...)
 }
-
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
 
 // Options returns the effective (defaulted) options.
 func (s *Store) Options() Options { return s.opt }

@@ -41,11 +41,11 @@ func TestAlignmentMemoFollowsReplacedRelation(t *testing.T) {
 	order := []string{"A", "B", "C"}
 	join := func(db *relation.Database) {
 		t.Helper()
-		out, err := Join(db, order)
+		res, err := JoinGoverned(db, order, nil, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !out.Equal(db.Join()) {
+		if !res.Output.Equal(db.Join()) {
 			t.Fatalf("wcoj join differs from db.Join() on %s", db)
 		}
 	}

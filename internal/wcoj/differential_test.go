@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/govern"
@@ -140,15 +141,8 @@ func coldCopy(db *relation.Database) *relation.Database {
 // sameRows reports whether two relations hold the same rows in the same
 // order.
 func sameRows(a, b *relation.Relation) bool {
-	if a.Len() != b.Len() || !a.Schema().Equal(b.Schema()) {
-		return false
-	}
-	for i, row := range a.Rows() {
-		if !row.Equal(b.Rows()[i]) {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(a.Schema().Attrs(), b.Schema().Attrs()) &&
+		slices.EqualFunc(a.Rows(), b.Rows(), func(x, y relation.Tuple) bool { return x.Compare(y) == 0 })
 }
 
 // TestCodeLeapfrogMatchesReference: on every case, at every worker count,

@@ -94,17 +94,6 @@ func (r *Result) Notes() []string {
 	return notes
 }
 
-// Join computes the natural join of db along the given variable order with
-// no resource governance; order must cover exactly the scheme's attributes
-// (VariableOrder provides one).
-func Join(db *relation.Database, order []string) (*relation.Relation, error) {
-	res, err := JoinGoverned(db, order, nil, 1)
-	if err != nil {
-		return nil, err
-	}
-	return res.Output, nil
-}
-
 // JoinGoverned is JoinBlocks over db's resident blocks, tracing under the
 // governor's span, with the output block wrapped as Result.Output.
 func JoinGoverned(db *relation.Database, order []string, gov *govern.Governor, workers int) (*Result, error) {

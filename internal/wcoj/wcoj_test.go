@@ -14,6 +14,15 @@ import (
 	"repro/internal/workload"
 )
 
+// join is the ungoverned, sequential wcoj join's output.
+func join(db *relation.Database, order []string) (*relation.Relation, error) {
+	res, err := wcoj.JoinGoverned(db, order, nil, 1)
+	if err != nil {
+		return nil, err
+	}
+	return res.Output, nil
+}
+
 // triangleDB builds the classic triangle query R(A,B) ⋈ S(B,C) ⋈ T(A,C)
 // with edges of the small graph 0–1, 0–2, 1–2, 1–3: triangles {0,1,2} only.
 func triangleDB(t *testing.T) *relation.Database {
@@ -32,7 +41,7 @@ func triangleDB(t *testing.T) *relation.Database {
 func TestTriangleKnownResult(t *testing.T) {
 	db := triangleDB(t)
 	order := wcoj.VariableOrder(hypergraph.OfScheme(db))
-	out, err := wcoj.Join(db, order)
+	out, err := join(db, order)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +63,7 @@ func TestExample3Agrees(t *testing.T) {
 		t.Fatal(err)
 	}
 	order := wcoj.VariableOrder(hypergraph.OfScheme(db))
-	out, err := wcoj.Join(db, order)
+	out, err := join(db, order)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +78,7 @@ func TestAcyclicChainAgrees(t *testing.T) {
 		t.Fatal(err)
 	}
 	order := wcoj.VariableOrder(hypergraph.OfScheme(db))
-	out, err := wcoj.Join(db, order)
+	out, err := join(db, order)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +91,7 @@ func TestEmptyRelationEmptyJoin(t *testing.T) {
 	db := triangleDB(t)
 	empty := relation.New(relation.MustSchema("A", "C"))
 	db = relation.MustDatabase(db.Relation(0), db.Relation(1), empty)
-	out, err := wcoj.Join(db, wcoj.VariableOrder(hypergraph.OfScheme(db)))
+	out, err := join(db, wcoj.VariableOrder(hypergraph.OfScheme(db)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +105,7 @@ func TestSingleRelation(t *testing.T) {
 	r.MustInsert(relation.Ints(1, 2))
 	r.MustInsert(relation.Ints(3, 4))
 	db := relation.MustDatabase(r)
-	out, err := wcoj.Join(db, wcoj.VariableOrder(hypergraph.OfScheme(db)))
+	out, err := join(db, wcoj.VariableOrder(hypergraph.OfScheme(db)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +123,11 @@ func TestOrderValidation(t *testing.T) {
 		{"A", "B", "C", "D"}, // too long
 	}
 	for _, order := range cases {
-		if _, err := wcoj.Join(db, order); err == nil {
+		if _, err := join(db, order); err == nil {
 			t.Errorf("order %v accepted", order)
 		}
 	}
-	if _, err := wcoj.Join(nil, nil); err == nil {
+	if _, err := join(nil, nil); err == nil {
 		t.Error("nil database accepted")
 	}
 }
@@ -149,7 +158,7 @@ func TestGovernedMatchesUngoverned(t *testing.T) {
 		t.Fatal(err)
 	}
 	order := wcoj.VariableOrder(hypergraph.OfScheme(db))
-	plain, err := wcoj.Join(db, order)
+	plain, err := join(db, order)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +231,7 @@ func TestDuplicateSchemes(t *testing.T) {
 		b.MustInsert(relation.Ints(i+1, i)) // (Y, X) = (i+1, i): same pairs shifted
 	}
 	db := relation.MustDatabase(a, b)
-	out, err := wcoj.Join(db, wcoj.VariableOrder(hypergraph.OfScheme(db)))
+	out, err := join(db, wcoj.VariableOrder(hypergraph.OfScheme(db)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +257,7 @@ func TestRandomizedAgainstReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		order := wcoj.VariableOrder(h)
-		out, err := wcoj.Join(db, order)
+		out, err := join(db, order)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -95,19 +95,6 @@ func ChainScheme(n int) (*hypergraph.Hypergraph, error) {
 	return hypergraph.New(edges)
 }
 
-// StarScheme returns the acyclic scheme R1(hub,x1), …, Rn(hub,xn): n binary
-// relations sharing a hub attribute.
-func StarScheme(n int) (*hypergraph.Hypergraph, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("workload: star needs at least one relation")
-	}
-	edges := make([]relation.AttrSet, n)
-	for i := 0; i < n; i++ {
-		edges[i] = relation.NewAttrSet("hub", fmt.Sprintf("x%d", i+1))
-	}
-	return hypergraph.New(edges)
-}
-
 // CliqueScheme returns the cyclic scheme with one binary relation per pair
 // of n attributes — maximally cyclic for n ≥ 3.
 func CliqueScheme(n int) (*hypergraph.Hypergraph, error) {

@@ -7,7 +7,6 @@ import (
 	"fmt"
 
 	"repro/internal/hypergraph"
-	"repro/internal/jointree"
 	"repro/internal/relation"
 )
 
@@ -164,35 +163,4 @@ func (s CycleSpec) Sizes() []int64 {
 		out[i] = s.M*p + 1
 	}
 	return out
-}
-
-// NonCPFCycleExpression returns the paper's cheap non-CPF expression shape
-// for the cycle family. For the 4-cycle it is exactly Example 3's optimal
-// (R1 ⋈ R3) ⋈ (R2 ⋈ R4): the opposite pairs share no attributes, so both
-// inner joins are Cartesian products, and the outer join collapses to the
-// single closing tuple. For longer cycles it cross-products the
-// even-indexed relations first, then joins the odd-indexed ones in one at a
-// time.
-func (s CycleSpec) NonCPFCycleExpression() (*jointree.Tree, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	if s.Relations == 4 {
-		return jointree.NewJoin(
-			jointree.NewJoin(jointree.NewLeaf(0), jointree.NewLeaf(2)),
-			jointree.NewJoin(jointree.NewLeaf(1), jointree.NewLeaf(3)),
-		), nil
-	}
-	var t *jointree.Tree
-	for i := 0; i < s.Relations; i += 2 {
-		if t == nil {
-			t = jointree.NewLeaf(i)
-		} else {
-			t = jointree.NewJoin(t, jointree.NewLeaf(i))
-		}
-	}
-	for i := 1; i < s.Relations; i += 2 {
-		t = jointree.NewJoin(t, jointree.NewLeaf(i))
-	}
-	return t, nil
 }

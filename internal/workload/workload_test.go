@@ -173,40 +173,6 @@ func TestAnalyticOptimalMatchesMeasured(t *testing.T) {
 	}
 }
 
-func TestNonCPFCycleExpression(t *testing.T) {
-	spec := UniformCycle(4, 2, 2)
-	h, err := spec.CycleScheme()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := spec.NonCPFCycleExpression()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Validate(h); err != nil {
-		t.Fatal(err)
-	}
-	if tr.IsCPF(h) {
-		t.Error("opposite-pair expression should not be CPF")
-	}
-	// Longer cycle.
-	spec5 := UniformCycle(5, 2, 2)
-	h5, err := spec5.CycleScheme()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr5, err := spec5.NonCPFCycleExpression()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr5.Validate(h5); err != nil {
-		t.Fatal(err)
-	}
-	if tr5.IsCPF(h5) {
-		t.Error("5-cycle expression should not be CPF")
-	}
-}
-
 func TestRandomScheme(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	h, err := RandomScheme(rng, RandomSchemeSpec{Relations: 5, Attrs: 6, MaxArity: 3, Connected: true})
@@ -262,13 +228,6 @@ func TestSchemeShapes(t *testing.T) {
 	if !chain.Acyclic() || !chain.Connected(chain.Full()) {
 		t.Error("chain should be acyclic and connected")
 	}
-	star, err := StarScheme(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !star.Acyclic() || !star.Connected(star.Full()) {
-		t.Error("star should be acyclic and connected")
-	}
 	clique, err := CliqueScheme(4)
 	if err != nil {
 		t.Fatal(err)
@@ -282,9 +241,6 @@ func TestSchemeShapes(t *testing.T) {
 	// Degenerate sizes rejected.
 	if _, err := ChainScheme(0); err == nil {
 		t.Error("0-chain accepted")
-	}
-	if _, err := StarScheme(0); err == nil {
-		t.Error("0-star accepted")
 	}
 	if _, err := CliqueScheme(1); err == nil {
 		t.Error("1-clique accepted")
