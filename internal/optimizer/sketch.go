@@ -1,7 +1,6 @@
 package optimizer
 
 import (
-	"sort"
 	"sync"
 
 	"repro/internal/relation"
@@ -9,10 +8,11 @@ import (
 
 // Per-relation statistics sketches, maintained incrementally from mutation
 // batches (DBSketches.Apply). A Sketch holds one relation's row count and, per
-// attribute, the exact value→row-count map; from it the estimators'
-// Stats (cardinality + distinct counts) and equi-depth Histograms are
-// derived without rescanning the relation. DBSketches bundles one sketch
-// per relation of a database.
+// attribute, the exact value→row-count map, from which the estimators'
+// Stats (cardinality + distinct counts) and equi-depth histograms could be
+// derived without rescanning the relation; no planner reads them today, and
+// the served benchmark times their maintenance. DBSketches bundles one
+// sketch per relation of a database.
 //
 // Delta maintenance is deliberately blind to set semantics: a re-inserted
 // tuple or a delete of an absent tuple drifts the counts slightly rather
@@ -62,80 +62,6 @@ func BuildSketch(r *relation.Relation) *Sketch {
 		}
 	}
 	return s
-}
-
-// Rows returns the (possibly drifted) row count.
-func (s *Sketch) Rows() int64 { return s.rows }
-
-// Distinct returns the number of distinct values of attr (0 when the
-// attribute is not in the schema).
-func (s *Sketch) Distinct(attr string) int64 {
-	for i, a := range s.attrs {
-		if a == attr {
-			return int64(len(s.counts[i]))
-		}
-	}
-	return 0
-}
-
-// Stats derives the estimator input: cardinality plus per-attribute
-// distinct counts.
-func (s *Sketch) Stats() Stats {
-	st := Stats{Card: s.rows, Distinct: make(map[string]int64, len(s.attrs))}
-	for i, a := range s.attrs {
-		st.Distinct[a] = int64(len(s.counts[i]))
-	}
-	return st
-}
-
-// Histogram derives attr's equi-depth histogram from the value counts
-// (nil when the attribute is not in the schema or holds no rows). The
-// bucketing rule matches BuildHistogram: buckets hold roughly equal row
-// counts and a value never straddles a boundary.
-func (s *Sketch) Histogram(attr string, buckets int) *Histogram {
-	if buckets <= 0 {
-		buckets = 32
-	}
-	col := -1
-	for i, a := range s.attrs {
-		if a == attr {
-			col = i
-			break
-		}
-	}
-	if col < 0 {
-		return nil
-	}
-	type vc struct {
-		v relation.Value
-		n int64
-	}
-	vals := make([]vc, 0, len(s.counts[col]))
-	var total int64
-	for v, n := range s.counts[col] {
-		if n > 0 {
-			vals = append(vals, vc{v, n})
-			total += n
-		}
-	}
-	h := &Histogram{}
-	if total == 0 {
-		return h
-	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i].v.Compare(vals[j].v) < 0 })
-	per := (total + int64(buckets) - 1) / int64(buckets)
-	var rows, distinct int64
-	for i, x := range vals {
-		rows += x.n
-		distinct++
-		if rows >= per || i == len(vals)-1 {
-			h.Bounds = append(h.Bounds, x.v)
-			h.Rows = append(h.Rows, rows)
-			h.Distinct = append(h.Distinct, distinct)
-			rows, distinct = 0, 0
-		}
-	}
-	return h
 }
 
 // clone deep-copies the sketch (copy-on-write support for DBSketches).
@@ -203,12 +129,12 @@ func (s *Sketch) needsRebuild() bool {
 	return s.drift >= threshold
 }
 
-// DBSketches is a database's sketch set, safe for concurrent use:
-// readers take an immutable snapshot, the mutation
-// path clones-and-swaps the sketches it touches (copy-on-write, the same
-// discipline the catalog itself uses).
+// DBSketches is a database's sketch set, safe for concurrent use: the
+// mutation path clones-and-swaps the sketches it touches (copy-on-write, the
+// same discipline the catalog itself uses), so a slice read under the lock
+// stays consistent for as long as its holder keeps it.
 type DBSketches struct {
-	mu       sync.RWMutex
+	mu       sync.Mutex
 	sketches []*Sketch
 }
 
@@ -219,26 +145,6 @@ func CollectSketches(db *relation.Database) *DBSketches {
 		d.sketches[i] = BuildSketch(db.Relation(i))
 	}
 	return d
-}
-
-// Snapshot returns the current sketch slice. The slice and the sketches
-// are immutable: Apply swaps in clones, so a snapshot stays consistent
-// for as long as the caller holds it.
-func (d *DBSketches) Snapshot() []*Sketch {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.sketches
-}
-
-// Stats derives the estimator inputs for every relation from the current
-// snapshot.
-func (d *DBSketches) Stats() []Stats {
-	sks := d.Snapshot()
-	out := make([]Stats, len(sks))
-	for i, s := range sks {
-		out[i] = s.Stats()
-	}
-	return out
 }
 
 // Apply folds one mutation into relation rel's sketch: deletes then
@@ -257,7 +163,7 @@ func (d *DBSketches) Apply(rel int, inserts, deletes []relation.Tuple, current *
 		next = BuildSketch(current)
 		rebuilt = true
 	}
-	// Swap a fresh slice so concurrent Snapshot holders keep their view.
+	// Swap a fresh slice so holders of the old one keep their view.
 	sks := append([]*Sketch(nil), d.sketches...)
 	sks[rel] = next
 	d.sketches = sks

@@ -3,6 +3,8 @@ package optimizer
 import (
 	"maps"
 	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 
@@ -22,29 +24,66 @@ func randomRelation(t *testing.T, rng *rand.Rand, attrs []string, size, domain i
 	return r
 }
 
-// TestBuildSketchMatchesCollectStats: the sketch's derived Stats must equal
-// a fresh scan's.
+// distinct returns the number of distinct values of the sketch's column i.
+func (s *Sketch) distinct(i int) int64 { return int64(len(s.counts[i])) }
+
+// histogram buckets attr's value counts the way BuildHistogram buckets a
+// scan: buckets hold roughly equal row counts and a value never straddles a
+// boundary.
+func (s *Sketch) histogram(attr string, buckets int) *Histogram {
+	col := slices.Index(s.attrs, attr)
+	type vc struct {
+		v relation.Value
+		n int64
+	}
+	var vals []vc
+	var total int64
+	for v, n := range s.counts[col] {
+		if n > 0 {
+			vals = append(vals, vc{v, n})
+			total += n
+		}
+	}
+	sort.Slice(vals, func(i, j int) bool { return vals[i].v.Compare(vals[j].v) < 0 })
+	h := &Histogram{}
+	per := (total + int64(buckets) - 1) / int64(buckets)
+	var rows, distinct int64
+	for i, x := range vals {
+		rows += x.n
+		distinct++
+		if rows >= per || i == len(vals)-1 {
+			h.Bounds = append(h.Bounds, x.v)
+			h.Rows = append(h.Rows, rows)
+			h.Distinct = append(h.Distinct, distinct)
+			rows, distinct = 0, 0
+		}
+	}
+	return h
+}
+
+// TestBuildSketchMatchesCollectStats: the sketch's row count and distinct
+// counts must equal a fresh scan's Stats.
 func TestBuildSketchMatchesCollectStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 20; trial++ {
 		r := randomRelation(t, rng, []string{"A", "B"}, 1+rng.Intn(200), 1+rng.Intn(20))
 		s := BuildSketch(r)
 		want := CollectStats(r)
-		got := s.Stats()
-		if got.Card != want.Card {
-			t.Fatalf("trial %d: Card %d, want %d", trial, got.Card, want.Card)
+		if s.rows != want.Card {
+			t.Fatalf("trial %d: rows %d, want Card %d", trial, s.rows, want.Card)
 		}
-		for a, d := range want.Distinct {
-			if got.Distinct[a] != d {
-				t.Fatalf("trial %d: Distinct[%s] %d, want %d", trial, a, got.Distinct[a], d)
+		for i, a := range s.attrs {
+			if got := s.distinct(i); got != want.Distinct[a] {
+				t.Fatalf("trial %d: Distinct[%s] %d, want %d", trial, a, got, want.Distinct[a])
 			}
 		}
 	}
 }
 
-// TestSketchHistogramMatchesBuildHistogram: the histogram derived from
-// value counts must equal the one built from a relation scan — same greedy
-// value-boundary bucketing.
+// TestSketchHistogramMatchesBuildHistogram: the histogram bucketed from the
+// sketch's value counts must equal the one built from a relation scan —
+// same greedy value-boundary bucketing — so the counts carry everything a
+// histogram needs.
 func TestSketchHistogramMatchesBuildHistogram(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 30; trial++ {
@@ -56,7 +95,7 @@ func TestSketchHistogramMatchesBuildHistogram(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := s.Histogram(a, buckets)
+			got := s.histogram(a, buckets)
 			if len(got.Bounds) != len(want.Bounds) {
 				t.Fatalf("trial %d attr %s: %d buckets, want %d", trial, a, len(got.Bounds), len(want.Bounds))
 			}
@@ -87,12 +126,12 @@ func TestSketchApplyTracksMutations(t *testing.T) {
 	r2.MustInsert(relation.Ints(3, 11))
 	r2.MustInsert(relation.Ints(4, 12))
 	want := BuildSketch(r2)
-	if s.Rows() != want.Rows() {
-		t.Fatalf("rows %d, want %d", s.Rows(), want.Rows())
+	if s.rows != want.rows {
+		t.Fatalf("rows %d, want %d", s.rows, want.rows)
 	}
 	for i, a := range []string{"A", "B"} {
-		if s.Distinct(a) != want.Distinct(a) {
-			t.Fatalf("Distinct[%s] = %d, want %d", a, s.Distinct(a), want.Distinct(a))
+		if s.distinct(i) != want.distinct(i) {
+			t.Fatalf("Distinct[%s] = %d, want %d", a, s.distinct(i), want.distinct(i))
 		}
 		if !maps.Equal(s.counts[i], want.counts[i]) {
 			t.Fatalf("value counts[%s] = %v, want %v", a, s.counts[i], want.counts[i])
@@ -106,8 +145,8 @@ func TestSketchApplyTracksMutations(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.apply(nil, []relation.Tuple{relation.Ints(99, 99)})
 	}
-	if s.Rows() < 0 {
-		t.Fatalf("rows went negative: %d", s.Rows())
+	if s.rows < 0 {
+		t.Fatalf("rows went negative: %d", s.rows)
 	}
 }
 
@@ -140,17 +179,18 @@ func TestDBSketchesDriftTriggersRebuild(t *testing.T) {
 	if applied < rebuildFloor {
 		t.Fatalf("rebuilt after %d deltas, below the floor %d", applied, rebuildFloor)
 	}
-	sk := d.Snapshot()[0]
+	sk := d.sketches[0]
 	if sk.drift != 0 {
 		t.Fatalf("post-rebuild drift = %d, want 0", sk.drift)
 	}
-	if sk.Rows() != int64(live.Len()) {
-		t.Fatalf("post-rebuild rows = %d, live relation has %d", sk.Rows(), live.Len())
+	if sk.rows != int64(live.Len()) {
+		t.Fatalf("post-rebuild rows = %d, live relation has %d", sk.rows, live.Len())
 	}
 }
 
-// TestDBSketchesConcurrent hammers Apply against Snapshot/Stats readers —
-// the copy-on-write discipline under the race detector.
+// TestDBSketchesConcurrent hammers Apply against readers of the sketch
+// slice and every sketch's counts — the copy-on-write discipline under the
+// race detector.
 func TestDBSketchesConcurrent(t *testing.T) {
 	r := relation.New(relation.MustSchema("A", "B"))
 	for i := 0; i < 50; i++ {
@@ -176,12 +216,15 @@ func TestDBSketchesConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				sks := d.Snapshot()
+				d.mu.Lock()
+				sks := d.sketches
+				d.mu.Unlock()
 				for _, s := range sks {
-					_ = s.Stats()
-					_ = s.Histogram("A", 8)
+					for i := range s.attrs {
+						_ = s.distinct(i)
+					}
+					_ = s.histogram("A", 8)
 				}
-				_ = d.Stats()
 			}
 		}()
 	}

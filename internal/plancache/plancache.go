@@ -25,11 +25,11 @@ const DefaultCapacity = 128
 
 // Stats is a snapshot of the cache counters.
 type Stats struct {
-	// Hits counts Get/GetOrCompute calls answered from the cache, including
+	// Hits counts GetOrCompute calls answered from the cache, including
 	// calls that joined an in-flight computation (see Coalesced).
 	Hits int64 `json:"hits"`
-	// Misses counts lookups that found nothing and (for GetOrCompute) ran
-	// the compute function.
+	// Misses counts lookups that found nothing and ran the compute
+	// function.
 	Misses int64 `json:"misses"`
 	// Evictions counts entries dropped to respect capacity.
 	Evictions int64 `json:"evictions"`
@@ -87,19 +87,6 @@ func New(capacity int) *Cache {
 		items:    make(map[string]*list.Element),
 		inflight: make(map[string]*flight),
 	}
-}
-
-// Get returns the cached plan for key, marking it most recently used.
-func (c *Cache) Get(key string) (*engine.Plan, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		c.hits++
-		return el.Value.(*entry).plan, true
-	}
-	c.misses++
-	return nil, false
 }
 
 // GetOrCompute returns the plan for key, computing and caching it on a

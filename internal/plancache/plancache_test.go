@@ -15,6 +15,18 @@ func plan(fp string) *engine.Plan {
 	return &engine.Plan{Fingerprint: fp, Strategy: engine.StrategyDirect}
 }
 
+// errNotCached is get's compute result, so a miss caches nothing.
+var errNotCached = errors.New("not cached")
+
+// get looks key up through GetOrCompute, counting a hit or a miss and
+// marking a hit most recently used, without caching anything on a miss. It
+// must not race another caller of key: a coalesced caller would receive
+// errNotCached.
+func get(c *Cache, key string) (*engine.Plan, bool) {
+	p, _, err := c.GetOrCompute(key, func() (*engine.Plan, error) { return nil, errNotCached })
+	return p, err == nil
+}
+
 // put caches p under key through a GetOrCompute miss.
 func put(c *Cache, key string, p *engine.Plan) {
 	if _, _, err := c.GetOrCompute(key, func() (*engine.Plan, error) { return p, nil }); err != nil {
@@ -26,15 +38,15 @@ func TestLRUEviction(t *testing.T) {
 	c := New(2)
 	put(c, "a", plan("a"))
 	put(c, "b", plan("b"))
-	if _, ok := c.Get("a"); !ok { // a is now most recently used
+	if _, ok := get(c, "a"); !ok { // a is now most recently used
 		t.Fatal("a missing")
 	}
 	put(c, "c", plan("c")) // evicts b, the least recently used
-	if _, ok := c.Get("b"); ok {
+	if _, ok := get(c, "b"); ok {
 		t.Error("b should have been evicted")
 	}
 	for _, k := range []string{"a", "c"} {
-		if _, ok := c.Get(k); !ok {
+		if _, ok := get(c, k); !ok {
 			t.Errorf("%s should still be cached", k)
 		}
 	}
@@ -46,10 +58,10 @@ func TestLRUEviction(t *testing.T) {
 
 func TestCounters(t *testing.T) {
 	c := New(4)
-	c.Get("missing")
+	get(c, "missing")
 	put(c, "a", plan("a"))
-	c.Get("a")
-	c.Get("a")
+	get(c, "a")
+	get(c, "a")
 	st := c.Stats()
 	if st.Hits != 2 || st.Misses != 2 {
 		t.Errorf("stats = %+v, want 2 hits, 2 misses", st)
@@ -96,7 +108,7 @@ func TestGetOrComputeErrorNotCached(t *testing.T) {
 	if _, _, err := c.GetOrCompute("k", func() (*engine.Plan, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	if _, ok := c.Get("k"); ok {
+	if _, ok := get(c, "k"); ok {
 		t.Error("failed computation was cached")
 	}
 	// A later call retries the computation.
@@ -106,9 +118,9 @@ func TestGetOrComputeErrorNotCached(t *testing.T) {
 	}
 }
 
-// TestConcurrentStress hammers Get and GetOrCompute across overlapping keys
-// with a capacity small enough to force constant eviction; run under -race
-// this is the cache's data-race certificate.
+// TestConcurrentStress hammers GetOrCompute and reads of the entries across
+// overlapping keys with a capacity small enough to force constant eviction;
+// run under -race this is the cache's data-race certificate.
 func TestConcurrentStress(t *testing.T) {
 	c := New(8)
 	const goroutines = 32
@@ -124,9 +136,11 @@ func TestConcurrentStress(t *testing.T) {
 				case 0:
 					put(c, key, plan(key))
 				case 1:
-					if p, ok := c.Get(key); ok && p.Fingerprint != key {
-						t.Errorf("key %s holds plan %s", key, p.Fingerprint)
+					c.mu.Lock()
+					if el, ok := c.items[key]; ok && el.Value.(*entry).plan.Fingerprint != key {
+						t.Errorf("key %s holds plan %s", key, el.Value.(*entry).plan.Fingerprint)
 					}
+					c.mu.Unlock()
 				default:
 					p, _, err := c.GetOrCompute(key, func() (*engine.Plan, error) { return plan(key), nil })
 					if err != nil || p.Fingerprint != key {
@@ -208,14 +222,14 @@ func TestDistinctStrategiesSameFingerprintDoNotCoalesce(t *testing.T) {
 	wcojKey := fp + "#" + engine.StrategyWCOJ.String()
 	for i := 0; i < 3; i++ {
 		put(c, fmt.Sprintf("filler%d", i), plan("filler"))
-		if _, ok := c.Get(wcojKey); !ok {
+		if _, ok := get(c, wcojKey); !ok {
 			t.Fatalf("wcoj plan evicted while recently used (filler %d)", i)
 		}
 	}
-	if _, ok := c.Get(fp + "#" + engine.StrategyProgram.String()); ok {
+	if _, ok := get(c, fp+"#"+engine.StrategyProgram.String()); ok {
 		t.Error("program plan should have been evicted by the fillers")
 	}
-	if p, ok := c.Get(wcojKey); !ok || p.Strategy != engine.StrategyWCOJ {
+	if p, ok := get(c, wcojKey); !ok || p.Strategy != engine.StrategyWCOJ {
 		t.Error("wcoj plan lost or corrupted after evictions")
 	}
 }
@@ -231,12 +245,12 @@ func TestInvalidatePrefix(t *testing.T) {
 		t.Fatalf("invalidated %d entries, want 2", n)
 	}
 	for _, gone := range []string{"fpA#direct", "fpA#program"} {
-		if _, ok := c.Get(gone); ok {
+		if _, ok := get(c, gone); ok {
 			t.Errorf("%s survived invalidation", gone)
 		}
 	}
 	for _, kept := range []string{"fpB#direct", "fpAB#direct"} {
-		if _, ok := c.Get(kept); !ok {
+		if _, ok := get(c, kept); !ok {
 			t.Errorf("%s was wrongly invalidated", kept)
 		}
 	}
@@ -273,7 +287,7 @@ func TestInvalidatePrefixKeepsLRUConsistent(t *testing.T) {
 	if st.Evictions != 1 {
 		t.Fatalf("evictions = %d, want 1", st.Evictions)
 	}
-	if _, ok := c.Get("y#1"); ok {
+	if _, ok := get(c, "y#1"); ok {
 		t.Error("y#1 should have been evicted as the least recently used")
 	}
 }
@@ -304,7 +318,7 @@ func TestInvalidatePrefixMarksInFlight(t *testing.T) {
 	c.InvalidatePrefix("fp#")
 	close(release)
 	<-done
-	if _, ok := c.Get("fp#auto"); ok {
+	if _, ok := get(c, "fp#auto"); ok {
 		t.Fatal("in-flight plan was cached despite the invalidation that raced its compute")
 	}
 	// A fresh compute after the invalidation caches normally.
@@ -313,7 +327,7 @@ func TestInvalidatePrefixMarksInFlight(t *testing.T) {
 	}); err != nil || served {
 		t.Fatalf("fresh compute: served=%v err=%v", served, err)
 	}
-	if p, ok := c.Get("fp#auto"); !ok || p.Fingerprint != "fresh" {
+	if p, ok := get(c, "fp#auto"); !ok || p.Fingerprint != "fresh" {
 		t.Fatalf("post-invalidation plan not cached (got %v, %v)", p, ok)
 	}
 }
@@ -363,7 +377,7 @@ func TestInvalidateRaceWithCoalescing(t *testing.T) {
 	// epoch here means an in-flight result was cached across an invalidation.
 	final := epoch.Load()
 	c.InvalidatePrefix("fp#")
-	if p, ok := c.Get("fp#auto"); ok && p.Fingerprint != fmt.Sprint(final) {
+	if p, ok := get(c, "fp#auto"); ok && p.Fingerprint != fmt.Sprint(final) {
 		t.Fatalf("cached plan from epoch %s survived invalidation at epoch %d", p.Fingerprint, final)
 	}
 }

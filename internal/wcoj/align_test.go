@@ -2,6 +2,7 @@ package wcoj
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -28,6 +29,45 @@ func slotOf(t *testing.T, rel *relation.Relation, order []string, d int) *levelA
 	return memo
 }
 
+// checkMemos fails unless every memoized level of rel's trie for order
+// holds its node keys mapped through its table and, at level 0 only, the
+// successor table of those keys over the merged domain.
+func checkMemos(t *testing.T, rel *relation.Relation, order []string) {
+	t.Helper()
+	tr, err := FromColumns(rel, order, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for d := 0; d < tr.trie.Schema().Len(); d++ {
+		memo, _ := tr.trie.Slot(d).Load().(*levelAlign)
+		if memo == nil {
+			t.Fatalf("%s level %d: no alignment memo", rel.Schema(), d)
+		}
+		local := tr.trie.Keys(d)
+		want := make([]uint32, len(local))
+		for i, c := range local {
+			want[i] = memo.table[c]
+		}
+		if !slices.Equal(memo.keys, want) {
+			t.Fatalf("%s level %d: memo keys %v, want the table applied to the trie's keys %v", rel.Schema(), d, memo.keys, want)
+		}
+		if d > 0 {
+			if memo.succ != nil {
+				t.Fatalf("%s level %d: a deeper level holds a successor table", rel.Schema(), d)
+			}
+			continue
+		}
+		if len(memo.succ) != len(memo.dom)+1 {
+			t.Fatalf("%s: successor table has %d entries, want |dom|+1 = %d", rel.Schema(), len(memo.succ), len(memo.dom)+1)
+		}
+		for c, p := range memo.succ {
+			if first, _ := slices.BinarySearch(memo.keys, uint32(c)); int(p) != first {
+				t.Fatalf("%s: succ[%d] = %d, want %d", rel.Schema(), c, p, first)
+			}
+		}
+	}
+}
+
 // TestAlignmentMemoFollowsReplacedRelation replaces one relation of a
 // database, as ingest does, and joins again: the alignment memoized on the
 // untouched relations must be recomputed exactly for the variables the
@@ -47,6 +87,9 @@ func TestAlignmentMemoFollowsReplacedRelation(t *testing.T) {
 		}
 		if !res.Output.Equal(db.Join()) {
 			t.Fatalf("wcoj join differs from db.Join() on %s", db)
+		}
+		for _, rel := range db.Relations() {
+			checkMemos(t, rel, order)
 		}
 	}
 
@@ -76,6 +119,51 @@ func TestAlignmentMemoFollowsReplacedRelation(t *testing.T) {
 	join(before)
 	if slotOf(t, r, order, 1) == nb {
 		t.Fatal("joining with S again kept R's B level aligned for S'")
+	}
+}
+
+// TestRootSeekMatchesGallop aligns random tries against a wider domain and
+// checks that a level-0 seek, which reads the successor table, lands where a
+// gallop over the aligned keys lands, for every aligned code from every
+// position, the atEnd one included.
+func TestRootSeekMatchesGallop(t *testing.T) {
+	rng := rand.New(rand.NewSource(2052))
+	order := []string{"A", "B"}
+	for trial := 0; trial < 20; trial++ {
+		rel := randPairs(rng, "A", "B", 1+rng.Intn(60), 0, 1+rng.Int63n(30))
+		wide := relation.New(relation.MustSchema("A"))
+		for i := 0; i < 40; i++ {
+			wide.MustInsert(relation.Ints(rng.Int63n(50) - 10))
+		}
+		tr, err := FromColumns(rel, order, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := FromColumns(wide, order[:1], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doms := alignTries(order, []*trieIndex{tr, w})
+		keys := tr.keys[0]
+		for from := 0; from <= len(keys); from++ {
+			for a := 0; a < len(doms[0]); a++ {
+				it := newTrieIter(tr)
+				it.open()
+				it.pos[0] = from
+				it.load(0)
+				it.seek(uint32(a))
+				want := from
+				if from < len(keys) && keys[from] < uint32(a) {
+					want = gallop(keys, from, len(keys), uint32(a))
+				}
+				if it.pos[0] != want {
+					t.Fatalf("trial %d: seek(%d) from %d landed on %d, gallop on %d (keys %v)", trial, a, from, it.pos[0], want, keys)
+				}
+				if want < len(keys) && it.key() != keys[want] {
+					t.Fatalf("trial %d: seek(%d) from %d cached key %d, want %d", trial, a, from, it.key(), keys[want])
+				}
+			}
+		}
 	}
 }
 

@@ -29,9 +29,11 @@
 //     (columns.go);
 //   - dictionary alignment (alignTries in trie.go): dictionaries are per
 //     relation, so for each variable the dictionaries of the relations
-//     carrying it are merged into one sorted value list and a monotone
-//     local-code → aligned-code table per trie level, memoized in the trie
-//     level's slot for as long as the same dictionaries meet again;
+//     carrying it are merged into one sorted value list and, per trie
+//     level, a monotone local-code → aligned-code table, the level's node
+//     keys already aligned, and at level 0 a successor table that makes a
+//     root seek one load — memoized in the trie level's slot for as long as
+//     the same dictionaries meet again;
 //   - the leapfrog k-way intersection of trie levels over aligned codes —
 //     integer comparisons only (leapfrog.go);
 //   - JoinBlocks: the full multiway join over []uint32 bindings, charging
@@ -85,7 +87,7 @@ type Result struct {
 // Notes renders the join's accounting for a report.
 func (r *Result) Notes() []string {
 	notes := []string{
-		fmt.Sprintf("tries re-sort the %d input tuples; no pairwise intermediate is materialized (§2.3 cost = inputs + output)", r.TrieTuples),
+		fmt.Sprintf("tries index the %d input tuples; no pairwise intermediate is materialized (§2.3 cost = inputs + output)", r.TrieTuples),
 		fmt.Sprintf("tries: %d resident, %d built", r.Tries-r.TriesBuilt, r.TriesBuilt),
 	}
 	if r.Workers > 1 {
