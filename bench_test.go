@@ -9,6 +9,7 @@
 package repro
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -22,6 +23,7 @@ import (
 	"repro/internal/optimizer"
 	"repro/internal/program"
 	"repro/internal/relation"
+	"repro/internal/wcoj"
 	"repro/internal/workload"
 )
 
@@ -545,6 +547,50 @@ func BenchmarkWCOJSparseTriangle(b *testing.B) {
 			b.ReportMetric(float64(rep.Cost), "exec-cost")
 			b.ReportMetric(float64(rep.Produced), "tuples-charged")
 		})
+	}
+}
+
+// BenchmarkWCOJSkewed runs the wcoj join sequentially and warm on Zipf
+// databases over a 3 000-value domain (workload.ZipfDatabase, seed 1992): a
+// triangle of 20 000 tuples per relation and a 4-cycle of 5 000 (at 20 000
+// its output is millions of rows), each at exponents 1.1, 1.5 and 2.0.
+// Skew makes the per-variable child ranges lopsided, so this is where the
+// intersection kernel's choice between merging and probing shows.
+func BenchmarkWCOJSkewed(b *testing.B) {
+	for _, scheme := range []struct {
+		name, edges string
+		size        int
+	}{
+		{"triangle", "AB BC AC", 20000},
+		{"4-cycle", "AB BC CD AD", 5000},
+	} {
+		h, err := hypergraph.ParseScheme(scheme.edges)
+		if err != nil {
+			b.Fatal(err)
+		}
+		order := wcoj.VariableOrder(h)
+		for _, s := range []float64{1.1, 1.5, 2.0} {
+			db, err := workload.ZipfDatabase(rand.New(rand.NewSource(1992)), h, scheme.size, 3000, s)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(fmt.Sprintf("%s/s=%.1f", scheme.name, s), func(b *testing.B) {
+				// One untimed run leaves every trie and alignment resident.
+				if _, err := wcoj.JoinGoverned(db, order, nil, 1); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				var res *wcoj.Result
+				for i := 0; i < b.N; i++ {
+					gov := govern.New(govern.Limits{MaxTuples: 1 << 40})
+					if res, err = wcoj.JoinGoverned(db, order, gov, 1); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(res.Block.Len()), "rows")
+			})
+		}
 	}
 }
 

@@ -30,8 +30,9 @@ func slotOf(t *testing.T, rel *relation.Relation, order []string, d int) *levelA
 }
 
 // checkMemos fails unless every memoized level of rel's trie for order
-// holds its node keys mapped through its table and, at level 0 only, the
-// successor table of those keys over the merged domain.
+// holds its node keys mapped through the alignment table of its dictionary
+// into the memo's domain and, at level 0 only, the successor table of
+// those keys over that domain.
 func checkMemos(t *testing.T, rel *relation.Relation, order []string) {
 	t.Helper()
 	tr, err := FromColumns(rel, order, nil)
@@ -43,13 +44,14 @@ func checkMemos(t *testing.T, rel *relation.Relation, order []string) {
 		if memo == nil {
 			t.Fatalf("%s level %d: no alignment memo", rel.Schema(), d)
 		}
+		table := alignTable(tr.trie.Dict(d), memo.dom)
 		local := tr.trie.Keys(d)
 		want := make([]uint32, len(local))
 		for i, c := range local {
-			want[i] = memo.table[c]
+			want[i] = table[c]
 		}
 		if !slices.Equal(memo.keys, want) {
-			t.Fatalf("%s level %d: memo keys %v, want the table applied to the trie's keys %v", rel.Schema(), d, memo.keys, want)
+			t.Fatalf("%s level %d: memo keys %v, want the alignment table applied to the trie's keys %v", rel.Schema(), d, memo.keys, want)
 		}
 		if d > 0 {
 			if memo.succ != nil {
@@ -122,11 +124,13 @@ func TestAlignmentMemoFollowsReplacedRelation(t *testing.T) {
 	}
 }
 
-// TestRootSeekMatchesGallop aligns random tries against a wider domain and
-// checks that a level-0 seek, which reads the successor table, lands where a
-// gallop over the aligned keys lands, for every aligned code from every
-// position, the atEnd one included.
-func TestRootSeekMatchesGallop(t *testing.T) {
+// TestRootProbeMatchesGallop aligns random tries against a wider domain
+// and checks that a level-0 operand's probe, which reads the successor
+// table, lands where a gallop over the aligned keys lands, for every aligned
+// code from every level-0 position — every code above the position's key,
+// as a probe only ever moves forward — and reports whether it stayed in
+// range.
+func TestRootProbeMatchesGallop(t *testing.T) {
 	rng := rand.New(rand.NewSource(2052))
 	order := []string{"A", "B"}
 	for trial := 0; trial < 20; trial++ {
@@ -144,23 +148,18 @@ func TestRootSeekMatchesGallop(t *testing.T) {
 			t.Fatal(err)
 		}
 		doms := alignTries(order, []*trieIndex{tr, w})
+		op := newExecutor(order, []*trieIndex{tr, w}, nil, nil).ops[0][0]
 		keys := tr.keys[0]
-		for from := 0; from <= len(keys); from++ {
-			for a := 0; a < len(doms[0]); a++ {
-				it := newTrieIter(tr)
-				it.open()
-				it.pos[0] = from
-				it.load(0)
-				it.seek(uint32(a))
-				want := from
-				if from < len(keys) && keys[from] < uint32(a) {
-					want = gallop(keys, from, len(keys), uint32(a))
-				}
-				if it.pos[0] != want {
-					t.Fatalf("trial %d: seek(%d) from %d landed on %d, gallop on %d (keys %v)", trial, a, from, it.pos[0], want, keys)
-				}
-				if want < len(keys) && it.key() != keys[want] {
-					t.Fatalf("trial %d: seek(%d) from %d cached key %d, want %d", trial, a, from, it.key(), keys[want])
+		if op.succ == nil || !slices.Equal(op.keys, keys) {
+			t.Fatal("R's level-0 operand does not read its aligned keys through a successor table")
+		}
+		for from := 0; from < len(keys); from++ {
+			for a := keys[from] + 1; int(a) < len(doms[0]); a++ {
+				op.lo, op.hi = from, len(keys)
+				in := op.seek(a)
+				want := gallop(keys, from, len(keys), a)
+				if op.lo != want || in != (want < len(keys)) {
+					t.Fatalf("trial %d: probe(%d) from %d landed on %d (in range %v), gallop on %d (keys %v)", trial, a, from, op.lo, in, want, keys)
 				}
 			}
 		}

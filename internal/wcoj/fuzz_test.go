@@ -1,162 +1,133 @@
 package wcoj
 
 import (
-	"sort"
+	"slices"
 	"testing"
 
-	"repro/internal/relation"
+	"repro/internal/govern"
 )
 
-// fuzzDomain is the value domain of FuzzTrieIter's relation; seeks range one
-// past it.
-const fuzzDomain = 16
+// fuzzDomain is the aligned-code domain of FuzzIntersect's ranges.
+const fuzzDomain = 64
 
-// FuzzTrieIter drives the CSR trie iterator with an arbitrary row set and
-// arbitrary forward-only seek/next scripts, checking every step against a
-// naive model: the sorted distinct values of the open level, i.e. its node
-// keys. The first byte sizes the relation, the next 2n bytes are (x, y)
-// rows, and the remainder is two scripts split at its midpoint (even byte =
-// next, odd byte = seek to byte>>1 mod fuzzDomain+1). Both levels are
-// aligned against a second relation holding every value 0..fuzzDomain in
-// both columns, so aligned codes differ from the relation's local codes,
-// every seek target has an aligned code whether or not the relation holds
-// the value (absent keys), and fuzzDomain itself lies past the end. The
-// first script runs on the x level, where seeks take the successor table.
-// Whatever position it leaves is opened one level down — the node's child
-// range — and the second script seeks and steps there, where seeks gallop;
-// then the rest of the child range is compared against the model's
-// sub-list for that prefix.
-func FuzzTrieIter(f *testing.F) {
-	f.Add([]byte{4, 1, 2, 1, 3, 5, 0, 5, 9, 7, 12, 3})
-	f.Add([]byte{8, 0, 0, 0, 1, 1, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 2, 9, 4})
-	f.Add([]byte{1, 15, 15, 31, 31, 2})
-	f.Add([]byte{3, 2, 7, 9, 1, 9, 4, 33, 7, 1, 19, 33})
-	f.Add([]byte{12, 3, 0, 3, 2, 3, 4, 3, 6, 3, 8, 3, 10, 3, 12, 3, 14, 3, 15, 5, 1, 5, 3, 9, 9, 7, 3, 7, 5, 1, 3, 13, 0, 21, 33})
-	f.Add([]byte{12, 3, 0, 3, 1, 3, 2, 3, 3, 3, 4, 3, 5, 3, 6, 3, 7, 3, 8, 3, 9, 3, 10, 3, 11, 1, 4, 7, 1, 11, 33})
+// FuzzIntersect drives the intersection kernel over k = 1..4 arbitrary
+// ranges and checks every binding it makes against a naive sorted-set
+// intersection: the common keys in ascending order and, for each, the
+// position it was matched at in every operand. The first byte picks k (low
+// two bits) and which operands are level-0 ranges, probed through the
+// successor table, rather than child ranges below a parent, probed by
+// galloping (bits 2..5). Then each operand takes a length byte and that
+// many key bytes (mod fuzzDomain), deduplicated and sorted; lengths of 1 to
+// 64 land on both sides of mergeRatio, so the walk, the merge and the
+// probe all run. A child range sits between two sibling ranges whose keys
+// would break the model if the kernel strayed past its bounds.
+func FuzzIntersect(f *testing.F) {
+	evens := make([]byte, 30)
+	for i := range evens {
+		evens[i] = byte(2 * i)
+	}
+	var threes, fives []byte
+	for v := byte(3); v < fuzzDomain; v += 3 {
+		threes = append(threes, v)
+	}
+	for v := byte(0); v < fuzzDomain; v += 5 {
+		fives = append(fives, v)
+	}
+	fives = slices.Insert(fives, 1, 3)
+	f.Add(intersectSeed(0, []byte{5, 1, 9}))                              // walk
+	f.Add(intersectSeed(0, []byte{1, 2, 3, 4, 7}, []byte{2, 3, 4, 5, 7})) // merge
+	f.Add(intersectSeed(1, []byte{1, 10, 30}, evens))                     // root driver, gallop probes
+	f.Add(intersectSeed(2, []byte{2, 30, 58}, evens))                     // child driver, succ probes
+	f.Add(intersectSeed(5, []byte{1, 5, 9, 13, 17, 21}, []byte{5, 9, 21, 40}, []byte{0, 5, 9, 17, 21, 33, 45, 63}))
+	f.Add(intersectSeed(15, []byte{7, 8, 9}, []byte{6, 7, 8, 9}, []byte{1, 7, 8, 9, 63}, []byte{7, 9}))
+	f.Add(intersectSeed(0, []byte{0, 63}, []byte{0, 1, 63}, []byte{63}, []byte{0, 32, 62, 63}))
+	// The last operand drives; the first starts past its first key and
+	// probes by galloping, so a probe that ignored where it stands would
+	// skip the common key 3.
+	f.Add(intersectSeed(2, threes, fives, []byte{1, 3, 10, 20, 30, 40}))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 3 {
+		if len(data) < 2 {
 			return
 		}
-		n := int(data[0]%24) + 1
-		if len(data) < 1+2*n {
-			return
-		}
-		rel := relation.New(relation.MustSchema("x", "y"))
-		for i := 0; i < n; i++ {
-			rel.MustInsert(relation.Ints(int64(data[1+2*i]%fuzzDomain), int64(data[2+2*i]%fuzzDomain)))
-		}
-		domain := relation.New(relation.MustSchema("x", "y"))
-		for v := int64(0); v <= fuzzDomain; v++ {
-			domain.MustInsert(relation.Ints(v, v))
-		}
-		order := []string{"x", "y"}
-		tr, err := FromColumns(rel, order, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dom, err := FromColumns(domain, order, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		doms := alignTries(order, []*trieIndex{tr, dom})
-		for v, d := range doms {
-			if len(d) != fuzzDomain+1 {
-				t.Fatalf("merged %s domain has %d values, want %d", order[v], len(d), fuzzDomain+1)
+		k, root := int(data[0]&3)+1, data[0]>>2
+		data = data[1:]
+		ex := &executor{ops: make([][]operand, 1), meter: (*govern.OpScope)(nil).Meter()}
+		var sets [][]uint32
+		for i := 0; i < k; i++ {
+			if len(data) == 0 {
+				return
 			}
+			n := int(data[0])%fuzzDomain + 1
+			if len(data) < 1+n {
+				return
+			}
+			set := make([]uint32, n)
+			for j, b := range data[1 : 1+n] {
+				set[j] = uint32(b) % fuzzDomain
+			}
+			data = data[1+n:]
+			slices.Sort(set)
+			set = slices.Compact(set)
+			sets = append(sets, set)
+
+			op := operand{up: -1, at: len(ex.pos)}
+			if root&(1<<i) != 0 {
+				op.keys = set
+				op.succ = make([]uint32, fuzzDomain+1)
+				for c := range op.succ {
+					p, _ := slices.BinarySearch(set, uint32(c))
+					op.succ[c] = uint32(p)
+				}
+				ex.pos = append(ex.pos, 0)
+			} else {
+				// The parent's node 1 owns the range; its siblings hold
+				// the domain's extremes.
+				op.keys = slices.Concat([]uint32{fuzzDomain - 2, fuzzDomain - 1}, set, []uint32{0, 1})
+				op.start = []uint32{0, 2, uint32(2 + len(set)), uint32(4 + len(set))}
+				op.up, op.at = len(ex.pos), len(ex.pos)+1
+				ex.pos = append(ex.pos, 1, 0)
+			}
+			ex.ops[0] = append(ex.ops[0], op)
 		}
 
-		// Naive model: distinct x values ascending, and per x the distinct
-		// y values ascending.
-		children := map[int64][]int64{}
-		for _, row := range rel.Rows() {
-			x, y := row[0].AsInt(), row[1].AsInt()
-			children[x] = append(children[x], y)
+		ex.top = true
+		if err := ex.run(0, make([]uint32, 1)); err != nil {
+			t.Fatal(err)
 		}
-		var xs []int64
-		for x, ys := range children {
-			xs = append(xs, x)
-			sort.Slice(ys, func(i, j int) bool { return ys[i] < ys[j] })
-			children[x] = dedupeSorted(ys)
-		}
-		sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
+		tops := ex.tops
 
-		script := data[1+2*n:]
-		it := newTrieIter(tr)
-		it.open()
-		idx := runScript(t, it, script[:len(script)/2], xs, doms[0])
-		if it.atEnd() {
-			return
-		}
-		// Descend: the child level must step and seek through exactly the
-		// model's distinct y values under the current x, and up() must
-		// restore the parent position.
-		x := xs[idx]
-		ys := children[x]
-		it.open()
-		for j := runScript(t, it, script[len(script)/2:], ys, doms[1]); j < len(ys); j++ {
-			if it.atEnd() {
-				t.Fatalf("child level of x=%d ended early, want %d", x, ys[j])
+		// The model: every key of the first set that all others hold, with
+		// its index in each operand's keys.
+		var want []uint32
+		for _, key := range sets[0] {
+			row := []uint32{key}
+			for i, set := range sets {
+				p, ok := slices.BinarySearch(set, key)
+				if !ok {
+					row = nil
+					break
+				}
+				if ex.ops[0][i].succ == nil {
+					p += 2 // past the sibling before the range
+				}
+				row = append(row, uint32(p))
 			}
-			if got := doms[1][it.key()].AsInt(); got != ys[j] {
-				t.Fatalf("child key = %d, want %d under x=%d", got, ys[j], x)
-			}
-			it.next()
+			want = append(want, row...)
 		}
-		if !it.atEnd() {
-			t.Fatalf("child level of x=%d has extra keys past %v", x, ys)
-		}
-		it.up()
-		if got := doms[0][it.key()].AsInt(); got != x {
-			t.Fatalf("up() lost the parent position: key = %d, want %d", got, x)
+		if !slices.Equal(tops, want) {
+			t.Fatalf("k=%d over %v (level-0 mask %04b): bound rows (key, positions…) %v, want %v", k, sets, root&15, tops, want)
 		}
 	})
 }
 
-// runScript runs a seek/next script on the iterator's open level, whose keys the
-// model says are want (ascending values, dom decoding an aligned code),
-// checking the iterator after every step, and returns the model's index of
-// the position the script leaves. The merged domain is exactly
-// 0..fuzzDomain, so a value is its own aligned code. A seek target below
-// the current key must leave the iterator where it is.
-func runScript(t *testing.T, it *trieIter, script []byte, want []int64, dom []relation.Value) int {
-	t.Helper()
-	idx := 0
-	check := func() {
-		if got, exp := it.atEnd(), idx >= len(want); got != exp {
-			t.Fatalf("depth %d: atEnd = %v, model says %v (idx %d of %d)", it.depth, got, exp, idx, len(want))
-		}
-		if !it.atEnd() {
-			if got := dom[it.key()].AsInt(); got != want[idx] {
-				t.Fatalf("depth %d: key = %d, model says %d", it.depth, got, want[idx])
-			}
-		}
+// intersectSeed encodes FuzzIntersect's input: the operand count less one
+// and the level-0 mask in the first byte, then each range as its length
+// less one and its keys.
+func intersectSeed(root byte, sets ...[]byte) []byte {
+	data := []byte{byte(len(sets)-1) | root<<2}
+	for _, set := range sets {
+		data = append(data, byte(len(set)-1))
+		data = append(data, set...)
 	}
-	check()
-	for _, op := range script {
-		if it.atEnd() {
-			break
-		}
-		if op%2 == 0 {
-			it.next()
-			idx++
-		} else {
-			v := int64((op >> 1) % (fuzzDomain + 1))
-			it.seek(uint32(v))
-			for idx < len(want) && want[idx] < v {
-				idx++
-			}
-		}
-		check()
-	}
-	return idx
-}
-
-func dedupeSorted(vs []int64) []int64 {
-	out := vs[:0]
-	for i, v := range vs {
-		if i == 0 || v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return out
+	return data
 }

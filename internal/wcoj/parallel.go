@@ -6,23 +6,24 @@ import (
 	"repro/internal/govern"
 )
 
-// enumerateParallel splits the outermost variable's key range across
-// workers: the depth-0 intersection keys are computed once (cheap — one
-// leapfrog pass over the top trie levels), partitioned into contiguous
-// chunks, and each worker enumerates its chunk with its own iterators over
-// the shared tries and its own meter on the one scope, so the charged totals
-// and whether a budget aborts are those of the sequential run; the chunks
-// bind disjoint outermost keys, so the concatenated outputs are disjoint
-// too — and, the chunks being ascending, in the sequential run's row order.
-// bindings, when non-nil, receives the sum of the workers' private binding
-// counts once they finish.
+// enumerateParallel splits the outermost variable's bindings across
+// workers: the depth-0 intersection is computed once (cheap — one pass over
+// the top trie levels) with each key's position in every relation carrying
+// it, partitioned into contiguous chunks, and each worker enumerates its
+// chunk from those positions with its own executor over the shared tries and
+// its own meter on the one scope, so the charged totals and whether a budget
+// aborts are those of the sequential run; the chunks bind disjoint outermost
+// keys, so the concatenated outputs are disjoint too — and, the chunks being
+// ascending, in the sequential run's row order. bindings, when non-nil,
+// receives the sum of the workers' private binding counts once they finish.
 func enumerateParallel(order []string, tries []*trieIndex, scope *govern.OpScope, workers int, bindings []int64) (*emitter, error) {
-	keys, err := topKeys(order, tries, scope)
+	tops, stride, err := topKeys(order, tries, scope)
 	if err != nil {
 		return nil, err
 	}
-	if workers > len(keys) {
-		workers = len(keys)
+	n := len(tops) / stride
+	if workers > n {
+		workers = n
 	}
 	if workers < 2 {
 		return enumerate(order, tries, scope, bindings)
@@ -32,8 +33,7 @@ func enumerateParallel(order []string, tries []*trieIndex, scope *govern.OpScope
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		// Contiguous ranges keep every worker's seeks forward-only.
-		chunk := keys[w*len(keys)/workers : (w+1)*len(keys)/workers]
+		chunk := tops[w*n/workers*stride : (w+1)*n/workers*stride]
 		var own []int64
 		if bindings != nil {
 			own = make([]int64, len(order))
@@ -42,7 +42,7 @@ func enumerateParallel(order []string, tries []*trieIndex, scope *govern.OpScope
 		wg.Add(1)
 		go func(w int, chunk []uint32) {
 			defer wg.Done()
-			errs[w] = parts[w].runKeys(chunk)
+			errs[w] = parts[w].runKeys(chunk, stride)
 		}(w, chunk)
 	}
 	wg.Wait()
@@ -70,42 +70,35 @@ func enumerateParallel(order []string, tries []*trieIndex, scope *govern.OpScope
 }
 
 // topKeys returns the ascending intersection of the outermost variable's
-// keys across the relations containing it.
-func topKeys(order []string, tries []*trieIndex, scope *govern.OpScope) ([]uint32, error) {
+// keys across the relations carrying it, one row of stride entries per
+// key: the key, then its node position in each of those relations' level 0.
+func topKeys(order []string, tries []*trieIndex, scope *govern.OpScope) (tops []uint32, stride int, err error) {
 	ex := newExecutor(order, tries, scope, nil)
-	var keys []uint32
-	for lf := ex.openLevel(0); !lf.done; lf.next() {
-		if err := ex.meter.Add(0); err != nil {
-			return nil, err
-		}
-		keys = append(keys, lf.key())
+	ex.ops, ex.top = ex.ops[:1], true
+	if err := ex.run(0, make([]uint32, len(order))); err != nil {
+		return nil, 0, err
 	}
-	return keys, ex.meter.Close()
+	return ex.tops, 1 + len(ex.ops[0]), ex.meter.Close()
 }
 
-// runKeys enumerates the full bindings whose outermost key lies in the
-// given ascending chunk, collecting the output and the binding counts in the
-// executor.
-func (ex *executor) runKeys(chunk []uint32) error {
-	rels := ex.byVar[0]
-	for _, r := range rels {
-		ex.iters[r].open()
+// collect records a binding of the outermost variable for topKeys.
+func (ex *executor) collect(key uint32) {
+	ex.tops = append(ex.tops, key)
+	for _, op := range ex.ops[0] {
+		ex.tops = append(ex.tops, uint32(ex.pos[op.at]))
 	}
-	binding := make([]uint32, len(ex.order))
-	for _, key := range chunk {
-		if err := ex.meter.Add(0); err != nil {
-			return err
+}
+
+// runKeys enumerates the full bindings whose outermost key is in the given
+// rows of topKeys, binding each from its recorded positions, collecting
+// the output and the binding counts in the executor.
+func (ex *executor) runKeys(chunk []uint32, stride int) error {
+	binding := make([]uint32, len(ex.ops))
+	for ; len(chunk) > 0; chunk = chunk[stride:] {
+		for i, op := range ex.ops[0] {
+			ex.pos[op.at] = int(chunk[1+i])
 		}
-		// Every chunk key is in the depth-0 intersection, so each seek lands
-		// exactly on it.
-		for _, r := range rels {
-			ex.iters[r].seek(key)
-		}
-		binding[0] = key
-		if ex.bindings != nil {
-			ex.bindings[0]++
-		}
-		if err := ex.run(1, binding); err != nil {
+		if err := ex.bind(0, chunk[0], binding); err != nil {
 			return err
 		}
 	}

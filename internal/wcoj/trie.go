@@ -36,20 +36,20 @@ func newTrieIndex(trie *relation.Trie, built bool) *trieIndex {
 
 // levelAlign is one trie level's alignment, memoized in the level's slot
 // (relation.Trie.Slot): the dictionaries of every level a query keyed by
-// the same variable, in operand order, the domain merged from them, the
-// level's table into that domain, and the level's node keys mapped through
-// that table (keys[i] = table[trie.Keys(d)[i]]), so an iterator compares
-// them with one load. Level 0 also keeps succ, |dom|+1 entries: succ[c] is
-// the first node whose aligned key is ≥ c, so a root-level seek is one
-// load; deeper levels leave it nil, their node ranges being per parent. All
-// of it is a pure function of those dictionaries and the trie, so a later
-// query over the same ones reuses it.
+// the same variable, in operand order, the domain merged from them, and the
+// level's node keys mapped into that domain (keys[i] is the position in dom
+// of the value trie.Keys(d)[i] codes), so the intersection compares them
+// with one load.
+// Level 0 also keeps succ, |dom|+1 entries: succ[c] is the first node whose
+// aligned key is ≥ c, so a root-level probe is one load; deeper levels
+// leave it nil, their node ranges being per parent. All of it is a pure
+// function of those dictionaries and the trie, so a later query over the
+// same ones reuses it.
 type levelAlign struct {
-	from  []dictID
-	dom   []relation.Value
-	table []uint32
-	keys  []uint32
-	succ  []uint32
+	from []dictID
+	dom  []relation.Value
+	keys []uint32
+	succ []uint32
 }
 
 // newLevelAlign aligns level d of t to the merged domain.
@@ -60,7 +60,7 @@ func newLevelAlign(t *relation.Trie, d int, from []dictID, merged []relation.Val
 	for i, c := range local {
 		keys[i] = table[c]
 	}
-	la := &levelAlign{from: from, dom: merged, table: table, keys: keys}
+	la := &levelAlign{from: from, dom: merged, keys: keys}
 	if d == 0 {
 		la.succ = make([]uint32, len(merged)+1)
 		i := 0
@@ -93,8 +93,8 @@ func idOf(dict []relation.Value) dictID {
 // for each variable the (sorted) dictionaries of the levels keyed by it are
 // merged into the variable's domain — the returned doms[v], the sorted value
 // list an aligned code indexes — and each such level gets its levelAlign:
-// its table into that domain, its node keys aligned, and at level 0 its
-// successor table. All are memoized in the level's slot, keyed by the
+// its node keys aligned to that domain and, at level 0, its successor
+// table. All are memoized in the level's slot, keyed by the
 // identities of the merged dictionaries, so a query over the operands of an
 // earlier one merges and copies nothing. When any level's slot was left by
 // another operand set, the variable is merged again and every slot of it
@@ -180,114 +180,10 @@ func unionSorted(a, b []relation.Value) []relation.Value {
 	return append(out, b[j:]...)
 }
 
-// trieIter is the classical Leapfrog-Triejoin trie iterator over a
-// trieIndex: open descends one level, up ascends, and within a level next
-// and seek step through the node keys under the current parent — the
-// level's distinct keys for the prefix above. Keys are the trieIndex's
-// aligned node keys, so reading one is one load. State per level is the
-// current node pos and the end hi of the parent's child range; open reads
-// two offsets and next is one increment. cur caches keys[depth][pos]
-// whenever the level is not atEnd.
-type trieIter struct {
-	keys  [][]uint32 // the aligned node keys, by level
-	start [][]uint32 // the trie's child offsets, by level
-	succ  []uint32   // level 0's successor table
-	depth int        // -1 = root (no level open)
-	cur   uint32
-	pos   []int
-	hi    []int
-}
-
-// newTrieIter returns an iterator positioned at the root.
-func newTrieIter(t *trieIndex) *trieIter {
-	n := t.trie.Schema().Len()
-	it := &trieIter{
-		keys:  t.keys,
-		start: make([][]uint32, n),
-		succ:  t.succ,
-		depth: -1,
-		pos:   make([]int, n),
-		hi:    make([]int, n),
-	}
-	for d := 0; d < n-1; d++ {
-		it.start[d] = t.trie.Start(d)
-	}
-	return it
-}
-
-// atEnd reports whether the iterator has exhausted the current level.
-func (it *trieIter) atEnd() bool {
-	return it.pos[it.depth] >= it.hi[it.depth]
-}
-
-// key returns the current aligned code at the open level; the iterator must
-// not be atEnd.
-func (it *trieIter) key() uint32 { return it.cur }
-
-// load caches the aligned key at level d's position, if any.
-func (it *trieIter) load(d int) {
-	if p := it.pos[d]; p < it.hi[d] {
-		it.cur = it.keys[d][p]
-	}
-}
-
-// open descends to the first key of the next level: from the root, to the
-// first node of level 0; from an open level (not atEnd), to the first child
-// of the current node.
-func (it *trieIter) open() {
-	d := it.depth + 1
-	if d == 0 {
-		it.pos[0], it.hi[0] = 0, len(it.keys[0])
-	} else {
-		p := it.pos[d-1]
-		it.pos[d], it.hi[d] = int(it.start[d-1][p]), int(it.start[d-1][p+1])
-	}
-	it.depth = d
-	it.load(d)
-}
-
-// up ascends one level, restoring the parent's position.
-func (it *trieIter) up() {
-	it.depth--
-	if it.depth >= 0 {
-		it.load(it.depth)
-	}
-}
-
-// next advances to the level's next key.
-func (it *trieIter) next() {
-	d := it.depth
-	it.pos[d]++
-	it.load(d)
-}
-
-// seek advances to the first key ≥ the aligned code a, or atEnd when none
-// remains; a code this relation's dictionary lacks lands on the next larger
-// one it has. Seeks only move forward (the LFTJ contract: the sought key is
-// ≥ the current key). At level 0, whose range is the whole level, the
-// successor table answers in one load. Deeper levels gallop within the
-// parent's child range.
-func (it *trieIter) seek(a uint32) {
-	d := it.depth
-	lo, hi := it.pos[d], it.hi[d]
-	if lo >= hi || it.cur >= a {
-		return
-	}
-	if d == 0 {
-		lo = int(it.succ[a])
-	} else {
-		lo = gallop(it.keys[d], lo, hi, a)
-	}
-	it.pos[d] = lo
-	if lo < hi {
-		it.cur = it.keys[d][lo]
-	}
-}
-
 // gallop returns the first position in (lo, hi] whose key is ≥ a, or hi;
 // keys[lo] must be < a. It doubles steps from lo, then binary searches the
 // bracket, so it costs O(log distance) rather than O(log |range|), which is
-// what makes leapfrogging skew-resistant.
+// what keeps a probing intersection skew-resistant.
 func gallop(keys []uint32, lo, hi int, a uint32) int {
 	// Find the smallest bracket [lo+step/2, lo+step] containing the target,
 	// capped at hi.

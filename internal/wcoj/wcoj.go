@@ -1,6 +1,7 @@
-// Package wcoj implements a worst-case-optimal join backend: Leapfrog
-// Triejoin (Veldhuizen, ICDT 2013 — see PAPERS.md) computing ⋈D
-// attribute-by-attribute instead of relation-by-relation.
+// Package wcoj implements a worst-case-optimal join backend: a triejoin in
+// the manner of Leapfrog Triejoin (Veldhuizen, ICDT 2013) and Generic Join
+// (Ngo et al. — see PAPERS.md) computing ⋈D attribute-by-attribute instead
+// of relation-by-relation.
 //
 // The paper's Example 3 exhibits cyclic schemes on which *every*
 // Cartesian-product-free join expression — and hence every pairwise plan,
@@ -18,31 +19,32 @@
 //
 //   - VariableOrder: a deterministic global attribute order for a scheme,
 //     preferring orders whose prefixes stay connected (order.go);
-//   - trie indexes with the classical open/up/next/seek iterator interface
-//     (trie.go). A trie is the relation's resident columnar block indexed
-//     along the variable order in CSR form (relation.Trie): per level the
-//     uint32 dictionary codes of the distinct prefixes and, above the last
-//     level, each node's child range, so open reads two offsets and next is
-//     one increment. Nothing is decoded to build or walk it, and it is
-//     built once per relation snapshot — memoized on the relation's block,
-//     so every later query reuses it until ingest replaces the relation
-//     (columns.go);
+//   - trie indexes (trie.go). A trie is the relation's resident columnar
+//     block indexed along the variable order in CSR form (relation.Trie):
+//     per level the uint32 dictionary codes of the distinct prefixes and,
+//     above the last level, each node's child range, so a bound node's
+//     children are read from two offsets. Nothing is decoded to build or
+//     read it, and it is built once per relation snapshot — memoized on the
+//     relation's block, so every later query reuses it until ingest
+//     replaces the relation (columns.go);
 //   - dictionary alignment (alignTries in trie.go): dictionaries are per
 //     relation, so for each variable the dictionaries of the relations
 //     carrying it are merged into one sorted value list and, per trie
-//     level, a monotone local-code → aligned-code table, the level's node
-//     keys already aligned, and at level 0 a successor table that makes a
-//     root seek one load — memoized in the trie level's slot for as long as
-//     the same dictionaries meet again;
-//   - the leapfrog k-way intersection of trie levels over aligned codes —
-//     integer comparisons only (leapfrog.go);
+//     level, the level's node keys are mapped into it through a monotone
+//     local-code → aligned-code table, with at level 0 a successor table
+//     that makes a root probe one load — memoized in the trie level's slot
+//     for as long as the same dictionaries meet again;
+//   - the per-variable intersection of the relations' child ranges over
+//     aligned codes — integer comparisons only: walked, merged or probed
+//     by galloping from the shortest range (join.go);
 //   - JoinBlocks: the full multiway join over []uint32 bindings, charging
 //     every index entry (resident or not) and every output tuple against a
 //     govern.Governor and polling deadlines mid-iteration (join.go), with a
-//     partition-parallel variant that splits the outermost variable's key
-//     range across workers (parallel.go). Its output is a block over the
-//     aligned domains, so nothing is decoded; Join and JoinGoverned wrap it
-//     for a database and return it as a block-backed relation.
+//     partition-parallel variant that splits the outermost variable's
+//     bindings, with their positions, across workers (parallel.go). Its
+//     output is a block over the aligned domains, so nothing is decoded;
+//     JoinGoverned wraps it for a database and returns it as a
+//     block-backed relation.
 //
 // JoinBlocks is what the program executor runs for a multiway statement
 // (internal/program): the engine's wcoj plan is that one statement, and a
@@ -121,9 +123,9 @@ func JoinGoverned(db *relation.Database, order []string, gov *govern.Governor, w
 // operator "wcoj.trie" (one scope per operand, so MaxIntermediateTuples
 // bounds any single index) before it is fetched from the block or built, so
 // charges do not depend on what earlier queries left resident; enumeration
-// charges each output tuple — and counts every leapfrog step toward the
-// cancellation/deadline poll, even when nothing is emitted — under
-// "wcoj.join", one meter per enumerating goroutine. When span is non-nil,
+// charges each output tuple — and counts every binding of every variable
+// toward the cancellation/deadline poll, even when nothing is emitted —
+// under "wcoj.join", one meter per enumerating goroutine. When span is non-nil,
 // each trie and the enumeration get a child span under it.
 func JoinBlocks(blocks []*relation.ColBlock, order []string, gov *govern.Governor, workers int, span *obs.Span) (*Result, error) {
 	if len(blocks) == 0 {
@@ -166,8 +168,8 @@ func JoinBlocks(blocks []*relation.ColBlock, order []string, gov *govern.Governo
 		return nil, err
 	}
 	// When traced, enumeration runs under its own span with one binding
-	// counter per variable — the per-variable leapfrog work — rendered as
-	// KindVar children.
+	// counter per variable — the per-variable intersection work — rendered
+	// as KindVar children.
 	var enumSpan *obs.Span
 	var bindings []int64
 	if span != nil {

@@ -2,13 +2,16 @@ package wcoj_test
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/govern"
 	"repro/internal/hypergraph"
+	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/wcoj"
 	"repro/internal/workload"
@@ -171,36 +174,94 @@ func TestGovernedMatchesUngoverned(t *testing.T) {
 	}
 }
 
+// TestParallelMatchesSequential runs each input traced at 1, 2, 3, 4 and 8
+// workers and requires the parallel runs to reproduce the sequential one
+// exactly: the same rows in the same order, the same governor charge, and
+// the same per-variable binding counts on the trace's var spans. The inputs
+// are a random 4-clique and Zipf-skewed triangles and 4-cycles, whose
+// lopsided child ranges send the intersection down both its merge and its
+// probe paths.
 func TestParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	h, err := workload.CliqueScheme(4)
+	type input struct {
+		name string
+		h    *hypergraph.Hypergraph
+		db   *relation.Database
+	}
+	clique, err := workload.CliqueScheme(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := workload.RandomDatabase(rng, h, 60, 8)
+	db, err := workload.RandomDatabase(rand.New(rand.NewSource(9)), clique, 60, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	order := wcoj.VariableOrder(h)
-	seqGov := govern.New(govern.Limits{MaxTuples: 1 << 40})
-	seq, err := wcoj.JoinGoverned(db, order, seqGov, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 3, 8} {
-		parGov := govern.New(govern.Limits{MaxTuples: 1 << 40})
-		par, err := wcoj.JoinGoverned(db, order, parGov, workers)
+	inputs := []input{{"clique4", clique, db}}
+	for _, scheme := range []string{"AB BC AC", "AB BC CD AD"} {
+		h, err := hypergraph.ParseScheme(scheme)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatal(err)
 		}
-		if !par.Output.Equal(seq.Output) {
-			t.Errorf("workers=%d: result differs from sequential", workers)
-		}
-		if parGov.Produced() != seqGov.Produced() {
-			t.Errorf("workers=%d: Produced = %d, sequential charged %d",
-				workers, parGov.Produced(), seqGov.Produced())
+		for _, s := range []float64{1.1, 1.5} {
+			db, err := workload.ZipfDatabase(rand.New(rand.NewSource(46)), h, 1500, 400, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inputs = append(inputs, input{fmt.Sprintf("zipf %s s=%.1f", scheme, s), h, db})
 		}
 	}
+	type run struct {
+		res      *wcoj.Result
+		produced int64
+		bindings []int64
+	}
+	joinTraced := func(in input, workers int) run {
+		t.Helper()
+		tr := obs.NewTrace("wcoj")
+		gov := govern.New(govern.Limits{MaxTuples: 1 << 40})
+		gov.SetSpan(tr.Root)
+		res, err := wcoj.JoinGoverned(in.db, wcoj.VariableOrder(in.h), gov, workers)
+		tr.Root.End()
+		if err != nil {
+			t.Fatalf("%s workers=%d: %v", in.name, workers, err)
+		}
+		return run{res, gov.Produced(), varBindings(t, tr.Root)}
+	}
+	for _, in := range inputs {
+		seq := joinTraced(in, 1)
+		if seq.res.Output.Len() == 0 {
+			t.Fatalf("%s: empty join tests nothing", in.name)
+		}
+		for _, workers := range []int{2, 3, 4, 8} {
+			par := joinTraced(in, workers)
+			if !sameRows(par.res.Output, seq.res.Output) {
+				t.Errorf("%s workers=%d: rows or row order differ from sequential", in.name, workers)
+			}
+			if par.produced != seq.produced {
+				t.Errorf("%s workers=%d: Produced = %d, sequential charged %d", in.name, workers, par.produced, seq.produced)
+			}
+			if !slices.Equal(par.bindings, seq.bindings) {
+				t.Errorf("%s workers=%d: per-variable bindings %v, sequential %v", in.name, workers, par.bindings, seq.bindings)
+			}
+		}
+	}
+}
+
+// varBindings reads the per-variable binding counts off a trace's var spans,
+// in variable order.
+func varBindings(t *testing.T, root *obs.Span) []int64 {
+	t.Helper()
+	var counts []int64
+	root.Walk(func(sp *obs.Span, _ int) {
+		if sp.Kind() != obs.KindVar {
+			return
+		}
+		var n int64
+		if _, err := fmt.Sscanf(sp.Notes()[0], "%d bindings examined", &n); err != nil {
+			t.Fatalf("var span %q: %v", sp.Name(), err)
+		}
+		counts = append(counts, n)
+	})
+	return counts
 }
 
 func TestTupleBudgetAborts(t *testing.T) {
