@@ -11,7 +11,7 @@
 //
 //	joind [-addr :8080] [-workers n] [-queue-depth n] [-queue-timeout 5s]
 //	      [-plan-cache 128] [-global-max-tuples n] [-max-tuples-per-query n]
-//	      [-default-timeout d] [-search-budget n] [-query-workers n]
+//	      [-default-timeout d] [-query-workers n]
 //	      [-worker-budget n] [-slow-threshold d] [-slow-log n]
 //	      [-preload name=r1.tsv,r2.tsv,...]
 //	      [-data-dir dir] [-fsync always|interval|never]
@@ -76,7 +76,6 @@ func main() {
 	globalMaxTuples := flag.Int64("global-max-tuples", 0, "total tuple budget across in-flight queries (0 = unlimited)")
 	maxTuplesPerQuery := flag.Int64("max-tuples-per-query", 0, "per-query tuple budget cap (0 = fair share of global budget)")
 	defaultTimeout := flag.Duration("default-timeout", 0, "per-query deadline when the request sets none (0 = none)")
-	searchBudget := flag.Int64("search-budget", 0, "optimizer search budget on plan-cache misses (0 = optimizer default)")
 	queryWorkers := flag.Int("query-workers", 0, "intra-query parallelism cap per query (0 or 1 = sequential)")
 	workerBudget := flag.Int64("worker-budget", 0, "total intra-query worker goroutines across queries (0 = workers × query-workers)")
 	slowThreshold := flag.Duration("slow-threshold", 0, "capture queries at least this slow in the slow-query log, with span trees (0 = disabled; 1ns = everything)")
@@ -119,7 +118,6 @@ func main() {
 		GlobalMaxTuples:    *globalMaxTuples,
 		MaxTuplesPerQuery:  *maxTuplesPerQuery,
 		DefaultTimeout:     *defaultTimeout,
-		SearchBudget:       *searchBudget,
 		QueryWorkers:       *queryWorkers,
 		WorkerBudget:       *workerBudget,
 		SlowQueryThreshold: *slowThreshold,

@@ -62,7 +62,6 @@ func TestNegativeFlagsAreUsageErrors(t *testing.T) {
 		{"-global-max-tuples", "-5"},
 		{"-max-tuples-per-query", "-1"},
 		{"-default-timeout", "-1s"},
-		{"-search-budget", "-1"},
 		{"-query-workers", "-1"},
 		{"-worker-budget", "-1"},
 		{"-slow-threshold", "-1s"},

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"math/rand"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/relation"
 	"repro/internal/workload"
 )
 
@@ -55,6 +57,13 @@ func triangleData(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return writeData(t, db)
+}
+
+// writeData writes db's relations as TSV files under a test directory and
+// returns joinrun's -data value.
+func writeData(t *testing.T, db *relation.Database) string {
+	t.Helper()
 	dir := t.TempDir()
 	var paths []string
 	for i := 0; i < db.Len(); i++ {
@@ -103,5 +112,31 @@ func TestNegativeLimitsAreUsageErrors(t *testing.T) {
 	}
 	if _, stderr, code := joinrun(t, "-data", data, "-strategy", "program", "-max-tuples", "1"); code != 3 {
 		t.Errorf("-max-tuples 1 exited %d, want 3 (a resource abort): %s", code, stderr)
+	}
+}
+
+// TestSearchAbortExitsThree: on Example3(q=40) the program route's optimizer
+// search crosses its tuple budget; joinrun reports that as a resource abort
+// (exit status 3), and -json prints it with "aborted": true.
+func TestSearchAbortExitsThree(t *testing.T) {
+	spec, err := workload.Example3(40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := spec.CycleDatabase()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := writeData(t, db)
+	if _, stderr, code := joinrun(t, "-data", data, "-strategy", "program"); code != 3 || !strings.Contains(stderr, "aborted") {
+		t.Errorf("program exited %d, want 3 with an abort message: %s", code, stderr)
+	}
+	stdout, stderr, code := joinrun(t, "-data", data, "-strategy", "program", "-json")
+	var rep struct {
+		Error   string `json:"error"`
+		Aborted bool   `json:"aborted"`
+	}
+	if code != 3 || json.Unmarshal([]byte(stdout), &rep) != nil || !rep.Aborted || !strings.Contains(rep.Error, "search") {
+		t.Errorf("program -json exited %d with %q, want 3 and an aborted search error: %s", code, stdout, stderr)
 	}
 }

@@ -45,14 +45,16 @@ func TestEndToEndPaperPipeline(t *testing.T) {
 	}
 	t1Cost := t1.Cost(db)
 
-	// The exact optimizer agrees this tree is optimal.
+	// The exact optimizer agrees this tree is optimal. A plan's cost
+	// leaves out |⋈D|, which every expression pays at its root.
 	cat := optimizer.NewCatalog(db, 0)
 	opt, err := optimizer.Optimal(cat, optimizer.SpaceAll)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opt.Cost != int64(t1Cost) {
-		t.Fatalf("optimizer cost %d, Figure 1 tree cost %d", opt.Cost, t1Cost)
+	root := int64(full.Len())
+	if opt.Cost+root != int64(t1Cost) {
+		t.Fatalf("optimizer cost %d + %d, Figure 1 tree cost %d", opt.Cost, root, t1Cost)
 	}
 
 	t2, err := core.CPFify(t1, h, nil)
@@ -84,8 +86,8 @@ func TestEndToEndPaperPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int64(res.Cost) >= cpf.Cost {
-		t.Fatalf("program (%d) should beat the cheapest CPF expression (%d) at q=10", res.Cost, cpf.Cost)
+	if int64(res.Cost) >= cpf.Cost+root {
+		t.Fatalf("program (%d) should beat the cheapest CPF expression (%d) at q=10", res.Cost, cpf.Cost+root)
 	}
 }
 

@@ -90,10 +90,6 @@ func (s Strategy) String() string {
 type Options struct {
 	// Strategy selects the execution route (default StrategyAuto).
 	Strategy Strategy
-	// Budget caps the tuples the optimizer's catalog may materialize while
-	// searching (0 = optimizer.DefaultBudget). It bounds planning only;
-	// Limits bounds execution.
-	Budget int64
 	// Limits bounds execution itself: tuple budgets, a deadline, and a
 	// cancellation context enforced inside every operator (zero value =
 	// unlimited). Exceeding a limit aborts with a typed error
@@ -145,7 +141,7 @@ type Report struct {
 	Strategy Strategy
 	// Cost is the total §2.3 cost actually paid by execution: the input
 	// relations plus every generated relation. Optimizer search work is
-	// excluded; Options.Budget bounds that separately.
+	// excluded; the optimizer's catalog bounds that with a budget of its own.
 	Cost int64
 	// Produced is the number of tuples the governor charged during the
 	// winning execution attempt (0 when neither limits nor tracing were
@@ -385,20 +381,21 @@ func DegradationLadder(s Strategy, acyclic bool) []Strategy {
 }
 
 // degradable reports whether an attempt's failure should fall through to
-// the next rung: execution tuple budgets and optimizer search budgets
-// degrade; cancellation, deadlines, and real errors are final.
+// the next rung: tuple budget aborts, in execution or in the optimizer's
+// search, degrade; cancellation, deadlines, and real errors are final.
 func degradable(err error) bool {
-	return errors.Is(err, govern.ErrTupleBudget) || errors.Is(err, optimizer.ErrBudget)
+	return errors.Is(err, govern.ErrTupleBudget)
 }
 
 // Climb runs attempt on each rung of ladder in order and returns the first
 // report that succeeds, with one "degradation: X aborted …" note per rung
 // that fell through prepended to its notes. A rung falls through only on a
-// tuple or search budget abort; any other error, or an abort on the last
-// rung, ends the climb. The attempt owns everything per rung — planning (or
-// a plan-cache lookup) and execution under a fresh governor — so tuple
-// budgets are per rung, while deadlines and contexts are absolute and carry
-// across rungs. Join and the serving layer both climb through here.
+// tuple budget abort, in planning or execution; any other error, or an
+// abort on the last rung, ends the climb. The attempt owns everything per
+// rung — planning (or a plan-cache lookup) and execution under a fresh
+// governor — so tuple budgets are per rung, while deadlines and contexts
+// are absolute and carry across rungs. Join and the serving layer both
+// climb through here.
 func Climb(ladder []Strategy, attempt func(Strategy) (*Report, error)) (*Report, error) {
 	var chain []string
 	for i, rung := range ladder {
@@ -429,19 +426,20 @@ func exprSpace(h *hypergraph.Hypergraph) optimizer.Space {
 }
 
 // bestTree finds the cheapest join expression: exact DP when the scheme is
-// small enough, greedy otherwise. The returned note names the search used.
-func bestTree(db *relation.Database, h *hypergraph.Hypergraph, budget int64, space optimizer.Space) (*jointree.Tree, string, error) {
-	cat := optimizer.NewCatalog(db, budget)
-	if h.Len() <= optimizer.MaxExactRelations {
-		plan, err := optimizer.Optimal(cat, space)
-		if err == nil {
-			return plan.Tree, fmt.Sprintf("exact %s-space DP (cost %d)", space, plan.Cost), nil
+// small enough, greedy otherwise. The returned note names the search used
+// and its cost, which leaves out |⋈D|.
+func bestTree(db *relation.Database, space optimizer.Space) (*jointree.Tree, string, error) {
+	cat := optimizer.NewCatalog(db, 0)
+	if db.Len() > optimizer.MaxExactRelations {
+		plan, err := optimizer.Greedy(cat, space == optimizer.SpaceCPF)
+		if err != nil {
+			return nil, "", err
 		}
-		// Fall through to greedy on budget exhaustion.
+		return plan.Tree, fmt.Sprintf("greedy (cost %d + |⋈D|)", plan.Cost), nil
 	}
-	plan, err := optimizer.Greedy(cat, space == optimizer.SpaceCPF)
+	plan, err := optimizer.Optimal(cat, space)
 	if err != nil {
 		return nil, "", err
 	}
-	return plan.Tree, fmt.Sprintf("greedy (cost %d)", plan.Cost), nil
+	return plan.Tree, fmt.Sprintf("exact %s-space DP (cost %d + |⋈D|)", space, plan.Cost), nil
 }

@@ -1,10 +1,13 @@
 package engine
 
 import (
+	"errors"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/govern"
 	"repro/internal/hypergraph"
 	"repro/internal/program"
 	"repro/internal/relation"
@@ -245,16 +248,28 @@ func TestExplainMentionsPlan(t *testing.T) {
 	}
 }
 
+// TestJoinTinyBudgetFails: on Example3(q=40) the optimizer's search
+// crosses the catalog's tuple budget, and PlanFor under an explicit
+// program or cpf-expression strategy surfaces that as a
+// govern.ErrTupleBudget abort, within a bounded allocation, rather than
+// returning a plan or a generic failure.
 func TestJoinTinyBudgetFails(t *testing.T) {
-	// With a 1-tuple optimizer budget every catalog materialization fails;
-	// the exact DP and the greedy fallback both error, and Join surfaces
-	// it rather than returning a wrong answer.
-	db := example3DB(t, 6)
-	if _, err := Join(db, Options{Strategy: StrategyProgram, Budget: 1}); err == nil {
-		t.Error("tiny budget silently succeeded")
-	}
-	if _, err := Join(db, Options{Strategy: StrategyExpression, Budget: 1}); err == nil {
-		t.Error("tiny budget silently succeeded for expressions")
+	db := example3DB(t, 40)
+	for _, s := range []Strategy{StrategyProgram, StrategyExpression} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := PlanFor(db, Options{Strategy: s})
+		runtime.ReadMemStats(&after)
+		var lim *govern.LimitError
+		if !errors.Is(err, govern.ErrTupleBudget) || !errors.As(err, &lim) {
+			t.Fatalf("%s: err = %v, want a govern.ErrTupleBudget search abort", s, err)
+		}
+		if !strings.Contains(err.Error(), "search") {
+			t.Errorf("%s: %q does not name the search", s, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<20 {
+			t.Errorf("%s: the aborted search allocated %d MiB, want < 64", s, alloc>>20)
+		}
 	}
 }
 

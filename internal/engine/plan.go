@@ -137,12 +137,13 @@ func leftDeep(n int) *jointree.Tree {
 
 // PlanFor derives a reusable plan for db's scheme under the given options:
 // it resolves the strategy, runs whatever optimizer search the strategy
-// needs (charged against Options.Budget), runs Algorithms 1 and 2 for the
-// program route, and compiles the outcome into the plan's Program.
-// Execution limits in Options are ignored here; they bind at ExecutePlan
-// time. The instance's statistics steer the search, but the returned plan is
-// valid for every database over the same scheme (Theorem 1) and
-// quasi-optimal relative to the found expression on all of them (Theorem 2).
+// needs (a search over its catalog's tuple budget is a govern.ErrTupleBudget
+// abort), runs Algorithms 1 and 2 for the program route, and compiles the
+// outcome into the plan's Program. Execution limits in Options are ignored
+// here; they bind at ExecutePlan time. The instance's statistics steer the
+// search, but the returned plan is valid for every database over the same
+// scheme (Theorem 1) and quasi-optimal relative to the found expression on
+// all of them (Theorem 2).
 func PlanFor(db *relation.Database, opts Options) (*Plan, error) {
 	if db == nil || db.Len() == 0 {
 		return nil, fmt.Errorf("engine: empty database")
@@ -169,7 +170,7 @@ func PlanFor(db *relation.Database, opts Options) (*Plan, error) {
 		p.Program = leapfrogProgram(ch)
 		p.Notes = append(p.Notes, "variable order derived greedily: connected prefixes first, ties to the attribute on most edges")
 	case StrategyExpression, StrategyReduceThenJoin:
-		tree, how, err := bestTree(cdb, ch, opts.Budget, exprSpace(ch))
+		tree, how, err := bestTree(cdb, exprSpace(ch))
 		if err != nil {
 			return nil, err
 		}
@@ -183,7 +184,7 @@ func PlanFor(db *relation.Database, opts Options) (*Plan, error) {
 			header = "one pairwise semijoin round, then " + tree.String(ch) + "\n"
 		}
 	case StrategyProgram:
-		tree, how, err := bestTree(cdb, ch, opts.Budget, optimizer.SpaceAll)
+		tree, how, err := bestTree(cdb, optimizer.SpaceAll)
 		if err != nil {
 			return nil, err
 		}
@@ -262,8 +263,8 @@ func leapfrogProgram(ch *hypergraph.Hypergraph) *program.Program {
 // the same scheme (equal Fingerprint; any edge order). No optimizer search
 // or algorithm derivation happens here — this is the serving hot path: the
 // plan's Program runs on the program executor, the one path every strategy
-// takes. Options.Limits and Options.Workers apply; Options.Strategy and
-// Options.Budget are ignored (the plan fixed both).
+// takes. Options.Limits and Options.Workers apply; Options.Strategy is
+// ignored (the plan fixed it).
 // The plan is not mutated, so concurrent ExecutePlan calls on one plan are
 // safe — including parallel executions of the same cached plan, each with
 // its own governor and worker pool.

@@ -34,11 +34,11 @@ func HeadlineClaim(trials int, seed int64) (*Table, error) {
 		}
 		db := cat.Database()
 		h := cat.Hypergraph()
-		opt, err := optimizer.Optimal(cat, optimizer.SpaceAll)
+		opt, err := optimal(cat, optimizer.SpaceAll)
 		if err != nil {
 			return err
 		}
-		cpf, err := optimizer.Optimal(cat, optimizer.SpaceCPF)
+		cpf, err := optimal(cat, optimizer.SpaceCPF)
 		if err != nil {
 			return err
 		}

@@ -36,15 +36,15 @@ func OptimalShapeSurvey(trialsPerRow int, seed int64) (*Table, error) {
 				return nil, err
 			}
 			cat := optimizer.NewCatalog(db, 0)
-			opt, err := optimizer.Optimal(cat, optimizer.SpaceAll)
+			opt, err := optimal(cat, optimizer.SpaceAll)
 			if err != nil {
 				continue
 			}
-			cpf, err := optimizer.Optimal(cat, optimizer.SpaceCPF)
+			cpf, err := optimal(cat, optimizer.SpaceCPF)
 			if err != nil {
 				continue // disconnected scheme: no CPF plan at all
 			}
-			lin, err := optimizer.Optimal(cat, optimizer.SpaceLinear)
+			lin, err := optimal(cat, optimizer.SpaceLinear)
 			if err != nil {
 				continue
 			}

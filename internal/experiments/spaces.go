@@ -83,7 +83,7 @@ func LinearCPFProbe(trials int, seed int64) (*Table, error) {
 				continue
 			}
 			cat := optimizer.NewCatalog(db, 0)
-			opt, err := optimizer.Optimal(cat, optimizer.SpaceAll)
+			opt, err := optimal(cat, optimizer.SpaceAll)
 			if err != nil {
 				continue
 			}
@@ -179,20 +179,23 @@ func OptimizerComparison(seed int64) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		opt, err := optimizer.Optimal(cat, optimizer.SpaceAll)
+		opt, err := optimal(cat, optimizer.SpaceAll)
 		if err != nil {
 			return nil, err
 		}
-		cpf, err := optimizer.Optimal(cat, optimizer.SpaceCPF)
+		cpf, err := optimal(cat, optimizer.SpaceCPF)
 		if err != nil {
 			return nil, err
 		}
-		lin, err := optimizer.Optimal(cat, optimizer.SpaceLinear)
+		lin, err := optimal(cat, optimizer.SpaceLinear)
 		if err != nil {
 			return nil, err
 		}
 		greedy, err := optimizer.Greedy(cat, false)
 		if err != nil {
+			return nil, err
+		}
+		if greedy.Cost, err = optimizer.CostOf(cat, greedy.Tree); err != nil {
 			return nil, err
 		}
 		t.AddRow(inst.name, opt.Cost,

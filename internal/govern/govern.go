@@ -56,8 +56,8 @@ const DefaultCheckEvery = 1024
 //
 // The budgets count tuples *produced* by operators (every join, semijoin,
 // projection, or product output row) — the §2.3 "generated relations", not
-// the inputs, and not the optimizer's search work (which Options.Budget in
-// the engine bounds separately).
+// the inputs, and not the optimizer's search work (the optimizer's catalog
+// charges that to a governor of its own).
 type Limits struct {
 	// MaxTuples caps the total tuples produced across all operators of one
 	// execution (0 = unlimited).

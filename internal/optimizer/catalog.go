@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/govern"
 	"repro/internal/hypergraph"
 	"repro/internal/relation"
 )
@@ -63,7 +64,9 @@ func satMul(a, b int64) int64 {
 // (relation.JoinSizeBlocks) rather than by building the join, and only the
 // partition halves themselves are materialized. Everything runs on the block
 // kernels the executor uses: leaves are the relations' resident blocks
-// (Relation.Block) and sub-joins are relation.JoinBlocksGoverned outputs.
+// (Relation.Block) and sub-joins are relation.JoinBlocksGoverned outputs on a
+// governor whose MaxTuples is the catalog's budget, so the one that would
+// cross it aborts in its count pass, before its output is allocated.
 type Catalog struct {
 	h  *hypergraph.Hypergraph
 	db *relation.Database
@@ -71,30 +74,27 @@ type Catalog struct {
 	mat map[hypergraph.Mask]*relation.ColBlock
 	// csize holds |⋈D[S]| for connected masks.
 	csize map[hypergraph.Mask]int64
-	// budget caps the total number of tuples materialized; spent tracks it.
-	budget int64
-	spent  int64
+	// gov charges every materialized tuple against the budget.
+	gov *govern.Governor
 }
 
-// DefaultBudget is the default cap on the total number of tuples the catalog
-// will materialize across all connected subsets.
-const DefaultBudget = 50_000_000
-
-// ErrBudget is returned when materialization would exceed the tuple budget.
-var ErrBudget = fmt.Errorf("optimizer: catalog tuple budget exhausted")
+// defaultBudget is the cap on the total number of tuples a catalog
+// materializes across all connected subsets when NewCatalog is given none.
+const defaultBudget = 50_000_000
 
 // NewCatalog builds a catalog for db. budget caps the total materialized
-// tuples (0 = DefaultBudget).
+// tuples (0 = a default of 50 million); crossing it fails the size query
+// with a *govern.LimitError, which matches govern.ErrTupleBudget.
 func NewCatalog(db *relation.Database, budget int64) *Catalog {
 	if budget <= 0 {
-		budget = DefaultBudget
+		budget = defaultBudget
 	}
 	return &Catalog{
-		h:      hypergraph.OfScheme(db),
-		db:     db,
-		mat:    make(map[hypergraph.Mask]*relation.ColBlock),
-		csize:  make(map[hypergraph.Mask]int64),
-		budget: budget,
+		h:     hypergraph.OfScheme(db),
+		db:    db,
+		mat:   make(map[hypergraph.Mask]*relation.ColBlock),
+		csize: make(map[hypergraph.Mask]int64),
+		gov:   govern.New(govern.Limits{MaxTuples: budget}),
 	}
 }
 
@@ -225,13 +225,9 @@ func (c *Catalog) materialize(mask hypergraph.Mask) (*relation.ColBlock, error) 
 	if err != nil {
 		return nil, err
 	}
-	out, err := relation.JoinBlocksGoverned(nil, base, c.db.Relation(bestI).Block())
+	out, err := relation.JoinBlocksGoverned(c.gov, base, c.db.Relation(bestI).Block())
 	if err != nil {
-		return nil, err
-	}
-	c.spent += int64(out.Len())
-	if c.spent > c.budget {
-		return nil, ErrBudget
+		return nil, fmt.Errorf("optimizer: search materializing %s: %w", mask, err)
 	}
 	c.mat[mask] = out
 	return out, nil

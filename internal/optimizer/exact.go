@@ -7,13 +7,27 @@ import (
 	"repro/internal/jointree"
 )
 
-// Plan is a join expression tree with its exact cost on the database the
-// optimizer ran against.
+// Plan is a join expression tree with its exact search cost on the database
+// the optimizer ran against.
 type Plan struct {
 	Tree *jointree.Tree
-	// Cost is the paper's cost(E(D)): Σ|R| over leaves plus every
-	// intermediate and the final result.
+	// Cost is the paper's cost(E(D)) less |⋈D|: Σ|R| over leaves plus every
+	// intermediate, without the final result (0 for a single relation).
+	// CostOf includes it.
 	Cost int64
+}
+
+// rootless is the sizer the searches run on: it answers 0 for the full
+// scheme. Every join expression pays |⋈D| at its root, so leaving it out
+// changes no choice, and the search never sizes the largest join there is.
+type rootless struct{ Sizer }
+
+// Size returns 0 for the full scheme and the wrapped sizer's answer below it.
+func (r rootless) Size(mask hypergraph.Mask) (int64, error) {
+	if mask == r.Hypergraph().Full() {
+		return 0, nil
+	}
+	return r.Sizer.Size(mask)
 }
 
 // MaxExactRelations bounds the exhaustive dynamic programs: the bushy DP
@@ -53,8 +67,9 @@ func (s Space) String() string {
 // Optimal finds a cheapest join expression in the given space by exact
 // dynamic programming over true cardinalities. It returns an error when the
 // scheme is too large, the space is empty (a disconnected scheme has no CPF
-// tree), or the catalog budget is exhausted.
+// tree), or the sizer fails (a catalog over its tuple budget).
 func Optimal(c Sizer, space Space) (Plan, error) {
+	c = rootless{c}
 	n := c.Hypergraph().Len()
 	if n > MaxExactRelations {
 		return Plan{}, fmt.Errorf("optimizer: %d relations exceeds the exact-search limit %d", n, MaxExactRelations)
@@ -83,12 +98,21 @@ func leafSize(c Sizer, i int) int64 {
 	return sz
 }
 
-// bushyCell is one DP entry: the best cost for a subset and the partition
-// that achieves it (left == 0 marks a leaf).
-type bushyCell struct {
+// cell is one DP entry: the best cost for a subset and the partition that
+// achieves it (left == 0 marks a leaf).
+type cell struct {
 	cost  int64
 	left  hypergraph.Mask
 	right hypergraph.Mask
+}
+
+// build returns the tree the DP table best holds for mask.
+func build(best map[hypergraph.Mask]cell, mask hypergraph.Mask) *jointree.Tree {
+	c := best[mask]
+	if c.left == 0 {
+		return jointree.NewLeaf(mask.Indexes()[0])
+	}
+	return jointree.NewJoin(build(best, c.left), build(best, c.right))
 }
 
 // optimalBushy runs the subset DP. With cpf set, only partitions whose sides
@@ -97,13 +121,13 @@ type bushyCell struct {
 func optimalBushy(c Sizer, cpf bool) (Plan, error) {
 	n := c.Hypergraph().Len()
 	full := c.Hypergraph().Full()
-	best := make(map[hypergraph.Mask]bushyCell, 1<<uint(n))
+	best := make(map[hypergraph.Mask]cell, 1<<uint(n))
 
 	// Subsets in increasing cardinality: iterate all masks; a mask's proper
 	// submasks are numerically smaller, so ascending mask order works.
 	for mask := hypergraph.Mask(1); mask <= full; mask++ {
 		if mask.Count() == 1 {
-			best[mask] = bushyCell{cost: leafSize(c, mask.Indexes()[0])}
+			best[mask] = cell{cost: leafSize(c, mask.Indexes()[0])}
 			continue
 		}
 		if cpf && !c.Hypergraph().Connected(mask) {
@@ -113,7 +137,7 @@ func optimalBushy(c Sizer, cpf bool) (Plan, error) {
 		if err != nil {
 			return Plan{}, err
 		}
-		cell := bushyCell{cost: Infinite}
+		split := cell{cost: Infinite}
 		for l := (mask - 1) & mask; l != 0; l = (l - 1) & mask {
 			r := mask &^ l
 			if l < r {
@@ -129,38 +153,22 @@ func optimalBushy(c Sizer, cpf bool) (Plan, error) {
 			if cpf && !c.Hypergraph().Overlapping(l, r) {
 				continue
 			}
-			if total := satAdd(lc.cost, rc.cost); total < cell.cost {
-				cell.cost = total
-				cell.left, cell.right = l, r
+			if total := satAdd(lc.cost, rc.cost); total < split.cost {
+				split = cell{cost: total, left: l, right: r}
 			}
 		}
-		if cell.cost >= Infinite {
+		if split.cost >= Infinite {
 			continue // no feasible partition (CPF over non-splittable subset)
 		}
-		cell.cost = satAdd(cell.cost, size)
-		best[mask] = cell
+		split.cost = satAdd(split.cost, size)
+		best[mask] = split
 	}
 
 	root, ok := best[full]
 	if !ok || root.cost >= Infinite {
 		return Plan{}, fmt.Errorf("optimizer: no plan in space %s (disconnected scheme?)", map[bool]Space{false: SpaceAll, true: SpaceCPF}[cpf])
 	}
-	var build func(mask hypergraph.Mask) *jointree.Tree
-	build = func(mask hypergraph.Mask) *jointree.Tree {
-		cell := best[mask]
-		if cell.left == 0 {
-			return jointree.NewLeaf(mask.Indexes()[0])
-		}
-		return jointree.NewJoin(build(cell.left), build(cell.right))
-	}
-	return Plan{Tree: build(full), Cost: root.cost}, nil
-}
-
-// linCell is one linear-DP entry: best cost for a prefix set and the last
-// relation appended.
-type linCell struct {
-	cost int64
-	last int
+	return Plan{Tree: build(best, full), Cost: root.cost}, nil
 }
 
 // optimalLinear runs the left-deep DP: dp[S] = |⋈D[S]| + min over i∈S of
@@ -168,17 +176,14 @@ type linCell struct {
 // only extensions sharing an attribute with the prefix are admitted.
 func optimalLinear(c Sizer, cpf bool) (Plan, error) {
 	full := c.Hypergraph().Full()
-	if c.Hypergraph().Len() == 1 {
-		return Plan{Tree: jointree.NewLeaf(0), Cost: leafSize(c, 0)}, nil
-	}
-	best := make(map[hypergraph.Mask]linCell, 1<<uint(c.Hypergraph().Len()))
+	best := make(map[hypergraph.Mask]cell, 1<<uint(c.Hypergraph().Len()))
 
 	for mask := hypergraph.Mask(1); mask <= full; mask++ {
 		if mask.Count() == 1 {
-			best[mask] = linCell{cost: leafSize(c, mask.Indexes()[0]), last: -1}
+			best[mask] = cell{cost: leafSize(c, mask.Indexes()[0])}
 			continue
 		}
-		cell := linCell{cost: Infinite, last: -1}
+		ext := cell{cost: Infinite}
 		for _, i := range mask.Indexes() {
 			rest := mask.Without(i)
 			sub, ok := best[rest]
@@ -188,43 +193,26 @@ func optimalLinear(c Sizer, cpf bool) (Plan, error) {
 			if cpf && !c.Hypergraph().Overlapping(rest, hypergraph.MaskOf(i)) {
 				continue
 			}
-			total := satAdd(sub.cost, leafSize(c, i))
-			if total < cell.cost {
-				cell.cost = total
-				cell.last = i
+			if total := satAdd(sub.cost, leafSize(c, i)); total < ext.cost {
+				ext = cell{cost: total, left: rest, right: hypergraph.MaskOf(i)}
 			}
 		}
-		if cell.last < 0 {
+		if ext.left == 0 {
 			continue
 		}
 		size, err := c.Size(mask)
 		if err != nil {
 			return Plan{}, err
 		}
-		cell.cost = satAdd(cell.cost, size)
-		best[mask] = cell
+		ext.cost = satAdd(ext.cost, size)
+		best[mask] = ext
 	}
 
 	root, ok := best[full]
 	if !ok || root.cost >= Infinite {
 		return Plan{}, fmt.Errorf("optimizer: no plan in space %s", map[bool]Space{false: SpaceLinear, true: SpaceLinearCPF}[cpf])
 	}
-	// Reconstruct the order back to front.
-	order := make([]int, 0, c.Hypergraph().Len())
-	for mask := full; mask.Count() > 1; {
-		cell := best[mask]
-		order = append(order, cell.last)
-		mask = mask.Without(cell.last)
-		if mask.Count() == 1 {
-			order = append(order, mask.Indexes()[0])
-		}
-	}
-	// order is reversed (last appended first).
-	tree := jointree.NewLeaf(order[len(order)-1])
-	for i := len(order) - 2; i >= 0; i-- {
-		tree = jointree.NewJoin(tree, jointree.NewLeaf(order[i]))
-	}
-	return Plan{Tree: tree, Cost: root.cost}, nil
+	return Plan{Tree: build(best, full), Cost: root.cost}, nil
 }
 
 // CostOf evaluates the paper's cost of an arbitrary tree using the catalog

@@ -10,9 +10,11 @@ import (
 
 // Greedy builds a bushy plan by repeatedly joining the pair of current
 // subtrees whose join result is smallest (ties: lowest masks), a classic
-// smallest-intermediate heuristic. With cpfOnly set, only overlapping pairs
-// are considered; it then fails on disconnected schemes.
+// smallest-intermediate heuristic. The last join, the only candidate left,
+// is not sized. With cpfOnly set, only overlapping pairs are considered; it
+// then fails on disconnected schemes.
 func Greedy(c Sizer, cpfOnly bool) (Plan, error) {
+	c = rootless{c}
 	type part struct {
 		mask hypergraph.Mask
 		tree *jointree.Tree

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/govern"
 	"repro/internal/hypergraph"
 	"repro/internal/jointree"
 	"repro/internal/relation"
@@ -131,30 +132,35 @@ func TestCatalogSizeMatchesEvaluationEverywhere(t *testing.T) {
 }
 
 // TestCatalogBudget pins the catalog's materialization accounting on the
-// 4-cycle: the full search spends exactly 4 804 tuples, a budget of exactly
-// that passes, one less fails with ErrBudget, and a tiny budget stops at
-// the first join past it.
+// 4-cycle: sizing ⋈D materializes exactly 4 804 tuples, a budget of exactly
+// that passes, one less fails with a *govern.LimitError, and a tiny budget
+// aborts the first sub-join before it is memoized, leaving only leaves.
 func TestCatalogBudget(t *testing.T) {
 	db, _ := cycleDB(t, 3, 20)
 	const total = 4804
 	full := hypergraph.OfScheme(db).Full()
 	free := NewCatalog(db, 0)
-	if _, err := free.Size(full); err != nil || free.spent != total {
-		t.Fatalf("unbounded search: spent %d, err %v; want %d, nil", free.spent, err, total)
+	if _, err := free.Size(full); err != nil || free.gov.Produced() != total {
+		t.Fatalf("unbounded search: materialized %d, err %v; want %d, nil", free.gov.Produced(), err, total)
 	}
 	if _, err := NewCatalog(db, total).Size(full); err != nil {
-		t.Errorf("budget == spent must pass, got %v", err)
+		t.Errorf("budget == total must pass, got %v", err)
 	}
 	for _, budget := range []int64{total - 1, 10} {
 		c := NewCatalog(db, budget)
-		if _, err := c.Size(full); !errors.Is(err, ErrBudget) {
-			t.Errorf("budget %d: err = %v, want ErrBudget", budget, err)
+		_, err := c.Size(full)
+		var lim *govern.LimitError
+		if !errors.As(err, &lim) || !errors.Is(err, govern.ErrTupleBudget) || lim.Max != budget {
+			t.Errorf("budget %d: err = %v, want a *govern.LimitError at MaxTuples %d", budget, err, budget)
 		}
-	}
-	c := NewCatalog(db, 10) // absurdly small budget
-	_, _ = c.Size(full)
-	if c.spent != 1201 {
-		t.Errorf("budget 10 stopped at spent %d, want 1201", c.spent)
+		if budget != 10 {
+			continue
+		}
+		for mask := range c.mat {
+			if mask.Count() != 1 {
+				t.Errorf("budget 10: sub-join %s memoized after the abort", mask)
+			}
+		}
 	}
 }
 
@@ -170,11 +176,13 @@ func TestCatalogRejectsEmptyAndDisconnectedMaterialize(t *testing.T) {
 }
 
 // TestOptimalAgainstEnumeration cross-checks every exact DP against brute
-// force enumeration of its space on the paper's 4-cycle.
+// force enumeration of its space on the paper's 4-cycle. A plan's cost
+// leaves out |⋈D|, which every tree pays at its root.
 func TestOptimalAgainstEnumeration(t *testing.T) {
 	db, _ := cycleDB(t, 3, 2)
 	c := NewCatalog(db, 0)
 	h := c.Hypergraph()
+	root := int64(db.Join().Len())
 
 	enumBest := func(trees []*jointree.Tree) int64 {
 		best := int64(math.MaxInt64)
@@ -218,13 +226,13 @@ func TestOptimalAgainstEnumeration(t *testing.T) {
 			t.Fatalf("Optimal(%s): %v", cse.space, err)
 		}
 		want := enumBest(cse.trees)
-		if plan.Cost != want {
-			t.Errorf("Optimal(%s) = %d, enumeration says %d (tree %s)",
-				cse.space, plan.Cost, want, plan.Tree.String(h))
+		if plan.Cost+root != want {
+			t.Errorf("Optimal(%s) = %d + %d, enumeration says %d (tree %s)",
+				cse.space, plan.Cost, root, want, plan.Tree.String(h))
 		}
 		// The returned tree's real cost must equal the claimed cost.
-		if real := int64(plan.Tree.Cost(db)); real != plan.Cost {
-			t.Errorf("Optimal(%s): claimed %d, tree actually costs %d", cse.space, plan.Cost, real)
+		if real := int64(plan.Tree.Cost(db)); real != plan.Cost+root {
+			t.Errorf("Optimal(%s): claimed %d + %d, tree actually costs %d", cse.space, plan.Cost, root, real)
 		}
 		// Space membership.
 		switch cse.space {
@@ -274,15 +282,16 @@ func TestOptimalRandomizedAgainstEnumeration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if plan.Cost != best {
-			t.Fatalf("trial %d: DP = %d, enumeration = %d on %s", trial, plan.Cost, best, h)
+		if root := int64(db.Join().Len()); plan.Cost+root != best {
+			t.Fatalf("trial %d: DP = %d + %d, enumeration = %d on %s", trial, plan.Cost, root, best, h)
 		}
 	}
 }
 
 // TestExample3Separation is the quantitative heart of Example 3: on the
 // paper-shaped cycle family the optimal plan is non-CPF, the cheapest CPF
-// and linear plans are worse, and the gap grows with the scale q.
+// and linear plans are worse, and the gap grows with the scale q. Every
+// instance here has |⋈D| = 1.
 func TestExample3Separation(t *testing.T) {
 	db, spec := example3DB(t, 10)
 	c := NewCatalog(db, 0)
@@ -320,25 +329,26 @@ func TestExample3Separation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ratio1 := float64(cpf.Cost) / float64(opt.Cost)
-	ratio2 := float64(cpf2.Cost) / float64(opt2.Cost)
+	ratio1 := float64(cpf.Cost+1) / float64(opt.Cost+1)
+	ratio2 := float64(cpf2.Cost+1) / float64(opt2.Cost+1)
 	if ratio2 <= ratio1 {
 		t.Errorf("CPF/optimal ratio should grow with q: %f then %f", ratio1, ratio2)
 	}
-	// The paper's opposite-pair expression is the optimal one.
+	// The paper's opposite-pair expression is the optimal one; CostOf
+	// counts its root, |⋈D| = 1, which the search leaves out.
 	nonCPF := jointree.MustParse(h, "(ABC ⋈ EFG) ⋈ (CDE ⋈ GHA)")
 	nonCPFCost, err := CostOf(c, nonCPF)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nonCPFCost != opt.Cost {
-		t.Errorf("the opposite-pair expression (%d) should be optimal (%d)", nonCPFCost, opt.Cost)
+	if nonCPFCost != opt.Cost+1 {
+		t.Errorf("the opposite-pair expression (%d) should be optimal (%d + 1)", nonCPFCost, opt.Cost)
 	}
 	// Shape check: optimal ≈ inputs + |R1||R3| + |R2||R4| + 1 exactly.
 	sz := spec.Sizes()
 	wantOpt := int64(db.TotalTuples()) + sz[0]*sz[2] + sz[1]*sz[3] + 1
-	if opt.Cost != wantOpt {
-		t.Errorf("optimal cost = %d, want %d (inputs + opposite products + 1)", opt.Cost, wantOpt)
+	if opt.Cost+1 != wantOpt {
+		t.Errorf("optimal cost = %d + 1, want %d (inputs + opposite products + 1)", opt.Cost, wantOpt)
 	}
 }
 
@@ -371,8 +381,8 @@ func TestGreedy(t *testing.T) {
 	if err := plan.Tree.Validate(c.Hypergraph()); err != nil {
 		t.Fatal(err)
 	}
-	if real := int64(plan.Tree.Cost(db)); real != plan.Cost {
-		t.Errorf("greedy cost %d, tree costs %d", plan.Cost, real)
+	if root, real := int64(db.Join().Len()), int64(plan.Tree.Cost(db)); real != plan.Cost+root {
+		t.Errorf("greedy cost %d + %d, tree costs %d", plan.Cost, root, real)
 	}
 	// Greedy with products allowed finds the opposite-pair plan on the
 	// cycle only if products are cheapest; at P=4, M=3 the adjacent join
@@ -456,7 +466,7 @@ func TestOptimalSingleRelation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Optimal(%s): %v", space, err)
 		}
-		if !plan.Tree.IsLeaf() || plan.Cost != 1 {
+		if !plan.Tree.IsLeaf() || plan.Cost != 0 {
 			t.Errorf("Optimal(%s) on single relation = %v cost %d", space, plan.Tree, plan.Cost)
 		}
 	}

@@ -85,9 +85,6 @@ type Config struct {
 	// DefaultTimeout is the per-query deadline applied when a request does
 	// not set one (0 = none).
 	DefaultTimeout time.Duration
-	// SearchBudget bounds optimizer search on plan-cache misses
-	// (engine Options.Budget; 0 = the optimizer default).
-	SearchBudget int64
 	// QueryWorkers caps the intra-query parallelism of any single query
 	// (engine Options.Workers). The default 1 keeps queries sequential;
 	// raising it lets each query run its joins on up to QueryWorkers
@@ -226,8 +223,9 @@ type Stats struct {
 	// (tuple budget, deadline, cancellation).
 	Aborted int64 `json:"aborted"`
 	Failed  int64 `json:"failed"`
-	// Degraded counts queries whose first ladder rung aborted on a tuple or
-	// search budget and that went on to the next rung (auto only).
+	// Degraded counts queries whose first ladder rung aborted on a tuple
+	// budget, in planning or execution, and that went on to the next rung
+	// (auto only).
 	Degraded int64 `json:"degraded"`
 	// QueryWorkers is the configured per-query parallelism cap.
 	QueryWorkers int `json:"query_workers"`
@@ -641,7 +639,6 @@ func (s *Service) execute(ctx context.Context, e *catalogEntry, strat engine.Str
 	}.WithTimeout(timeout)
 	opts := engine.Options{
 		Strategy: strat,
-		Budget:   s.cfg.SearchBudget,
 		Limits:   lim,
 		Workers:  workers,
 	}
@@ -695,7 +692,7 @@ func (s *Service) cachedPlan(e *catalogEntry, db *relation.Database, rung engine
 		// and coalesced waiters carry no plan span.
 		sp := pcSpan.Child(obs.KindPlan, "derive plan")
 		defer sp.End()
-		return engine.PlanFor(db, engine.Options{Strategy: rung, Budget: s.cfg.SearchBudget})
+		return engine.PlanFor(db, engine.Options{Strategy: rung})
 	})
 	if pcSpan != nil {
 		if hit {

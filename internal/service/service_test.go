@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -502,5 +504,65 @@ func TestBadStrategyEnumeratesNames(t *testing.T) {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("error does not list %q: %v", name, err)
 		}
+	}
+}
+
+// TestSearchAbortServedAsResourceLimit: on Example3(q=40) the optimizer's
+// search crosses its tuple budget while planning. An explicit program query
+// is a 422 resource_limit counted aborted; auto falls through its three
+// search-bound rungs to wcoj. Both stay within a bounded allocation, since
+// the search aborts before it builds the sub-join that crosses the budget.
+func TestSearchAbortServedAsResourceLimit(t *testing.T) {
+	spec, err := workload.Example3(40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := spec.CycleDatabase()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Workers: 1})
+	if _, err := s.Register("ex3", db); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	code, out := postJSON(t, srv, "/v1/query", `{"database":"ex3","strategy":"program"}`)
+	if code != http.StatusUnprocessableEntity || out["kind"] != "resource_limit" {
+		t.Errorf("program = %d %v, want 422 resource_limit", code, out)
+	}
+	code, out = postJSON(t, srv, "/v1/query", `{"database":"ex3","strategy":"auto"}`)
+	runtime.ReadMemStats(&after)
+	if code != http.StatusOK || out["strategy"] != "wcoj" {
+		t.Errorf("auto = %d %v, want 200 on wcoj", code, out)
+	}
+	degraded := 0
+	notes, _ := out["notes"].([]any)
+	for _, n := range notes {
+		if note, _ := n.(string); strings.HasPrefix(note, "degradation:") {
+			degraded++
+		}
+	}
+	if degraded != 3 {
+		t.Errorf("auto carries %d degradation notes, want 3: %v", degraded, notes)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 128<<20 {
+		t.Errorf("the two queries allocated %d MiB, want < 128", alloc>>20)
+	}
+
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `joind_queries_total{strategy="program",status="aborted"} 1`; !strings.Contains(string(body), want) {
+		t.Errorf("metrics lack %s:\n%s", want, body)
 	}
 }

@@ -32,8 +32,8 @@ func NewInProcess(g *Group) *InProcess { return &InProcess{g: g} }
 // collective charges first exceed the grant.
 //
 // opts carries the query's sequential limits; Run derives the per-shard
-// limits from them. opts.Strategy and opts.Budget are ignored (the plan
-// fixed both, as with engine.ExecutePlan). ex must be g's executor.
+// limits from them. opts.Strategy is ignored (the plan fixed it, as with
+// engine.ExecutePlan). ex must be g's executor.
 func Run(g *Group, plan *engine.Plan, opts engine.Options, ex *InProcess) (*engine.Report, error) {
 	if g == nil {
 		return nil, fmt.Errorf("shard: nil group")
