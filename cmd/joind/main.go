@@ -12,7 +12,7 @@
 //	joind [-addr :8080] [-workers n] [-queue-depth n] [-queue-timeout 5s]
 //	      [-plan-cache 128] [-global-max-tuples n] [-max-tuples-per-query n]
 //	      [-default-timeout d] [-query-workers n]
-//	      [-worker-budget n] [-slow-threshold d] [-slow-log n]
+//	      [-slow-threshold d] [-slow-log n]
 //	      [-preload name=r1.tsv,r2.tsv,...]
 //	      [-data-dir dir] [-fsync always|interval|never]
 //	      [-fsync-interval 100ms] [-checkpoint-every n]
@@ -77,7 +77,6 @@ func main() {
 	maxTuplesPerQuery := flag.Int64("max-tuples-per-query", 0, "per-query tuple budget cap (0 = fair share of global budget)")
 	defaultTimeout := flag.Duration("default-timeout", 0, "per-query deadline when the request sets none (0 = none)")
 	queryWorkers := flag.Int("query-workers", 0, "intra-query parallelism cap per query (0 or 1 = sequential)")
-	workerBudget := flag.Int64("worker-budget", 0, "total intra-query worker goroutines across queries (0 = workers × query-workers)")
 	slowThreshold := flag.Duration("slow-threshold", 0, "capture queries at least this slow in the slow-query log, with span trees (0 = disabled; 1ns = everything)")
 	slowLogSize := flag.Int("slow-log", 0, "slow-query log capacity in entries (0 = default)")
 	preload := flag.String("preload", "", "semicolon-separated name=r1.tsv,r2.tsv,... databases to register at startup")
@@ -119,7 +118,6 @@ func main() {
 		MaxTuplesPerQuery:  *maxTuplesPerQuery,
 		DefaultTimeout:     *defaultTimeout,
 		QueryWorkers:       *queryWorkers,
-		WorkerBudget:       *workerBudget,
 		SlowQueryThreshold: *slowThreshold,
 		SlowLogSize:        *slowLogSize,
 		Shards:             *shards,

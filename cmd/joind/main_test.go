@@ -63,7 +63,6 @@ func TestNegativeFlagsAreUsageErrors(t *testing.T) {
 		{"-max-tuples-per-query", "-1"},
 		{"-default-timeout", "-1s"},
 		{"-query-workers", "-1"},
-		{"-worker-budget", "-1"},
 		{"-slow-threshold", "-1s"},
 		{"-slow-log", "-1"},
 		{"-drain", "-1s"},

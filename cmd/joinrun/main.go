@@ -23,9 +23,10 @@
 // limit is a usage error (exit status 2), as it is a 400 from joind.
 //
 // -trace records the execution's span tree — per ladder rung a "derive
-// plan" span and an "execute plan" attempt span, and per-phase / per-statement / per-variable children, each
-// with its wall time and the tuples the governor charged — and prints it
-// after the report (or embeds it in the -json output). The span tuple
+// plan" span and an "execute plan" attempt span holding the "execute
+// program" span and its per-statement / per-variable children, each with
+// its wall time and the tuples the governor charged — and prints it after
+// the report (or embeds it in the -json output). The span tuple
 // totals reconcile with the report's produced count.
 //
 // -json replaces the EXPLAIN text with a machine-readable report (and, with

@@ -5,8 +5,10 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"path"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -32,16 +34,27 @@ var stdlibMethodNames = map[string]bool{
 }
 
 type goFile struct {
-	path string
+	path string // slash-separated, relative to the repository root
 	ast  *ast.File
 }
 
+// dir is the file's package directory, which names its package here:
+// "internal/program" for the package imported as "repro/internal/program".
+func (f goFile) dir() string { return path.Dir(f.path) }
+
 // TestEveryInternalExportHasACaller fails on an exported function or method
-// under internal/ whose name no non-test Go file of the repository mentions
-// outside the function's own declaration: a recursive call is not a caller.
-// bench/, cmd/ and examples/ count as callers; tests do not. A method whose
-// name an interface of the repository declares is exempt, as are
-// stdlibMethodNames and testHelperExports.
+// under internal/ that no non-test Go file of the repository uses outside
+// the function's own declaration: a recursive call is not a caller. bench/,
+// cmd/ and examples/ count as callers; tests do not.
+//
+// A package-level function is resolved by its package: only pkg.Name
+// through an import of that package (aliases resolved), or a bare Name
+// inside its own package, uses it, so a call of one package's Parse keeps
+// no other package's Parse alive. A method is matched by name alone: telling
+// x.Parse's receiver type apart needs type-checking, and type-checking the
+// module with go/types' source importer takes about ten seconds, too slow
+// for this test. A method whose name an interface of the repository
+// declares is exempt, as are stdlibMethodNames and testHelperExports.
 func TestEveryInternalExportHasACaller(t *testing.T) {
 	var files []goFile
 	fset := token.NewFileSet()
@@ -70,19 +83,49 @@ func TestEveryInternalExportHasACaller(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	referenced := map[string]bool{}
+	pkgName := map[string]string{} // package directory → package name
+	for _, f := range files {
+		pkgName[f.dir()] = f.ast.Name.Name
+	}
+	// funcUses holds "dir.Name" for each package-level use; names holds every
+	// identifier, for methods.
+	funcUses := map[string]bool{}
+	names := map[string]bool{}
 	ifaceMethods := map[string]bool{}
 	for _, f := range files {
+		imports := map[string]string{} // local package name → directory
+		for _, imp := range f.ast.Imports {
+			ip, _ := strconv.Unquote(imp.Path.Value)
+			dir, ok := strings.CutPrefix(ip, "repro/")
+			if !ok {
+				continue
+			}
+			local := pkgName[dir]
+			if imp.Name != nil {
+				local = imp.Name.Name
+			}
+			imports[local] = dir
+		}
 		for _, d := range f.ast.Decls {
 			self := ""
 			if fd, ok := d.(*ast.FuncDecl); ok {
 				self = fd.Name.Name
 			}
+			selected := map[*ast.Ident]bool{} // x.Name's Name: not a bare use
 			ast.Inspect(d, func(n ast.Node) bool {
 				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					selected[n.Sel] = true
+					if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
+						funcUses[imports[x.Name]+"."+n.Sel.Name] = true
+					}
 				case *ast.Ident:
-					if n.Name != self {
-						referenced[n.Name] = true
+					if n.Name == self {
+						break
+					}
+					names[n.Name] = true
+					if !selected[n] {
+						funcUses[f.dir()+"."+n.Name] = true
 					}
 				case *ast.InterfaceType:
 					for _, m := range n.Methods.List {
@@ -104,11 +147,12 @@ func TestEveryInternalExportHasACaller(t *testing.T) {
 		}
 		for _, d := range f.ast.Decls {
 			fd, ok := d.(*ast.FuncDecl)
-			if !ok || !fd.Name.IsExported() || referenced[fd.Name.Name] {
+			if !ok || !fd.Name.IsExported() {
 				continue
 			}
 			name := fd.Name.Name
-			if fd.Recv != nil && (ifaceMethods[name] || stdlibMethodNames[name]) {
+			if fd.Recv == nil && funcUses[f.dir()+"."+name] ||
+				fd.Recv != nil && (names[name] || ifaceMethods[name] || stdlibMethodNames[name]) {
 				continue
 			}
 			if _, ok := testHelperExports[f.ast.Name.Name+"."+name]; ok {

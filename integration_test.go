@@ -10,7 +10,6 @@ import (
 	"repro/internal/hypergraph"
 	"repro/internal/jointree"
 	"repro/internal/optimizer"
-	"repro/internal/program"
 	"repro/internal/relation"
 	"repro/internal/workload"
 )
@@ -91,23 +90,35 @@ func TestEndToEndPaperPipeline(t *testing.T) {
 	}
 }
 
-// TestEndToEndTextInterfaces round-trips the textual surfaces: join
-// expression parser, program parser/printer, TSV relations.
+// TestEndToEndTextInterfaces round-trips a join expression through its
+// text and prints the program Algorithm 2 derives from it in the paper's
+// notation: the left-deep 4-cycle expression yields Example 6's program.
 func TestEndToEndTextInterfaces(t *testing.T) {
 	h, err := hypergraph.ParseScheme("ABC CDE EFG GHA")
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := core.Derive(jointree.MustParse(h, "((ABC ⋈ CDE) ⋈ EFG) ⋈ GHA"), h)
+	const expr = "((ABC ⋈ CDE) ⋈ EFG) ⋈ GHA"
+	tree := jointree.MustParse(h, expr)
+	if got := tree.String(h); got != expr {
+		t.Fatalf("expression printed as %q, want %q", got, expr)
+	}
+	d, err := core.Derive(tree, h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reparsed, err := program.Parse(d.Program.String(), d.Program.Inputs, d.Program.Output)
-	if err != nil {
-		t.Fatalf("program text did not round-trip: %v", err)
-	}
-	if reparsed.String() != d.Program.String() {
-		t.Fatal("program text changed across a round trip")
+	const example6 = `R(V) := R(ABC) ⋉ R(CDE)
+R(F) := π_C R(V)
+R(F) := R(F) ⋈ R(CDE)
+R(F) := π_CE R(F)
+R(F) := R(F) ⋉ R(EFG)
+R(V) := R(V) ⋈ R(F)
+R(V) := R(V) ⋈ R(EFG)
+R(V) := R(V) ⋉ R(GHA)
+R(V) := R(V) ⋈ R(CDE)
+R(V) := R(V) ⋈ R(GHA)`
+	if got := d.Program.String(); got != example6 {
+		t.Fatalf("derived program prints as\n%s\nwant Example 6:\n%s", got, example6)
 	}
 }
 

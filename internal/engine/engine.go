@@ -116,11 +116,11 @@ type Options struct {
 	Workers int
 	// Trace, when non-nil, is the parent span the execution hangs its span
 	// tree under: per ladder rung a "derive plan" span and an "execute plan"
-	// attempt span, and per-phase / per-statement / per-variable children
-	// below each attempt, every span carrying its wall time and the tuples the governor
-	// charged during it. Tracing forces governor accounting on (so
-	// Report.Produced is meaningful even without limits) and adds no cost at
-	// all when nil.
+	// attempt span, and below each attempt an "execute program" span with
+	// per-statement / per-variable children, every span carrying its wall
+	// time and the tuples the governor charged during it. Tracing forces
+	// governor accounting on (so Report.Produced is meaningful even without
+	// limits) and adds no cost at all when nil.
 	Trace *obs.Span
 }
 
@@ -278,70 +278,35 @@ func newGovernor(opts Options) *govern.Governor {
 	return gov
 }
 
-// phaseNames names the span of each phase an execution runs its work under.
-var phaseNames = map[obs.Kind]string{
-	obs.KindReduce:   "pairwise semijoin round, then joins",
-	obs.KindEval:     "evaluate expression",
-	obs.KindPipeline: "full-reducer pipeline",
-}
-
-// tracedPhase runs one phase of a strategy attempt under a child span of
-// the governor's current span, installed as the governor's span for the
-// duration so the executor's spans nest under the phase. The phase span is
-// charged the governor delta the phase produced minus what its descendants
-// (the statement spans) already claimed. Untraced executions, and the phase
-// kind "", call fn with no overhead at all. The delta protocol is sound here
-// because engine-level phases run sequentially: nothing else charges the
-// governor during fn.
-func tracedPhase(gov *govern.Governor, kind obs.Kind, fn func() error) error {
+// executeTraced runs fn — one call into the program executor — under an
+// "execute program" span: the governor's span is swapped to it for the
+// duration so the executor's per-statement spans nest under it, then
+// restored. The span's self time is the executor's work outside statements
+// — encoding the inputs (the output leaves as a block, decoded only if
+// read). The swap is safe because the executor's worker goroutines are
+// spawned (and joined) strictly inside the call. Untraced executions call fn
+// with no overhead at all.
+func executeTraced(gov *govern.Governor, fn func() error) error {
 	parent := gov.Span()
-	if parent == nil || kind == "" {
+	if parent == nil {
 		return fn()
 	}
-	sp := parent.Child(kind, phaseNames[kind])
-	defer sp.End()
-	gov.SetSpan(sp)
-	before := gov.Produced()
+	exec := parent.Child(obs.KindExecute, "execute program")
+	gov.SetSpan(exec)
 	err := fn()
 	gov.SetSpan(parent)
-	sp.AddTuples(gov.Produced() - before - sp.TupleTotal())
 	if err != nil {
-		sp.Note("failed: %v", err)
+		exec.Note("failed: %v", err)
 	}
+	exec.End()
 	return err
-}
-
-// executeTraced runs fn — one call into the program executor — under the
-// plan's phase span and an "execute program" span: the governor's span is
-// swapped to the execute span for the duration so the executor's
-// per-statement spans nest under it, then restored. The span's self time is
-// the executor's work outside statements — encoding the inputs (the output
-// leaves as a block, decoded only if read). The swap is safe because the
-// executor's worker goroutines are spawned (and joined) strictly inside the
-// call.
-func executeTraced(gov *govern.Governor, phase obs.Kind, fn func() error) error {
-	return tracedPhase(gov, phase, func() error {
-		parent := gov.Span()
-		if parent == nil {
-			return fn()
-		}
-		exec := parent.Child(obs.KindExecute, "execute program")
-		gov.SetSpan(exec)
-		err := fn()
-		gov.SetSpan(parent)
-		if err != nil {
-			exec.Note("failed: %v", err)
-		}
-		exec.End()
-		return err
-	})
 }
 
 // runPlan runs the plan's program over the canonical database on the
 // program executor.
 func runPlan(cdb *relation.Database, plan *Plan, gov *govern.Governor, opts Options) (*Report, error) {
 	var res *program.Result
-	if err := executeTraced(gov, plan.phase, func() (err error) {
+	if err := executeTraced(gov, func() (err error) {
 		res, err = plan.Program.ApplyParallelGoverned(cdb, gov, opts.workerCount())
 		return err
 	}); err != nil {

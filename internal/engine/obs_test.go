@@ -74,43 +74,24 @@ func strategiesFor(h *hypergraph.Hypergraph) []Strategy {
 
 // TestTraceShapePerStrategy pins the spans each strategy emits: the root
 // holds a "derive plan" span (PlanFor) beside the "execute plan: X" attempt
-// span (ExecutePlan), and the attempt holds the strategy's phases. The
-// leapfrog plan is one multiway statement, whose trie and enumeration spans
-// nest under its statement span.
+// span (ExecutePlan), and the attempt holds one "execute program" span, the
+// executor's. The leapfrog plan is one multiway statement, whose trie and
+// enumeration spans nest under its statement span.
 func TestTraceShapePerStrategy(t *testing.T) {
 	db := triangleDB(t)
-	cases := []struct {
-		strategy Strategy
-		kinds    []obs.Kind
-	}{
-		{StrategyProgram, []obs.Kind{obs.KindExecute}},
-		{StrategyExpression, []obs.Kind{obs.KindEval}},
-		{StrategyReduceThenJoin, []obs.Kind{obs.KindReduce}},
-		{StrategyDirect, []obs.Kind{obs.KindEval}},
-		{StrategyWCOJ, []obs.Kind{obs.KindExecute}},
-	}
-	for _, c := range cases {
+	for _, s := range []Strategy{StrategyProgram, StrategyExpression, StrategyReduceThenJoin, StrategyDirect, StrategyWCOJ} {
 		tr := obs.NewTrace("shape")
-		if _, err := Join(db, Options{Strategy: c.strategy, Trace: tr.Root}); err != nil {
-			t.Fatalf("%s: %v", c.strategy, err)
+		if _, err := Join(db, Options{Strategy: s, Trace: tr.Root}); err != nil {
+			t.Fatalf("%s: %v", s, err)
 		}
 		tr.Root.End()
 		top := tr.Root.Children()
 		if len(top) != 2 || top[0].Kind() != obs.KindPlan || top[0].Name() != "derive plan" ||
-			top[1].Kind() != obs.KindAttempt || top[1].Name() != "execute plan: "+c.strategy.String() {
-			t.Fatalf("%s: root children are not [derive plan, execute plan: %s]\n%s", c.strategy, c.strategy, tr.Format())
+			top[1].Kind() != obs.KindAttempt || top[1].Name() != "execute plan: "+s.String() {
+			t.Fatalf("%s: root children are not [derive plan, execute plan: %s]\n%s", s, s, tr.Format())
 		}
-		var got []obs.Kind
-		for _, ch := range top[1].Children() {
-			got = append(got, ch.Kind())
-		}
-		if len(got) != len(c.kinds) {
-			t.Fatalf("%s: attempt children %v, want %v\n%s", c.strategy, got, c.kinds, tr.Format())
-		}
-		for i := range got {
-			if got[i] != c.kinds[i] {
-				t.Fatalf("%s: attempt children %v, want %v", c.strategy, got, c.kinds)
-			}
+		if got := top[1].Children(); len(got) != 1 || got[0].Kind() != obs.KindExecute || got[0].Name() != "execute program" {
+			t.Fatalf("%s: attempt children are not [execute program]\n%s", s, tr.Format())
 		}
 	}
 

@@ -60,10 +60,6 @@ type Plan struct {
 	Notes []string
 	// text is Report.Plan: how Program was obtained, then its statements.
 	text string
-	// phase is the span kind Program runs under when traced: KindEval for a
-	// join expression, KindReduce for reduce-then-join, KindPipeline for the
-	// acyclic pipeline, "" for none.
-	phase obs.Kind
 }
 
 // Resolve returns the strategy Auto resolves to for the given scheme — the
@@ -179,7 +175,7 @@ func PlanFor(db *relation.Database, opts Options) (*Plan, error) {
 		if p.Strategy == StrategyReduceThenJoin {
 			// A semijoin never removes a tuple of ⋈D, so the tree's joins
 			// over the reduced inputs still compute it (Theorem 1).
-			p.Program, p.phase = pairwiseRound(ch), obs.KindReduce
+			p.Program = pairwiseRound(ch)
 			p.Program.Output = tree.AppendJoins(p.Program, p.Program.Inputs)
 			header = "one pairwise semijoin round, then " + tree.String(ch) + "\n"
 		}
@@ -213,7 +209,7 @@ func PlanFor(db *relation.Database, opts Options) (*Plan, error) {
 	}
 	if p.Program == nil {
 		// The expression plans: the tree compiled to its joins.
-		p.Program, p.phase = p.Tree.Program(ch), obs.KindEval
+		p.Program = p.Tree.Program(ch)
 		header = p.Tree.String(ch) + "\n"
 	}
 	p.text = header + p.Program.String()
@@ -227,7 +223,7 @@ func (p *Plan) compileAcyclic(ch *hypergraph.Hypergraph) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	p.Program, p.phase = prog, obs.KindPipeline
+	p.Program = prog
 	return "full reducer; monotone expression: " + acyclic.MonotoneTree(jt).String(ch) + "\n", nil
 }
 

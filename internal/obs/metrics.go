@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -139,6 +140,23 @@ func (v *CounterVec) Add(n int64, labelValues ...string) {
 	}
 	v.mu.Unlock()
 	cell.Add(n)
+}
+
+// Sum totals the series whose value for label is value.
+func (v *CounterVec) Sum(label, value string) int64 {
+	i := slices.Index(v.labels, label)
+	if i < 0 {
+		panic(fmt.Sprintf("obs: %s has no label %q", v.name, label))
+	}
+	var n int64
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	for k, cell := range v.vals {
+		if strings.Split(k, "\xff")[i] == value {
+			n += cell.Load()
+		}
+	}
+	return n
 }
 
 func (v *CounterVec) write(w io.Writer) {

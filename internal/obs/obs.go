@@ -44,8 +44,6 @@ const (
 	KindQuery Kind = "query"
 	// KindQueue covers the wait for an admission worker slot.
 	KindQueue Kind = "queue"
-	// KindResolve covers strategy resolution.
-	KindResolve Kind = "resolve"
 	// KindPlanCache covers the plan-cache lookup (hit, miss, or coalesced
 	// wait on another caller's derivation).
 	KindPlanCache Kind = "plan-cache"
@@ -56,13 +54,6 @@ const (
 	KindAttempt Kind = "attempt"
 	// KindExecute covers governed execution of a cached plan.
 	KindExecute Kind = "execute"
-	// KindReduce covers a reduce-then-join program: a pairwise semijoin
-	// round, then joins.
-	KindReduce Kind = "reduce"
-	// KindEval covers join-expression evaluation.
-	KindEval Kind = "eval"
-	// KindPipeline covers the acyclic full-reduce + monotone-join pipeline.
-	KindPipeline Kind = "pipeline"
 	// KindStmt covers one program statement.
 	KindStmt Kind = "stmt"
 	// KindTrie covers trie-index construction for the WCOJ backend.
@@ -71,6 +62,15 @@ const (
 	KindEnumerate Kind = "enumerate"
 	// KindVar reports per-variable binding counts of the WCOJ enumeration.
 	KindVar Kind = "var"
+)
+
+// Span kinds that nothing emits. They stay defined because the served
+// benchmark's layer tables name them.
+const (
+	KindResolve  Kind = "resolve"
+	KindReduce   Kind = "reduce"
+	KindEval     Kind = "eval"
+	KindPipeline Kind = "pipeline"
 )
 
 // Span is one timed region of a query's execution. Spans are created with

@@ -8,26 +8,6 @@ import (
 	"repro/internal/relation"
 )
 
-// ExampleParse reads a program in the paper's notation and validates it.
-func ExampleParse() {
-	text := `
-# reduce, then join everything in
-R(V) := R(AB) ⋉ R(BC)
-R(V) := R(V) ⋈ R(BC)
-`
-	p, err := program.Parse(text, []string{"AB", "BC"}, "")
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(p)
-	projects, joins, semijoins := p.OpCounts()
-	fmt.Printf("%d projections, %d joins, %d semijoins\n", projects, joins, semijoins)
-	// Output:
-	// R(V) := R(AB) ⋉ R(BC)
-	// R(V) := R(V) ⋈ R(BC)
-	// 0 projections, 1 joins, 1 semijoins
-}
-
 // ExampleProgram_Apply executes a program with the §2.3 cost accounting.
 func ExampleProgram_Apply() {
 	ab := relation.New(relation.SchemaOfRunes("AB"))

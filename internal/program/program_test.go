@@ -80,6 +80,24 @@ func TestExample2ComputesJoin(t *testing.T) {
 	}
 }
 
+func TestExample6ComputesJoin(t *testing.T) {
+	db := paperDB(t)
+	p := example6Program()
+	if err := p.Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	res, err := p.Apply(db)
+	if err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
+	if !res.Output.Equal(db.Join()) {
+		t.Error("Example 6 program did not compute ⋈D")
+	}
+	if len(res.Trace) != 10 {
+		t.Errorf("trace has %d steps, want 10", len(res.Trace))
+	}
+}
+
 func TestCostAccounting(t *testing.T) {
 	db := paperDB(t)
 	p := example2Program()
@@ -102,6 +120,21 @@ func TestCostAccounting(t *testing.T) {
 	explicit := db.TotalTuples() + x.Len() + y.Len() + full.Len()
 	if res.Cost != explicit {
 		t.Errorf("Cost = %d, want %d", res.Cost, explicit)
+	}
+
+	// A multiway statement's head is ⋈D itself: Σ|Rᵢ| + |⋈D|.
+	multi := &Program{
+		Inputs: []string{"ABC", "CDE", "EFG", "GHA"},
+		Stmts: []Stmt{{Op: OpMultiway, Head: "W", Args: []string{"ABC", "CDE", "EFG", "GHA"},
+			Order: strings.Split("ACEGBDFH", "")}},
+		Output: "W",
+	}
+	res, err = multi.Apply(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Output.Equal(db.Join()) || res.Cost != db.TotalTuples()+res.Output.Len() {
+		t.Errorf("multiway program: %d tuples at cost %d", res.Output.Len(), res.Cost)
 	}
 }
 
@@ -220,6 +253,31 @@ func TestValidateRules(t *testing.T) {
 			Inputs: inputs,
 			Output: "CDE",
 		}, true},
+		{"multiway join ok", &Program{
+			Inputs: inputs,
+			Stmts:  []Stmt{{Op: OpMultiway, Head: "W", Args: inputs, Order: strings.Split("CABDE", "")}},
+			Output: "W",
+		}, true},
+		{"multiway order naming an attribute twice rejected", &Program{
+			Inputs: inputs,
+			Stmts:  []Stmt{{Op: OpMultiway, Head: "W", Args: []string{"ABC"}, Order: []string{"A", "A"}}},
+			Output: "W",
+		}, false},
+		{"multiway join without operands rejected", &Program{
+			Inputs: inputs,
+			Stmts:  []Stmt{{Op: OpMultiway, Head: "W", Order: []string{"A"}}},
+			Output: "W",
+		}, false},
+		{"multiway undefined operand rejected", &Program{
+			Inputs: inputs,
+			Stmts:  []Stmt{{Op: OpMultiway, Head: "W", Args: []string{"ABC", "NOPE"}, Order: strings.Split("ABC", "")}},
+			Output: "W",
+		}, false},
+		{"multiway head must be variable", &Program{
+			Inputs: inputs,
+			Stmts:  []Stmt{{Op: OpMultiway, Head: "ABC", Args: []string{"ABC"}, Order: strings.Split("ABC", "")}},
+			Output: "ABC",
+		}, false},
 	}
 	for _, c := range cases {
 		err := c.p.Validate()
@@ -257,6 +315,11 @@ func TestStmtString(t *testing.T) {
 		{Stmt{Op: OpProject, Head: "F", Arg1: "V", Proj: relation.NewAttrSet("C", "E")}, "R(F) := π_CE R(V)"},
 		{Stmt{Op: OpJoin, Head: "V", Arg1: "V", Arg2: "F"}, "R(V) := R(V) ⋈ R(F)"},
 		{Stmt{Op: OpSemijoin, Head: "V", Arg1: "V", Arg2: "GHA"}, "R(V) := R(V) ⋉ R(GHA)"},
+		{Stmt{Op: OpProject, Head: "P", Arg1: "IN", Proj: relation.NewAttrSet("x0", "x2")}, "R(P) := π_{x0,x2} R(IN)"},
+		{Stmt{Op: OpMultiway, Head: "W", Args: []string{"ABC", "CDE", "EFG", "GHA"}, Order: strings.Split("ACEGBDFH", "")},
+			"R(W) := ⋈_ACEGBDFH {R(ABC), R(CDE), R(EFG), R(GHA)}"},
+		{Stmt{Op: OpMultiway, Head: "P", Args: []string{"IN", "{city,year}"}, Order: []string{"year", "city"}},
+			"R(P) := ⋈_{year,city} {R(IN), R({city,year})}"},
 	}
 	for _, c := range cases {
 		if got := c.s.String(); got != c.want {

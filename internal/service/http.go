@@ -76,8 +76,7 @@ type queryRequest struct {
 	MaxIntermediateTuples int64  `json:"max_intermediate_tuples,omitempty"`
 	TimeoutMS             int64  `json:"timeout_ms,omitempty"`
 	// Workers asks for intra-query parallelism (0 = service default,
-	// clamped to the configured per-query cap; the grant may degrade
-	// toward sequential when the worker budget is depleted).
+	// clamped to the configured per-query cap).
 	Workers int `json:"workers,omitempty"`
 	// IncludeResult returns the result tuples (capped by MaxResultTuples).
 	IncludeResult bool `json:"include_result,omitempty"`
@@ -99,8 +98,8 @@ type queryResponse struct {
 	ResultCount int     `json:"result_count"`
 	CacheHit    bool    `json:"cache_hit"`
 	QueueWaitMS float64 `json:"queue_wait_ms"`
-	// Parallelism is the worker count the query actually ran with (1 =
-	// sequential), after clamping and worker-budget degradation.
+	// Parallelism is the worker count the query ran with (1 = sequential):
+	// its ask, clamped to the per-query cap.
 	Parallelism int `json:"parallelism"`
 	// Shards is how many shards the query scattered across (absent or 1 =
 	// unsharded execution; Cost and Produced are merged totals either way).

@@ -14,7 +14,8 @@ type serviceMetrics struct {
 	registry *obs.Registry
 
 	// queries partitions finished admissions by executed strategy and
-	// outcome ("ok", "rejected", "aborted", "failed").
+	// outcome ("ok", "rejected", "aborted", "failed"): each query is
+	// classified once, in finish, and Stats reads its outcome counts here.
 	queries *obs.CounterVec
 	// tuples is the total governor charge across successful queries.
 	tuples *obs.Counter
@@ -115,17 +116,6 @@ func newServiceMetrics(s *Service) *serviceMetrics {
 			}
 			return float64(s.cfg.GlobalMaxTuples)
 		})
-	r.GaugeFunc("joind_worker_budget_remaining",
-		"Unreserved part of the intra-query worker pool (-1 when parallelism is off or unlimited).",
-		func() float64 {
-			if s.cfg.QueryWorkers <= 1 || s.cfg.WorkerBudget <= 0 {
-				return -1
-			}
-			return float64(s.workersRemaining.Load())
-		})
-	r.CounterFunc("joind_worker_grants_degraded_total",
-		"Queries granted fewer intra-query workers than asked (worker budget depleted).",
-		func() float64 { return float64(s.workersDegraded.Load()) })
 	r.CounterFunc("joind_ladder_degradations_total",
 		"Queries whose first degradation-ladder rung aborted on its budget and fell through to the next rung.",
 		func() float64 { return float64(s.degraded.Load()) })

@@ -11,51 +11,34 @@ import (
 	"repro/internal/relation"
 )
 
-// Tests for intra-query worker carving: configuration defaulting, the
-// clamp-and-degrade grant policy, stats accounting, and the HTTP surface.
+// Tests for intra-query worker grants: configuration defaulting, the clamp,
+// the report and stats, and the HTTP surface.
 
 func TestConfigQueryWorkerDefaults(t *testing.T) {
 	cfg := Config{Workers: 3}.withDefaults()
 	if cfg.QueryWorkers != 1 {
 		t.Fatalf("QueryWorkers default = %d, want 1 (sequential)", cfg.QueryWorkers)
 	}
-	if cfg.WorkerBudget != 0 {
-		t.Fatalf("WorkerBudget with sequential queries = %d, want 0", cfg.WorkerBudget)
-	}
-	cfg = Config{Workers: 3, QueryWorkers: 4}.withDefaults()
-	if cfg.WorkerBudget != 12 {
-		t.Fatalf("WorkerBudget default = %d, want Workers×QueryWorkers = 12", cfg.WorkerBudget)
-	}
 }
 
-func TestCarveWorkersClampAndDegrade(t *testing.T) {
-	s := New(Config{Workers: 2, QueryWorkers: 4, WorkerBudget: 6})
-
-	// Ask above the cap: clamped to QueryWorkers, not degraded.
-	got, cut, release1 := s.carveWorkers(16)
-	if got != 4 || cut {
-		t.Fatalf("ask 16: got %d (cut=%v), want 4 uncut", got, cut)
+func TestGrantWorkersClamps(t *testing.T) {
+	s := New(Config{Workers: 2, QueryWorkers: 4})
+	for _, c := range []struct{ asked, want int }{
+		{0, 4},  // the service default
+		{16, 4}, // clamped to QueryWorkers
+		{4, 4},
+		{2, 2},
+		{1, 1}, // an explicit sequential ask
+	} {
+		if got := s.grantWorkers(c.asked); got != c.want {
+			t.Errorf("ask %d: granted %d, want %d", c.asked, got, c.want)
+		}
 	}
-	// Pool now holds 2: the next full ask degrades to what's left.
-	got2, cut2, release2 := s.carveWorkers(4)
-	if got2 != 2 || !cut2 {
-		t.Fatalf("ask 4 with 2 left: got %d (cut=%v), want 2 cut", got2, cut2)
+	if got := New(Config{}).grantWorkers(0); got != 1 {
+		t.Errorf("default ask under sequential queries: granted %d, want 1", got)
 	}
-	// Pool empty: degrade to sequential, reserving nothing.
-	got3, cut3, release3 := s.carveWorkers(4)
-	if got3 != 1 || !cut3 {
-		t.Fatalf("ask 4 with empty pool: got %d (cut=%v), want 1 cut", got3, cut3)
-	}
-	release3()
-	release2()
-	release1()
-	if rem := s.workersRemaining.Load(); rem != 6 {
-		t.Fatalf("after all releases: %d workers unreserved, want 6", rem)
-	}
-
-	// Explicit sequential ask never touches the pool.
-	if got, cut, _ := s.carveWorkers(1); got != 1 || cut {
-		t.Fatalf("ask 1: got %d (cut=%v), want 1 uncut", got, cut)
+	if st := s.Stats(); st.QueryWorkers != 4 {
+		t.Errorf("Stats.QueryWorkers = %d, want 4", st.QueryWorkers)
 	}
 }
 
@@ -84,35 +67,9 @@ func TestQueryWorkersGrantReflectedInReport(t *testing.T) {
 	}
 }
 
-func TestWorkerBudgetDegradationCounted(t *testing.T) {
-	// Budget of 2 can fund at most one 2-worker grant at a time; with
-	// QueryWorkers 4, every grant is degraded.
-	s := New(Config{Workers: 1, QueryWorkers: 4, WorkerBudget: 2})
-	if _, err := s.Register("tri", triangleDB(t)); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := s.Query(context.Background(), Request{Database: "tri", Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Parallelism != 2 {
-		t.Fatalf("Parallelism = %d, want degraded grant of 2", rep.Parallelism)
-	}
-	st := s.Stats()
-	if st.WorkersDegraded != 1 {
-		t.Fatalf("WorkersDegraded = %d, want 1", st.WorkersDegraded)
-	}
-	if st.QueryWorkers != 4 {
-		t.Fatalf("Stats.QueryWorkers = %d, want 4", st.QueryWorkers)
-	}
-	if st.WorkerBudgetRemaining != 2 {
-		t.Fatalf("WorkerBudgetRemaining = %d, want 2 (reservation returned)", st.WorkerBudgetRemaining)
-	}
-}
-
 func TestConcurrentParallelQueriesUnderRace(t *testing.T) {
 	defer relation.SetParallelThreshold(0)()
-	s := New(Config{Workers: 4, QueryWorkers: 3, WorkerBudget: 6})
+	s := New(Config{Workers: 4, QueryWorkers: 3})
 	if _, err := s.Register("tri", triangleDB(t)); err != nil {
 		t.Fatal(err)
 	}
@@ -139,9 +96,6 @@ func TestConcurrentParallelQueriesUnderRace(t *testing.T) {
 		if err != nil {
 			t.Fatalf("caller %d: %v", i, err)
 		}
-	}
-	if rem := s.workersRemaining.Load(); rem != 6 {
-		t.Fatalf("worker pool leaked: %d unreserved, want 6", rem)
 	}
 }
 

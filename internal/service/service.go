@@ -90,14 +90,6 @@ type Config struct {
 	// raising it lets each query run its joins on up to QueryWorkers
 	// goroutines. Requests may ask for fewer.
 	QueryWorkers int
-	// WorkerBudget is the total number of intra-query worker goroutines
-	// available across concurrent queries. Parallel queries reserve their
-	// worker count from it at admission and return it on completion; when
-	// the pool runs low a query is granted fewer workers — down to
-	// sequential — rather than rejected. 0 defaults to
-	// Workers × QueryWorkers when QueryWorkers > 1 (no degradation under
-	// the configured concurrency), and is ignored while QueryWorkers <= 1.
-	WorkerBudget int64
 	// Tracer, when non-nil, receives every query's finished span tree
 	// (obs.Collector is the in-memory implementation; joinrun uses it for
 	// -trace). Independent of the Tracer, span trees are also produced
@@ -146,9 +138,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.QueryWorkers <= 0 {
 		cfg.QueryWorkers = 1
 	}
-	if cfg.WorkerBudget <= 0 && cfg.QueryWorkers > 1 {
-		cfg.WorkerBudget = int64(cfg.Workers) * int64(cfg.QueryWorkers)
-	}
 	if cfg.Shards > 1 && cfg.ShardBroadcastThreshold == 0 {
 		cfg.ShardBroadcastThreshold = shard.DefaultBroadcastThreshold
 	}
@@ -183,6 +172,31 @@ type catalogEntry struct {
 	// ingestMu serializes the store append + catalog swap so the visible
 	// catalog never lags behind a later-acknowledged batch.
 	ingestMu sync.Mutex
+
+	// aborts remembers the rungs whose plan search aborted on one snapshot.
+	aborts atomic.Pointer[searchAborts]
+}
+
+// searchAborts holds, for one catalog snapshot, the error of each rung whose
+// plan derivation aborted with govern.ErrTupleBudget. The plan cache keeps
+// no failure, and an abort depends on the instance, not on the scheme the
+// cache is keyed by; so it is kept here per snapshot, and a later query on
+// the same snapshot gets the error back without searching again. An ingest
+// makes a new snapshot, which searches afresh.
+type searchAborts struct {
+	db   *relation.Database
+	errs sync.Map // engine.Strategy → error
+}
+
+// abortsFor returns the abort memo of snapshot db, replacing one kept for
+// another snapshot.
+func (e *catalogEntry) abortsFor(db *relation.Database) *searchAborts {
+	m := e.aborts.Load()
+	if m == nil || m.db != db {
+		m = &searchAborts{db: db}
+		e.aborts.Store(m)
+	}
+	return m
 }
 
 // Request is one query against a registered database.
@@ -202,9 +216,7 @@ type Request struct {
 	// Workers asks for intra-query parallelism: the number of goroutines
 	// this query's joins may use. 0 takes the service default
 	// (Config.QueryWorkers); a positive ask is clamped to it, and a negative
-	// one is ErrBadRequest. The grant may be lower still when the shared
-	// worker budget is depleted — the query then degrades toward sequential
-	// execution instead of being rejected.
+	// one is ErrBadRequest.
 	Workers int
 }
 
@@ -214,13 +226,16 @@ type Stats struct {
 	Workers   int   `json:"workers"`
 	InFlight  int64 `json:"in_flight"`
 	Queued    int64 `json:"queued"`
-	// Queries counts admitted executions; Rejected counts admission
-	// failures (queue full, queue timeout, budget exhausted).
+	// The outcome counters read joind_queries_total, where each query that
+	// reaches admission is counted once by its status. Queries is
+	// Succeeded + Aborted + Failed; Rejected counts admission failures
+	// (queue full, queue timeout, global budget exhausted), which are not
+	// queries run.
 	Queries   int64 `json:"queries"`
 	Succeeded int64 `json:"succeeded"`
 	Rejected  int64 `json:"rejected"`
-	// Aborted counts queries that hit their own resource limits
-	// (tuple budget, deadline, cancellation).
+	// Aborted counts queries that hit their own resource limits (tuple
+	// budget, deadline, cancellation, in the queue too).
 	Aborted int64 `json:"aborted"`
 	Failed  int64 `json:"failed"`
 	// Degraded counts queries whose first ladder rung aborted on a tuple
@@ -229,12 +244,6 @@ type Stats struct {
 	Degraded int64 `json:"degraded"`
 	// QueryWorkers is the configured per-query parallelism cap.
 	QueryWorkers int `json:"query_workers"`
-	// WorkersDegraded counts queries granted fewer intra-query workers
-	// than they asked for because the worker budget was depleted.
-	WorkersDegraded int64 `json:"workers_degraded"`
-	// WorkerBudgetRemaining is the unreserved part of the intra-query
-	// worker pool (-1 when parallelism is off or the pool is unlimited).
-	WorkerBudgetRemaining int64 `json:"worker_budget_remaining"`
 	// GlobalTuplesRemaining is the unreserved part of the global budget
 	// (-1 when no global budget is configured).
 	GlobalTuplesRemaining int64           `json:"global_tuples_remaining"`
@@ -284,13 +293,11 @@ type Service struct {
 	// (and again during shutdown). In-process services start ready.
 	ready atomic.Bool
 
-	queued           atomic.Int64
-	inFlight         atomic.Int64
-	budgetRemaining  atomic.Int64 // meaningful only when cfg.GlobalMaxTuples > 0
-	workersRemaining atomic.Int64 // meaningful only when cfg.WorkerBudget > 0
+	queued          atomic.Int64
+	inFlight        atomic.Int64
+	budgetRemaining atomic.Int64 // meaningful only when cfg.GlobalMaxTuples > 0
 
-	queries, succeeded, rejected, aborted, failed, degraded atomic.Int64
-	workersDegraded, ingests                                atomic.Int64
+	degraded, ingests atomic.Int64
 
 	viewDeltaBatches, viewTuplesIn, viewTuplesOut atomic.Int64
 	viewReducerSkips, viewRebuilds                atomic.Int64
@@ -311,7 +318,6 @@ func New(cfg Config) *Service {
 		views: make(map[string]*viewEntry),
 	}
 	s.budgetRemaining.Store(cfg.GlobalMaxTuples)
-	s.workersRemaining.Store(cfg.WorkerBudget)
 	s.ready.Store(true)
 	if cfg.SlowQueryThreshold > 0 {
 		s.slowLog = obs.NewSlowLog(cfg.SlowQueryThreshold, cfg.SlowLogSize)
@@ -488,37 +494,13 @@ func (s *Service) carve(asked int64) (int64, func(), error) {
 	}
 }
 
-// carveWorkers grants a query its intra-query worker count: the ask
-// (0 = service default) clamped to Config.QueryWorkers, then reserved from
-// the shared worker pool. A depleted pool degrades the grant — partial
-// parallelism, or sequential when fewer than two workers remain — rather
-// than rejecting the query; sequential execution reserves nothing. It
-// returns the grant, whether it was degraded below the clamped ask, and a
-// function returning the reservation.
-func (s *Service) carveWorkers(asked int) (int, bool, func()) {
-	want := asked
-	if want <= 0 || want > s.cfg.QueryWorkers {
-		want = s.cfg.QueryWorkers
+// grantWorkers grants a query its intra-query worker count: the ask
+// (0 = service default) clamped to Config.QueryWorkers.
+func (s *Service) grantWorkers(asked int) int {
+	if asked <= 0 || asked > s.cfg.QueryWorkers {
+		return s.cfg.QueryWorkers
 	}
-	if want <= 1 {
-		return 1, false, func() {}
-	}
-	if s.cfg.WorkerBudget <= 0 {
-		return want, false, func() {}
-	}
-	for {
-		rem := s.workersRemaining.Load()
-		take := int64(want)
-		if take > rem {
-			take = rem
-		}
-		if take < 2 {
-			return 1, true, func() {}
-		}
-		if s.workersRemaining.CompareAndSwap(rem, rem-take) {
-			return int(take), take < int64(want), func() { s.workersRemaining.Add(take) }
-		}
-	}
+	return asked
 }
 
 // Query joins the named database under the request's limits. The flow is:
@@ -556,7 +538,7 @@ func (s *Service) Query(ctx context.Context, req Request) (*engine.Report, error
 
 // checkBudgets rejects a negative limit or worker ask with ErrBadRequest:
 // the governor would read a negative limit as no limit at all, and
-// carveWorkers a negative ask as the service default.
+// grantWorkers a negative ask as the service default.
 func checkBudgets(limits ...int64) error {
 	for _, l := range limits {
 		if l < 0 {
@@ -601,7 +583,6 @@ func (s *Service) execute(ctx context.Context, e *catalogEntry, strat engine.Str
 	if err != nil {
 		qspan.Note("rejected: %v", err)
 		qspan.End()
-		s.rejected.Add(1)
 		return nil, err
 	}
 	qspan.End()
@@ -609,16 +590,10 @@ func (s *Service) execute(ctx context.Context, e *catalogEntry, strat engine.Str
 	defer releaseSlot()
 	grant, releaseBudget, err := s.carve(req.MaxTuples)
 	if err != nil {
-		s.rejected.Add(1)
 		return nil, err
 	}
 	defer releaseBudget()
-	workers, workersCut, releaseWorkers := s.carveWorkers(req.Workers)
-	defer releaseWorkers()
-	if workersCut {
-		s.workersDegraded.Add(1)
-	}
-	s.queries.Add(1)
+	workers := s.grantWorkers(req.Workers)
 	if trace != nil {
 		if grant > 0 {
 			trace.Root.Note("tuple budget granted: %d", grant)
@@ -665,24 +640,30 @@ func (s *Service) execute(ctx context.Context, e *catalogEntry, strat engine.Str
 		s.degraded.Add(1)
 	}
 	if err != nil {
-		if errors.Is(err, govern.ErrTupleBudget) || errors.Is(err, govern.ErrDeadline) || errors.Is(err, govern.ErrCanceled) {
-			s.aborted.Add(1)
-		} else {
-			s.failed.Add(1)
-		}
 		return nil, err
 	}
 	rep.PlanCacheHit = hit
 	rep.QueueWait = wait
-	s.succeeded.Add(1)
 	return rep, nil
 }
 
 // cachedPlan returns the plan for one ladder rung over the query's scheme
 // from the plan cache, deriving it on a miss (concurrent misses on one key
-// coalesce) under a "plan cache lookup" span.
+// coalesce) under a "plan cache lookup" span. A rung whose derivation
+// aborted on the snapshot db returns that abort again without a lookup, its
+// span noting the skip.
 func (s *Service) cachedPlan(e *catalogEntry, db *relation.Database, rung engine.Strategy, trace *obs.Trace) (*engine.Plan, bool, error) {
 	key := planKey(e.fingerprint, rung)
+	if m := e.aborts.Load(); m != nil && m.db == db {
+		if err, ok := m.errs.Load(rung); ok {
+			if trace != nil {
+				sp := trace.Root.Child(obs.KindPlanCache, "plan cache lookup")
+				sp.Note("skipped: the search for %s aborted on this snapshot", key)
+				sp.End()
+			}
+			return nil, false, err.(error)
+		}
+	}
 	var pcSpan *obs.Span
 	if trace != nil {
 		pcSpan = trace.Root.Child(obs.KindPlanCache, "plan cache lookup")
@@ -701,6 +682,9 @@ func (s *Service) cachedPlan(e *catalogEntry, db *relation.Database, rung engine
 			pcSpan.Note("miss: derived plan for %s", key)
 		}
 		pcSpan.End()
+	}
+	if errors.Is(err, govern.ErrTupleBudget) {
+		e.abortsFor(db).errs.Store(rung, err)
 	}
 	return plan, hit, err
 }
@@ -785,10 +769,9 @@ func (s *Service) Stats() Stats {
 	if s.cfg.GlobalMaxTuples > 0 {
 		remaining = s.budgetRemaining.Load()
 	}
-	workersRemaining := int64(-1)
-	if s.cfg.QueryWorkers > 1 && s.cfg.WorkerBudget > 0 {
-		workersRemaining = s.workersRemaining.Load()
-	}
+	queries := s.metrics.queries
+	ok, rejected, aborted, failed := queries.Sum("status", "ok"), queries.Sum("status", "rejected"),
+		queries.Sum("status", "aborted"), queries.Sum("status", "failed")
 	var storeStats *store.Stats
 	if st := s.store.Load(); st != nil {
 		snap := st.Stats()
@@ -815,15 +798,13 @@ func (s *Service) Stats() Stats {
 		Workers:               s.cfg.Workers,
 		InFlight:              s.inFlight.Load(),
 		Queued:                s.queued.Load(),
-		Queries:               s.queries.Load(),
-		Succeeded:             s.succeeded.Load(),
-		Rejected:              s.rejected.Load(),
-		Aborted:               s.aborted.Load(),
-		Failed:                s.failed.Load(),
+		Queries:               ok + aborted + failed,
+		Succeeded:             ok,
+		Rejected:              rejected,
+		Aborted:               aborted,
+		Failed:                failed,
 		Degraded:              s.degraded.Load(),
 		QueryWorkers:          s.cfg.QueryWorkers,
-		WorkersDegraded:       s.workersDegraded.Load(),
-		WorkerBudgetRemaining: workersRemaining,
 		GlobalTuplesRemaining: remaining,
 		PlanCache:             cacheStats,
 	}

@@ -17,7 +17,9 @@ import (
 	"time"
 
 	"repro/internal/govern"
+	"repro/internal/obs"
 	"repro/internal/relation"
+	"repro/internal/store"
 	"repro/internal/workload"
 )
 
@@ -125,6 +127,34 @@ func TestQueueTimeoutRejects(t *testing.T) {
 	}
 	if st := s.Stats(); st.Rejected != 1 {
 		t.Errorf("rejected = %d, want 1", st.Rejected)
+	}
+}
+
+// TestQueueCancellationCountedOnce: a query whose context is canceled while
+// it waits for a slot is one aborted query, in Stats and in
+// joind_queries_total alike, not a rejection.
+func TestQueueCancellationCountedOnce(t *testing.T) {
+	s := New(Config{Workers: 1, QueueTimeout: 5 * time.Second})
+	if _, err := s.Register("tri", triangleDB(t)); err != nil {
+		t.Fatal(err)
+	}
+	s.slots <- struct{}{} // occupy the only worker slot
+	defer func() { <-s.slots }()
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, err := s.Query(ctx, Request{Database: "tri"}); !errors.Is(err, govern.ErrCanceled) {
+		t.Fatalf("err = %v, want canceled", err)
+	}
+	st := s.Stats()
+	if st.Aborted != 1 || st.Rejected != 0 || st.Queries != 1 || st.Succeeded+st.Failed != 0 {
+		t.Errorf("queries %d: succeeded %d, rejected %d, aborted %d, failed %d; want one aborted query",
+			st.Queries, st.Succeeded, st.Rejected, st.Aborted, st.Failed)
+	}
+	var text strings.Builder
+	s.Metrics().WriteText(&text)
+	if want := `joind_queries_total{strategy="auto",status="aborted"} 1`; !strings.Contains(text.String(), want) ||
+		strings.Contains(text.String(), `status="rejected"`) {
+		t.Errorf("metrics lack %s or count a rejection:\n%s", want, text.String())
 	}
 }
 
@@ -256,7 +286,7 @@ func TestConcurrentQueriesUnderRace(t *testing.T) {
 	// Wait until overload has actually been rejected, then unstall the pool
 	// so queued queries (they wait up to QueueTimeout) run to completion.
 	deadline := time.Now().Add(10 * time.Second)
-	for s.rejected.Load() == 0 {
+	for s.Stats().Rejected == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("no query was rejected while the pool was stalled")
 		}
@@ -565,4 +595,96 @@ func TestSearchAbortServedAsResourceLimit(t *testing.T) {
 	if want := `joind_queries_total{strategy="program",status="aborted"} 1`; !strings.Contains(string(body), want) {
 		t.Errorf("metrics lack %s:\n%s", want, body)
 	}
+}
+
+// TestSearchAbortRememberedPerSnapshot: a rung whose plan search aborted on
+// a catalog snapshot is not searched again on that snapshot, by auto or by
+// an explicit strategy; an ingest makes a new snapshot, which searches
+// again. Example3(q=40) is the instance whose program, cpf-expression and
+// reduce-then-join searches all cross the catalog's tuple budget.
+func TestSearchAbortRememberedPerSnapshot(t *testing.T) {
+	spec, err := workload.Example3(40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := spec.CycleDatabase()
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := obs.NewCollector(16)
+	s := newStoreService(t, t.TempDir(), Config{Workers: 4, Tracer: col})
+	if _, err := s.Register("ex3", db); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	// query runs one auto query, which must land on wcoj after three
+	// degradations; it may run on any goroutine.
+	query := func() {
+		rep, err := s.Query(context.Background(), Request{Database: "ex3"})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		degraded := 0
+		for _, n := range rep.Notes {
+			if strings.HasPrefix(n, "degradation:") {
+				degraded++
+			}
+		}
+		if rep.Strategy.String() != "wcoj" || degraded != 3 {
+			t.Errorf("auto ran %s with %d degradation notes, want wcoj with 3: %v", rep.Strategy, degraded, rep.Notes)
+		}
+	}
+	wantMisses := func(want int64) {
+		t.Helper()
+		if misses := s.Stats().PlanCache.Misses; misses != want {
+			t.Errorf("plan-cache misses = %d, want %d", misses, want)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		query()
+		wantMisses(4) // the first query searches every rung; repeats search none
+	}
+	traces := col.Traces()
+	skipped := 0
+	for _, sp := range traces[len(traces)-1].Root.Children() {
+		for _, n := range sp.Notes() {
+			if sp.Kind() == obs.KindPlanCache && strings.HasPrefix(n, "skipped:") {
+				skipped++
+			}
+		}
+	}
+	if skipped != 3 {
+		t.Errorf("a repeated auto query's trace notes %d skipped searches, want 3\n%s", skipped, traces[len(traces)-1].Format())
+	}
+	code, out := postJSON(t, srv, "/v1/query", `{"database":"ex3","strategy":"program"}`)
+	if code != http.StatusUnprocessableEntity || out["kind"] != "resource_limit" {
+		t.Errorf("program = %d %v, want 422 resource_limit", code, out)
+	}
+	wantMisses(4) // the explicit strategy skips the search too
+
+	// A dangling tuple: its link values are outside the instance's domain.
+	batch := store.Batch{{Relation: 0, Inserts: []relation.Tuple{relation.Ints(7, 1_000_000, 7)}}}
+	if _, err := s.Ingest(context.Background(), "ex3", batch); err != nil {
+		t.Fatal(err)
+	}
+	// A new snapshot searches again: three searches, and wcoj's plan was
+	// invalidated. Racing queries may each search a rung before one of them
+	// records its abort, but once they are done no query searches again.
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			query()
+		}()
+	}
+	wg.Wait()
+	misses := s.Stats().PlanCache.Misses
+	if misses < 8 {
+		t.Errorf("after an ingest: %d plan-cache misses, want at least 8", misses)
+	}
+	query()
+	wantMisses(misses)
 }
