@@ -11,6 +11,7 @@ package repro
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/acyclic"
@@ -508,6 +509,39 @@ func BenchmarkProgramTriangle(b *testing.B) {
 	}
 	b.ReportMetric(float64(rep.Cost), "exec-cost")
 	b.ReportMetric(float64(rep.Produced), "tuples-charged")
+}
+
+// TestProgramTriangleAllocatesUnder256KiB pins the bytes
+// BenchmarkProgramTriangle's query allocates per run: its big join head,
+// R(V) := R(V) ⋈ R(BC) with 28 354 rows, is read only as pairs by its two
+// readers and never written, and its first semijoin removes nothing and
+// writes nothing. Writing that head took the query to about 535 KB.
+func TestProgramTriangleAllocatesUnder256KiB(t *testing.T) {
+	db, err := workload.TriangleSpec{Nodes: 90, Edges: 1600}.TriangleDatabase(rand.New(rand.NewSource(1992)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := engine.PlanFor(db, engine.Options{Strategy: engine.StrategyProgram})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := engine.Options{Limits: govern.Limits{MaxTuples: 1 << 40}}
+	if _, err := engine.ExecutePlan(db, plan, opts); err != nil { // encodes the inputs once
+		t.Fatal(err)
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := engine.ExecutePlan(db, plan, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 256<<10 {
+		t.Fatalf("the dense triangle's program query allocates %d bytes per run, want at most %d", per, 256<<10)
+	}
 }
 
 // BenchmarkWCOJSparseTriangle runs the served benchmark's sparse_wcoj query

@@ -305,6 +305,95 @@ func TestToRelationFirstReadersRace(t *testing.T) {
 	}
 }
 
+// TestHeadFirstReadersRace races the first readers of one join head (run
+// with -race): readers that need its columns — decode, a trie, a
+// projection, a join building on it — and readers of its pairs, semijoins
+// with the head on either side and a join probing with it. The head's columns must be written once:
+// every columns reader ends on the same code vectors, and every reader sees
+// the tuple-map join.
+func TestHeadFirstReadersRace(t *testing.T) {
+	rng := rand.New(rand.NewSource(2051))
+	for trial := 0; trial < 20; trial++ {
+		a := FromRelation(randRel(rng, "AB", 300, 20))
+		b := FromRelation(randRel(rng, "BC", 300, 20))
+		small := FromRelation(randRel(rng, "A", 5, 20))
+		wide := New(SchemaOfRunes("C"))
+		for c := 0; c < 6000; c++ {
+			wide.MustInsert(Ints(int64(c)))
+		}
+		big := FromRelation(wide)
+		want := Join(a.ToRelation(), b.ToRelation())
+		h, err := JoinBlocksGoverned(nil, a, b)
+		if err != nil || h.head == nil {
+			t.Fatalf("trial %d: join of plain blocks gave %v, %v; want a head", trial, h, err)
+		}
+		firstUse := []func() error{
+			func() error {
+				if !h.ToRelation().Equal(want) {
+					return fmt.Errorf("decoded head differs from the tuple-map join")
+				}
+				return nil
+			},
+			func() error {
+				if got, _, err := h.Trie([]string{"C", "B", "A"}); err != nil || got == nil {
+					return fmt.Errorf("trie: %v", err)
+				}
+				return nil
+			},
+			func() error {
+				_, err := ParallelSemijoinBlocksGoverned(nil, small, h, 2)
+				return err
+			},
+			func() error {
+				out, err := ParallelSemijoinBlocksGoverned(nil, h, small, 2)
+				if err == nil && !out.ToRelation().Equal(Semijoin(want, small.ToRelation())) {
+					err = fmt.Errorf("semijoin probing the head differs from the tuple-map one")
+				}
+				return err
+			},
+			func() error {
+				_, err := ProjectBlocksGoverned(nil, h, NewAttrSet("A", "C"))
+				return err
+			},
+			func() error {
+				_, err := JoinBlocksGoverned(nil, small, h) // the head probes as pairs
+				return err
+			},
+			func() error {
+				_, err := JoinBlocksGoverned(nil, h, big) // the smaller head builds on its columns
+				return err
+			},
+		}
+		const readers = 8
+		codes := make([]*uint32, readers)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < readers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				<-start
+				if err := firstUse[g%len(firstUse)](); err != nil {
+					t.Error(err)
+				}
+				if h.Len() > 0 {
+					codes[g] = &h.cols()[0].codes[0]
+				}
+			}(g)
+		}
+		close(start)
+		wg.Wait()
+		for g := range codes {
+			if codes[g] != codes[0] {
+				t.Fatalf("trial %d: reader %d saw its own written columns", trial, g)
+			}
+		}
+		if !sameRowsAs(h, want) {
+			t.Fatalf("trial %d: the written head differs from the tuple-map join", trial)
+		}
+	}
+}
+
 // TestBlockBackedRelationEdges pins what changes and what does not when a
 // ToRelation output is copied, mutated or overwritten, before and after its
 // rows are decoded.

@@ -21,11 +21,36 @@ import (
 // and all columns the same length. ColBlocks are immutable once built and
 // share dictionaries freely, so they must never be mutated in place — which
 // is also why the tries Trie memoizes on a block never need invalidating.
+//
+// A join's output may be a head (colops.go): its probe side's match ids
+// over its build side's matchTable, read as pairs by the kernels that only
+// key rows. Its columns are memoized like its tries: written once, when a
+// reader first needs them, through cols, the one reader of a block's
+// columns, so no reader can see a head unwritten.
 type ColBlock struct {
 	schema *Schema
-	cols   []column
+	data   []column // a plain block's columns; read through cols
 	n      int
+	head   *head
 	tries  atomic.Pointer[trieRun]
+}
+
+// cols returns the block's columns, writing a head's on the first call.
+func (b *ColBlock) cols() []column {
+	if h := b.head; h != nil {
+		h.once.Do(func() { h.cols = h.fill() })
+		return h.cols
+	}
+	return b.data
+}
+
+// plain returns b, or a block over a head's written columns, for the
+// readers that index rows by number.
+func (b *ColBlock) plain() *ColBlock {
+	if b.head == nil {
+		return b
+	}
+	return &ColBlock{schema: b.schema, data: b.cols(), n: b.n}
 }
 
 // column is one dictionary-encoded column: dict is sorted strictly
@@ -39,9 +64,9 @@ type column struct {
 // dictionaries. The block holds the same tuple set in r's row order.
 func FromRelation(r *Relation) *ColBlock {
 	n := r.Len()
-	b := &ColBlock{schema: r.schema, cols: make([]column, r.schema.Len()), n: n}
+	b := &ColBlock{schema: r.schema, data: make([]column, r.schema.Len()), n: n}
 	rows := r.Rows()
-	for c := range b.cols {
+	for c := range b.data {
 		ids := make(map[Value]uint32, 16)
 		var dict []Value
 		codes := make([]uint32, n)
@@ -63,7 +88,7 @@ func FromRelation(r *Relation) *ColBlock {
 				codes[i] = rank[code]
 			}
 		}
-		b.cols[c] = column{dict: dict, codes: codes}
+		b.data[c] = column{dict: dict, codes: codes}
 	}
 	return b
 }
@@ -77,12 +102,12 @@ func NewColBlock(schema *Schema, n int, dicts [][]Value, codes [][]uint32) (*Col
 	if len(dicts) != schema.Len() || len(codes) != schema.Len() {
 		return nil, fmt.Errorf("colblock: %d dictionaries and %d code columns for schema %s", len(dicts), len(codes), schema)
 	}
-	b := &ColBlock{schema: schema, cols: make([]column, len(dicts)), n: n}
-	for c := range b.cols {
+	b := &ColBlock{schema: schema, data: make([]column, len(dicts)), n: n}
+	for c := range b.data {
 		if len(codes[c]) != n {
 			return nil, fmt.Errorf("colblock: column %d has %d codes, block has %d rows", c, len(codes[c]), n)
 		}
-		b.cols[c] = column{dict: dicts[c], codes: codes[c]}
+		b.data[c] = column{dict: dicts[c], codes: codes[c]}
 	}
 	return b, nil
 }
@@ -127,8 +152,9 @@ func (b *ColBlock) rowOrder(pos []int) []int32 {
 		idx[i] = int32(i)
 	}
 	tmp := make([]int32, b.n)
+	cols := b.cols()
 	for k := len(pos) - 1; k >= 0; k-- {
-		col := &b.cols[pos[k]]
+		col := &cols[pos[k]]
 		start := make([]int32, len(col.dict)+1)
 		for _, code := range col.codes {
 			start[code+1]++
@@ -165,10 +191,11 @@ func (b *ColBlock) ToRelation() *Relation {
 // slab, each with its capacity clipped to its own length, so an append to a
 // decoded tuple reallocates instead of writing into its neighbour.
 func (b *ColBlock) decode() []Tuple {
-	nc := len(b.cols)
+	cols := b.cols()
+	nc := len(cols)
 	slab := make([]Value, b.n*nc)
-	for c := range b.cols {
-		col := &b.cols[c]
+	for c := range cols {
+		col := &cols[c]
 		for i, code := range col.codes {
 			slab[i*nc+c] = col.dict[code]
 		}
@@ -187,12 +214,17 @@ func (b *ColBlock) Schema() *Schema { return b.schema }
 func (b *ColBlock) Len() int { return b.n }
 
 // Dict returns column c's sorted dictionary. Callers must not modify it —
-// dictionaries are shared across blocks.
-func (b *ColBlock) Dict(c int) []Value { return b.cols[c].dict }
+// dictionaries are shared across blocks. A head's are known unwritten.
+func (b *ColBlock) Dict(c int) []Value {
+	if h := b.head; h != nil {
+		return h.srcs[c].dict
+	}
+	return b.cols()[c].dict
+}
 
 // Value decodes the value at row i, column c.
 func (b *ColBlock) Value(i, c int) Value {
-	col := &b.cols[c]
+	col := &b.cols()[c]
 	return col.dict[col.codes[i]]
 }
 
@@ -200,11 +232,12 @@ func (b *ColBlock) Value(i, c int) Value {
 // strictly sorted dictionaries, and every code in range. The fuzz target
 // and the differential tests call it; kernels assume it.
 func (b *ColBlock) Validate() error {
-	if len(b.cols) != b.schema.Len() {
-		return fmt.Errorf("colblock: %d columns for schema %s (arity %d)", len(b.cols), b.schema, b.schema.Len())
+	cols := b.cols()
+	if len(cols) != b.schema.Len() {
+		return fmt.Errorf("colblock: %d columns for schema %s (arity %d)", len(cols), b.schema, b.schema.Len())
 	}
-	for c := range b.cols {
-		col := &b.cols[c]
+	for c := range cols {
+		col := &cols[c]
 		if len(col.codes) != b.n {
 			return fmt.Errorf("colblock: column %d has %d codes, block has %d rows", c, len(col.codes), b.n)
 		}

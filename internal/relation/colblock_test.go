@@ -45,7 +45,7 @@ func TestFromRelationDictionariesMinimalAndSorted(t *testing.T) {
 	// Code order is value order: row decoding through Value matches dicts.
 	for i := 0; i < b.Len(); i++ {
 		for c := 0; c < 2; c++ {
-			if !b.Value(i, c).Equal(b.Dict(c)[b.cols[c].codes[i]]) {
+			if !b.Value(i, c).Equal(b.Dict(c)[b.cols()[c].codes[i]]) {
 				t.Fatalf("row %d col %d decodes inconsistently", i, c)
 			}
 		}
@@ -95,14 +95,18 @@ func TestKernelProbeZeroAllocs(t *testing.T) {
 // TestJoinAllocatesPerColumnNotPerRow pins what count-then-fill buys: a
 // join of encoded blocks allocates its tables and one code vector per
 // output column, so its allocation count is the same at 15× the rows and
-// 9× the output.
+// 9× the output. The join's output is a head, so the run reads its columns
+// and the pin covers their writing.
 func TestJoinAllocatesPerColumnNotPerRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(2037))
 	allocs := func(n int) (float64, int) {
 		l := FromRelation(randRel(rng, "ABC", n, 8))
 		r := FromRelation(randRel(rng, "BCD", n, 8))
 		var out *ColBlock
-		avg := testing.AllocsPerRun(20, func() { out, _ = JoinBlocksGoverned(nil, l, r) })
+		avg := testing.AllocsPerRun(20, func() {
+			out, _ = JoinBlocksGoverned(nil, l, r)
+			out.cols()
+		})
 		return avg, out.Len()
 	}
 	small, smallOut := allocs(200)
@@ -117,8 +121,9 @@ func TestJoinAllocatesPerColumnNotPerRow(t *testing.T) {
 // allocations: the operator's scope and nothing else — each range's meter
 // lives on its goroutine's stack — whatever the row count, on the keyed
 // path and on the product path (which charges one AddEach per probe row).
-// max is the whole governed join's count at one range; a meter that escaped
-// to the heap would add one more, to the ungoverned join as well.
+// max is the whole governed join's count at one range, its output's columns
+// written; a meter that escaped to the heap would add one more, to the
+// ungoverned join as well.
 func TestGovernedJoinAllocatesOneScope(t *testing.T) {
 	rng := rand.New(rand.NewSource(2038))
 	ctx, cancel := context.WithCancel(context.Background())
@@ -131,11 +136,16 @@ func TestGovernedJoinAllocatesOneScope(t *testing.T) {
 		allocs := func(n int) (plain, governed float64) {
 			l := FromRelation(randRel(rng, c.l, n, 8))
 			r := FromRelation(randRel(rng, c.r, n, 8))
-			plain = testing.AllocsPerRun(20, func() { _, _ = JoinBlocksGoverned(nil, l, r) })
+			plain = testing.AllocsPerRun(20, func() {
+				out, _ := JoinBlocksGoverned(nil, l, r)
+				out.cols()
+			})
 			governed = testing.AllocsPerRun(20, func() {
-				if _, err := JoinBlocksGoverned(g, l, r); err != nil {
+				out, err := JoinBlocksGoverned(g, l, r)
+				if err != nil {
 					t.Fatal(err)
 				}
+				out.cols()
 			})
 			return plain, governed
 		}

@@ -36,6 +36,15 @@ import (
 // keys the batch again, compacts it to the rows that matched and writes
 // each output column over that selection only. Neither pass allocates but
 // for a wide key's byte buffer, one per range.
+//
+// A join of two plain blocks fills nothing: its count pass keeps every
+// probe row's match id, and it returns a head (ColBlock.cols writes it on
+// first need). A kernel whose keyed side is a
+// head — a join's probe side, a semijoin's either side — reads it as
+// pairs, probeBatch at a time, in the row order of the written head: each
+// probe row, then its build range. A pair's key is the probe row's terms,
+// summed once per probe row, plus the build row's. A join probing a head
+// writes its output; every other reader of a head writes it.
 
 // probeBatch is the number of rows the kernels key, look up and fill at a
 // time.
@@ -57,7 +66,8 @@ func JoinBlocksGoverned(g *govern.Governor, l, r *ColBlock) (*ColBlock, error) {
 // and whether a budget aborts therefore equal the single-range run's; only
 // an abort's reported count may run past the single-range one, by what the
 // sibling ranges held unsettled. workers <= 1 and inputs below the parallel
-// threshold probe as one range on the calling goroutine.
+// threshold probe as one range on the calling goroutine. When the probe
+// side is a plain block the output is a head, written on first need.
 func ParallelJoinBlocksGoverned(g *govern.Governor, l, r *ColBlock, workers int) (*ColBlock, error) {
 	scope, err := g.Begin("relation.Join")
 	if err != nil {
@@ -65,9 +75,19 @@ func ParallelJoinBlocksGoverned(g *govern.Governor, l, r *ColBlock, workers int)
 	}
 	ix := indexJoin(l, r)
 	// The Cartesian product (no common attribute) is charged one pair at a
-	// time, as the tuple-map join charges it.
-	return countThenFill(scope, rangeWorkers(workers, l.n+r.n), ix.probe, ix.table,
-		joinSchema(l.schema, r.schema), joinSources(l, r, ix.probeIsL), ix.product)
+	// time, as the tuple-map join charges it. A join probing a head writes
+	// its output: heads are one level deep.
+	keep := ix.probe.head == nil
+	h, err := count(scope, rangeWorkers(workers, l.n+r.n), ix.probe, ix.table, ix.product, keep)
+	if err != nil {
+		return nil, err
+	}
+	schema, srcs := joinSchema(l.schema, r.schema), joinSources(l, r, ix.probeIsL)
+	if !keep {
+		return h.block(schema, srcs), nil
+	}
+	h.srcs, h.p = srcs, prober{} // the recorded ids replace the probe side's key space
+	return &ColBlock{schema: schema, n: h.n(), head: h}, nil
 }
 
 // JoinSizeBlocks returns |l ⋈ r| without building the join: the smaller side
@@ -77,8 +97,9 @@ func JoinSizeBlocks(l, r *ColBlock) int64 {
 	ix := indexJoin(l, r)
 	var b batch
 	var n int64
-	for lo := 0; lo < ix.probe.n; lo += probeBatch {
-		for _, id := range ix.probe.ids(&b, lo, min(probeBatch, ix.probe.n-lo), false) {
+	s := span{hi: ix.probe.rows()}
+	for ids := ix.probe.next(&b, &s, false); len(ids) > 0; ids = ix.probe.next(&b, &s, false) {
+		for _, id := range ids {
 			n += int64(ix.table.start[id+1] - ix.table.start[id])
 		}
 	}
@@ -96,7 +117,8 @@ type joinIndex struct {
 
 // indexJoin indexes l ⋈ r on their common attributes: the smaller side is
 // built (l on a tie, as in hashJoinInto), except that a Cartesian product
-// builds r, its inner side, on the empty key.
+// builds r, its inner side, on the empty key. A head builds on its written
+// columns; a head probes as pairs.
 func indexJoin(l, r *ColBlock) joinIndex {
 	lPos, rPos := CommonPositions(l.schema, r.schema)
 	product := len(lPos) == 0
@@ -105,6 +127,7 @@ func indexJoin(l, r *ColBlock) joinIndex {
 	if probeIsL {
 		build, buildPos, probe, probePos = r, rPos, l, lPos
 	}
+	build = build.plain()
 	space := newKeySpace(build, buildPos)
 	own := newProber(space, build, buildPos, build, buildPos)
 	return joinIndex{
@@ -119,12 +142,12 @@ func indexJoin(l, r *ColBlock) joinIndex {
 // l — with the side each is read from.
 func joinSources(l, r *ColBlock, probeIsL bool) []colSource {
 	srcs := make([]colSource, 0, r.schema.Len()+l.schema.Len())
-	for _, col := range l.cols {
-		srcs = append(srcs, colSource{col.dict, col.codes, probeIsL})
+	for c := range l.schema.Len() {
+		srcs = append(srcs, l.source(c, probeIsL))
 	}
 	for i, a := range r.schema.Attrs() {
 		if !l.schema.Has(a) {
-			srcs = append(srcs, colSource{r.cols[i].dict, r.cols[i].codes, !probeIsL})
+			srcs = append(srcs, r.source(i, !probeIsL))
 		}
 	}
 	return srcs
@@ -132,8 +155,9 @@ func joinSources(l, r *ColBlock, probeIsL bool) []colSource {
 
 // ParallelSemijoinBlocksGoverned computes l ⋉ r over column blocks: the
 // rows of l with at least one match in r. The output shares l's schema and
-// dictionaries; only code vectors are written. It scans with up to workers
-// goroutines over contiguous row ranges, under the same contract as
+// dictionaries; only code vectors are written, and when every row of l
+// matches the output is l itself. It scans with up to workers goroutines
+// over contiguous row ranges, under the same contract as
 // ParallelJoinBlocksGoverned: identical rows, row order, charges, and abort
 // outcome at every worker count.
 func ParallelSemijoinBlocksGoverned(g *govern.Governor, l, r *ColBlock, workers int) (*ColBlock, error) {
@@ -144,9 +168,19 @@ func ParallelSemijoinBlocksGoverned(g *govern.Governor, l, r *ColBlock, workers 
 	workers = rangeWorkers(workers, l.n+r.n)
 	// The output is l's supported rows: l probes, every output column is
 	// read from it, and a supported row has one match in a hit table.
-	srcs := make([]colSource, len(l.cols))
-	for c, col := range l.cols {
-		srcs[c] = colSource{col.dict, col.codes, true}
+	semijoin := func(p prober, t matchTable) (*ColBlock, error) {
+		h, err := count(scope, workers, p, t, false, false)
+		switch {
+		case err != nil:
+			return nil, err
+		case h.n() == l.n: // nothing removed: the charge stands, nothing is written
+			return l, nil
+		}
+		srcs := make([]colSource, l.schema.Len())
+		for c := range srcs {
+			srcs[c] = l.source(c, true)
+		}
+		return h.block(l.schema, srcs), nil
 	}
 	lPos, rPos := CommonPositions(l.schema, r.schema)
 	if len(lPos) == 0 || l.n > r.n {
@@ -154,7 +188,7 @@ func ParallelSemijoinBlocksGoverned(g *govern.Governor, l, r *ColBlock, workers 
 		// present when r has a row — and key l's rows into them.
 		space := newKeySpace(r, rPos)
 		hits := newProber(space, r, rPos, r, rPos).index(true)
-		return countThenFill(scope, workers, newProber(space, l, lPos, r, rPos), hits, l.schema, srcs, false)
+		return semijoin(newProber(space, l, lPos, r, rPos), hits)
 	}
 	// Index the smaller (left) side: number l's distinct keys, scan r
 	// marking which have support, then emit the supported l rows — the
@@ -166,14 +200,15 @@ func ParallelSemijoinBlocksGoverned(g *govern.Governor, l, r *ColBlock, workers 
 	own := newProber(space, l, lPos, l, lPos)
 	own.number()
 	scan := newProber(space, r, rPos, l, lPos)
-	bounds := splitRanges(r.n, workers)
+	bounds := splitRanges(scan.rows(), workers)
 	marks := make([][]int32, len(bounds)-1)
 	err = runRanges(bounds, func(k, lo, hi int) error {
 		var b batch
 		marked, m := make([]int32, space.miss()+2), scope.Meter()
 		marks[k] = marked
-		for ; lo < hi; lo += probeBatch {
-			for _, id := range scan.ids(&b, lo, min(probeBatch, hi-lo), false) {
+		s := span{lo: lo, hi: hi}
+		for ids := scan.next(&b, &s, false); len(ids) > 0; ids = scan.next(&b, &s, false) {
+			for _, id := range ids {
 				marked[id+1] = 1
 				if err := m.Add(0); err != nil {
 					return err
@@ -190,7 +225,7 @@ func ParallelSemijoinBlocksGoverned(g *govern.Governor, l, r *ColBlock, workers 
 			marks[0][i] |= hit
 		}
 	}
-	return countThenFill(scope, workers, own, hitTable(marks[0]), l.schema, srcs, false)
+	return semijoin(own, hitTable(marks[0]))
 }
 
 // ProjectBlocksGoverned computes π_attrs(b) over a column block,
@@ -205,10 +240,12 @@ func ProjectBlocksGoverned(g *govern.Governor, b *ColBlock, attrs AttrSet) (*Col
 	if err != nil {
 		return nil, err
 	}
+	b = b.plain()
+	cols := b.cols()
 	pos, _ := b.schema.Positions(attrs)
-	out := &ColBlock{schema: MustSchema(attrs...), cols: make([]column, len(pos))}
+	out := &ColBlock{schema: MustSchema(attrs...), data: make([]column, len(pos))}
 	for k, p := range pos {
-		out.cols[k].dict = b.cols[p].dict
+		out.data[k].dict = cols[p].dict
 	}
 	own := newProber(newKeySpace(b, pos), b, pos, b, pos)
 	seen := make([]bool, own.space.idBound(b.n))
@@ -220,7 +257,7 @@ func ProjectBlocksGoverned(g *govern.Governor, b *ColBlock, attrs AttrSet) (*Col
 			if !seen[id] {
 				seen[id] = true
 				for k, p := range pos {
-					out.cols[k].codes = append(out.cols[k].codes, b.cols[p].codes[lo+i])
+					out.data[k].codes = append(out.data[k].codes, cols[p].codes[lo+i])
 				}
 				out.n++
 				fresh = 1
@@ -239,31 +276,67 @@ func ProjectBlocksGoverned(g *govern.Governor, b *ColBlock, attrs AttrSet) (*Col
 // colSource is one output column of a kernel: its dictionary, and the code
 // column it is read from — on the probe side one code per probe row,
 // repeated for each of the row's matches, otherwise one code per matched
-// build row.
+// build row. A probe side that is a head reads its column's codes at each
+// pair's probe row, or with atBuild at its build row.
 type colSource struct {
 	dict      []Value
 	codes     []uint32
 	fromProbe bool
+	atBuild   bool
 }
 
-// countThenFill runs a kernel's two passes over p's rows, cut into up to
-// workers contiguous ranges and each range into batches. The count pass
-// looks up every probe row's matches in t and charges them on the range's
-// own meter, row by row — one Add per probe row, or when perPair one AddEach
-// standing for one call per output pair — exactly as the tuple-map operator
-// charges them. Only when every range counted without error does the fill
-// pass allocate each output column once and write each range's rows from
-// that range's offset, so an aborted kernel writes no output. The fill keys
-// each batch again and compacts it to the rows with a nonempty match range
-// before writing any column.
-func countThenFill(scope *govern.OpScope, workers int, p prober, t matchTable, schema *Schema, srcs []colSource, perPair bool) (*ColBlock, error) {
-	bounds := splitRanges(p.n, workers)
-	at := make([]int, len(bounds)) // at[k+1] counts range k's rows, then becomes its end offset
-	err := runRanges(bounds, func(k, lo, hi int) error {
+// source returns column c of b as a kernel's colSource: read through a
+// head's pairs when fromProbe, else from the block's written columns.
+func (b *ColBlock) source(c int, fromProbe bool) colSource {
+	if h := b.head; h != nil && fromProbe {
+		s := h.srcs[c]
+		return colSource{dict: s.dict, codes: s.codes, fromProbe: true, atBuild: !s.fromProbe}
+	}
+	col := b.cols()[c]
+	return colSource{dict: col.dict, codes: col.codes, fromProbe: fromProbe}
+}
+
+// head is a kernel's output after its count pass: the probe side's ranges,
+// where each range's output rows start, and the table its rows match in.
+// The semijoins and a join probing a head write it at once (block); a join
+// of plain blocks keeps it as its probe rows' match ids, recorded by the
+// count pass, and the block's cols writes it on first need.
+type head struct {
+	p          prober
+	t          matchTable
+	bounds, at []int   // probe-row ranges; at[k] is range k's first output row
+	ids        []int32 // a kept head's probe-row match ids
+	srcs       []colSource
+	once       sync.Once
+	cols       []column
+}
+
+// n returns the head's row count.
+func (h *head) n() int { return h.at[len(h.at)-1] }
+
+// count runs a kernel's count pass over p's rows, cut into up to workers
+// contiguous ranges and each range into batches: it looks up every probe
+// row's matches in t and charges them on the range's own meter, row by row
+// — one Add per probe row, or when perPair one AddEach standing for one call
+// per output pair — exactly as the tuple-map operator charges them. A head
+// probe side's rows are its pairs, and its ranges cut its probe rows. With
+// record it keeps a plain probe side's match ids. It allocates no output,
+// so an aborted kernel writes none.
+func count(scope *govern.OpScope, workers int, p prober, t matchTable, perPair, record bool) (*head, error) {
+	h := &head{p: p, t: t, bounds: splitRanges(p.rows(), workers)}
+	h.at = make([]int, len(h.bounds)) // at[k+1] counts range k's rows, then becomes its end offset
+	if record {
+		h.ids = make([]int32, p.n)
+	}
+	err := runRanges(h.bounds, func(k, lo, hi int) error {
 		var b batch
 		n, meter := 0, scope.Meter()
-		for ; lo < hi; lo += probeBatch {
-			for _, id := range p.ids(&b, lo, min(probeBatch, hi-lo), false) {
+		s := span{lo: lo, hi: hi}
+		for ids := p.next(&b, &s, false); len(ids) > 0; ids = p.next(&b, &s, false) {
+			if record {
+				copy(h.ids[b.lo:], ids)
+			}
+			for _, id := range ids {
 				c := int(t.start[id+1] - t.start[id])
 				n += c
 				var err error
@@ -277,28 +350,52 @@ func countThenFill(scope *govern.OpScope, workers int, p prober, t matchTable, s
 				}
 			}
 		}
-		at[k+1] = n
+		h.at[k+1] = n
 		return meter.Close()
 	})
 	if err != nil {
 		return nil, err
 	}
-	for k := 1; k < len(at); k++ {
-		at[k] += at[k-1]
+	for k := 1; k < len(h.at); k++ {
+		h.at[k] += h.at[k-1]
 	}
-	out := &ColBlock{schema: schema, cols: make([]column, len(srcs)), n: at[len(at)-1]}
-	for c, src := range srcs {
-		out.cols[c] = column{dict: src.dict, codes: make([]uint32, out.n)}
+	return h, nil
+}
+
+// block writes the head's rows as a block over schema, each column from its
+// source in srcs.
+func (h *head) block(schema *Schema, srcs []colSource) *ColBlock {
+	h.srcs = srcs
+	return &ColBlock{schema: schema, data: h.fill(), n: h.n()}
+}
+
+// fill allocates each output column once and writes each range's rows from
+// that range's offset. It keys each batch again — a kept head reads its
+// recorded ids — and compacts it to the rows with a nonempty match range
+// before writing any column. It charges nothing and cannot fail.
+func (h *head) fill() []column {
+	cols := make([]column, len(h.srcs))
+	for c, src := range h.srcs {
+		cols[c] = column{dict: src.dict, codes: make([]uint32, h.n())}
 	}
-	// The fill charges nothing and cannot fail.
-	_ = runRanges(bounds, func(k, lo, hi int) error {
+	_ = runRanges(h.bounds, func(k, lo, hi int) error {
 		var b batch
-		row := at[k]
-		for ; lo < hi; lo += probeBatch {
-			ids := p.ids(&b, lo, min(probeBatch, hi-lo), false)
+		row := h.at[k]
+		s := span{lo: lo, hi: hi}
+		for {
+			var ids []int32
+			if h.ids != nil {
+				b.lo, s.lo = s.lo, min(s.lo+probeBatch, s.hi)
+				ids = h.ids[b.lo:s.lo]
+			} else {
+				ids = h.p.next(&b, &s, false)
+			}
+			if len(ids) == 0 {
+				return nil
+			}
 			sel, n := 0, 0
 			for i, id := range ids {
-				c := t.start[id+1] - t.start[id]
+				c := h.t.start[id+1] - h.t.start[id]
 				b.sel[sel] = int32(i)
 				sel += int(uint32(-c) >> 31) // 1 when the range is nonempty
 				n += int(c)
@@ -306,19 +403,19 @@ func countThenFill(scope *govern.OpScope, workers int, p prober, t matchTable, s
 			// single: every selected row has one match, so each column is a
 			// plain gather.
 			single := n == sel
-			for c, src := range srcs {
-				dst := out.cols[c].codes[row : row+n]
+			for c, src := range h.srcs {
+				dst := cols[c].codes[row : row+n]
 				switch {
 				case src.fromProbe && single:
-					codes := src.codes[lo:hi]
+					codes := b.probeCodes(src, h.p.head != nil, len(ids))
 					for j, i := range b.sel[:sel] {
 						dst[j] = codes[i]
 					}
 				case src.fromProbe:
-					codes, w := src.codes[lo:hi], 0
+					codes, w := b.probeCodes(src, h.p.head != nil, len(ids)), 0
 					for _, i := range b.sel[:sel] {
 						id := ids[i]
-						d := dst[w : w+int(t.start[id+1]-t.start[id])]
+						d := dst[w : w+int(h.t.start[id+1]-h.t.start[id])]
 						for j := range d {
 							d[j] = codes[i]
 						}
@@ -326,13 +423,13 @@ func countThenFill(scope *govern.OpScope, workers int, p prober, t matchTable, s
 					}
 				case single:
 					for j, i := range b.sel[:sel] {
-						dst[j] = src.codes[t.rows[t.start[ids[i]]]]
+						dst[j] = src.codes[h.t.rows[h.t.start[ids[i]]]]
 					}
 				default:
 					w := 0
 					for _, i := range b.sel[:sel] {
 						id := ids[i]
-						for _, r := range t.rows[t.start[id]:t.start[id+1]] {
+						for _, r := range h.t.rows[h.t.start[id]:h.t.start[id+1]] {
 							dst[w] = src.codes[r]
 							w++
 						}
@@ -341,9 +438,8 @@ func countThenFill(scope *govern.OpScope, workers int, p prober, t matchTable, s
 			}
 			row += n
 		}
-		return nil
 	})
-	return out, nil
+	return cols
 }
 
 // parallelMinInput is the combined input size below which the kernels probe
@@ -453,7 +549,7 @@ func directSpace(b *ColBlock, pos []int) (keySpace, bool) {
 	s := keySpace{strides: make([]uint64, len(pos)), size: 1}
 	for k := len(pos) - 1; k >= 0; k-- {
 		s.strides[k] = s.size
-		d := uint64(len(b.cols[pos[k]].dict))
+		d := uint64(len(b.Dict(pos[k])))
 		if d > 0 && s.size > limit/d {
 			return keySpace{}, false
 		}
@@ -515,19 +611,31 @@ func (s keySpace) absent(k int) uint64 {
 }
 
 // prober keys the n rows of one side into a key space, a batch at a time.
+// A head's rows are its pairs, keyed through its parents' columns.
 type prober struct {
 	space keySpace
 	cols  []keyCol
 	n     int
+	head  *head
 }
 
 // keyCol is one key column of a prober: its codes, and the translation
 // table from a code to its term of the key — nil when the column shares the
-// space's dictionary, whose code c is the term c·stride.
+// space's dictionary, whose code c is the term c·stride. On a head, build
+// marks a column read at each pair's build row rather than its probe row.
 type keyCol struct {
 	codes  []uint32
 	terms  []uint64
 	stride uint64
+	build  bool
+}
+
+// term returns code's term of the key.
+func (c *keyCol) term(code uint32) uint64 {
+	if c.terms == nil {
+		return uint64(code) * c.stride
+	}
+	return c.terms[code]
 }
 
 // newProber keys b's rows at pos into space, the key space of onto's
@@ -535,17 +643,18 @@ type keyCol struct {
 // translation table, merged from the two sorted dictionaries; all of a
 // prober's tables are carved from one allocation.
 func newProber(space keySpace, b *ColBlock, pos []int, onto *ColBlock, ontoPos []int) prober {
-	p := prober{space: space, cols: make([]keyCol, len(pos)), n: b.n}
+	p := prober{space: space, cols: make([]keyCol, len(pos)), n: b.n, head: b.head}
 	total := 0
 	for k, q := range pos {
-		p.cols[k] = keyCol{codes: b.cols[q].codes, stride: space.strides[k]}
-		if !sameDict(b.cols[q].dict, onto.cols[ontoPos[k]].dict) {
-			total += len(b.cols[q].dict)
+		src := b.source(q, true)
+		p.cols[k] = keyCol{codes: src.codes, stride: space.strides[k], build: src.atBuild}
+		if !sameDict(src.dict, onto.Dict(ontoPos[k])) {
+			total += len(src.dict)
 		}
 	}
 	terms := make([]uint64, total)
 	for k, q := range pos {
-		from, to := b.cols[q].dict, onto.cols[ontoPos[k]].dict
+		from, to := b.Dict(q), onto.Dict(ontoPos[k])
 		if sameDict(from, to) {
 			continue
 		}
@@ -575,24 +684,55 @@ func sameDict(a, b []Value) bool {
 
 // batch is one goroutine's scratch for probeBatch rows: a value on its
 // stack, so probing allocates nothing (wide keys aside, whose buffer is
-// made once per batch value).
+// made once per batch value). lo is a plain side's first row in the batch;
+// prow and brow are a head's pairs, codes a head's column gathered at them.
 type batch struct {
-	keys [probeBatch]uint64
-	ids  [probeBatch]int32
-	sel  [probeBatch]int32
-	wide []byte
+	keys       [probeBatch]uint64
+	ids        [probeBatch]int32
+	sel        [probeBatch]int32
+	prow, brow [probeBatch]int32
+	codes      [probeBatch]uint32
+	lo         int
+	wide       []byte
+}
+
+// span is a walk over the rows [lo, hi) of a prober's side — over a head's
+// probe rows, k being the pairs of row lo already walked.
+type span struct {
+	lo, hi int
+	k      int32
+}
+
+// rows returns the number of rows a span of p walks: a head's probe rows.
+func (p *prober) rows() int {
+	if p.head != nil {
+		return len(p.head.ids)
+	}
+	return p.n
+}
+
+// next returns the match ids of the next batch of s, empty once s is
+// walked: probeBatch rows of a plain side, or probeBatch pairs of a head.
+func (p *prober) next(b *batch, s *span, insert bool) []int32 {
+	if p.head != nil {
+		return p.pairIDs(b, s, insert)
+	}
+	b.lo, s.lo = s.lo, min(s.lo+probeBatch, s.hi)
+	return p.ids(b, b.lo, s.lo-b.lo, insert)
 }
 
 // ids returns the match ids of p's rows [lo, lo+n), n ≤ probeBatch: their
-// keys, summed one column at a time, then clamped to the miss id on a
-// direct space or looked up on the map shapes. With insert, a map shape
-// numbers the keys it does not hold (the indexed side's own rows);
-// otherwise they take the miss id.
+// keys, summed one column at a time, then looked up.
 func (p *prober) ids(b *batch, lo, n int, insert bool) []int32 {
-	ids := b.ids[:n]
 	if p.space.wide != nil {
-		p.wideIDs(b, lo, ids, insert)
-		return ids
+		w := b.wideWidth(len(p.cols))
+		for k := range p.cols {
+			c := &p.cols[k]
+			for i, code := range c.codes[lo : lo+n] {
+				binary.BigEndian.PutUint32(b.wide[i*w+4*k:], uint32(c.term(code)))
+			}
+		}
+		return p.lookup(b, n, insert)
 	}
 	keys := b.keys[:n]
 	clear(keys)
@@ -608,8 +748,111 @@ func (p *prober) ids(b *batch, lo, n int, insert bool) []int32 {
 			}
 		}
 	}
-	if m := p.space.packed; m != nil {
-		for i, key := range keys {
+	return p.lookup(b, n, insert)
+}
+
+// pairIDs is next on a head: it walks s's probe rows into the batch's pairs
+// until probeBatch are taken, summing a probe row's terms once for all its
+// pairs, then adds each pair's build-row terms one column at a time and
+// looks the keys up.
+func (p *prober) pairIDs(b *batch, s *span, insert bool) []int32 {
+	h, n := p.head, 0
+	for s.lo < s.hi && n < probeBatch {
+		id := h.ids[s.lo]
+		rows := h.t.rows[h.t.start[id]+s.k : h.t.start[id+1]]
+		m := copy(b.brow[n:], rows)
+		if m > 0 {
+			var part uint64
+			for k := range p.cols {
+				if c := &p.cols[k]; !c.build {
+					part += c.term(c.codes[s.lo])
+				}
+			}
+			for j := n; j < n+m; j++ {
+				b.prow[j], b.keys[j] = int32(s.lo), part
+			}
+		}
+		n += m
+		if s.k += int32(m); m == len(rows) {
+			s.lo, s.k = s.lo+1, 0
+		}
+	}
+	if p.space.wide != nil {
+		w := b.wideWidth(len(p.cols))
+		for k := range p.cols {
+			c, at := &p.cols[k], b.prow[:n]
+			if c.build {
+				at = b.brow[:n]
+			}
+			for j, r := range at {
+				binary.BigEndian.PutUint32(b.wide[j*w+4*k:], uint32(c.term(c.codes[r])))
+			}
+		}
+		return p.lookup(b, n, insert)
+	}
+	keys := b.keys[:n]
+	for k := range p.cols {
+		if c := &p.cols[k]; c.build {
+			for j, r := range b.brow[:n] {
+				keys[j] += c.term(c.codes[r])
+			}
+		}
+	}
+	return p.lookup(b, n, insert)
+}
+
+// probeCodes returns a probe-side column's codes at the batch's n rows: a
+// slice of a plain side's column, or on a head (pairs) the column gathered
+// at each pair's probe or build row.
+func (b *batch) probeCodes(src colSource, pairs bool, n int) []uint32 {
+	if !pairs {
+		return src.codes[b.lo : b.lo+n]
+	}
+	at := b.prow[:n]
+	if src.atBuild {
+		at = b.brow[:n]
+	}
+	codes := b.codes[:n]
+	for j, r := range at {
+		codes[j] = src.codes[r]
+	}
+	return codes
+}
+
+// wideWidth returns the bytes of a wide key over k columns, making the
+// batch's byte buffer on first use.
+func (b *batch) wideWidth(k int) int {
+	w := 4 * k
+	if len(b.wide) < probeBatch*w {
+		b.wide = make([]byte, probeBatch*w)
+	}
+	return w
+}
+
+// lookup turns the batch's n keys into match ids: clamped to the miss id on
+// a direct space, looked up on the map shapes — where each key was written
+// big-endian, one column at a time, into its slot of the byte buffer on the
+// wide one. With insert, a map shape numbers the keys it does not hold (the
+// indexed side's own rows); otherwise they take the miss id.
+func (p *prober) lookup(b *batch, n int, insert bool) []int32 {
+	ids := b.ids[:n]
+	switch {
+	case p.space.wide != nil:
+		m, w := p.space.wide, 4*len(p.cols)
+		for i := range ids {
+			key := b.wide[i*w : (i+1)*w]
+			id, ok := m[string(key)]
+			if !ok {
+				id = int32(len(m))
+				if insert {
+					m[string(key)] = id
+				}
+			}
+			ids[i] = id
+		}
+	case p.space.packed != nil:
+		m := p.space.packed
+		for i, key := range b.keys[:n] {
 			id, ok := m[key]
 			if !ok {
 				id = int32(len(m))
@@ -619,43 +862,12 @@ func (p *prober) ids(b *batch, lo, n int, insert bool) []int32 {
 			}
 			ids[i] = id
 		}
-		return ids
-	}
-	for i, key := range keys {
-		ids[i] = int32(min(key, p.space.size))
+	default:
+		for i, key := range b.keys[:n] {
+			ids[i] = int32(min(key, p.space.size))
+		}
 	}
 	return ids
-}
-
-// wideIDs is ids on the wide shape: each row's terms are written
-// big-endian, one column at a time, into its slot of the batch's byte
-// buffer, and the slots are looked up.
-func (p *prober) wideIDs(b *batch, lo int, ids []int32, insert bool) {
-	w := 4 * len(p.cols)
-	if len(b.wide) < probeBatch*w {
-		b.wide = make([]byte, probeBatch*w)
-	}
-	for k, c := range p.cols {
-		for i, code := range c.codes[lo : lo+len(ids)] {
-			t := uint64(code)
-			if c.terms != nil {
-				t = c.terms[code]
-			}
-			binary.BigEndian.PutUint32(b.wide[i*w+4*k:], uint32(t))
-		}
-	}
-	m := p.space.wide
-	for i := range ids {
-		key := b.wide[i*w : (i+1)*w]
-		id, ok := m[string(key)]
-		if !ok {
-			id = int32(len(m))
-			if insert {
-				m[string(key)] = id
-			}
-		}
-		ids[i] = id
-	}
 }
 
 // number keys every row of p, the indexed side's own, so that a map shape
@@ -665,8 +877,8 @@ func (p *prober) number() {
 		return
 	}
 	var b batch
-	for lo := 0; lo < p.n; lo += probeBatch {
-		p.ids(&b, lo, min(probeBatch, p.n-lo), true)
+	s := span{hi: p.rows()}
+	for ids := p.next(&b, &s, true); len(ids) > 0; ids = p.next(&b, &s, true) {
 	}
 }
 
@@ -680,8 +892,8 @@ type matchTable struct {
 
 // index builds the table over p's rows, the indexed side's own, numbering
 // their keys on a map shape. Each id's rows are the rows holding its key —
-// a counting sort over the ids — or, when distinct, the id is a hit when
-// any row holds it: the semijoin's table.
+// a counting sort over the ids, on a plain side only — or, when distinct,
+// the id is a hit when any row holds it: the semijoin's table.
 func (p prober) index(distinct bool) matchTable {
 	bound, n := p.space.idBound(p.n), p.n
 	if distinct {
@@ -690,8 +902,9 @@ func (p prober) index(distinct bool) matchTable {
 	slab := make([]int32, bound+2+n)
 	start, rows := slab[:bound+2], slab[bound+2:]
 	var b batch
-	for lo := 0; lo < p.n; lo += probeBatch {
-		for _, id := range p.ids(&b, lo, min(probeBatch, p.n-lo), true) {
+	s := span{hi: p.rows()}
+	for ids := p.next(&b, &s, true); len(ids) > 0; ids = p.next(&b, &s, true) {
+		for _, id := range ids {
 			if distinct {
 				start[id+1] = 1
 			} else {

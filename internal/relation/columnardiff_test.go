@@ -897,3 +897,201 @@ func checkAbortAt(t *testing.T, name string, l, r *ColBlock, budget int64,
 		}
 	}
 }
+
+// kernelFunc is the signature the differential checks drive a kernel by.
+type kernelFunc = func(*govern.Governor, *ColBlock, *ColBlock, int) (*ColBlock, error)
+
+// TestFactorizedHeadsMatchTupleMapOps feeds join heads — the output of a
+// join of two plain blocks, kept as pairs until a reader needs its columns
+// — into every reader of a block: the semijoin with the head on either side
+// (probing, indexed, scanned), the join with the head as probe side and as
+// build side in either operand position, projection, Trie, decode and JSON.
+// Heads are over one and two key columns and Cartesian products, the other
+// operand is a plain block or another head, and the readers' key spaces
+// take both shapes. Every kernel call reads heads no reader has touched, at
+// workers 1–4 with the range split forced on; rows, row order, Produced and
+// the abort charge on one range at a sweep of MaxTuples boundaries must
+// match the tuple-map operators over the written heads, and a head must be
+// written by exactly the readers that need its columns.
+func TestFactorizedHeadsMatchTupleMapOps(t *testing.T) {
+	defer SetParallelThreshold(0)()
+	rng := rand.New(rand.NewSource(2050))
+	block := func(scheme string, domain int) *ColBlock {
+		if rng.Intn(3) > 0 {
+			return FromRelation(randRel(rng, scheme, rng.Intn(40), domain))
+		}
+		return cutBlock(FromRelation(randRel(rng, scheme, 400, domain)))
+	}
+	// again maps a head to a function making a fresh one from its parents.
+	again := map[*ColBlock]func() *ColBlock{}
+	newHead := func(a, b *ColBlock) *ColBlock {
+		join := func() *ColBlock {
+			h, err := JoinBlocksGoverned(nil, a, b)
+			if err != nil || h.head == nil {
+				t.Fatalf("join of plain blocks gave %v, %v; want a head", h, err)
+			}
+			return h
+		}
+		h := join()
+		again[h] = join
+		return h
+	}
+	fresh := func(b *ColBlock) *ColBlock {
+		if f, ok := again[b]; ok {
+			return f()
+		}
+		return b
+	}
+	written := func(b *ColBlock) bool { return b.head != nil && b.head.cols != nil }
+	reached := map[string]bool{}
+	// onFresh runs kernel on fresh heads and checks which of them it wrote:
+	// buildsL and buildsR say whether the kernel reads l's and r's columns.
+	onFresh := func(name string, kernel kernelFunc, buildsL, buildsR bool) kernelFunc {
+		return func(g *govern.Governor, l, r *ColBlock, w int) (*ColBlock, error) {
+			l, r = fresh(l), fresh(r)
+			out, err := kernel(g, l, r, w)
+			for _, side := range []struct {
+				b     *ColBlock
+				build bool
+			}{{l, buildsL}, {r, buildsR}} {
+				if side.b.head != nil && written(side.b) != side.build {
+					t.Fatalf("%s, %d workers: head written %v, want %v", name, w, written(side.b), side.build)
+				}
+			}
+			return out, err
+		}
+	}
+	// sweep checks the abort charge on one range at MaxTuples boundaries
+	// across the whole charge: all of them on small totals.
+	sweep := func(name string, l, r *ColBlock, kernel kernelFunc, oracle func(*govern.Governor, *Relation, *Relation) (*Relation, error)) {
+		g := govern.New(govern.Limits{MaxTuples: 1 << 40})
+		if _, err := oracle(g, l.ToRelation(), r.ToRelation()); err != nil {
+			t.Fatal(err)
+		}
+		total := g.Produced()
+		for k := 0; k < 6 && total >= 2; k++ {
+			budget := 1 + rng.Int63n(total-1)
+			if total <= 7 {
+				budget = int64(1 + k%int(total-1))
+			}
+			checkAbortAt(t, fmt.Sprintf("%s, budget %d", name, budget), l, r, budget, kernel, oracle)
+		}
+	}
+	heads := [][2]string{{"AB", "BC"}, {"ABC", "BCD"}, {"AB", "CD"}}
+	for trial := 0; trial < 90; trial++ {
+		hp := heads[trial%len(heads)]
+		domain := []int{2, 4, 40, 1000}[rng.Intn(4)]
+		a, b := block(hp[0], domain), block(hp[1], domain)
+		h := newHead(a, b)
+		want := Join(a.ToRelation(), b.ToRelation())
+		name := fmt.Sprintf("trial %d (head %s ⋈ %s, %d rows, domain %d)", trial, hp[0], hp[1], want.Len(), domain)
+		// The other operand: some of the head's attributes (none makes a
+		// product) and E, as a plain block or as a head over E and F.
+		var scheme string
+		for _, attr := range h.Schema().Attrs() {
+			if rng.Intn(2) == 0 {
+				scheme += attr
+			}
+		}
+		x := block(scheme+"E", domain)
+		if rng.Intn(3) == 0 {
+			x = newHead(x, block("EF", domain))
+		}
+		name += fmt.Sprintf(" with %s (%d rows)", x.Schema(), x.Len())
+
+		// Decode, JSON, Trie: the written head is the tuple-map join.
+		if rows := fresh(h).ToRelation().Rows(); !slices.EqualFunc(rows, want.Rows(), func(u, v Tuple) bool { return u.Compare(v) == 0 }) {
+			t.Fatalf("%s: decoded head differs from the tuple-map join", name)
+		}
+		for _, max := range []int{0, 3} {
+			got, _, err := fresh(h).ToRelation().AppendJSON(nil, max)
+			wantJSON, _, err2 := want.AppendJSON(nil, max)
+			if err != nil || err2 != nil || string(got) != string(wantJSON) {
+				t.Fatalf("%s: head JSON (max %d)\n%s\nwant\n%s", name, max, got, wantJSON)
+			}
+		}
+		order := slices.Clone(h.Schema().Attrs())
+		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		trie, _, err := fresh(h).Trie(order)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantTrie, _, _ := FromRelation(want).Trie(order)
+		if !slices.EqualFunc(trieRows(trie), trieRows(wantTrie), func(u, v Tuple) bool { return u.Compare(v) == 0 }) {
+			t.Fatalf("%s: head trie for %v differs from the tuple-map join's", name, order)
+		}
+
+		for _, ops := range [][2]*ColBlock{{h, x}, {x, h}} {
+			l, r := ops[0], ops[1]
+			lPos, _ := CommonPositions(l.Schema(), r.Schema())
+			probeIsL := l.Len() > r.Len() || len(lPos) == 0
+			role := "build"
+			if probeIsL == (l == h) {
+				role = "probe"
+			}
+			reached["join, head "+role] = true
+			indexesR := len(lPos) == 0 || l.Len() > r.Len()
+			role = map[[2]bool]string{{true, true}: "l probing", {true, false}: "l indexed", {false, true}: "r indexed", {false, false}: "r scanned"}[[2]bool{l == h, indexesR}]
+			reached["semijoin, head "+role] = true
+			if len(lPos) > 0 {
+				indexed, pos := l, lPos
+				if indexesR {
+					indexed, pos = r, nil
+					pos, _ = CommonPositions(r.Schema(), l.Schema())
+				}
+				_, direct := directSpace(indexed, pos)
+				reached[fmt.Sprintf("semijoin, direct %v", direct)] = true
+			}
+			opName := fmt.Sprintf("%s, %s ⋈ %s", name, l.Schema(), r.Schema())
+			join := onFresh("join "+opName, ParallelJoinBlocksGoverned, !probeIsL, probeIsL)
+			semijoin := onFresh("semijoin "+opName, ParallelSemijoinBlocksGoverned, false, false)
+			checkKernelAgainstTupleMap(t, "join "+opName, l, r, join, JoinGoverned, 1, 2, 3, 4)
+			checkKernelAgainstTupleMap(t, "semijoin "+opName, l, r, semijoin, SemijoinGoverned, 1, 2, 3, 4)
+			sweep("join "+opName, l, r, join, JoinGoverned)
+			sweep("semijoin "+opName, l, r, semijoin, SemijoinGoverned)
+		}
+
+		kept := []string{h.Schema().Attrs()[rng.Intn(h.Schema().Len())]}
+		for _, a := range h.Schema().Attrs() {
+			if rng.Intn(2) == 0 {
+				kept = append(kept, a)
+			}
+		}
+		attrs := NewAttrSet(kept...)
+		project := onFresh("project "+name, func(g *govern.Governor, b, _ *ColBlock, _ int) (*ColBlock, error) {
+			return ProjectBlocksGoverned(g, b, attrs)
+		}, true, false)
+		projectOracle := func(g *govern.Governor, rel, _ *Relation) (*Relation, error) {
+			return ProjectGoverned(g, rel, attrs)
+		}
+		checkKernelAgainstTupleMap(t, fmt.Sprintf("π_%v %s", attrs, name), h, x, project, projectOracle, 1, 2, 3, 4)
+		sweep(fmt.Sprintf("π_%v %s", attrs, name), h, x, project, projectOracle)
+	}
+	for _, role := range []string{"join, head probe", "join, head build", "semijoin, head l probing", "semijoin, head l indexed",
+		"semijoin, head r indexed", "semijoin, head r scanned", "semijoin, direct true", "semijoin, direct false"} {
+		if !reached[role] {
+			t.Errorf("no trial reached %s", role)
+		}
+	}
+}
+
+// trieRows returns a trie's root-to-leaf paths, decoded, in trie order.
+func trieRows(tr *Trie) []Tuple {
+	k := tr.Schema().Len()
+	var rows []Tuple
+	var walk func(d, lo, hi int, prefix Tuple)
+	walk = func(d, lo, hi int, prefix Tuple) {
+		for i := lo; i < hi; i++ {
+			row := append(prefix[:d:d], tr.Dict(d)[tr.Keys(d)[i]])
+			if d == k-1 {
+				rows = append(rows, row)
+			} else {
+				walk(d+1, int(tr.Start(d)[i]), int(tr.Start(d)[i+1]), row)
+			}
+		}
+	}
+	if k > 0 {
+		walk(0, 0, len(tr.Keys(0)), nil)
+	}
+	return rows
+}

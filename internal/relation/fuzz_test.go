@@ -18,9 +18,12 @@ import (
 // picks the shape: its low nibble is the worker count, and its high nibble
 // picks one, two or three key columns (value mod 3) and whether either side
 // is first cut to a block with non-minimal dictionaries (bits 4 and 8), so
-// both table shapes and unmatched probe codes are reached. Any
-// dictionary-remap, key-numbering or key-packing confusion shows up as a
-// lost, duplicated or reordered output row.
+// both table shapes and unmatched probe codes are reached. The join's
+// output, a head kept as pairs, is then joined and semijoined with l and
+// with r in both positions, each time as a head no reader has touched, and
+// must give the tuple-map composition. Any dictionary-remap, key-numbering,
+// key-packing or pair-walking confusion shows up as a lost, duplicated or
+// reordered output row.
 func FuzzParallelJoinKeys(f *testing.F) {
 	f.Add([]byte("a\x00b\x001"), []byte("b\x00c\x002"), uint8(2))
 	f.Add([]byte("\x00\x00\x00"), []byte("\x00\x00\x00"), uint8(3))
@@ -39,6 +42,14 @@ func FuzzParallelJoinKeys(f *testing.F) {
 		rBig = fmt.Appendf(rBig, "b%d\x00c%d\x00", i%70, i)
 	}
 	f.Add(lBig, rBig, uint8(0x02))
+	// One probe row of the join matches all 258 build rows, so its pairs run
+	// past a probe batch.
+	var lFan, rFan []byte
+	for i := 0; i < probeBatch+2; i++ {
+		lFan = fmt.Appendf(lFan, "a%d\x00b0\x00", i)
+		rFan = fmt.Appendf(rFan, "b%d\x00c%d\x00", i, i)
+	}
+	f.Add(lFan, rFan, uint8(0x02))
 	f.Fuzz(func(t *testing.T, lBlob, rBlob []byte, workers uint8) {
 		defer SetParallelThreshold(0)()
 		w := int(workers%16) + 1
@@ -67,6 +78,34 @@ func FuzzParallelJoinKeys(f *testing.F) {
 			if !sameRowsAs(out, k.want) {
 				t.Fatalf("block %s (%s, %s, %d workers) %d tuples, tuple-map %d (or order differs)\nl=%q\nr=%q",
 					k.name, pair[0], pair[1], w, out.Len(), k.want.Len(), lBlob, rBlob)
+			}
+		}
+		jt := Join(lt, rt)
+		for _, x := range []*ColBlock{l, r} {
+			xt := x.ToRelation()
+			for _, k := range []struct {
+				name   string
+				kernel func(*govern.Governor, *ColBlock, *ColBlock, int) (*ColBlock, error)
+				oracle func(*Relation, *Relation) *Relation
+			}{{"⋈", ParallelJoinBlocksGoverned, Join}, {"⋉", ParallelSemijoinBlocksGoverned, Semijoin}} {
+				for _, headLeft := range []bool{true, false} {
+					h, err := ParallelJoinBlocksGoverned(nil, l, r, w)
+					if err != nil {
+						t.Fatal(err)
+					}
+					a, b, want := h, x, k.oracle(jt, xt)
+					if !headLeft {
+						a, b, want = x, h, k.oracle(xt, jt)
+					}
+					out, err := k.kernel(nil, a, b, w)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !sameRowsAs(out, want) {
+						t.Fatalf("%s %s %s (%s, %s, %d workers) %d tuples, tuple-map %d (or order differs)\nl=%q\nr=%q",
+							a.Schema(), k.name, b.Schema(), pair[0], pair[1], w, out.Len(), want.Len(), lBlob, rBlob)
+					}
+				}
 			}
 		}
 	})

@@ -103,7 +103,8 @@ func (r *Relation) AppendJSON(buf []byte, max int) (_ []byte, cut bool, err erro
 		return append(buf, "[[]]}"...), false, nil
 	}
 	b := r.Block()
-	pos := make([]int, len(b.cols))
+	cols := b.cols()
+	pos := make([]int, len(cols))
 	for c := range pos {
 		pos[c] = c
 	}
@@ -111,11 +112,11 @@ func (r *Relation) AppendJSON(buf []byte, max int) (_ []byte, cut bool, err erro
 	// Rows are written as ",[v0,…,vk]": each dictionary entry is formatted
 	// once, on first use, with the separators around it, and the first row's
 	// ',' becomes the list's '['. This pass also sums the exact output size.
-	text := make([][][]byte, len(b.cols))
+	text := make([][][]byte, len(cols))
 	var slab []byte
 	size := 2
-	for c := range b.cols {
-		col := &b.cols[c]
+	for c := range cols {
+		col := &cols[c]
 		text[c] = make([][]byte, len(col.dict))
 		for _, i := range order {
 			code := col.codes[i]
@@ -127,7 +128,7 @@ func (r *Relation) AppendJSON(buf []byte, max int) (_ []byte, cut bool, err erro
 				if slab, err = col.dict[code].appendJSON(slab); err != nil {
 					return nil, false, err
 				}
-				if c == len(b.cols)-1 {
+				if c == len(cols)-1 {
 					slab = append(slab, ']')
 				}
 				text[c][code] = slab[at:]
@@ -139,7 +140,7 @@ func (r *Relation) AppendJSON(buf []byte, max int) (_ []byte, cut bool, err erro
 	buf = slices.Grow(buf, size)
 	for _, i := range order {
 		for c := range text {
-			buf = append(buf, text[c][b.cols[c].codes[i]]...)
+			buf = append(buf, text[c][cols[c].codes[i]]...)
 		}
 	}
 	buf[start] = '['

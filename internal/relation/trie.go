@@ -59,7 +59,7 @@ func (b *ColBlock) Trie(attrs []string) (trie *Trie, built bool, err error) {
 	if run := head.find(attrs); run != nil {
 		return run.trie, false, nil
 	}
-	if len(attrs) != len(b.cols) {
+	if len(attrs) != b.schema.Len() {
 		return nil, false, fmt.Errorf("colblock: trie order %v is not a permutation of schema %s", attrs, b.schema)
 	}
 	pos, err := b.schema.Positions(attrs)
@@ -117,10 +117,10 @@ func (b *ColBlock) buildTrie(schema *Schema, pos []int) *Trie {
 	if k == 0 {
 		return t
 	}
-	cols := make([][]uint32, k)
+	cols, src := make([][]uint32, k), b.cols()
 	for d, c := range pos {
-		t.dicts[d] = b.cols[c].dict
-		cols[d] = b.cols[c].codes
+		t.dicts[d] = src[c].dict
+		cols[d] = src[c].codes
 	}
 	t.keys[k-1] = make([]uint32, 0, b.n)
 	prev := int32(-1)
