@@ -2,6 +2,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"repro/internal/jointree"
 	"repro/internal/optimizer"
 	"repro/internal/relation"
+	"repro/internal/service"
 	"repro/internal/workload"
 )
 
@@ -169,5 +171,45 @@ func TestTSVBridge(t *testing.T) {
 	}
 	if !back.Equal(db.Relation(0)) {
 		t.Fatal("TSV bridge corrupted the relation")
+	}
+}
+
+// TestServedTriangleCountsAtEveryWorkerCount pins what the served benchmark's
+// two triangle queries count, through service.Service without HTTP, at every
+// worker count a request can ask for: intra-query workers split kernels'
+// row ranges and never change a count.
+func TestServedTriangleCountsAtEveryWorkerCount(t *testing.T) {
+	for _, c := range []struct {
+		spec                workload.TriangleSpec
+		strategy            string
+		cost, produced, out int64
+		stmts               int
+	}{
+		{workload.TriangleSpec{Nodes: 90, Edges: 1600}, "program", 42032, 37232, 5721, 4},
+		{workload.TriangleSpec{Nodes: 2000, Edges: 16000}, "wcoj", 48507, 48507, 507, 1},
+	} {
+		db, err := c.spec.TriangleDatabase(rand.New(rand.NewSource(1992)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc := service.New(service.Config{QueryWorkers: 4})
+		if _, err := svc.Register("tri", db); err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{1, 2, 4} {
+			rep, err := svc.Query(context.Background(), service.Request{Database: "tri", Strategy: c.strategy, Workers: w})
+			if err != nil {
+				t.Fatalf("%s, %d workers: %v", c.strategy, w, err)
+			}
+			if rep.Cost != c.cost || rep.Produced != c.produced || int64(rep.Result.Len()) != c.out ||
+				len(rep.Steps) != c.stmts || rep.Parallelism != w {
+				t.Fatalf("%s, %d workers: cost %d, produced %d, %d result tuples, %d statements, parallelism %d; want %d, %d, %d, %d, %d",
+					c.strategy, w, rep.Cost, rep.Produced, rep.Result.Len(), len(rep.Steps), rep.Parallelism,
+					c.cost, c.produced, c.out, c.stmts, w)
+			}
+		}
+		if err := svc.Close(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

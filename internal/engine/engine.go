@@ -104,14 +104,14 @@ type Options struct {
 	// and context are absolute and shared.
 	Limits govern.Limits
 	// Workers enables governed intra-query parallelism with up to Workers
-	// goroutines: ready program statements run concurrently over their
-	// dependency DAG, their joins and semijoins probe in parallel row
-	// ranges, and a multiway join partitions its outermost variable. Every
-	// plan runs as a program on that executor — join trees, the acyclic
-	// pipeline, reduce-then-join and the leapfrog join included. All
-	// workers charge the same governor budgets. 0 or 1 executes
-	// sequentially (the default); results and costs are identical either
-	// way. Workers is honored by direct Join calls and by cached-Plan
+	// goroutines inside each program statement: joins and semijoins probe
+	// in parallel row ranges and a multiway join partitions its outermost
+	// variable, while the statements run one after another in textual
+	// order. Every plan runs as a program on that executor — join trees,
+	// the acyclic pipeline, reduce-then-join and the leapfrog join
+	// included. All workers charge the same governor budgets. 0 or 1
+	// executes sequentially (the default); results and costs are identical
+	// either way. Workers is honored by direct Join calls and by cached-Plan
 	// execution.
 	Workers int
 	// Trace, when non-nil, is the parent span the execution hangs its span

@@ -1,13 +1,17 @@
 package engine
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/govern"
 	"repro/internal/hypergraph"
 	"repro/internal/obs"
+	"repro/internal/relation"
 	"repro/internal/workload"
 )
 
@@ -111,6 +115,74 @@ func TestTraceShapePerStrategy(t *testing.T) {
 	if want := []obs.Kind{obs.KindTrie, obs.KindTrie, obs.KindTrie, obs.KindEnumerate}; !slices.Equal(got, want) {
 		t.Fatalf("multiway statement children %v, want %v\n%s", got, want, tr.Format())
 	}
+
+	// Statements run in textual order at every worker count, even where
+	// the program has independent statements — the acyclic pipeline's
+	// downward semijoins interleave with joins that do not read them — so
+	// Report.Steps and the statement spans follow the program, no two
+	// statement spans overlap, and a budget crossed inside statement k
+	// aborts there.
+	defer relation.SetParallelThreshold(0)()
+	star := starDB()
+	plan, err := PlanFor(star, Options{Strategy: StrategyAcyclic})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := plan.Program.Len(); n != 15 {
+		t.Fatalf("star pipeline has %d statements, want 15\n%s", n, plan.Program)
+	}
+	for _, w := range []int{1, 2, 4} {
+		tr := obs.NewTrace("order")
+		rep, err := ExecutePlan(star, plan, Options{Workers: w, Trace: tr.Root})
+		tr.Root.End()
+		if err != nil {
+			t.Fatalf("%d workers: %v", w, err)
+		}
+		stmts := tr.Root.Children()[0].Children()[0].Children()
+		if len(rep.Steps) != len(plan.Program.Stmts) || len(stmts) != len(plan.Program.Stmts) {
+			t.Fatalf("%d workers: %d steps and %d statement spans for %d statements\n%s",
+				w, len(rep.Steps), len(stmts), plan.Program.Len(), tr.Format())
+		}
+		cum := make([]int64, len(rep.Steps)+1)
+		for i, s := range plan.Program.Stmts {
+			if rep.Steps[i].Stmt != s.String() || stmts[i].Name() != s.String() {
+				t.Fatalf("%d workers: position %d holds step %q and span %q, want %q\n%s",
+					w, i+1, rep.Steps[i].Stmt, stmts[i].Name(), s, tr.Format())
+			}
+			if i > 0 && stmts[i].Start().Before(stmts[i-1].Start().Add(stmts[i-1].Wall())) {
+				t.Fatalf("%d workers: statement %d started before statement %d ended", w, i+1, i)
+			}
+			cum[i+1] = cum[i] + int64(rep.Steps[i].Tuples)
+		}
+		if rep.Produced != cum[len(rep.Steps)] {
+			t.Fatalf("%d workers: produced %d, statement heads sum to %d", w, rep.Produced, cum[len(rep.Steps)])
+		}
+		for k := 1; k <= len(rep.Steps); k++ {
+			budget := cum[k] - 1
+			if budget < 1 || budget < cum[k-1] {
+				continue // statement k charges nothing, or a budget of 0 means unlimited
+			}
+			_, err := ExecutePlan(star, plan, Options{Workers: w, Limits: govern.Limits{MaxTuples: budget, CheckEvery: 1}})
+			want := fmt.Sprintf("program: statement %d (%s): ", k, plan.Program.Stmts[k-1])
+			if !errors.Is(err, govern.ErrTupleBudget) || !strings.Contains(err.Error(), want) {
+				t.Fatalf("%d workers, budget %d: got %v, want ErrTupleBudget in %q", w, budget, err, want)
+			}
+		}
+	}
+}
+
+// starDB is six binary relations sharing A — an acyclic scheme whose
+// pipeline has 15 statements — with dangling tuples on every side, so the
+// full reducer's semijoins remove something.
+func starDB() *relation.Database {
+	rels := make([]*relation.Relation, 6)
+	for r := range rels {
+		rels[r] = relation.New(relation.MustSchema("A", string(rune('B'+r))))
+		for i := int64(0); i < 8; i++ {
+			rels[r].MustInsert(relation.Ints((i*int64(r+3))%(5+int64(r%3)), i%2))
+		}
+	}
+	return relation.MustDatabase(rels...)
 }
 
 // TestLadderTraceRecordsDegradation checks the auto ladder's trace keeps

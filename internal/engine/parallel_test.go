@@ -86,7 +86,7 @@ func TestJoinWorkersAcyclicMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestProgramReportStepsAndParallelismNote(t *testing.T) {
+func TestProgramReportStepsAndParallelism(t *testing.T) {
 	defer relation.SetParallelThreshold(0)()
 	db := triangleDB(t)
 	rep, err := Join(db, Options{Strategy: StrategyProgram, Workers: 4})
@@ -107,14 +107,8 @@ func TestProgramReportStepsAndParallelismNote(t *testing.T) {
 	if want := int(rep.Cost) - db.TotalTuples(); total != want {
 		t.Fatalf("Steps tuples sum %d, want cost-minus-inputs %d", total, want)
 	}
-	found := false
-	for _, n := range rep.Notes {
-		if strings.HasPrefix(n, "parallel DAG execution") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("program route with workers: no parallel note in %q", rep.Notes)
+	if rep.Parallelism != 4 {
+		t.Fatalf("program route with 4 workers: Report.Parallelism %d", rep.Parallelism)
 	}
 }
 

@@ -298,10 +298,6 @@ func ExecutePlan(db *relation.Database, plan *Plan, opts Options) (rep *Report, 
 	}
 	rep.Strategy = plan.Strategy
 	rep.Plan = plan.text
-	if w := opts.workerCount(); w > 1 && plan.Derivation != nil {
-		rep.Notes = append(rep.Notes, fmt.Sprintf("parallel DAG execution: %d statements, critical path %d, %d workers",
-			plan.Program.Len(), plan.Program.CriticalPathLen(), w))
-	}
 	// Append the plan-time notes without mutating the shared plan.
 	rep.Notes = append(rep.Notes, plan.Notes...)
 	rep.Produced = gov.Produced()

@@ -220,7 +220,7 @@ func (g *Governor) SetFailpoint(fn func(op string) error) {
 }
 
 // SetSpan attaches the current tracing span, letting deep executors (the
-// program schedulers, the wcoj enumerator) hang child spans off the
+// program executor, the wcoj enumerator) hang child spans off the
 // governor they already receive instead of growing every signature. Like
 // SetFailpoint it is installed by a single goroutine before the executor
 // fans out, so no synchronization is needed; executors read it with Span.
@@ -263,9 +263,9 @@ func (g *Governor) Produced() int64 {
 // charges the operator's output; both returns of a nil Governor are nil,
 // and a nil *OpScope is valid.
 //
-// Begin itself is safe to call from concurrent operators (the parallel
-// program executor begins several statements at once); the failpoint hook
-// must have been installed before execution started.
+// Begin itself writes nothing shared, so it is safe to call from concurrent
+// goroutines; the failpoint hook must have been installed before execution
+// started.
 func (g *Governor) Begin(op string) (*OpScope, error) {
 	if g == nil {
 		return nil, nil

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"regexp"
 	"slices"
 	"sync"
 	"testing"
@@ -201,7 +202,8 @@ func TestApplyParallelGovernedChargesSequentialTotals(t *testing.T) {
 // TestApplyParallelGovernedBudgetAborts pins the abort boundary: a budget of
 // exactly the charged total passes the oracle and every worker count; one
 // tuple less aborts them all with govern.ErrTupleBudget and no partial
-// Result.
+// Result, inside the statement the oracle aborts in — statements run in
+// textual order, so no later statement can report the abort.
 func TestApplyParallelGovernedBudgetAborts(t *testing.T) {
 	defer relation.SetParallelThreshold(0)()
 	tried := 0
@@ -223,6 +225,8 @@ func TestApplyParallelGovernedBudgetAborts(t *testing.T) {
 				return c.p.ApplyParallelGoverned(c.db, g, w)
 			}
 		}
+		_, oracleErr := runs["oracle"](govern.New(govern.Limits{MaxTuples: total - 1, CheckEvery: 1}))
+		stmt := abortedStmt.FindString(fmt.Sprint(oracleErr))
 		for who, run := range runs {
 			if _, err := run(govern.New(govern.Limits{MaxTuples: total, CheckEvery: 1})); err != nil {
 				t.Fatalf("%s, %s: budget == total must pass, got %v", c.name, who, err)
@@ -230,6 +234,9 @@ func TestApplyParallelGovernedBudgetAborts(t *testing.T) {
 			res, err := run(govern.New(govern.Limits{MaxTuples: total - 1, CheckEvery: 1}))
 			if !errors.Is(err, govern.ErrTupleBudget) {
 				t.Fatalf("%s, %s: budget == total-1 must abort with ErrTupleBudget, got %v", c.name, who, err)
+			}
+			if got := abortedStmt.FindString(err.Error()); stmt == "" || got != stmt {
+				t.Fatalf("%s, %s: aborted in %q, oracle in %q", c.name, who, got, stmt)
 			}
 			if res != nil {
 				t.Fatalf("%s, %s: abort leaked a partial Result", c.name, who)
@@ -240,6 +247,9 @@ func TestApplyParallelGovernedBudgetAborts(t *testing.T) {
 		t.Fatalf("only %d cases charged enough to test the boundary", tried)
 	}
 }
+
+// abortedStmt matches the statement an executor error names.
+var abortedStmt = regexp.MustCompile(`^program: statement \d+ \(`)
 
 // TestApplyParallelMatchesApplyOnRandomDerivedPrograms: more workers change
 // nothing at all — the output rows come back in the sequential run's order.
@@ -268,10 +278,10 @@ func TestApplyParallelMatchesApplyOnRandomDerivedPrograms(t *testing.T) {
 	}
 }
 
-// TestApplyParallelRenamesDestructiveAssignment exercises the SSA renaming
-// directly: a program that reassigns a variable after another statement read
-// it (write-after-read) and reassigns it again (write-after-write) must
-// still match the oracle at every worker count.
+// TestApplyParallelRenamesDestructiveAssignment exercises destructive
+// assignment directly: a program that reassigns a variable after another
+// statement read it (write-after-read) and reassigns it again
+// (write-after-write) must still match the oracle at every worker count.
 func TestApplyParallelRenamesDestructiveAssignment(t *testing.T) {
 	defer relation.SetParallelThreshold(0)()
 	x := relation.New(relation.SchemaOfRunes("AB"))
@@ -360,26 +370,5 @@ func TestApplyParallelConcurrentCallers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("caller %d: %v", i, err)
 		}
-	}
-}
-
-// TestCriticalPathLen pins the DAG shape metric on a program with known
-// structure: two independent chains merged by one join.
-func TestCriticalPathLen(t *testing.T) {
-	p := &program.Program{
-		Inputs: []string{"X", "Y"},
-		Stmts: []program.Stmt{
-			{Op: program.OpProject, Head: "A1", Arg1: "X", Proj: relation.AttrSet{"A"}},
-			{Op: program.OpProject, Head: "B1", Arg1: "Y", Proj: relation.AttrSet{"B"}},
-			{Op: program.OpJoin, Head: "J", Arg1: "A1", Arg2: "B1"},
-		},
-		Output: "J",
-	}
-	if got := p.CriticalPathLen(); got != 2 {
-		t.Fatalf("critical path: got %d, want 2 (two independent projections feed one join)", got)
-	}
-	empty := &program.Program{Inputs: []string{"X"}, Output: "X"}
-	if got := empty.CriticalPathLen(); got != 0 {
-		t.Fatalf("empty program critical path: got %d, want 0", got)
 	}
 }

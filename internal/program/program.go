@@ -3,8 +3,9 @@
 // variables and input relation schemes, with destructive assignment, plus
 // one n-ary statement the paper does not have — the multiway join, evaluated
 // by Leapfrog Triejoin (internal/wcoj). It provides static validation of the
-// paper's well-formedness rules, an interpreter with the §2.3 cost
-// accounting, and a printer matching the paper's notation.
+// paper's well-formedness rules, an executor that runs the statements in
+// textual order with the §2.3 cost accounting — workers parallelize only
+// inside a statement's kernel — and a printer matching the paper's notation.
 package program
 
 import (
@@ -217,9 +218,9 @@ type Step struct {
 	// Size is the head's cardinality after the assignment — the statement's
 	// contribution to the paper's cost.
 	Size int
-	// Wall is the statement's execution wall-clock time. Under the parallel
-	// executor concurrent statements overlap, so the steps' Walls sum to more
-	// than the program's elapsed time.
+	// Wall is the statement's execution wall-clock time. Statements run one
+	// after another, so the steps' Walls never overlap and sum to at most
+	// the program's elapsed time.
 	Wall time.Duration
 	// Notes carries the statement's own accounting for a report: a multiway
 	// join's trie counts (wcoj.Result.Notes); nil for the other operators.
