@@ -466,7 +466,6 @@ func itoa(v int64) string {
 func BenchmarkEngineStrategies(b *testing.B) {
 	_, db := example3(b, 10)
 	for _, s := range []engine.Strategy{
-		engine.StrategyDirect,
 		engine.StrategyExpression,
 		engine.StrategyReduceThenJoin,
 		engine.StrategyProgram,

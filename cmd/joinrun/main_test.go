@@ -140,3 +140,18 @@ func TestSearchAbortExitsThree(t *testing.T) {
 		t.Errorf("program -json exited %d with %q, want 3 and an aborted search error: %s", code, stdout, stderr)
 	}
 }
+
+// TestRetiredStrategyExitsOne: a retired strategy name (the unoptimized
+// "direct" baseline, now computed only by the experiments) is a data error,
+// exit 1, whose message lists the six valid strategies.
+func TestRetiredStrategyExitsOne(t *testing.T) {
+	stdout, stderr, code := joinrun(t, "-data", triangleData(t), "-strategy", "direct")
+	if code != 1 || stdout != "" {
+		t.Fatalf("-strategy direct exited %d with stdout %q, want 1 and none: %s", code, stdout, stderr)
+	}
+	for _, name := range []string{"auto", "program", "cpf-expression", "reduce-then-join", "acyclic", "wcoj"} {
+		if !strings.Contains(stderr, name) {
+			t.Errorf("stderr does not list %q: %s", name, stderr)
+		}
+	}
+}

@@ -27,7 +27,6 @@ func main() {
 		log.Fatal(err)
 	}
 	runAll(cycle, []engine.Strategy{
-		engine.StrategyDirect,
 		engine.StrategyExpression,
 		engine.StrategyReduceThenJoin,
 		engine.StrategyProgram,

@@ -21,7 +21,7 @@ func TestConcurrentJoinSharedDatabase(t *testing.T) {
 
 	strategies := []Strategy{
 		StrategyAuto, StrategyProgram, StrategyExpression,
-		StrategyReduceThenJoin, StrategyDirect,
+		StrategyReduceThenJoin, StrategyWCOJ,
 	}
 	const goroutines = 32
 	var wg sync.WaitGroup

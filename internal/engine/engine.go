@@ -50,10 +50,6 @@ const (
 	// StrategyAcyclic runs the full reducer plus a monotone join
 	// expression; it fails on cyclic schemes.
 	StrategyAcyclic
-	// StrategyDirect joins the relations left-deep in the scheme's canonical
-	// edge order (hypergraph.CanonicalOrder), not the order they were passed
-	// in, with no optimization; the baseline of baselines.
-	StrategyDirect
 	// StrategyWCOJ runs the worst-case-optimal Leapfrog Triejoin
 	// (internal/wcoj) as a one-statement program — a multiway join over every
 	// relation: relations are trie-indexed along a global variable order and
@@ -77,8 +73,6 @@ func (s Strategy) String() string {
 		return "reduce-then-join"
 	case StrategyAcyclic:
 		return "acyclic"
-	case StrategyDirect:
-		return "direct"
 	case StrategyWCOJ:
 		return "wcoj"
 	default:

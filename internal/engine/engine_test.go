@@ -31,7 +31,7 @@ func TestJoinAllStrategiesAgree(t *testing.T) {
 	db := example3DB(t, 6)
 	want := db.Join()
 	for _, s := range []Strategy{
-		StrategyAuto, StrategyProgram, StrategyExpression, StrategyReduceThenJoin, StrategyDirect, StrategyWCOJ,
+		StrategyAuto, StrategyProgram, StrategyExpression, StrategyReduceThenJoin, StrategyWCOJ,
 	} {
 		rep, err := Join(db, Options{Strategy: s})
 		if err != nil {
@@ -199,7 +199,7 @@ func TestJoinRandomizedAgreement(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := db.Join()
-		for _, s := range []Strategy{StrategyAuto, StrategyProgram, StrategyExpression, StrategyDirect} {
+		for _, s := range []Strategy{StrategyAuto, StrategyProgram, StrategyExpression} {
 			rep, err := Join(db, Options{Strategy: s})
 			if err != nil {
 				t.Fatalf("trial %d %s: %v", trial, s, err)
@@ -224,7 +224,6 @@ func TestStrategyString(t *testing.T) {
 		StrategyExpression:     "cpf-expression",
 		StrategyReduceThenJoin: "reduce-then-join",
 		StrategyAcyclic:        "acyclic",
-		StrategyDirect:         "direct",
 		StrategyWCOJ:           "wcoj",
 	}
 	for s, want := range names {

@@ -47,7 +47,7 @@ func TestGoldenExplain(t *testing.T) {
 		{"example3", func() *relation.Database { return example3DB(t, 2) }},
 	}
 	strategies := []Strategy{
-		StrategyProgram, StrategyExpression, StrategyReduceThenJoin, StrategyDirect, StrategyWCOJ,
+		StrategyProgram, StrategyExpression, StrategyReduceThenJoin, StrategyWCOJ,
 	}
 	for _, d := range dbs {
 		want := d.mk().Join()

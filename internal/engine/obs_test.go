@@ -69,7 +69,7 @@ func TestTraceTupleTotalsMatchProduced(t *testing.T) {
 
 // strategiesFor returns every explicit strategy applicable to the scheme.
 func strategiesFor(h *hypergraph.Hypergraph) []Strategy {
-	s := []Strategy{StrategyProgram, StrategyExpression, StrategyReduceThenJoin, StrategyDirect, StrategyWCOJ}
+	s := []Strategy{StrategyProgram, StrategyExpression, StrategyReduceThenJoin, StrategyWCOJ}
 	if h.Acyclic() {
 		s = append(s, StrategyAcyclic)
 	}
@@ -83,7 +83,7 @@ func strategiesFor(h *hypergraph.Hypergraph) []Strategy {
 // enumeration spans nest under its statement span.
 func TestTraceShapePerStrategy(t *testing.T) {
 	db := triangleDB(t)
-	for _, s := range []Strategy{StrategyProgram, StrategyExpression, StrategyReduceThenJoin, StrategyDirect, StrategyWCOJ} {
+	for _, s := range []Strategy{StrategyProgram, StrategyExpression, StrategyReduceThenJoin, StrategyWCOJ} {
 		tr := obs.NewTrace("shape")
 		if _, err := Join(db, Options{Strategy: s, Trace: tr.Root}); err != nil {
 			t.Fatalf("%s: %v", s, err)

@@ -35,7 +35,7 @@ func TestJoinWorkersMatchesSequential(t *testing.T) {
 		db     *relation.Database
 		strats []Strategy
 	}{
-		{"triangle", triangleDB(t), []Strategy{StrategyProgram, StrategyExpression, StrategyDirect, StrategyReduceThenJoin}},
+		{"triangle", triangleDB(t), []Strategy{StrategyProgram, StrategyExpression, StrategyReduceThenJoin}},
 		{"Example3(q=20)", cycle, []Strategy{StrategyProgram}},
 	} {
 		name, db := c.name, c.db

@@ -41,7 +41,7 @@ type Plan struct {
 	// Strategy is the resolved execution route — never StrategyAuto.
 	Strategy Strategy
 	// Tree is the optimized join expression in canonical edge order: the
-	// expression the expression and direct strategies compile, whose joins
+	// expression the expression strategy compiles, whose joins
 	// reduce-then-join appends to its semijoin round, and the source
 	// expression Algorithm 1/2 derived from for the program strategy. It is
 	// nil for the acyclic pipeline and the leapfrog join.
@@ -74,7 +74,7 @@ func Resolve(h *hypergraph.Hypergraph, s Strategy) Strategy {
 func Strategies() []Strategy {
 	return []Strategy{
 		StrategyAuto, StrategyProgram, StrategyExpression,
-		StrategyReduceThenJoin, StrategyAcyclic, StrategyDirect, StrategyWCOJ,
+		StrategyReduceThenJoin, StrategyAcyclic, StrategyWCOJ,
 	}
 }
 
@@ -122,15 +122,6 @@ func canonicalize(db *relation.Database, h *hypergraph.Hypergraph) (*relation.Da
 	return cdb, hypergraph.OfScheme(cdb), nil
 }
 
-// leftDeep builds the no-optimization left-deep tree over n relations.
-func leftDeep(n int) *jointree.Tree {
-	t := jointree.NewLeaf(0)
-	for i := 1; i < n; i++ {
-		t = jointree.NewJoin(t, jointree.NewLeaf(i))
-	}
-	return t
-}
-
 // PlanFor derives a reusable plan for db's scheme under the given options:
 // it resolves the strategy, runs whatever optimizer search the strategy
 // needs (a search over its catalog's tuple budget is a govern.ErrTupleBudget
@@ -160,8 +151,6 @@ func PlanFor(db *relation.Database, opts Options) (*Plan, error) {
 			return nil, err
 		}
 		p.Notes = append(p.Notes, "no intermediate exceeds the output on the reduced database")
-	case StrategyDirect:
-		p.Tree = leftDeep(cdb.Len())
 	case StrategyWCOJ:
 		p.Program = leapfrogProgram(ch)
 		p.Notes = append(p.Notes, "variable order derived greedily: connected prefixes first, ties to the attribute on most edges")

@@ -94,8 +94,7 @@ func cloneDB(t *testing.T, db *relation.Database) *relation.Database {
 // plan and notes — or the same abort — over the triangle, the 120-scheme
 // differential set, Example 3 at q = 2…14 and the adversarial corpus. Both
 // sides run on fresh copies of the relations and under the same tuple
-// budget (2M tuples outside the corpus: direct on Example 3 at q = 14 would
-// otherwise materialize 26M).
+// budget (2M tuples outside the corpus).
 func TestPlanForExecutePlanMatchesJoin(t *testing.T) {
 	cases := append([]identityCase{{"triangle", triangleDB(t), 1 << 21}}, differentialCases(t)...)
 	for q := int64(2); q <= 14; q += 2 {
@@ -212,7 +211,7 @@ func TestPlanAutoResolution(t *testing.T) {
 func TestParseStrategyRoundTrip(t *testing.T) {
 	for _, s := range []Strategy{
 		StrategyAuto, StrategyProgram, StrategyExpression,
-		StrategyReduceThenJoin, StrategyAcyclic, StrategyDirect,
+		StrategyReduceThenJoin, StrategyAcyclic, StrategyWCOJ,
 	} {
 		got, err := ParseStrategy(s.String())
 		if err != nil || got != s {
@@ -226,10 +225,11 @@ func TestParseStrategyRoundTrip(t *testing.T) {
 
 // TestParseColumnarStrategy pins the retired strategy names: "columnar"
 // selected a kernel for the plan cpf-expression names, and every plan now
-// runs on those kernels; "hybrid" was a second chooser beside auto. Both are
-// rejected with the valid names listed.
+// runs on those kernels; "hybrid" was a second chooser beside auto; "direct"
+// was the unoptimized left-deep baseline auto never chose, now computed by
+// the experiments alone. Each is rejected with the valid names listed.
 func TestParseColumnarStrategy(t *testing.T) {
-	for _, retired := range []string{"columnar", "hybrid"} {
+	for _, retired := range []string{"columnar", "hybrid", "direct"} {
 		_, err := ParseStrategy(retired)
 		if err == nil {
 			t.Fatalf("ParseStrategy(%q) accepted a retired name", retired)
@@ -240,8 +240,8 @@ func TestParseColumnarStrategy(t *testing.T) {
 			}
 		}
 	}
-	if n := len(StrategyNames()); n != 7 {
-		t.Errorf("%d strategy names, want 7", n)
+	if n := len(StrategyNames()); n != 6 {
+		t.Errorf("%d strategy names, want 6", n)
 	}
 }
 

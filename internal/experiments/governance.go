@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/engine"
 	"repro/internal/govern"
 	"repro/internal/workload"
 )
@@ -39,12 +38,8 @@ func GovernanceLadder(q, maxTuples int64) (*Table, error) {
 	want := db.Join()
 
 	lim := govern.Limits{MaxTuples: maxTuples}
-	for _, s := range []engine.Strategy{
-		engine.StrategyDirect, engine.StrategyExpression,
-		engine.StrategyReduceThenJoin, engine.StrategyProgram,
-		engine.StrategyAuto,
-	} {
-		rep, err := engine.Join(db, engine.Options{Strategy: s, Limits: lim})
+	for _, name := range []string{"direct", "cpf-expression", "reduce-then-join", "program", "auto"} {
+		rep, err := joinBy(db, name, lim)
 		switch {
 		case err == nil:
 			outcome := "completed"
@@ -58,8 +53,7 @@ func GovernanceLadder(q, maxTuples int64) (*Table, error) {
 					fallbacks++
 				}
 			}
-			name := s.String()
-			if s == engine.StrategyAuto {
+			if name == "auto" {
 				name = fmt.Sprintf("auto (ran %s)", rep.Strategy)
 			}
 			t.AddRow(name, outcome, rep.Produced, result, fallbacks)
@@ -69,9 +63,9 @@ func GovernanceLadder(q, maxTuples int64) (*Table, error) {
 			if errors.As(err, &le) {
 				produced = fmt.Sprint(le.Produced)
 			}
-			t.AddRow(s.String(), "aborted: tuple budget", produced, "—", "—")
+			t.AddRow(name, "aborted: tuple budget", produced, "—", "—")
 		default:
-			return nil, fmt.Errorf("EX6 %s: %w", s, err)
+			return nil, fmt.Errorf("EX6 %s: %w", name, err)
 		}
 	}
 	t.AddNote("budgets count produced tuples only (the §2.3 generated relations); the inputs and the optimizer's planning work are bounded separately")

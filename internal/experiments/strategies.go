@@ -4,9 +4,43 @@ import (
 	"fmt"
 
 	"repro/internal/engine"
+	"repro/internal/govern"
+	"repro/internal/hypergraph"
+	"repro/internal/jointree"
 	"repro/internal/relation"
 	"repro/internal/workload"
 )
+
+// joinBy computes ⋈D under lim by the named route: an engine strategy
+// (engine.Join), or "direct", the baseline of baselines in EX2, EX5 and EX6,
+// which no engine strategy names — the relations joined left-deep in the
+// scheme's canonical edge order (hypergraph.CanonicalOrder), not the order
+// they were passed in, with no optimization, compiled by
+// jointree.Tree.Program and run on the block kernels. Its report carries
+// the result, the §2.3 cost and the tuples charged.
+func joinBy(db *relation.Database, name string, lim govern.Limits) (*engine.Report, error) {
+	if name != "direct" {
+		s, err := engine.ParseStrategy(name)
+		if err != nil {
+			return nil, err
+		}
+		return engine.Join(db, engine.Options{Strategy: s, Limits: lim})
+	}
+	cdb, err := db.Restrict(hypergraph.OfScheme(db).CanonicalOrder())
+	if err != nil {
+		return nil, err
+	}
+	t := jointree.NewLeaf(0)
+	for i := 1; i < cdb.Len(); i++ {
+		t = jointree.NewJoin(t, jointree.NewLeaf(i))
+	}
+	g := govern.New(lim)
+	res, err := t.Program(hypergraph.OfScheme(cdb)).ApplyGoverned(cdb, g)
+	if err != nil {
+		return nil, err
+	}
+	return &engine.Report{Result: res.Output, Cost: int64(res.Cost), Produced: g.Produced()}, nil
+}
 
 // StrategyComparison (experiment EX2) runs the engine's execution strategies
 // head to head on three characteristic workloads: the paper's adversarial
@@ -51,8 +85,8 @@ func StrategyComparison(seed int64) (*Table, error) {
 
 	for _, w := range workloads {
 		want := w.db.Join()
-		cell := func(s engine.Strategy) string {
-			rep, err := engine.Join(w.db, engine.Options{Strategy: s})
+		cell := func(name string) string {
+			rep, err := joinBy(w.db, name, govern.Limits{})
 			if err != nil {
 				return "—"
 			}
@@ -66,11 +100,11 @@ func StrategyComparison(seed int64) (*Table, error) {
 			return nil, err
 		}
 		t.AddRow(w.name,
-			cell(engine.StrategyDirect),
-			cell(engine.StrategyExpression),
-			cell(engine.StrategyReduceThenJoin),
-			cell(engine.StrategyProgram),
-			cell(engine.StrategyAcyclic),
+			cell("direct"),
+			cell("cpf-expression"),
+			cell("reduce-then-join"),
+			cell("program"),
+			cell("acyclic"),
 			auto.Strategy.String(),
 		)
 	}

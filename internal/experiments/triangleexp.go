@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/engine"
+	"repro/internal/govern"
 	"repro/internal/workload"
 )
 
@@ -40,25 +40,25 @@ func TriangleExperiment(seed int64) (*Table, error) {
 			return nil, err
 		}
 		want := db.Join()
-		run := func(s engine.Strategy) (int64, error) {
-			rep, err := engine.Join(db, engine.Options{Strategy: s})
+		run := func(name string) (int64, error) {
+			rep, err := joinBy(db, name, govern.Limits{})
 			if err != nil {
 				return 0, err
 			}
 			if !rep.Result.Equal(want) {
-				return 0, fmt.Errorf("experiments: strategy %s wrong on triangles", s)
+				return 0, fmt.Errorf("experiments: strategy %s wrong on triangles", name)
 			}
 			return rep.Cost, nil
 		}
-		direct, err := run(engine.StrategyDirect)
+		direct, err := run("direct")
 		if err != nil {
 			return nil, err
 		}
-		expr, err := run(engine.StrategyExpression)
+		expr, err := run("cpf-expression")
 		if err != nil {
 			return nil, err
 		}
-		prog, err := run(engine.StrategyProgram)
+		prog, err := run("program")
 		if err != nil {
 			return nil, err
 		}

@@ -40,12 +40,6 @@ var (
 	ErrCanceled = errors.New("govern: execution canceled")
 	// ErrDeadline reports that the deadline passed mid-execution.
 	ErrDeadline = errors.New("govern: deadline exceeded")
-	// ErrViewBudget reports that view maintenance (internal/ivm) exhausted
-	// its budget. The serving layer marks the view stale and rebuilds it
-	// instead of failing the ingest that triggered the maintenance; the
-	// concrete error wraps both this sentinel and the underlying
-	// ErrTupleBudget abort.
-	ErrViewBudget = errors.New("govern: view maintenance budget exhausted")
 )
 
 // DefaultCheckEvery is the default number of operator loop iterations

@@ -45,8 +45,8 @@ type BatchStats struct {
 //
 // On any error the view's materialized state is undefined — part of the
 // batch may be applied — and the caller must Rebuild before trusting
-// Result again. The serving layer maps a budget abort onto its
-// stale-and-rebuilding path rather than failing the ingest.
+// Result again. The serving layer rebuilds from the post-batch catalog
+// rather than failing the ingest.
 func (v *View) Apply(changes []Change, g *govern.Governor) (BatchStats, error) {
 	var stats BatchStats
 	deltas := make([]*delta, len(v.nodes))
@@ -345,7 +345,7 @@ func semijoinDelta(s *step, d1, d2 *delta, scope *govern.OpScope, stats *BatchSt
 
 // Rebuild discards every node's state and reloads the view from db — the
 // full current catalog, in the registration order the view was compiled
-// for. It is the recovery path for budget aborts and inconsistencies, and
+// for. It is the recovery path after a failed Apply, and
 // the initial build at registration (applying the whole catalog as one
 // all-inserts batch through the same delta rules that maintain it).
 func (v *View) Rebuild(db *relation.Database) error {

@@ -369,20 +369,9 @@ func newTraceID() string {
 	return fmt.Sprintf("%s-%06x", traceSeed, traceSeq.Add(1))
 }
 
-// Tracer decides whether and how query traces are recorded. Implementations
-// must be safe for concurrent use; the service calls StartQuery as a query
-// is admitted for processing and FinishQuery after its root span has ended.
-// A nil Tracer disables tracing entirely.
-type Tracer interface {
-	// StartQuery begins a trace for one query. Returning nil skips tracing
-	// for that query (sampling tracers do this).
-	StartQuery(name string) *Trace
-	// FinishQuery delivers a completed trace (its root span has ended).
-	FinishQuery(t *Trace)
-}
-
-// Collector is the reference Tracer: it traces every query and retains the
-// most recent completed traces in a bounded ring.
+// Collector retains the most recent completed traces in a bounded ring. It
+// is safe for concurrent use; the serving layer hands it every trace it
+// finishes.
 type Collector struct {
 	mu     sync.Mutex
 	cap    int
@@ -398,10 +387,8 @@ func NewCollector(capacity int) *Collector {
 	return &Collector{cap: capacity}
 }
 
-// StartQuery implements Tracer.
-func (c *Collector) StartQuery(name string) *Trace { return NewTrace(name) }
-
-// FinishQuery implements Tracer.
+// FinishQuery keeps a completed trace (its root span has ended), dropping
+// the oldest beyond capacity. A nil trace is ignored.
 func (c *Collector) FinishQuery(t *Trace) {
 	if t == nil {
 		return

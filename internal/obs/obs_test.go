@@ -128,7 +128,7 @@ func TestCollectorBounded(t *testing.T) {
 	c := NewCollector(3)
 	var last *Trace
 	for i := 0; i < 5; i++ {
-		tr := c.StartQuery("q")
+		tr := NewTrace("q")
 		tr.Root.End()
 		c.FinishQuery(tr)
 		last = tr

@@ -12,7 +12,7 @@ import (
 )
 
 func plan(fp string) *engine.Plan {
-	return &engine.Plan{Fingerprint: fp, Strategy: engine.StrategyDirect}
+	return &engine.Plan{Fingerprint: fp, Strategy: engine.StrategyExpression}
 }
 
 // errNotCached is get's compute result, so a miss caches nothing.
@@ -354,7 +354,7 @@ func TestInvalidateRaceWithCoalescing(t *testing.T) {
 				}
 				started := epoch.Load()
 				p, _, err := c.GetOrCompute("fp#auto", func() (*engine.Plan, error) {
-					return &engine.Plan{Fingerprint: fmt.Sprint(started), Strategy: engine.StrategyDirect}, nil
+					return &engine.Plan{Fingerprint: fmt.Sprint(started), Strategy: engine.StrategyExpression}, nil
 				})
 				if err != nil || p == nil {
 					t.Errorf("GetOrCompute: p=%v err=%v", p, err)

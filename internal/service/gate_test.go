@@ -61,9 +61,10 @@ func TestMutationsGatedOnReadiness(t *testing.T) {
 }
 
 // TestNegativeBudgetsAreBadRequests: the governor reads a negative limit as
-// none, so a negative query or view budget is a 400, never a run without
-// limits or a view definition persisted with one. A negative worker ask is
-// a 400 too, not the service default.
+// none, so a negative query budget is a 400, never a run without limits. A
+// negative worker ask is a 400 too, not the service default. Views carry no
+// budget at all: any budget field in a view definition is an unknown field,
+// a 400, and nothing is persisted.
 func TestNegativeBudgetsAreBadRequests(t *testing.T) {
 	s := newStoreService(t, t.TempDir(), Config{Workers: 1})
 	defer s.Close(context.Background())
@@ -88,6 +89,7 @@ func TestNegativeBudgetsAreBadRequests(t *testing.T) {
 	}
 	for _, body := range []string{
 		`{"id":"tv","database":"tri","max_tuples":-1}`,
+		`{"id":"tv","database":"tri","max_tuples":10}`,
 		`{"id":"tv","database":"tri","max_intermediate_tuples":-5}`,
 	} {
 		if code, out := postJSON(t, srv, "/v1/views", body); code != http.StatusBadRequest || out["kind"] != "bad_request" {

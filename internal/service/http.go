@@ -281,19 +281,6 @@ func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, res)
 }
 
-// viewRequest is the body of POST /v1/views.
-type viewRequest struct {
-	// ID names the view (unique; same character rules as database names).
-	ID string `json:"id"`
-	// Database is the registered catalog name the view joins.
-	Database string `json:"database"`
-	// MaxTuples / MaxIntermediateTuples bound one ingest batch's delta
-	// maintenance work for this view (0 = unlimited). Exceeding them marks
-	// the view stale and rebuilds it; the ingest itself still succeeds.
-	MaxTuples             int64 `json:"max_tuples,omitempty"`
-	MaxIntermediateTuples int64 `json:"max_intermediate_tuples,omitempty"`
-}
-
 // viewResponse is the body of GET /v1/views/{id}: the view's info and its
 // materialized result (possibly truncated by the max_result query
 // parameter), which writeWithResult appends after the info.
@@ -308,16 +295,12 @@ func (s *Service) handleRegisterView(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, maxQueryBody)
-	var req viewRequest
-	if err := decodeJSON(w, r, &req); err != nil {
+	// The body is the view's definition: {"id", "database"}.
+	var def store.ViewDef
+	if err := decodeJSON(w, r, &def); err != nil {
 		return
 	}
-	info, err := s.RegisterView(store.ViewDef{
-		ID:                    req.ID,
-		Database:              req.Database,
-		MaxTuples:             req.MaxTuples,
-		MaxIntermediateTuples: req.MaxIntermediateTuples,
-	})
+	info, err := s.RegisterView(def)
 	if err != nil {
 		writeServiceError(w, err)
 		return

@@ -145,11 +145,8 @@ func newServiceMetrics(s *Service) *serviceMetrics {
 		"Semijoin reducer re-runs skipped under the Safe-Subjoins condition.",
 		func() float64 { return float64(s.viewReducerSkips.Load()) })
 	r.CounterFunc("joind_view_full_rebuilds_total",
-		"Full from-catalog view rebuilds (registration, recovery, and budget-abort repair).",
+		"Full from-catalog view rebuilds (registration, recovery, and repair after a failed maintenance run).",
 		func() float64 { return float64(s.viewRebuilds.Load()) })
-	r.CounterFunc("joind_view_budget_aborts_total",
-		"View maintenance runs aborted by the view's tuple budget (each triggers a rebuild).",
-		func() float64 { return float64(s.viewBudgetAborts.Load()) })
 
 	// Scatter-gather (sharding) series. All zero while sharding is off.
 	r.GaugeFunc("joind_shard_count",

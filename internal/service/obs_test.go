@@ -319,9 +319,10 @@ func TestMetricsEndpointServesValidText(t *testing.T) {
 }
 
 // TestColumnarQueryMetrics pins the retired strategy names end to end:
-// a query asking for "columnar" or "hybrid" is a 400 whose body lists the
-// valid names, and /metrics carries neither name as a strategy label nor
-// the series only they fed.
+// a query asking for "columnar", "hybrid" or "direct" is a 400 whose body
+// lists the valid names, and /metrics carries neither of the first two as a
+// strategy label nor the series only they fed, nor the retired view-budget
+// counter.
 func TestColumnarQueryMetrics(t *testing.T) {
 	s := New(Config{Workers: 1})
 	if _, err := s.Register("tri", triangleDB(t)); err != nil {
@@ -329,7 +330,7 @@ func TestColumnarQueryMetrics(t *testing.T) {
 	}
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
-	for _, retired := range []string{"columnar", "hybrid"} {
+	for _, retired := range []string{"columnar", "hybrid", "direct"} {
 		resp, err := http.Post(srv.URL+"/v1/query", "application/json",
 			strings.NewReader(`{"database":"tri","strategy":"`+retired+`"}`))
 		if err != nil {
@@ -361,7 +362,7 @@ func TestColumnarQueryMetrics(t *testing.T) {
 	// "hybrid" also covers the per-route counter; "qerror" and "sketch" the
 	// estimate-vs-actual histogram and the two sketch maintenance counters.
 	text := string(body)
-	for _, retired := range []string{`strategy="columnar"`, "joind_columnar_tuples_total", "hybrid", "qerror", "sketch"} {
+	for _, retired := range []string{`strategy="columnar"`, "joind_columnar_tuples_total", "hybrid", "qerror", "sketch", "budget_aborts"} {
 		if strings.Contains(text, retired) {
 			t.Errorf("retired %s still exported:\n%s", retired, text)
 		}

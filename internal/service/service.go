@@ -90,13 +90,13 @@ type Config struct {
 	// raising it lets each query run its joins on up to QueryWorkers
 	// goroutines. Requests may ask for fewer.
 	QueryWorkers int
-	// Tracer, when non-nil, receives every query's finished span tree
-	// (obs.Collector is the in-memory implementation; joinrun uses it for
-	// -trace). Independent of the Tracer, span trees are also produced
-	// whenever the slow-query log is enabled, so slow entries carry their
-	// drill-down; with neither configured, queries run with tracing fully
-	// off — zero allocation on the hot path.
-	Tracer obs.Tracer
+	// Tracer, when non-nil, keeps every query's finished span tree, and
+	// every view maintenance run's, in its bounded ring. Independent of the
+	// Tracer, span trees are also produced whenever the slow-query log is
+	// enabled, so slow entries carry their drill-down; with neither
+	// configured, queries run with tracing fully off — zero allocation on
+	// the hot path.
+	Tracer *obs.Collector
 	// SlowQueryThreshold enables the bounded in-memory slow-query log:
 	// queries whose end-to-end wall time meets the threshold are captured
 	// with their span trees and served at GET /v1/slow. 0 disables the log;
@@ -301,7 +301,6 @@ type Service struct {
 
 	viewDeltaBatches, viewTuplesIn, viewTuplesOut atomic.Int64
 	viewReducerSkips, viewRebuilds                atomic.Int64
-	viewBudgetAborts                              atomic.Int64
 
 	// Scatter-gather counters behind the joind_shard_* metric series.
 	shardScatter, shardSingle, shardTuples, shardIngestRouted atomic.Int64
@@ -552,13 +551,10 @@ func checkBudgets(limits ...int64) error {
 // it: the configured Tracer, or the slow-query log. Returns nil otherwise,
 // which disables tracing end to end at zero cost.
 func (s *Service) startTrace(database string) *obs.Trace {
-	if s.cfg.Tracer != nil {
-		return s.cfg.Tracer.StartQuery(database)
+	if s.cfg.Tracer == nil && s.slowLog == nil {
+		return nil
 	}
-	if s.slowLog != nil {
-		return obs.NewTrace(database)
-	}
-	return nil
+	return obs.NewTrace(database)
 }
 
 // execute is the admission + plan-cache + execution core of Query, with

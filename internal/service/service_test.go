@@ -451,7 +451,7 @@ func TestStrategyVariantsServeCorrectResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := db.Join()
-	for _, strat := range []string{"", "auto", "program", "cpf-expression", "reduce-then-join", "direct"} {
+	for _, strat := range []string{"", "auto", "program", "cpf-expression", "reduce-then-join", "wcoj"} {
 		rep, err := s.Query(context.Background(), Request{Database: "tri", Strategy: strat})
 		if err != nil {
 			t.Fatalf("strategy %q: %v", strat, err)
@@ -530,7 +530,7 @@ func TestBadStrategyEnumeratesNames(t *testing.T) {
 	if !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("err = %v, want ErrBadRequest", err)
 	}
-	for _, name := range []string{"auto", "program", "cpf-expression", "reduce-then-join", "acyclic", "direct", "wcoj"} {
+	for _, name := range []string{"auto", "program", "cpf-expression", "reduce-then-join", "acyclic", "wcoj"} {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("error does not list %q: %v", name, err)
 		}

@@ -23,13 +23,12 @@ import (
 // acknowledged to the client. Queries against the view are then O(result):
 // GET /v1/views/{id} serves the materialized result without running a join.
 //
-// Maintenance never fails an ingest. A view whose delta work blows its
-// configured budget aborts with govern.ErrViewBudget, is marked stale, and
-// is rebuilt synchronously from the post-batch catalog; if even the rebuild
-// fails the view stays stale (result unavailable) until a later batch's
-// rebuild succeeds. With a durable store attached, view definitions persist
-// in the store (views.dat) and AttachStore re-registers and rebuilds them
-// from the recovered catalog.
+// Maintenance never fails an ingest. A view whose delta work fails is marked
+// stale and rebuilt synchronously from the post-batch catalog; if even the
+// rebuild fails the view stays stale (result unavailable) until a later
+// batch's rebuild succeeds. With a durable store attached, view definitions
+// persist in the store (views.dat) and AttachStore re-registers and rebuilds
+// them from the recovered catalog.
 
 // Typed view errors; match with errors.Is.
 var (
@@ -61,7 +60,7 @@ type viewEntry struct {
 	lastError string
 
 	deltaBatches, tuplesIn, tuplesOut, stepRows int64
-	reducerSkips, rebuilds, budgetAborts        int64
+	reducerSkips, rebuilds                      int64
 }
 
 // ViewInfo describes one registered view and its maintenance counters.
@@ -78,9 +77,7 @@ type ViewInfo struct {
 	ResultCount int `json:"result_count"`
 	// Stale reports that maintenance failed and the rebuild has not
 	// succeeded yet; the result is unavailable until it does.
-	Stale                 bool  `json:"stale"`
-	MaxTuples             int64 `json:"max_tuples,omitempty"`
-	MaxIntermediateTuples int64 `json:"max_intermediate_tuples,omitempty"`
+	Stale bool `json:"stale"`
 	// DeltaBatches counts maintenance runs; TuplesIn/TuplesOut/StepRows are
 	// the cumulative effective input delta, result delta, and per-step delta
 	// rows across them.
@@ -91,12 +88,10 @@ type ViewInfo struct {
 	// ReducerSkips counts semijoin steps skipped under the Safe-Subjoins
 	// condition (reducer delta provably flips no key's support).
 	ReducerSkips int64 `json:"reducer_skips"`
-	// Rebuilds counts full from-catalog rebuilds (registration and recovery
-	// included); BudgetAborts counts maintenance runs that exhausted the
-	// view's budget and triggered one.
-	Rebuilds     int64  `json:"full_rebuilds"`
-	BudgetAborts int64  `json:"budget_aborts"`
-	LastError    string `json:"last_error,omitempty"`
+	// Rebuilds counts full from-catalog rebuilds: registration or recovery,
+	// then one per failed maintenance run.
+	Rebuilds  int64  `json:"full_rebuilds"`
+	LastError string `json:"last_error,omitempty"`
 }
 
 // info renders the entry under its lock.
@@ -109,25 +104,22 @@ func (ve *viewEntry) info() ViewInfo {
 func (ve *viewEntry) infoLocked() ViewInfo {
 	projects, joins, semijoins := ve.view.OpCounts()
 	return ViewInfo{
-		ID:                    ve.def.ID,
-		Database:              ve.def.Database,
-		Fingerprint:           ve.view.Fingerprint(),
-		Steps:                 ve.view.Steps(),
-		Projects:              projects,
-		Joins:                 joins,
-		Semijoins:             semijoins,
-		ResultCount:           ve.view.ResultCount(),
-		Stale:                 ve.stale,
-		MaxTuples:             ve.def.MaxTuples,
-		MaxIntermediateTuples: ve.def.MaxIntermediateTuples,
-		DeltaBatches:          ve.deltaBatches,
-		TuplesIn:              ve.tuplesIn,
-		TuplesOut:             ve.tuplesOut,
-		StepRows:              ve.stepRows,
-		ReducerSkips:          ve.reducerSkips,
-		Rebuilds:              ve.rebuilds,
-		BudgetAborts:          ve.budgetAborts,
-		LastError:             ve.lastError,
+		ID:           ve.def.ID,
+		Database:     ve.def.Database,
+		Fingerprint:  ve.view.Fingerprint(),
+		Steps:        ve.view.Steps(),
+		Projects:     projects,
+		Joins:        joins,
+		Semijoins:    semijoins,
+		ResultCount:  ve.view.ResultCount(),
+		Stale:        ve.stale,
+		DeltaBatches: ve.deltaBatches,
+		TuplesIn:     ve.tuplesIn,
+		TuplesOut:    ve.tuplesOut,
+		StepRows:     ve.stepRows,
+		ReducerSkips: ve.reducerSkips,
+		Rebuilds:     ve.rebuilds,
+		LastError:    ve.lastError,
 	}
 }
 
@@ -139,9 +131,6 @@ func (ve *viewEntry) infoLocked() ViewInfo {
 func (s *Service) RegisterView(def store.ViewDef) (ViewInfo, error) {
 	if !viewID.MatchString(def.ID) {
 		return ViewInfo{}, fmt.Errorf("%w: invalid view id %q (want %s)", ErrBadRequest, def.ID, viewID)
-	}
-	if err := checkBudgets(def.MaxTuples, def.MaxIntermediateTuples); err != nil {
-		return ViewInfo{}, err
 	}
 	e, err := s.lookup(def.Database)
 	if err != nil {
@@ -158,15 +147,10 @@ func (s *Service) RegisterView(def store.ViewDef) (ViewInfo, error) {
 	// becoming visible to the maintenance hook.
 	e.ingestMu.Lock()
 	defer e.ingestMu.Unlock()
-	db := e.db.Load()
-	v, err := ivm.Compile(db)
+	ve, err := buildView(def, e.db.Load())
 	if err != nil {
-		return ViewInfo{}, fmt.Errorf("service: compiling view %q: %w", def.ID, err)
+		return ViewInfo{}, fmt.Errorf("service: %w", err)
 	}
-	if err := v.Rebuild(db); err != nil {
-		return ViewInfo{}, fmt.Errorf("service: building view %q: %w", def.ID, err)
-	}
-	ve := &viewEntry{def: def, view: v, rebuilds: 1}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -182,6 +166,20 @@ func (s *Service) RegisterView(def store.ViewDef) (ViewInfo, error) {
 	}
 	s.viewRebuilds.Add(1)
 	return ve.info(), nil
+}
+
+// buildView compiles def's delta program over db and builds its materialized
+// result from db: the one way a view comes to exist, at registration and at
+// recovery. The entry counts that build as its first rebuild.
+func buildView(def store.ViewDef, db *relation.Database) (*viewEntry, error) {
+	v, err := ivm.Compile(db)
+	if err != nil {
+		return nil, fmt.Errorf("compiling view %q: %w", def.ID, err)
+	}
+	if err := v.Rebuild(db); err != nil {
+		return nil, fmt.Errorf("building view %q: %w", def.ID, err)
+	}
+	return &viewEntry{def: def, view: v, rebuilds: 1}, nil
 }
 
 // DropView removes a registered view (and its durable definition).
@@ -282,29 +280,21 @@ func (s *Service) maintainViews(database string, batch store.Batch, post *relati
 	return len(entries)
 }
 
-// maintainView applies one delta batch to one view, with the view's budget
-// governed and — when the service runs a tracer — a span tree whose children
-// are the executed delta steps. A budget abort surfaces as
-// govern.ErrViewBudget on the entry, marks it stale, and rebuilds from the
-// post-batch catalog; only a failed rebuild leaves it stale.
+// maintainView applies one delta batch to one view and — when the service
+// runs a tracer — records a span tree whose children are the executed delta
+// steps (the governor carries that span and no limits). A failed apply is
+// recorded on the entry, marks it stale, and rebuilds from the post-batch
+// catalog; only a failed rebuild leaves it stale.
 func (s *Service) maintainView(ve *viewEntry, changes []ivm.Change, post *relation.Database) {
 	start := time.Now()
 	ve.mu.Lock()
 	defer ve.mu.Unlock()
 	var trace *obs.Trace
-	if s.cfg.Tracer != nil {
-		trace = s.cfg.Tracer.StartQuery("view:" + ve.def.ID)
-	}
-	lim := govern.Limits{
-		MaxTuples:             ve.def.MaxTuples,
-		MaxIntermediateTuples: ve.def.MaxIntermediateTuples,
-	}
 	var g *govern.Governor
-	if lim.Enabled() || trace != nil {
-		g = govern.New(lim)
-		if trace != nil {
-			g.SetSpan(trace.Root)
-		}
+	if s.cfg.Tracer != nil {
+		trace = obs.NewTrace("view:" + ve.def.ID)
+		g = govern.New(govern.Limits{})
+		g.SetSpan(trace.Root)
 	}
 	stats, err := ve.view.Apply(changes, g)
 	ve.deltaBatches++
@@ -317,11 +307,6 @@ func (s *Service) maintainView(ve *viewEntry, changes []ivm.Change, post *relati
 	s.viewTuplesOut.Add(stats.TuplesOut)
 	s.viewReducerSkips.Add(stats.ReducerSkips)
 	if err != nil {
-		if errors.Is(err, govern.ErrTupleBudget) {
-			err = fmt.Errorf("%w: %w", govern.ErrViewBudget, err)
-			ve.budgetAborts++
-			s.viewBudgetAborts.Add(1)
-		}
 		ve.stale = true
 		ve.lastError = err.Error()
 		if trace != nil {
@@ -355,15 +340,10 @@ func (s *Service) attachViews(st *store.Store) error {
 		if err != nil {
 			return fmt.Errorf("service: recovering view %q: %w", def.ID, err)
 		}
-		db := e.db.Load()
-		v, err := ivm.Compile(db)
+		ve, err := buildView(def, e.db.Load())
 		if err != nil {
-			return fmt.Errorf("service: recovering view %q: %w", def.ID, err)
+			return fmt.Errorf("service: recovering: %w", err)
 		}
-		if err := v.Rebuild(db); err != nil {
-			return fmt.Errorf("service: recovering view %q: %w", def.ID, err)
-		}
-		ve := &viewEntry{def: def, view: v, rebuilds: 1}
 		s.viewRebuilds.Add(1)
 		s.mu.Lock()
 		if _, dup := s.views[def.ID]; dup {

@@ -3,20 +3,24 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/engine/failpoint"
+	"repro/internal/ivm"
 	"repro/internal/relation"
 	"repro/internal/store"
 )
@@ -182,6 +186,16 @@ func TestHTTPViewSession(t *testing.T) {
 	decode(post("/v1/views", map[string]any{"id": "tv", "database": "tri"}), http.StatusConflict, nil)
 	decode(post("/v1/views", map[string]any{"id": "tv2", "database": "nope"}), http.StatusNotFound, nil)
 	decode(post("/v1/views", map[string]any{"id": "bad name!", "database": "tri"}), http.StatusBadRequest, nil)
+	// Views carry no budget: the retired max_tuples field is an unknown
+	// field, a 400 bad_request, and registers nothing.
+	var e errorResponse
+	decode(post("/v1/views", map[string]any{"id": "tv3", "database": "tri", "max_tuples": 10}), http.StatusBadRequest, &e)
+	if e.Kind != "bad_request" || !strings.Contains(e.Error, "max_tuples") {
+		t.Fatalf("max_tuples view = %+v, want a bad_request naming the field", e)
+	}
+	if _, err := s.lookupView("tv3"); !errors.Is(err, ErrUnknownView) {
+		t.Fatalf("a rejected view was registered: %v", err)
+	}
 
 	// Delete one triangle's edges through the full HTTP ingest path: the
 	// view's served result must shrink from 2 tuples to 1.
@@ -284,7 +298,7 @@ func TestViewPersistsThroughRecovery(t *testing.T) {
 	if _, err := s.Register("tri", triDB(t)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.RegisterView(store.ViewDef{ID: "tv", Database: "tri", MaxTuples: 10_000}); err != nil {
+	if _, err := s.RegisterView(store.ViewDef{ID: "tv", Database: "tri"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Ingest(context.Background(), "tri", triBatch(1, -1)); err != nil {
@@ -302,7 +316,7 @@ func TestViewPersistsThroughRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Database != "tri" || info.MaxTuples != 10_000 {
+	if info.Database != "tri" {
 		t.Fatalf("recovered view = %+v", info)
 	}
 	if info.ResultCount != 2 {
@@ -325,49 +339,98 @@ func TestViewPersistsThroughRecovery(t *testing.T) {
 	}
 }
 
-// TestViewBudgetAbortRebuildsNotFails: a view whose maintenance budget is
-// absurdly small aborts with ErrViewBudget, is rebuilt from the post-batch
-// catalog, and the ingest that triggered it still succeeds.
-func TestViewBudgetAbortRebuildsNotFails(t *testing.T) {
+// TestViewWithRetiredBudgetRecoversMaintained: a views.dat written while
+// views carried tuple budgets recovers through AttachStore, and its view is
+// maintained by deltas: the one-tuple budget that once forced a rebuild on
+// every batch binds nothing.
+func TestViewWithRetiredBudgetRecoversMaintained(t *testing.T) {
 	dir := t.TempDir()
-	s := newStoreService(t, dir, Config{Workers: 2})
-	defer s.Close(context.Background())
+	s := newStoreService(t, dir, Config{Workers: 1})
 	if _, err := s.Register("tri", triDB(t)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.RegisterView(store.ViewDef{ID: "tv", Database: "tri", MaxTuples: 1}); err != nil {
+	if _, err := s.RegisterView(store.ViewDef{ID: "tv", Database: "tri"}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Ingest(context.Background(), "tri", triBatch(1, -1))
+	if err := s.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	// Reframe views.dat (magic, then one record: length, CRC-32C, payload)
+	// around the definition as it was written with budgets.
+	path := filepath.Join(dir, "views.dat")
+	raw, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("ingest must not fail on view budget: %v", err)
+		t.Fatal(err)
 	}
-	if res.ViewsMaintained != 1 {
-		t.Fatalf("views maintained = %d", res.ViewsMaintained)
+	payload := []byte(`[{"id":"tv","database":"tri","max_tuples":1,"max_intermediate_tuples":1}]`)
+	legacy := binary.BigEndian.AppendUint32(raw[:8:8], uint32(len(payload)))
+	legacy = binary.BigEndian.AppendUint32(legacy, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	if err := os.WriteFile(path, append(legacy, payload...), 0o644); err != nil {
+		t.Fatal(err)
 	}
+
+	s2 := newStoreService(t, dir, Config{Workers: 1})
+	defer s2.Close(context.Background())
+	if _, err := s2.Ingest(context.Background(), "tri", triBatch(1, 0)); err != nil {
+		t.Fatal(err)
+	}
+	info, result, err := s2.ViewResult("tv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Rebuilds != 1 || info.DeltaBatches != 1 || info.LastError != "" {
+		t.Fatalf("recovered view = %+v, want 1 rebuild (recovery), 1 delta batch, no error", info)
+	}
+	rep, err := s2.Query(context.Background(), Request{Database: "tri"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if result.Len() != 1 || !result.Equal(rep.Result) {
+		t.Fatalf("maintained view diverged:\nview:      %s\nrecompute: %s",
+			sortedTuples(result), sortedTuples(rep.Result))
+	}
+}
+
+// TestFailedMaintenanceRebuildsFromPostBatch drives the repair path
+// directly: maintainView gets a change naming a relation the view does not
+// have, so the delta apply fails. The view is rebuilt from the post-batch
+// catalog it was handed — one rebuild beyond registration — keeps the
+// failure in last_error, and serves that catalog's join.
+func TestFailedMaintenanceRebuildsFromPostBatch(t *testing.T) {
+	s := New(Config{Workers: 1})
+	if _, err := s.Register("tri", triDB(t)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.RegisterView(store.ViewDef{ID: "tv", Database: "tri"}); err != nil {
+		t.Fatal(err)
+	}
+	ve, err := s.lookupView("tv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The post-batch catalog holds a second triangle the failed batch never
+	// delivered: only a rebuild from it can show two result tuples.
+	post := triDB(t)
+	r, rs, rt := triEdges(1)
+	post.Relation(0).MustInsert(r)
+	post.Relation(1).MustInsert(rs)
+	post.Relation(2).MustInsert(rt)
+	s.maintainView(ve, []ivm.Change{{Relation: 3, Inserts: []relation.Tuple{r}}}, post)
+
 	info, result, err := s.ViewResult("tv")
 	if err != nil {
 		t.Fatalf("view should have been rebuilt, not left stale: %v", err)
 	}
-	if info.BudgetAborts < 1 {
-		t.Fatalf("BudgetAborts = %d, want >= 1", info.BudgetAborts)
+	if info.Stale || info.Rebuilds != 2 || s.Stats().ViewRebuilds != 2 {
+		t.Fatalf("stale %v, view rebuilds %d, service rebuilds %d; want fresh, 2 and 2 (registration + repair)",
+			info.Stale, info.Rebuilds, s.Stats().ViewRebuilds)
 	}
-	if info.Rebuilds < 2 {
-		t.Fatalf("Rebuilds = %d, want >= 2 (registration + abort repair)", info.Rebuilds)
+	if !strings.Contains(info.LastError, "out of range") {
+		t.Fatalf("LastError = %q, want the apply failure", info.LastError)
 	}
-	if !strings.Contains(info.LastError, "view maintenance budget") {
-		t.Fatalf("LastError = %q, want the ErrViewBudget message", info.LastError)
-	}
-	rep, err := s.Query(context.Background(), Request{Database: "tri"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !result.Equal(rep.Result) {
+	if want := post.Join(); result.Len() != 2 || !result.Equal(want) {
 		t.Fatalf("rebuilt view diverged:\nview:      %s\nrecompute: %s",
-			sortedTuples(result), sortedTuples(rep.Result))
-	}
-	if s.Stats().ViewRebuilds < 2 {
-		t.Fatalf("service ViewRebuilds = %d, want >= 2", s.Stats().ViewRebuilds)
+			sortedTuples(result), sortedTuples(want))
 	}
 }
 

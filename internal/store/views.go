@@ -37,11 +37,6 @@ type ViewDef struct {
 	ID string `json:"id"`
 	// Database is the catalog name the view joins.
 	Database string `json:"database"`
-	// MaxTuples and MaxIntermediateTuples bound one batch's delta
-	// maintenance work (0 = unlimited); exceeding them marks the view stale
-	// and rebuilds it instead of failing the ingest.
-	MaxTuples             int64 `json:"max_tuples,omitempty"`
-	MaxIntermediateTuples int64 `json:"max_intermediate_tuples,omitempty"`
 }
 
 // SaveViews atomically replaces the durable view-definition list.
