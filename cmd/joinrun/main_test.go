@@ -83,15 +83,14 @@ func writeData(t *testing.T, db *relation.Database) string {
 	return strings.Join(paths, ",")
 }
 
-// TestNegativeLimitsAreUsageErrors: a negative -max-tuples,
-// -max-intermediate or -timeout exits 2 before any join runs, instead of
+// TestNegativeLimitsAreUsageErrors: a negative -max-tuples or -timeout
+// exits 2 before any join runs, instead of
 // running unlimited; zero still means "no limit", and a real budget still
 // aborts with exit status 3.
 func TestNegativeLimitsAreUsageErrors(t *testing.T) {
 	data := triangleData(t)
 	for _, flagArgs := range [][]string{
 		{"-max-tuples", "-1"},
-		{"-max-intermediate", "-1"},
 		{"-timeout", "-1s"},
 	} {
 		args := append([]string{"-data", data, "-strategy", "program"}, flagArgs...)
@@ -153,5 +152,15 @@ func TestRetiredStrategyExitsOne(t *testing.T) {
 		if !strings.Contains(stderr, name) {
 			t.Errorf("stderr does not list %q: %s", name, stderr)
 		}
+	}
+}
+
+// TestRetiredIntermediateCapIsUndefined: the per-operator cap is gone —
+// -max-tuples bounds every intermediate — so -max-intermediate is an
+// undefined flag, a usage error (exit 2) before any join runs.
+func TestRetiredIntermediateCapIsUndefined(t *testing.T) {
+	stdout, stderr, code := joinrun(t, "-data", triangleData(t), "-max-intermediate", "5")
+	if code != 2 || stdout != "" || !strings.Contains(stderr, "flag provided but not defined: -max-intermediate") {
+		t.Fatalf("-max-intermediate 5 exited %d with stdout %q, want 2, none and an undefined-flag error: %s", code, stdout, stderr)
 	}
 }

@@ -84,18 +84,19 @@ func (s Strategy) String() string {
 type Options struct {
 	// Strategy selects the execution route (default StrategyAuto).
 	Strategy Strategy
-	// Limits bounds execution itself: tuple budgets, a deadline, and a
-	// cancellation context enforced inside every operator (zero value =
-	// unlimited). Exceeding a limit aborts with a typed error
-	// (govern.ErrTupleBudget, govern.ErrCanceled, govern.ErrDeadline).
+	// Limits bounds execution itself: a tuple budget and a cancellation
+	// context, whose deadline is the timeout, enforced inside every
+	// operator (zero value = unlimited). Exceeding a limit aborts with a
+	// typed error (govern.ErrTupleBudget, govern.ErrCanceled, or
+	// govern.ErrDeadline when the context's deadline passed).
 	//
 	// Under StrategyAuto, a blown tuple budget does not fail the call
 	// outright: Join degrades along a strategy ladder (see DegradationLadder)
 	// and records the fallback chain in Report.Notes. Explicit strategies
 	// abort hard. Limits never change which plan runs first. Tuple budgets
 	// apply per attempt — each rung of the ladder starts with fresh counters
-	// (an aborted attempt's intermediates are discarded), while the deadline
-	// and context are absolute and shared.
+	// (an aborted attempt's intermediates are discarded), while the context
+	// and its deadline are absolute and shared.
 	Limits govern.Limits
 	// Workers enables governed intra-query parallelism with up to Workers
 	// goroutines inside each program statement: joins and semijoins probe

@@ -285,9 +285,10 @@ func TestCancellationIsFinalNotDegraded(t *testing.T) {
 
 func TestDeadlineAbortsJoin(t *testing.T) {
 	db := example3DB(t, 10)
-	lim := govern.Limits{Deadline: time.Now().Add(-time.Second)}
-	_, err := Join(db, Options{Strategy: StrategyProgram, Limits: lim})
-	if !errors.Is(err, govern.ErrDeadline) {
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	_, err := Join(db, Options{Strategy: StrategyProgram, Limits: govern.Limits{Context: ctx}})
+	if !errors.Is(err, govern.ErrDeadline) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want ErrDeadline, got %v", err)
 	}
 }

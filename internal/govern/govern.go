@@ -1,17 +1,17 @@
 // Package govern bounds the resources a join execution may consume. The
 // paper's whole argument is that bad plans blow up intermediate results;
 // this package is the runtime counterpart of that observation: a Governor
-// carries tuple budgets, a deadline, and a cancellation context, and every
-// executing operator charges the tuples it materializes against it. When a
-// limit is exceeded the operator aborts with a typed error (ErrTupleBudget,
-// ErrCanceled, ErrDeadline — all matchable with errors.Is), so callers such
-// as the engine facade can distinguish "this strategy blew its budget, try
-// a safer one" from a genuine failure.
+// carries one tuple budget and a cancellation context (whose deadline is
+// the execution's clock), and every executing operator charges the tuples
+// it materializes against it. When a limit is exceeded the operator aborts
+// with a typed error (ErrTupleBudget, ErrCanceled, ErrDeadline — all
+// matchable with errors.Is), so callers such as the engine facade can
+// distinguish "this strategy blew its budget, try a safer one" from a
+// genuine failure.
 //
-// Operators charge through an OpScope, one per operator. A sequential
-// tuple-map operator reports its running output with OpScope.Visit; a
-// kernel gives each of its goroutines a Meter, which counts locally and
-// settles against the shared atomic counters only near a budget, every
+// Operators charge through an OpScope, one per operator, which gives each
+// of the operator's goroutines a Meter: it counts locally and settles
+// against the shared atomic counters only near the budget, every
 // CheckEvery tuples or calls, and at Close. A sole charger aborts on exactly
 // the tuple that crosses a budget; concurrent meters abort exactly when the
 // final total exceeds one, and only the count they report may run past it.
@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"math"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -33,41 +32,38 @@ import (
 // Sentinel errors; match with errors.Is. Concrete errors returned by the
 // Governor wrap these and carry the operator and the exhausted limit.
 var (
-	// ErrTupleBudget reports that MaxTuples or MaxIntermediateTuples was
+	// ErrTupleBudget reports that MaxTuples (or the shared Pool) was
 	// exceeded.
 	ErrTupleBudget = errors.New("govern: tuple budget exhausted")
 	// ErrCanceled reports that the execution's context was canceled.
 	ErrCanceled = errors.New("govern: execution canceled")
-	// ErrDeadline reports that the deadline passed mid-execution.
+	// ErrDeadline reports that the context's deadline passed mid-execution.
 	ErrDeadline = errors.New("govern: deadline exceeded")
 )
 
 // DefaultCheckEvery is the default number of operator loop iterations
-// between cancellation/deadline polls.
+// between cancellation polls.
 const DefaultCheckEvery = 1024
 
 // Limits configures a Governor. The zero value means "no limits".
 //
-// The budgets count tuples *produced* by operators (every join, semijoin,
+// The budget counts tuples *produced* by operators (every join, semijoin,
 // projection, or product output row) — the §2.3 "generated relations", not
 // the inputs, and not the optimizer's search work (the optimizer's catalog
 // charges that to a governor of its own).
 type Limits struct {
 	// MaxTuples caps the total tuples produced across all operators of one
-	// execution (0 = unlimited).
+	// execution (0 = unlimited). It bounds every intermediate too: each is
+	// part of the total.
 	MaxTuples int64
-	// MaxIntermediateTuples caps the tuples produced by any single operator
-	// — the size of any one intermediate relation (0 = unlimited).
-	MaxIntermediateTuples int64
-	// Deadline aborts execution after this instant (zero = none). If
-	// Context also carries a deadline, the earlier one wins.
-	Deadline time.Time
-	// Context cancels execution when done (nil = context.Background()).
+	// Context cancels execution when done (nil = context.Background()). Its
+	// deadline is the execution's timeout: a context that expires aborts
+	// with ErrDeadline rather than ErrCanceled.
 	Context context.Context
 	// CheckEvery is the number of operator loop iterations between
-	// cancellation/deadline polls (0 = DefaultCheckEvery), and the number of
-	// tuples at which a Meter settles. Budgets do not wait for either: a
-	// Meter settles as soon as its pending tuples could cross one.
+	// cancellation polls (0 = DefaultCheckEvery), and the number of tuples
+	// at which a Meter settles. The budget does not wait for either: a
+	// Meter settles as soon as its pending tuples could cross it.
 	CheckEvery int
 	// Pool, when set, is a tuple budget shared with other executions: every
 	// produced tuple is charged against the pool in addition to this
@@ -80,8 +76,7 @@ type Limits struct {
 
 // Enabled reports whether any limit is set.
 func (l Limits) Enabled() bool {
-	return l.MaxTuples > 0 || l.MaxIntermediateTuples > 0 ||
-		!l.Deadline.IsZero() || l.Context != nil || l.Pool != nil
+	return l.MaxTuples > 0 || l.Context != nil || l.Pool != nil
 }
 
 // Pool is a tuple budget shared by several Governors. Meters settle into
@@ -104,82 +99,56 @@ func NewPool(max int64) *Pool {
 	return &Pool{max: max}
 }
 
-// WithTimeout returns a copy of l whose Deadline is now+d (taking the
-// earlier deadline if one is already set). d <= 0 returns l unchanged.
-func (l Limits) WithTimeout(d time.Duration) Limits {
-	if d <= 0 {
-		return l
-	}
-	dl := time.Now().Add(d)
-	if l.Deadline.IsZero() || dl.Before(l.Deadline) {
-		l.Deadline = dl
-	}
-	return l
-}
-
-// LimitError is the concrete error for an exhausted budget. It unwraps to
-// ErrTupleBudget.
+// LimitError is the concrete error for an exhausted budget — MaxTuples or
+// the pool standing in for it. It unwraps to ErrTupleBudget.
 type LimitError struct {
 	// Op names the operator that hit the limit ("relation.Join", ...).
 	Op string
-	// Limit names the exhausted field ("MaxTuples" or
-	// "MaxIntermediateTuples").
-	Limit string
 	// Max is the configured budget; Produced is the count that exceeded it.
 	Max, Produced int64
 }
 
 // Error implements error.
 func (e *LimitError) Error() string {
-	return fmt.Sprintf("%v: %s produced %d tuples, %s is %d", ErrTupleBudget, e.Op, e.Produced, e.Limit, e.Max)
+	return fmt.Sprintf("%v: %s produced %d tuples, MaxTuples is %d", ErrTupleBudget, e.Op, e.Produced, e.Max)
 }
 
 // Unwrap makes errors.Is(err, ErrTupleBudget) true.
 func (e *LimitError) Unwrap() error { return ErrTupleBudget }
 
 // AbortError is the concrete error for a cancellation or deadline abort. It
-// unwraps to the matching sentinel (ErrCanceled or ErrDeadline) and, when
-// the abort came from the context, to the context's error as well.
+// unwraps to the matching sentinel (ErrCanceled or ErrDeadline) and to the
+// context's error as well.
 type AbortError struct {
 	// Op names the operator that observed the abort.
 	Op string
 	// Sentinel is ErrCanceled or ErrDeadline.
 	Sentinel error
-	// Cause is the context's error when the context triggered the abort
-	// (context.Canceled or context.DeadlineExceeded), else nil.
+	// Cause is the context's error (context.Canceled or
+	// context.DeadlineExceeded).
 	Cause error
 }
 
 // Error implements error.
 func (e *AbortError) Error() string {
-	if e.Cause != nil {
-		return fmt.Sprintf("%v: at %s: %v", e.Sentinel, e.Op, e.Cause)
-	}
-	return fmt.Sprintf("%v: at %s", e.Sentinel, e.Op)
+	return fmt.Sprintf("%v: at %s: %v", e.Sentinel, e.Op, e.Cause)
 }
 
 // Unwrap makes errors.Is match both the govern sentinel and the context
 // cause.
-func (e *AbortError) Unwrap() []error {
-	if e.Cause != nil {
-		return []error{e.Sentinel, e.Cause}
-	}
-	return []error{e.Sentinel}
-}
+func (e *AbortError) Unwrap() []error { return []error{e.Sentinel, e.Cause} }
 
 // Governor enforces Limits over one execution. Obtain one from New; the nil
 // *Governor enforces nothing and costs nothing.
 type Governor struct {
-	lim         Limits
-	active      bool // any budget/deadline/context set
-	checkEvery  int
-	deadline    time.Time // resolved earliest of Limits.Deadline and ctx deadline
-	hasDeadline bool
-	ctx         context.Context
-	done        <-chan struct{}
-	produced    atomic.Int64
-	failpoint   func(op string) error
-	span        *obs.Span
+	lim        Limits
+	active     bool // any budget or context set
+	checkEvery int
+	ctx        context.Context
+	done       <-chan struct{}
+	produced   atomic.Int64
+	failpoint  func(op string) error
+	span       *obs.Span
 }
 
 // New returns a Governor enforcing lim. It is valid (and cheap) to create
@@ -193,13 +162,8 @@ func New(lim Limits) *Governor {
 	if g.checkEvery <= 0 {
 		g.checkEvery = DefaultCheckEvery
 	}
-	g.deadline, g.hasDeadline = lim.Deadline, !lim.Deadline.IsZero()
 	if lim.Context != nil {
-		g.ctx = lim.Context
-		g.done = lim.Context.Done()
-		if dl, ok := lim.Context.Deadline(); ok && (!g.hasDeadline || dl.Before(g.deadline)) {
-			g.deadline, g.hasDeadline = dl, true
-		}
+		g.ctx, g.done = lim.Context, lim.Context.Done()
 	}
 	return g
 }
@@ -252,10 +216,10 @@ func (g *Governor) Produced() int64 {
 }
 
 // Begin marks the start of one operator: the failpoint hook fires first,
-// then cancellation/deadline are polled, so a cancellation is observed
-// within one operator step even if no tuples flow. The returned scope
-// charges the operator's output; both returns of a nil Governor are nil,
-// and a nil *OpScope is valid.
+// then cancellation is polled, so a cancellation is observed within one
+// operator step even if no tuples flow. The returned scope charges the
+// operator's output; both returns of a nil Governor are nil, and a nil
+// *OpScope is valid.
 //
 // Begin itself writes nothing shared, so it is safe to call from concurrent
 // goroutines; the failpoint hook must have been installed before execution
@@ -276,92 +240,55 @@ func (g *Governor) Begin(op string) (*OpScope, error) {
 		// Only fault injection applies: skip per-tuple accounting entirely.
 		return nil, nil
 	}
-	return &OpScope{g: g, op: op, tick: g.checkEvery}, nil
+	return &OpScope{g: g, op: op}, nil
 }
 
-// poll checks context cancellation and the deadline.
+// poll checks the context: a done context aborts with ErrDeadline when its
+// deadline passed, else with ErrCanceled.
 func (g *Governor) poll(op string) error {
-	if g.done != nil {
-		select {
-		case <-g.done:
-			cause := g.ctx.Err()
-			sentinel := ErrCanceled
-			if errors.Is(cause, context.DeadlineExceeded) {
-				sentinel = ErrDeadline
-			}
-			return &AbortError{Op: op, Sentinel: sentinel, Cause: cause}
-		default:
-		}
-	}
-	if g.hasDeadline && time.Now().After(g.deadline) {
-		return &AbortError{Op: op, Sentinel: ErrDeadline}
-	}
-	return nil
-}
-
-// OpScope tracks one operator's output against the governor. The nil scope
-// (from a nil Governor) accepts everything.
-//
-// A sequential operator reports its running output cardinality with Visit.
-// A kernel charges through Meters instead — one per goroutine, all adding
-// into the scope's one counter — so MaxIntermediateTuples stays a property
-// of the whole operator's output rather than of any one worker's share.
-type OpScope struct {
-	g        *Governor
-	op       string
-	produced atomic.Int64 // the operator's output, across all its meters
-	tick     int          // Visit calls left until the next poll
-}
-
-// Visit is called once per operator loop iteration with the operator's
-// current output cardinality. It charges the delta since the last call
-// against the budgets and polls cancellation/deadline every CheckEvery
-// calls, so a mid-operator cancellation is still observed promptly on
-// iterations that produce nothing (a probe streak with no matches). Visit
-// is for sequential operators: one goroutine owns the cumulative count and
-// the poll countdown.
-func (s *OpScope) Visit(produced int) error {
-	if s == nil {
+	if g.done == nil {
 		return nil
 	}
-	if delta := int64(produced) - s.produced.Load(); delta > 0 {
-		if _, err := s.charge(delta); err != nil {
-			return err
+	select {
+	case <-g.done:
+		cause := g.ctx.Err()
+		sentinel := ErrCanceled
+		if errors.Is(cause, context.DeadlineExceeded) {
+			sentinel = ErrDeadline
 		}
+		return &AbortError{Op: op, Sentinel: sentinel, Cause: cause}
+	default:
+		return nil
 	}
-	s.tick--
-	if s.tick <= 0 {
-		s.tick = s.g.checkEvery
-		return s.g.poll(s.op)
-	}
-	return nil
 }
 
-// charge adds delta (≥ 0) to the operator's, the governor's and the pool's
-// counters — one atomic add each; a zero delta only reads them — and checks
-// each budget against the new totals in that order. It returns the headroom
-// left: the fewest tuples any budget can still take, math.MaxInt64 when none
-// is set, 0 on failure.
+// OpScope is one operator's handle on the governor: it names the operator
+// in the errors its meters return. The nil scope (from a nil Governor)
+// accepts everything.
+type OpScope struct {
+	g  *Governor
+	op string
+}
+
+// charge adds delta (≥ 0) to the governor's and the pool's counters — one
+// atomic add each; a zero delta only reads them — and checks each budget
+// against the new totals in that order. It returns the headroom left: the
+// fewest tuples either budget can still take, math.MaxInt64 when none is
+// set, 0 on failure.
 func (s *OpScope) charge(delta int64) (room int64, err error) {
 	g := s.g
-	var opTotal, total int64
+	var total int64
 	if delta > 0 {
-		opTotal, total = s.produced.Add(delta), g.produced.Add(delta)
+		total = g.produced.Add(delta)
 	} else {
-		opTotal, total = s.produced.Load(), g.produced.Load()
+		total = g.produced.Load()
 	}
 	room = math.MaxInt64
-	if lim := g.lim.MaxIntermediateTuples; lim > 0 {
-		if opTotal > lim {
-			return 0, &LimitError{Op: s.op, Limit: "MaxIntermediateTuples", Max: lim, Produced: opTotal}
-		}
-		room = lim - opTotal
-	}
 	if lim := g.lim.MaxTuples; lim > 0 {
 		if total > lim {
-			return 0, &LimitError{Op: s.op, Limit: "MaxTuples", Max: lim, Produced: total}
+			return 0, &LimitError{Op: s.op, Max: lim, Produced: total}
 		}
-		room = min(room, lim-total)
+		room = lim - total
 	}
 	if p := g.lim.Pool; p != nil {
 		var pooled int64
@@ -371,7 +298,7 @@ func (s *OpScope) charge(delta int64) (room int64, err error) {
 			pooled = p.used.Load()
 		}
 		if pooled > p.max {
-			return 0, &LimitError{Op: s.op, Limit: "MaxTuples", Max: p.max, Produced: pooled}
+			return 0, &LimitError{Op: s.op, Max: p.max, Produced: pooled}
 		}
 		room = min(room, p.max-pooled)
 	}
@@ -380,8 +307,8 @@ func (s *OpScope) charge(delta int64) (room int64, err error) {
 
 // Meter is one goroutine's handle on an OpScope. Add and AddEach count into
 // a private pending total, and the meter settles — one atomic add per
-// counter, the budget checks, and a cancellation/deadline poll — only when
-// pending exceeds the headroom the budgets had at its last settle, when
+// counter, the budget checks, and a cancellation poll — only when pending
+// exceeds the headroom the budgets had at its last settle, when
 // pending reaches CheckEvery tuples, every CheckEvery calls, and at Close.
 // The zero Meter, like the nil scope's, charges nothing.
 //
@@ -466,7 +393,7 @@ func (m *Meter) Close() error {
 func (m *Meter) held() int { return m.flush - m.left }
 
 // settle charges the held tuples to the shared counters, re-arms the meter
-// with the new headroom and polls cancellation/deadline.
+// with the new headroom and polls cancellation.
 func (m *Meter) settle() error {
 	s := m.s
 	if s == nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -19,10 +20,14 @@ func TestNilGovernorIsUnlimited(t *testing.T) {
 	if scope != nil {
 		t.Fatalf("nil governor returned non-nil scope")
 	}
+	m := scope.Meter()
 	for i := 0; i < 10_000; i++ {
-		if err := scope.Visit(i); err != nil {
-			t.Fatalf("nil scope Visit: %v", err)
+		if err := m.Add(1); err != nil {
+			t.Fatalf("nil scope's meter Add: %v", err)
 		}
+	}
+	if err := m.Close(); err != nil {
+		t.Fatalf("nil scope's meter Close: %v", err)
 	}
 	if g.Produced() != 0 {
 		t.Fatalf("nil governor Produced = %d", g.Produced())
@@ -46,13 +51,15 @@ func TestMaxTuplesAcrossOperators(t *testing.T) {
 			if !errors.As(err, &le) || !errors.Is(err, ErrTupleBudget) {
 				t.Fatalf("unexpected begin error: %v", err)
 			}
-			t.Fatalf("Begin should not enforce budgets, Visit does: %v", err)
+			t.Fatalf("Begin should not enforce budgets, meters do: %v", err)
 		}
+		m := scope.Meter()
 		var verr error
-		for n := 1; n <= 60; n++ {
-			if verr = scope.Visit(n); verr != nil {
-				break
-			}
+		for n := 1; n <= 60 && verr == nil; n++ {
+			verr = m.Add(1)
+		}
+		if verr == nil {
+			verr = m.Close()
 		}
 		if op == 0 {
 			if verr != nil {
@@ -68,39 +75,13 @@ func TestMaxTuplesAcrossOperators(t *testing.T) {
 			t.Fatalf("error %v does not match ErrTupleBudget", verr)
 		}
 		var le *LimitError
-		if !errors.As(verr, &le) || le.Limit != "MaxTuples" {
-			t.Fatalf("error %v is not a MaxTuples LimitError", verr)
+		if !errors.As(verr, &le) || le.Op != "op1" || le.Max != 100 || le.Produced != 101 {
+			t.Fatalf("error %v is not op1's MaxTuples LimitError at tuple 101", verr)
+		}
+		if want := "op1 produced 101 tuples, MaxTuples is 100"; !strings.HasSuffix(verr.Error(), want) {
+			t.Fatalf("error %q does not end %q", verr, want)
 		}
 		return
-	}
-}
-
-func TestMaxIntermediateTuples(t *testing.T) {
-	g := New(Limits{MaxIntermediateTuples: 50})
-	scope, err := g.Begin("big-op")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var verr error
-	for n := 1; n <= 60; n++ {
-		if verr = scope.Visit(n); verr != nil {
-			break
-		}
-	}
-	if !errors.Is(verr, ErrTupleBudget) {
-		t.Fatalf("got %v, want ErrTupleBudget", verr)
-	}
-	var le *LimitError
-	if !errors.As(verr, &le) || le.Limit != "MaxIntermediateTuples" {
-		t.Fatalf("error %v is not a MaxIntermediateTuples LimitError", verr)
-	}
-	// A fresh operator gets a fresh intermediate budget.
-	scope2, err := g.Begin("next-op")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := scope2.Visit(49); err != nil {
-		t.Fatalf("fresh operator under the intermediate cap: %v", err)
 	}
 }
 
@@ -127,12 +108,11 @@ func TestCancellationMidOperator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := scope.Meter()
 	cancel()
 	var verr error
-	for i := 0; i < 16; i++ { // poll fires within CheckEvery iterations
-		if verr = scope.Visit(0); verr != nil {
-			break
-		}
+	for i := 0; i < 16 && verr == nil; i++ { // poll fires within CheckEvery calls
+		verr = m.Add(0)
 	}
 	if !errors.Is(verr, ErrCanceled) {
 		t.Fatalf("got %v, want ErrCanceled within CheckEvery iterations", verr)
@@ -140,10 +120,29 @@ func TestCancellationMidOperator(t *testing.T) {
 }
 
 func TestDeadline(t *testing.T) {
-	g := New(Limits{Deadline: time.Now().Add(-time.Millisecond)})
-	_, err := g.Begin("op")
-	if !errors.Is(err, ErrDeadline) {
+	// A context deadline in the past aborts the first operator as a
+	// deadline, not a cancellation.
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Millisecond))
+	defer cancel()
+	_, err := New(Limits{Context: ctx}).Begin("op")
+	if !errors.Is(err, ErrDeadline) || errors.Is(err, ErrCanceled) {
 		t.Fatalf("got %v, want ErrDeadline", err)
+	}
+
+	// A deadline that passes mid-operator is seen within CheckEvery calls.
+	ctx, cancel = context.WithDeadline(context.Background(), time.Now().Add(50*time.Millisecond))
+	defer cancel()
+	scope, err := New(Limits{Context: ctx, CheckEvery: 4}).Begin("op")
+	if err != nil {
+		t.Fatalf("Begin before the deadline: %v", err)
+	}
+	m := scope.Meter()
+	<-ctx.Done()
+	for i := 0; i < 4 && err == nil; i++ {
+		err = m.Add(1)
+	}
+	if !errors.Is(err, ErrDeadline) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("got %v within CheckEvery calls, want ErrDeadline", err)
 	}
 }
 
@@ -191,32 +190,21 @@ func TestConcurrentCharging(t *testing.T) {
 				t.Error(err)
 				return
 			}
+			m := scope.Meter()
 			for n := 1; n <= 1000; n++ {
-				if err := scope.Visit(n); err != nil {
+				if err := m.Add(1); err != nil {
 					t.Error(err)
 					return
 				}
+			}
+			if err := m.Close(); err != nil {
+				t.Error(err)
 			}
 		}()
 	}
 	wg.Wait()
 	if got := g.Produced(); got != 8*1000 {
 		t.Fatalf("Produced = %d, want %d", got, 8*1000)
-	}
-}
-
-func TestWithTimeout(t *testing.T) {
-	l := Limits{}.WithTimeout(time.Hour)
-	if l.Deadline.IsZero() {
-		t.Fatal("WithTimeout did not set a deadline")
-	}
-	earlier := time.Now().Add(time.Minute)
-	l2 := Limits{Deadline: earlier}.WithTimeout(time.Hour)
-	if !l2.Deadline.Equal(earlier) {
-		t.Fatalf("WithTimeout overrode an earlier deadline: %v", l2.Deadline)
-	}
-	if got := (Limits{MaxTuples: 1}).WithTimeout(0); !got.Deadline.IsZero() {
-		t.Fatal("WithTimeout(0) set a deadline")
 	}
 }
 
@@ -227,9 +215,8 @@ func TestEnabled(t *testing.T) {
 	}{
 		{Limits{}, false},
 		{Limits{MaxTuples: 1}, true},
-		{Limits{MaxIntermediateTuples: 1}, true},
-		{Limits{Deadline: time.Now()}, true},
 		{Limits{Context: context.Background()}, true},
+		{Limits{Pool: NewPool(1)}, true},
 	}
 	for i, c := range cases {
 		if got := c.lim.Enabled(); got != c.want {
@@ -272,7 +259,7 @@ func ones(n int) []int {
 
 func TestSharedScopeConcurrentAdd(t *testing.T) {
 	// One operator scope charged from many partition workers, one meter
-	// each: the exact total must land on both the scope and the governor.
+	// each: the exact total must land on the governor.
 	g := New(Limits{MaxTuples: 1_000_000})
 	scope, err := g.Begin("relation.ParallelJoin")
 	if err != nil {
@@ -287,35 +274,8 @@ func TestSharedScopeConcurrentAdd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, op := g.Produced(), scope.produced.Load(); got != 8*1000 || op != got {
-		t.Fatalf("Produced = %d, scope %d, want %d", got, op, 8*1000)
-	}
-}
-
-func TestSharedScopeIntermediateBudgetIsPerOperator(t *testing.T) {
-	// MaxIntermediateTuples bounds the whole operator's output, not any one
-	// worker's share: 4 workers × 400 tuples must trip a 1000-tuple limit
-	// even though every worker stays under it individually.
-	g := New(Limits{MaxIntermediateTuples: 1000})
-	scope, err := g.Begin("relation.ParallelJoin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	lists := make([][]int, 4)
-	for w := range lists {
-		lists[w] = ones(400)
-	}
-	tripped := 0
-	for _, err := range chargeAll(scope, lists) {
-		if err != nil {
-			if !errors.Is(err, ErrTupleBudget) {
-				t.Errorf("got %v, want ErrTupleBudget", err)
-			}
-			tripped++
-		}
-	}
-	if tripped == 0 {
-		t.Fatal("no worker observed the shared intermediate budget")
+	if got := g.Produced(); got != 8*1000 {
+		t.Fatalf("Produced = %d, want %d", got, 8*1000)
 	}
 }
 
@@ -363,16 +323,14 @@ func TestSharedScopeExactBudgetNotExceeded(t *testing.T) {
 	}
 }
 
-// meterLimits are the three budgets a meter settles against: lim(n) sets
-// one to n (a fresh pool each call), and limit is the name its LimitError
-// reports.
+// meterLimits are the two budgets a meter settles against: lim(n) sets one
+// to n (a fresh pool each call).
 var meterLimits = []struct {
-	name, limit string
-	lim         func(n int64) Limits
+	name string
+	lim  func(n int64) Limits
 }{
-	{"MaxTuples", "MaxTuples", func(n int64) Limits { return Limits{MaxTuples: n} }},
-	{"MaxIntermediateTuples", "MaxIntermediateTuples", func(n int64) Limits { return Limits{MaxIntermediateTuples: n} }},
-	{"Pool", "MaxTuples", func(n int64) Limits { return Limits{Pool: NewPool(n)} }},
+	{"MaxTuples", func(n int64) Limits { return Limits{MaxTuples: n} }},
+	{"Pool", func(n int64) Limits { return Limits{Pool: NewPool(n)} }},
 }
 
 // soleCharge charges deltas through one meter of a fresh governor under lim
@@ -428,7 +386,7 @@ func TestMeterSoleChargerCrossesExactly(t *testing.T) {
 				if !errors.As(want, &wl) || !errors.As(got, &gl) || *wl != *gl || gotTotal != wantTotal {
 					t.Fatalf("%s (AddEach %v): abort %v at %d, CheckEvery 1 gives %v at %d", b.name, each, got, gotTotal, want, wantTotal)
 				}
-				if gl.Limit != b.limit || gl.Max != 1000 || gl.Produced > 1000+7 {
+				if gl.Max != 1000 || gl.Produced > 1000+7 {
 					t.Fatalf("%s: abort %+v past the crossing charge", b.name, *gl)
 				}
 			}
@@ -497,7 +455,7 @@ func TestMeterRacingMetersAbortIffOverBudget(t *testing.T) {
 					if err == nil {
 						continue
 					}
-					if !errors.As(err, &le) || le.Limit != b.limit || le.Max != int64(budget) {
+					if !errors.As(err, &le) || le.Max != int64(budget) {
 						t.Fatalf("%s budget %d: %v", b.name, budget, err)
 					}
 					aborted = true
@@ -559,14 +517,14 @@ func TestMeterAddZeroObservesCancellation(t *testing.T) {
 }
 
 func TestMetersChargeTheOperatorAndPollOnTheirOwn(t *testing.T) {
-	// Meters are one operator to the budgets: 4 meters × 300 tuples trip a
-	// 1000-tuple intermediate limit none reaches alone. Charged round-robin,
+	// Meters are one operator to the budget: 4 meters × 300 tuples trip a
+	// 1000-tuple limit none reaches alone. Charged round-robin,
 	// the abort comes at most (meters−1)·CheckEvery + 1 tuples past the
 	// limit — the tuples the other meters hold unsettled — where a shared
 	// counter would abort on tuple 1001. Once it has, a sibling holding
 	// nothing fails too at its next settle: the budget error is sticky.
 	const every = 16
-	g := New(Limits{MaxIntermediateTuples: 1000, CheckEvery: every})
+	g := New(Limits{MaxTuples: 1000, CheckEvery: every})
 	scope, err := g.Begin("relation.Join")
 	if err != nil {
 		t.Fatal(err)
@@ -578,9 +536,9 @@ func TestMetersChargeTheOperatorAndPollOnTheirOwn(t *testing.T) {
 		charged++
 	}
 	var lim *LimitError
-	if !errors.As(err, &lim) || lim.Limit != "MaxIntermediateTuples" || lim.Produced <= 1000 ||
+	if !errors.As(err, &lim) || lim.Max != 1000 || lim.Produced <= 1000 ||
 		lim.Produced > 1000+3*every+1 || charged > 1000+3*every+1 || g.Produced() != lim.Produced {
-		t.Fatalf("after %d charges (governor saw %d): %v; want the intermediate limit within %d tuples of 1001",
+		t.Fatalf("after %d charges (governor saw %d): %v; want the budget's abort within %d tuples of 1001",
 			charged, g.Produced(), err, 3*every)
 	}
 	idle := scope.Meter()
@@ -596,7 +554,7 @@ func TestMetersChargeTheOperatorAndPollOnTheirOwn(t *testing.T) {
 	// seen within CheckEvery calls of one meter, however few calls its
 	// siblings make.
 	ctx, cancel := context.WithCancel(context.Background())
-	g = New(Limits{MaxIntermediateTuples: 1000, Context: ctx, CheckEvery: every})
+	g = New(Limits{MaxTuples: 1000, Context: ctx, CheckEvery: every})
 	if scope, err = g.Begin("relation.Join"); err != nil {
 		t.Fatal(err)
 	}

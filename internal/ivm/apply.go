@@ -39,9 +39,9 @@ type BatchStats struct {
 // Apply propagates one batch of base-relation changes through the delta
 // program, updating every node's counted state. Changes apply in order
 // (later changes to the same relation see earlier ones), and the governor —
-// which may be nil — charges every emitted delta row, with a per-step scope
-// so MaxIntermediateTuples bounds a single step's delta. When the governor
-// carries a span (govern.SetSpan), each executed step gets a child span.
+// which may be nil — charges every emitted delta row, with one scope per
+// step. When the governor carries a span (govern.SetSpan), each executed
+// step gets a child span.
 //
 // On any error the view's materialized state is undefined — part of the
 // batch may be applied — and the caller must Rebuild before trusting

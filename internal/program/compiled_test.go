@@ -277,9 +277,8 @@ func TestReduceThenJoinPlansMatchOracle(t *testing.T) {
 // (Theorem 1) and equal the tuple oracle in output, cost and every head at
 // every worker count. Their governor charge is wcoj.JoinGoverned's for each
 // multiway statement plus every other head, and a MaxTuples budget of
-// exactly that total, or a MaxIntermediateTuples cap of exactly the largest
-// single operator's charge, passes while one tuple less aborts — in the
-// oracle and at every worker count alike.
+// exactly that total passes while one tuple less aborts — in the oracle and
+// at every worker count alike.
 func TestLeapfrogPlansMatchOracle(t *testing.T) {
 	defer relation.SetParallelThreshold(0)()
 	type leapfrogCase struct {
@@ -312,7 +311,7 @@ func TestLeapfrogPlansMatchOracle(t *testing.T) {
 		if !want.Output.Equal(full) {
 			t.Fatalf("%s: %d tuples, ⋈D has %d\n%s", name, want.Output.Len(), full.Len(), p)
 		}
-		charge, widest := leapfrogCharges(t, p, cdb, want.Trace)
+		charge := leapfrogCharges(t, p, cdb, want.Trace)
 		if oracleG.Produced() != charge {
 			t.Fatalf("%s: oracle charged %d, wcoj.JoinGoverned plus the heads account for %d", name, oracleG.Produced(), charge)
 		}
@@ -339,24 +338,16 @@ func TestLeapfrogPlansMatchOracle(t *testing.T) {
 				return p.ApplyParallelGoverned(cdb, g, w)
 			}
 		}
+		if charge < 2 {
+			continue // a budget of 0 means unlimited
+		}
+		budget := func(n int64) *govern.Governor { return govern.New(govern.Limits{MaxTuples: n, CheckEvery: 1}) }
 		for who, run := range runs {
-			for _, b := range []struct {
-				limit string
-				at    int64
-				lim   func(int64) govern.Limits
-			}{
-				{"MaxTuples", charge, func(n int64) govern.Limits { return govern.Limits{MaxTuples: n, CheckEvery: 1} }},
-				{"MaxIntermediateTuples", widest, func(n int64) govern.Limits { return govern.Limits{MaxIntermediateTuples: n, CheckEvery: 1} }},
-			} {
-				if b.at < 2 {
-					continue // a limit of 0 means unlimited
-				}
-				if _, err := run(govern.New(b.lim(b.at))); err != nil {
-					t.Fatalf("%s, %s: %s == %d must pass, got %v", name, who, b.limit, b.at, err)
-				}
-				if res, err := run(govern.New(b.lim(b.at - 1))); res != nil || !errors.Is(err, govern.ErrTupleBudget) {
-					t.Fatalf("%s, %s: %s == %d gave %v; want ErrTupleBudget and no result", name, who, b.limit, b.at-1, err)
-				}
+			if _, err := run(budget(charge)); err != nil {
+				t.Fatalf("%s, %s: MaxTuples == %d must pass, got %v", name, who, charge, err)
+			}
+			if res, err := run(budget(charge - 1)); res != nil || !errors.Is(err, govern.ErrTupleBudget) {
+				t.Fatalf("%s, %s: MaxTuples == %d gave %v; want ErrTupleBudget and no result", name, who, charge-1, err)
 			}
 		}
 	}
@@ -404,13 +395,11 @@ func mixedProgram() *program.Program {
 // leapfrogCharges returns what a run of p over db must charge the governor —
 // wcoj.JoinGoverned's charge over each multiway statement's operands (which
 // engine plans bind to inputs) plus every other statement's head, read from
-// trace — and the largest charge of any single operator scope: a head, a
-// trie, or an enumeration.
-func leapfrogCharges(t *testing.T, p *program.Program, db *relation.Database, trace []program.Step) (total, widest int64) {
+// trace.
+func leapfrogCharges(t *testing.T, p *program.Program, db *relation.Database, trace []program.Step) (total int64) {
 	t.Helper()
 	for i, s := range p.Stmts {
 		head := int64(trace[i].Size)
-		widest = max(widest, head)
 		if s.Op != program.OpMultiway {
 			total += head
 			continue
@@ -418,7 +407,6 @@ func leapfrogCharges(t *testing.T, p *program.Program, db *relation.Database, tr
 		rels := make([]*relation.Relation, len(s.Args))
 		for k, arg := range s.Args {
 			rels[k] = db.Relation(slices.Index(p.Inputs, arg))
-			widest = max(widest, int64(rels[k].Len()))
 		}
 		g := unlimited()
 		res, err := wcoj.JoinGoverned(relation.MustDatabase(rels...), s.Order, g, 1)
@@ -427,5 +415,5 @@ func leapfrogCharges(t *testing.T, p *program.Program, db *relation.Database, tr
 		}
 		total += g.Produced()
 	}
-	return total, widest
+	return total
 }

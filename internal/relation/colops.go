@@ -14,8 +14,8 @@ import (
 // tuple-map counterpart in ops.go exactly — same output schema, same
 // build/probe side choice, same governor op name, and the same charge per
 // probe row, counted on a govern.Meter that settles before a budget could be
-// crossed — so the governor cannot tell the two apart: charge totals,
-// MaxIntermediateTuples boundaries and whether a budget aborts coincide,
+// crossed, as the tuple-map operators' meters do — so the governor cannot
+// tell the two apart: charge totals and whether a budget aborts coincide,
 // and so does the abort point on one range. The differential gauntlet in
 // columnardiff_test.go enforces this.
 //

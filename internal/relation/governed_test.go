@@ -53,20 +53,6 @@ func TestJoinGovernedProductAbort(t *testing.T) {
 	}
 }
 
-func TestJoinGovernedIntermediateBudget(t *testing.T) {
-	l := skewed(t, "A", "B", 50)
-	r := skewed(t, "C", "B", 50)
-	g := govern.New(govern.Limits{MaxIntermediateTuples: 100})
-	_, err := JoinGoverned(g, l, r)
-	if !errors.Is(err, govern.ErrTupleBudget) {
-		t.Fatalf("got %v, want ErrTupleBudget", err)
-	}
-	var le *govern.LimitError
-	if !errors.As(err, &le) || le.Limit != "MaxIntermediateTuples" {
-		t.Fatalf("error %v is not a MaxIntermediateTuples LimitError", err)
-	}
-}
-
 func TestJoinGovernedUnderLimitMatchesJoin(t *testing.T) {
 	l := skewed(t, "A", "B", 20)
 	r := skewed(t, "C", "B", 20)

@@ -22,14 +22,17 @@ func Join(l, r *Relation) *Relation {
 	return out
 }
 
-// JoinGoverned is Join charging every output tuple against the governor; it
-// aborts with the governor's typed error mid-join when a limit is exceeded,
-// returning no partial result. A nil governor imposes no limits.
+// JoinGoverned is Join charging every output tuple against the governor —
+// one meter call per probe row, or per pair of a product, as the block
+// kernels charge them; it aborts with the governor's typed error mid-join
+// when a limit is exceeded, returning no partial result. A nil governor
+// imposes no limits.
 func JoinGoverned(g *govern.Governor, l, r *Relation) (*Relation, error) {
 	scope, err := g.Begin("relation.Join")
 	if err != nil {
 		return nil, err
 	}
+	m := scope.Meter()
 	common := l.schema.AttrSet().Intersect(r.schema.AttrSet())
 	outSchema := joinSchema(l.schema, r.schema)
 	out := New(outSchema)
@@ -47,19 +50,19 @@ func JoinGoverned(g *govern.Governor, l, r *Relation) (*Relation, error) {
 		for _, lt := range l.tuples() {
 			for _, rt := range r.tuples() {
 				out.appendJoined(lt, rt, rOnlyPos)
-				if err := scope.Visit(out.Len()); err != nil {
+				if err := m.Add(1); err != nil {
 					return nil, err
 				}
 			}
 		}
-		return out, nil
+	} else {
+		lPos, _ := l.schema.Positions(common)
+		rPos, _ := r.schema.Positions(common)
+		if err := hashJoinInto(out, l.tuples(), r.tuples(), lPos, rPos, rOnlyPos, m.Add); err != nil {
+			return nil, err
+		}
 	}
-
-	lPos, _ := l.schema.Positions(common)
-	rPos, _ := r.schema.Positions(common)
-
-	if err := hashJoinInto(out, l.tuples(), r.tuples(), lPos, rPos, rOnlyPos,
-		func(int) error { return scope.Visit(out.Len()) }); err != nil {
+	if err := m.Close(); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -144,31 +147,24 @@ func Semijoin(l, r *Relation) *Relation {
 
 // SemijoinGoverned is Semijoin under a governor. A semijoin's output is at
 // most |l|, so it cannot blow up — but it still charges its output (the
-// §2.3 cost counts semijoin heads) and honors cancellation and deadlines.
+// §2.3 cost counts semijoin heads) and honors cancellation: its meter is
+// called once per scanned row, matched or not.
 func SemijoinGoverned(g *govern.Governor, l, r *Relation) (*Relation, error) {
 	scope, err := g.Begin("relation.Semijoin")
 	if err != nil {
 		return nil, err
 	}
+	m := scope.Meter()
 	common := l.schema.AttrSet().Intersect(r.schema.AttrSet())
-	out := New(l.schema)
-	if common.IsEmpty() {
-		if r.Len() > 0 {
-			for _, lt := range l.tuples() {
-				out.MustInsert(lt)
-				if err := scope.Visit(out.Len()); err != nil {
-					return nil, err
-				}
-			}
-		}
-		return out, nil
-	}
 	lPos, _ := l.schema.Positions(common)
 	rPos, _ := r.schema.Positions(common)
-	if l.Len() <= r.Len() {
-		// Hash the smaller (left) side: collect l's keys, scan r marking
-		// which have support, then emit the supported l tuples. The map
-		// stays |l|-sized even when r is huge.
+	var supported func(key string) bool // whether an l key has a match in r
+	switch {
+	case common.IsEmpty():
+		supported = func(string) bool { return r.Len() > 0 }
+	case l.Len() <= r.Len():
+		// Hash the smaller (left) side: collect l's keys and scan r marking
+		// which have support. The map stays |l|-sized even when r is huge.
 		support := make(map[string]bool, l.Len())
 		for _, lt := range l.tuples() {
 			support[lt.keyAt(lPos)] = false
@@ -178,31 +174,31 @@ func SemijoinGoverned(g *govern.Governor, l, r *Relation) (*Relation, error) {
 			if _, interesting := support[k]; interesting {
 				support[k] = true
 			}
-			if err := scope.Visit(out.Len()); err != nil {
+			if err := m.Add(0); err != nil {
 				return nil, err
 			}
 		}
-		for _, lt := range l.tuples() {
-			if support[lt.keyAt(lPos)] {
-				out.MustInsert(lt)
-			}
-			if err := scope.Visit(out.Len()); err != nil {
-				return nil, err
-			}
+		supported = func(k string) bool { return support[k] }
+	default:
+		keys := make(map[string]struct{}, r.Len())
+		for _, rt := range r.tuples() {
+			keys[rt.keyAt(rPos)] = struct{}{}
 		}
-		return out, nil
+		supported = func(k string) bool { _, ok := keys[k]; return ok }
 	}
-	keys := make(map[string]struct{}, r.Len())
-	for _, rt := range r.tuples() {
-		keys[rt.keyAt(rPos)] = struct{}{}
-	}
+	out := New(l.schema)
 	for _, lt := range l.tuples() {
-		if _, ok := keys[lt.keyAt(lPos)]; ok {
+		kept := 0
+		if supported(lt.keyAt(lPos)) {
 			out.MustInsert(lt)
+			kept = 1
 		}
-		if err := scope.Visit(out.Len()); err != nil {
+		if err := m.Add(kept); err != nil {
 			return nil, err
 		}
+	}
+	if err := m.Close(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -227,15 +223,20 @@ func ProjectGoverned(g *govern.Governor, r *Relation, attrs AttrSet) (*Relation,
 	}
 	pos, _ := r.schema.Positions(attrs)
 	out := New(MustSchema(attrs...))
+	m := scope.Meter()
 	for _, t := range r.tuples() {
 		row := make(Tuple, len(pos))
 		for i, p := range pos {
 			row[i] = t[p]
 		}
+		n := out.Len()
 		out.MustInsert(row)
-		if err := scope.Visit(out.Len()); err != nil {
+		if err := m.Add(out.Len() - n); err != nil {
 			return nil, err
 		}
+	}
+	if err := m.Close(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -79,7 +79,6 @@ func TestNegativeBudgetsAreBadRequests(t *testing.T) {
 	}
 	for _, body := range []string{
 		`{"database":"tri","strategy":"cpf-expression","max_tuples":-1}`,
-		`{"database":"tri","max_intermediate_tuples":-1}`,
 		`{"database":"tri","timeout_ms":-1}`,
 		`{"database":"tri","workers":-1}`,
 	} {
@@ -98,6 +97,31 @@ func TestNegativeBudgetsAreBadRequests(t *testing.T) {
 	}
 	if views := s.Views(); len(views) != 0 {
 		t.Fatalf("rejected view definitions registered: %v", views)
+	}
+}
+
+// TestIntermediateCapIsUnknownField: a query carries one tuple budget,
+// max_tuples, which bounds every intermediate too. The retired per-operator
+// cap is an unknown field whatever its value — a 400 that names it, not a
+// query run without it.
+func TestIntermediateCapIsUnknownField(t *testing.T) {
+	s := newStoreService(t, t.TempDir(), Config{Workers: 1})
+	defer s.Close(context.Background())
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	if _, err := s.Register("tri", triDB(t)); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []string{"10", "-1"} {
+		body := `{"database":"tri","max_intermediate_tuples":` + v + `}`
+		code, out := postJSON(t, srv, "/v1/query", body)
+		if msg, _ := out["error"].(string); code != http.StatusBadRequest || out["kind"] != "bad_request" ||
+			!strings.Contains(msg, `unknown field "max_intermediate_tuples"`) {
+			t.Errorf("query %s = %d %v, want a 400 bad_request naming the unknown field", body, code, out)
+		}
+	}
+	if st := s.Stats(); st.Queries != 0 {
+		t.Fatalf("%d rejected queries ran", st.Queries)
 	}
 }
 

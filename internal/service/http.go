@@ -70,11 +70,10 @@ type registerRequest struct {
 
 // queryRequest is the body of POST /v1/query.
 type queryRequest struct {
-	Database              string `json:"database"`
-	Strategy              string `json:"strategy,omitempty"`
-	MaxTuples             int64  `json:"max_tuples,omitempty"`
-	MaxIntermediateTuples int64  `json:"max_intermediate_tuples,omitempty"`
-	TimeoutMS             int64  `json:"timeout_ms,omitempty"`
+	Database  string `json:"database"`
+	Strategy  string `json:"strategy,omitempty"`
+	MaxTuples int64  `json:"max_tuples,omitempty"`
+	TimeoutMS int64  `json:"timeout_ms,omitempty"`
 	// Workers asks for intra-query parallelism (0 = service default,
 	// clamped to the configured per-query cap).
 	Workers int `json:"workers,omitempty"`
@@ -210,12 +209,11 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rep, err := s.Query(r.Context(), Request{
-		Database:              req.Database,
-		Strategy:              req.Strategy,
-		MaxTuples:             req.MaxTuples,
-		MaxIntermediateTuples: req.MaxIntermediateTuples,
-		Timeout:               time.Duration(req.TimeoutMS) * time.Millisecond,
-		Workers:               req.Workers,
+		Database:  req.Database,
+		Strategy:  req.Strategy,
+		MaxTuples: req.MaxTuples,
+		Timeout:   time.Duration(req.TimeoutMS) * time.Millisecond,
+		Workers:   req.Workers,
 	})
 	if err != nil {
 		writeServiceError(w, err)

@@ -209,9 +209,8 @@ type Request struct {
 	// default (the fair share of the global budget, if one is set); a
 	// nonzero ask is clamped to Config.MaxTuplesPerQuery.
 	MaxTuples int64
-	// MaxIntermediateTuples caps any single operator's output (0 = none).
-	MaxIntermediateTuples int64
-	// Timeout is this query's deadline (0 = Config.DefaultTimeout).
+	// Timeout is this query's deadline, counted from admission
+	// (0 = Config.DefaultTimeout).
 	Timeout time.Duration
 	// Workers asks for intra-query parallelism: the number of goroutines
 	// this query's joins may use. 0 takes the service default
@@ -525,7 +524,7 @@ func (s *Service) Query(ctx context.Context, req Request) (*engine.Report, error
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	if err := checkBudgets(req.MaxTuples, req.MaxIntermediateTuples, int64(req.Timeout), int64(req.Workers)); err != nil {
+	if err := checkBudgets(req.MaxTuples, int64(req.Timeout), int64(req.Workers)); err != nil {
 		return nil, err
 	}
 	start := time.Now()
@@ -603,14 +602,14 @@ func (s *Service) execute(ctx context.Context, e *catalogEntry, strat engine.Str
 	if timeout <= 0 {
 		timeout = s.cfg.DefaultTimeout
 	}
-	lim := govern.Limits{
-		MaxTuples:             grant,
-		MaxIntermediateTuples: req.MaxIntermediateTuples,
-		Context:               ctx,
-	}.WithTimeout(timeout)
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
+	}
 	opts := engine.Options{
 		Strategy: strat,
-		Limits:   lim,
+		Limits:   govern.Limits{MaxTuples: grant, Context: ctx},
 		Workers:  workers,
 	}
 	if trace != nil {

@@ -228,6 +228,48 @@ func TestContextCancellationPropagates(t *testing.T) {
 	}
 }
 
+// TestQueryTimeoutIsDeadline: a query's timeout is its context's deadline,
+// so an expired one aborts as govern.ErrDeadline and as the context's
+// context.DeadlineExceeded, never as a cancellation. Over HTTP a timeout —
+// here the service default, since timeout_ms counts whole milliseconds —
+// is a 504, while a request whose client went away stays a 499.
+func TestQueryTimeoutIsDeadline(t *testing.T) {
+	s := New(Config{Workers: 1})
+	if _, err := s.Register("tri", triangleDB(t)); err != nil {
+		t.Fatal(err)
+	}
+	_, err := s.Query(context.Background(), Request{Database: "tri", Timeout: time.Nanosecond})
+	if !errors.Is(err, govern.ErrDeadline) || !errors.Is(err, context.DeadlineExceeded) || errors.Is(err, govern.ErrCanceled) {
+		t.Fatalf("err = %v, want ErrDeadline and context.DeadlineExceeded", err)
+	}
+	if st := s.Stats(); st.Aborted != 1 {
+		t.Errorf("aborted = %d, want 1", st.Aborted)
+	}
+
+	s = New(Config{Workers: 1, DefaultTimeout: time.Nanosecond})
+	if _, err := s.Register("tri", triangleDB(t)); err != nil {
+		t.Fatal(err)
+	}
+	serve := func(ctx context.Context) (int, string) {
+		req := httptest.NewRequest(http.MethodPost, "/v1/query", strings.NewReader(`{"database":"tri"}`)).WithContext(ctx)
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		var out struct{ Kind string }
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			t.Fatalf("%d %s: %v", rec.Code, rec.Body, err)
+		}
+		return rec.Code, out.Kind
+	}
+	if code, kind := serve(context.Background()); code != http.StatusGatewayTimeout || kind != "deadline" {
+		t.Errorf("timed-out query = %d %q, want 504 deadline", code, kind)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if code, kind := serve(ctx); code != StatusClientClosedRequest || kind != "canceled" {
+		t.Errorf("client-canceled query = %d %q, want 499 canceled", code, kind)
+	}
+}
+
 // TestConcurrentQueriesUnderRace is the second acceptance criterion: ≥ 32
 // concurrent queries through the HTTP handler with a global tuple budget
 // and a small pool; every response must be 200 or 429 (overload is

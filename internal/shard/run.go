@@ -70,8 +70,7 @@ func Run(g *Group, plan *engine.Plan, opts engine.Options, ex *InProcess) (*engi
 	shLim.Context = ctx
 	if lim.MaxTuples > 0 {
 		// One pool for all shards: the collective abort boundary is the
-		// sequential MaxTuples boundary exactly. MaxIntermediateTuples
-		// stays per shard (a per-operator cap has no cross-shard meaning).
+		// sequential MaxTuples boundary exactly.
 		shLim.Pool = govern.NewPool(lim.MaxTuples)
 		shLim.MaxTuples = 0
 	}

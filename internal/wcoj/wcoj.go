@@ -120,11 +120,11 @@ func JoinGoverned(db *relation.Database, order []string, gov *govern.Governor, w
 // variable order, which must cover exactly their attributes, under gov (nil
 // = no limits), enumerating with up to workers goroutines (values below 2
 // run sequentially). Each trie charges one tuple per index entry under the
-// operator "wcoj.trie" (one scope per operand, so MaxIntermediateTuples
-// bounds any single index) before it is fetched from the block or built, so
-// charges do not depend on what earlier queries left resident; enumeration
-// charges each output tuple — and counts every binding of every variable
-// toward the cancellation/deadline poll, even when nothing is emitted —
+// operator "wcoj.trie" (one scope per operand) before it is fetched from
+// the block or built, so charges do not depend on what earlier queries left
+// resident; enumeration charges each output tuple — and counts every
+// binding of every variable toward the cancellation poll, even when nothing
+// is emitted —
 // under "wcoj.join", one meter per enumerating goroutine. When span is non-nil,
 // each trie and the enumeration get a child span under it.
 func JoinBlocks(blocks []*relation.ColBlock, order []string, gov *govern.Governor, workers int, span *obs.Span) (*Result, error) {

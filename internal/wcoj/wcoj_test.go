@@ -1,6 +1,7 @@
 package wcoj_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -275,7 +276,9 @@ func TestTupleBudgetAborts(t *testing.T) {
 
 func TestDeadlineAborts(t *testing.T) {
 	db := triangleDB(t)
-	gov := govern.New(govern.Limits{Deadline: time.Now().Add(-time.Second)})
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	gov := govern.New(govern.Limits{Context: ctx})
 	if _, err := wcoj.JoinGoverned(db, wcoj.VariableOrder(hypergraph.OfScheme(db)), gov, 1); !errors.Is(err, govern.ErrDeadline) {
 		t.Fatalf("want ErrDeadline, got %v", err)
 	}
